@@ -11,7 +11,7 @@ from .normal import NormalizationMap, MultipleUse, denormalize, normalize  # noq
 from .patchgen import (ExampleShapeError, MalformedPatch, ResolutionError,  # noqa: F401
                        SemanticPatch, generate_patch, parse_patch, render_patch)
 from .engine import (MetaBinding, UpdateReport, already_guarded,  # noqa: F401
-                     apply_patch, match_statement, transplant_definitions)
+                     apply_patch, match_statement, transplant_definitions, update)
 from .harness import run_corpus  # noqa: F401
 
 __version__ = "0.1.0"

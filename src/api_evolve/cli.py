@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from . import dataflow, engine, jast, normal, patchgen, sigmap
+from . import engine, jast, normal, patchgen, sigmap
 
 EXIT_OK = 0
 EXIT_NO_SITES = 1
@@ -101,12 +101,10 @@ def run_generate(args, mapping) -> int:
 
 def run_apply(args, mapping) -> int:
     try:
-        src = jast.parse_file(args.input)
+        with open(args.input, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.input, exc))
-        return EXIT_PARSE
-    except jast.UnbalancedSource as exc:
-        sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     try:
         with open(args.patch, "r", encoding="utf-8") as fh:
@@ -117,28 +115,16 @@ def run_apply(args, mapping) -> int:
     except patchgen.MalformedPatch as exc:
         sys.stderr.write("api-evolve: malformed patch %s: %s\n" % (args.patch, exc))
         return EXIT_BAD_INPUT
-
-    unit = src.unit
     try:
-        unit, nmap = normal.normalize(
-            unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
-        unit, copied, renames = engine.transplant_definitions(
-            unit, patch.needs_defs, patch.needs_imports)
-        unit, report, patch_temps = engine.apply_patch(patch, unit, renames)
-        unit = normal.denormalize(unit, nmap, patch_temps)
+        out_text, report = engine.update(text, patch, mapping)
+    except jast.UnbalancedSource as exc:
+        sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
+        return EXIT_PARSE
     except normal.MultipleUse as exc:
         sys.stderr.write("api-evolve: internal temporary misuse: %s\n" % exc)
         return EXIT_BAD_INPUT
 
     report.file_path = args.input
-    report.definitions_copied = copied
-    # field-initializer sites are skipped by normalize and re-reported by the
-    # engine as NonStatementContext, so nmap.skipped needs no merging here
-
-    if report.sites_updated == 0:
-        out_text = src.text  # nothing applied: output mirrors the input
-    else:
-        out_text = jast.print_unit(unit)
     _atomic_write(args.output, out_text)
     if args.report:
         _atomic_write(args.report,

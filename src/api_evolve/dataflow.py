@@ -181,7 +181,7 @@ class _Resolver:
             needs.extend(av.needs)
 
         if e.receiver is None:
-            local = self._find_method(e.name, len(e.args))
+            local = self.methods.get((e.name, len(e.args)))
             if local is not None:
                 needs.append(local)
         return ResolvedValue(METHOD_INVOCATION,
@@ -232,24 +232,17 @@ class _Resolver:
         kind = METHOD_INVOCATION if has_call else STATIC_MEMBER
         return ResolvedValue(kind, out, needs)
 
-    def _find_method(self, name, arity):
-        for key, m in self.methods.items():
-            if key == (name, arity) and not m.implicit:
-                return m
-        return None
-
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7, "instanceof": 7,
-    "<<": 8, ">>": 8, ">>>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+_PRECEDENCE = {  # the binary operators jast parses, loosest first
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
 }
 
 

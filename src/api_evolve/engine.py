@@ -1,5 +1,6 @@
 """Patch application: pattern matching with metavariables, guarded
-rewriting of every match site, and helper-definition transplantation."""
+rewriting of every match site, helper-definition transplantation, and
+update(), the one function that runs the whole apply pipeline."""
 
 from __future__ import annotations
 
@@ -14,10 +15,6 @@ NO_MATCH = "NoMatch"
 NON_STATEMENT_CONTEXT = "NonStatementContext"
 
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
-
-
-class NameCollision(Exception):
-    """Same name, different arity/kind already present in the target."""
 
 
 @dataclass
@@ -106,7 +103,7 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
                 return False
             bound = binding.assignments.get(name)
             if bound is not None:
-                return jast.ast_equal(_strip(bound), _strip(actual))
+                return jast.ast_equal(bound, actual)
             binding.assignments[name] = actual
             return True
     if type(pattern) is not type(actual):
@@ -147,16 +144,6 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
         return (pattern.type_name == actual.type_name
                 and _match_expr(pattern.operand, actual.operand, expr_mv, ident_mv, binding))
     return False
-
-
-def _strip(e):
-    """Copy an expression with spans/src cleared, for equality checks."""
-    import copy
-    c = copy.deepcopy(e)
-    for sub in jast.iter_exprs(c):
-        sub.span = None
-        sub.src = None
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +238,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
     patch_temps = []
     expr_mv = patch.metavar_names("expression")
     ident_mv = patch.metavar_names("identifier")
-    ctx_call = _pattern_call(patch.context)
-    if ctx_call is None:
-        raise patchgen.MalformedPatch("context line carries no method call")
+    ctx_call = patchgen.pattern_call(patch.context)
     temp_counter = normal._fresh_counter(unit.text, normal.PATCH_TEMP_PREFIX)
 
     edits = []
@@ -297,14 +282,6 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 
     unit2 = jast.edited(unit, edits) if edits else unit
     return unit2, report, patch_temps
-
-
-def _pattern_call(stmt):
-    for root in jast.stmt_exprs(stmt):
-        for e in jast.iter_exprs(root):
-            if isinstance(e, jast.MethodCall):
-                return e
-    return None
 
 
 def _candidate_sites(unit, ctx_call):
@@ -408,3 +385,27 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
 
     unit2 = jast.edited(unit, edits) if edits else unit
     return unit2, copied, renames
+
+
+# ---------------------------------------------------------------------------
+# The apply pipeline
+# ---------------------------------------------------------------------------
+
+def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping):
+    """Update one target: parse, find sites, normalize, transplant helpers,
+    apply the patch and denormalize.
+
+    Returns (out_text, UpdateReport); out_text is `text` itself when no
+    site was updated. Raises jast.UnbalancedSource when the text does not
+    parse and normal.MultipleUse when a tool temporary cannot be inlined.
+    """
+    unit = jast.parse(text)
+    unit, nmap = normal.normalize(
+        unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
+    unit, copied, renames = transplant_definitions(
+        unit, patch.needs_defs, patch.needs_imports)
+    unit, report, patch_temps = apply_patch(patch, unit, renames)
+    report.definitions_copied = copied
+    if report.sites_updated == 0:
+        return text, report
+    return jast.print_unit(normal.denormalize(unit, nmap, patch_temps)), report

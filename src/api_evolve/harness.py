@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import engine, jast, normal, patchgen, sigmap
+from . import engine, jast, patchgen, sigmap
 
 
 @dataclass
@@ -81,16 +81,7 @@ def normalize_ws(text: str) -> str:
 def update_text(target_text: str, patch: patchgen.SemanticPatch,
                 mapping: sigmap.ApiMapping) -> str:
     """Full update pipeline over one target, returning the updated text."""
-    unit = jast.parse(target_text)
-    unit, nmap = normal.normalize(
-        unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
-    unit, _copied, renames = engine.transplant_definitions(
-        unit, patch.needs_defs, patch.needs_imports)
-    unit, report, patch_temps = engine.apply_patch(patch, unit, renames)
-    unit = normal.denormalize(unit, nmap, patch_temps)
-    if report.sites_updated == 0:
-        return target_text
-    return jast.print_unit(unit)
+    return engine.update(target_text, patch, mapping)[0]
 
 
 def run_case(case_dir: Path) -> CaseResult:

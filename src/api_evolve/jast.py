@@ -891,7 +891,6 @@ def splice(unit: CompilationUnit, edits) -> str:
         out.append(unit.text[pos:span.start])
         out.append(repl)
         pos = span.end
-        prev_end = span.end
     out.append(unit.text[pos:])
     return "".join(out)
 

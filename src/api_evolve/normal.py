@@ -9,47 +9,45 @@ temporary behind.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import jast, sigmap
 
 TARGET_TEMP_PREFIX = "normArg"
 PATCH_TEMP_PREFIX = "newParameterVariable"
 
-NON_STATEMENT_CONTEXT = "NonStatementContext"
-
 
 class MultipleUse(Exception):
-    """A tool temporary is used more than once; upstream bug, abort the file."""
+    """A tool temporary is used more than once, or tool temporaries refer
+    to each other in a cycle; upstream bug, abort the file."""
 
 
 @dataclass
 class NormalizationMap:
-    entries: list = field(default_factory=list)  # of (temp_name, original_src, decl_stmt)
-    skipped: list = field(default_factory=list)  # of (Span, reason)
+    entries: list = field(default_factory=list)  # of temp names, one per hoisted argument
 
     def temp_names(self) -> list:
-        return [name for name, _src, _decl in self.entries]
+        return list(self.entries)
 
 
 def normalize(unit: jast.CompilationUnit, sites, mapping: sigmap.ApiMapping):
     """Hoist complex deprecated-call arguments into fresh temporaries.
 
-    Returns (unit', NormalizationMap). Sites whose enclosing context cannot
-    legally precede a declaration (field initializers) are skipped and
-    recorded.
+    Returns (unit', NormalizationMap). Sites outside a statement (field
+    initializers) are left for the engine to report. A site inside an
+    argument that is hoisted moves with that argument, so its own
+    arguments stay where they are.
     """
     nmap = NormalizationMap()
     edits = []
+    hoisted = []  # spans of the arguments moved into temporaries
     counter = _fresh_counter(unit.text, TARGET_TEMP_PREFIX)
-    planned = []  # (temp_name, original_src)
     for site in sorted(sites, key=lambda s: s.call.span.start):
-        if site.enclosing_stmt is None:
-            nmap.skipped.append((site.call.span, NON_STATEMENT_CONTEXT))
-            continue
         stmt = site.enclosing_stmt
+        if stmt is None or any(h.contains(site.call.span) for h in hoisted):
+            continue
         indent = jast.indent_at(unit.text, stmt.span.start)
         for idx, arg in enumerate(site.call.args):
             if isinstance(arg, jast.Name):
@@ -59,37 +57,66 @@ def normalize(unit: jast.CompilationUnit, sites, mapping: sigmap.ApiMapping):
             decl = "%s %s = %s;%s%s" % (ptype, temp, arg.src, unit.newline, indent)
             edits.append((jast.Span(stmt.span.start, stmt.span.start), decl))
             edits.append((arg.span, temp))
-            planned.append((temp, arg.src))
+            hoisted.append(arg.span)
+            nmap.entries.append(temp)
     if not edits:
         return unit, nmap
-    unit2 = jast.edited(unit, edits)
-    decls = _temp_decls(unit2)
-    for temp, src in planned:
-        nmap.entries.append((temp, src, decls.get(temp)))
-    return unit2, nmap
+    return jast.edited(unit, edits), nmap
 
 
 def denormalize(unit: jast.CompilationUnit, nmap: NormalizationMap,
                 patch_temps=()) -> jast.CompilationUnit:
     """Inline every tool temporary back into its single use site and delete
-    its declaration. Applied innermost-first so nested temporaries are
-    handled in one logical pass."""
+    its declaration. A temporary used in another one's initializer is
+    substituted into that initializer first; the file is then spliced and
+    parsed once."""
     pending = set(nmap.temp_names()) | set(patch_temps)
-    while True:
-        decls = {name: d for name, d in _temp_decls(unit).items() if name in pending}
-        if not decls:
-            break
-        name = _innermost(decls)
-        decl = decls[name]
-        uses = _uses_of(unit, name, decl)
-        if len(uses) > 1:
-            raise MultipleUse("temporary %s used %d times" % (name, len(uses)))
-        edits = [(_line_span(unit, decl.span), "")]
-        if uses:
-            edits.append((uses[0].span, decl.init.src))
-        unit = jast.edited(unit, edits)
-        pending.discard(name)
-    return unit
+    decls = {}  # temp name -> LocalVarDecl
+    uses = {}   # temp name -> [(Name, temp whose initializer holds it, or None)]
+    for tdecl, _outer in jast.iter_types(unit):
+        roots = [(f.initializer, None) for f in tdecl.fields if f.initializer is not None]
+        for mdecl in tdecl.methods:
+            for stmt, _chain in jast.iter_statements(mdecl.body):
+                owner = None
+                if isinstance(stmt, jast.LocalVarDecl) and stmt.name in pending:
+                    decls[stmt.name], owner = stmt, stmt.name
+                roots.extend((root, owner) for root in jast.stmt_exprs(stmt))
+        for root, owner in roots:
+            for e in jast.iter_exprs(root):
+                if isinstance(e, jast.Name) and e.identifier in pending:
+                    uses.setdefault(e.identifier, []).append((e, owner))
+    if not decls:
+        return unit
+
+    inner, top = {}, []  # owner -> [(Name, temp)]; [(Name, temp)] outside any temp
+    for name in decls:
+        found = uses.get(name, [])
+        if len(found) > 1:
+            raise MultipleUse("temporary %s used %d times" % (name, len(found)))
+        for use, owner in found:
+            (inner.setdefault(owner, []) if owner else top).append((use, name))
+
+    inlined = {}
+
+    def inline(name, active=()):
+        """The initializer text of `name` with nested temporaries inlined."""
+        if name in active:
+            raise MultipleUse("cyclic temporary references: %s" % sorted(active))
+        if name not in inlined:
+            init = decls[name].init
+            text = init.src
+            for use, temp in sorted(inner.get(name, []), key=lambda u: -u[0].span.start):
+                start, end = use.span.start - init.span.start, use.span.end - init.span.start
+                text = text[:start] + inline(temp, active + (name,)) + text[end:]
+            inlined[name] = text
+        return inlined[name]
+
+    for name, decl in decls.items():  # also finds cycles that no outside use reaches
+        if decl.init is not None:
+            inline(name)
+    edits = [(_line_span(unit, decl.span), "") for decl in decls.values()]
+    edits += [(use.span, inline(name)) for use, name in top]
+    return jast.edited(unit, edits)
 
 
 def purge_ok(text: str, patch_temps=()) -> bool:
@@ -102,56 +129,8 @@ def purge_ok(text: str, patch_temps=()) -> bool:
 
 
 def _fresh_counter(text: str, prefix: str):
-    used = {int(m) for m in re.findall(r"\b%s(\d+)\b" % prefix, text)}
-    n = max(used) + 1 if used else 0
-
-    def gen():
-        nonlocal n
-        while True:
-            yield n
-            n += 1
-    return gen()
-
-
-def _temp_decls(unit) -> dict:
-    """name -> LocalVarDecl for every tool-temp declaration in the unit."""
-    out = {}
-    for tdecl, _outer in jast.iter_types(unit):
-        for mdecl in tdecl.methods:
-            for stmt, _chain in jast.iter_statements(mdecl.body):
-                if (isinstance(stmt, jast.LocalVarDecl)
-                        and re.match(r"^(%s|%s)\d+$" % (TARGET_TEMP_PREFIX,
-                                                        PATCH_TEMP_PREFIX), stmt.name)):
-                    out[stmt.name] = stmt
-    return out
-
-
-def _innermost(decls: dict) -> str:
-    """A temp whose initializer references no other pending temp."""
-    names = set(decls)
-    for name, d in sorted(decls.items()):
-        init_src = d.init.src if d.init is not None else ""
-        if not any(re.search(r"\b%s\b" % other, init_src)
-                   for other in names if other != name):
-            return name
-    raise MultipleUse("cyclic temporary references: %s" % sorted(names))
-
-
-def _uses_of(unit, name, decl) -> list:
-    uses = []
-    for tdecl, _outer in jast.iter_types(unit):
-        roots = [f.initializer for f in tdecl.fields if f.initializer is not None]
-        for mdecl in tdecl.methods:
-            for stmt, _chain in jast.iter_statements(mdecl.body):
-                if stmt is decl:
-                    continue
-                roots.extend(jast.stmt_exprs(stmt))
-        for root in roots:
-            for e in jast.iter_exprs(root):
-                if isinstance(e, jast.Name) and e.identifier == name:
-                    uses.append(e)
-    uses.sort(key=lambda e: e.span.start)
-    return uses
+    used = [int(m) for m in re.findall(r"\b%s(\d+)\b" % prefix, text)]
+    return itertools.count(max(used) + 1 if used else 0)
 
 
 def _line_span(unit, span: jast.Span) -> jast.Span:

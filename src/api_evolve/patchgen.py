@@ -32,14 +32,14 @@ class MalformedPatch(Exception):
 
 CONTEXT = "Context"
 ADD = "Add"
-REMOVE = "Remove"
 ELLIPSIS = "Ellipsis"
 
 
 @dataclass
 class PatchLine:
     kind: str
-    text: str = ""  # line content without the +/- prefix
+    text: str = ""  # line content without the + prefix
+    line: int = 0  # 1-based line in the patch file; 0 for generated lines
 
 
 @dataclass
@@ -285,8 +285,6 @@ def render_patch(p: SemanticPatch) -> str:
             lines.append("...")
         elif pl.kind == ADD:
             lines.append("+ %s" % pl.text)
-        elif pl.kind == REMOVE:
-            lines.append("- %s" % pl.text)
         else:
             lines.append(pl.text)
     if p.needs_imports or p.needs_defs:
@@ -325,18 +323,16 @@ def parse_patch(text: str) -> SemanticPatch:
     hunk_start = i + 1
     while i < len(lines) and lines[i].strip() != "@needs@":
         raw = lines[i].strip()
-        if raw == "":
-            i += 1
-            continue
-        if raw == "...":
-            hunk.append(PatchLine(ELLIPSIS))
-        elif raw.startswith("+"):
-            hunk.append(PatchLine(ADD, raw[1:].strip()))
-        elif raw.startswith("-"):
-            hunk.append(PatchLine(REMOVE, raw[1:].strip()))
-        else:
-            hunk.append(PatchLine(CONTEXT, raw))
         i += 1
+        if raw == "...":
+            hunk.append(PatchLine(ELLIPSIS, "", i))
+        elif raw.startswith("+"):
+            hunk.append(PatchLine(ADD, raw[1:].strip(), i))
+        elif raw.startswith("-"):
+            raise MalformedPatch("'-' lines are not supported; the deprecated call "
+                                 "is the unprefixed context line", i)
+        elif raw:
+            hunk.append(PatchLine(CONTEXT, raw, i))
 
     needs_imports, needs_defs = [], []
     if i < len(lines):  # @needs@ section
@@ -351,9 +347,6 @@ def parse_patch(text: str) -> SemanticPatch:
         blob = "\n".join(body).strip("\n")
         if blob.strip():
             needs_defs = _split_defs(blob)
-
-    if not any(pl.kind in (ADD, CONTEXT) for pl in hunk):
-        raise MalformedPatch("empty hunk", hunk_start)
 
     guard, then_stmts, context = _derive_shape(hunk, hunk_start)
     return SemanticPatch(rule_name=rule_name, metavars=metavars, guard_cond=guard,
@@ -376,42 +369,56 @@ def _split_defs(blob: str) -> list:
     return defs
 
 
+def pattern_call(stmt):
+    """The first method call in a pattern statement, or None."""
+    for root in jast.stmt_exprs(stmt):
+        for e in jast.iter_exprs(root):
+            if isinstance(e, jast.MethodCall):
+                return e
+    return None
+
+
 def _derive_shape(hunk, hunk_start):
     """Recover (guard, then statement patterns, context pattern) from the
-    generated hunk layout."""
-    stmt_lines = [(idx, pl) for idx, pl in enumerate(hunk) if pl.kind in (ADD, CONTEXT)]
-    lineno = hunk_start
+    generated hunk layout, rejecting lines the engine cannot apply."""
+    stmt_lines = [pl for pl in hunk if pl.kind in (ADD, CONTEXT)]
     if not stmt_lines:
         raise MalformedPatch("empty hunk", hunk_start)
-    first = stmt_lines[0][1]
+    first = stmt_lines[0]
     m = re.match(r"^if\s*\((.*)\)\s*\{$", first.text)
     if first.kind != ADD or not m:
-        raise MalformedPatch("hunk must open with '+ if (<guard>) {'", hunk_start)
+        raise MalformedPatch("hunk must open with '+ if (<guard>) {'", first.line)
     try:
         guard = jast.parse_expr_text(m.group(1))
     except Exception:
-        raise MalformedPatch("unparsable guard condition %r" % m.group(1), hunk_start)
+        raise MalformedPatch("unparsable guard condition %r" % m.group(1), first.line)
 
     then_stmts, context = [], None
     seen_else = False
-    for idx, pl in stmt_lines[1:]:
-        text = pl.text
-        if pl.kind == ADD and text == "} else {":
+    for pl in stmt_lines[1:]:
+        if pl.kind == ADD and pl.text == "} else {":
             seen_else = True
             continue
-        if pl.kind == ADD and text == "}":
-            continue
-        if pl.kind == REMOVE:
+        if pl.kind == ADD and pl.text == "}":
             continue
         try:
-            stmt = jast.parse_stmt_text(text)
+            stmt = jast.parse_stmt_text(pl.text)
         except Exception:
-            raise MalformedPatch("unparsable pattern line %r" % text, lineno + idx)
+            stmt = None
+        if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
+            raise MalformedPatch("pattern line %r is not one expression, declaration "
+                                 "or return statement" % pl.text, pl.line)
         if pl.kind == CONTEXT:
             if context is not None:
-                raise MalformedPatch("multiple context lines", lineno + idx)
+                raise MalformedPatch("multiple context lines", pl.line)
+            if pattern_call(stmt) is None:
+                raise MalformedPatch("context line %r carries no method call" % pl.text,
+                                     pl.line)
             context = stmt
-        elif not seen_else:
+        elif seen_else:
+            raise MalformedPatch("'+' statement after '+ } else {' is not supported; "
+                                 "the else branch keeps the original statement", pl.line)
+        else:
             then_stmts.append(stmt)
     if context is None:
         raise MalformedPatch("missing context line", hunk_start)

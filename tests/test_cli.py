@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from api_evolve import cli
+from api_evolve import cli, harness, patchgen, sigmap
 
 from conftest import CORPUS
 
@@ -194,3 +194,85 @@ def test_generated_patch_survives_disk_roundtrip(tmp_path, example, patch_file):
                          "--input", str(target), "--patch", str(patch_file),
                          "--output", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("lineno, replacement", [
+    (7, "+ classIden.vibrate(newParameterVariable0;"),
+    (9, "x = iden0;"),
+    (9, "- classIden.vibrate(iden0);"),
+    (10, "+ log(iden0);"),
+], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else"])
+def test_apply_rejects_patch_line_the_engine_cannot_apply(
+        tmp_path, patch_file, capsys, lineno, replacement):
+    lines = patch_file.read_text().splitlines()
+    lines[lineno - 1] = replacement
+    bad = tmp_path / "bad.cocci"
+    bad.write_text("\n".join(lines) + "\n")
+    target = tmp_path / "main.java"
+    target.write_text(TARGET)
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                   "--input", str(target), "--patch", str(bad),
+                   "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line %d" % lineno in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_apply_nested_sites_every_site_accounted(tmp_path, patch_file, capsys):
+    target = tmp_path / "nested.java"
+    target.write_text("class A {\n"
+                      "    void m(Vibrator v, Vibrator w, long d) {\n"
+                      "        v.vibrate(w.vibrate(d * 2) + 1);\n"
+                      "    }\n"
+                      "}\n")
+    out = tmp_path / "out.java"
+    report = tmp_path / "report.json"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                   "--input", str(target), "--patch", str(patch_file),
+                   "--output", str(out), "--report", str(report)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    data = json.loads(report.read_text())
+    assert data["sitesFound"] == 2
+    assert data["sitesUpdated"] + len(data["skipped"]) == data["sitesFound"]
+    assert "} else {\n            v.vibrate(w.vibrate(d * 2) + 1);\n" in out.read_text()
+
+
+def test_apply_nested_sites_with_shared_argument_exits_3(tmp_path, capsys):
+    case = CORPUS / "cases" / "from_html"
+    dep, upd = (case / "mapping.txt").read_text().splitlines()
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", dep, upd, "--input", str(case / "example.java"),
+                     "--output", str(patch)]) == 0
+    target = tmp_path / "nested.java"
+    target.write_text("class A {\n"
+                      "    void m(String a, String b) {\n"
+                      "        x = Html.fromHtml(Html.fromHtml(a + b).toString());\n"
+                      "    }\n"
+                      "}\n")
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target),
+                   "--patch", str(patch), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("api-evolve: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", sorted(CORPUS.glob("cases/*/targets/*.java")),
+                         ids=lambda p: "%s/%s" % (p.parent.parent.name, p.stem))
+def test_cli_output_matches_library(tmp_path, target):
+    case = target.parent.parent
+    dep, upd = (case / "mapping.txt").read_text().splitlines()
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", dep, upd, "--input", str(case / "example.java"),
+                     "--output", str(patch)]) == 0
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target),
+                   "--patch", str(patch), "--output", str(out)])
+    text = target.read_bytes().decode("utf-8")
+    mapping = sigmap.ApiMapping(sigmap.parse_signature(dep), sigmap.parse_signature(upd))
+    want = harness.update_text(text, patchgen.parse_patch(patch.read_text()), mapping)
+    assert out.read_bytes() == want.encode("utf-8")
+    assert rc == (1 if want == text else 0)

@@ -1,6 +1,8 @@
 import pytest
 
-from api_evolve import jast, normal, sigmap
+from api_evolve import engine, jast, normal, patchgen, sigmap
+
+from conftest import CORPUS
 
 
 VIBRATE = sigmap.ApiMapping(
@@ -27,7 +29,7 @@ def test_literal_argument_hoisted():
     out = jast.print_unit(unit)
     assert "long normArg0 = 50;" in out
     assert "v.vibrate(normArg0);" in out
-    assert [e[0] for e in nmap.entries] == ["normArg0"]
+    assert nmap.entries == ["normArg0"]
 
 
 def test_compound_argument_hoisted():
@@ -61,7 +63,20 @@ def test_field_initializer_site_skipped():
     text = 'class A { Spanned s = Html.fromHtml(raw()); }\n'
     unit, nmap = norm(text, mapping)
     assert jast.print_unit(unit) == text
-    assert [r for _, r in nmap.skipped] == [normal.NON_STATEMENT_CONTEXT]
+    assert nmap.entries == []
+    example = jast.parse((CORPUS / "cases" / "from_html" / "example.java").read_text())
+    out, report = engine.update(text, patchgen.generate_patch(example, mapping), mapping)
+    assert out == text
+    assert [r for _, r in report.sites_skipped] == [engine.NON_STATEMENT_CONTEXT]
+
+
+def test_site_nested_in_hoisted_argument_moves_with_it():
+    text = ("class A {\n    void m(Vibrator v, Vibrator w, long d) {\n"
+            "        v.vibrate(w.vibrate(d * 2) + 1);\n    }\n}\n")
+    unit, nmap = norm(text)
+    assert nmap.entries == ["normArg0"]
+    assert "long normArg0 = w.vibrate(d * 2) + 1;" in jast.print_unit(unit)
+    assert jast.print_unit(normal.denormalize(unit, nmap)) == text
 
 
 def test_denormalize_inverts_normalize():
@@ -82,15 +97,42 @@ def test_denormalize_nested_temps_innermost_first():
             "    void m() {\n"
             "        int normArg0 = k();\n"
             "        int normArg1 = normArg0 + 1;\n"
-            "        f(normArg1);\n"
+            "        int normArg2 = g(normArg1, 2);\n"
+            "        f(normArg2);\n"
             "    }\n"
             "}\n")
     unit = jast.parse(text)
     nmap = normal.NormalizationMap()
-    out = normal.denormalize(unit, nmap, patch_temps=("normArg0", "normArg1"))
-    body = jast.print_unit(out)
-    assert "f(k() + 1);" in body
-    assert "normArg" not in body
+    out = normal.denormalize(unit, nmap, ("normArg0", "normArg1", "normArg2"))
+    assert jast.print_unit(out) == "class A {\n    void m() {\n        f(g(k() + 1, 2));\n    }\n}\n"
+
+
+def test_denormalize_cycle_raises():
+    text = ("class A {\n"
+            "    void m() {\n"
+            "        int normArg0 = normArg1 + 1;\n"
+            "        int normArg1 = normArg0 * 2;\n"
+            "        f(x);\n"
+            "    }\n"
+            "}\n")
+    with pytest.raises(normal.MultipleUse, match="cyclic"):
+        normal.denormalize(jast.parse(text), normal.NormalizationMap(),
+                           ("normArg0", "normArg1"))
+
+
+@pytest.mark.parametrize("sites", [1, 40])
+def test_denormalize_parses_once(sites, monkeypatch):
+    body = ["        v.vibrate(d * %d);" % k for k in range(sites)]
+    text = "\n".join(["class A {", "    void m(Vibrator v, long d) {"]
+                     + body + ["    }", "}", ""])
+    unit, nmap = norm(text)
+    assert len(nmap.entries) == sites
+    parsed = []
+    real = jast.parse
+    monkeypatch.setattr(jast, "parse", lambda t: parsed.append(t) or real(t))
+    out = normal.denormalize(unit, nmap)
+    assert len(parsed) == 1
+    assert jast.print_unit(out) == text
 
 
 def test_denormalize_multiple_use_raises():

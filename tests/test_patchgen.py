@@ -137,3 +137,17 @@ def test_parse_patch_reports_line_number():
         assert err.line == 2
     else:
         pytest.fail("expected MalformedPatch")
+
+
+@pytest.mark.parametrize("lineno, replacement, message", [
+    (7, "+ classIden.vibrate(newParameterVariable0;", "not one expression"),
+    (9, "x = iden0;", "no method call"),
+    (9, "- classIden.vibrate(iden0);", "'-' lines"),
+    (10, "+ log(iden0);", "after '\\+ } else {'"),
+], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else"])
+def test_parse_patch_rejects_lines_the_engine_cannot_apply(lineno, replacement, message):
+    lines = EXPECTED_VIBRATE_PATCH.splitlines()
+    lines[lineno - 1] = replacement
+    with pytest.raises(patchgen.MalformedPatch, match=message) as err:
+        patchgen.parse_patch("\n".join(lines) + "\n")
+    assert err.value.line == lineno
