@@ -128,7 +128,7 @@ def run_apply(args, mapping) -> int:
     _atomic_write(args.output, out_text)
     if args.report:
         _atomic_write(args.report,
-                      json.dumps(report.to_json_dict(out_text), indent=2) + "\n")
+                      json.dumps(report.to_json_dict(text), indent=2) + "\n")
     return EXIT_OK if report.sites_updated >= 1 else EXIT_NO_SITES
 
 

@@ -205,32 +205,28 @@ class _Resolver:
     def _resolve_compound(self, e, ctx, visited) -> ResolvedValue:
         # arithmetic is never folded; operands are grounded in place,
         # parenthesized where inlining would change the parse
-        needs = []
         if isinstance(e, jast.Binary):
             lv = self.resolve(e.lhs, ctx, visited)
             rv = self.resolve(e.rhs, ctx, visited)
-            if UNRESOLVED in (lv.kind, rv.kind):
-                return ResolvedValue(UNRESOLVED, e)
-            needs = lv.needs + rv.needs
+            operands = (lv, rv)
             out = jast.Binary(e.op,
                               _guard_operand(lv.expr, e.op, right=False),
                               _guard_operand(rv.expr, e.op, right=True))
-        elif isinstance(e, jast.Unary):
-            ov = self.resolve(e.operand, ctx, visited)
-            if ov.kind == UNRESOLVED:
-                return ResolvedValue(UNRESOLVED, e)
-            needs = ov.needs
-            out = jast.Unary(e.op, _guard_tight(ov.expr))
         else:
             ov = self.resolve(e.operand, ctx, visited)
-            if ov.kind == UNRESOLVED:
-                return ResolvedValue(UNRESOLVED, e)
-            needs = ov.needs
-            out = jast.Cast(e.type_name, _guard_tight(ov.expr))
-        has_call = any(isinstance(x, (jast.MethodCall, jast.ObjectCreation))
-                       for x in jast.iter_exprs(out))
+            operands = (ov,)
+            if isinstance(e, jast.Unary):
+                out = jast.Unary(e.op, _guard_tight(ov.expr))
+            else:
+                out = jast.Cast(e.type_name, _guard_tight(ov.expr))
+        kinds = {v.kind for v in operands}
+        if UNRESOLVED in kinds:
+            return ResolvedValue(UNRESOLVED, e)
+        # an operand holds a call exactly when it resolved to one, or to
+        # arithmetic over one; its kind says so without walking its tree
+        has_call = bool(kinds & {METHOD_INVOCATION, OBJECT_CREATION})
         kind = METHOD_INVOCATION if has_call else STATIC_MEMBER
-        return ResolvedValue(kind, out, needs)
+        return ResolvedValue(kind, out, [d for v in operands for d in v.needs])
 
 
 # ---------------------------------------------------------------------------

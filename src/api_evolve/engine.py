@@ -27,10 +27,12 @@ class UpdateReport:
     file_path: str = ""
     sites_found: int = 0
     sites_updated: int = 0
-    sites_skipped: list = field(default_factory=list)  # of (Span, reason)
+    sites_skipped: list = field(default_factory=list)  # of (Span, reason); see to_json_dict
     definitions_copied: list = field(default_factory=list)  # of names
 
     def to_json_dict(self, text: str) -> dict:
+        """`text` is the text the skip spans index: the unit given to
+        apply_patch, or the input text for a report from update()."""
         return {
             "file": self.file_path,
             "sitesFound": self.sites_found,
@@ -396,16 +398,19 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     apply the patch and denormalize.
 
     Returns (out_text, UpdateReport); out_text is `text` itself when no
-    site was updated. Raises jast.UnbalancedSource when the text does not
-    parse and normal.MultipleUse when a tool temporary cannot be inlined.
+    site was updated, and the report's skip spans index `text`. Raises
+    jast.UnbalancedSource when the text does not parse and
+    normal.MultipleUse when a tool temporary cannot be inlined.
     """
     unit = jast.parse(text)
     unit, nmap = normal.normalize(
         unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
     unit, copied, renames = transplant_definitions(
         unit, patch.needs_defs, patch.needs_imports)
-    unit, report, patch_temps = apply_patch(patch, unit, renames)
+    out, report, patch_temps = apply_patch(patch, unit, renames)
     report.definitions_copied = copied
+    report.sites_skipped = [(jast.origin_span(unit, span), reason)
+                            for span, reason in report.sites_skipped]
     if report.sites_updated == 0:
         return text, report
-    return jast.print_unit(normal.denormalize(unit, nmap, patch_temps)), report
+    return jast.print_unit(normal.denormalize(out, nmap, patch_temps)), report

@@ -232,6 +232,9 @@ class CompilationUnit:
     text: str = ""
     newline: str = "\n"
     header_end: int = 0  # offset just past package/import block
+    # the (Span, replacement) batches that edited() spliced into the text
+    # first parsed to reach this one, oldest first, each sorted by span
+    edit_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -247,13 +250,6 @@ class SourceFile:
 
 MODIFIERS = {"static", "final", "public", "private", "protected", "abstract"}
 
-_TWO_CHAR = {"==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=",
-             "*=", "/=", "%=", "->", "::", "<<", ">>"}
-
-_NUM_RE = re.compile(
-    r"0[xX][0-9a-fA-F]+[lL]?|\d+\.\d*(?:[eE][+-]?\d+)?[fFdD]?|\d+(?:[eE][+-]?\d+)?[fFdDlL]?")
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-
 
 @dataclass
 class Token:
@@ -263,113 +259,107 @@ class Token:
     end: int
 
 
+class TokenList(list):
+    """The tokens of a text, eof last. `unbalanced` is the message of the
+    first bracket fault the lexer saw, or None when nesting is sound."""
+    unbalanced: Optional[str] = None
+
+
+# One match per token: whitespace and comments are skipped in front of it,
+# then exactly one named alternative matches, or `eof` at the end of the
+# text. The alternatives are tried in order, so `bad` only sees a quote or
+# comment opener whose literal or comment does not close.
+_TOKEN_RE = re.compile(r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:
+        (?P<str> "[^"\\\n]*(?:\\.[^"\\\n]*)*" )
+      | (?P<char> '[^'\\]*(?:\\.[^'\\]*)*' )
+      | (?P<num> 0[xX][0-9a-fA-F]+[lL]? | \d+\.\d*(?:[eE][+-]?\d+)?[fFdD]?
+                 | \d+(?:[eE][+-]?\d+)?[fFdDlL]? )
+      | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
+      | (?P<open> [{(\[] )
+      | (?P<close> [})\]] )
+      | (?P<bad> ["'] | /\* )
+      | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*= | /=
+                 | %= | -> | :: | << | >> | . )
+      | (?P<eof> \Z )
+    )""", re.VERBOSE | re.DOTALL)
+
 _OPEN = {"{": "}", "(": ")", "[": "]"}
 _CLOSE = {"}", ")", "]"}
+_UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char literal",
+                 "/*": "unterminated block comment"}
 
 
-def _scan(text: str, emit):
-    """Shared scanner: walks code skipping comments, calling emit for
-    every code token and bracket. Raises UnbalancedSource on unterminated
-    strings or comments."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise UnbalancedSource("unterminated block comment")
-            i = j + 2
-            continue
-        if c in "\"'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == c:
-                    break
-                if c == '"' and text[j] == "\n":
-                    break  # unterminated on this line
-                j += 1
-            if j >= n or text[j] != c:
-                raise UnbalancedSource("unterminated %s literal" %
-                                       ("string" if c == '"' else "char"))
-            emit("str" if c == '"' else "char", text[i:j + 1], i, j + 1)
-            i = j + 1
-            continue
-        if c.isdigit():
-            m = _NUM_RE.match(text, i)
-            emit("num", m.group(0), i, m.end())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            emit("ident", m.group(0), i, m.end())
-            i = m.end()
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            emit("punct", two, i, i + 2)
-            i += 2
-            continue
-        emit("punct", c, i, i + 1)
-        i += 1
+def tokenize(text: str) -> TokenList:
+    """Lex text in one pass, checking bracket nesting on the way.
+
+    Raises UnbalancedSource on an unterminated literal or comment. A
+    bracket fault does not raise here (slices of a file are lexed too);
+    it is left in the result's `unbalanced` for parse to raise."""
+    toks = TokenList()
+    append = toks.append
+    closers = []
+    fault = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        end = m.end()
+        if kind == "open":
+            kind = "punct"
+            closers.append(_OPEN[value])
+        elif kind == "close":
+            kind = "punct"
+            if fault is None and (not closers or closers.pop() != value):
+                fault = "unmatched '%s' at offset %d" % (value, end - 1)
+        elif kind == "bad":
+            raise UnbalancedSource(_UNTERMINATED[value])
+        elif kind == "eof":
+            break
+        append(Token(kind, value, end - len(value), end))
+    append(Token("eof", "", len(text), len(text)))
+    if fault is None and closers:
+        fault = "unclosed '%s'" % closers[-1]
+    toks.unbalanced = fault
+    return toks
 
 
 def check_balanced(text: str) -> None:
     """Raise UnbalancedSource if brace/paren/bracket nesting is broken."""
-    stack = []
-
-    def emit(kind, value, start, end):
-        if kind != "punct":
-            return
-        if value in _OPEN:
-            stack.append(_OPEN[value])
-        elif value in _CLOSE:
-            if not stack or stack.pop() != value:
-                raise UnbalancedSource("unmatched '%s' at offset %d" % (value, start))
-
-    _scan(text, emit)
-    if stack:
-        raise UnbalancedSource("unclosed '%s'" % stack[-1])
-
-
-def tokenize(text: str) -> list:
-    toks = []
-    _scan(text, lambda k, v, s, e: toks.append(Token(k, v, s, e)))
-    toks.append(Token("eof", "", len(text), len(text)))
-    return toks
+    fault = tokenize(text).unbalanced
+    if fault is not None:
+        raise UnbalancedSource(fault)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# binary operators by binding strength, loosest first
+_BIN_LEVEL = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
+              "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+
+
 class _Backtrack(Exception):
     pass
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, toks: Optional[list] = None):
         self.text = text
-        self.toks = tokenize(text)
+        self.toks = tokenize(text) if toks is None else toks
+        # eat() stops at eof, so one more eof keeps peek(1) in range
+        self.toks.append(self.toks[-1])
         self.i = 0
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, off: int = 0) -> Token:
-        j = min(self.i + off, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + off]
 
     def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().kind in ("punct", "ident")
+        # no literal's text equals a keyword or a punctuator
+        return self.toks[self.i].value == value
 
     def eat(self) -> Token:
         t = self.toks[self.i]
@@ -677,43 +667,34 @@ class _Parser:
     def _consume_opaque_region(self) -> OpaqueStmt:
         """Consume a balanced statement-shaped region: up to ';' at depth 0,
         or through a brace block opened at depth 0."""
-        start_tok = self.peek()
+        toks, i = self.toks, self.i
+        start_tok = toks[i]
         if start_tok.kind == "eof" or start_tok.value in _CLOSE:
             raise _Backtrack("nothing to consume")
         depth = 0
         saw_brace = False
-        end = start_tok.end
         while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
-            if depth == 0 and t.value in _CLOSE:
+            t = toks[i]
+            value = t.value
+            if t.kind == "eof" or (depth == 0 and value in _CLOSE):
                 break  # enclosing close; stop without consuming
-            t = self.eat()
-            end = t.end
-            if t.value in _OPEN:
+            i += 1
+            if value in _OPEN:
                 depth += 1
-                if t.value == "{":
+                if value == "{":
                     saw_brace = True
-            elif t.value in _CLOSE:
+            elif value in _CLOSE:
                 depth -= 1
-                if depth == 0 and t.value == "}" and saw_brace:
+                if depth == 0 and value == "}" and saw_brace:
                     break
-            elif t.value == ";" and depth == 0:
+            elif value == ";" and depth == 0:
                 break
+        self.i = i
+        end = toks[i - 1].end
         node = OpaqueStmt(self.src(start_tok.start, end))
         return self._finish(node, start_tok, end)
 
     # -- expressions ----------------------------------------------------------
-
-    _BIN_LEVELS = [
-        {"||"},
-        {"&&"},
-        {"==", "!="},
-        {"<", ">", "<=", ">="},
-        {"+", "-"},
-        {"*", "/", "%"},
-    ]
 
     def parse_expr(self) -> Expr:
         return self._parse_assign()
@@ -729,17 +710,19 @@ class _Parser:
             return self._finish(Assign(lhs, rhs), start_tok, rhs.span.end)
         return lhs
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(self._BIN_LEVELS):
-            return self._parse_unary()
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Left-associative binary operators of level min_level or tighter,
+        by precedence climbing."""
         start_tok = self.peek()
-        lhs = self._parse_binary(level + 1)
-        ops = self._BIN_LEVELS[level]
-        while self.peek().kind == "punct" and self.peek().value in ops:
-            op = self.eat().value
+        lhs = self._parse_unary()
+        while True:
+            t = self.toks[self.i]
+            level = _BIN_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
+            if level < min_level:
+                return lhs
+            self.i += 1
             rhs = self._parse_binary(level + 1)
-            lhs = self._finish(Binary(op, lhs, rhs), start_tok, rhs.span.end)
-        return lhs
+            lhs = self._finish(Binary(t.value, lhs, rhs), start_tok, rhs.span.end)
 
     def _parse_unary(self) -> Expr:
         t = self.peek()
@@ -845,8 +828,10 @@ def parse(text: str) -> CompilationUnit:
     Never fails on balanced input; unsupported constructs fall back to
     Opaque nodes. Raises UnbalancedSource when nesting is broken.
     """
-    check_balanced(text)
-    return _Parser(text).parse_unit()
+    toks = tokenize(text)
+    if toks.unbalanced is not None:
+        raise UnbalancedSource(toks.unbalanced)
+    return _Parser(text, toks).parse_unit()
 
 
 def parse_file(path: str) -> SourceFile:
@@ -882,7 +867,7 @@ def splice(unit: CompilationUnit, edits) -> str:
 
     Edits must not overlap; they are applied in ascending span order.
     """
-    ordered = sorted(edits, key=lambda e: (e[0].start, e[0].end))
+    ordered = _in_order(edits)
     out = []
     pos = 0
     for span, repl in ordered:
@@ -895,9 +880,38 @@ def splice(unit: CompilationUnit, edits) -> str:
     return "".join(out)
 
 
+def _in_order(edits) -> list:
+    return sorted(edits, key=lambda e: (e[0].start, e[0].end))
+
+
 def edited(unit: CompilationUnit, edits) -> CompilationUnit:
-    """Splice edits and reparse, yielding a fresh unit."""
-    return parse(splice(unit, edits))
+    """Splice edits and reparse, yielding a fresh unit that remembers the
+    edits (see origin_span)."""
+    out = parse(splice(unit, edits))
+    out.edit_history = unit.edit_history + [_in_order(edits)]
+    return out
+
+
+def origin_span(unit: CompilationUnit, span: Span) -> Span:
+    """Map a span of unit.text back through unit.edit_history to the text
+    first parsed. An offset inside inserted or replacing text maps to the
+    start of the span that text replaced."""
+    return Span(_origin_offset(unit, span.start), _origin_offset(unit, span.end))
+
+
+def _origin_offset(unit: CompilationUnit, offset: int) -> int:
+    for batch in reversed(unit.edit_history):
+        shift = 0  # length added by the batch's edits before offset
+        for span, repl in batch:
+            start = span.start + shift
+            if offset < start:
+                break
+            if offset < start + len(repl):
+                offset = start
+                break
+            shift += len(repl) - (span.end - span.start)
+        offset -= shift
+    return offset
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class SemanticPatch:
 
 def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                    rewire_shared_args: bool = False) -> SemanticPatch:
-    dep_site, upd_site, if_stmt = _locate_pair(example, mapping)
+    dep_sites = sigmap.find_invocations(example, mapping.deprecated)
+    dep_site, upd_site, if_stmt = _locate_pair(example, mapping, dep_sites)
 
     # metavariable slot per deprecated argument position
     shared = {}  # example variable name -> iden metavar name
@@ -96,9 +97,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                 needs.append(d)
 
     # normalize the deprecated side, then relocate the pair in the new unit
-    dep_sites = sigmap.find_invocations(example, mapping.deprecated)
     unit2, _nmap = normal.normalize(example, dep_sites, mapping)
-    dep_site, upd_site, if_stmt = _locate_pair(unit2, mapping)
+    dep_site, upd_site, if_stmt = _locate_pair(
+        unit2, mapping, sigmap.find_invocations(unit2, mapping.deprecated))
 
     used_exp = []
     context_stmt = _abstract_stmt(dep_site, shared_receiver=None, used_exp=used_exp,
@@ -144,14 +145,14 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         context=context_stmt, then_stmts=then_stmts)
 
 
-def _locate_pair(unit, mapping):
-    """Best (deprecated site, updated site, if stmt) triple in the example.
+def _locate_pair(unit, mapping, dep_sites):
+    """Best (deprecated site, updated site, if stmt) triple in the example,
+    given the deprecated sites in the unit.
 
     When the two signatures share name and arity the calls are textually
     indistinguishable, so candidate pairings are ranked by how well the
     declared types of their arguments agree with the signature parameter
     types."""
-    dep_sites = sigmap.find_invocations(unit, mapping.deprecated)
     upd_sites = sigmap.find_invocations(unit, mapping.replacement)
     best = None
     best_score = -1

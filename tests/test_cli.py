@@ -276,3 +276,67 @@ def test_cli_output_matches_library(tmp_path, target):
     want = harness.update_text(text, patchgen.parse_patch(patch.read_text()), mapping)
     assert out.read_bytes() == want.encode("utf-8")
     assert rc == (1 if want == text else 0)
+
+
+def test_apply_file_with_superscript_digit(tmp_path, patch_file, capsys):
+    target = tmp_path / "main.java"
+    target.write_text("class A {\n"
+                      "    int x = 2²;\n"
+                      "    void m(Vibrator v, long d) {\n"
+                      "        v.vibrate(d);\n"
+                      "    }\n"
+                      "}\n", encoding="utf-8")
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                   "--input", str(target), "--patch", str(patch_file),
+                   "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text(encoding="utf-8")
+    assert "int x = 2²;" in text and "createOneShot" in text
+
+
+SKIP_LINE_CASES = {
+    # normalize hoists `t * 2` into a temporary declared one line above it
+    "vibrate_hoisted_argument": ("vibrate", (
+        "class A {\n"
+        "    void m(Vibrator v, long t) {\n"
+        "        v.vibrate(t * 2);\n"
+        "        if (Build.VERSION.SDK_INT >= 26) {\n"
+        "            v.vibrate(5);\n"
+        "        }\n"
+        "    }\n"
+        "}\n"), 5),
+    # the patch adds an import above every site, and helpers below them
+    "set_sound_added_import": ("set_sound", (
+        "import android.app.Notification;\n"
+        "\n"
+        "public class Ring {\n"
+        "    void ring(Notification.Builder b, android.net.Uri tone) {\n"
+        "        if (android.os.Build.VERSION.SDK_INT >= 21) {\n"
+        "            b.setSound(tone);\n"
+        "        }\n"
+        "        b.setSound(tone);\n"
+        "    }\n"
+        "}\n"), 6),
+}
+
+
+@pytest.mark.parametrize("case, text, line", SKIP_LINE_CASES.values(),
+                         ids=SKIP_LINE_CASES.keys())
+def test_report_skip_line_is_the_input_line(tmp_path, case, text, line):
+    case_dir = CORPUS / "cases" / case
+    dep, upd = (case_dir / "mapping.txt").read_text().splitlines()
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", dep, upd, "--input", str(case_dir / "example.java"),
+                     "--output", str(patch)]) == 0
+    target = tmp_path / "t.java"
+    target.write_text(text)
+    out = tmp_path / "out.java"
+    report = tmp_path / "report.json"
+    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target), "--patch", str(patch),
+                   "--output", str(out), "--report", str(report)])
+    assert rc == 0
+    assert out.read_text().count("\n") > text.count("\n")
+    (skip,) = json.loads(report.read_text())["skipped"]
+    assert skip == {"line": line, "reason": "AlreadyGuarded"}

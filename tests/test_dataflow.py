@@ -8,6 +8,12 @@ import oracle_programs
 
 
 def resolve_in(text, method_name="m", marker="use"):
+    arg, ctx = marker_arg(text, method_name, marker)
+    return dataflow.resolve_expression(arg, ctx), ctx.unit
+
+
+def marker_arg(text, method_name="m", marker="use"):
+    """The first argument of the marker call and its resolution context."""
     unit = jast.parse(text)
     method = None
     tdecl = None
@@ -22,8 +28,7 @@ def resolve_in(text, method_name="m", marker="use"):
                 if isinstance(sub, jast.MethodCall) and sub.name == marker:
                     call, anchor = sub, stmt
     site = sigmap.CallSite(call, anchor, method, tdecl, (), None)
-    ctx = dataflow.context_for_site(site, unit)
-    return dataflow.resolve_expression(call.args[0], ctx), unit
+    return call.args[0], dataflow.context_for_site(site, unit)
 
 
 def test_literal_direct():
@@ -167,3 +172,20 @@ def test_collect_dependencies_transitive():
 def test_generated_program_matches_interpreter(seed):
     ok, text, detail = oracle_programs.check_one(random.Random(seed))
     assert ok, "%s\n%s" % (detail, text)
+
+
+def test_resolve_walks_grow_no_faster_than_the_chain(monkeypatch):
+    # x0 = 1; xi = x(i-1) * 2 + 1: each level resolves to a larger tree
+    def chain(depth):
+        defs = " ".join("long x%d = x%d * 2 + 1;" % (i, i - 1) for i in range(1, depth + 1))
+        return "class A { void m() { long x0 = 1; %s use(x%d); } }" % (defs, depth)
+
+    cases = [marker_arg(chain(depth)) for depth in (15, 30)]
+    walk, walked = jast.iter_exprs, []
+    monkeypatch.setattr(jast, "iter_exprs", lambda e: walked.append(e) or walk(e))
+    counts = []
+    for arg, ctx in cases:
+        del walked[:]
+        assert dataflow.resolve_expression(arg, ctx).kind == dataflow.STATIC_MEMBER
+        counts.append(len(walked))
+    assert counts[1] <= 2 * counts[0]

@@ -144,3 +144,126 @@ def test_else_keyword_on_own_line_after_apply():
     # the renderer's if/else convention places "} else {" on its own line
     stmt = jast.parse_stmt_text("if (a) { x.f(); } else { x.g(); }")
     assert "} else {" in jast.render_stmt(stmt).splitlines()
+
+
+# -- lexer ----------------------------------------------------------------------
+
+def toks(text):
+    return [(t.kind, t.value, t.start, t.end) for t in jast.tokenize(text)]
+
+
+LEX_TABLE = {
+    "string_escaped_backslash": ('s = "\\\\";', [
+        ("ident", "s", 0, 1), ("punct", "=", 2, 3), ("str", '"\\\\"', 4, 8),
+        ("punct", ";", 8, 9)]),
+    "char_escaped_quote": ("c = '\\'';", [
+        ("ident", "c", 0, 1), ("punct", "=", 2, 3), ("char", "'\\''", 4, 8),
+        ("punct", ";", 8, 9)]),
+    "string_escaped_newline": ('"a\\\nb"', [("str", '"a\\\nb"', 0, 6)]),
+    "char_spans_newline": ("c = '\n';", [
+        ("ident", "c", 0, 1), ("punct", "=", 2, 3), ("char", "'\n'", 4, 7),
+        ("punct", ";", 7, 8)]),
+    "line_comment_at_eof": ("a; // end", [("ident", "a", 0, 1), ("punct", ";", 1, 2)]),
+    "line_comment_then_code": ("// x\ny", [("ident", "y", 5, 6)]),
+    "block_comment_stars": ("/* ** */x", [("ident", "x", 8, 9)]),
+    "block_comment_slash_star_slash": ("/*/ */y", [("ident", "y", 6, 7)]),
+    "brackets_in_literals_and_comments": ('"(" /* { */ \'[\' // )', [
+        ("str", '"("', 0, 3), ("char", "'['", 12, 15)]),
+    "crlf": ("a\r\nb", [("ident", "a", 0, 1), ("ident", "b", 3, 4)]),
+    "numbers": ("0x1FL 1.5e-3f 1_000 .5 7d", [
+        ("num", "0x1FL", 0, 5), ("num", "1.5e-3f", 6, 13), ("num", "1", 14, 15),
+        ("ident", "_000", 15, 19), ("punct", ".", 20, 21), ("num", "5", 21, 22),
+        ("num", "7d", 23, 25)]),
+    "operators": ("a->b::c>>=d", [
+        ("ident", "a", 0, 1), ("punct", "->", 1, 3), ("ident", "b", 3, 4),
+        ("punct", "::", 4, 6), ("ident", "c", 6, 7), ("punct", ">>", 7, 9),
+        ("punct", "=", 9, 10), ("ident", "d", 10, 11)]),
+    "two_char_prefix": ("a<=b!c", [
+        ("ident", "a", 0, 1), ("punct", "<=", 1, 3), ("ident", "b", 3, 4),
+        ("punct", "!", 4, 5), ("ident", "c", 5, 6)]),
+    "non_ascii_letter": ("café $x", [
+        ("ident", "caf", 0, 3), ("punct", "é", 3, 4), ("ident", "$x", 5, 7)]),
+    "non_ascii_space_and_formfeed": ("a\u00a0b\fc", [
+        ("ident", "a", 0, 1), ("punct", "\u00a0", 1, 2), ("ident", "b", 2, 3),
+        ("punct", "\f", 3, 4), ("ident", "c", 4, 5)]),
+    "unicode_decimal_digit": ("x = ٣;", [
+        ("ident", "x", 0, 1), ("punct", "=", 2, 3), ("num", "٣", 4, 5),
+        ("punct", ";", 5, 6)]),
+    "unbalanced_brackets_still_tokenize": ("a)]", [
+        ("ident", "a", 0, 1), ("punct", ")", 1, 2), ("punct", "]", 2, 3)]),
+    "empty": ("", []),
+}
+
+
+@pytest.mark.parametrize("text, expected", LEX_TABLE.values(), ids=LEX_TABLE.keys())
+def test_tokenize_table(text, expected):
+    assert toks(text) == expected + [("eof", "", len(text), len(text))]
+
+
+LITERAL_ERRORS = {
+    "unterminated_string": ('s = "abc', "unterminated string literal"),
+    "string_broken_by_newline": ('s = "ab\ncd";', "unterminated string literal"),
+    "string_ends_in_backslash": ('"\\', "unterminated string literal"),
+    "unterminated_char": ("c = 'a", "unterminated char literal"),
+    "unterminated_comment": ("a /* b", "unterminated block comment"),
+    "comment_star_slash_overlap": ("/*/", "unterminated block comment"),
+}
+
+BRACKET_ERRORS = {
+    "unmatched_close": ("a)", "unmatched ')' at offset 1"),
+    "mismatched_close": ("f(]", "unmatched ']' at offset 2"),
+    "close_before_open": ("class A } {", "unmatched '}' at offset 8"),
+    "unclosed_paren": ("{(", "unclosed ')'"),
+    "unclosed_brace": ("class A { void m() { ", "unclosed '}'"),
+}
+
+
+@pytest.mark.parametrize("text, message", LITERAL_ERRORS.values(), ids=LITERAL_ERRORS.keys())
+def test_unterminated_literal_raises_everywhere(text, message):
+    for fn in (jast.tokenize, jast.check_balanced, jast.parse):
+        with pytest.raises(jast.UnbalancedSource) as exc:
+            fn(text)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", BRACKET_ERRORS.values(), ids=BRACKET_ERRORS.keys())
+def test_bracket_fault_raised_by_parse_not_tokenize(text, message):
+    jast.tokenize(text)
+    for fn in (jast.check_balanced, jast.parse):
+        with pytest.raises(jast.UnbalancedSource) as exc:
+            fn(text)
+        assert str(exc.value) == message
+
+
+def test_superscript_digit_is_a_punct_token():
+    # '²'.isdigit() is true but it is no decimal digit, so it cannot start a number
+    assert toks("2²") == [("num", "2", 0, 1), ("punct", "²", 1, 2), ("eof", "", 2, 2)]
+    text = "class A { int x = 2²; void m() { a.f(); } }"
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    assert [m.name for m in unit.types[0].methods] == ["m"]
+
+
+def test_parse_lexes_once(monkeypatch, vibrate_example):
+    calls = []
+    for name in ("tokenize", "check_balanced"):
+        monkeypatch.setattr(jast, name, lambda text, fn=getattr(jast, name), name=name:
+                            calls.append(name) or fn(text))
+    jast.parse(vibrate_example)
+    assert calls == ["tokenize"]
+
+
+def test_origin_span_maps_back_through_every_edit():
+    text = "class A {\n    void m() {\n        a.f(x + 1);\n        b.g();\n    }\n}\n"
+    unit = jast.parse(text)
+    first, second = unit.types[0].methods[0].body
+    arg = first.expr.args[0]
+    unit = jast.edited(unit, [(jast.Span(first.span.start, first.span.start),
+                               "int t = x + 1;\n        "), (arg.span, "t")])
+    unit = jast.edited(unit, [(jast.Span(0, 0), "import p.Q;\n\n")])
+    first2, second2 = unit.types[0].methods[0].body[1:]
+    assert jast.origin_span(unit, second2.span) == second.span
+    assert jast.origin_span(unit, first2.span) == first.span
+    decl = unit.types[0].methods[0].body[0]
+    assert jast.origin_span(unit, decl.span) == jast.Span(first.span.start, first.span.start)
+    assert jast.origin_span(jast.parse(text), second.span) == second.span

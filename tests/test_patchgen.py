@@ -151,3 +151,15 @@ def test_parse_patch_rejects_lines_the_engine_cannot_apply(lineno, replacement, 
     with pytest.raises(patchgen.MalformedPatch, match=message) as err:
         patchgen.parse_patch("\n".join(lines) + "\n")
     assert err.value.line == lineno
+
+
+def test_generate_finds_sites_four_times(monkeypatch):
+    # deprecated and replacement sites in the example and in its
+    # normalized copy; normalize reuses the example's deprecated sites
+    example, mapping = read_case("set_sound")
+    find = sigmap.find_invocations
+    calls = []
+    monkeypatch.setattr(sigmap, "find_invocations",
+                        lambda unit, sig: calls.append(sig) or find(unit, sig))
+    patchgen.generate_patch(example, mapping)
+    assert calls == [mapping.deprecated, mapping.replacement] * 2
