@@ -121,7 +121,7 @@ def run_apply(args, mapping) -> int:
         sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     except normal.MultipleUse as exc:
-        sys.stderr.write("api-evolve: internal temporary misuse: %s\n" % exc)
+        sys.stderr.write("api-evolve: cannot update %s: %s\n" % (args.input, exc))
         return EXIT_BAD_INPUT
 
     report.file_path = args.input

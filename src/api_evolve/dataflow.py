@@ -210,15 +210,15 @@ class _Resolver:
             rv = self.resolve(e.rhs, ctx, visited)
             operands = (lv, rv)
             out = jast.Binary(e.op,
-                              _guard_operand(lv.expr, e.op, right=False),
-                              _guard_operand(rv.expr, e.op, right=True))
+                              guard_operand(lv.expr, e.op, right=False),
+                              guard_operand(rv.expr, e.op, right=True))
         else:
             ov = self.resolve(e.operand, ctx, visited)
             operands = (ov,)
             if isinstance(e, jast.Unary):
-                out = jast.Unary(e.op, _guard_tight(ov.expr))
+                out = jast.Unary(e.op, guard_tight(ov.expr))
             else:
-                out = jast.Cast(e.type_name, _guard_tight(ov.expr))
+                out = jast.Cast(e.type_name, guard_tight(ov.expr))
         kinds = {v.kind for v in operands}
         if UNRESOLVED in kinds:
             return ResolvedValue(UNRESOLVED, e)
@@ -242,7 +242,7 @@ _PRECEDENCE = {  # the binary operators jast parses, loosest first
 }
 
 
-def _guard_operand(e, op, right):
+def guard_operand(e, op, right):
     """Parenthesize an inlined operand when leaving it bare would bind it
     differently than the definition it came from."""
     if isinstance(e, jast.Assign):
@@ -255,7 +255,8 @@ def _guard_operand(e, op, right):
     return e
 
 
-def _guard_tight(e):
+def guard_tight(e):
+    """Parenthesize a binary or assignment operand of a unary op or cast."""
     if isinstance(e, (jast.Binary, jast.Assign)):
         return jast.Paren(e)
     return e

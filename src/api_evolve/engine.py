@@ -5,10 +5,11 @@ update(), the one function that runs the whole apply pipeline."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import jast, normal, patchgen, sigmap
+from . import dataflow, jast, normal, patchgen, sigmap
 
 ALREADY_GUARDED = "AlreadyGuarded"
 NO_MATCH = "NoMatch"
@@ -31,8 +32,7 @@ class UpdateReport:
     definitions_copied: list = field(default_factory=list)  # of names
 
     def to_json_dict(self, text: str) -> dict:
-        """`text` is the text the skip spans index: the unit given to
-        apply_patch, or the input text for a report from update()."""
+        """`text` is the input text, which the skip spans index."""
         return {
             "file": self.file_path,
             "sitesFound": self.sites_found,
@@ -154,6 +154,8 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
 
 def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
                     renames: Optional[dict] = None) -> jast.Expr:
+    """Instantiate a pattern expression, parenthesizing a bound operand or
+    receiver where leaving it bare would change how it binds."""
     renames = renames or {}
     if isinstance(pattern, jast.Name):
         if pattern.identifier in binding.assignments:
@@ -164,10 +166,11 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
     if isinstance(pattern, jast.Literal):
         return jast.Literal(pattern.kind, pattern.lexeme)
     if isinstance(pattern, jast.FieldAccess):
-        return jast.FieldAccess(substitute_expr(pattern.receiver, binding, renames),
+        return jast.FieldAccess(_guard_receiver(substitute_expr(pattern.receiver, binding,
+                                                                renames)),
                                 pattern.identifier)
     if isinstance(pattern, jast.MethodCall):
-        recv = (substitute_expr(pattern.receiver, binding, renames)
+        recv = (_guard_receiver(substitute_expr(pattern.receiver, binding, renames))
                 if pattern.receiver is not None else None)
         name = renames.get(pattern.name, pattern.name)
         return jast.MethodCall(recv, name,
@@ -177,22 +180,30 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
         return jast.ObjectCreation(tname,
                                    [substitute_expr(a, binding, renames) for a in pattern.args])
     if isinstance(pattern, jast.Binary):
-        return jast.Binary(pattern.op,
-                           substitute_expr(pattern.lhs, binding, renames),
-                           substitute_expr(pattern.rhs, binding, renames))
+        lhs = substitute_expr(pattern.lhs, binding, renames)
+        rhs = substitute_expr(pattern.rhs, binding, renames)
+        return jast.Binary(pattern.op, dataflow.guard_operand(lhs, pattern.op, right=False),
+                           dataflow.guard_operand(rhs, pattern.op, right=True))
     if isinstance(pattern, jast.Unary):
-        return jast.Unary(pattern.op, substitute_expr(pattern.operand, binding, renames))
+        return jast.Unary(pattern.op, dataflow.guard_tight(
+            substitute_expr(pattern.operand, binding, renames)))
     if isinstance(pattern, jast.Assign):
         return jast.Assign(substitute_expr(pattern.lhs, binding, renames),
                            substitute_expr(pattern.rhs, binding, renames))
     if isinstance(pattern, jast.Cast):
-        return jast.Cast(pattern.type_name,
-                         substitute_expr(pattern.operand, binding, renames))
+        return jast.Cast(pattern.type_name, dataflow.guard_tight(
+            substitute_expr(pattern.operand, binding, renames)))
     if isinstance(pattern, jast.Paren):
         return jast.Paren(substitute_expr(pattern.inner, binding, renames))
     if isinstance(pattern, jast.OpaqueExpr):
         return jast.OpaqueExpr(pattern.text)
     raise TypeError("cannot substitute into %r" % (pattern,))
+
+
+def _guard_receiver(e):
+    if isinstance(e, (jast.Binary, jast.Assign, jast.Unary, jast.Cast)):
+        return jast.Paren(e)
+    return e
 
 
 def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
@@ -207,9 +218,8 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     if isinstance(pattern, jast.LocalVarDecl):
         init = (substitute_expr(pattern.init, binding, renames)
                 if pattern.init is not None else None)
-        return jast.LocalVarDecl(pattern.type_name,
-                                 renames.get(pattern.name, pattern.name),
-                                 init, set(pattern.modifiers))
+        return jast.LocalVarDecl(pattern.type_name, pattern.name, init,
+                                 set(pattern.modifiers))
     raise TypeError("cannot substitute into %r" % (pattern,))
 
 
@@ -231,21 +241,28 @@ def already_guarded(site: sigmap.CallSite) -> bool:
 
 def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
                 renames: Optional[dict] = None):
-    """Apply the patch at every matching, unguarded site.
+    """Plan the patch at every matching, unguarded site.
 
-    Returns (unit', UpdateReport, patch_temps). The unit must already be
-    normalized. Per-site failures become skip entries, never exceptions.
+    Returns (edits, UpdateReport); the edits are (Span, text) pairs against
+    unit.text. The context call's argument metavariables bind the argument
+    expressions, and each patch temporary is rendered inline at
+    its one use. Per-site failures become skip entries, never exceptions;
+    normal.MultipleUse is raised when the then branch would evaluate an
+    argument that is not a plain name more than once.
     """
     report = UpdateReport()
-    patch_temps = []
-    expr_mv = patch.metavar_names("expression")
-    ident_mv = patch.metavar_names("identifier")
     ctx_call = patchgen.pattern_call(patch.context)
-    temp_counter = normal._fresh_counter(unit.text, normal.PATCH_TEMP_PREFIX)
+    ident_mv = patch.metavar_names("identifier")
+    arg_mv = {a.identifier for a in ctx_call.args
+              if isinstance(a, jast.Name) and a.identifier in ident_mv}
+    expr_mv = patch.metavar_names("expression") | arg_mv
+    then_uses = Counter(n for s in patch.then_stmts for n in patchgen.pattern_names(s))
+    reused = sorted(mv for mv in arg_mv if then_uses[mv] > 1)
+    sig = sigmap.ApiSignature("", ctx_call.name, ("?",) * len(ctx_call.args))
 
     edits = []
     handled = set()
-    for site in _candidate_sites(unit, ctx_call):
+    for site in sigmap.find_invocations(unit, sig):
         if already_guarded(site):
             report.sites_found += 1
             report.sites_skipped.append((site.call.span, ALREADY_GUARDED))
@@ -255,40 +272,34 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
             report.sites_skipped.append((site.call.span, NON_STATEMENT_CONTEXT))
             continue
         stmt = site.enclosing_stmt
-        binding = match_statement(patch.context, stmt, expr_mv, ident_mv)
+        binding = match_statement(patch.context, stmt, expr_mv, ident_mv - arg_mv)
         if binding is None or id(stmt) in handled:
             report.sites_found += 1
             report.sites_skipped.append((site.call.span, NO_MATCH))
             continue
+        for mv in reused:
+            arg = binding.assignments[mv]
+            if not isinstance(arg, jast.Name):
+                raise normal.MultipleUse("line %d: the then branch would evaluate %s %d times"
+                                         % (jast.line_of(unit.text, arg.span.start),
+                                            arg.src, then_uses[mv]))
         handled.add(id(stmt))
         report.sites_found += 1
         report.sites_updated += 1
 
-        site_renames = dict(renames or {})
-        for s in patch.then_stmts:
-            if isinstance(s, jast.LocalVarDecl) and s.name.startswith(normal.PATCH_TEMP_PREFIX):
-                fresh = "%s%d" % (normal.PATCH_TEMP_PREFIX, next(temp_counter))
-                site_renames[s.name] = fresh
-                patch_temps.append(fresh)
-
         indent = jast.indent_at(unit.text, stmt.span.start)
-        nl = unit.newline
         lines = ["if (%s) {" % jast.render_expr(patch.guard_cond)]
         for s in patch.then_stmts:
-            concrete = substitute_stmt(s, binding, site_renames)
+            if patchgen.is_patch_temp(s):
+                binding.assignments[s.name] = substitute_expr(s.init, binding, renames)
+                continue
+            concrete = substitute_stmt(s, binding, renames)
             lines.append(indent + "    " + jast.render_stmt(concrete))
         lines.append(indent + "} else {")
         lines.append(indent + "    " + stmt.src)
         lines.append(indent + "}")
-        edits.append((stmt.span, nl.join(lines)))
-
-    unit2 = jast.edited(unit, edits) if edits else unit
-    return unit2, report, patch_temps
-
-
-def _candidate_sites(unit, ctx_call):
-    sig = sigmap.ApiSignature("", ctx_call.name, tuple("?" * len(ctx_call.args)))
-    return sigmap.find_invocations(unit, sig)
+        edits.append((stmt.span, unit.newline.join(lines)))
+    return edits, report
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +310,13 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
     """Copy helper definitions and imports into the target.
 
     defs is a sequence of verbatim member texts (methods or classes) from
-    a patch @needs@ section. Returns (unit', copied_names, renames) where
-    renames maps colliding names to their _androevolve aliases; pass the
-    map to apply_patch so inserted lines reference the copied names.
+    a patch @needs@ section. Returns (edits, copied_names, renames): the
+    edits are (Span, text) pairs against unit.text, and renames maps
+    colliding names to their _androevolve aliases; pass the map to
+    apply_patch so inserted lines reference the copied names.
     """
     if not defs and not imports:
-        return unit, [], {}
+        return [], [], {}
     copied, renames = [], {}
     method_texts, type_texts = [], []
     parsed = jast.parse("\n\n".join(defs)) if defs else None
@@ -337,12 +349,9 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
         method_texts.append(text)
         copied.append(name)
     for t in new_types:
-        if t.name in existing_types:
-            continue
-        text = t.src
-        name = t.name
-        type_texts.append(text)
-        copied.append(name)
+        if t.name not in existing_types:
+            type_texts.append(t.src)
+            copied.append(t.name)
 
     # imports: add when absent; on simple-name conflict, qualify references
     existing_imports = set(unit.imports)
@@ -384,9 +393,7 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
         tail = len(unit.text)
         block = "".join(nl + t.replace("\n", nl) + nl for t in type_texts)
         edits.append((jast.Span(tail, tail), block))
-
-    unit2 = jast.edited(unit, edits) if edits else unit
-    return unit2, copied, renames
+    return edits, copied, renames
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +401,20 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
 # ---------------------------------------------------------------------------
 
 def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping):
-    """Update one target: parse, find sites, normalize, transplant helpers,
-    apply the patch and denormalize.
+    """Update one target: parse it once, plan the helper transplant and the
+    site rewrites against that one tree, and splice every edit at once.
 
     Returns (out_text, UpdateReport); out_text is `text` itself when no
-    site was updated, and the report's skip spans index `text`. Raises
-    jast.UnbalancedSource when the text does not parse and
-    normal.MultipleUse when a tool temporary cannot be inlined.
+    site was updated, and the report's skip spans index `text`. The sites
+    are the calls the patch's context line names; `mapping` is not read.
+    Raises jast.UnbalancedSource when the text does not parse and
+    normal.MultipleUse when the patch would evaluate an argument twice.
     """
     unit = jast.parse(text)
-    unit, nmap = normal.normalize(
-        unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
-    unit, copied, renames = transplant_definitions(
+    helper_edits, copied, renames = transplant_definitions(
         unit, patch.needs_defs, patch.needs_imports)
-    out, report, patch_temps = apply_patch(patch, unit, renames)
+    site_edits, report = apply_patch(patch, unit, renames)
     report.definitions_copied = copied
-    report.sites_skipped = [(jast.origin_span(unit, span), reason)
-                            for span, reason in report.sites_skipped]
     if report.sites_updated == 0:
         return text, report
-    return jast.print_unit(normal.denormalize(out, nmap, patch_temps)), report
+    return jast.splice(unit, helper_edits + site_edits), report

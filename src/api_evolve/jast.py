@@ -232,9 +232,6 @@ class CompilationUnit:
     text: str = ""
     newline: str = "\n"
     header_end: int = 0  # offset just past package/import block
-    # the (Span, replacement) batches that edited() spliced into the text
-    # first parsed to reach this one, oldest first, each sorted by span
-    edit_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -867,10 +864,9 @@ def splice(unit: CompilationUnit, edits) -> str:
 
     Edits must not overlap; they are applied in ascending span order.
     """
-    ordered = _in_order(edits)
     out = []
     pos = 0
-    for span, repl in ordered:
+    for span, repl in sorted(edits, key=lambda e: (e[0].start, e[0].end)):
         if span.start < pos:
             raise OverlappingEdits("edit at %d overlaps previous" % span.start)
         out.append(unit.text[pos:span.start])
@@ -880,38 +876,9 @@ def splice(unit: CompilationUnit, edits) -> str:
     return "".join(out)
 
 
-def _in_order(edits) -> list:
-    return sorted(edits, key=lambda e: (e[0].start, e[0].end))
-
-
 def edited(unit: CompilationUnit, edits) -> CompilationUnit:
-    """Splice edits and reparse, yielding a fresh unit that remembers the
-    edits (see origin_span)."""
-    out = parse(splice(unit, edits))
-    out.edit_history = unit.edit_history + [_in_order(edits)]
-    return out
-
-
-def origin_span(unit: CompilationUnit, span: Span) -> Span:
-    """Map a span of unit.text back through unit.edit_history to the text
-    first parsed. An offset inside inserted or replacing text maps to the
-    start of the span that text replaced."""
-    return Span(_origin_offset(unit, span.start), _origin_offset(unit, span.end))
-
-
-def _origin_offset(unit: CompilationUnit, offset: int) -> int:
-    for batch in reversed(unit.edit_history):
-        shift = 0  # length added by the batch's edits before offset
-        for span, repl in batch:
-            start = span.start + shift
-            if offset < start:
-                break
-            if offset < start + len(repl):
-                offset = start
-                break
-            shift += len(repl) - (span.end - span.start)
-        offset -= shift
-    return offset
+    """Splice edits and reparse, yielding a fresh unit."""
+    return parse(splice(unit, edits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Argument normalization and temporary-variable denormalization.
 
 normalize hoists every non-trivial argument of a deprecated call into a
-fresh single-use `normArg<N>` temporary so identifier-metavariable
-patterns can match. denormalize inverts that, and also inlines
-patch-introduced `newParameterVariable<N>` temporaries, leaving no tool
-temporary behind.
+fresh single-use `normArg<N>` temporary, the form in which Coccinelle's
+identifier metavariables can match it. denormalize inverts that, and also
+inlines patch-introduced `newParameterVariable<N>` temporaries, leaving no
+tool temporary behind.
+
+No pipeline code calls normalize or denormalize: the engine binds argument
+metavariables to argument expressions and renders patch temporaries
+inline. Both stay as library functions.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ PATCH_TEMP_PREFIX = "newParameterVariable"
 
 
 class MultipleUse(Exception):
-    """A tool temporary is used more than once, or tool temporaries refer
-    to each other in a cycle; upstream bug, abort the file."""
+    """A tool temporary is used more than once, tool temporaries refer to
+    each other in a cycle, or a patch would evaluate an argument that is
+    not a plain name more than once; abort the file."""
 
 
 @dataclass
@@ -43,7 +48,8 @@ def normalize(unit: jast.CompilationUnit, sites, mapping: sigmap.ApiMapping):
     nmap = NormalizationMap()
     edits = []
     hoisted = []  # spans of the arguments moved into temporaries
-    counter = _fresh_counter(unit.text, TARGET_TEMP_PREFIX)
+    used = [int(m) for m in re.findall(r"\b%s(\d+)\b" % TARGET_TEMP_PREFIX, unit.text)]
+    counter = itertools.count(max(used) + 1 if used else 0)
     for site in sorted(sites, key=lambda s: s.call.span.start):
         stmt = site.enclosing_stmt
         if stmt is None or any(h.contains(site.call.span) for h in hoisted):
@@ -126,11 +132,6 @@ def purge_ok(text: str, patch_temps=()) -> bool:
     if re.search(r"\b%s\d+\b" % PATCH_TEMP_PREFIX, text):
         return False
     return all(not re.search(r"\b%s\b" % re.escape(t), text) for t in patch_temps)
-
-
-def _fresh_counter(text: str, prefix: str):
-    used = [int(m) for m in re.findall(r"\b%s(\d+)\b" % prefix, text)]
-    return itertools.count(max(used) + 1 if used else 0)
 
 
 def _line_span(unit, span: jast.Span) -> jast.Span:

@@ -67,8 +67,7 @@ class SemanticPatch:
 
 def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                    rewire_shared_args: bool = False) -> SemanticPatch:
-    dep_sites = sigmap.find_invocations(example, mapping.deprecated)
-    dep_site, upd_site, if_stmt = _locate_pair(example, mapping, dep_sites)
+    dep_site, upd_site, if_stmt = _locate_pair(example, mapping)
 
     # metavariable slot per deprecated argument position
     shared = {}  # example variable name -> iden metavar name
@@ -95,11 +94,6 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         for d in dataflow.collect_dependencies(rv, example):
             if not any(x is d for x in needs):
                 needs.append(d)
-
-    # normalize the deprecated side, then relocate the pair in the new unit
-    unit2, _nmap = normal.normalize(example, dep_sites, mapping)
-    dep_site, upd_site, if_stmt = _locate_pair(
-        unit2, mapping, sigmap.find_invocations(unit2, mapping.deprecated))
 
     used_exp = []
     context_stmt = _abstract_stmt(dep_site, shared_receiver=None, used_exp=used_exp,
@@ -145,14 +139,14 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         context=context_stmt, then_stmts=then_stmts)
 
 
-def _locate_pair(unit, mapping, dep_sites):
-    """Best (deprecated site, updated site, if stmt) triple in the example,
-    given the deprecated sites in the unit.
+def _locate_pair(unit, mapping):
+    """Best (deprecated site, updated site, if stmt) triple in the example.
 
     When the two signatures share name and arity the calls are textually
     indistinguishable, so candidate pairings are ranked by how well the
     declared types of their arguments agree with the signature parameter
     types."""
+    dep_sites = sigmap.find_invocations(unit, mapping.deprecated)
     upd_sites = sigmap.find_invocations(unit, mapping.replacement)
     best = None
     best_score = -1
@@ -246,15 +240,10 @@ def _abstract_stmt(site, shared_receiver, used_exp, args_to):
 
 
 def _declared_metavars(context_stmt, updated_stmt, used_exp):
-    idents = []
-    for root in jast.stmt_exprs(context_stmt) + jast.stmt_exprs(updated_stmt):
-        for e in jast.iter_exprs(root):
-            if isinstance(e, jast.Name):
-                if re.match(r"^iden\d+$", e.identifier) or e.identifier == "classIden":
-                    if e.identifier not in idents:
-                        idents.append(e.identifier)
-    idents.sort(key=lambda n: (n == "classIden", n))
-    return [("expression", n) for n in used_exp] + [("identifier", n) for n in idents]
+    idents = {n for n in pattern_names(context_stmt) + pattern_names(updated_stmt)
+              if re.match(r"^iden\d+$", n) or n == "classIden"}
+    return [("expression", n) for n in used_exp] + [
+        ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
 
 
 def _needed_imports(example, hunk, needs_defs):
@@ -379,6 +368,19 @@ def pattern_call(stmt):
     return None
 
 
+def pattern_names(stmt) -> list:
+    """Every simple name in a pattern statement, in source order."""
+    return [e.identifier for root in jast.stmt_exprs(stmt) for e in jast.iter_exprs(root)
+            if isinstance(e, jast.Name)]
+
+
+def is_patch_temp(stmt) -> bool:
+    """True for a then-branch `newParameterVariable<N>` declaration, which
+    the engine renders inline at its one use."""
+    return (isinstance(stmt, jast.LocalVarDecl)
+            and stmt.name.startswith(normal.PATCH_TEMP_PREFIX))
+
+
 def _derive_shape(hunk, hunk_start):
     """Recover (guard, then statement patterns, context pattern) from the
     generated hunk layout, rejecting lines the engine cannot apply."""
@@ -394,7 +396,7 @@ def _derive_shape(hunk, hunk_start):
     except Exception:
         raise MalformedPatch("unparsable guard condition %r" % m.group(1), first.line)
 
-    then_stmts, context = [], None
+    then_stmts, then_lines, context = [], [], None
     seen_else = False
     for pl in stmt_lines[1:]:
         if pl.kind == ADD and pl.text == "} else {":
@@ -421,8 +423,30 @@ def _derive_shape(hunk, hunk_start):
                                  "the else branch keeps the original statement", pl.line)
         else:
             then_stmts.append(stmt)
+            then_lines.append(pl.line)
     if context is None:
         raise MalformedPatch("missing context line", hunk_start)
     if not seen_else:
         raise MalformedPatch("missing '+ } else {' line", hunk_start)
+    _check_temps(then_stmts, then_lines)
     return guard, then_stmts, context
+
+
+def _check_temps(then_stmts, then_lines):
+    """Every patch temporary must have an initializer and be used exactly
+    once, on a later then-branch line, so that it can be rendered inline."""
+    names = [pattern_names(s) for s in then_stmts]
+    for i, stmt in enumerate(then_stmts):
+        if not is_patch_temp(stmt):
+            continue
+        before = [then_lines[k] for k in range(i + 1) if stmt.name in names[k]]
+        after = [then_lines[k] for k in range(i + 1, len(names))
+                 for n in names[k] if n == stmt.name]
+        if stmt.init is None:
+            raise MalformedPatch("temporary %s has no initializer" % stmt.name, then_lines[i])
+        if before:
+            raise MalformedPatch("temporary %s is used before its declaration"
+                                 % stmt.name, before[0])
+        if len(after) != 1:
+            raise MalformedPatch("temporary %s is used %d times; it must be used once"
+                                 % (stmt.name, len(after)), after[1] if after else then_lines[i])

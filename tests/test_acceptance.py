@@ -84,10 +84,8 @@ def test_04_multi_site_file():
     example, mapping = _case("vibrate")
     patch = patchgen.generate_patch(example, mapping)
     unit = jast.parse(_read(CORPUS / "cases" / "vibrate" / "targets" / "multi_site.java"))
-    unit, nmap = normal.normalize(
-        unit, sigmap.find_invocations(unit, mapping.deprecated), mapping)
-    unit, report, temps = engine.apply_patch(patch, unit)
-    text = jast.print_unit(normal.denormalize(unit, nmap, temps))
+    edits, report = engine.apply_patch(patch, unit)
+    text = jast.splice(unit, edits)
     ok = (report.sites_updated == 3
           and len(re.findall(r"if \(android\.os\.Build\.VERSION\.SDK_INT", text)) == 3)
     _report(4, "three call sites in one file yield three guarded blocks", ok)

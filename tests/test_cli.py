@@ -201,7 +201,13 @@ def test_generated_patch_survives_disk_roundtrip(tmp_path, example, patch_file):
     (9, "x = iden0;"),
     (9, "- classIden.vibrate(iden0);"),
     (10, "+ log(iden0);"),
-], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else"])
+    (7, "+ classIden.vibrate(newParameterVariable0, newParameterVariable0);"),
+    (6, "+ log(newParameterVariable0);\n"
+        "+ VibrationEffect newParameterVariable0 = VibrationEffect.createOneShot(50, 175);"),
+    (6, "+ VibrationEffect newParameterVariable1 = VibrationEffect.createOneShot(5, 1);\n"
+        "+ VibrationEffect newParameterVariable0 = VibrationEffect.createOneShot(50, 175);"),
+], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else",
+        "temp_used_twice", "temp_used_before_declaration", "temp_never_used"])
 def test_apply_rejects_patch_line_the_engine_cannot_apply(
         tmp_path, patch_file, capsys, lineno, replacement):
     lines = patch_file.read_text().splitlines()
@@ -239,7 +245,7 @@ def test_apply_nested_sites_every_site_accounted(tmp_path, patch_file, capsys):
     assert "} else {\n            v.vibrate(w.vibrate(d * 2) + 1);\n" in out.read_text()
 
 
-def test_apply_nested_sites_with_shared_argument_exits_3(tmp_path, capsys):
+def test_apply_nested_sites_with_shared_argument_inlines_it(tmp_path):
     case = CORPUS / "cases" / "from_html"
     dep, upd = (case / "mapping.txt").read_text().splitlines()
     patch = tmp_path / "p.cocci"
@@ -252,11 +258,46 @@ def test_apply_nested_sites_with_shared_argument_exits_3(tmp_path, capsys):
                       "    }\n"
                       "}\n")
     out = tmp_path / "out.java"
-    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target),
+    report = tmp_path / "report.json"
+    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target), "--patch", str(patch),
+                   "--output", str(out), "--report", str(report)])
+    assert rc == 0
+    assert out.read_text() == (
+        "class A {\n"
+        "    void m(String a, String b) {\n"
+        "        if (android.os.Build.VERSION.SDK_INT >= android.os.Build.VERSION_CODES.N) {\n"
+        "            x = Html.fromHtml(Html.fromHtml(a + b).toString(), 0);\n"
+        "        } else {\n"
+        "            x = Html.fromHtml(Html.fromHtml(a + b).toString());\n"
+        "        }\n"
+        "    }\n"
+        "}\n")
+    data = json.loads(report.read_text())
+    assert (data["sitesFound"], data["sitesUpdated"]) == (2, 1)
+    assert data["skipped"] == [{"line": 3, "reason": "NoMatch"}]
+
+
+def test_apply_refuses_to_evaluate_an_argument_twice(tmp_path, capsys):
+    example = tmp_path / "example.java"
+    example.write_text((CORPUS / "cases" / "vibrate" / "example.java").read_text().replace(
+        "VibrationEffect.createOneShot(milliseconds, amplitude)",
+        "VibrationEffect.createOneShot(milliseconds, milliseconds)"))
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(example),
+                     "--output", str(patch), "--rewire-shared-args"]) == 0
+    target = tmp_path / "main.java"
+    target.write_text("class A {\n"
+                      "    void m(Vibrator v) {\n"
+                      "        v.vibrate(next());\n"
+                      "    }\n"
+                      "}\n")
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
                    "--patch", str(patch), "--output", str(out)])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("api-evolve: ") and err.count("\n") == 1
+    assert "next()" in err
     assert not out.exists()
 
 
@@ -297,7 +338,7 @@ def test_apply_file_with_superscript_digit(tmp_path, patch_file, capsys):
 
 
 SKIP_LINE_CASES = {
-    # normalize hoists `t * 2` into a temporary declared one line above it
+    # the update adds lines above the guarded site
     "vibrate_hoisted_argument": ("vibrate", (
         "class A {\n"
         "    void m(Vibrator v, long t) {\n"

@@ -1,6 +1,6 @@
 import pytest
 
-from api_evolve import engine, jast, patchgen, sigmap
+from api_evolve import engine, jast, normal, patchgen, sigmap
 
 from conftest import CORPUS
 
@@ -108,14 +108,13 @@ def test_apply_reports_and_guards():
         "        v.vibrate(d);\n"
         "    }\n"
         "}\n")
-    out, report, temps = engine.apply_patch(patch, unit)
-    text = jast.print_unit(out)
+    edits, report = engine.apply_patch(patch, unit)
+    text = jast.splice(unit, edits)
     assert report.sites_found == 1 and report.sites_updated == 1
     assert "if (android.os.Build.VERSION.SDK_INT >= android.os.Build.VERSION_CODES.O) {" in text
     assert "} else {" in text
     assert "v.vibrate(d);" in text  # original call preserved in else branch
     assert "VibrationEffect.createOneShot(50, 175)" in text
-    assert temps and all(t.startswith("newParameterVariable") for t in temps)
 
 
 def test_apply_fresh_temp_per_site():
@@ -127,9 +126,14 @@ def test_apply_fresh_temp_per_site():
         "        v.vibrate(b);\n"
         "    }\n"
         "}\n")
-    out, report, temps = engine.apply_patch(patch, unit)
+    edits, report = engine.apply_patch(patch, unit)
+    text = jast.splice(unit, edits)
     assert report.sites_updated == 2
-    assert len(set(temps)) == 2
+    for arg in "ab":
+        assert ("    v.vibrate(VibrationEffect.createOneShot(50, 175));\n"
+                "        } else {\n"
+                "            v.vibrate(%s);\n" % arg) in text
+    assert normal.purge_ok(text)
 
 
 def test_apply_skips_guarded_site():
@@ -143,8 +147,8 @@ def test_apply_skips_guarded_site():
         "    }\n"
         "}\n")
     before = jast.print_unit(unit)
-    out, report, _ = engine.apply_patch(patch, unit)
-    assert jast.print_unit(out) == before
+    edits, report = engine.apply_patch(patch, unit)
+    assert jast.splice(unit, edits) == before
     assert report.sites_updated == 0
     assert [r for _, r in report.sites_skipped] == [engine.ALREADY_GUARDED]
 
@@ -157,9 +161,9 @@ def test_apply_is_idempotent():
         "        v.vibrate(d);\n"
         "    }\n"
         "}\n")
-    once, _, _ = engine.apply_patch(patch, unit)
-    twice, report, _ = engine.apply_patch(patch, jast.parse(jast.print_unit(once)))
-    assert jast.print_unit(twice) == jast.print_unit(once)
+    once = jast.parse(jast.splice(unit, engine.apply_patch(patch, unit)[0]))
+    edits, report = engine.apply_patch(patch, once)
+    assert jast.splice(once, edits) == jast.print_unit(once)
     assert report.sites_updated == 0
 
 
@@ -177,8 +181,7 @@ def test_apply_only_touches_replaced_statement():
     (site,) = sigmap.find_invocations(
         unit, sigmap.parse_signature("android.os.Vibrator#vibrate(long)"))
     span = site.enclosing_stmt.span
-    out, _, _ = engine.apply_patch(patch, unit)
-    result = jast.print_unit(out)
+    result = jast.splice(unit, engine.apply_patch(patch, unit)[0])
     assert result.startswith(text[:span.start])
     assert result.endswith(text[span.end:])
 
@@ -186,9 +189,9 @@ def test_apply_only_touches_replaced_statement():
 def test_report_json_shape():
     patch, _ = load_patch("vibrate")
     unit = jast.parse("class A { void m(Vibrator v, long d) { v.vibrate(d); } }")
-    out, report, _ = engine.apply_patch(patch, unit)
+    _edits, report = engine.apply_patch(patch, unit)
     report.file_path = "A.java"
-    d = report.to_json_dict(jast.print_unit(out))
+    d = report.to_json_dict(unit.text)
     assert d["file"] == "A.java"
     assert d["sitesFound"] == 1 and d["sitesUpdated"] == 1
     assert d["skipped"] == []
@@ -201,9 +204,9 @@ def test_transplant_appends_method_and_import():
     defs = ["static AudioAttributes makeAttrs(int usage) {\n"
             "    return null;\n"
             "}"]
-    out, copied, renames = engine.transplant_definitions(
+    edits, copied, renames = engine.transplant_definitions(
         unit, defs, imports=["android.media.AudioAttributes"])
-    text = jast.print_unit(out)
+    text = jast.splice(unit, edits)
     assert copied == ["makeAttrs"]
     assert renames == {}
     assert "import android.media.AudioAttributes;" in text
@@ -219,9 +222,9 @@ def test_transplant_reuses_identical_signature():
         "    void m() { }\n"
         "}\n")
     before = jast.print_unit(unit)
-    out, copied, renames = engine.transplant_definitions(
+    edits, copied, renames = engine.transplant_definitions(
         unit, ["static AudioAttributes makeAttrs(int usage) { return null; }"])
-    assert jast.print_unit(out) == before
+    assert jast.splice(unit, edits) == before
     assert copied == [] and renames == {}
 
 
@@ -231,15 +234,71 @@ def test_transplant_renames_collision():
         "    static int makeAttrs(int a, int b) { return 0; }\n"
         "    void m() { }\n"
         "}\n")
-    out, copied, renames = engine.transplant_definitions(
+    edits, copied, renames = engine.transplant_definitions(
         unit, ["static AudioAttributes makeAttrs(int usage) { return null; }"])
-    text = jast.print_unit(out)
+    text = jast.splice(unit, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
     assert "makeAttrs_androevolve(int usage)" in text
 
 
 def test_transplant_skips_existing_import():
     unit = jast.parse("import android.media.AudioAttributes;\n\nclass T { void m() { } }\n")
-    out, _, _ = engine.transplant_definitions(
+    edits, _, _ = engine.transplant_definitions(
         unit, [], imports=["android.media.AudioAttributes"])
-    assert jast.print_unit(out).count("import android.media.AudioAttributes;") == 1
+    assert jast.splice(unit, edits).count("import android.media.AudioAttributes;") == 1
+
+
+# -- the apply pipeline -------------------------------------------------------
+
+@pytest.mark.parametrize("sites", [1, 40])
+def test_update_parses_once(sites, monkeypatch):
+    patch, mapping = load_patch("vibrate")
+    body = ["        v.vibrate(d * %d);" % k for k in range(sites)]
+    text = "\n".join(["class A {", "    void m(Vibrator v, long d) {"]
+                     + body + ["    }", "}", ""])
+    calls = []
+    for name in ("parse", "edited", "splice"):
+        monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
+                            calls.append(name) or fn(*a))
+    out, report = engine.update(text, patch, mapping)
+    assert calls == ["parse", "splice"]
+    assert report.sites_updated == sites
+    assert out.count("VibrationEffect.createOneShot(50, 175)") == sites
+    assert normal.purge_ok(out)
+
+
+def test_update_inlines_patch_temporary_after_non_name_argument():
+    patch, mapping = load_patch("set_sound")
+    text = ("class A {\n"
+            "    void m(Notification.Builder b, String s) {\n"
+            "        b.setSound(Uri.parse(s));\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied
+    assert ("        if (android.os.Build.VERSION.SDK_INT >= "
+            "android.os.Build.VERSION_CODES.LOLLIPOP) {\n"
+            "            b.setSound(Uri.parse(s), makeAttrs(5));\n"
+            "        } else {\n"
+            "            b.setSound(Uri.parse(s));\n"
+            "        }\n") in out
+    assert normal.purge_ok(out)
+
+
+@pytest.mark.parametrize("then, arg, want", [
+    ("iden0 * 2", "t + 1", "(t + 1) * 2"),
+    ("2 - iden0", "t - 1", "2 - (t - 1)"),
+    ("-iden0", "t + 1", "-(t + 1)"),
+    ("iden0.hashCode()", "(long) t", "((long) t).hashCode()"),
+    ("iden0 + 2", "t * 3", "t * 3 + 2"),
+])
+def test_bound_argument_keeps_its_grouping(vibrate_mapping, then, arg, want):
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(%s);\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n" % then)
+    text = "class A {\n    void m(Vibrator v, long t) {\n        v.vibrate(%s);\n    }\n}\n" % arg
+    out, report = engine.update(text, patch, vibrate_mapping)
+    assert report.sites_updated == 1
+    assert "            v.vibrate(%s);\n        } else {\n" % want in out

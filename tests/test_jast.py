@@ -251,19 +251,3 @@ def test_parse_lexes_once(monkeypatch, vibrate_example):
                             calls.append(name) or fn(text))
     jast.parse(vibrate_example)
     assert calls == ["tokenize"]
-
-
-def test_origin_span_maps_back_through_every_edit():
-    text = "class A {\n    void m() {\n        a.f(x + 1);\n        b.g();\n    }\n}\n"
-    unit = jast.parse(text)
-    first, second = unit.types[0].methods[0].body
-    arg = first.expr.args[0]
-    unit = jast.edited(unit, [(jast.Span(first.span.start, first.span.start),
-                               "int t = x + 1;\n        "), (arg.span, "t")])
-    unit = jast.edited(unit, [(jast.Span(0, 0), "import p.Q;\n\n")])
-    first2, second2 = unit.types[0].methods[0].body[1:]
-    assert jast.origin_span(unit, second2.span) == second.span
-    assert jast.origin_span(unit, first2.span) == first.span
-    decl = unit.types[0].methods[0].body[0]
-    assert jast.origin_span(unit, decl.span) == jast.Span(first.span.start, first.span.start)
-    assert jast.origin_span(jast.parse(text), second.span) == second.span

@@ -153,13 +153,12 @@ def test_parse_patch_rejects_lines_the_engine_cannot_apply(lineno, replacement, 
     assert err.value.line == lineno
 
 
-def test_generate_finds_sites_four_times(monkeypatch):
-    # deprecated and replacement sites in the example and in its
-    # normalized copy; normalize reuses the example's deprecated sites
+def test_generate_finds_sites_twice(monkeypatch):
+    # deprecated and replacement sites in the example, once each
     example, mapping = read_case("set_sound")
     find = sigmap.find_invocations
     calls = []
     monkeypatch.setattr(sigmap, "find_invocations",
                         lambda unit, sig: calls.append(sig) or find(unit, sig))
     patchgen.generate_patch(example, mapping)
-    assert calls == [mapping.deprecated, mapping.replacement] * 2
+    assert calls == [mapping.deprecated, mapping.replacement]
