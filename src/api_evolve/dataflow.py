@@ -163,13 +163,13 @@ class _Resolver:
             rv = self.resolve(receiver, ctx, visited)
             if rv.kind == UNRESOLVED:
                 return ResolvedValue(UNRESOLVED, e)
-            receiver = rv.expr
+            receiver = guard_receiver(rv.expr)
             needs.extend(rv.needs)
         elif receiver is not None and not isinstance(receiver, (jast.Name, jast.FieldAccess)):
             rv = self.resolve(receiver, ctx, visited)
             if rv.kind == UNRESOLVED:
                 return ResolvedValue(UNRESOLVED, e)
-            receiver = rv.expr
+            receiver = guard_receiver(rv.expr)
             needs.extend(rv.needs)
 
         args = []
@@ -216,7 +216,7 @@ class _Resolver:
             ov = self.resolve(e.operand, ctx, visited)
             operands = (ov,)
             if isinstance(e, jast.Unary):
-                out = jast.Unary(e.op, guard_tight(ov.expr))
+                out = jast.Unary(e.op, guard_tight(ov.expr, unary=True))
             else:
                 out = jast.Cast(e.type_name, guard_tight(ov.expr))
         kinds = {v.kind for v in operands}
@@ -255,9 +255,18 @@ def guard_operand(e, op, right):
     return e
 
 
-def guard_tight(e):
-    """Parenthesize a binary or assignment operand of a unary op or cast."""
-    if isinstance(e, (jast.Binary, jast.Assign)):
+def guard_tight(e, unary=False):
+    """Parenthesize a binary or assignment operand of a unary op or cast,
+    and a unary operand of a unary op (`-(-x)`, not the decrement `--x`)."""
+    if isinstance(e, (jast.Binary, jast.Assign)) or (unary and isinstance(e, jast.Unary)):
+        return jast.Paren(e)
+    return e
+
+
+def guard_receiver(e):
+    """Parenthesize an operator expression that becomes a call or field
+    receiver (`(a + b).length()`, not `a + b.length()`)."""
+    if isinstance(e, (jast.Binary, jast.Assign, jast.Unary, jast.Cast)):
         return jast.Paren(e)
     return e
 

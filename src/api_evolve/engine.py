@@ -166,11 +166,10 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
     if isinstance(pattern, jast.Literal):
         return jast.Literal(pattern.kind, pattern.lexeme)
     if isinstance(pattern, jast.FieldAccess):
-        return jast.FieldAccess(_guard_receiver(substitute_expr(pattern.receiver, binding,
-                                                                renames)),
-                                pattern.identifier)
+        return jast.FieldAccess(dataflow.guard_receiver(
+            substitute_expr(pattern.receiver, binding, renames)), pattern.identifier)
     if isinstance(pattern, jast.MethodCall):
-        recv = (_guard_receiver(substitute_expr(pattern.receiver, binding, renames))
+        recv = (dataflow.guard_receiver(substitute_expr(pattern.receiver, binding, renames))
                 if pattern.receiver is not None else None)
         name = renames.get(pattern.name, pattern.name)
         return jast.MethodCall(recv, name,
@@ -186,7 +185,7 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
                            dataflow.guard_operand(rhs, pattern.op, right=True))
     if isinstance(pattern, jast.Unary):
         return jast.Unary(pattern.op, dataflow.guard_tight(
-            substitute_expr(pattern.operand, binding, renames)))
+            substitute_expr(pattern.operand, binding, renames), unary=True))
     if isinstance(pattern, jast.Assign):
         return jast.Assign(substitute_expr(pattern.lhs, binding, renames),
                            substitute_expr(pattern.rhs, binding, renames))
@@ -198,12 +197,6 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
     if isinstance(pattern, jast.OpaqueExpr):
         return jast.OpaqueExpr(pattern.text)
     raise TypeError("cannot substitute into %r" % (pattern,))
-
-
-def _guard_receiver(e):
-    if isinstance(e, (jast.Binary, jast.Assign, jast.Unary, jast.Cast)):
-        return jast.Paren(e)
-    return e
 
 
 def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
@@ -407,14 +400,20 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     Returns (out_text, UpdateReport); out_text is `text` itself when no
     site was updated, and the report's skip spans index `text`. The sites
     are the calls the patch's context line names; `mapping` is not read.
-    Raises jast.UnbalancedSource when the text does not parse and
-    normal.MultipleUse when the patch would evaluate an argument twice.
+    A text that never names the context call's method holds no site, since
+    every parsed name is a slice of the text, so it is only checked for
+    balance, not parsed. Raises jast.UnbalancedSource when the text does
+    not parse and normal.MultipleUse when the patch would evaluate an
+    argument twice.
     """
+    if patchgen.pattern_call(patch.context).name not in text:
+        jast.check_balanced(text)
+        return text, UpdateReport()
     unit = jast.parse(text)
     helper_edits, copied, renames = transplant_definitions(
         unit, patch.needs_defs, patch.needs_imports)
     site_edits, report = apply_patch(patch, unit, renames)
-    report.definitions_copied = copied
     if report.sites_updated == 0:
         return text, report
+    report.definitions_copied = copied
     return jast.splice(unit, helper_edits + site_edits), report

@@ -262,25 +262,40 @@ class TokenList(list):
     unbalanced: Optional[str] = None
 
 
+# Literal and comment syntax, written once for the lexer and the bracket
+# scan. A quote or `/*` that opens no literal or comment is `bad`.
+_STR = r""" "[^"\\\n]*(?:\\.[^"\\\n]*)*" """
+_CHAR = r""" '[^'\\]*(?:\\.[^'\\]*)*' """
+_COMMENT = r""" //[^\n]* | /\*.*?\*/ """
+_BAD = r""" ["'] | /\* """
+
 # One match per token: whitespace and comments are skipped in front of it,
 # then exactly one named alternative matches, or `eof` at the end of the
 # text. The alternatives are tried in order, so `bad` only sees a quote or
 # comment opener whose literal or comment does not close.
 _TOKEN_RE = re.compile(r"""
-    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:[ \t\r\n]+ | %s)*
     (?:
-        (?P<str> "[^"\\\n]*(?:\\.[^"\\\n]*)*" )
-      | (?P<char> '[^'\\]*(?:\\.[^'\\]*)*' )
+        (?P<str> %s)
+      | (?P<char> %s)
       | (?P<num> 0[xX][0-9a-fA-F]+[lL]? | \d+\.\d*(?:[eE][+-]?\d+)?[fFdD]?
                  | \d+(?:[eE][+-]?\d+)?[fFdDlL]? )
       | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
       | (?P<open> [{(\[] )
       | (?P<close> [})\]] )
-      | (?P<bad> ["'] | /\* )
+      | (?P<bad> %s)
       | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*= | /=
-                 | %= | -> | :: | << | >> | . )
+                 | %%= | -> | :: | << | >> | . )
       | (?P<eof> \Z )
-    )""", re.VERBOSE | re.DOTALL)
+    )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+
+# One match per bracket: runs of other characters, comments and literals
+# are swallowed in front of it. A lone `/` must not start `/*`, or an
+# unclosed comment would be swallowed as ordinary text.
+_BRACKET_RE = re.compile(r"""
+    (?:[^"'/{}()\[\]]+ | %s | %s | %s | /(?!\*) )*
+    (?: (?P<open> [{(\[] ) | (?P<close> [})\]] ) | (?P<bad> %s) | (?P<eof> \Z ) )
+    """ % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
 _OPEN = {"{": "}", "(": ")", "[": "]"}
 _CLOSE = {"}", ")", "]"}
@@ -322,8 +337,24 @@ def tokenize(text: str) -> TokenList:
 
 
 def check_balanced(text: str) -> None:
-    """Raise UnbalancedSource if brace/paren/bracket nesting is broken."""
-    fault = tokenize(text).unbalanced
+    """Raise UnbalancedSource exactly when parse would, with the same
+    message, but without building tokens: one regex match per bracket."""
+    closers = []
+    fault = None
+    for m in _BRACKET_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "open":
+            closers.append(_OPEN[m[kind]])
+        elif kind == "close":
+            value = m[kind]
+            if fault is None and (not closers or closers.pop() != value):
+                fault = "unmatched '%s' at offset %d" % (value, m.end() - 1)
+        elif kind == "bad":
+            raise UnbalancedSource(_UNTERMINATED[m[kind]])
+        else:
+            break
+    if fault is None and closers:
+        fault = "unclosed '%s'" % closers[-1]
     if fault is not None:
         raise UnbalancedSource(fault)
 
@@ -383,18 +414,17 @@ class _Parser:
         package = None
         imports = []
         header_end = 0
-        if self.peek().value == "package":
-            self.eat()
-            package = self._qualified_name()
-            self.expect(";")
-            header_end = self.toks[self.i - 1].end
-        while self.peek().value == "import":
-            self.eat()
-            if self.peek().value == "static":
-                self.eat()
-            name = self._qualified_name(allow_star=True)
-            self.expect(";")
-            imports.append(name)
+        keywords = ("package", "import")  # one package, first
+        while self.peek().value in keywords:
+            keyword = self.peek().value
+            keywords = ("import",)
+            name = self._try(self._header_decl)
+            if name is None and not self._skip_declaration():
+                break  # the rest parses as members or statements
+            if name is not None and keyword == "package":
+                package = name
+            elif name is not None:
+                imports.append(name)
             header_end = self.toks[self.i - 1].end
 
         types = []
@@ -433,6 +463,37 @@ class _Parser:
         newline = "\r\n" if "\r\n" in self.text else "\n"
         return CompilationUnit(package, imports, types, text=self.text,
                                newline=newline, header_end=header_end)
+
+    def _header_decl(self) -> str:
+        """One package or import declaration; returns its name."""
+        keyword = self.eat().value
+        if keyword == "import" and self.at("static"):
+            self.eat()
+        name = self._qualified_name(allow_star=keyword == "import")
+        self.expect(";")
+        return name
+
+    def _skip_declaration(self) -> bool:
+        """Skip a malformed header declaration through its ';'. Returns
+        False, consuming nothing, when a bracket or the end comes first."""
+        i = self.i
+        while self.toks[i].value != ";":
+            value = self.toks[i].value
+            if self.toks[i].kind == "eof" or value in _OPEN or value in _CLOSE:
+                return False
+            i += 1
+        self.i = i + 1
+        return True
+
+    def _eat_nested(self, nest: list) -> Token:
+        """Eat a token of a region skipped verbatim, keeping `nest` the stack
+        of ( and [ left open in it, so that the region stays balanced."""
+        t = self.eat()
+        if t.value in ("(", "["):
+            nest.append(_OPEN[t.value])
+        elif t.value in (")", "]") and (not nest or nest.pop() != t.value):
+            raise _Backtrack("unbalanced %r" % t.value)
+        return t
 
     def _try(self, fn):
         mark = self.i
@@ -478,8 +539,11 @@ class _Parser:
             raise _Backtrack("class name expected")
         name = self.eat().value
         # tolerate extends/implements clauses verbatim
+        nest = []
         while not self.at("{") and self.peek().kind != "eof":
-            self.eat()
+            self._eat_nested(nest)
+        if nest:
+            raise _Backtrack("unbalanced class header")
         open_tok = self.expect("{")
         fields, methods, nested = [], [], []
         while not self.at("}"):
@@ -565,18 +629,21 @@ class _Parser:
         self._qualified_name()
         if self.at("<"):
             depth = 0
+            nest = []
             while True:
-                t = self.eat()
+                t = self._eat_nested(nest)
                 if t.kind == "eof":
                     raise _Backtrack("unterminated type arguments")
+                if t.value in ";{}":
+                    raise _Backtrack("not a generic type")
+                if nest:
+                    continue
                 if t.value == "<":
                     depth += 1
                 elif t.value == ">":
                     depth -= 1
                     if depth == 0:
                         break
-                elif t.value in ";{}":
-                    raise _Backtrack("not a generic type")
         while self.at("[") and self.peek(1).value == "]":
             self.eat()
             self.eat()

@@ -381,3 +381,64 @@ def test_report_skip_line_is_the_input_line(tmp_path, case, text, line):
     assert out.read_text().count("\n") > text.count("\n")
     (skip,) = json.loads(report.read_text())["skipped"]
     assert skip == {"line": line, "reason": "AlreadyGuarded"}
+
+
+def _case_patch(tmp_path, case):
+    case_dir = CORPUS / "cases" / case
+    dep, upd = (case_dir / "mapping.txt").read_text().splitlines()
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", dep, upd, "--input", str(case_dir / "example.java"),
+                     "--output", str(patch)]) == 0
+    return dep, upd, patch
+
+
+NOT_UPDATED_TARGETS = {
+    # parsed: the site is found but already guarded
+    "already_guarded": (
+        "class A {\n"
+        "    void m(Notification.Builder b, android.net.Uri u) {\n"
+        "        if (android.os.Build.VERSION.SDK_INT >= 21) {\n"
+        "            b.setSound(u);\n"
+        "        }\n"
+        "    }\n"
+        "}\n", 1, [{"line": 4, "reason": "AlreadyGuarded"}]),
+    # only bracket-checked: the text never names setSound
+    "no_method_name": ("class B { int x; }\n", 0, []),
+}
+
+
+@pytest.mark.parametrize("text, found, skipped", NOT_UPDATED_TARGETS.values(),
+                         ids=NOT_UPDATED_TARGETS.keys())
+def test_report_lists_no_copied_helpers_without_an_update(tmp_path, text, found, skipped):
+    dep, upd, patch = _case_patch(tmp_path, "set_sound")
+    assert "makeAttrs" in patch.read_text()
+    target = tmp_path / "t.java"
+    target.write_text(text)
+    out = tmp_path / "out.java"
+    report = tmp_path / "report.json"
+    rc = cli.main(["--apply-patch", dep, upd, "--input", str(target), "--patch", str(patch),
+                   "--output", str(out), "--report", str(report)])
+    assert rc == 1
+    assert out.read_text() == text
+    assert json.loads(report.read_text()) == {
+        "file": str(target), "sitesFound": found, "sitesUpdated": 0,
+        "skipped": skipped, "copied": []}
+
+
+@pytest.mark.parametrize("header", [
+    # skipped through the import's ';', so the import is lost, not the class
+    "package com.ex\n",
+    "import android.os.Vib rator;\n",
+    "import a.;\n",
+], ids=["unterminated_package", "split_import", "empty_import_segment"])
+def test_apply_tolerates_a_malformed_header(tmp_path, patch_file, capsys, header):
+    text = header + TARGET
+    target = tmp_path / "main.java"
+    target.write_text(text)
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(target), "--patch", str(patch_file),
+                     "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().startswith(header)
+    assert "createOneShot" in out.read_text()

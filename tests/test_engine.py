@@ -267,6 +267,25 @@ def test_update_parses_once(sites, monkeypatch):
     assert normal.purge_ok(out)
 
 
+def test_update_does_not_parse_without_the_method(monkeypatch):
+    patch, mapping = load_patch("set_sound")
+    text = "class A {\n    void m(Vibrator v) {\n        v.vibrate(5);\n    }\n}\n"
+    calls = []
+    for name in ("parse", "check_balanced"):
+        monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
+                            calls.append(name) or fn(*a))
+    out, report = engine.update(text, patch, mapping)
+    assert calls == ["check_balanced"]
+    assert out is text
+    assert report == engine.UpdateReport()
+
+
+def test_update_without_the_method_still_rejects_unbalanced_text():
+    patch, mapping = load_patch("vibrate")
+    with pytest.raises(jast.UnbalancedSource, match="unmatched '\\)' at offset 10"):
+        engine.update("class A { )", patch, mapping)
+
+
 def test_update_inlines_patch_temporary_after_non_name_argument():
     patch, mapping = load_patch("set_sound")
     text = ("class A {\n"
@@ -291,6 +310,7 @@ def test_update_inlines_patch_temporary_after_non_name_argument():
     ("-iden0", "t + 1", "-(t + 1)"),
     ("iden0.hashCode()", "(long) t", "((long) t).hashCode()"),
     ("iden0 + 2", "t * 3", "t * 3 + 2"),
+    ("-iden0", "-t", "-(-t)"),
 ])
 def test_bound_argument_keeps_its_grouping(vibrate_mapping, then, arg, want):
     patch = patchgen.parse_patch(

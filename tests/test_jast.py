@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from api_evolve import jast
@@ -207,6 +209,7 @@ LITERAL_ERRORS = {
     "unterminated_char": ("c = 'a", "unterminated char literal"),
     "unterminated_comment": ("a /* b", "unterminated block comment"),
     "comment_star_slash_overlap": ("/*/", "unterminated block comment"),
+    "after_a_bracket_fault": ('f(]; s = "ab', "unterminated string literal"),
 }
 
 BRACKET_ERRORS = {
@@ -251,3 +254,73 @@ def test_parse_lexes_once(monkeypatch, vibrate_example):
                             calls.append(name) or fn(text))
     jast.parse(vibrate_example)
     assert calls == ["tokenize"]
+
+
+MALFORMED_HEADERS = {
+    # text, package, imports, header_end
+    "truncated_package": ("package com.ex", None, [], 0),
+    "split_import": ("import android.os.Vib rator;\nclass A {}", None, [], 28),
+    "empty_import_segment": ("import a.;\nimport b.C;\nclass A {}", None, ["b.C"], 22),
+    "package_then_bad_import": ("package p;\nimport a.;\nclass A {}", "p", [], 21),
+    "unterminated_import": ("import a.b\nclass A { int x; }", None, [], 0),
+}
+
+
+@pytest.mark.parametrize("text, package, imports, header_end", MALFORMED_HEADERS.values(),
+                         ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_is_skipped(text, package, imports, header_end):
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    assert (unit.package_name, unit.imports, unit.header_end) == (package, imports, header_end)
+
+
+@pytest.mark.parametrize("text", [
+    "List<(> x; )",
+    "{ List<(> x; ) }",
+    "class A ( { } )",
+    "class A [ { } ]",
+])
+def test_verbatim_regions_stay_balanced(text):
+    # a type or class header that would swallow half a bracket pair is
+    # not taken for one, so the unmatched half cannot end the statement
+    assert jast.print_unit(jast.parse(text)) == text
+
+
+def test_generic_and_array_types_still_parse():
+    unit = jast.parse("class A implements C<D[]> { Map<String, byte[]> x; }")
+    (tdecl,) = unit.types
+    assert tdecl.name == "A" and [f.type_name for f in tdecl.fields] == ["Map<String, byte[]>"]
+
+
+def _mutant(rng, text):
+    """One seeded edit of the kind a truncated or hand-edited file shows."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(5)
+    if op == 0:
+        return text[:i]
+    if op == 1:
+        return text[:i] + text[i + rng.randint(1, 20):]
+    if op == 2:
+        return text[:i] + rng.choice("\"'/*{}()[];<>") + text[i:]
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    if op == 3:
+        return "\n".join(lines[:k + 1] + lines[k:])
+    return "\n".join(lines[:k] + lines[k + 1:])
+
+
+def _fault(fn, text):
+    try:
+        fn(text)
+    except jast.UnbalancedSource as exc:
+        return str(exc)
+    return None
+
+
+def test_check_balanced_faults_exactly_where_parse_does():
+    texts = [read(p) for p in corpus_java_files()]
+    rng = random.Random(20081)
+    texts += [_mutant(rng, rng.choice(texts)) for _ in range(1200)]
+    faults = [_fault(jast.parse, t) for t in texts]
+    assert faults == [_fault(jast.check_balanced, t) for t in texts]
+    assert 300 < sum(f is not None for f in faults) < len(texts) - 300

@@ -42,6 +42,26 @@ def test_vibrate_patch_constants_inlined():
     assert "DURATION" not in rendered and "AMPLITUDE" not in rendered
 
 
+@pytest.mark.parametrize("edits, want", [
+    ([("int amplitude = AMPLITUDE;", "int amplitude = -AMPLITUDE;"),
+      ("createOneShot(milliseconds, amplitude)", "createOneShot(milliseconds, -amplitude)")],
+     "createOneShot(50, -(-175))"),
+    ([("private static final int AMPLITUDE = 175;",
+       'private static final String AMP = "1";'),
+      ("int amplitude = AMPLITUDE;", 'String amp = AMP + "2";'),
+      ("createOneShot(milliseconds, amplitude)", "createOneShot(milliseconds, amp.length())")],
+     'createOneShot(50, ("1" + "2").length())'),
+], ids=["unary_of_unary", "binary_receiver"])
+def test_inlined_definition_keeps_its_grouping(edits, want):
+    _example, mapping = read_case("vibrate")
+    text = (CORPUS / "cases" / "vibrate" / "example.java").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    rendered = patchgen.render_patch(patchgen.generate_patch(jast.parse(text), mapping))
+    assert "= VibrationEffect.%s;" % want in rendered
+
+
 def test_guard_condition_taken_from_example():
     example, mapping = read_case("set_sound")
     patch = patchgen.generate_patch(example, mapping, rewire_shared_args=True)
