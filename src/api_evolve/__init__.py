@@ -1,12 +1,12 @@
 """api-evolve: synthesize and apply deprecated-API update patches for
 Java-subset sources, from a single after-update example."""
 
-from .jast import (CompilationUnit, SourceFile, UnbalancedSource,  # noqa: F401
+from .jast import (CompilationUnit, SourceFile, ParseError, UnbalancedSource,  # noqa: F401
                    OverlappingEdits, parse, parse_file, print_unit, splice)
 from .sigmap import (ApiMapping, ApiSignature, CallSite,  # noqa: F401
                      MalformedSignature, find_invocations, parse_signature)
-from .dataflow import (ResolvedValue, ResolutionContext,  # noqa: F401
-                       collect_dependencies, resolve_expression)
+from .scope import Scope, at_site  # noqa: F401
+from .dataflow import ResolvedValue, collect_dependencies, resolve_expression  # noqa: F401
 from .normal import NormalizationMap, MultipleUse, denormalize, normalize  # noqa: F401
 from .patchgen import (ExampleShapeError, MalformedPatch, ResolutionError,  # noqa: F401
                        SemanticPatch, generate_patch, parse_patch, render_patch)

@@ -86,7 +86,7 @@ def run_generate(args, mapping) -> int:
     except OSError as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
-    except jast.UnbalancedSource as exc:
+    except jast.ParseError as exc:
         sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     try:
@@ -117,7 +117,7 @@ def run_apply(args, mapping) -> int:
         return EXIT_BAD_INPUT
     try:
         out_text, report = engine.update(text, patch, mapping)
-    except jast.UnbalancedSource as exc:
+    except jast.ParseError as exc:
         sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     except normal.MultipleUse as exc:

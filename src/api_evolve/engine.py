@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import dataflow, jast, normal, patchgen, sigmap
+from . import dataflow, jast, normal, patchgen, scope, sigmap
 
 ALREADY_GUARDED = "AlreadyGuarded"
 NO_MATCH = "NoMatch"
@@ -321,21 +321,15 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
             else:
                 new_types.append(tdecl)
 
-    existing_methods = {}
-    existing_types = {}
-    for tdecl, _outer in jast.iter_types(unit):
-        if not tdecl.implicit:
-            existing_types[tdecl.name] = tdecl
-        for m in tdecl.methods:
-            existing_methods.setdefault(m.name, set()).add(m.arity)
+    existing_methods, existing_types = scope.members(unit)
+    existing_names = {name for name, _arity in existing_methods}
 
     for m in new_methods:
-        arities = existing_methods.get(m.name, set())
-        if m.arity in arities:
+        if (m.name, m.arity) in existing_methods:
             continue  # identical-shape member exists; reuse it
         text = m.src
         name = m.name
-        if arities:  # same name, different arity: copy under an alias
+        if m.name in existing_names:  # same name, different arity: copy under an alias
             name = m.name + "_androevolve"
             renames[m.name] = name
             text = re.sub(r"\b%s\b" % re.escape(m.name), name, text)
@@ -371,21 +365,19 @@ def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
         suffix = "" if pos > 0 else nl
         edits.append((jast.Span(pos, pos), prefix + nl.join(import_lines) + suffix))
 
-    primary = next((t for t in unit.types if not t.implicit), None)
-    if method_texts:
-        if primary is not None:
-            at = primary.body_span.end
-            indent = jast.indent_at(unit.text, primary.span.start)
-            block = "".join(nl + indent + "    " + t.replace("\n", nl) + nl for t in method_texts)
+    def insert(at, indent, texts):
+        if texts:
+            block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
-        else:
-            tail = len(unit.text)
-            block = "".join(nl + t.replace("\n", nl) + nl for t in method_texts)
-            edits.append((jast.Span(tail, tail), block))
-    if type_texts:
-        tail = len(unit.text)
-        block = "".join(nl + t.replace("\n", nl) + nl for t in type_texts)
-        edits.append((jast.Span(tail, tail), block))
+
+    # methods go into the first class, or at the end of a file without one
+    primary = next((t for t in unit.types if not t.implicit), None)
+    if primary is not None:
+        insert(primary.body_span.end,
+               jast.indent_at(unit.text, primary.span.start) + "    ", method_texts)
+    else:
+        insert(len(unit.text), "", method_texts)
+    insert(len(unit.text), "", type_texts)
     return edits, copied, renames
 
 
@@ -402,9 +394,9 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     are the calls the patch's context line names; `mapping` is not read.
     A text that never names the context call's method holds no site, since
     every parsed name is a slice of the text, so it is only checked for
-    balance, not parsed. Raises jast.UnbalancedSource when the text does
-    not parse and normal.MultipleUse when the patch would evaluate an
-    argument twice.
+    balance, not parsed. Raises jast.ParseError (UnbalancedSource when
+    the nesting is broken) when the text does not parse, and
+    normal.MultipleUse when the patch would evaluate an argument twice.
     """
     if patchgen.pattern_call(patch.context).name not in text:
         jast.check_balanced(text)

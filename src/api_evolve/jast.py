@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 
-class UnbalancedSource(Exception):
+class ParseError(Exception):
+    """The text cannot be parsed: an unterminated literal, broken or too
+    deep nesting, or not exactly one expression or statement."""
+
+
+class UnbalancedSource(ParseError):
     """Brace/paren/bracket nesting of the input cannot be recovered."""
 
 
@@ -364,8 +369,8 @@ def check_balanced(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 # binary operators by binding strength, loosest first
-_BIN_LEVEL = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
-              "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+BINARY_LEVEL = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
+                "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 
 
 class _Backtrack(Exception):
@@ -640,8 +645,10 @@ class _Parser:
                     continue
                 if t.value == "<":
                     depth += 1
-                elif t.value == ">":
-                    depth -= 1
+                elif t.value in (">", ">>"):  # `>>>` lexes as `>>` then `>`
+                    depth -= len(t.value)
+                    if depth < 0:
+                        raise _Backtrack("unbalanced type arguments")
                     if depth == 0:
                         break
         while self.at("[") and self.peek(1).value == "]":
@@ -781,7 +788,7 @@ class _Parser:
         lhs = self._parse_unary()
         while True:
             t = self.toks[self.i]
-            level = _BIN_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
+            level = BINARY_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
             if level < min_level:
                 return lhs
             self.i += 1
@@ -889,13 +896,14 @@ class _Parser:
 def parse(text: str) -> CompilationUnit:
     """Parse source text into a CompilationUnit.
 
-    Never fails on balanced input; unsupported constructs fall back to
-    Opaque nodes. Raises UnbalancedSource when nesting is broken.
+    Never fails on balanced input of reasonable depth; unsupported
+    constructs fall back to Opaque nodes. Raises UnbalancedSource when
+    nesting is broken, and ParseError when it is too deep to parse.
     """
     toks = tokenize(text)
     if toks.unbalanced is not None:
         raise UnbalancedSource(toks.unbalanced)
-    return _Parser(text, toks).parse_unit()
+    return _parse_with(_Parser(text, toks), _Parser.parse_unit)
 
 
 def parse_file(path: str) -> SourceFile:
@@ -905,19 +913,27 @@ def parse_file(path: str) -> SourceFile:
 
 
 def parse_expr_text(text: str) -> Expr:
-    p = _Parser(text)
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        raise _Backtrack("trailing tokens after expression")
-    return e
+    """Parse text that holds exactly one expression; raises ParseError."""
+    return _parse_with(_Parser(text), _Parser.parse_expr, "expression")
 
 
 def parse_stmt_text(text: str) -> Stmt:
-    p = _Parser(text)
-    s = p.parse_stmt()
+    """Parse text that holds exactly one statement; raises ParseError."""
+    return _parse_with(_Parser(text), _Parser.parse_stmt, "statement")
+
+
+def _parse_with(p: _Parser, rule, what: str = ""):
+    """Run one parser rule over all of p's text, turning a failed rule,
+    trailing tokens or a too-deep nesting into ParseError."""
+    try:
+        node = rule(p)
+    except _Backtrack as exc:
+        raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("nesting too deep to parse") from None
     if p.peek().kind != "eof":
-        raise _Backtrack("trailing tokens after statement")
-    return s
+        raise ParseError("trailing tokens after %s" % what)
+    return node
 
 
 def print_unit(unit: CompilationUnit) -> str:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import dataflow, jast, normal, sigmap
+from . import dataflow, jast, normal, scope, sigmap
 
 
 class ExampleShapeError(Exception):
@@ -75,9 +75,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         if isinstance(arg, jast.Name):
             shared[arg.identifier] = "iden%d" % i
 
-    pinned = {name: jast.Name(mv) for name, mv in shared.items()} if rewire_shared_args else {}
-    ctx = dataflow.context_for_site(upd_site, example)
-    ctx.pinned = pinned
+    ctx = scope.at_site(upd_site, example)
+    if rewire_shared_args:
+        ctx.pinned = {name: jast.Name(mv) for name, mv in shared.items()}
 
     resolved = {}  # updated arg index -> ResolvedValue, for non-shared args
     for j, arg in enumerate(upd_site.call.args):
@@ -145,61 +145,45 @@ def _locate_pair(unit, mapping):
     When the two signatures share name and arity the calls are textually
     indistinguishable, so candidate pairings are ranked by how well the
     declared types of their arguments agree with the signature parameter
-    types."""
-    dep_sites = sigmap.find_invocations(unit, mapping.deprecated)
-    upd_sites = sigmap.find_invocations(unit, mapping.replacement)
-    best = None
-    best_score = -1
-    for tdecl, _outer in jast.iter_types(unit):
-        for mdecl in tdecl.methods:
-            for stmt, _chain in jast.iter_statements(mdecl.body):
-                if not isinstance(stmt, jast.If) or stmt.else_block is None:
-                    continue
-                then_span = stmt.then_block.span
-                else_span = stmt.else_block.span
-                for dep in dep_sites:
-                    for upd in upd_sites:
-                        if dep.call is upd.call:
-                            continue
-                        d, u = dep.call.span, upd.call.span
-                        if not ((then_span.contains(u) and else_span.contains(d))
-                                or (then_span.contains(d) and else_span.contains(u))):
-                            continue
-                        score = (_arg_type_score(dep, mapping.deprecated, unit)
-                                 + _arg_type_score(upd, mapping.replacement, unit))
-                        if score > best_score:
-                            best, best_score = (dep, upd, stmt), score
-    if best is None:
+    types; a tie goes to the earliest if, then the earliest deprecated
+    site, then the earliest updated site."""
+    deps = [(d, _arg_type_score(d, mapping.deprecated, unit))
+            for d in sigmap.find_invocations(unit, mapping.deprecated)]
+    upds = [(u, _arg_type_score(u, mapping.replacement, unit))
+            for u in sigmap.find_invocations(unit, mapping.replacement)]
+    ranked = [((-(ds + us), s.span.start, d.call.span.start, u.call.span.start), (d, u, s))
+              for d, ds in deps for u, us in upds
+              for s in [_separating_if(d, u)] if s is not None]
+    if not ranked:
         raise ExampleShapeError(
             "example must pair %s and %s inside one if/else" %
             (mapping.deprecated, mapping.replacement))
-    return best
+    return min(ranked, key=lambda r: r[0])[1]
+
+
+def _separating_if(a, b):
+    """The if/else around site a whose other branch holds site b, or None."""
+    for s in a.stmt_chain:
+        if isinstance(s, jast.If) and s.else_block is not None:
+            then, other = s.then_block.span, s.else_block.span
+            x, y = a.call.span, b.call.span
+            if ((then.contains(x) and other.contains(y))
+                    or (then.contains(y) and other.contains(x))):
+                return s
+    return None
 
 
 def _arg_type_score(site, sig, unit):
     """Count arguments whose declared type agrees with the signature."""
+    at = scope.at_site(site, unit)
     score = 0
     for arg, ptype in zip(site.call.args, sig.param_types):
         if not isinstance(arg, jast.Name):
             continue
-        declared = _declared_type(site, arg.identifier)
+        declared = at.declared_type(arg.identifier)
         if declared is not None and sigmap.simple_name(declared) == sigmap.simple_name(ptype):
             score += 1
     return score
-
-
-def _declared_type(site, name):
-    if site.enclosing_method is not None:
-        for ptype, pname in site.enclosing_method.params:
-            if pname == name:
-                return ptype
-        for stmt, _chain in jast.iter_statements(site.enclosing_method.body):
-            if isinstance(stmt, jast.LocalVarDecl) and stmt.name == name:
-                return stmt.type_name
-    for f in site.enclosing_type.fields:
-        if f.name == name:
-            return f.type_name
-    return None
 
 
 def _abstract_stmt(site, shared_receiver, used_exp, args_to):
@@ -224,12 +208,9 @@ def _abstract_stmt(site, shared_receiver, used_exp, args_to):
     stmt = site.enclosing_stmt
     if isinstance(stmt, jast.ExprStmt) and stmt.expr is call:
         return jast.ExprStmt(pat_call)
-    if isinstance(stmt, jast.ExprStmt) and isinstance(stmt.expr, jast.Assign) \
-            and stmt.expr.rhs is call:
-        if "exp0" not in used_exp:
-            used_exp.append("exp0")
-        return jast.ExprStmt(jast.Assign(jast.Name("exp0"), pat_call))
-    if isinstance(stmt, jast.LocalVarDecl) and stmt.init is call:
+    if (isinstance(stmt, jast.ExprStmt) and isinstance(stmt.expr, jast.Assign)
+            and stmt.expr.rhs is call) or (isinstance(stmt, jast.LocalVarDecl)
+                                           and stmt.init is call):
         if "exp0" not in used_exp:
             used_exp.append("exp0")
         return jast.ExprStmt(jast.Assign(jast.Name("exp0"), pat_call))
@@ -348,7 +329,7 @@ def parse_patch(text: str) -> SemanticPatch:
 def _split_defs(blob: str) -> list:
     try:
         unit = jast.parse(blob)
-    except jast.UnbalancedSource as exc:
+    except jast.ParseError as exc:
         raise MalformedPatch("unparsable @needs@ section: %s" % exc)
     defs = []
     for tdecl in unit.types:
@@ -393,7 +374,7 @@ def _derive_shape(hunk, hunk_start):
         raise MalformedPatch("hunk must open with '+ if (<guard>) {'", first.line)
     try:
         guard = jast.parse_expr_text(m.group(1))
-    except Exception:
+    except jast.ParseError:
         raise MalformedPatch("unparsable guard condition %r" % m.group(1), first.line)
 
     then_stmts, then_lines, context = [], [], None
@@ -406,7 +387,7 @@ def _derive_shape(hunk, hunk_start):
             continue
         try:
             stmt = jast.parse_stmt_text(pl.text)
-        except Exception:
+        except jast.ParseError:
             stmt = None
         if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
             raise MalformedPatch("pattern line %r is not one expression, declaration "

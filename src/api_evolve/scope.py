@@ -1,0 +1,158 @@
+"""Name lookup at one position in a compilation unit.
+
+A Scope is a position: the unit, the types around it, its method, and
+the path of blocks from the method body down to one statement, the
+anchor. The path is built once per site, from the statement chain the
+site search recorded. A lookup scans only what the anchor can see: the
+statements before it in its block, then those before each enclosing
+statement in its block; never a sibling branch or a later statement.
+Names resolve in Java's order: such a local, a parameter, then a field
+of the innermost enclosing type that declares one. Imports are not
+resolved. The unit's method and type tables live here too, with the
+lookup of the unit definitions a helper's body references.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Optional
+
+from . import jast
+
+
+@dataclass
+class Scope:
+    unit: jast.CompilationUnit
+    types: tuple  # enclosing types, outermost first; the last holds the position
+    method: Optional[jast.MethodDecl] = None  # None in a field initializer
+    path: tuple = ()  # (stmt list, index) per block, method body first; last is the anchor
+    pinned: dict = field(default_factory=dict)  # name -> replacement Expr
+
+    def definition(self, name):
+        """Nearest definition of name before the anchor, as (value, scope at
+        the defining statement); value is None for a declaration without
+        an initializer. None when no visible statement defines name."""
+        for level, j, stmt in self._before():
+            value = _defines(stmt, name)
+            if value is not None:
+                at = replace(self, path=self.path[:level] + ((self.path[level][0], j),))
+                return (None if value is _NO_INIT else value), at
+        return None
+
+    def parameter(self, name) -> Optional[str]:
+        """Declared type of the enclosing method's parameter name, or None."""
+        if self.method is not None:
+            for ptype, pname in self.method.params:
+                if pname == name:
+                    return ptype
+        return None
+
+    def enclosing_field(self, name):
+        """Field called name of the innermost enclosing type that declares
+        one, as (FieldDecl, scope of its initializer), or None."""
+        for k in range(len(self.types) - 1, -1, -1):
+            for fdecl in self.types[k].fields:
+                if fdecl.name == name:
+                    return fdecl, Scope(self.unit, self.types[:k + 1], pinned=self.pinned)
+        return None
+
+    def declared_type(self, name) -> Optional[str]:
+        """Declared type of name here: the nearest preceding local, then a
+        parameter, then a field of the enclosing type or an outer type."""
+        for _level, _j, stmt in self._before():
+            if isinstance(stmt, jast.LocalVarDecl) and stmt.name == name:
+                return stmt.type_name
+        ptype = self.parameter(name)
+        if ptype is not None:
+            return ptype
+        found = self.enclosing_field(name)
+        return found[0].type_name if found else None
+
+    def is_variable(self, name) -> bool:
+        """True when name is a local, a parameter or a field here, as
+        opposed to a type or package name."""
+        return (self.definition(name) is not None or self.parameter(name) is not None
+                or self.enclosing_field(name) is not None)
+
+    def _before(self):
+        """(level, index, stmt) for every statement the anchor can see,
+        nearest first."""
+        for level in range(len(self.path) - 1, -1, -1):
+            stmts, idx = self.path[level]
+            for j in range(idx - 1, -1, -1):
+                yield level, j, stmts[j]
+
+
+def at_site(site, unit: jast.CompilationUnit) -> Scope:
+    """The scope of a call site found by sigmap.find_invocations."""
+    types = site.outer_types + (site.enclosing_type,)
+    if site.enclosing_stmt is None:  # a field initializer
+        return Scope(unit, types)
+    path = []
+    stmts = site.enclosing_method.body
+    for stmt in site.stmt_chain + (site.enclosing_stmt,):
+        # an if's branch is not in a statement list, so it adds no level
+        if stmts is not None:
+            path.append((stmts, next(i for i, s in enumerate(stmts) if s is stmt)))
+        stmts = stmt.stmts if isinstance(stmt, jast.Block) else None
+    return Scope(unit, types, site.enclosing_method, tuple(path))
+
+
+def members(unit: jast.CompilationUnit):
+    """The unit's declared methods, keyed (name, arity), and its named
+    types, keyed by name; the later of two duplicates wins."""
+    methods = {}
+    types = {}
+    for tdecl, _outer in jast.iter_types(unit):
+        if not tdecl.implicit:
+            types[tdecl.name] = tdecl
+        for m in tdecl.methods:
+            if not m.implicit:
+                methods[(m.name, m.arity)] = m
+    return methods, types
+
+
+def references(d, methods, types):
+    """Unit-local methods/types referenced from a definition's body, looked
+    up in the tables members() returns."""
+    refs = []
+    stmts = d.body if isinstance(d, jast.MethodDecl) else []
+    exprs = []
+    if isinstance(d, jast.TypeDecl):
+        for m in d.methods:
+            refs.extend(references(m, methods, types))
+        for f in d.fields:
+            if f.initializer is not None:
+                exprs.append(f.initializer)
+    for stmt, _chain in jast.iter_statements(stmts):
+        exprs.extend(jast.stmt_exprs(stmt))
+        if isinstance(stmt, jast.LocalVarDecl) and stmt.type_name in types:
+            refs.append(types[stmt.type_name])
+    for root in exprs:
+        for e in jast.iter_exprs(root):
+            if isinstance(e, jast.MethodCall) and e.receiver is None:
+                m = methods.get((e.name, len(e.args)))
+                if m is not None:
+                    refs.append(m)
+            if isinstance(e, jast.ObjectCreation):
+                t = types.get(e.type_name.split("<")[0])
+                if t is not None:
+                    refs.append(t)
+            if isinstance(e, jast.Name) and e.identifier in types:
+                refs.append(types[e.identifier])
+    return refs
+
+
+_NO_INIT = object()
+
+
+def _defines(s, name):
+    """Value a statement assigns to name, _NO_INIT for a bare declaration,
+    or None when the statement does not define name."""
+    if isinstance(s, jast.LocalVarDecl) and s.name == name:
+        return s.init if s.init is not None else _NO_INIT
+    if isinstance(s, jast.ExprStmt) and isinstance(s.expr, jast.Assign):
+        lhs = s.expr.lhs
+        if isinstance(lhs, jast.Name) and lhs.identifier == name:
+            return s.expr.rhs
+    return None

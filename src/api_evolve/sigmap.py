@@ -46,6 +46,7 @@ class CallSite:
     enclosing_type: jast.TypeDecl
     stmt_chain: tuple = ()  # enclosing statements, outermost first, excluding enclosing_stmt
     field: Optional[jast.FieldDecl] = None
+    outer_types: tuple = ()  # types around enclosing_type, outermost first
 
 
 _SIG_RE = re.compile(
@@ -75,20 +76,20 @@ def find_invocations(unit: jast.CompilationUnit, sig: ApiSignature) -> list:
     Matching is name + arity only; receivers are captured, not typed.
     """
     sites = []
-    for tdecl, _outer in jast.iter_types(unit):
+    for tdecl, outer in jast.iter_types(unit):
         for fdecl in tdecl.fields:
             if fdecl.initializer is None:
                 continue
             for e in jast.iter_exprs(fdecl.initializer):
                 if _matches(e, sig):
-                    sites.append(CallSite(e, None, None, tdecl, field=fdecl))
+                    sites.append(CallSite(e, None, None, tdecl, field=fdecl, outer_types=outer))
         for mdecl in tdecl.methods:
             for stmt, chain in jast.iter_statements(mdecl.body):
                 for root in jast.stmt_exprs(stmt):
                     for e in jast.iter_exprs(root):
                         if _matches(e, sig):
                             sites.append(CallSite(e, stmt, mdecl, tdecl,
-                                                  stmt_chain=chain))
+                                                  stmt_chain=chain, outer_types=outer))
     sites.sort(key=lambda s: s.call.span.start)
     return sites
 

@@ -8,7 +8,7 @@ of the statement texts, completely independent of the resolver under test.
 
 import random
 
-from api_evolve import dataflow, jast, sigmap
+from api_evolve import dataflow, jast, scope, sigmap
 
 OPS = ["+", "-", "*"]  # operators whose semantics match the interpreter host
 
@@ -67,16 +67,8 @@ def generate(rng):
 def resolve_used_arg(text):
     """Parse the program and resolve the argument of the use(...) marker."""
     unit = jast.parse(text)
-    method = unit.types[0].methods[0]
-    call = anchor = None
-    for stmt, _chain in jast.iter_statements(method.body):
-        for e in jast.stmt_exprs(stmt):
-            for sub in jast.iter_exprs(e):
-                if isinstance(sub, jast.MethodCall) and sub.name == "use":
-                    call, anchor = sub, stmt
-    site = sigmap.CallSite(call, anchor, method, unit.types[0], (), None)
-    ctx = dataflow.context_for_site(site, unit)
-    return dataflow.resolve_expression(call.args[0], ctx)
+    site = sigmap.find_invocations(unit, sigmap.ApiSignature("", "use", ("?",)))[-1]
+    return dataflow.resolve_expression(site.call.args[0], scope.at_site(site, unit))
 
 
 def check_one(rng):

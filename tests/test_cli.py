@@ -143,6 +143,23 @@ def test_apply_unparsable_target(tmp_path, patch_file):
     assert not out.exists()
 
 
+DEEP = "class A { void m(Vibrator v) { x = %s1%s; v.vibrate(5); } }" % ("(" * 300, ")" * 300)
+
+
+@pytest.mark.parametrize("mode", ["--generate-patch", "--apply-patch"])
+def test_too_deep_nesting_is_a_parse_failure(tmp_path, patch_file, capsys, mode):
+    target = tmp_path / "deep.java"
+    target.write_text(DEEP)
+    out = tmp_path / "out"
+    extra = ["--patch", str(patch_file)] if mode == "--apply-patch" else []
+    rc = cli.main([mode, VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                   "--output", str(out)] + extra)
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nesting too deep" in err
+
+
 def test_apply_writes_json_report(tmp_path, patch_file):
     target = tmp_path / "main.java"
     target.write_text(TARGET)

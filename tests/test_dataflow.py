@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from api_evolve import dataflow, jast, sigmap
+from api_evolve import dataflow, jast, scope, sigmap
 
 import oracle_programs
 
@@ -13,22 +13,12 @@ def resolve_in(text, method_name="m", marker="use"):
 
 
 def marker_arg(text, method_name="m", marker="use"):
-    """The first argument of the marker call and its resolution context."""
+    """The first argument of the last marker call in the method, and the
+    scope at that call."""
     unit = jast.parse(text)
-    method = None
-    tdecl = None
-    for t, _ in jast.iter_types(unit):
-        for m in t.methods:
-            if m.name == method_name:
-                method, tdecl = m, t
-    call = anchor = None
-    for stmt, _chain in jast.iter_statements(method.body):
-        for e in jast.stmt_exprs(stmt):
-            for sub in jast.iter_exprs(e):
-                if isinstance(sub, jast.MethodCall) and sub.name == marker:
-                    call, anchor = sub, stmt
-    site = sigmap.CallSite(call, anchor, method, tdecl, (), None)
-    return call.args[0], dataflow.context_for_site(site, unit)
+    sites = [s for s in sigmap.find_invocations(unit, sigmap.ApiSignature("", marker, ("?",)))
+             if s.enclosing_method is not None and s.enclosing_method.name == method_name]
+    return sites[-1].call.args[0], scope.at_site(sites[-1], unit)
 
 
 def test_literal_direct():
@@ -144,14 +134,27 @@ def test_block_scope_chain():
     assert eval(jast.render_expr(v.expr)) == 3
 
 
+def test_bare_block_sees_its_earlier_statements():
+    v, _ = resolve_in("class A { void m() { { int x = 1; use(x); } } }")
+    assert jast.render_expr(v.expr) == "1"
+
+
+def test_bare_block_inside_a_block_sees_outer_definitions():
+    v, _ = resolve_in(
+        "class A { void m() { int y = 2; { { int x = y; use(x); } } } }")
+    assert jast.render_expr(v.expr) == "2"
+
+
+def test_sibling_branch_definition_is_not_seen():
+    v, _ = resolve_in(
+        "class A { void m() { int x = 1; if (c) { x = 2; } else { use(x); } } }")
+    assert jast.render_expr(v.expr) == "1"
+
+
 def test_pinned_names_stay_symbolic():
-    unit = jast.parse("class A { void m(Uri u) { use(u); } }")
-    method = unit.types[0].methods[0]
-    stmt = method.body[0]
-    call = stmt.expr
-    ctx = dataflow.ResolutionContext(method, unit.types[0], unit, stmt,
-                                     pinned={"u": jast.Name("iden0")})
-    v = dataflow.resolve_expression(call.args[0], ctx)
+    arg, ctx = marker_arg("class A { void m(Uri u) { use(u); } }")
+    ctx.pinned = {"u": jast.Name("iden0")}
+    v = dataflow.resolve_expression(arg, ctx)
     assert v.kind == dataflow.STATIC_MEMBER
     assert jast.render_expr(v.expr) == "iden0"
 

@@ -324,3 +324,38 @@ def test_check_balanced_faults_exactly_where_parse_does():
     faults = [_fault(jast.parse, t) for t in texts]
     assert faults == [_fault(jast.check_balanced, t) for t in texts]
     assert 300 < sum(f is not None for f in faults) < len(texts) - 300
+
+
+@pytest.mark.parametrize("fn, text", [
+    (jast.parse_expr_text, "a)"),
+    (jast.parse_expr_text, "(a"),
+    (jast.parse_expr_text, "a +"),
+    (jast.parse_stmt_text, "x = 1; y = 2;"),
+    (jast.parse_stmt_text, "}"),
+], ids=["trailing_close", "unclosed_paren", "missing_operand", "two_statements",
+        "stray_close"])
+def test_text_parsers_raise_the_public_error(fn, text):
+    with pytest.raises(jast.ParseError):
+        fn(text)
+
+
+def test_unterminated_literal_is_a_parse_error():
+    assert issubclass(jast.UnbalancedSource, jast.ParseError)
+    with pytest.raises(jast.ParseError, match="unterminated string"):
+        jast.parse_expr_text('"abc')
+
+
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
+    deep = "(" * 300 + "1" + ")" * 300
+    with pytest.raises(jast.ParseError, match="too deep"):
+        jast.parse("class A { void m(Vibrator v) { x = %s; v.vibrate(5); } }" % deep)
+    with pytest.raises(jast.ParseError, match="too deep"):
+        jast.parse_expr_text(deep)
+
+
+def test_patch_depth_nesting_still_parses():
+    # generated patches nest up to 84 parentheses
+    nested = "(" * 100 + "1" + ")" * 100
+    text = "class A { void m(Vibrator v) { x = %s; v.vibrate(5); } }" % nested
+    assert jast.print_unit(jast.parse(text)) == text
+    assert jast.render_expr(jast.parse_expr_text(nested)) == nested

@@ -1,6 +1,6 @@
 import pytest
 
-from api_evolve import jast, patchgen, sigmap
+from api_evolve import jast, patchgen, scope, sigmap
 
 from conftest import CORPUS
 
@@ -164,7 +164,10 @@ def test_parse_patch_reports_line_number():
     (9, "x = iden0;", "no method call"),
     (9, "- classIden.vibrate(iden0);", "'-' lines"),
     (10, "+ log(iden0);", "after '\\+ } else {'"),
-], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else"])
+    (7, "+ classIden.vibrate(%s0%s);" % ("(" * 300, ")" * 300), "not one expression"),
+    (5, '+ if ("SDK_INT) {', "unparsable guard"),
+], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else",
+        "nesting_too_deep", "unterminated_string_in_guard"])
 def test_parse_patch_rejects_lines_the_engine_cannot_apply(lineno, replacement, message):
     lines = EXPECTED_VIBRATE_PATCH.splitlines()
     lines[lineno - 1] = replacement
@@ -182,3 +185,70 @@ def test_generate_finds_sites_twice(monkeypatch):
                         lambda unit, sig: calls.append(sig) or find(unit, sig))
     patchgen.generate_patch(example, mapping)
     assert calls == [mapping.deprecated, mapping.replacement]
+
+
+VIBRATE = sigmap.ApiMapping(
+    sigmap.parse_signature("android.os.Vibrator#vibrate(long)"),
+    sigmap.parse_signature("android.os.Vibrator#vibrate(android.os.VibrationEffect)"))
+
+DECLARED_TYPES = {
+    "preceding_local": ("long d = 5; v.vibrate(d);", "long"),
+    "local_in_an_enclosing_block": ("long d = 5; if (c) { { v.vibrate(d); } }", "long"),
+    "local_after_the_call": ("v.vibrate(d); long d = 5;", "Object"),
+    "local_in_a_sibling_branch": ("if (c) { long d = 5; } else { v.vibrate(d); }", "Object"),
+    "local_in_an_earlier_block": ("{ long d = 5; } v.vibrate(d);", "Object"),
+    "parameter": ("v.vibrate(p);", "Effect"),
+}
+
+
+@pytest.mark.parametrize("body, want", DECLARED_TYPES.values(), ids=DECLARED_TYPES.keys())
+def test_declared_type_sees_only_what_precedes_the_call(body, want):
+    unit = jast.parse("class A { Object d; void m(Vibrator v, Effect p) { %s } }" % body)
+    (site,) = sigmap.find_invocations(unit, VIBRATE.deprecated)
+    arg = site.call.args[0].identifier
+    assert scope.at_site(site, unit).declared_type(arg) == want
+
+
+def test_declared_type_finds_a_field_of_an_outer_class():
+    unit = jast.parse("class Outer { long d;\n"
+                      "    class Inner { void m(Vibrator v) { v.vibrate(d); } } }")
+    (site,) = sigmap.find_invocations(unit, VIBRATE.deprecated)
+    assert scope.at_site(site, unit).declared_type("d") == "long"
+    assert scope.at_site(site, unit).declared_type("ghost") is None
+
+
+# Both vibrate signatures share name and arity, so every call is a
+# candidate for both sides. The declared argument types rank the pairs; a
+# tie goes to the earliest if, then the earliest deprecated site, then the
+# earliest updated site. Shared arguments are rewired, so the value shows
+# which deprecated call was picked.
+SAME_ARITY_DECLS = (
+    "long d = 50;\nlong d2 = 60;\n"
+    "VibrationEffect e = VibrationEffect.createOneShot(d, 1);\n"
+    "VibrationEffect e2 = VibrationEffect.createOneShot(d2, 2);\n")
+SAME_ARITY_EXAMPLES = {
+    "types_rank_the_pairs": (
+        "if (SDK_INT >= 26) { v.vibrate(e); } else { v.vibrate(d); }",
+        "SDK_INT >= 26", "VibrationEffect.createOneShot(iden0, 1)"),
+    "tie_takes_the_earliest_if": (
+        "if (SDK_INT >= 28) { v.vibrate(e2); } else { v.vibrate(d2); }\n"
+        "if (SDK_INT >= 26) { v.vibrate(e); } else { v.vibrate(d); }",
+        "SDK_INT >= 28", "VibrationEffect.createOneShot(iden0, 2)"),
+    "tie_takes_the_earliest_deprecated_site": (
+        "if (SDK_INT >= 26) { v.vibrate(e); } else { v.vibrate(d2); v.vibrate(d); }",
+        "SDK_INT >= 26", "VibrationEffect.createOneShot(50, 1)"),
+    "tie_takes_the_earliest_updated_site": (
+        "if (SDK_INT >= 26) { v.vibrate(e2); v.vibrate(e); } else { v.vibrate(d); }",
+        "SDK_INT >= 26", "VibrationEffect.createOneShot(60, 2)"),
+}
+
+
+@pytest.mark.parametrize("body, guard, value", SAME_ARITY_EXAMPLES.values(),
+                         ids=SAME_ARITY_EXAMPLES.keys())
+def test_same_name_and_arity_pair_choice(body, guard, value):
+    example = jast.parse("class A { void m(Vibrator v) {\n%s%s\n} }"
+                         % (SAME_ARITY_DECLS, body))
+    patch = patchgen.generate_patch(example, VIBRATE, rewire_shared_args=True)
+    assert jast.render_expr(patch.guard_cond) == guard
+    assert jast.render_expr(patch.then_stmts[0].init) == value
+    assert jast.render_stmt(patch.context) == "classIden.vibrate(iden0);"

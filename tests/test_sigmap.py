@@ -91,3 +91,21 @@ def test_find_invocations_nested_expression():
     (site,) = sigmap.find_invocations(unit, sig)
     assert site.call.name == "getCurrentMinute"
     assert isinstance(site.enclosing_stmt, jast.LocalVarDecl)
+
+
+@pytest.mark.parametrize("ptype", [
+    "Map<String, Long>", "Map<String, List<Long>>", "Map<String, List<Set<Long>>>",
+    "Map<List<Long>, List<Long>>"])
+def test_sites_found_after_a_type_that_closes_several_levels(ptype):
+    text = "class A { void m(Vibrator v, %s d) { v.vibrate(5); } }" % ptype
+    unit = jast.parse(text)
+    sig = sigmap.parse_signature("android.os.Vibrator#vibrate(long)")
+    sites = sigmap.find_invocations(unit, sig)
+    assert [s.enclosing_method.params for s in sites] == [[("Vibrator", "v"), (ptype, "d")]]
+    assert jast.print_unit(unit) == text
+
+
+@pytest.mark.parametrize("ptype", ["List<Long>>", "List<Long>> <X<Y>"])
+def test_type_arguments_closed_too_often_are_not_a_type(ptype):
+    unit = jast.parse("class A { void m(%s d) { v.vibrate(5); } }" % ptype)
+    assert unit.types[0].methods == []
