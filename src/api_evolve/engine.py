@@ -299,27 +299,21 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 # Transplantation
 # ---------------------------------------------------------------------------
 
-def transplant_definitions(unit: jast.CompilationUnit, defs, imports=()):
+def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     """Copy helper definitions and imports into the target.
 
-    defs is a sequence of verbatim member texts (methods or classes) from
-    a patch @needs@ section. Returns (edits, copied_names, renames): the
-    edits are (Span, text) pairs against unit.text, and renames maps
-    colliding names to their _androevolve aliases; pass the map to
-    apply_patch so inserted lines reference the copied names.
+    needs holds the helper methods and classes of a patch's @needs@
+    section, parsed (SemanticPatch.needs). Returns (edits, copied_names,
+    renames): the edits are (Span, text) pairs against unit.text, and
+    renames maps colliding names to their _androevolve aliases; pass the
+    map to apply_patch so inserted lines reference the copied names.
     """
-    if not defs and not imports:
+    if not needs and not imports:
         return [], [], {}
     copied, renames = [], {}
     method_texts, type_texts = [], []
-    parsed = jast.parse("\n\n".join(defs)) if defs else None
-    new_methods, new_types = [], []
-    if parsed is not None:
-        for tdecl in parsed.types:
-            if tdecl.implicit:
-                new_methods.extend(m for m in tdecl.methods if not m.implicit)
-            else:
-                new_types.append(tdecl)
+    new_methods = [d for d in needs if isinstance(d, jast.MethodDecl)]
+    new_types = [d for d in needs if isinstance(d, jast.TypeDecl)]
 
     existing_methods, existing_types = scope.members(unit)
     existing_names = {name for name, _arity in existing_methods}
@@ -394,16 +388,19 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     are the calls the patch's context line names; `mapping` is not read.
     A text that never names the context call's method holds no site, since
     every parsed name is a slice of the text, so it is only checked for
-    balance, not parsed. Raises jast.ParseError (UnbalancedSource when
-    the nesting is broken) when the text does not parse, and
-    normal.MultipleUse when the patch would evaluate an argument twice.
+    balance, not parsed; in a text that does, a brace block that never
+    names it is not lexed either (jast.parse's `keep`). Raises
+    jast.ParseError (UnbalancedSource when the nesting is broken) when the
+    text does not parse, and normal.MultipleUse when the patch would
+    evaluate an argument twice.
     """
-    if patchgen.pattern_call(patch.context).name not in text:
+    name = patchgen.pattern_call(patch.context).name
+    if name not in text:
         jast.check_balanced(text)
         return text, UpdateReport()
-    unit = jast.parse(text)
+    unit = jast.parse(text, name)
     helper_edits, copied, renames = transplant_definitions(
-        unit, patch.needs_defs, patch.needs_imports)
+        unit, patch.needs, patch.needs_imports)
     site_edits, report = apply_patch(patch, unit, renames)
     if report.sites_updated == 0:
         return text, report

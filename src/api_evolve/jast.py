@@ -295,12 +295,16 @@ _TOKEN_RE = re.compile(r"""
     )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
 # One match per bracket: runs of other characters, comments and literals
-# are swallowed in front of it. A lone `/` must not start `/*`, or an
-# unclosed comment would be swallowed as ordinary text.
+# are swallowed in front of it, and so is a `(...)` or `[...]` pair with
+# nothing inside that the scan would stop at, which can never be at fault.
+# A lone `/` must not start `/*`, or an unclosed comment would be
+# swallowed as ordinary text.
+_PLAIN = r"""[^"'/{}()\[\]]"""
 _BRACKET_RE = re.compile(r"""
-    (?:[^"'/{}()\[\]]+ | %s | %s | %s | /(?!\*) )*
-    (?: (?P<open> [{(\[] ) | (?P<close> [})\]] ) | (?P<bad> %s) | (?P<eof> \Z ) )
-    """ % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+    (?:%s+ | \(%s*\) | \[%s*\] | %s | %s | %s | /(?!\*) )*
+    (?: (?P<open> [(\[] ) | (?P<close> [)\]] ) | (?P<lbrace> \{ ) | (?P<rbrace> \} )
+      | (?P<bad> %s) | (?P<eof> \Z ) )
+    """ % (_PLAIN, _PLAIN, _PLAIN, _COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
 _OPEN = {"{": "}", "(": ")", "[": "]"}
 _CLOSE = {"}", ")", "]"}
@@ -308,32 +312,49 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
                  "/*": "unterminated block comment"}
 
 
-def tokenize(text: str) -> TokenList:
+def tokenize(text: str, keep: Optional[str] = None) -> TokenList:
     """Lex text in one pass, checking bracket nesting on the way.
 
     Raises UnbalancedSource on an unterminated literal or comment. A
     bracket fault does not raise here (slices of a file are lexed too);
-    it is left in the result's `unbalanced` for parse to raise."""
+    it is left in the result's `unbalanced` for parse to raise. With
+    `keep`, check_balanced runs first, and a brace block whose text lacks
+    `keep` is lexed as its two braces alone, unless it is a type body: the
+    first `{` after a `class` token that does not follow `.`."""
+    braces = check_balanced(text) if keep else None
     toks = TokenList()
     append = toks.append
     closers = []
     fault = None
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        end = m.end()
-        if kind == "open":
-            kind = "punct"
-            closers.append(_OPEN[value])
-        elif kind == "close":
-            kind = "punct"
-            if fault is None and (not closers or closers.pop() != value):
-                fault = "unmatched '%s' at offset %d" % (value, end - 1)
-        elif kind == "bad":
-            raise UnbalancedSource(_UNTERMINATED[value])
-        elif kind == "eof":
-            break
-        append(Token(kind, value, end - len(value), end))
+    class_pending = False
+    pos = 0
+    while pos is not None:
+        start, pos = pos, None
+        for m in _TOKEN_RE.finditer(text, start):
+            kind = m.lastgroup
+            value = m[kind]
+            end = m.end()
+            if kind == "open":
+                kind = "punct"
+                closers.append(_OPEN[value])
+                if keep and value == "{":
+                    if class_pending:
+                        class_pending = False
+                    elif text.find(keep, end, braces[end - 1]) < 0:
+                        append(Token(kind, value, end - 1, end))
+                        pos = braces[end - 1]  # resume at the matching `}`
+                        break
+            elif kind == "close":
+                kind = "punct"
+                if fault is None and (not closers or closers.pop() != value):
+                    fault = "unmatched '%s' at offset %d" % (value, end - 1)
+            elif kind == "bad":
+                raise UnbalancedSource(_UNTERMINATED[value])
+            elif kind == "eof":
+                break
+            elif value == "class" and keep and (not toks or toks[-1].value != "."):
+                class_pending = True
+            append(Token(kind, value, end - len(value), end))
     append(Token("eof", "", len(text), len(text)))
     if fault is None and closers:
         fault = "unclosed '%s'" % closers[-1]
@@ -341,10 +362,12 @@ def tokenize(text: str) -> TokenList:
     return toks
 
 
-def check_balanced(text: str) -> None:
+def check_balanced(text: str) -> dict:
     """Raise UnbalancedSource exactly when parse would, with the same
-    message, but without building tokens: one regex match per bracket."""
-    closers = []
+    message, but without building tokens: at most one regex match per
+    bracket. Returns the offset of every `{` mapped to that of its `}`."""
+    closers = []  # per open bracket: its closer, or a `{`'s offset
+    braces = {}
     fault = None
     for m in _BRACKET_RE.finditer(text):
         kind = m.lastgroup
@@ -354,14 +377,23 @@ def check_balanced(text: str) -> None:
             value = m[kind]
             if fault is None and (not closers or closers.pop() != value):
                 fault = "unmatched '%s' at offset %d" % (value, m.end() - 1)
+        elif kind == "lbrace":
+            closers.append(m.end() - 1)
+        elif kind == "rbrace":
+            start = closers.pop() if closers and fault is None else None
+            if isinstance(start, int):
+                braces[start] = m.end() - 1
+            elif fault is None:
+                fault = "unmatched '}' at offset %d" % (m.end() - 1)
         elif kind == "bad":
             raise UnbalancedSource(_UNTERMINATED[m[kind]])
         else:
             break
     if fault is None and closers:
-        fault = "unclosed '%s'" % closers[-1]
+        fault = "unclosed '%s'" % ("}" if isinstance(closers[-1], int) else closers[-1])
     if fault is not None:
         raise UnbalancedSource(fault)
+    return braces
 
 
 # ---------------------------------------------------------------------------
@@ -893,14 +925,16 @@ class _Parser:
 # Public API
 # ---------------------------------------------------------------------------
 
-def parse(text: str) -> CompilationUnit:
+def parse(text: str, keep: Optional[str] = None) -> CompilationUnit:
     """Parse source text into a CompilationUnit.
 
     Never fails on balanced input of reasonable depth; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken, and ParseError when it is too deep to parse.
+    nesting is broken, and ParseError when it is too deep to parse. With
+    `keep`, a non-type brace block whose text lacks it is not lexed (see
+    tokenize) and parses empty, with the spans and source of a full parse.
     """
-    toks = tokenize(text)
+    toks = tokenize(text) if keep is None else tokenize(text, keep)
     if toks.unbalanced is not None:
         raise UnbalancedSource(toks.unbalanced)
     return _parse_with(_Parser(text, toks), _Parser.parse_unit)
@@ -975,13 +1009,9 @@ def child_exprs(e: Expr):
         return ([e.receiver] if e.receiver is not None else []) + list(e.args)
     if isinstance(e, ObjectCreation):
         return list(e.args)
-    if isinstance(e, Binary):
+    if isinstance(e, (Binary, Assign)):
         return [e.lhs, e.rhs]
-    if isinstance(e, (Unary,)):
-        return [e.operand]
-    if isinstance(e, Assign):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Cast):
+    if isinstance(e, (Unary, Cast)):
         return [e.operand]
     if isinstance(e, Paren):
         return [e.inner]

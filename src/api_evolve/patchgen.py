@@ -49,7 +49,7 @@ class SemanticPatch:
     guard_cond: jast.Expr
     hunk: list  # of PatchLine
     needs_imports: list = field(default_factory=list)
-    needs_defs: list = field(default_factory=list)  # verbatim member texts
+    needs: list = field(default_factory=list)  # helper MethodDecls and TypeDecls
     # derived patterns for the engine
     context: Optional[jast.Stmt] = None
     then_stmts: list = field(default_factory=list)
@@ -118,6 +118,10 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                                   used_exp=used_exp, args_to=upd_arg)
 
     guard = if_stmt.cond
+    if if_stmt.else_block.span.contains(upd_site.call.span):  # the guard must hold there
+        guard = (jast.Binary(_NEGATED[guard.op], guard.lhs, guard.rhs)
+                 if isinstance(guard, jast.Binary) and guard.op in _NEGATED
+                 else jast.Unary("!", jast.Paren(guard)))
     metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
 
     then_stmts = temps + [updated_stmt]
@@ -129,13 +133,12 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     hunk.append(PatchLine(CONTEXT, jast.render_stmt(context_stmt)))
     hunk.append(PatchLine(ADD, "}"))
 
-    needs_defs = [d.src for d in needs]
-    needs_imports = _needed_imports(example, hunk, needs_defs)
+    needs_imports = _needed_imports(example, hunk, [d.src for d in needs])
 
     return SemanticPatch(
         rule_name="update_%s" % mapping.deprecated.method_name,
         metavars=metavars, guard_cond=guard, hunk=hunk,
-        needs_imports=needs_imports, needs_defs=needs_defs,
+        needs_imports=needs_imports, needs=needs,
         context=context_stmt, then_stmts=then_stmts)
 
 
@@ -173,16 +176,25 @@ def _separating_if(a, b):
     return None
 
 
+_NUMERIC = {"byte", "short", "int", "long", "float", "double"}
+_LITERAL_TYPES = {"int": _NUMERIC, "float": _NUMERIC, "string": {"String"}}
+_NEGATED = {"<": ">=", ">=": "<", ">": "<=", "<=": ">"}  # a guard's negation
+
+
 def _arg_type_score(site, sig, unit):
-    """Count arguments whose declared type agrees with the signature."""
+    """Count arguments whose type agrees with the signature: a name's
+    declared type, T for `new T(...)`, String for a string literal, and
+    any primitive numeric type for a numeric literal."""
     at = scope.at_site(site, unit)
     score = 0
     for arg, ptype in zip(site.call.args, sig.param_types):
-        if not isinstance(arg, jast.Name):
-            continue
-        declared = at.declared_type(arg.identifier)
-        if declared is not None and sigmap.simple_name(declared) == sigmap.simple_name(ptype):
-            score += 1
+        ptype = sigmap.simple_name(ptype)
+        if isinstance(arg, jast.Literal):
+            score += ptype in _LITERAL_TYPES.get(arg.kind, ())
+        elif isinstance(arg, jast.Name):
+            score += sigmap.simple_name(at.declared_type(arg.identifier) or "") == ptype
+        elif isinstance(arg, jast.ObjectCreation):
+            score += sigmap.simple_name(arg.type_name.split("<")[0]) == ptype
     return score
 
 
@@ -258,13 +270,13 @@ def render_patch(p: SemanticPatch) -> str:
             lines.append("+ %s" % pl.text)
         else:
             lines.append(pl.text)
-    if p.needs_imports or p.needs_defs:
+    if p.needs_imports or p.needs:
         lines.append("@needs@")
         for imp in p.needs_imports:
             lines.append("import %s;" % imp)
-        for d in p.needs_defs:
+        for d in p.needs:
             lines.append("")
-            lines.append(d)
+            lines.append(d.src)
     return "\n".join(lines) + "\n"
 
 
@@ -305,7 +317,7 @@ def parse_patch(text: str) -> SemanticPatch:
         elif raw:
             hunk.append(PatchLine(CONTEXT, raw, i))
 
-    needs_imports, needs_defs = [], []
+    needs_imports, needs = [], []
     if i < len(lines):  # @needs@ section
         rest = lines[i + 1:]
         body = []
@@ -317,12 +329,12 @@ def parse_patch(text: str) -> SemanticPatch:
                 body.append(ln)
         blob = "\n".join(body).strip("\n")
         if blob.strip():
-            needs_defs = _split_defs(blob)
+            needs = _split_defs(blob)
 
     guard, then_stmts, context = _derive_shape(hunk, hunk_start)
     return SemanticPatch(rule_name=rule_name, metavars=metavars, guard_cond=guard,
                          hunk=hunk, needs_imports=needs_imports,
-                         needs_defs=needs_defs, context=context,
+                         needs=needs, context=context,
                          then_stmts=then_stmts)
 
 
@@ -334,9 +346,9 @@ def _split_defs(blob: str) -> list:
     defs = []
     for tdecl in unit.types:
         if tdecl.implicit:
-            defs.extend(m.src for m in tdecl.methods if not m.implicit)
+            defs.extend(m for m in tdecl.methods if not m.implicit)
         else:
-            defs.append(tdecl.src)
+            defs.append(tdecl)
     return defs
 
 

@@ -160,6 +160,24 @@ def test_too_deep_nesting_is_a_parse_failure(tmp_path, patch_file, capsys, mode)
     assert err.count("\n") == 1 and "nesting too deep" in err
 
 
+@pytest.mark.parametrize("body, rc", [
+    ("void k() { %s }\n    void m(Vibrator v) { v.vibrate(5); }", 0),
+    ("void m(Vibrator v) { %s v.vibrate(5); }", 2),
+], ids=["name_free_method", "site_method"])
+def test_deep_nesting_fails_only_where_a_site_can_be(tmp_path, patch_file, capsys, body, rc):
+    # a brace block that never names the method is not lexed or parsed
+    deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
+    target = tmp_path / "deep.java"
+    target.write_text("class A {\n    %s\n}\n" % (body % deep))
+    out = tmp_path / "out"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                     "--patch", str(patch_file), "--output", str(out)]) == rc
+    assert out.exists() == (rc == 0)
+    err = capsys.readouterr().err
+    assert err == ("" if rc == 0 else
+                   "api-evolve: parse failure in %s: nesting too deep to parse\n" % target)
+
+
 def test_apply_writes_json_report(tmp_path, patch_file):
     target = tmp_path / "main.java"
     target.write_text(TARGET)

@@ -199,11 +199,16 @@ def test_report_json_shape():
 
 # -- transplantation ----------------------------------------------------------
 
+def helpers(text):
+    """The helper methods of a @needs@ section, as SemanticPatch.needs holds them."""
+    return jast.parse(text).types[0].methods
+
+
 def test_transplant_appends_method_and_import():
     unit = jast.parse("import a.B;\n\nclass T {\n    void m() { }\n}\n")
-    defs = ["static AudioAttributes makeAttrs(int usage) {\n"
-            "    return null;\n"
-            "}"]
+    defs = helpers("static AudioAttributes makeAttrs(int usage) {\n"
+                   "    return null;\n"
+                   "}")
     edits, copied, renames = engine.transplant_definitions(
         unit, defs, imports=["android.media.AudioAttributes"])
     text = jast.splice(unit, edits)
@@ -223,7 +228,7 @@ def test_transplant_reuses_identical_signature():
         "}\n")
     before = jast.print_unit(unit)
     edits, copied, renames = engine.transplant_definitions(
-        unit, ["static AudioAttributes makeAttrs(int usage) { return null; }"])
+        unit, helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     assert jast.splice(unit, edits) == before
     assert copied == [] and renames == {}
 
@@ -235,7 +240,7 @@ def test_transplant_renames_collision():
         "    void m() { }\n"
         "}\n")
     edits, copied, renames = engine.transplant_definitions(
-        unit, ["static AudioAttributes makeAttrs(int usage) { return null; }"])
+        unit, helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     text = jast.splice(unit, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
     assert "makeAttrs_androevolve(int usage)" in text
@@ -265,6 +270,37 @@ def test_update_parses_once(sites, monkeypatch):
     assert report.sites_updated == sites
     assert out.count("VibrationEffect.createOneShot(50, 175)") == sites
     assert normal.purge_ok(out)
+
+
+def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
+    patch, mapping = load_patch("set_sound")
+    text = (CORPUS / "cases" / "set_sound" / "targets" / "basic.java").read_text()
+    calls = []
+    monkeypatch.setattr(jast, "parse", lambda *a, fn=jast.parse: calls.append(a) or fn(*a))
+    out, report = engine.update(text, patch, mapping)
+    # one parse, of the target: the @needs@ helpers were parsed with the patch
+    assert calls == [(text, "setSound")]
+    assert report.sites_updated == 1 and report.definitions_copied == ["makeAttrs", "buildAttrs"]
+
+
+def test_helper_in_a_name_free_nested_class_is_reused():
+    patch, mapping = load_patch("set_sound")
+    text = ("import android.media.AudioAttributes;\n"
+            "\n"
+            "public class OwnHelper {\n"
+            "    void ring(android.app.Notification.Builder builder, android.net.Uri tone) {\n"
+            "        builder.setSound(tone);\n"
+            "    }\n"
+            "\n"
+            "    static class Attrs {\n"
+            "        static AudioAttributes makeAttrs(int usage) {\n"
+            "            return null;\n"
+            "        }\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == ["buildAttrs"]
+    assert out.count("makeAttrs(int usage)") == 1
 
 
 def test_update_does_not_parse_without_the_method(monkeypatch):

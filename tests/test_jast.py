@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from api_evolve import jast
+from api_evolve import jast, scope, sigmap
 
 from conftest import corpus_java_files
 
@@ -324,6 +324,98 @@ def test_check_balanced_faults_exactly_where_parse_does():
     faults = [_fault(jast.parse, t) for t in texts]
     assert faults == [_fault(jast.check_balanced, t) for t in texts]
     assert 300 < sum(f is not None for f in faults) < len(texts) - 300
+
+
+# -- lazy lexing: parse(text, keep) ---------------------------------------------
+
+def lexed(text, keep=None):
+    return [t.value for t in jast.tokenize(text, keep)][:-1]
+
+
+def test_name_free_method_body_gives_no_inner_tokens():
+    text = "class A { void m() { int x = 1; } void n(Vibrator v) { v.vibrate(5); } }"
+    assert lexed(text, "vibrate") == [
+        "class", "A", "{", "void", "m", "(", ")", "{", "}",
+        "void", "n", "(", "Vibrator", "v", ")", "{", "v", ".", "vibrate", "(", "5", ")", ";",
+        "}", "}"]
+    full = jast.tokenize(text)
+    lazy = jast.tokenize(text, "vibrate")
+    assert lazy == [t for t in full if not 19 < t.start < 32]  # same braces, same spans
+    assert jast.parse(text, "vibrate").types[0].methods[0].body == []
+
+
+@pytest.mark.parametrize("inner", ["// vibrate\n", "/* vibrate */", 's = "vibrate";',
+                                   "vibrateLater();"],
+                         ids=["line_comment", "block_comment", "string", "longer_name"])
+def test_a_name_in_a_comment_or_string_keeps_its_block_lexed(inner):
+    text = "class A { void m() { %s int x = 1; } }" % inner
+    assert jast.tokenize(text, "vibrate") == jast.tokenize(text)
+
+
+def test_class_literal_opens_no_type_body():
+    text = "class A { Class<?> c = Foo.class; void m() { int x = 1; } }"
+    assert "x" not in lexed(text, "vibrate")
+    assert "x" in lexed(text)
+
+
+def test_name_free_type_bodies_are_lexed():
+    text = "class A { static class B { int y; void k() { int z = 1; } } }"
+    values = lexed(text, "vibrate")
+    assert "y" in values and "k" in values and "z" not in values
+    methods, types = scope.members(jast.parse(text, "vibrate"))
+    assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
+
+
+def test_deep_nesting_is_only_seen_where_the_name_is():
+    deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
+    elsewhere = "class A { void k() { %s } void m() { v.vibrate(5); } }" % deep
+    assert jast.print_unit(jast.parse(elsewhere, "vibrate")) == elsewhere
+    in_site_method = "class A { void m() { %s v.vibrate(5); } }" % deep
+    for text, keep in [(elsewhere, None), (in_site_method, "vibrate")]:
+        with pytest.raises(jast.ParseError, match="too deep"):
+            jast.parse(text, keep)
+
+
+def test_lazy_parse_rejects_what_the_full_parse_rejects():
+    for text in ["class A { void m() { f(]; } }", 'class A { void m() { s = "ab; } }']:
+        with pytest.raises(jast.UnbalancedSource) as full:
+            jast.parse(text)
+        with pytest.raises(jast.UnbalancedSource, match=str(full.value)):
+            jast.parse(text, "vibrate")
+
+
+LAZY_NAMES = ("vibrate", "setSound", "fromHtml", "getCurrentMinute", "v")
+
+
+def _view(text, keep, lazy):
+    """What the pipeline reads of a parse: each call named keep with its
+    statement spans, the member tables and the printed text; or the error."""
+    try:
+        unit = jast.parse(text, keep) if lazy else jast.parse(text)
+    except jast.ParseError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    sites = [(s.call.span, s.enclosing_stmt and s.enclosing_stmt.span,
+              [c.span for c in s.stmt_chain])
+             for arity in range(4)
+             for s in sigmap.find_invocations(unit, sigmap.ApiSignature("", keep, ("?",) * arity))]
+    methods, types = scope.members(unit)
+    return sites, sorted(methods), sorted(types), jast.print_unit(unit)
+
+
+def test_lazy_parse_reads_like_the_full_parse():
+    texts = [read(p) for p in corpus_java_files()]
+    rng = random.Random(7001)
+    texts += [_mutant(rng, rng.choice(texts)) for _ in range(300)]
+    parsed = skipped = 0
+    for text in texts:
+        for keep in LAZY_NAMES:
+            full = _view(text, keep, lazy=False)
+            assert _view(text, keep, lazy=True) == full, (keep, text)
+            if not isinstance(full, str):
+                parsed += 1
+                skipped += len(jast.tokenize(text, keep)) < len(jast.tokenize(text))
+    # neither every text failing nor no block skipped would show anything
+    assert parsed > 500 and skipped > 300
 
 
 @pytest.mark.parametrize("fn, text", [

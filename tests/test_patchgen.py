@@ -79,9 +79,7 @@ def test_shared_argument_becomes_identifier_metavar():
 def test_needed_definitions_are_transitive():
     example, mapping = read_case("set_sound")
     patch = patchgen.generate_patch(example, mapping, rewire_shared_args=True)
-    assert len(patch.needs_defs) == 2
-    assert "makeAttrs" in patch.needs_defs[0]
-    assert "buildAttrs" in patch.needs_defs[1]
+    assert [d.name for d in patch.needs] == ["makeAttrs", "buildAttrs"]
     assert patch.needs_imports == ["android.media.AudioAttributes"]
 
 
@@ -252,3 +250,57 @@ def test_same_name_and_arity_pair_choice(body, guard, value):
     assert jast.render_expr(patch.guard_cond) == guard
     assert jast.render_expr(patch.then_stmts[0].init) == value
     assert jast.render_stmt(patch.context) == "classIden.vibrate(iden0);"
+
+
+# When the updated call sits in the else branch, the guard is negated so
+# that the updated call still runs only where the new API exists.
+ELSE_BRANCH_UPDATES = {
+    "less_than": (
+        "long d = 50;\nVibrationEffect e = VibrationEffect.createOneShot(d, 1);\n"
+        "if (SDK_INT < 26) { v.vibrate(d); } else { v.vibrate(e); }",
+        "SDK_INT >= 26", "VibrationEffect.createOneShot(50, 1)"),
+    "greater_than": (
+        "if (26 > SDK_INT) { v.vibrate(3); } else { v.vibrate(new VibrationEffect(1)); }",
+        "26 <= SDK_INT", "new VibrationEffect(1)"),
+    "not_relational": (
+        "if (!newer) { v.vibrate(3); } else { v.vibrate(new VibrationEffect(1)); }",
+        "!(!newer)", "new VibrationEffect(1)"),
+    "then_branch_keeps_the_guard": (
+        "if (SDK_INT < 26) { v.vibrate(new VibrationEffect(1)); } else { v.vibrate(3); }",
+        "SDK_INT < 26", "new VibrationEffect(1)"),
+}
+
+
+@pytest.mark.parametrize("body, guard, value", ELSE_BRANCH_UPDATES.values(),
+                         ids=ELSE_BRANCH_UPDATES.keys())
+def test_guard_holds_where_the_updated_call_runs(body, guard, value):
+    example = jast.parse("class A { void m(Vibrator v) {\n%s\n} }" % body)
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert jast.render_expr(patch.guard_cond) == guard
+    assert jast.render_expr(patch.then_stmts[0].init) == value
+    assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
+
+
+SHOW = sigmap.ApiMapping(sigmap.parse_signature("a.Toast#show(java.lang.String)"),
+                         sigmap.parse_signature("a.Toast#show(a.Text)"))
+
+# Arguments that are not names rank the pairs too: each example puts the
+# updated call first, so a tie would take it for the deprecated one.
+TYPED_ARGUMENTS = {
+    "numeric_literal": (VIBRATE, "v.vibrate(VibrationEffect.createOneShot(1, 2))",
+                        "v.vibrate(3)", "VibrationEffect.createOneShot(1, 2)"),
+    "string_literal": (SHOW, "t.show(text())", 't.show("hi")', "text()"),
+    "object_creation": (VIBRATE, "v.vibrate(new VibrationEffect(1))", "v.vibrate(d())",
+                        "new VibrationEffect(1)"),
+}
+
+
+@pytest.mark.parametrize("mapping, updated, deprecated, value", TYPED_ARGUMENTS.values(),
+                         ids=TYPED_ARGUMENTS.keys())
+def test_literal_and_creation_arguments_rank_the_pairs(mapping, updated, deprecated, value):
+    example = jast.parse("class A { void m(Vibrator v, Toast t) {\n"
+                         "if (SDK_INT >= 26) { %s; } else { %s; }\n} }" % (updated, deprecated))
+    patch = patchgen.generate_patch(example, mapping)
+    assert jast.render_expr(patch.then_stmts[0].init) == value
+    assert (jast.render_stmt(patch.context)
+            == "classIden.%s(iden0);" % mapping.deprecated.method_name)
