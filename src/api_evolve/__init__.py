@@ -1,8 +1,8 @@
 """api-evolve: synthesize and apply deprecated-API update patches for
 Java-subset sources, from a single after-update example."""
 
-from .jast import (CompilationUnit, SourceFile, ParseError, UnbalancedSource,  # noqa: F401
-                   OverlappingEdits, parse, parse_file, print_unit, splice)
+from .jast import (CompilationUnit, ParseError, UnbalancedSource,  # noqa: F401
+                   OverlappingEdits, parse, print_unit, splice)
 from .sigmap import (ApiMapping, ApiSignature, CallSite,  # noqa: F401
                      MalformedSignature, find_invocations, parse_signature)
 from .scope import Scope, at_site  # noqa: F401

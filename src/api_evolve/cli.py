@@ -82,7 +82,8 @@ def main(argv=None) -> int:
 
 def run_generate(args, mapping) -> int:
     try:
-        src = jast.parse_file(args.input)
+        with open(args.input, "r", encoding="utf-8", newline="") as fh:
+            unit = jast.parse(fh.read())
     except OSError as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
@@ -90,7 +91,7 @@ def run_generate(args, mapping) -> int:
         sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     try:
-        patch = patchgen.generate_patch(src.unit, mapping,
+        patch = patchgen.generate_patch(unit, mapping,
                                         rewire_shared_args=args.rewire_shared_args)
     except (patchgen.ExampleShapeError, patchgen.ResolutionError) as exc:
         sys.stderr.write("api-evolve: %s\n" % exc)

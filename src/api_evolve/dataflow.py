@@ -37,6 +37,7 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
 def collect_dependencies(v: ResolvedValue, unit: jast.CompilationUnit) -> list:
     """Transitive closure of unit-local definitions reachable from v."""
     methods, types = scope.members(unit)
+    fields = scope.fields(unit)
     seen = []
     work = list(v.needs)
     while work:
@@ -44,7 +45,7 @@ def collect_dependencies(v: ResolvedValue, unit: jast.CompilationUnit) -> list:
         if any(x is d for x in seen):
             continue
         seen.append(d)
-        for ref in scope.references(d, methods, types):
+        for ref in scope.references(d, methods, types, fields):
             if not any(x is ref for x in seen):
                 work.append(ref)
     return seen

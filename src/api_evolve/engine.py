@@ -194,8 +194,6 @@ def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
             substitute_expr(pattern.operand, binding, renames)))
     if isinstance(pattern, jast.Paren):
         return jast.Paren(substitute_expr(pattern.inner, binding, renames))
-    if isinstance(pattern, jast.OpaqueExpr):
-        return jast.OpaqueExpr(pattern.text)
     raise TypeError("cannot substitute into %r" % (pattern,))
 
 
@@ -302,8 +300,10 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     """Copy helper definitions and imports into the target.
 
-    needs holds the helper methods and classes of a patch's @needs@
-    section, parsed (SemanticPatch.needs). Returns (edits, copied_names,
+    needs holds the helper methods, fields and classes of a patch's
+    @needs@ section, parsed (SemanticPatch.needs). A method of the same
+    name and arity, a field of the same name or a class of the same name
+    in the target is reused, not copied. Returns (edits, copied_names,
     renames): the edits are (Span, text) pairs against unit.text, and
     renames maps colliding names to their _androevolve aliases; pass the
     map to apply_patch so inserted lines reference the copied names.
@@ -311,24 +311,27 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     if not needs and not imports:
         return [], [], {}
     copied, renames = [], {}
-    method_texts, type_texts = [], []
-    new_methods = [d for d in needs if isinstance(d, jast.MethodDecl)]
+    member_texts, type_texts = [], []
     new_types = [d for d in needs if isinstance(d, jast.TypeDecl)]
 
     existing_methods, existing_types = scope.members(unit)
+    existing_fields = scope.fields(unit)
     existing_names = {name for name, _arity in existing_methods}
 
-    for m in new_methods:
-        if (m.name, m.arity) in existing_methods:
-            continue  # identical-shape member exists; reuse it
-        text = m.src
-        name = m.name
-        if m.name in existing_names:  # same name, different arity: copy under an alias
-            name = m.name + "_androevolve"
-            renames[m.name] = name
-            text = re.sub(r"\b%s\b" % re.escape(m.name), name, text)
-        method_texts.append(text)
-        copied.append(name)
+    for m in needs:
+        if isinstance(m, jast.FieldDecl):
+            if m.name not in existing_fields:
+                member_texts.append(m.src)
+                copied.append(m.name)
+        elif isinstance(m, jast.MethodDecl) and (m.name, m.arity) not in existing_methods:
+            text = m.src
+            name = m.name
+            if m.name in existing_names:  # same name, different arity: copy under an alias
+                name = m.name + "_androevolve"
+                renames[m.name] = name
+                text = re.sub(r"\b%s\b" % re.escape(m.name), name, text)
+            member_texts.append(text)
+            copied.append(name)
     for t in new_types:
         if t.name not in existing_types:
             type_texts.append(t.src)
@@ -344,8 +347,8 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
         simple = sigmap.simple_name(imp)
         if simple in existing_simple:
             renames[simple] = imp  # fully qualify to avoid shadowing
-            method_texts = [re.sub(r"\b%s\b" % re.escape(simple), imp, t)
-                            for t in method_texts]
+            member_texts = [re.sub(r"\b%s\b" % re.escape(simple), imp, t)
+                            for t in member_texts]
             type_texts = [re.sub(r"\b%s\b" % re.escape(simple), imp, t)
                           for t in type_texts]
             continue
@@ -364,13 +367,13 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
             block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
-    # methods go into the first class, or at the end of a file without one
+    # methods and fields go into the first class, or at the end of a file without one
     primary = next((t for t in unit.types if not t.implicit), None)
     if primary is not None:
         insert(primary.body_span.end,
-               jast.indent_at(unit.text, primary.span.start) + "    ", method_texts)
+               jast.indent_at(unit.text, primary.span.start) + "    ", member_texts)
     else:
-        insert(len(unit.text), "", method_texts)
+        insert(len(unit.text), "", member_texts)
     insert(len(unit.text), "", type_texts)
     return edits, copied, renames
 

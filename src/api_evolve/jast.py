@@ -122,6 +122,7 @@ class Paren:
 
 @dataclass
 class OpaqueExpr:
+    """Public for callers that test for it; the parser builds none."""
     text: str
     span: Optional[Span] = None
     src: Optional[str] = None
@@ -239,13 +240,6 @@ class CompilationUnit:
     header_end: int = 0  # offset just past package/import block
 
 
-@dataclass
-class SourceFile:
-    path: str
-    text: str
-    unit: CompilationUnit
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -259,12 +253,6 @@ class Token:
     value: str
     start: int
     end: int
-
-
-class TokenList(list):
-    """The tokens of a text, eof last. `unbalanced` is the message of the
-    first bracket fault the lexer saw, or None when nesting is sound."""
-    unbalanced: Optional[str] = None
 
 
 # Literal and comment syntax, written once for the lexer and the bracket
@@ -286,11 +274,9 @@ _TOKEN_RE = re.compile(r"""
       | (?P<num> 0[xX][0-9a-fA-F]+[lL]? | \d+\.\d*(?:[eE][+-]?\d+)?[fFdD]?
                  | \d+(?:[eE][+-]?\d+)?[fFdDlL]? )
       | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
-      | (?P<open> [{(\[] )
-      | (?P<close> [})\]] )
       | (?P<bad> %s)
-      | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*= | /=
-                 | %%= | -> | :: | << | >> | . )
+      | (?P<punct> [{}()\[\];,] | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
+                 | /= | %%= | -> | :: | << | >> | . )
       | (?P<eof> \Z )
     )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
@@ -312,20 +298,18 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
                  "/*": "unterminated block comment"}
 
 
-def tokenize(text: str, keep: Optional[str] = None) -> TokenList:
-    """Lex text in one pass, checking bracket nesting on the way.
+def tokenize(text: str, keep: Optional[str] = None) -> list:
+    """Lex text in one pass; the last token is eof.
 
-    Raises UnbalancedSource on an unterminated literal or comment. A
-    bracket fault does not raise here (slices of a file are lexed too);
-    it is left in the result's `unbalanced` for parse to raise. With
-    `keep`, check_balanced runs first, and a brace block whose text lacks
-    `keep` is lexed as its two braces alone, unless it is a type body: the
-    first `{` after a `class` token that does not follow `.`."""
+    Raises UnbalancedSource on an unterminated literal or comment. Without
+    `keep`, bracket nesting is not checked, since slices of a file are
+    lexed too; parse runs check_balanced first. With `keep`, check_balanced
+    runs first, and a brace block whose text lacks `keep` is lexed as its
+    two braces alone, unless it is a type body: the first `{` after a
+    `class` token that does not follow `.`."""
     braces = check_balanced(text) if keep else None
-    toks = TokenList()
+    toks = []
     append = toks.append
-    closers = []
-    fault = None
     class_pending = False
     pos = 0
     while pos is not None:
@@ -334,38 +318,29 @@ def tokenize(text: str, keep: Optional[str] = None) -> TokenList:
             kind = m.lastgroup
             value = m[kind]
             end = m.end()
-            if kind == "open":
-                kind = "punct"
-                closers.append(_OPEN[value])
-                if keep and value == "{":
-                    if class_pending:
-                        class_pending = False
-                    elif text.find(keep, end, braces[end - 1]) < 0:
-                        append(Token(kind, value, end - 1, end))
-                        pos = braces[end - 1]  # resume at the matching `}`
-                        break
-            elif kind == "close":
-                kind = "punct"
-                if fault is None and (not closers or closers.pop() != value):
-                    fault = "unmatched '%s' at offset %d" % (value, end - 1)
-            elif kind == "bad":
+            if kind == "bad":
                 raise UnbalancedSource(_UNTERMINATED[value])
-            elif kind == "eof":
+            if kind == "eof":
                 break
-            elif value == "class" and keep and (not toks or toks[-1].value != "."):
+            if keep and value == "{":
+                if class_pending:
+                    class_pending = False
+                elif text.find(keep, end, braces[end - 1]) < 0:
+                    append(Token(kind, value, end - 1, end))
+                    pos = braces[end - 1]  # resume at the matching `}`
+                    break
+            elif keep and value == "class" and (not toks or toks[-1].value != "."):
                 class_pending = True
             append(Token(kind, value, end - len(value), end))
     append(Token("eof", "", len(text), len(text)))
-    if fault is None and closers:
-        fault = "unclosed '%s'" % closers[-1]
-    toks.unbalanced = fault
     return toks
 
 
 def check_balanced(text: str) -> dict:
-    """Raise UnbalancedSource exactly when parse would, with the same
-    message, but without building tokens: at most one regex match per
-    bracket. Returns the offset of every `{` mapped to that of its `}`."""
+    """Raise UnbalancedSource on an unterminated literal or comment, or on
+    broken bracket nesting, without building tokens: at most one regex
+    match per bracket. Returns the offset of every `{` mapped to that of
+    its `}`."""
     closers = []  # per open bracket: its closer, or a `{`'s offset
     braces = {}
     fault = None
@@ -930,20 +905,14 @@ def parse(text: str, keep: Optional[str] = None) -> CompilationUnit:
 
     Never fails on balanced input of reasonable depth; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken, and ParseError when it is too deep to parse. With
-    `keep`, a non-type brace block whose text lacks it is not lexed (see
-    tokenize) and parses empty, with the spans and source of a full parse.
+    nesting is broken (check_balanced runs first), and ParseError when it
+    is too deep to parse. With `keep`, a non-type brace block whose text
+    lacks it is not lexed (see tokenize) and parses empty, with the spans
+    and source of a full parse.
     """
-    toks = tokenize(text) if keep is None else tokenize(text, keep)
-    if toks.unbalanced is not None:
-        raise UnbalancedSource(toks.unbalanced)
-    return _parse_with(_Parser(text, toks), _Parser.parse_unit)
-
-
-def parse_file(path: str) -> SourceFile:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    return SourceFile(path=path, text=text, unit=parse(text))
+    if not keep:
+        check_balanced(text)  # with keep, tokenize runs it for the brace pairs
+    return _parse_with(_Parser(text, tokenize(text, keep)), _Parser.parse_unit)
 
 
 def parse_expr_text(text: str) -> Expr:
@@ -971,8 +940,7 @@ def _parse_with(p: _Parser, rule, what: str = ""):
 
 
 def print_unit(unit: CompilationUnit) -> str:
-    """Reprint a unit. Units are always backed by their source text
-    (edits go through splice + reparse), so this is exact."""
+    """Reprint a unit: its source text, which every node's span indexes."""
     return unit.text
 
 
@@ -1082,7 +1050,7 @@ def ast_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rendering of synthesized nodes (fixed 4-space indent convention)
+# Rendering of synthesized nodes
 # ---------------------------------------------------------------------------
 
 def render_expr(e: Expr) -> str:
@@ -1115,44 +1083,20 @@ def render_expr(e: Expr) -> str:
         return "(%s) %s" % (e.type_name, render_expr(e.operand))
     if isinstance(e, Paren):
         return "(%s)" % render_expr(e.inner)
-    if isinstance(e, OpaqueExpr):
-        return " ".join(e.text.split())
     raise TypeError("cannot render %r" % (e,))
 
 
-def render_stmt(s: Stmt, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(s, OpaqueStmt):
-        return pad + s.text
+def render_stmt(s: Stmt) -> str:
+    """Render a statement of a patch's then branch or context line."""
     if isinstance(s, LocalVarDecl):
         mods = "".join(m + " " for m in sorted(s.modifiers))
         if s.init is not None:
-            return "%s%s%s %s = %s;" % (pad, mods, s.type_name, s.name, render_expr(s.init))
-        return "%s%s%s %s;" % (pad, mods, s.type_name, s.name)
+            return "%s%s %s = %s;" % (mods, s.type_name, s.name, render_expr(s.init))
+        return "%s%s %s;" % (mods, s.type_name, s.name)
     if isinstance(s, ExprStmt):
-        return "%s%s;" % (pad, render_expr(s.expr))
+        return "%s;" % render_expr(s.expr)
     if isinstance(s, Return):
-        if s.value is not None:
-            return "%sreturn %s;" % (pad, render_expr(s.value))
-        return pad + "return;"
-    if isinstance(s, Block):
-        lines = [pad + "{"]
-        for inner in s.stmts:
-            lines.append(render_stmt(inner, indent + 4))
-        lines.append(pad + "}")
-        return "\n".join(lines)
-    if isinstance(s, If):
-        body = s.then_block
-        lines = ["%sif (%s) {" % (pad, render_expr(s.cond))]
-        for inner in (body.stmts if isinstance(body, Block) else [body]):
-            lines.append(render_stmt(inner, indent + 4))
-        if s.else_block is not None:
-            lines.append(pad + "} else {")
-            eb = s.else_block
-            for inner in (eb.stmts if isinstance(eb, Block) else [eb]):
-                lines.append(render_stmt(inner, indent + 4))
-        lines.append(pad + "}")
-        return "\n".join(lines)
+        return "return %s;" % render_expr(s.value) if s.value is not None else "return;"
     raise TypeError("cannot render %r" % (s,))
 
 

@@ -2,16 +2,16 @@
 file format (.cocci) reader/writer.
 
 A generated patch abstracts the deprecated call into a context pattern
-with metavariables, and carries the guarded replacement block as Add
-lines. Helper definitions the replacement needs are serialized verbatim
-in a trailing @needs@ section so application never touches the example.
+with metavariables, and carries the guarded replacement block as then
+statement patterns. Helper definitions the replacement needs are
+serialized verbatim in a trailing @needs@ section so application never
+touches the example.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import dataflow, jast, normal, scope, sigmap
 
@@ -30,29 +30,15 @@ class MalformedPatch(Exception):
         self.line = line
 
 
-CONTEXT = "Context"
-ADD = "Add"
-ELLIPSIS = "Ellipsis"
-
-
-@dataclass
-class PatchLine:
-    kind: str
-    text: str = ""  # line content without the + prefix
-    line: int = 0  # 1-based line in the patch file; 0 for generated lines
-
-
 @dataclass
 class SemanticPatch:
     rule_name: str
     metavars: list  # of (kind, name), kind in {expression, identifier}
     guard_cond: jast.Expr
-    hunk: list  # of PatchLine
+    then_stmts: list  # statement patterns of the guarded branch
+    context: jast.Stmt  # the deprecated call's statement pattern, kept in the else branch
     needs_imports: list = field(default_factory=list)
-    needs: list = field(default_factory=list)  # helper MethodDecls and TypeDecls
-    # derived patterns for the engine
-    context: Optional[jast.Stmt] = None
-    then_stmts: list = field(default_factory=list)
+    needs: list = field(default_factory=list)  # helper methods, fields, classes; @needs@ order
 
     def metavar_names(self, kind: str) -> set:
         return {n for k, n in self.metavars if k == kind}
@@ -100,16 +86,13 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                                   args_to=lambda i, a: jast.Name("iden%d" % i))
     dep_receiver = dep_site.call.receiver
 
-    temps = []  # (decl stmt text-level pattern, temp name)
-    k = 0
+    temps = []  # a LocalVarDecl pattern per resolved argument
 
     def upd_arg(j, arg):
-        nonlocal k
         if isinstance(arg, jast.Name) and arg.identifier in shared:
             return jast.Name(shared[arg.identifier])
         rv = resolved[j]
-        temp = "%s%d" % (normal.PATCH_TEMP_PREFIX, k)
-        k += 1
+        temp = "%s%d" % (normal.PATCH_TEMP_PREFIX, len(temps))
         ptype = sigmap.simple_name(mapping.replacement.param_types[j])
         temps.append(jast.LocalVarDecl(ptype, temp, rv.expr))
         return jast.Name(temp)
@@ -125,21 +108,13 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
 
     then_stmts = temps + [updated_stmt]
-    hunk = [PatchLine(ELLIPSIS)]
-    hunk.append(PatchLine(ADD, "if (%s) {" % jast.render_expr(guard)))
-    for s in then_stmts:
-        hunk.append(PatchLine(ADD, jast.render_stmt(s)))
-    hunk.append(PatchLine(ADD, "} else {"))
-    hunk.append(PatchLine(CONTEXT, jast.render_stmt(context_stmt)))
-    hunk.append(PatchLine(ADD, "}"))
-
-    needs_imports = _needed_imports(example, hunk, [d.src for d in needs])
-
+    needs_imports = _needed_imports(
+        example, [jast.render_expr(guard)] + [jast.render_stmt(s) for s in then_stmts]
+        + [d.src for d in needs])
     return SemanticPatch(
         rule_name="update_%s" % mapping.deprecated.method_name,
-        metavars=metavars, guard_cond=guard, hunk=hunk,
-        needs_imports=needs_imports, needs=needs,
-        context=context_stmt, then_stmts=then_stmts)
+        metavars=metavars, guard_cond=guard, then_stmts=then_stmts,
+        context=context_stmt, needs_imports=needs_imports, needs=needs)
 
 
 def _locate_pair(unit, mapping):
@@ -239,8 +214,8 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
         ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
 
 
-def _needed_imports(example, hunk, needs_defs):
-    texts = [pl.text for pl in hunk if pl.kind == ADD] + list(needs_defs)
+def _needed_imports(example, texts):
+    """The example's imports whose simple name occurs in one of texts."""
     blob = "\n".join(texts)
     out = []
     for imp in example.imports:
@@ -262,21 +237,13 @@ def render_patch(p: SemanticPatch) -> str:
         names = [n for k, n in p.metavars if k == kind]
         if names:
             lines.append("%s %s;" % (kind, ", ".join(names)))
-    lines.append("@@")
-    for pl in p.hunk:
-        if pl.kind == ELLIPSIS:
-            lines.append("...")
-        elif pl.kind == ADD:
-            lines.append("+ %s" % pl.text)
-        else:
-            lines.append(pl.text)
+    lines += ["@@", "...", "+ if (%s) {" % jast.render_expr(p.guard_cond)]
+    lines += ["+ " + jast.render_stmt(s) for s in p.then_stmts]
+    lines += ["+ } else {", jast.render_stmt(p.context), "+ }"]
     if p.needs_imports or p.needs:
-        lines.append("@needs@")
-        for imp in p.needs_imports:
-            lines.append("import %s;" % imp)
+        lines += ["@needs@"] + ["import %s;" % imp for imp in p.needs_imports]
         for d in p.needs:
-            lines.append("")
-            lines.append(d.src)
+            lines += ["", d.src]
     return "\n".join(lines) + "\n"
 
 
@@ -302,43 +269,26 @@ def parse_patch(text: str) -> SemanticPatch:
         raise MalformedPatch("missing @@ separator", len(lines))
     i += 1
 
-    hunk = []
-    hunk_start = i + 1
+    hunk = _Hunk(i + 1)
     while i < len(lines) and lines[i].strip() != "@needs@":
-        raw = lines[i].strip()
         i += 1
-        if raw == "...":
-            hunk.append(PatchLine(ELLIPSIS, "", i))
-        elif raw.startswith("+"):
-            hunk.append(PatchLine(ADD, raw[1:].strip(), i))
-        elif raw.startswith("-"):
-            raise MalformedPatch("'-' lines are not supported; the deprecated call "
-                                 "is the unprefixed context line", i)
-        elif raw:
-            hunk.append(PatchLine(CONTEXT, raw, i))
+        hunk.read(lines[i - 1].strip(), i)
 
-    needs_imports, needs = [], []
-    if i < len(lines):  # @needs@ section
-        rest = lines[i + 1:]
-        body = []
-        for ln in rest:
-            m = re.match(r"^\s*import\s+([\w.]+)\s*;\s*$", ln)
-            if m and not body:
-                needs_imports.append(m.group(1))
-            else:
-                body.append(ln)
-        blob = "\n".join(body).strip("\n")
-        if blob.strip():
-            needs = _split_defs(blob)
-
-    guard, then_stmts, context = _derive_shape(hunk, hunk_start)
-    return SemanticPatch(rule_name=rule_name, metavars=metavars, guard_cond=guard,
-                         hunk=hunk, needs_imports=needs_imports,
-                         needs=needs, context=context,
-                         then_stmts=then_stmts)
+    needs_imports, body = [], []
+    for ln in lines[i + 1:]:  # the @needs@ section
+        m = re.match(r"^\s*import\s+([\w.]+)\s*;\s*$", ln)
+        if m and not body:
+            needs_imports.append(m.group(1))
+        else:
+            body.append(ln)
+    blob = "\n".join(body).strip("\n")
+    needs = _split_defs(blob) if blob.strip() else []
+    return SemanticPatch(rule_name, metavars, *hunk.shape(), needs_imports, needs)
 
 
 def _split_defs(blob: str) -> list:
+    """The helper classes, methods and fields of a @needs@ section, in
+    source order."""
     try:
         unit = jast.parse(blob)
     except jast.ParseError as exc:
@@ -346,10 +296,10 @@ def _split_defs(blob: str) -> list:
     defs = []
     for tdecl in unit.types:
         if tdecl.implicit:
-            defs.extend(m for m in tdecl.methods if not m.implicit)
+            defs += tdecl.fields + [m for m in tdecl.methods if not m.implicit]
         else:
             defs.append(tdecl)
-    return defs
+    return sorted(defs, key=lambda d: d.span.start)
 
 
 def pattern_call(stmt):
@@ -374,55 +324,73 @@ def is_patch_temp(stmt) -> bool:
             and stmt.name.startswith(normal.PATCH_TEMP_PREFIX))
 
 
-def _derive_shape(hunk, hunk_start):
-    """Recover (guard, then statement patterns, context pattern) from the
-    generated hunk layout, rejecting lines the engine cannot apply."""
-    stmt_lines = [pl for pl in hunk if pl.kind in (ADD, CONTEXT)]
-    if not stmt_lines:
-        raise MalformedPatch("empty hunk", hunk_start)
-    first = stmt_lines[0]
-    m = re.match(r"^if\s*\((.*)\)\s*\{$", first.text)
-    if first.kind != ADD or not m:
-        raise MalformedPatch("hunk must open with '+ if (<guard>) {'", first.line)
-    try:
-        guard = jast.parse_expr_text(m.group(1))
-    except jast.ParseError:
-        raise MalformedPatch("unparsable guard condition %r" % m.group(1), first.line)
+class _Hunk:
+    """The guard, then statements and context line of a patch, read from
+    its hunk line by line. A '-' line raises at once; any other fault is
+    held until shape(), so that a '-' line anywhere, then a fault of the
+    @needs@ section, are reported first."""
 
-    then_stmts, then_lines, context = [], [], None
-    seen_else = False
-    for pl in stmt_lines[1:]:
-        if pl.kind == ADD and pl.text == "} else {":
-            seen_else = True
-            continue
-        if pl.kind == ADD and pl.text == "}":
-            continue
-        try:
-            stmt = jast.parse_stmt_text(pl.text)
-        except jast.ParseError:
-            stmt = None
-        if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
-            raise MalformedPatch("pattern line %r is not one expression, declaration "
-                                 "or return statement" % pl.text, pl.line)
-        if pl.kind == CONTEXT:
-            if context is not None:
-                raise MalformedPatch("multiple context lines", pl.line)
-            if pattern_call(stmt) is None:
-                raise MalformedPatch("context line %r carries no method call" % pl.text,
-                                     pl.line)
-            context = stmt
-        elif seen_else:
-            raise MalformedPatch("'+' statement after '+ } else {' is not supported; "
-                                 "the else branch keeps the original statement", pl.line)
+    def __init__(self, start: int):
+        self.start = start  # line number of the hunk's first line
+        self.guard = self.context = self.fault = None
+        self.seen_else = False
+        self.then_stmts, self.then_lines = [], []
+
+    def read(self, raw: str, line: int):
+        if raw.startswith("-"):
+            raise MalformedPatch("'-' lines are not supported; the deprecated call "
+                                 "is the unprefixed context line", line)
+        if raw and raw != "..." and self.fault is None:
+            add = raw.startswith("+")
+            try:
+                self._take(add, raw[1:].strip() if add else raw, line)
+            except MalformedPatch as exc:
+                self.fault = exc
+
+    def _take(self, add: bool, text: str, line: int):
+        if self.guard is None:
+            m = re.match(r"^if\s*\((.*)\)\s*\{$", text)
+            if not add or not m:
+                raise MalformedPatch("hunk must open with '+ if (<guard>) {'", line)
+            try:
+                self.guard = jast.parse_expr_text(m.group(1))
+            except jast.ParseError:
+                raise MalformedPatch("unparsable guard condition %r" % m.group(1), line)
+        elif add and text in ("} else {", "}"):
+            self.seen_else |= text == "} else {"
         else:
-            then_stmts.append(stmt)
-            then_lines.append(pl.line)
-    if context is None:
-        raise MalformedPatch("missing context line", hunk_start)
-    if not seen_else:
-        raise MalformedPatch("missing '+ } else {' line", hunk_start)
-    _check_temps(then_stmts, then_lines)
-    return guard, then_stmts, context
+            try:
+                stmt = jast.parse_stmt_text(text)
+            except jast.ParseError:
+                stmt = None
+            if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
+                raise MalformedPatch("pattern line %r is not one expression, declaration "
+                                     "or return statement" % text, line)
+            if add and self.seen_else:
+                raise MalformedPatch("'+' statement after '+ } else {' is not supported; "
+                                     "the else branch keeps the original statement", line)
+            if add:
+                self.then_stmts.append(stmt)
+                self.then_lines.append(line)
+            elif self.context is not None:
+                raise MalformedPatch("multiple context lines", line)
+            elif pattern_call(stmt) is None:
+                raise MalformedPatch("context line %r carries no method call" % text, line)
+            else:
+                self.context = stmt
+
+    def shape(self):
+        """(guard, then statements, context) once every line is read."""
+        if self.fault is not None:
+            raise self.fault
+        if self.guard is None:
+            raise MalformedPatch("empty hunk", self.start)
+        if self.context is None:
+            raise MalformedPatch("missing context line", self.start)
+        if not self.seen_else:
+            raise MalformedPatch("missing '+ } else {' line", self.start)
+        _check_temps(self.then_stmts, self.then_lines)
+        return self.guard, self.then_stmts, self.context
 
 
 def _check_temps(then_stmts, then_lines):

@@ -112,22 +112,32 @@ def members(unit: jast.CompilationUnit):
     return methods, types
 
 
-def references(d, methods, types):
-    """Unit-local methods/types referenced from a definition's body, looked
-    up in the tables members() returns."""
-    refs = []
-    stmts = d.body if isinstance(d, jast.MethodDecl) else []
-    exprs = []
-    if isinstance(d, jast.TypeDecl):
+def fields(unit: jast.CompilationUnit) -> dict:
+    """The unit's fields keyed by name; the later of two duplicates wins."""
+    return {f.name: f for tdecl, _outer in jast.iter_types(unit) for f in tdecl.fields}
+
+
+def references(d, methods, types, fields, hidden=frozenset()):
+    """Unit-local methods, types and fields a definition references, looked
+    up in the tables members() and fields() return. A simple name is a
+    field unless it is in hidden, a parameter or local of d, or a field of
+    d itself; a field's references are those of its initializer."""
+    refs, exprs = [], []
+    if isinstance(d, jast.FieldDecl):
+        exprs = [d.initializer] if d.initializer is not None else []
+    elif isinstance(d, jast.TypeDecl):
+        hidden = hidden | {f.name for f in d.fields}
         for m in d.methods:
-            refs.extend(references(m, methods, types))
-        for f in d.fields:
-            if f.initializer is not None:
-                exprs.append(f.initializer)
-    for stmt, _chain in jast.iter_statements(stmts):
-        exprs.extend(jast.stmt_exprs(stmt))
-        if isinstance(stmt, jast.LocalVarDecl) and stmt.type_name in types:
-            refs.append(types[stmt.type_name])
+            refs.extend(references(m, methods, types, fields, hidden))
+        exprs = [f.initializer for f in d.fields if f.initializer is not None]
+    else:
+        hidden = set(hidden).union(name for _type, name in d.params)
+        for stmt, _chain in jast.iter_statements(d.body):
+            exprs.extend(jast.stmt_exprs(stmt))
+            if isinstance(stmt, jast.LocalVarDecl):
+                hidden.add(stmt.name)
+                if stmt.type_name in types:
+                    refs.append(types[stmt.type_name])
     for root in exprs:
         for e in jast.iter_exprs(root):
             if isinstance(e, jast.MethodCall) and e.receiver is None:
@@ -140,6 +150,9 @@ def references(d, methods, types):
                     refs.append(t)
             if isinstance(e, jast.Name) and e.identifier in types:
                 refs.append(types[e.identifier])
+            elif (isinstance(e, jast.Name) and e.identifier in fields
+                  and e.identifier not in hidden):
+                refs.append(fields[e.identifier])
     return refs
 
 

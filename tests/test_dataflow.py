@@ -171,6 +171,36 @@ def test_collect_dependencies_transitive():
     assert [d.name for d in deps] == ["mk", "mk2"]
 
 
+def test_collect_dependencies_follows_fields_and_their_initializers():
+    text = (
+        "class A {\n"
+        "    static final int BASE = 2;\n"
+        "    static final int OFFSET = BASE + 1;\n"
+        "    static final int UNUSED = 3;\n"
+        "    Object mk(int usage) { int local = 1; return wrap(usage + local + OFFSET); }\n"
+        "    Object wrap(int x) { return null; }\n"
+        "    void m() { Object o = mk(1); use(o); }\n"
+        "}")
+    v, unit = resolve_in(text)
+    deps = dataflow.collect_dependencies(v, unit)
+    assert [d.name for d in deps] == ["mk", "wrap", "OFFSET", "BASE"]
+
+
+@pytest.mark.parametrize("helper, use, want", [
+    ("Object mk(int usage) { int local = usage; return local; }", "mk(1)", ["mk"]),
+    ("static class Box { int usage = 1; int get() { return usage; } }", "new Box()", ["Box"]),
+], ids=["parameter_and_local", "field_of_a_helper_class"])
+def test_collect_dependencies_skips_names_a_helper_declares(helper, use, want):
+    text = ("class A {\n"
+            "    int usage = 4;\n"
+            "    int local = 5;\n"
+            "    %s\n"
+            "    void m() { Object o = %s; use(o); }\n"
+            "}" % (helper, use))
+    v, unit = resolve_in(text)
+    assert [d.name for d in dataflow.collect_dependencies(v, unit)] == want
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_generated_program_matches_interpreter(seed):
     ok, text, detail = oracle_programs.check_one(random.Random(seed))

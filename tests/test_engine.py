@@ -246,6 +246,55 @@ def test_transplant_renames_collision():
     assert "makeAttrs_androevolve(int usage)" in text
 
 
+SET_SOUND = CORPUS / "cases" / "set_sound"
+USAGE_FIELD = "    private static final int USAGE = 5;\n"
+# the example's buildAttrs helper reads a field of the example class
+READS_OFFSET = [("setUsage(usage)", "setUsage(usage + OFFSET)"),
+                (USAGE_FIELD, USAGE_FIELD + "    private static final int OFFSET = 1;\n")]
+
+
+def edited_set_sound_patch(edits):
+    """The set_sound patch generated from its example after text edits,
+    passed through its rendered form."""
+    text = (SET_SOUND / "example.java").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    _patch, mapping = load_patch("set_sound")
+    patch = patchgen.generate_patch(jast.parse(text), mapping)
+    return patchgen.parse_patch(patchgen.render_patch(patch)), mapping
+
+
+def test_helper_brings_the_field_it_reads():
+    patch, mapping = edited_set_sound_patch(READS_OFFSET)
+    text = (SET_SOUND / "targets" / "basic.java").read_text()
+    out, report = engine.update(text, patch, mapping)
+    assert out.count("OFFSET = 1;") == 1
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs", "OFFSET"]
+    jast.parse(out)
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+def test_helper_parameter_named_like_a_field_pulls_in_no_field():
+    patch, _mapping = edited_set_sound_patch(
+        [(USAGE_FIELD, USAGE_FIELD + "    private int usage = 2;\n")])
+    assert [d.name for d in patch.needs] == ["makeAttrs", "buildAttrs"]
+
+
+def test_target_field_of_the_same_name_is_reused():
+    patch, mapping = edited_set_sound_patch(READS_OFFSET)
+    text = ("class T {\n"
+            "    private static final int OFFSET = 7;\n"
+            "    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1
+    assert out.count("OFFSET =") == 1 and "OFFSET = 7;" in out
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
+
+
 def test_transplant_skips_existing_import():
     unit = jast.parse("import android.media.AudioAttributes;\n\nclass T { void m() { } }\n")
     edits, _, _ = engine.transplant_definitions(

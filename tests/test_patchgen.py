@@ -132,6 +132,35 @@ def test_render_parse_roundtrip(case):
     assert patchgen.render_patch(reparsed) == patchgen.render_patch(patch)
 
 
+def test_helper_method_and_class_come_back_in_their_own_order():
+    example = jast.parse(
+        "class A {\n"
+        "    void m(Vibrator v, long d) {\n"
+        "        if (SDK_INT >= 26) { v.vibrate(effect()); } else { v.vibrate(d); }\n"
+        "    }\n"
+        "    static VibrationEffect effect() { return new Maker().make(); }\n"
+        "    static class Maker {\n"
+        "        VibrationEffect make() { return VibrationEffect.createOneShot(1, 2); }\n"
+        "    }\n"
+        "}\n")
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert [d.name for d in patch.needs] == ["effect", "Maker"]
+    reparsed = patchgen.parse_patch(patchgen.render_patch(patch))
+    assert [d.name for d in reparsed.needs] == ["effect", "Maker"]
+    assert reparsed == patch
+
+
+def test_hand_written_patch_parses_to_the_canonical_one():
+    lines = EXPECTED_VIBRATE_PATCH.splitlines()
+    lines[6] = "+classIden.vibrate(newParameterVariable0);"
+    lines[4:4] = [""]
+    lines += ["   ", "..."]
+    patch = patchgen.parse_patch("\n".join(lines) + "\n")
+    example, mapping = read_case("vibrate")
+    assert patch == patchgen.generate_patch(example, mapping)
+    assert patchgen.render_patch(patch) == EXPECTED_VIBRATE_PATCH
+
+
 def test_parse_patch_rejects_missing_header():
     with pytest.raises(patchgen.MalformedPatch):
         patchgen.parse_patch("identifier x;\n@@\n+ a();\nb();\n")
