@@ -324,14 +324,13 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
                 member_texts.append(m.src)
                 copied.append(m.name)
         elif isinstance(m, jast.MethodDecl) and (m.name, m.arity) not in existing_methods:
-            text = m.src
             name = m.name
             if m.name in existing_names:  # same name, different arity: copy under an alias
-                name = m.name + "_androevolve"
-                renames[m.name] = name
-                text = re.sub(r"\b%s\b" % re.escape(m.name), name, text)
-            member_texts.append(text)
+                name = renames[m.name] = m.name + "_androevolve"
+            member_texts.append(m.src)
             copied.append(name)
+    for old, new in renames.items():  # every copy calls a renamed helper by its alias
+        member_texts = [re.sub(r"\b%s\b" % re.escape(old), new, t) for t in member_texts]
     for t in new_types:
         if t.name not in existing_types:
             type_texts.append(t.src)

@@ -987,9 +987,15 @@ def child_exprs(e: Expr):
 
 
 def iter_exprs(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in child_exprs(e):
-        yield from iter_exprs(c)
+    """Yield e and every expression below it in pre-order, each node before
+    its children and children left to right, from an explicit stack: no
+    recursion, so a chain of any depth is walked in time linear in its
+    size."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(child_exprs(e)))
 
 
 def stmt_exprs(s: Stmt):

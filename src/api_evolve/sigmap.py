@@ -74,17 +74,30 @@ def find_invocations(unit: jast.CompilationUnit, sig: ApiSignature) -> list:
     """Every MethodCall matching sig's name and arity, in source order.
 
     Matching is name + arity only; receivers are captured, not typed.
+    A parsed call's name is a slice of unit.text, so a type, field, method
+    or statement whose span never names the method is skipped unwalked.
     """
+    text, name = unit.text, sig.method_name
+
+    def names(node) -> bool:
+        return text.find(name, node.span.start, node.span.end) >= 0
+
     sites = []
     for tdecl, outer in jast.iter_types(unit):
+        if not names(tdecl):
+            continue
         for fdecl in tdecl.fields:
-            if fdecl.initializer is None:
+            if fdecl.initializer is None or not names(fdecl):
                 continue
             for e in jast.iter_exprs(fdecl.initializer):
                 if _matches(e, sig):
                     sites.append(CallSite(e, None, None, tdecl, field=fdecl, outer_types=outer))
         for mdecl in tdecl.methods:
+            if not names(mdecl):
+                continue
             for stmt, chain in jast.iter_statements(mdecl.body):
+                if not names(stmt):
+                    continue
                 for root in jast.stmt_exprs(stmt):
                     for e in jast.iter_exprs(root):
                         if _matches(e, sig):

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from api_evolve import cli, harness, patchgen, sigmap
+from api_evolve import cli, harness, jast, patchgen, sigmap
 
 from conftest import CORPUS
 
@@ -477,3 +478,75 @@ def test_apply_tolerates_a_malformed_header(tmp_path, patch_file, capsys, header
     assert capsys.readouterr().err == ""
     assert out.read_text().startswith(header)
     assert "createOneShot" in out.read_text()
+
+
+CHAIN = " + ".join(["t"] * 1200)
+
+
+@pytest.mark.parametrize("body, else_stmt", [
+    ("long x = %s;\n        v.vibrate(x);" % CHAIN, "v.vibrate(x);"),
+    ("v.vibrate(%s);" % CHAIN, "v.vibrate(%s);" % CHAIN),
+], ids=["chain_before_site", "chain_as_argument"])
+def test_apply_updates_a_site_near_a_deep_operator_chain(tmp_path, patch_file, capsys,
+                                                           body, else_stmt):
+    target = tmp_path / "chain.java"
+    target.write_text("class A {\n    void m(Vibrator v, long t) {\n        %s\n    }\n}\n"
+                      % body)
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                     "--patch", str(patch_file), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text()
+    assert "v.vibrate(VibrationEffect.createOneShot(50, 175));" in text
+    assert "} else {\n            %s\n        }" % else_stmt in text
+
+
+def test_generate_with_a_too_deep_definition_chain_exits_3(tmp_path, capsys):
+    text = (CORPUS / "cases" / "vibrate" / "example.java").read_text()
+    deep = "int amplitude = %s;" % "+".join(["AMPLITUDE"] * 1200)
+    example = tmp_path / "example.java"
+    example.write_text(text.replace("int amplitude = AMPLITUDE;", deep))
+    out = tmp_path / "p.cocci"
+    rc = cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                   "--input", str(example), "--output", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nest too deeply to resolve" in err
+
+
+def _target_mutant(rng, text):
+    """A seeded edit of a target: one token deleted, one line duplicated,
+    or the text truncated."""
+    op = rng.randrange(3)
+    if op == 0:
+        tok = rng.choice(jast.tokenize(text)[:-1])
+        return text[:tok.start] + text[tok.end:]
+    if op == 1:
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        return "\n".join(lines[:k + 1] + lines[k:])
+    return text[:rng.randrange(len(text) + 1)]
+
+
+def test_apply_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    patches = {}
+    for case in sorted(p.name for p in (CORPUS / "cases").iterdir()):
+        (tmp_path / case).mkdir()
+        patches[case] = _case_patch(tmp_path / case, case)
+    targets = [(case, p.read_text()) for case in patches
+               for p in sorted((CORPUS / "cases" / case / "targets").glob("*.java"))]
+    rng = random.Random(4242)
+    codes = []
+    for i in range(300):
+        case, text = rng.choice(targets)
+        dep, upd, patch = patches[case]
+        target = tmp_path / ("t%d.java" % i)
+        target.write_text(_target_mutant(rng, text))
+        capsys.readouterr()
+        codes.append(cli.main(["--apply-patch", dep, upd, "--input", str(target),
+                               "--patch", str(patch), "--output", str(tmp_path / "out.java")]))
+        assert codes[-1] in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+    # both updated and failing mutants, or the fuzz shows nothing
+    assert codes.count(0) > 30 and codes.count(2) > 30

@@ -246,6 +246,25 @@ def test_transplant_renames_collision():
     assert "makeAttrs_androevolve(int usage)" in text
 
 
+def test_helper_renamed_on_collision_is_called_by_its_alias():
+    patch, mapping = load_patch("set_sound")
+    text = ("public class Ringer {\n"
+            "    void ring(android.app.Notification.Builder builder, android.net.Uri tone) {\n"
+            "        builder.setSound(tone);\n"
+            "    }\n\n"
+            "    static int buildAttrs(int a, int b) {\n"
+            "        return a + b;\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs_androevolve"]
+    (ringer,) = jast.parse(out).types
+    bodies = {m.name: m.src for m in ringer.methods}
+    assert "return buildAttrs_androevolve(usage);" in bodies["makeAttrs"]
+    assert "return a + b;" in bodies["buildAttrs"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
 SET_SOUND = CORPUS / "cases" / "set_sound"
 USAGE_FIELD = "    private static final int USAGE = 5;\n"
 # the example's buildAttrs helper reads a field of the example class

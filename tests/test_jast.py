@@ -431,3 +431,29 @@ def test_patch_depth_nesting_still_parses():
     text = "class A { void m(Vibrator v) { x = %s; v.vibrate(5); } }" % nested
     assert jast.print_unit(jast.parse(text)) == text
     assert jast.render_expr(jast.parse_expr_text(nested)) == nested
+
+
+def test_iter_exprs_walks_a_deep_chain_in_pre_order():
+    chain = jast.parse_expr_text(" + ".join("t%d" % i for i in range(5000)))
+    # a left-deep chain in pre-order: the operators from the root down, the
+    # first operand, then each operator's right operand from the bottom up
+    ops = []
+    e = chain
+    while isinstance(e, jast.Binary):
+        ops.append(e)
+        e = e.lhs
+    want = ops + [e] + [b.rhs for b in reversed(ops)]
+    got = list(jast.iter_exprs(chain))
+    assert len(got) == 9999
+    assert all(a is b for a, b in zip(got, want))
+    assert [n.identifier for n in got[4999:]] == ["t%d" % i for i in range(5000)]
+
+
+def test_iter_exprs_order_matches_a_recursive_walk():
+    def walk(e):
+        yield e
+        for c in jast.child_exprs(e):
+            yield from walk(c)
+
+    e = jast.parse_expr_text("a.f(b + -c * k, new T((int) d, (e = g)), h.i).m()")
+    assert [id(x) for x in jast.iter_exprs(e)] == [id(x) for x in walk(e)]

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from api_evolve import jast, sigmap
+
+from conftest import corpus_java_files
 
 
 def test_parse_signature_full():
@@ -109,3 +113,96 @@ def test_sites_found_after_a_type_that_closes_several_levels(ptype):
 def test_type_arguments_closed_too_often_are_not_a_type(ptype):
     unit = jast.parse("class A { void m(%s d) { v.vibrate(5); } }" % ptype)
     assert unit.types[0].methods == []
+
+
+def _unpruned_sites(unit, sig):
+    """find_invocations without the text test: every expression of every
+    field initializer and statement is walked."""
+    sites = []
+    for tdecl, outer in jast.iter_types(unit):
+        for fdecl in tdecl.fields:
+            if fdecl.initializer is None:
+                continue
+            for e in jast.iter_exprs(fdecl.initializer):
+                if sigmap._matches(e, sig):
+                    sites.append(sigmap.CallSite(e, None, None, tdecl, field=fdecl,
+                                                 outer_types=outer))
+        for mdecl in tdecl.methods:
+            for stmt, chain in jast.iter_statements(mdecl.body):
+                for root in jast.stmt_exprs(stmt):
+                    for e in jast.iter_exprs(root):
+                        if sigmap._matches(e, sig):
+                            sites.append(sigmap.CallSite(e, stmt, mdecl, tdecl,
+                                                         stmt_chain=chain, outer_types=outer))
+    sites.sort(key=lambda s: s.call.span.start)
+    return sites
+
+
+def _identity(site):
+    return (id(site.call), id(site.enclosing_stmt), tuple(map(id, site.stmt_chain)),
+            id(site.enclosing_method), id(site.enclosing_type), id(site.field),
+            tuple(map(id, site.outer_types)))
+
+
+SEARCH_NAMES = ("vibrate", "setSound", "fromHtml", "getCurrentMinute", "createOneShot",
+                "makeAttrs", "build", "v")
+
+
+def _site_mutant(rng, text):
+    """A seeded edit: a deleted run, a duplicated line, a truncation, or a
+    call of one of the searched names put in at a random offset."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(4)
+    if op == 0:
+        return text[:i] + text[i + rng.randint(1, 30):]
+    if op == 1:
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        return "\n".join(lines[:k + 1] + lines[k:])
+    if op == 2:
+        return text[:i]
+    call = "x.%s(%s);" % (rng.choice(SEARCH_NAMES), ", ".join(["a"] * rng.randrange(3)))
+    return text[:i] + call + text[i:]
+
+
+def test_pruned_search_finds_what_the_full_walk_finds():
+    texts = [p.read_bytes().decode("utf-8") for p in corpus_java_files()]  # CRLF kept
+    rng = random.Random(9090)
+    texts += [_site_mutant(rng, rng.choice(texts)) for _ in range(200)]
+    units = found = 0
+    for text in texts:
+        for name in SEARCH_NAMES:
+            for keep in (None, name):
+                try:
+                    unit = jast.parse(text, keep)
+                except jast.ParseError:
+                    continue
+                units += 1
+                for arity in range(4):
+                    sig = sigmap.ApiSignature("", name, ("?",) * arity)
+                    want = [_identity(s) for s in _unpruned_sites(unit, sig)]
+                    assert [_identity(s) for s in sigmap.find_invocations(unit, sig)] == want
+                    found += len(want)
+    # neither every text failing to parse nor no site found would show anything
+    assert units > 2000 and found > 300
+
+
+def test_search_walks_only_statements_that_name_the_method(monkeypatch):
+    filler = "".join("    int f%d(int a) { int b = a * 2; if (b > 3) { b = b + 1; } return b; }\n"
+                     % i for i in range(30))
+    text = ("class A {\n%s"
+            "    void m(Vibrator v, int d) {\n"
+            "        int x = d + 1;\n"
+            "        if (x > 0) { v.vibrate(x); } else { x = 0; }\n"
+            "    }\n}\n" % filler)
+    unit = jast.parse(text)
+    every = [s for t, _ in jast.iter_types(unit) for m in t.methods
+             for s, _ in jast.iter_statements(m.body)]
+    naming = [s for s in every if "vibrate" in s.src]
+    walked = []
+    stmt_exprs = jast.stmt_exprs
+    monkeypatch.setattr(jast, "stmt_exprs", lambda s: walked.append(s) or stmt_exprs(s))
+    (site,) = sigmap.find_invocations(unit, sigmap.parse_signature("a.V#vibrate(long)"))
+    assert site.enclosing_method.name == "m"
+    assert len(every) > 150
+    assert [id(s) for s in walked] == [id(s) for s in naming] and len(naming) == 3
