@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from . import engine, jast, normal, patchgen, sigmap
+from . import engine, jast, patchgen, sigmap
 
 EXIT_OK = 0
 EXIT_NO_SITES = 1
@@ -121,8 +121,11 @@ def run_apply(args, mapping) -> int:
     except jast.ParseError as exc:
         sys.stderr.write("api-evolve: parse failure in %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
-    except normal.MultipleUse as exc:
+    except patchgen.MultipleUse as exc:
         sys.stderr.write("api-evolve: cannot update %s: %s\n" % (args.input, exc))
+        return EXIT_BAD_INPUT
+    except RecursionError:
+        sys.stderr.write("api-evolve: cannot update %s: nesting too deep\n" % args.input)
         return EXIT_BAD_INPUT
 
     report.file_path = args.input

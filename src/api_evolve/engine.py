@@ -6,16 +6,18 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import dataflow, jast, normal, patchgen, scope, sigmap
+from . import jast, patchgen, scope, sigmap
 
 ALREADY_GUARDED = "AlreadyGuarded"
 NO_MATCH = "NoMatch"
 NON_STATEMENT_CONTEXT = "NonStatementContext"
 
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
+# the statement kinds a patch line can be
+_PATTERN_STMTS = (jast.ExprStmt, jast.Return, jast.LocalVarDecl)
 
 
 @dataclass
@@ -64,23 +66,13 @@ def match_statement(pattern: jast.Stmt, stmt: jast.Stmt,
 def _match_stmt(pattern, stmt, expr_mv, ident_mv, binding) -> bool:
     stmt = _unwrap_stmt(stmt)
     pattern = _unwrap_stmt(pattern)
-    if type(pattern) is not type(stmt):
+    if type(pattern) is not type(stmt) or type(pattern) not in _PATTERN_STMTS:
         return False
-    if isinstance(pattern, jast.ExprStmt):
-        return _match_expr(pattern.expr, stmt.expr, expr_mv, ident_mv, binding)
-    if isinstance(pattern, jast.Return):
-        if (pattern.value is None) != (stmt.value is None):
-            return False
-        return pattern.value is None or _match_expr(
-            pattern.value, stmt.value, expr_mv, ident_mv, binding)
-    if isinstance(pattern, jast.LocalVarDecl):
-        if pattern.type_name != stmt.type_name or pattern.name != stmt.name:
-            return False
-        if (pattern.init is None) != (stmt.init is None):
-            return False
-        return pattern.init is None or _match_expr(
-            pattern.init, stmt.init, expr_mv, ident_mv, binding)
-    return False
+    if isinstance(pattern, jast.LocalVarDecl) and (
+            pattern.type_name, pattern.name) != (stmt.type_name, stmt.name):
+        return False
+    p, a = jast.stmt_exprs(pattern), jast.stmt_exprs(stmt)
+    return len(p) == len(a) and (not p or _match_expr(p[0], a[0], expr_mv, ident_mv, binding))
 
 
 def _unwrap_stmt(s):
@@ -108,44 +100,22 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
                 return jast.ast_equal(bound, actual)
             binding.assignments[name] = actual
             return True
-    if type(pattern) is not type(actual):
+    kind = type(pattern)
+    if kind is not type(actual):
         return False
-    if isinstance(pattern, jast.Literal):
-        return pattern.lexeme == actual.lexeme
-    if isinstance(pattern, jast.Name):
-        return pattern.identifier == actual.identifier
-    if isinstance(pattern, jast.FieldAccess):
-        return (pattern.identifier == actual.identifier
-                and _match_expr(pattern.receiver, actual.receiver, expr_mv, ident_mv, binding))
-    if isinstance(pattern, jast.MethodCall):
-        if pattern.name != actual.name or len(pattern.args) != len(actual.args):
+    for n in jast.LABELS[kind]:
+        if getattr(pattern, n) != getattr(actual, n):
             return False
-        if (pattern.receiver is None) != (actual.receiver is None):
+    for n in jast.CHILDREN[kind]:
+        p, a = getattr(pattern, n), getattr(actual, n)
+        if type(p) is list:
+            if len(p) != len(a) or not all(_match_expr(x, y, expr_mv, ident_mv, binding)
+                                           for x, y in zip(p, a)):
+                return False
+        elif (p is None) != (a is None) or (
+                p is not None and not _match_expr(p, a, expr_mv, ident_mv, binding)):
             return False
-        if pattern.receiver is not None and not _match_expr(
-                pattern.receiver, actual.receiver, expr_mv, ident_mv, binding):
-            return False
-        return all(_match_expr(p, a, expr_mv, ident_mv, binding)
-                   for p, a in zip(pattern.args, actual.args))
-    if isinstance(pattern, jast.ObjectCreation):
-        return (pattern.type_name == actual.type_name
-                and len(pattern.args) == len(actual.args)
-                and all(_match_expr(p, a, expr_mv, ident_mv, binding)
-                        for p, a in zip(pattern.args, actual.args)))
-    if isinstance(pattern, jast.Binary):
-        return (pattern.op == actual.op
-                and _match_expr(pattern.lhs, actual.lhs, expr_mv, ident_mv, binding)
-                and _match_expr(pattern.rhs, actual.rhs, expr_mv, ident_mv, binding))
-    if isinstance(pattern, jast.Unary):
-        return (pattern.op == actual.op
-                and _match_expr(pattern.operand, actual.operand, expr_mv, ident_mv, binding))
-    if isinstance(pattern, jast.Assign):
-        return (_match_expr(pattern.lhs, actual.lhs, expr_mv, ident_mv, binding)
-                and _match_expr(pattern.rhs, actual.rhs, expr_mv, ident_mv, binding))
-    if isinstance(pattern, jast.Cast):
-        return (pattern.type_name == actual.type_name
-                and _match_expr(pattern.operand, actual.operand, expr_mv, ident_mv, binding))
-    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +124,37 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
 
 def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
                     renames: Optional[dict] = None) -> jast.Expr:
-    """Instantiate a pattern expression, parenthesizing a bound operand or
-    receiver where leaving it bare would change how it binds."""
+    """Instantiate a pattern expression: a synthesized copy with each
+    metavariable replaced by its bound expression and each renamed name,
+    method or created type under its new name. Parentheses are left to
+    jast.render_expr. The recursion is direct, one frame a level."""
     renames = renames or {}
     if isinstance(pattern, jast.Name):
         if pattern.identifier in binding.assignments:
             return binding.assignments[pattern.identifier]
-        if pattern.identifier in renames:
-            return jast.Name(renames[pattern.identifier])
-        return jast.Name(pattern.identifier)
-    if isinstance(pattern, jast.Literal):
-        return jast.Literal(pattern.kind, pattern.lexeme)
-    if isinstance(pattern, jast.FieldAccess):
-        return jast.FieldAccess(dataflow.guard_receiver(
-            substitute_expr(pattern.receiver, binding, renames)), pattern.identifier)
-    if isinstance(pattern, jast.MethodCall):
-        recv = (dataflow.guard_receiver(substitute_expr(pattern.receiver, binding, renames))
-                if pattern.receiver is not None else None)
-        name = renames.get(pattern.name, pattern.name)
-        return jast.MethodCall(recv, name,
-                               [substitute_expr(a, binding, renames) for a in pattern.args])
-    if isinstance(pattern, jast.ObjectCreation):
-        tname = renames.get(pattern.type_name, pattern.type_name)
-        return jast.ObjectCreation(tname,
-                                   [substitute_expr(a, binding, renames) for a in pattern.args])
-    if isinstance(pattern, jast.Binary):
-        lhs = substitute_expr(pattern.lhs, binding, renames)
-        rhs = substitute_expr(pattern.rhs, binding, renames)
-        return jast.Binary(pattern.op, dataflow.guard_operand(lhs, pattern.op, right=False),
-                           dataflow.guard_operand(rhs, pattern.op, right=True))
-    if isinstance(pattern, jast.Unary):
-        return jast.Unary(pattern.op, dataflow.guard_tight(
-            substitute_expr(pattern.operand, binding, renames), unary=True))
-    if isinstance(pattern, jast.Assign):
-        return jast.Assign(substitute_expr(pattern.lhs, binding, renames),
-                           substitute_expr(pattern.rhs, binding, renames))
-    if isinstance(pattern, jast.Cast):
-        return jast.Cast(pattern.type_name, dataflow.guard_tight(
-            substitute_expr(pattern.operand, binding, renames)))
-    if isinstance(pattern, jast.Paren):
-        return jast.Paren(substitute_expr(pattern.inner, binding, renames))
-    raise TypeError("cannot substitute into %r" % (pattern,))
+        return jast.Name(renames.get(pattern.identifier, pattern.identifier))
+    kids = []
+    for c in jast.child_exprs(pattern):
+        kids.append(substitute_expr(c, binding, renames))
+    out = jast.rebuild(pattern, kids)
+    if isinstance(out, jast.MethodCall):
+        out.name = renames.get(out.name, out.name)
+    elif isinstance(out, jast.ObjectCreation):
+        out.type_name = renames.get(out.type_name, out.type_name)
+    return out
 
 
 def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
                     renames: Optional[dict] = None) -> jast.Stmt:
-    renames = renames or {}
-    if isinstance(pattern, jast.ExprStmt):
-        return jast.ExprStmt(substitute_expr(pattern.expr, binding, renames))
-    if isinstance(pattern, jast.Return):
-        value = (substitute_expr(pattern.value, binding, renames)
-                 if pattern.value is not None else None)
-        return jast.Return(value)
-    if isinstance(pattern, jast.LocalVarDecl):
-        init = (substitute_expr(pattern.init, binding, renames)
-                if pattern.init is not None else None)
-        return jast.LocalVarDecl(pattern.type_name, pattern.name, init,
-                                 set(pattern.modifiers))
-    raise TypeError("cannot substitute into %r" % (pattern,))
+    """A synthesized copy of a pattern statement, its expression
+    instantiated by substitute_expr."""
+    if type(pattern) not in _PATTERN_STMTS:
+        raise TypeError("cannot substitute into %r" % (pattern,))
+    name = jast.STMT_EXPR[type(pattern)]
+    e = getattr(pattern, name)
+    if e is not None:
+        e = substitute_expr(e, binding, renames)
+    return replace(pattern, span=None, src=None, **{name: e})
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +181,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
     unit.text. The context call's argument metavariables bind the argument
     expressions, and each patch temporary is rendered inline at
     its one use. Per-site failures become skip entries, never exceptions;
-    normal.MultipleUse is raised when the then branch would evaluate an
+    patchgen.MultipleUse is raised when the then branch would evaluate an
     argument that is not a plain name more than once.
     """
     report = UpdateReport()
@@ -271,9 +214,9 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
         for mv in reused:
             arg = binding.assignments[mv]
             if not isinstance(arg, jast.Name):
-                raise normal.MultipleUse("line %d: the then branch would evaluate %s %d times"
-                                         % (jast.line_of(unit.text, arg.span.start),
-                                            arg.src, then_uses[mv]))
+                raise patchgen.MultipleUse("line %d: the then branch would evaluate %s %d times"
+                                           % (jast.line_of(unit.text, arg.span.start),
+                                              arg.src, then_uses[mv]))
         handled.add(id(stmt))
         report.sites_found += 1
         report.sites_updated += 1
@@ -393,7 +336,7 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     balance, not parsed; in a text that does, a brace block that never
     names it is not lexed either (jast.parse's `keep`). Raises
     jast.ParseError (UnbalancedSource when the nesting is broken) when the
-    text does not parse, and normal.MultipleUse when the patch would
+    text does not parse, and patchgen.MultipleUse when the patch would
     evaluate an argument twice.
     """
     name = patchgen.pattern_call(patch.context).name

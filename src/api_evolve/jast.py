@@ -131,6 +131,16 @@ class OpaqueExpr:
 Expr = Union[Literal, Name, FieldAccess, MethodCall, ObjectCreation,
              Binary, Unary, Assign, Cast, Paren, OpaqueExpr]
 
+# The one shape table: each expression kind's subexpression fields, in
+# source order. Every other field but span and src is the node's label.
+CHILDREN = {Literal: (), Name: (), FieldAccess: ("receiver",),
+            MethodCall: ("receiver", "args"), ObjectCreation: ("args",),
+            Binary: ("lhs", "rhs"), Unary: ("operand",), Assign: ("lhs", "rhs"),
+            Cast: ("operand",), Paren: ("inner",), OpaqueExpr: ()}
+LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
+                      if name not in kids + ("span", "src"))
+          for kind, kids in CHILDREN.items()}
+
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -184,6 +194,8 @@ class OpaqueStmt:
 
 
 Stmt = Union[LocalVarDecl, ExprStmt, If, Return, Block, OpaqueStmt]
+# each statement kind's one expression field; the other kinds hold none
+STMT_EXPR = {LocalVarDecl: "init", ExprStmt: "expr", If: "cond", Return: "value"}
 
 
 # ---------------------------------------------------------------------------
@@ -970,55 +982,64 @@ def edited(unit: CompilationUnit, edits) -> CompilationUnit:
 # Tree utilities
 # ---------------------------------------------------------------------------
 
-def child_exprs(e: Expr):
-    if isinstance(e, FieldAccess):
-        return [e.receiver]
-    if isinstance(e, MethodCall):
-        return ([e.receiver] if e.receiver is not None else []) + list(e.args)
-    if isinstance(e, ObjectCreation):
-        return list(e.args)
-    if isinstance(e, (Binary, Assign)):
-        return [e.lhs, e.rhs]
-    if isinstance(e, (Unary, Cast)):
-        return [e.operand]
-    if isinstance(e, Paren):
-        return [e.inner]
-    return []
+def child_exprs(e: Expr) -> list:
+    """e's subexpressions, left to right: its CHILDREN fields, with a list
+    field's items in place and an absent receiver left out."""
+    out = []
+    for name in CHILDREN[type(e)]:
+        c = getattr(e, name)
+        if type(c) is list:
+            out.extend(c)
+        elif c is not None:
+            out.append(c)
+    return out
+
+
+def rebuild(e: Expr, kids: list) -> Expr:
+    """A synthesized copy of e: no span or source, the same label, and kids,
+    in child_exprs order, as its children (built by the caller's own loop,
+    so that a recursive rewrite costs one frame a level)."""
+    kind = type(e)
+    values = {name: getattr(e, name) for name in LABELS[kind]}
+    kids = iter(kids)
+    for name in CHILDREN[kind]:
+        c = getattr(e, name)
+        if type(c) is list:
+            values[name] = [next(kids) for _ in c]
+        else:
+            values[name] = None if c is None else next(kids)
+    return kind(**values)
 
 
 def iter_exprs(e: Expr) -> Iterator[Expr]:
     """Yield e and every expression below it in pre-order, each node before
     its children and children left to right, from an explicit stack: no
     recursion, so a chain of any depth is walked in time linear in its
-    size."""
+    size. The children are child_exprs', expanded in place: this loop is
+    hot, and a call per node more than doubles its cost."""
     stack = [e]
     while stack:
         e = stack.pop()
         yield e
-        stack.extend(reversed(child_exprs(e)))
+        for name in reversed(CHILDREN[type(e)]):
+            c = getattr(e, name)
+            if type(c) is list:
+                stack.extend(reversed(c))
+            elif c is not None:
+                stack.append(c)
 
 
 def stmt_exprs(s: Stmt):
-    if isinstance(s, LocalVarDecl):
-        return [s.init] if s.init is not None else []
-    if isinstance(s, ExprStmt):
-        return [s.expr]
-    if isinstance(s, If):
-        return [s.cond]
-    if isinstance(s, Return):
-        return [s.value] if s.value is not None else []
-    return []
+    """s's own expression, its STMT_EXPR field, in a list; empty if none."""
+    name = STMT_EXPR.get(type(s))
+    e = getattr(s, name) if name else None
+    return [e] if e is not None else []
 
 
 def child_stmts(s: Stmt):
     if isinstance(s, If):
-        out = [s.then_block]
-        if s.else_block is not None:
-            out.append(s.else_block)
-        return out
-    if isinstance(s, Block):
-        return list(s.stmts)
-    return []
+        return [s.then_block] if s.else_block is None else [s.then_block, s.else_block]
+    return list(s.stmts) if isinstance(s, Block) else []
 
 
 def iter_statements(stmts, _chain=()) -> Iterator[tuple]:
@@ -1060,36 +1081,59 @@ def ast_equal(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 def render_expr(e: Expr) -> str:
-    """Render an expression. Nodes still backed by source reuse their
-    original bytes when single-line; synthesized nodes get canonical form."""
+    """Render an expression. A node still backed by one line of source
+    reuses its bytes; any other node gets canonical form, and it is the
+    one place that decides parentheses: a child is put in them exactly
+    where, left bare, it would bind differently (see _grouped). A tree
+    costs one frame a level: each child is rendered here, not in a helper."""
     if e is None:
         return ""
-    if getattr(e, "src", None) and "\n" not in e.src:
+    if e.src and "\n" not in e.src:
         return e.src
     if isinstance(e, Literal):
         return e.lexeme
     if isinstance(e, Name):
         return e.identifier
     if isinstance(e, FieldAccess):
-        return "%s.%s" % (render_expr(e.receiver), e.identifier)
+        return "%s.%s" % (_grouped(e, e.receiver, render_expr(e.receiver)), e.identifier)
     if isinstance(e, MethodCall):
         args = ", ".join(render_expr(a) for a in e.args)
         if e.receiver is not None:
-            return "%s.%s(%s)" % (render_expr(e.receiver), e.name, args)
+            return "%s.%s(%s)" % (_grouped(e, e.receiver, render_expr(e.receiver)), e.name, args)
         return "%s(%s)" % (e.name, args)
     if isinstance(e, ObjectCreation):
         return "new %s(%s)" % (e.type_name, ", ".join(render_expr(a) for a in e.args))
     if isinstance(e, Binary):
-        return "%s %s %s" % (render_expr(e.lhs), e.op, render_expr(e.rhs))
+        return "%s %s %s" % (_grouped(e, e.lhs, render_expr(e.lhs)), e.op,
+                             _grouped(e, e.rhs, render_expr(e.rhs), right=True))
     if isinstance(e, Unary):
-        return "%s%s" % (e.op, render_expr(e.operand))
+        return "%s%s" % (e.op, _grouped(e, e.operand, render_expr(e.operand)))
     if isinstance(e, Assign):
         return "%s = %s" % (render_expr(e.lhs), render_expr(e.rhs))
     if isinstance(e, Cast):
-        return "(%s) %s" % (e.type_name, render_expr(e.operand))
+        return "(%s) %s" % (e.type_name, _grouped(e, e.operand, render_expr(e.operand)))
     if isinstance(e, Paren):
         return "(%s)" % render_expr(e.inner)
     raise TypeError("cannot render %r" % (e,))
+
+
+# per parent kind, the operand kinds that bind apart when left bare: a
+# unary operand that is unary too would read as `--x`, a decrement
+_LOOSER = {Binary: (Assign,), Unary: (Binary, Assign, Unary), Cast: (Binary, Assign),
+           FieldAccess: (Binary, Assign, Unary, Cast), MethodCall: (Binary, Assign, Unary, Cast)}
+
+
+def _grouped(parent: Expr, child: Expr, text: str, right: bool = False) -> str:
+    """text, child's rendering, as parent's operand or receiver: in
+    parentheses when, bare, it would bind differently: a looser binary
+    operand, or one of the same level on the right, or a kind _LOOSER
+    names for parent."""
+    if isinstance(parent, Binary) and isinstance(child, Binary):
+        outer, inner = BINARY_LEVEL[parent.op], BINARY_LEVEL[child.op]
+        wrap = inner < outer or (inner == outer and right)
+    else:
+        wrap = isinstance(child, _LOOSER[type(parent)])
+    return "(%s)" % text if wrap else text
 
 
 def render_stmt(s: Stmt) -> str:

@@ -18,15 +18,9 @@ import re
 from dataclasses import dataclass, field
 
 from . import jast, sigmap
+from .patchgen import PATCH_TEMP_PREFIX, MultipleUse
 
 TARGET_TEMP_PREFIX = "normArg"
-PATCH_TEMP_PREFIX = "newParameterVariable"
-
-
-class MultipleUse(Exception):
-    """A tool temporary is used more than once, tool temporaries refer to
-    each other in a cycle, or a patch would evaluate an argument that is
-    not a plain name more than once; abort the file."""
 
 
 @dataclass

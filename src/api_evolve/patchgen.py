@@ -13,7 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import dataflow, jast, normal, scope, sigmap
+from . import dataflow, jast, scope, sigmap
+
+PATCH_TEMP_PREFIX = "newParameterVariable"
 
 
 class ExampleShapeError(Exception):
@@ -22,6 +24,12 @@ class ExampleShapeError(Exception):
 
 class ResolutionError(Exception):
     """An updated-call argument could not be resolved to a ground value."""
+
+
+class MultipleUse(Exception):
+    """A tool temporary is used more than once, tool temporaries refer to
+    each other in a cycle, or a patch would evaluate an argument that is
+    not a plain name more than once; abort the file."""
 
 
 class MalformedPatch(Exception):
@@ -96,7 +104,7 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         if isinstance(arg, jast.Name) and arg.identifier in shared:
             return jast.Name(shared[arg.identifier])
         rv = resolved[j]
-        temp = "%s%d" % (normal.PATCH_TEMP_PREFIX, len(temps))
+        temp = "%s%d" % (PATCH_TEMP_PREFIX, len(temps))
         ptype = sigmap.simple_name(mapping.replacement.param_types[j])
         temps.append(jast.LocalVarDecl(ptype, temp, rv.expr))
         return jast.Name(temp)
@@ -285,9 +293,11 @@ def parse_patch(text: str) -> SemanticPatch:
             needs_imports.append(m.group(1))
         else:
             body.append(ln)
-    blob = "\n".join(body).strip("\n")
+    blob = "\n".join(body)
     needs = _split_defs(blob) if blob.strip() else []
-    return SemanticPatch(rule_name, metavars, *hunk.shape(), needs_imports, needs)
+    patch = SemanticPatch(rule_name, metavars, *hunk.shape(), needs_imports, needs)
+    _check_needs_used(patch, blob, i + 2 + len(needs_imports))
+    return patch
 
 
 def _split_defs(blob: str) -> list:
@@ -304,6 +314,26 @@ def _split_defs(blob: str) -> list:
         else:
             defs.append(tdecl)
     return sorted(defs, key=lambda d: d.span.start)
+
+
+def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
+    """Reject a @needs@ member that the guard and then statements do not
+    reach through scope.references (qualified), since it would be copied
+    into every updated target for nothing. The members are parsed from
+    blob, which starts on line first_line."""
+    if not p.needs:
+        return
+    methods = {(d.name, d.arity): d for d in p.needs if isinstance(d, jast.MethodDecl)}
+    types = {d.name: d for d in p.needs if isinstance(d, jast.TypeDecl)}
+    fields = {d.name: d for d in p.needs if isinstance(d, jast.FieldDecl)}
+    # the metavariables are the hunk's parameters, so their names are no uses
+    hunk = jast.MethodDecl(set(), "", "", [("", n) for _k, n in p.metavars],
+                           body=[jast.ExprStmt(p.guard_cond)] + p.then_stmts)
+    used = {id(u) for u in scope.closure([hunk], methods, types, fields, qualified=True)}
+    for d in p.needs:
+        if id(d) not in used:
+            raise MalformedPatch("@needs@ member %s is never used" % d.name,
+                                 first_line - 1 + jast.line_of(blob, d.span.start))
 
 
 def pattern_call(stmt):
@@ -325,7 +355,7 @@ def is_patch_temp(stmt) -> bool:
     """True for a then-branch `newParameterVariable<N>` declaration, which
     the engine renders inline at its one use."""
     return (isinstance(stmt, jast.LocalVarDecl)
-            and stmt.name.startswith(normal.PATCH_TEMP_PREFIX))
+            and stmt.name.startswith(PATCH_TEMP_PREFIX))
 
 
 class _Hunk:

@@ -117,18 +117,20 @@ def fields(unit: jast.CompilationUnit) -> dict:
     return {f.name: f for tdecl, _outer in jast.iter_types(unit) for f in tdecl.fields}
 
 
-def references(d, methods, types, fields, hidden=frozenset()):
+def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
     """Unit-local methods, types and fields a definition references, looked
     up in the tables members() and fields() return. A simple name is a
     field unless it is in hidden, a parameter or local of d, or a field of
-    d itself; a field's references are those of its initializer."""
+    d itself; a field's references are those of its initializer. With
+    qualified, a member named through a receiver (`this.OFFSET`,
+    `Outer.helper()`) counts as well."""
     refs, exprs = [], []
     if isinstance(d, jast.FieldDecl):
         exprs = [d.initializer] if d.initializer is not None else []
     elif isinstance(d, jast.TypeDecl):
         hidden = hidden | {f.name for f in d.fields}
         for m in d.methods:
-            refs.extend(references(m, methods, types, fields, hidden))
+            refs.extend(references(m, methods, types, fields, hidden, qualified))
         exprs = [f.initializer for f in d.fields if f.initializer is not None]
     else:
         hidden = set(hidden).union(name for _type, name in d.params)
@@ -140,20 +142,37 @@ def references(d, methods, types, fields, hidden=frozenset()):
                     refs.append(types[stmt.type_name])
     for root in exprs:
         for e in jast.iter_exprs(root):
-            if isinstance(e, jast.MethodCall) and e.receiver is None:
+            kind = type(e)
+            if kind is jast.Name:
+                if e.identifier in types:
+                    refs.append(types[e.identifier])
+                elif e.identifier in fields and e.identifier not in hidden:
+                    refs.append(fields[e.identifier])
+            elif kind is jast.MethodCall and (e.receiver is None or qualified):
                 m = methods.get((e.name, len(e.args)))
                 if m is not None:
                     refs.append(m)
-            if isinstance(e, jast.ObjectCreation):
+            elif kind is jast.FieldAccess and qualified and e.identifier in fields:
+                refs.append(fields[e.identifier])
+            elif kind is jast.ObjectCreation:
                 t = types.get(e.type_name.split("<")[0])
                 if t is not None:
                     refs.append(t)
-            if isinstance(e, jast.Name) and e.identifier in types:
-                refs.append(types[e.identifier])
-            elif (isinstance(e, jast.Name) and e.identifier in fields
-                  and e.identifier not in hidden):
-                refs.append(fields[e.identifier])
     return refs
+
+
+def closure(defs, methods, types, fields, qualified=False) -> list:
+    """defs and every definition they reach through references(), in the
+    order found; declarations are told apart by identity."""
+    found, seen = [], set()
+    work = list(defs)
+    while work:
+        d = work.pop(0)
+        if id(d) not in seen:
+            seen.add(id(d))
+            found.append(d)
+            work.extend(references(d, methods, types, fields, qualified=qualified))
+    return found
 
 
 _NO_INIT = object()

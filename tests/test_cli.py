@@ -515,6 +515,42 @@ def test_generate_with_a_too_deep_definition_chain_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "nest too deeply to resolve" in err
 
 
+def test_a_generated_patch_with_a_150_step_definition_chain_applies(tmp_path, capsys):
+    # the inlined argument is about 450 nodes deep, so each tree level
+    # must cost the engine and the renderer one stack frame, not several
+    text = (CORPUS / "cases" / "vibrate" / "example.java").read_text()
+    steps = ["int a0 = AMPLITUDE;"] + ["a0 = a0 * 2 + 1;"] * 150 + ["int amplitude = a0;"]
+    example = tmp_path / "example.java"
+    example.write_text(text.replace("int amplitude = AMPLITUDE;", "\n        ".join(steps)))
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(example), "--output", str(patch)]) == 0
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--patch", str(patch),
+                     "--input", str(CORPUS / "cases" / "vibrate" / "targets" / "basic.java"),
+                     "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    amplitude = "175 * 2 + 1"
+    for _ in range(149):
+        amplitude = "(%s) * 2 + 1" % amplitude
+    assert "createOneShot(50, %s)" % amplitude in out.read_text()
+
+
+def test_apply_with_a_too_deep_then_line_exits_3(tmp_path, patch_file, capsys):
+    chain = " + ".join(["50"] * 1200)
+    patch_file.write_text(patch_file.read_text().replace("createOneShot(50, 175)",
+                                                         "createOneShot(%s, 175)" % chain))
+    target = tmp_path / "target.java"
+    target.write_text(TARGET)
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                   "--patch", str(patch_file), "--output", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "api-evolve: cannot update %s: nesting too deep\n" % target)
+    assert not out.exists()
+
+
 def _target_mutant(rng, text):
     """A seeded edit of a target: one token deleted, one line duplicated,
     or the text truncated."""
@@ -550,3 +586,17 @@ def test_apply_fuzz_exits_with_a_documented_code(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
     # both updated and failing mutants, or the fuzz shows nothing
     assert codes.count(0) > 30 and codes.count(2) > 30
+
+
+def test_apply_rejects_a_needs_member_nothing_uses(tmp_path, capsys):
+    # a metavariable line strayed below @needs@ parses as a field
+    dep, upd, patch = _case_patch(tmp_path, "set_sound")
+    text = patch.read_text() + "identifier classIden;\n"
+    patch.write_text(text)
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", dep, upd, "--patch", str(patch), "--output", str(out),
+                   "--input", str(CORPUS / "cases" / "set_sound" / "targets" / "basic.java")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line %d: @needs@ member classIden is never used" % text.count("\n") in err
+    assert not out.exists()

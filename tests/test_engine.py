@@ -71,6 +71,16 @@ def test_substitution_applies_renames():
     assert jast.render_stmt(out) == "x = makeAttrs_androevolve(5);"
 
 
+def test_substitute_and_render_cost_one_frame_a_level():
+    # 700 levels fit under the default recursion limit only at one Python
+    # frame a level; a generated patch's inlined chain can be this deep
+    e = jast.Name("iden0")
+    for _ in range(700):
+        e = jast.Binary("-", e, jast.Literal("int", "1"))
+    out = engine.substitute_expr(e, engine.MetaBinding({"iden0": jast.Name("t")}))
+    assert jast.render_expr(out) == "t" + " - 1" * 700
+
+
 # -- guard detection ----------------------------------------------------------
 
 def guarded_site(text, mapping):
@@ -415,6 +425,9 @@ def test_update_inlines_patch_temporary_after_non_name_argument():
     ("iden0.hashCode()", "(long) t", "((long) t).hashCode()"),
     ("iden0 + 2", "t * 3", "t * 3 + 2"),
     ("-iden0", "-t", "-(-t)"),
+    # a multi-line argument is rendered anew, not from its source bytes
+    ("VibrationEffect.createOneShot(-iden0, 175)", "-\n        -t",
+     "VibrationEffect.createOneShot(-(-(-t)), 175)"),
 ])
 def test_bound_argument_keeps_its_grouping(vibrate_mapping, then, arg, want):
     patch = patchgen.parse_patch(

@@ -457,3 +457,86 @@ def test_iter_exprs_order_matches_a_recursive_walk():
 
     e = jast.parse_expr_text("a.f(b + -c * k, new T((int) d, (e = g)), h.i).m()")
     assert [id(x) for x in jast.iter_exprs(e)] == [id(x) for x in walk(e)]
+
+
+# -- render_expr round trip ------------------------------------------------------
+
+def _strip_parens(e):
+    return _strip_parens(e.inner) if isinstance(e, jast.Paren) else jast.rebuild(
+        e, [_strip_parens(c) for c in jast.child_exprs(e)])
+
+
+def _leaf(rng):
+    return rng.choice([jast.Name(rng.choice("abcdt")), jast.Literal("int", str(rng.randrange(9))),
+                       jast.Literal("string", '"s"'), jast.Literal("bool", "true")])
+
+
+def _receiver(rng, depth):
+    """Any expression but a number, whose `5.` would lex as a float."""
+    e = _tree(rng, depth)
+    return e if not (isinstance(e, jast.Literal) and e.kind == "int") else jast.Name("r")
+
+
+def _tree(rng, depth):
+    """A synthesized expression without Paren nodes."""
+    if depth == 0:
+        return _leaf(rng)
+    sub = lambda: _tree(rng, depth - 1)  # noqa: E731
+    kind = rng.randrange(9)
+    if kind == 0:
+        return jast.Binary(rng.choice(list(jast.BINARY_LEVEL)), sub(), sub())
+    if kind == 1:
+        return jast.Unary(rng.choice("!-+~"), sub())
+    if kind == 2:  # the parser reads `(int) -x` as a subtraction
+        operand = sub()
+        while isinstance(operand, jast.Unary):
+            operand = sub()
+        return jast.Cast(rng.choice(["int", "long", "String"]), operand)
+    if kind == 3:
+        lhs = rng.choice([jast.Name("x"), jast.FieldAccess(_receiver(rng, depth - 1), "f")])
+        return jast.Assign(lhs, sub())
+    if kind == 4:
+        return jast.FieldAccess(_receiver(rng, depth - 1), "g")
+    if kind == 5:
+        receiver = rng.choice([None, _receiver(rng, depth - 1)])
+        return jast.MethodCall(receiver, "m", [sub() for _ in range(rng.randrange(3))])
+    if kind == 6:
+        return jast.ObjectCreation("T", [sub() for _ in range(rng.randrange(3))])
+    return _leaf(rng)
+
+
+def _round_trips(tree):
+    text = jast.render_expr(tree)
+    assert jast.ast_equal(_strip_parens(jast.parse_expr_text(text)), tree), text
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_render_keeps_every_binary_operator_pairing(side):
+    a, b, c = jast.Name("a"), jast.Name("b"), jast.Name("c")
+    for outer in jast.BINARY_LEVEL:
+        for inner in jast.BINARY_LEVEL:
+            nested = jast.Binary(inner, a, b)
+            _round_trips(jast.Binary(outer, nested, c) if side == "lhs"
+                         else jast.Binary(outer, c, nested))
+
+
+def test_render_keeps_operands_and_receivers_apart():
+    x, y = jast.Name("x"), jast.Name("y")
+    loose = [jast.Binary("+", x, y), jast.Unary("-", x), jast.Cast("int", x),
+             jast.Assign(jast.Name("z"), x)]
+    for op in "!-+~":
+        for inner in "!-+~":
+            _round_trips(jast.Unary(op, jast.Unary(inner, x)))
+    for e in loose:
+        _round_trips(jast.MethodCall(e, "m", []))
+        _round_trips(jast.FieldAccess(e, "f"))
+    assign = loose[3]
+    for tree in (jast.Binary("*", assign, y), jast.Binary("*", y, assign),
+                 jast.Unary("-", assign), jast.Cast("int", assign)):
+        _round_trips(tree)
+
+
+def test_render_round_trips_random_synthesized_trees():
+    rng = random.Random(20201214)
+    for _ in range(600):
+        _round_trips(_tree(rng, rng.randrange(1, 5)))

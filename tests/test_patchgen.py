@@ -186,6 +186,34 @@ def test_parse_patch_reports_line_number():
         pytest.fail("expected MalformedPatch")
 
 
+def test_parse_patch_keeps_needs_the_guard_or_a_used_helper_reaches():
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= MIN_API) {\n"
+        "+ classIden.vibrate(effect(iden0));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+        "static final int MIN_API = 26;\n"
+        "static VibrationEffect effect(long d) { return make(d); }\n"
+        "static VibrationEffect make(long d) { return VibrationEffect.createOneShot(d, 1); }\n")
+    assert [d.name for d in patch.needs] == ["MIN_API", "effect", "make"]
+
+
+@pytest.mark.parametrize("use, names", [
+    ("this.OFFSET", ["OFFSET"]),
+    ("Main.OFFSET", ["OFFSET"]),
+    ("this.effect(iden0)", ["effect", "OFFSET"]),
+], ids=["this_field", "class_field", "this_method"])
+def test_parse_patch_keeps_needs_a_then_line_names_through_a_receiver(use, names):
+    helper = "static int effect(long d) { return OFFSET; }\n" if "effect" in names else ""
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(VibrationEffect.createOneShot(iden0, %s));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+        "%sstatic final int OFFSET = 1;\n" % (use, helper))
+    assert [d.name for d in patch.needs] == names
+
+
 @pytest.mark.parametrize("lineno, replacement, message", [
     (7, "+ classIden.vibrate(newParameterVariable0;", "not one expression"),
     (9, "x = iden0;", "no method call"),
