@@ -124,9 +124,6 @@ def run_apply(args, mapping) -> int:
     except patchgen.MultipleUse as exc:
         sys.stderr.write("api-evolve: cannot update %s: %s\n" % (args.input, exc))
         return EXIT_BAD_INPUT
-    except RecursionError:
-        sys.stderr.write("api-evolve: cannot update %s: nesting too deep\n" % args.input)
-        return EXIT_BAD_INPUT
 
     report.file_path = args.input
     _atomic_write(args.output, out_text)

@@ -57,22 +57,17 @@ def match_statement(pattern: jast.Stmt, stmt: jast.Stmt,
     metavariables bind any expression; repeated metavariables must bind
     structurally equal fragments.
     """
+    stmt, pattern = _unwrap_stmt(stmt), _unwrap_stmt(pattern)
+    if type(pattern) is not type(stmt) or type(pattern) not in _PATTERN_STMTS or (
+            isinstance(pattern, jast.LocalVarDecl)
+            and (pattern.type_name, pattern.name) != (stmt.type_name, stmt.name)):
+        return None
+    p, a = jast.stmt_exprs(pattern), jast.stmt_exprs(stmt)
     binding = MetaBinding()
-    if _match_stmt(pattern, stmt, set(expr_metavars), set(ident_metavars), binding):
+    if len(p) == len(a) and (not p or _match_expr(p[0], a[0], set(expr_metavars),
+                                                  set(ident_metavars), binding)):
         return binding
     return None
-
-
-def _match_stmt(pattern, stmt, expr_mv, ident_mv, binding) -> bool:
-    stmt = _unwrap_stmt(stmt)
-    pattern = _unwrap_stmt(pattern)
-    if type(pattern) is not type(stmt) or type(pattern) not in _PATTERN_STMTS:
-        return False
-    if isinstance(pattern, jast.LocalVarDecl) and (
-            pattern.type_name, pattern.name) != (stmt.type_name, stmt.name):
-        return False
-    p, a = jast.stmt_exprs(pattern), jast.stmt_exprs(stmt)
-    return len(p) == len(a) and (not p or _match_expr(p[0], a[0], expr_mv, ident_mv, binding))
 
 
 def _unwrap_stmt(s):
@@ -88,33 +83,38 @@ def _unwrap_expr(e):
 
 
 def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
-    pattern = _unwrap_expr(pattern)
-    actual = _unwrap_expr(actual)
-    if isinstance(pattern, jast.Name):
-        name = pattern.identifier
-        if name in ident_mv or name in expr_mv:
-            if name in ident_mv and not isinstance(actual, jast.Name):
-                return False
-            bound = binding.assignments.get(name)
-            if bound is not None:
-                return jast.ast_equal(bound, actual)
-            binding.assignments[name] = actual
-            return True
-    kind = type(pattern)
-    if kind is not type(actual):
-        return False
-    for n in jast.LABELS[kind]:
-        if getattr(pattern, n) != getattr(actual, n):
+    """Unify pairs from an explicit stack, in pre-order, so a repeated
+    metavariable binds at its first use and is compared at the later ones."""
+    stack = [(pattern, actual)]
+    while stack:
+        pattern, actual = stack.pop()
+        pattern = _unwrap_expr(pattern)
+        actual = _unwrap_expr(actual)
+        if isinstance(pattern, jast.Name):
+            name = pattern.identifier
+            if name in ident_mv or name in expr_mv:
+                if name in ident_mv and not isinstance(actual, jast.Name):
+                    return False
+                bound = binding.assignments.setdefault(name, actual)
+                if bound is not actual and not jast.ast_equal(bound, actual):
+                    return False
+                continue
+        kind = type(pattern)
+        if kind is not type(actual):
             return False
-    for n in jast.CHILDREN[kind]:
-        p, a = getattr(pattern, n), getattr(actual, n)
-        if type(p) is list:
-            if len(p) != len(a) or not all(_match_expr(x, y, expr_mv, ident_mv, binding)
-                                           for x, y in zip(p, a)):
+        for n in jast.LABELS[kind]:
+            if getattr(pattern, n) != getattr(actual, n):
                 return False
-        elif (p is None) != (a is None) or (
-                p is not None and not _match_expr(p, a, expr_mv, ident_mv, binding)):
-            return False
+        pairs = []
+        for n in jast.CHILDREN[kind]:
+            p, a = getattr(pattern, n), getattr(actual, n)
+            if type(p) is list and len(p) == len(a):
+                pairs.extend(zip(p, a))
+            elif type(p) is list or (p is None) != (a is None):
+                return False
+            elif p is not None:
+                pairs.append((p, a))
+        stack.extend(reversed(pairs))
     return True
 
 
@@ -124,24 +124,25 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
 
 def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
                     renames: Optional[dict] = None) -> jast.Expr:
-    """Instantiate a pattern expression: a synthesized copy with each
-    metavariable replaced by its bound expression and each renamed name,
-    method or created type under its new name. Parentheses are left to
-    jast.render_expr. The recursion is direct, one frame a level."""
+    """Instantiate a pattern expression: a synthesized copy, by one
+    jast.fold, with each metavariable replaced by its bound expression and
+    each renamed name, method or created type under its new name.
+    Parentheses are left to jast.render_expr."""
     renames = renames or {}
-    if isinstance(pattern, jast.Name):
-        if pattern.identifier in binding.assignments:
-            return binding.assignments[pattern.identifier]
-        return jast.Name(renames.get(pattern.identifier, pattern.identifier))
-    kids = []
-    for c in jast.child_exprs(pattern):
-        kids.append(substitute_expr(c, binding, renames))
-    out = jast.rebuild(pattern, kids)
-    if isinstance(out, jast.MethodCall):
-        out.name = renames.get(out.name, out.name)
-    elif isinstance(out, jast.ObjectCreation):
-        out.type_name = renames.get(out.type_name, out.type_name)
-    return out
+
+    def instantiate(p, kids):
+        if isinstance(p, jast.Name):
+            if p.identifier in binding.assignments:
+                return binding.assignments[p.identifier]
+            return jast.Name(renames.get(p.identifier, p.identifier))
+        out = jast.rebuild(p, kids)
+        if isinstance(out, jast.MethodCall):
+            out.name = renames.get(out.name, out.name)
+        elif isinstance(out, jast.ObjectCreation):
+            out.type_name = renames.get(out.type_name, out.type_name)
+        return out
+
+    return jast.fold(pattern, instantiate)
 
 
 def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,

@@ -8,13 +8,12 @@ Corpus layout:
     cases/<name>/expected/*.java golden outputs (same basenames)
 
 Each case generates its patch once, applies it to every target, and
-compares against the golden file with whitespace-normalized equality.
+compares the output with the golden file byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,12 +71,6 @@ class CorpusSummary:
         return "\n".join(lines)
 
 
-def normalize_ws(text: str) -> str:
-    """Collapse runs of blanks and drop trailing space, line by line."""
-    lines = [re.sub(r"[ \t]+", " ", ln).strip() for ln in text.splitlines()]
-    return "\n".join(ln for ln in lines if ln)
-
-
 def update_text(target_text: str, patch: patchgen.SemanticPatch,
                 mapping: sigmap.ApiMapping) -> str:
     """Full update pipeline over one target, returning the updated text."""
@@ -101,9 +94,10 @@ def run_case(case_dir: Path) -> CaseResult:
         try:
             if not expected_path.exists():
                 raise FileNotFoundError("missing expected file %s" % expected_path)
-            actual = update_text(target.read_text(encoding="utf-8"), patch, mapping)
-            expected = expected_path.read_text(encoding="utf-8")
-            if normalize_ws(actual) == normalize_ws(expected):
+            # bytes, decoded: reading as text would translate line endings
+            actual = update_text(target.read_bytes().decode("utf-8"), patch, mapping)
+            expected = expected_path.read_bytes().decode("utf-8")
+            if actual == expected:
                 result.passed += 1
             else:
                 result.failed += 1

@@ -15,8 +15,8 @@ from typing import Iterator, Optional, Union
 
 
 class ParseError(Exception):
-    """The text cannot be parsed: an unterminated literal, broken or too
-    deep nesting, or not exactly one expression or statement."""
+    """The text cannot be parsed: an unterminated literal, broken nesting,
+    or not exactly one expression or statement."""
 
 
 class UnbalancedSource(ParseError):
@@ -390,6 +390,7 @@ def check_balanced(text: str) -> dict:
 # binary operators by binding strength, loosest first
 BINARY_LEVEL = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
                 "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_PREFIX = ("!", "-", "+", "~")
 
 
 class _Backtrack(Exception):
@@ -397,6 +398,9 @@ class _Backtrack(Exception):
 
 
 class _Parser:
+    """Recursive descent, but for what can nest: expressions, statements and
+    class bodies are each one loop over a stack of what is still open."""
+
     def __init__(self, text: str, toks: Optional[list] = None):
         self.text = text
         self.toks = tokenize(text) if toks is None else toks
@@ -424,12 +428,9 @@ class _Parser:
             raise _Backtrack("expected %r, got %r" % (value, self.peek().value))
         return self.eat()
 
-    def src(self, start: int, end: int) -> str:
-        return self.text[start:end]
-
-    def _finish(self, node, start_tok: Token, end_off: int):
-        node.span = Span(start_tok.start, end_off)
-        node.src = self.src(start_tok.start, end_off)
+    def _finish(self, node, start: int, end: int):
+        node.span = Span(start, end)
+        node.src = self.text[start:end]
         return node
 
     # -- unit ---------------------------------------------------------------
@@ -451,38 +452,46 @@ class _Parser:
                 imports.append(name)
             header_end = self.toks[self.i - 1].end
 
-        types = []
-        loose_fields, loose_methods, loose_stmts = [], [], []
-        while self.peek().kind != "eof":
-            mark = self.i
-            decl = self._try(self._parse_type_decl)
-            if decl is not None:
-                types.append(decl)
+        # One member loop for the file and every class in it, with a frame
+        # (decl, offset of its first token) per open class. The file's frame
+        # gathers its classes, fields and methods; the rest is statements.
+        # The text is balanced and a class header stops at `}`, so a class
+        # body always ends at its own `}`.
+        top = TypeDecl(name="", implicit=True)
+        frames = [(top, 0)]
+        loose_stmts = []
+        while True:
+            decl, start = frames[-1]
+            t = self.peek()
+            if len(frames) > 1 and t.value in ("}", ""):
+                if t.kind == "eof":
+                    raise _Backtrack("unterminated class body")
+                frames.pop()
+                decl.body_span.end = self.eat().start
+                frames[-1][0].nested.append(self._finish(decl, start, t.end))
                 continue
-            self.i = mark
-            member = self._try(self._parse_field_or_method)
-            if member is not None:
-                (loose_fields if isinstance(member, FieldDecl) else loose_methods).append(member)
-                continue
-            self.i = mark
-            stmt = self.parse_stmt()
-            loose_stmts.append(stmt)
+            if t.kind == "eof":
+                break
+            member = self._try(self._type_header) or self._try(self._parse_field_or_method)
+            if isinstance(member, TypeDecl):
+                frames.append((member, t.start))
+            elif member is not None:
+                (decl.fields if isinstance(member, FieldDecl) else decl.methods).append(member)
+            elif len(frames) == 1:
+                loose_stmts.append(self.parse_stmt())
+            else:
+                self._consume_opaque_region()  # unsupported member, kept via text
 
+        types, fields, methods = top.nested, top.fields, top.methods
         if loose_stmts:
-            first = loose_stmts[0].span.start
-            last = loose_stmts[-1].span.end
-            loose_methods.append(MethodDecl(
-                modifiers=set(), return_type="", name="", params=[],
-                body=loose_stmts, span=Span(first, last),
-                src=self.src(first, last), body_span=Span(first, last),
-                implicit=True))
-        if loose_fields or loose_methods:
-            start = min(m.span.start for m in loose_fields + loose_methods)
-            end = max(m.span.end for m in loose_fields + loose_methods)
-            types.append(TypeDecl(
-                name="", fields=loose_fields, methods=loose_methods,
-                span=Span(start, end), src=self.src(start, end),
-                body_span=Span(start, end), implicit=True))
+            start, end = loose_stmts[0].span.start, loose_stmts[-1].span.end
+            methods.append(self._finish(MethodDecl(set(), "", "", [], loose_stmts, implicit=True,
+                                                   body_span=Span(start, end)), start, end))
+        if fields or methods:
+            start = min(m.span.start for m in fields + methods)
+            end = max(m.span.end for m in fields + methods)
+            types.append(self._finish(TypeDecl("", fields, methods, implicit=True,
+                                               body_span=Span(start, end)), start, end))
 
         newline = "\r\n" if "\r\n" in self.text else "\n"
         return CompilationUnit(package, imports, types, text=self.text,
@@ -552,76 +561,50 @@ class _Parser:
             mods.add(self.eat().value)
         return mods
 
-    def _parse_type_decl(self) -> TypeDecl:
-        start_tok = self.peek()
+    def _type_header(self) -> TypeDecl:
+        """A class's modifiers, name and header through its `{`, as a
+        TypeDecl whose members parse_unit's loop reads."""
         mods = self._parse_modifiers()
-        if self.peek().value != "class":
+        if self.eat().value != "class":
             raise _Backtrack("not a class")
-        self.eat()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
+        if self.peek().kind != "ident":
             raise _Backtrack("class name expected")
         name = self.eat().value
         # tolerate extends/implements clauses verbatim
         nest = []
-        while not self.at("{") and self.peek().kind != "eof":
+        while self.peek().value not in ("{", "}", ""):
             self._eat_nested(nest)
         if nest:
             raise _Backtrack("unbalanced class header")
-        open_tok = self.expect("{")
-        fields, methods, nested = [], [], []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                raise _Backtrack("unterminated class body")
-            mark = self.i
-            inner = self._try(self._parse_type_decl)
-            if inner is not None:
-                nested.append(inner)
-                continue
-            self.i = mark
-            member = self._try(self._parse_field_or_method)
-            if member is not None:
-                (fields if isinstance(member, FieldDecl) else methods).append(member)
-                continue
-            self.i = mark
-            self._consume_opaque_region()  # unsupported member, kept via text
-        close_tok = self.expect("}")
-        decl = TypeDecl(name=name, fields=fields, methods=methods, nested=nested,
-                        modifiers=mods,
-                        body_span=Span(open_tok.end, close_tok.start))
-        return self._finish(decl, start_tok, close_tok.end)
+        body = Span(self.expect("{").end, 0)  # its end is set at the `}`
+        return TypeDecl(name=name, modifiers=mods, body_span=body)
 
     def _parse_field_or_method(self):
-        start_tok = self.peek()
+        start = self.peek().start
         mods = self._parse_modifiers()
         type_name = self._parse_type_text()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
+        if self.peek().kind != "ident":
             raise _Backtrack("member name expected")
         name = self.eat().value
         if self.at("("):
-            return self._parse_method_rest(start_tok, mods, type_name, name)
+            return self._parse_method_rest(start, mods, type_name, name)
+        init = None
         if self.at("="):
             self.eat()
             init = self.parse_expr()
-            end = self.expect(";")
-            return self._finish(FieldDecl(mods, type_name, name, init), start_tok, end.end)
-        if self.at(";"):
-            end = self.eat()
-            return self._finish(FieldDecl(mods, type_name, name, None), start_tok, end.end)
-        raise _Backtrack("not a field")
+        if not self.at(";"):
+            raise _Backtrack("not a field")
+        return self._finish(FieldDecl(mods, type_name, name, init), start, self.eat().end)
 
-    def _parse_method_rest(self, start_tok, mods, return_type, name) -> MethodDecl:
+    def _parse_method_rest(self, start, mods, return_type, name) -> MethodDecl:
         self.expect("(")
         params = []
         if not self.at(")"):
             while True:
                 ptype = self._parse_type_text()
-                ptok = self.peek()
-                if ptok.kind != "ident":
+                if self.peek().kind != "ident":
                     raise _Backtrack("param name expected")
-                pname = self.eat().value
-                params.append((ptype, pname))
+                params.append((ptype, self.eat().value))
                 if self.at(","):
                     self.eat()
                     continue
@@ -634,19 +617,13 @@ class _Parser:
                 self.eat()
                 self._qualified_name()
         if self.at(";"):  # abstract / interface-style
-            end = self.eat()
-            m = MethodDecl(mods, return_type, name, params, body=[])
-            return self._finish(m, start_tok, end.end)
-        open_tok = self.expect("{")
-        body = []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                raise _Backtrack("unterminated method body")
-            body.append(self.parse_stmt())
-        close_tok = self.eat()
-        m = MethodDecl(mods, return_type, name, params, body=body,
-                       body_span=Span(open_tok.end, close_tok.start))
-        return self._finish(m, start_tok, close_tok.end)
+            return self._finish(MethodDecl(mods, return_type, name, params), start, self.eat().end)
+        if not self.at("{"):
+            raise _Backtrack("method body expected")
+        block = self.parse_stmt()
+        m = MethodDecl(mods, return_type, name, params, body=block.stmts,
+                       body_span=Span(block.span.start + 1, block.span.end - 1))
+        return self._finish(m, start, block.span.end)
 
     def _parse_type_text(self) -> str:
         start = self.peek().start
@@ -673,86 +650,96 @@ class _Parser:
         while self.at("[") and self.peek(1).value == "]":
             self.eat()
             self.eat()
-        return self.src(start, self.toks[self.i - 1].end)
+        return self.text[start:self.toks[self.i - 1].end]
 
     # -- statements ----------------------------------------------------------
 
     def parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if t.value == "{":
-            return self._parse_block()
-        if t.value == "if":
-            stmt = self._try(self._parse_if)
-            if stmt is not None:
-                return stmt
-            return self._consume_opaque_region()
-        if t.value == "return":
-            stmt = self._try(self._parse_return)
-            if stmt is not None:
-                return stmt
-            return self._consume_opaque_region()
-        stmt = self._try(self._parse_local_var_decl)
-        if stmt is not None:
-            return stmt
-        stmt = self._try(self._parse_expr_stmt)
-        if stmt is not None:
-            return stmt
-        return self._consume_opaque_region()
+        """One statement, from a stack of the blocks and ifs still open
+        around it: ["{", start offset, stmts], or ["if", index of the `if`,
+        cond, then branch once read]. A statement that does not parse is
+        an OpaqueStmt, and so is an if that does not, from its `if` on."""
+        frames = []
+        opaque = False  # an if failed: read it again, as an opaque region
+        while True:
+            try:
+                t = self.peek()
+                if opaque:
+                    opaque = False
+                    s = self._consume_opaque_region()
+                elif frames and frames[-1][0] == "{" and t.value in ("}", ""):
+                    if t.kind == "eof":
+                        raise _Backtrack("unterminated block")
+                    _brace, start, stmts = frames.pop()
+                    s = self._finish(Block(stmts), start, self.eat().end)
+                elif t.value == "{":
+                    frames.append(["{", self.eat().start, []])
+                    continue
+                elif t.value == "if":
+                    start = self.i
+                    cond = self._try(self._if_header)
+                    if cond is not None:
+                        frames.append(["if", start, cond, None])
+                        continue
+                    s = self._consume_opaque_region()
+                else:
+                    s = (self._try(self._parse_return) if t.value == "return" else
+                         self._try(self._parse_local_var_decl) or self._try(self._parse_expr_stmt)
+                         ) or self._consume_opaque_region()
+            except _Backtrack:
+                # the innermost open if, from its `if` on, is opaque
+                while frames and frames[-1][0] != "if":
+                    frames.pop()
+                if not frames:
+                    raise
+                self.i = frames.pop()[1]
+                opaque = True
+                continue
+            while frames and frames[-1][0] == "if":  # s ends a branch
+                top = frames[-1]
+                if top[3] is None and self.at("else"):
+                    top[3] = s
+                    self.eat()
+                    break
+                frames.pop()
+                then, other = (s, None) if top[3] is None else (top[3], s)
+                s = self._finish(If(top[2], then, other), self.toks[top[1]].start, s.span.end)
+            else:
+                if not frames:
+                    return s
+                frames[-1][2].append(s)
 
-    def _parse_block(self) -> Block:
-        start_tok = self.expect("{")
-        stmts = []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                raise _Backtrack("unterminated block")
-            stmts.append(self.parse_stmt())
-        close = self.eat()
-        return self._finish(Block(stmts), start_tok, close.end)
-
-    def _parse_if(self) -> If:
-        start_tok = self.expect("if")
+    def _if_header(self) -> Expr:
+        self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        then_block = self.parse_stmt()
-        else_block = None
-        end = then_block.span.end
-        if self.peek().value == "else":
-            self.eat()
-            else_block = self.parse_stmt()
-            end = else_block.span.end
-        return self._finish(If(cond, then_block, else_block), start_tok, end)
+        return cond
 
     def _parse_return(self) -> Return:
-        start_tok = self.expect("return")
-        value = None
-        if not self.at(";"):
-            value = self.parse_expr()
-        end = self.expect(";")
-        return self._finish(Return(value), start_tok, end.end)
+        start = self.expect("return").start
+        value = None if self.at(";") else self.parse_expr()
+        return self._finish(Return(value), start, self.expect(";").end)
 
     def _parse_local_var_decl(self) -> LocalVarDecl:
-        start_tok = self.peek()
+        start = self.peek().start
         mods = set()
         while self.peek().value == "final":
             mods.add(self.eat().value)
         type_name = self._parse_type_text()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
+        if self.peek().kind != "ident":
             raise _Backtrack("variable name expected")
         name = self.eat().value
         init = None
         if self.at("="):
             self.eat()
             init = self.parse_expr()
-        end = self.expect(";")
-        return self._finish(LocalVarDecl(type_name, name, init, mods), start_tok, end.end)
+        return self._finish(LocalVarDecl(type_name, name, init, mods), start, self.expect(";").end)
 
     def _parse_expr_stmt(self) -> ExprStmt:
-        start_tok = self.peek()
+        start = self.peek().start
         expr = self.parse_expr()
-        end = self.expect(";")
-        return self._finish(ExprStmt(expr), start_tok, end.end)
+        return self._finish(ExprStmt(expr), start, self.expect(";").end)
 
     def _consume_opaque_region(self) -> OpaqueStmt:
         """Consume a balanced statement-shaped region: up to ';' at depth 0,
@@ -781,131 +768,116 @@ class _Parser:
                 break
         self.i = i
         end = toks[i - 1].end
-        node = OpaqueStmt(self.src(start_tok.start, end))
-        return self._finish(node, start_tok, end)
+        return self._finish(OpaqueStmt(self.text[start_tok.start:end]), start_tok.start, end)
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_assign()
-
-    def _parse_assign(self) -> Expr:
-        start_tok = self.peek()
-        lhs = self._parse_binary(0)
-        if self.at("="):
-            if not isinstance(lhs, (Name, FieldAccess)):
-                raise _Backtrack("invalid assignment target")
-            self.eat()
-            rhs = self._parse_assign()
-            return self._finish(Assign(lhs, rhs), start_tok, rhs.span.end)
-        return lhs
-
-    def _parse_binary(self, min_level: int) -> Expr:
-        """Left-associative binary operators of level min_level or tighter,
-        by precedence climbing."""
-        start_tok = self.peek()
-        lhs = self._parse_unary()
+        """One expression, from a stack of the constructs still open around
+        the operand being read: ("pre", tok) and ("cast", tok, type) wait
+        for their operand, ("bin", op, lhs, level) and ("=", lhs) for their
+        right side, and ("(", tok) and ("args", start, kind, labels, args)
+        for their `)`. Binary operators associate to the left by
+        BINARY_LEVEL; `=` binds loosest and associates to the right."""
+        stack = []
+        e = None  # the operand just read, before any operator after it
         while True:
+            if e is None:  # read prefixes and openings up to a primary
+                t = self.eat()
+                if t.kind == "punct" and t.value in _PREFIX:
+                    stack.append(("pre", t))
+                elif t.value == "(":
+                    type_name = self._try(self._cast_type)
+                    stack.append(("(", t) if type_name is None else ("cast", t, type_name))
+                else:
+                    e = self._primary(t, stack)
+                continue
+            if self.at("."):  # member access or call
+                self.i += 1
+                name_tok = self.eat()
+                if name_tok.kind != "ident":
+                    raise _Backtrack("member name expected")
+                if self.at("("):
+                    e = self._open_args(stack, e.span.start, MethodCall, e, name_tok.value)
+                else:
+                    e = self._finish(FieldAccess(e, name_tok.value), e.span.start, name_tok.end)
+                continue
+            while stack and stack[-1][0] in ("pre", "cast"):
+                f = stack.pop()
+                node = Unary(f[1].value, e) if f[0] == "pre" else Cast(f[2], e)
+                e = self._finish(node, f[1].start, e.span.end)
             t = self.toks[self.i]
             level = BINARY_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
-            if level < min_level:
-                return lhs
-            self.i += 1
-            rhs = self._parse_binary(level + 1)
-            lhs = self._finish(Binary(t.value, lhs, rhs), start_tok, rhs.span.end)
+            while stack and stack[-1][0] == "bin" and stack[-1][3] >= level:
+                _bin, op, lhs, _level = stack.pop()
+                e = self._finish(Binary(op, lhs, e), lhs.span.start, e.span.end)
+            if level >= 0 or t.value == "=":
+                if level < 0 and not isinstance(e, (Name, FieldAccess)):
+                    raise _Backtrack("invalid assignment target")
+                stack.append(("bin", t.value, e, level) if level >= 0 else ("=", e))
+                self.i += 1
+                e = None
+                continue
+            while stack and stack[-1][0] == "=":
+                lhs = stack.pop()[1]
+                e = self._finish(Assign(lhs, e), lhs.span.start, e.span.end)
+            if not stack:
+                return e
+            f = stack[-1]
+            if f[0] == "(":
+                stack.pop()
+                e = self._finish(Paren(e), f[1].start, self.expect(")").end)
+                continue
+            f[4].append(e)  # an argument
+            e = None
+            if self.at(","):
+                self.i += 1
+            else:
+                stack.pop()
+                e = self._finish(f[2](*f[3], f[4]), f[1], self.expect(")").end)
 
-    def _parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "punct" and t.value in ("!", "-", "+", "~"):
-            self.eat()
-            operand = self._parse_unary()
-            return self._finish(Unary(t.value, operand), t, operand.span.end)
-        if t.value == "(":
-            cast = self._try(self._parse_cast)
-            if cast is not None:
-                return cast
-        return self._parse_postfix()
-
-    def _parse_cast(self) -> Cast:
-        start_tok = self.expect("(")
+    def _cast_type(self) -> str:
+        """After a `(`: the type of a cast, `T)` and then a token that can
+        start its operand; raises _Backtrack where the `(` opens a group."""
         type_name = self._parse_type_text()
         self.expect(")")
         nxt = self.peek()
         if not (nxt.kind in ("ident", "num", "str", "char") or nxt.value == "("):
             raise _Backtrack("not a cast")
-        operand = self._parse_unary()
-        return self._finish(Cast(type_name, operand), start_tok, operand.span.end)
+        return type_name
 
-    def _parse_postfix(self) -> Expr:
-        start_tok = self.peek()
-        e = self._parse_primary()
-        while True:
-            if self.at("."):
-                self.eat()
-                name_tok = self.peek()
-                if name_tok.kind != "ident":
-                    raise _Backtrack("member name expected")
-                name = self.eat().value
-                if self.at("("):
-                    args, end = self._parse_args()
-                    e = self._finish(MethodCall(e, name, args), start_tok, end)
-                else:
-                    e = self._finish(FieldAccess(e, name), start_tok, name_tok.end)
-                continue
-            break
-        return e
+    def _open_args(self, stack: list, start: int, kind, *labels):
+        """At the `(` of a call or creation of kind: the node, if `)` comes
+        next; else None, with its ("args", ...) frame pushed on stack."""
+        self.i += 1
+        if self.at(")"):
+            return self._finish(kind(*labels, []), start, self.eat().end)
+        stack.append(("args", start, kind, labels, []))
+        return None
 
-    def _parse_args(self):
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.at(","):
-                    self.eat()
-                    continue
-                break
-        end = self.expect(")")
-        return args, end.end
-
-    def _parse_primary(self) -> Expr:
-        t = self.peek()
+    def _primary(self, t: Token, stack: list):
+        """The primary that t, just eaten, starts, or None where t opens a
+        call or creation with arguments (see _open_args)."""
+        value = t.value
         if t.kind == "num":
-            self.eat()
-            kind = "float" if ("." in t.value or t.value.rstrip("fFdD") != t.value
-                               and not t.value.lower().startswith("0x")) else "int"
-            return self._finish(Literal(kind, t.value), t, t.end)
-        if t.kind == "str":
-            self.eat()
-            return self._finish(Literal("string", t.value), t, t.end)
-        if t.kind == "char":
-            self.eat()
-            return self._finish(Literal("char", t.value), t, t.end)
-        if t.kind == "ident":
-            if t.value in ("true", "false"):
-                self.eat()
-                return self._finish(Literal("bool", t.value), t, t.end)
-            if t.value == "null":
-                self.eat()
-                return self._finish(Literal("null", t.value), t, t.end)
-            if t.value == "new":
-                self.eat()
-                type_name = self._parse_type_text()
-                if not self.at("("):
-                    raise _Backtrack("array creation not in subset")
-                args, end = self._parse_args()
-                return self._finish(ObjectCreation(type_name, args), t, end)
-            self.eat()
-            if self.at("("):
-                args, end = self._parse_args()
-                return self._finish(MethodCall(None, t.value, args), t, end)
-            return self._finish(Name(t.value), t, t.end)
-        if t.value == "(":
-            self.eat()
-            inner = self.parse_expr()
-            end = self.expect(")")
-            return self._finish(Paren(inner), t, end.end)
-        raise _Backtrack("unexpected token %r" % t.value)
+            kind = "float" if ("." in value or value.rstrip("fFdD") != value
+                               and not value.lower().startswith("0x")) else "int"
+        elif t.kind in ("str", "char"):
+            kind = "string" if t.kind == "str" else "char"
+        elif t.kind != "ident":
+            raise _Backtrack("unexpected token %r" % value)
+        elif value in ("true", "false", "null"):
+            kind = "null" if value == "null" else "bool"
+        elif value == "new":
+            type_name = self._parse_type_text()
+            if not self.at("("):
+                raise _Backtrack("array creation not in subset")
+            return self._open_args(stack, t.start, ObjectCreation, type_name)
+        elif self.at("("):
+            return self._open_args(stack, t.start, MethodCall, None, value)
+        else:
+            return self._finish(Name(value), t.start, t.end)
+        return self._finish(Literal(kind, value), t.start, t.end)
 
 
 # ---------------------------------------------------------------------------
@@ -915,12 +887,11 @@ class _Parser:
 def parse(text: str, keep: Optional[str] = None) -> CompilationUnit:
     """Parse source text into a CompilationUnit.
 
-    Never fails on balanced input of reasonable depth; unsupported
+    Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken (check_balanced runs first), and ParseError when it
-    is too deep to parse. With `keep`, a non-type brace block whose text
-    lacks it is not lexed (see tokenize) and parses empty, with the spans
-    and source of a full parse.
+    nesting is broken (check_balanced runs first). With `keep`, a non-type
+    brace block whose text lacks it is not lexed (see tokenize) and parses
+    empty, with the spans and source of a full parse.
     """
     if not keep:
         check_balanced(text)  # with keep, tokenize runs it for the brace pairs
@@ -938,14 +909,12 @@ def parse_stmt_text(text: str) -> Stmt:
 
 
 def _parse_with(p: _Parser, rule, what: str = ""):
-    """Run one parser rule over all of p's text, turning a failed rule,
-    trailing tokens or a too-deep nesting into ParseError."""
+    """Run one parser rule over all of p's text, turning a failed rule or
+    trailing tokens into ParseError."""
     try:
         node = rule(p)
     except _Backtrack as exc:
         raise ParseError(str(exc)) from None
-    except RecursionError:
-        raise ParseError("nesting too deep to parse") from None
     if p.peek().kind != "eof":
         raise ParseError("trailing tokens after %s" % what)
     return node
@@ -995,10 +964,10 @@ def child_exprs(e: Expr) -> list:
     return out
 
 
-def rebuild(e: Expr, kids: list) -> Expr:
+def rebuild(e: Expr, kids) -> Expr:
     """A synthesized copy of e: no span or source, the same label, and kids,
-    in child_exprs order, as its children (built by the caller's own loop,
-    so that a recursive rewrite costs one frame a level)."""
+    in child_exprs order, as its children; the step of a fold that copies
+    a tree."""
     kind = type(e)
     values = {name: getattr(e, name) for name in LABELS[kind]}
     kids = iter(kids)
@@ -1009,6 +978,28 @@ def rebuild(e: Expr, kids: list) -> Expr:
         else:
             values[name] = None if c is None else next(kids)
     return kind(**values)
+
+
+def fold(root, f, kids=child_exprs):
+    """f applied bottom-up to root and all below it: f(node, values), where
+    values are the folds of kids(node), left to right, from an explicit
+    stack, so any depth folds in linear time. kids may reach beyond the
+    tree: dataflow follows a name to its definition."""
+    stack = [(root, iter(kids(root)), [])]  # (node, kids not yet folded, folds so far)
+    while True:
+        node, rest, values = stack[-1]
+        for k in rest:
+            below = kids(k)
+            if below:
+                stack.append((k, iter(below), []))
+                break
+            values.append(f(k, ()))
+        else:
+            stack.pop()
+            value = f(node, values)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
 
 
 def iter_exprs(e: Expr) -> Iterator[Expr]:
@@ -1042,36 +1033,49 @@ def child_stmts(s: Stmt):
     return list(s.stmts) if isinstance(s, Block) else []
 
 
-def iter_statements(stmts, _chain=()) -> Iterator[tuple]:
+def iter_statements(stmts) -> Iterator[tuple]:
     """Yield (stmt, chain) for every statement, where chain is the tuple of
     enclosing statements from outermost to innermost (excluding stmt)."""
-    for s in stmts:
-        yield s, _chain
-        yield from iter_statements(child_stmts(s), _chain + (s,))
+    return _preorder(stmts, child_stmts)
 
 
 def iter_types(unit: CompilationUnit) -> Iterator[tuple]:
     """Yield (type_decl, outer_chain) over all types, nested included."""
-    def rec(t, chain):
-        yield t, chain
-        for n in t.nested:
-            yield from rec(n, chain + (t,))
-    for t in unit.types:
-        yield from rec(t, ())
+    return _preorder(unit.types, lambda t: t.nested)
+
+
+def _preorder(roots, kids) -> Iterator[tuple]:
+    """(node, chain of nodes above it) below roots through kids, in pre-order."""
+    stack = [(iter(roots), ())]  # (nodes not yet walked, chain above them)
+    while stack:
+        rest, chain = stack[-1]
+        for node in rest:
+            yield node, chain
+            below = kids(node)
+            if below:
+                stack.append((iter(below), chain + (node,)))
+                break
+        else:
+            stack.pop()
 
 
 def ast_equal(a, b) -> bool:
-    """Structural equality ignoring spans and source slices."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
-    if not hasattr(a, "__dataclass_fields__"):
-        return a == b
-    for name in a.__dataclass_fields__:
-        if name in ("span", "src", "body_span"):
-            continue
-        if not ast_equal(getattr(a, name), getattr(b, name)):
+    """Structural equality ignoring spans and source slices, compared pair
+    by pair in pre-order from an explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (list, tuple)):
+            if len(a) != len(b):
+                return False
+            stack.extend(reversed(list(zip(a, b))))
+        elif hasattr(a, "__dataclass_fields__"):
+            stack.extend(reversed([(getattr(a, n), getattr(b, n))
+                                   for n in a.__dataclass_fields__
+                                   if n not in ("span", "src", "body_span")]))
+        elif a != b:
             return False
     return True
 
@@ -1084,36 +1088,42 @@ def render_expr(e: Expr) -> str:
     """Render an expression. A node still backed by one line of source
     reuses its bytes; any other node gets canonical form, and it is the
     one place that decides parentheses: a child is put in them exactly
-    where, left bare, it would bind differently (see _grouped). A tree
-    costs one frame a level: each child is rendered here, not in a helper."""
+    where, left bare, it would bind differently (see _grouped), in one fold."""
     if e is None:
         return ""
     if e.src and "\n" not in e.src:
         return e.src
-    if isinstance(e, Literal):
+    return fold(e, _render_node, lambda e: () if e.src and "\n" not in e.src else child_exprs(e))
+
+
+def _render_node(e: Expr, kids) -> str:
+    """e's text, given its children's texts, in child_exprs order."""
+    if e.src and "\n" not in e.src:
+        return e.src
+    kind = type(e)
+    if kind is Literal:
         return e.lexeme
-    if isinstance(e, Name):
+    if kind is Name:
         return e.identifier
-    if isinstance(e, FieldAccess):
-        return "%s.%s" % (_grouped(e, e.receiver, render_expr(e.receiver)), e.identifier)
-    if isinstance(e, MethodCall):
-        args = ", ".join(render_expr(a) for a in e.args)
-        if e.receiver is not None:
-            return "%s.%s(%s)" % (_grouped(e, e.receiver, render_expr(e.receiver)), e.name, args)
-        return "%s(%s)" % (e.name, args)
-    if isinstance(e, ObjectCreation):
-        return "new %s(%s)" % (e.type_name, ", ".join(render_expr(a) for a in e.args))
-    if isinstance(e, Binary):
-        return "%s %s %s" % (_grouped(e, e.lhs, render_expr(e.lhs)), e.op,
-                             _grouped(e, e.rhs, render_expr(e.rhs), right=True))
-    if isinstance(e, Unary):
-        return "%s%s" % (e.op, _grouped(e, e.operand, render_expr(e.operand)))
-    if isinstance(e, Assign):
-        return "%s = %s" % (render_expr(e.lhs), render_expr(e.rhs))
-    if isinstance(e, Cast):
-        return "(%s) %s" % (e.type_name, _grouped(e, e.operand, render_expr(e.operand)))
-    if isinstance(e, Paren):
-        return "(%s)" % render_expr(e.inner)
+    if kind is FieldAccess:
+        return "%s.%s" % (_grouped(e, e.receiver, kids[0]), e.identifier)
+    if kind is MethodCall:
+        if e.receiver is None:
+            return "%s(%s)" % (e.name, ", ".join(kids))
+        return "%s.%s(%s)" % (_grouped(e, e.receiver, kids[0]), e.name, ", ".join(kids[1:]))
+    if kind is ObjectCreation:
+        return "new %s(%s)" % (e.type_name, ", ".join(kids))
+    if kind is Binary:
+        return "%s %s %s" % (_grouped(e, e.lhs, kids[0]), e.op,
+                             _grouped(e, e.rhs, kids[1], right=True))
+    if kind is Unary:
+        return e.op + _grouped(e, e.operand, kids[0])
+    if kind is Assign:
+        return "%s = %s" % (kids[0], kids[1])
+    if kind is Cast:
+        return "(%s) %s" % (e.type_name, _grouped(e, e.operand, kids[0]))
+    if kind is Paren:
+        return "(%s)" % kids[0]
     raise TypeError("cannot render %r" % (e,))
 
 

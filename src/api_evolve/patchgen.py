@@ -77,11 +77,7 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     for j, arg in enumerate(upd_site.call.args):
         if isinstance(arg, jast.Name) and arg.identifier in shared:
             continue
-        try:
-            rv = dataflow.resolve_expression(arg, ctx)
-        except RecursionError:
-            raise ResolutionError("updated-call argument %d: its definitions nest too "
-                                  "deeply to resolve" % j) from None
+        rv = dataflow.resolve_expression(arg, ctx)
         if rv.kind == dataflow.UNRESOLVED:
             raise ResolutionError(
                 "cannot resolve updated-call argument %r" % jast.render_expr(rv.expr))

@@ -121,9 +121,9 @@ def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
     """Unit-local methods, types and fields a definition references, looked
     up in the tables members() and fields() return. A simple name is a
     field unless it is in hidden, a parameter or local of d, or a field of
-    d itself; a field's references are those of its initializer. With
-    qualified, a member named through a receiver (`this.OFFSET`,
-    `Outer.helper()`) counts as well."""
+    d itself; a field's references are those of its initializer. A call
+    without a receiver or on `this` counts. With qualified, a member named
+    through any receiver (`this.OFFSET`, `Outer.helper()`) counts as well."""
     refs, exprs = [], []
     if isinstance(d, jast.FieldDecl):
         exprs = [d.initializer] if d.initializer is not None else []
@@ -148,7 +148,8 @@ def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
                     refs.append(types[e.identifier])
                 elif e.identifier in fields and e.identifier not in hidden:
                     refs.append(fields[e.identifier])
-            elif kind is jast.MethodCall and (e.receiver is None or qualified):
+            elif kind is jast.MethodCall and (e.receiver is None or qualified or (
+                    type(e.receiver) is jast.Name and e.receiver.identifier == "this")):
                 m = methods.get((e.name, len(e.args)))
                 if m is not None:
                     refs.append(m)

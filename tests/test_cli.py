@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -149,34 +152,39 @@ DEEP = "class A { void m(Vibrator v) { x = %s1%s; v.vibrate(5); } }" % ("(" * 30
 
 @pytest.mark.parametrize("mode", ["--generate-patch", "--apply-patch"])
 def test_too_deep_nesting_is_a_parse_failure(tmp_path, patch_file, capsys, mode):
+    # no nesting is too deep to parse: apply updates the site, and generate
+    # rejects the file only because it holds no if/else pair
     target = tmp_path / "deep.java"
     target.write_text(DEEP)
     out = tmp_path / "out"
     extra = ["--patch", str(patch_file)] if mode == "--apply-patch" else []
     rc = cli.main([mode, VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
                    "--output", str(out)] + extra)
-    assert rc == 2
-    assert not out.exists()
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nesting too deep" in err
+    if mode == "--apply-patch":
+        assert (rc, err) == (0, "")
+        assert "v.vibrate(VibrationEffect.createOneShot(50, 175));" in out.read_text()
+    else:
+        assert rc == 3
+        assert not out.exists()
+        assert err.count("\n") == 1 and "inside one if/else" in err
 
 
 @pytest.mark.parametrize("body, rc", [
     ("void k() { %s }\n    void m(Vibrator v) { v.vibrate(5); }", 0),
-    ("void m(Vibrator v) { %s v.vibrate(5); }", 2),
+    ("void m(Vibrator v) { %s v.vibrate(5); }", 0),
 ], ids=["name_free_method", "site_method"])
 def test_deep_nesting_fails_only_where_a_site_can_be(tmp_path, patch_file, capsys, body, rc):
-    # a brace block that never names the method is not lexed or parsed
+    # a brace block that never names the method is not lexed or parsed, and
+    # one that does parses at any depth
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     target = tmp_path / "deep.java"
     target.write_text("class A {\n    %s\n}\n" % (body % deep))
     out = tmp_path / "out"
     assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
                      "--patch", str(patch_file), "--output", str(out)]) == rc
-    assert out.exists() == (rc == 0)
-    err = capsys.readouterr().err
-    assert err == ("" if rc == 0 else
-                   "api-evolve: parse failure in %s: nesting too deep to parse\n" % target)
+    assert "v.vibrate(VibrationEffect.createOneShot(50, 175));" in out.read_text()
+    assert capsys.readouterr().err == ""
 
 
 def test_apply_writes_json_report(tmp_path, patch_file):
@@ -502,17 +510,20 @@ def test_apply_updates_a_site_near_a_deep_operator_chain(tmp_path, patch_file, c
 
 
 def test_generate_with_a_too_deep_definition_chain_exits_3(tmp_path, capsys):
+    # a value of any depth resolves, and the patch it gives applies
     text = (CORPUS / "cases" / "vibrate" / "example.java").read_text()
     deep = "int amplitude = %s;" % "+".join(["AMPLITUDE"] * 1200)
     example = tmp_path / "example.java"
     example.write_text(text.replace("int amplitude = AMPLITUDE;", deep))
-    out = tmp_path / "p.cocci"
-    rc = cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
-                   "--input", str(example), "--output", str(out)])
-    assert rc == 3
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nest too deeply to resolve" in err
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(example), "--output", str(patch)]) == 0
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--patch", str(patch),
+                     "--input", str(CORPUS / "cases" / "vibrate" / "targets" / "basic.java"),
+                     "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "createOneShot(50, %s)" % " + ".join(["175"] * 1200) in out.read_text()
 
 
 def test_a_generated_patch_with_a_150_step_definition_chain_applies(tmp_path, capsys):
@@ -537,6 +548,7 @@ def test_a_generated_patch_with_a_150_step_definition_chain_applies(tmp_path, ca
 
 
 def test_apply_with_a_too_deep_then_line_exits_3(tmp_path, patch_file, capsys):
+    # a then line of any depth is rendered
     chain = " + ".join(["50"] * 1200)
     patch_file.write_text(patch_file.read_text().replace("createOneShot(50, 175)",
                                                          "createOneShot(%s, 175)" % chain))
@@ -545,10 +557,127 @@ def test_apply_with_a_too_deep_then_line_exits_3(tmp_path, patch_file, capsys):
     out = tmp_path / "out.java"
     rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
                    "--patch", str(patch_file), "--output", str(out)])
-    assert rc == 3
-    assert capsys.readouterr().err == (
-        "api-evolve: cannot update %s: nesting too deep\n" % target)
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert "MyVibrator.vibrate(VibrationEffect.createOneShot(%s, 175));" % chain in out.read_text()
+
+
+def _vibrate_example_with(tmp_path, old, new):
+    text = (CORPUS / "cases" / "vibrate" / "example.java").read_text()
+    example = tmp_path / "example.java"
+    example.write_text(text.replace(old, new))
+    return example
+
+
+def test_a_generated_patch_with_a_240_step_call_chain_applies(tmp_path, capsys):
+    steps = ["int a0 = AMPLITUDE;"] + ["a0 = Math.abs(a0);"] * 240 + ["int amplitude = a0;"]
+    example = _vibrate_example_with(tmp_path, "int amplitude = AMPLITUDE;",
+                                    "\n        ".join(steps))
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(example), "--output", str(patch)]) == 0
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--patch", str(patch),
+                     "--input", str(CORPUS / "cases" / "vibrate" / "targets" / "basic.java"),
+                     "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "createOneShot(50, %s175%s)" % ("Math.abs(" * 240, ")" * 240) in out.read_text()
+
+
+def test_generate_rejects_a_literal_inlined_as_a_call_receiver(tmp_path, capsys):
+    # `5.intValue()` would lex as the number `5.` and then a name
+    example = _vibrate_example_with(tmp_path, "int amplitude = AMPLITUDE;", "Integer amp = 5;")
+    example.write_text(example.read_text().replace("createOneShot(milliseconds, amplitude)",
+                                                   "createOneShot(milliseconds, amp.intValue())"))
+    out = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(example),
+                     "--output", str(out), "--rewire-shared-args"]) == 3
     assert not out.exists()
+    assert capsys.readouterr().err == (
+        "api-evolve: cannot resolve updated-call argument "
+        "'VibrationEffect.createOneShot(milliseconds, amp.intValue())'\n")
+
+
+def test_a_helper_that_calls_another_through_this_brings_it(tmp_path, capsys):
+    case = CORPUS / "cases" / "set_sound"
+    sigs = (case / "mapping.txt").read_text().splitlines()
+    example = tmp_path / "example.java"
+    example.write_text((case / "example.java").read_text().replace(
+        "return buildAttrs(usage);", "return this.buildAttrs(usage);"))
+    patch = tmp_path / "p.cocci"
+    assert cli.main(["--generate-patch", sigs[0], sigs[1], "--input", str(example),
+                     "--output", str(patch)]) == 0
+    out = tmp_path / "out.java"
+    assert cli.main(["--apply-patch", sigs[0], sigs[1], "--patch", str(patch), "--input",
+                     str(case / "targets" / "basic.java"), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = out.read_text()
+    assert "return this.buildAttrs(usage);" in text
+    assert "static AudioAttributes buildAttrs(int usage) {" in text
+
+
+# cli.main in a fresh interpreter that allows 100 Python frames, after a
+# check that the input file reprints from its parse: no depth of input may
+# need a frame a level
+_MAIN_IN_100_FRAMES = """
+import sys
+from api_evolve import cli, jast
+sys.setrecursionlimit(100)
+text = open(sys.argv[1], encoding="utf-8", newline="").read()
+assert jast.print_unit(jast.parse(text)) == text
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _main_in_100_frames(parsed, argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", _MAIN_IN_100_FRAMES, str(parsed)] + argv,
+                          env=env, capture_output=True, text=True)
+
+
+_SITE_METHOD = "class A {\n    void m(Vibrator v, int c) {\n        %s\n    }\n}\n"
+DEEP_TARGETS = {
+    "parentheses_2000": _SITE_METHOD % ("x = %s1%s;\n        v.vibrate(5);"
+                                        % ("(" * 2000, ")" * 2000)),
+    "else_if_chain_2000": _SITE_METHOD % (
+        " else ".join("if (c == %d) { }" % i for i in range(1999))
+        + " else if (c == 1999) { v.vibrate(5); }"),
+    "nested_blocks_2000": _SITE_METHOD % ("{" * 2000 + " v.vibrate(5); " + "}" * 2000),
+    "nested_classes_1000": "".join("class C%d { " % i for i in range(1000))
+    + "void m(Vibrator v) { v.vibrate(5); }" + " }" * 1000 + "\n",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TARGETS.values(), ids=DEEP_TARGETS.keys())
+def test_apply_takes_no_python_frame_a_level(tmp_path, patch_file, text):
+    target = tmp_path / "deep.java"
+    target.write_text(text)
+    out = tmp_path / "out.java"
+    proc = _main_in_100_frames(target, ["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                                        "--input", str(target), "--patch", str(patch_file),
+                                        "--output", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "v.vibrate(VibrationEffect.createOneShot(50, 175));" in out.read_text()
+
+
+def test_generate_and_apply_take_no_python_frame_a_chain_step(tmp_path):
+    steps = ["int a0 = AMPLITUDE;"] + ["a0 = a0 * 2 + 1;"] * 1000 + ["int amplitude = a0;"]
+    example = _vibrate_example_with(tmp_path, "int amplitude = AMPLITUDE;",
+                                    "\n        ".join(steps))
+    patch = tmp_path / "p.cocci"
+    proc = _main_in_100_frames(example, ["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                                         "--input", str(example), "--output", str(patch)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    target = CORPUS / "cases" / "vibrate" / "targets" / "basic.java"
+    out = tmp_path / "out.java"
+    proc = _main_in_100_frames(target, ["--apply-patch", VIBRATE_DEP, VIBRATE_UPD,
+                                        "--patch", str(patch), "--input", str(target),
+                                        "--output", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    amplitude = "175 * 2 + 1"
+    for _ in range(999):
+        amplitude = "(%s) * 2 + 1" % amplitude
+    assert "createOneShot(50, %s)" % amplitude in out.read_text()
 
 
 def _target_mutant(rng, text):

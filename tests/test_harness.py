@@ -8,11 +8,6 @@ from api_evolve import harness
 from conftest import CORPUS
 
 
-def test_normalize_ws():
-    assert harness.normalize_ws("a  b\t c \n\n  d\n") == "a b c\nd"
-    assert harness.normalize_ws("") == ""
-
-
 def test_full_corpus_passes():
     summary = harness.run_corpus(CORPUS)
     assert summary.ok
@@ -39,6 +34,21 @@ def test_wrong_expected_file_fails_only_that_target(tmp_path):
     assert case.failed == 1
     assert case.passed >= 3
     assert any(t == "basic.java" for t, _ in case.errors)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("    ", "  ", 1),
+    lambda t: t + "\n",
+    lambda t: t.replace("\n", "\r\n"),
+], ids=["indent", "trailing_blank_line", "crlf"])
+def test_a_golden_that_differs_only_in_whitespace_fails(tmp_path, edit):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "cases" / "vibrate", root / "cases" / "vibrate")
+    golden = root / "cases" / "vibrate" / "expected" / "basic.java"
+    golden.write_bytes(edit(golden.read_text()).encode("utf-8"))
+    (case,) = harness.run_corpus(root).cases
+    assert case.failed == 1
+    assert case.errors == [("basic.java", "output differs from expected")]
 
 
 def test_broken_case_does_not_abort_others(tmp_path):

@@ -219,7 +219,8 @@ def test_parse_patch_keeps_needs_a_then_line_names_through_a_receiver(use, names
     (9, "x = iden0;", "no method call"),
     (9, "- classIden.vibrate(iden0);", "'-' lines"),
     (10, "+ log(iden0);", "after '\\+ } else {'"),
-    (7, "+ classIden.vibrate(%s0%s);" % ("(" * 300, ")" * 300), "not one expression"),
+    (7, "+ classIden.vibrate(%snewParameterVariable0 + newParameterVariable0%s);"
+     % ("(" * 300, ")" * 300), "used 2 times"),
     (5, '+ if ("SDK_INT) {', "unparsable guard"),
 ], ids=["unparsable_add_line", "context_without_call", "remove_line", "add_after_else",
         "nesting_too_deep", "unterminated_string_in_guard"])
