@@ -9,7 +9,7 @@ Two modes mirroring the tool's published interface:
       --input target.java --patch update.cocci --output target_updated.java
 
 Exit codes: 0 success; 1 nothing to update; 2 source parse failure;
-3 patch/example problem; 64 usage error.
+3 patch/example problem; 64 usage error or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def run_generate(args, mapping) -> int:
     try:
         with open(args.input, "r", encoding="utf-8", newline="") as fh:
             unit = jast.parse(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     except jast.ParseError as exc:
@@ -96,21 +96,20 @@ def run_generate(args, mapping) -> int:
     except (patchgen.ExampleShapeError, patchgen.ResolutionError) as exc:
         sys.stderr.write("api-evolve: %s\n" % exc)
         return EXIT_BAD_INPUT
-    _atomic_write(args.output, patchgen.render_patch(patch))
-    return EXIT_OK
+    return EXIT_OK if _atomic_write(args.output, patchgen.render_patch(patch)) else EXIT_USAGE
 
 
 def run_apply(args, mapping) -> int:
     try:
         with open(args.input, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.input, exc))
         return EXIT_PARSE
     try:
         with open(args.patch, "r", encoding="utf-8") as fh:
             patch = patchgen.parse_patch(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write("api-evolve: cannot read %s: %s\n" % (args.patch, exc))
         return EXIT_BAD_INPUT
     except patchgen.MalformedPatch as exc:
@@ -126,23 +125,33 @@ def run_apply(args, mapping) -> int:
         return EXIT_BAD_INPUT
 
     report.file_path = args.input
-    _atomic_write(args.output, out_text)
-    if args.report:
-        _atomic_write(args.report,
-                      json.dumps(report.to_json_dict(text), indent=2) + "\n")
+    # the report first, so that a failure leaves the output path untouched
+    if args.report and not _atomic_write(
+            args.report, json.dumps(report.to_json_dict(text), indent=2) + "\n"):
+        return EXIT_USAGE
+    if not _atomic_write(args.output, out_text):
+        return EXIT_USAGE
     return EXIT_OK if report.sites_updated >= 1 else EXIT_NO_SITES
 
 
-def _atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".api-evolve-")
+def _atomic_write(path: str, content: str) -> bool:
+    """Write content to path through a temporary in the same directory.
+    False, after one stderr line and with no temporary left behind, when
+    the path cannot be written."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".api-evolve-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        sys.stderr.write("api-evolve: cannot write %s: %s\n" % (path, exc))
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -332,10 +332,12 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     Returns (out_text, UpdateReport); out_text is `text` itself when no
     site was updated, and the report's skip spans index `text`. The sites
     are the calls the patch's context line names; `mapping` is not read.
-    A text that never names the context call's method holds no site, since
-    every parsed name is a slice of the text, so it is only checked for
-    balance, not parsed; in a text that does, a brace block that never
-    names it is not lexed either (jast.parse's `keep`). Raises
+    Every parsed name is a slice of the text. So a text that never names
+    the context call's method holds no site: it is only checked for
+    balance, not parsed. In a text that does, a class member or brace
+    block that names neither the method nor a @needs@ helper is not lexed
+    (jast.parse's `keep`): it can hold no site, and no declaration that
+    the transplant's collision check looks up. Raises
     jast.ParseError (UnbalancedSource when the nesting is broken) when the
     text does not parse, and patchgen.MultipleUse when the patch would
     evaluate an argument twice.
@@ -344,7 +346,7 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     if name not in text:
         jast.check_balanced(text)
         return text, UpdateReport()
-    unit = jast.parse(text, name)
+    unit = jast.parse(text, {name} | {d.name for d in patch.needs})
     helper_edits, copied, renames = transplant_definitions(
         unit, patch.needs, patch.needs_imports)
     site_edits, report = apply_patch(patch, unit, renames)

@@ -127,6 +127,9 @@ def main(argv=None) -> int:
     p.add_argument("--json", help="also write the summary as JSON here")
     args = p.parse_args(argv)
     summary = run_corpus(args.root)
+    if not summary.cases:  # a missing corpus must not read as a passing one
+        sys.stderr.write("api-evolve-corpus: no case under %s\n" % (Path(args.root) / "cases"))
+        return 2
     print(summary.table())
     if args.json:
         Path(args.json).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n",

@@ -310,19 +310,25 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
                  "/*": "unterminated block comment"}
 
 
-def tokenize(text: str, keep: Optional[str] = None) -> list:
+def tokenize(text: str, keep=()) -> list:
     """Lex text in one pass; the last token is eof.
 
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
-    lexed too; parse runs check_balanced first. With `keep`, check_balanced
-    runs first, and a brace block whose text lacks `keep` is lexed as its
-    two braces alone, unless it is a type body: the first `{` after a
-    `class` token that does not follow `.`."""
+    lexed too; parse runs check_balanced first. With `keep`, a collection
+    of names, check_balanced runs first and only what can hold one of them
+    is lexed. A member of a type body whose text (from the end of the
+    member before it) names none of them is not lexed at all: a field,
+    method, initializer block or nested type (see _member_end). Any other
+    brace block whose text names none of them is lexed as its two braces
+    alone. A comment or string that names one counts. A type body is the
+    first `{` after a `class` token that does not follow `.`, with no `;`
+    or `}` between them. File-level declarations are always lexed."""
     braces = check_balanced(text) if keep else None
     toks = []
     append = toks.append
     class_pending = False
+    ends = []  # per open `{`: the end of the member being lexed, in a type body; else None
     pos = 0
     while pos is not None:
         start, pos = pos, None
@@ -334,18 +340,84 @@ def tokenize(text: str, keep: Optional[str] = None) -> list:
                 raise UnbalancedSource(_UNTERMINATED[value])
             if kind == "eof":
                 break
-            if keep and value == "{":
-                if class_pending:
-                    class_pending = False
-                elif text.find(keep, end, braces[end - 1]) < 0:
-                    append(Token(kind, value, end - 1, end))
-                    pos = braces[end - 1]  # resume at the matching `}`
-                    break
-            elif keep and value == "class" and (not toks or toks[-1].value != "."):
-                class_pending = True
             append(Token(kind, value, end - len(value), end))
+            if not keep:
+                continue
+            if value == "{":
+                if not class_pending:
+                    ends.append(None)
+                    if not _names(text, keep, end, braces[end - 1]):
+                        pos = braces[end - 1]  # resume at the matching `}`
+                        break
+                    continue
+                class_pending = False
+                ends.append(end)
+            elif value == "}" or value == ";":
+                class_pending = False
+                if value == "}":
+                    ends.pop()
+                if not ends or ends[-1] != end:
+                    continue
+            else:
+                if value == "class" and (len(toks) < 2 or toks[-2].value != "."):
+                    class_pending = True
+                continue
+            # a member of a type body starts at end: skip each one that names no keep
+            skip = end
+            while True:
+                member_end = _member_end(text, skip, braces)
+                if member_end is None or _names(text, keep, skip, member_end):
+                    break
+                skip = member_end
+            ends[-1] = member_end
+            if skip != end:
+                pos = skip
+                break
     append(Token("eof", "", len(text), len(text)))
     return toks
+
+
+def _names(text: str, keep, start: int, end: int) -> bool:
+    return any(text.find(name, start, end) >= 0 for name in keep)
+
+
+# One match per character that can end a type-body member: runs of other
+# characters, comments and literals are swallowed in front of it. A quote
+# or `/*` that opens nothing cannot occur after check_balanced; matching it
+# keeps a failed match from backtracking through the runs.
+_MEMBER_RE = re.compile(r"""
+    (?:[^"'/;{}=()\[\]]+ | %s | %s | %s | /(?!\*) )*
+    (?P<c> [;{}=()\[\]] | %s | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+
+
+def _member_end(text: str, pos: int, braces: dict) -> Optional[int]:
+    """The end of the type-body member that starts at pos, without lexing:
+    just past a `;` outside brackets, or past the `}` of a `{` outside
+    brackets with no `=` outside brackets before it, so an array
+    initializer, anonymous class or lambda runs on to its `;`. None when
+    the body's `}` comes first. A `{` is jumped over through braces, the
+    map check_balanced returns. Every such end is one where parse_unit's
+    member loop ends a member."""
+    depth = 0
+    assigned = False
+    while True:
+        m = _MEMBER_RE.match(text, pos)
+        c, pos = m["c"], m.end()
+        if c == "{":
+            pos = braces[pos - 1] + 1
+            if not depth and not assigned:
+                return pos
+        elif c == ";":
+            if not depth:
+                return pos
+        elif c == "=":
+            assigned = assigned or not depth
+        elif c == "(" or c == "[":
+            depth += 1
+        elif c == ")" or c == "]":
+            depth -= 1
+        elif c == "}" or not c:
+            return None
 
 
 def check_balanced(text: str) -> dict:
@@ -570,9 +642,10 @@ class _Parser:
         if self.peek().kind != "ident":
             raise _Backtrack("class name expected")
         name = self.eat().value
-        # tolerate extends/implements clauses verbatim
+        # tolerate extends/implements clauses verbatim, up to a `;` too,
+        # which ends a member for tokenize (_member_end)
         nest = []
-        while self.peek().value not in ("{", "}", ""):
+        while self.peek().value not in ("{", "}", ";", ""):
             self._eat_nested(nest)
         if nest:
             raise _Backtrack("unbalanced class header")
@@ -884,14 +957,17 @@ class _Parser:
 # Public API
 # ---------------------------------------------------------------------------
 
-def parse(text: str, keep: Optional[str] = None) -> CompilationUnit:
+def parse(text: str, keep=()) -> CompilationUnit:
     """Parse source text into a CompilationUnit.
 
     Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken (check_balanced runs first). With `keep`, a non-type
-    brace block whose text lacks it is not lexed (see tokenize) and parses
-    empty, with the spans and source of a full parse.
+    nesting is broken (check_balanced runs first). With `keep`, a
+    collection of names, what tokenize does not lex is missing: a
+    type-body member whose text names none of them is absent from the
+    unit, and any other brace block that names none of them parses empty.
+    Every node that is there has the span and source of a full parse, and
+    so do the unit's file-level declarations, types and body spans.
     """
     if not keep:
         check_balanced(text)  # with keep, tokenize runs it for the brace pairs

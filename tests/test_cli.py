@@ -147,6 +147,53 @@ def test_apply_unparsable_target(tmp_path, patch_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_file, rc", [("input", 2), ("patch", 3), ("example", 2)])
+def test_a_file_that_is_not_utf8_exits_with_one_line(tmp_path, patch_file, capsys,
+                                                       bad_file, rc):
+    files = {"input": tmp_path / "main.java", "patch": patch_file,
+             "example": tmp_path / "example.java"}
+    files["input"].write_text(TARGET)
+    files[bad_file].write_bytes(b"\xff\xfe" + files[bad_file].read_bytes())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if bad_file == "example":
+        argv = ["--generate-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(files["example"])]
+    else:
+        argv = ["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(files["input"]),
+                "--patch", str(patch_file)]
+    assert cli.main(argv + ["--output", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("api-evolve: cannot read %s: " % files[bad_file])
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--report"])
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_an_unwritable_output_path_exits_64(tmp_path, patch_file, capsys, flag, where):
+    target = tmp_path / "main.java"
+    target.write_text(TARGET)
+    paths = {"--output": tmp_path / "out.java", "--report": tmp_path / "report.json"}
+    paths[flag] = tmp_path / "missing" / "x" if where == "missing_directory" else tmp_path
+    capsys.readouterr()
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                   "--patch", str(patch_file), "--output", str(paths["--output"]),
+                   "--report", str(paths["--report"])])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err.startswith("api-evolve: cannot write %s: " % paths[flag]) and err.count("\n") == 1
+    assert not (tmp_path / "out.java").exists()  # exit 64 leaves the output path untouched
+    assert not list(tmp_path.glob(".api-evolve-*"))
+
+
+def test_generate_to_an_unwritable_output_path_exits_64(example, tmp_path, capsys):
+    rc = cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(example),
+                   "--output", str(tmp_path / "missing" / "update.cocci")])
+    assert rc == 64
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(tmp_path.glob(".api-evolve-*"))
+
+
 DEEP = "class A { void m(Vibrator v) { x = %s1%s; v.vibrate(5); } }" % ("(" * 300, ")" * 300)
 
 

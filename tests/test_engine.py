@@ -352,13 +352,65 @@ def test_update_parses_once(sites, monkeypatch):
 
 def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     patch, mapping = load_patch("set_sound")
+    filler = "".join("    int f%d(int a) { return a * %d; }\n" % (i, i) for i in range(20))
     text = (CORPUS / "cases" / "set_sound" / "targets" / "basic.java").read_text()
-    calls = []
+    text = text.replace("{\n", "{\n" + filler, 1)
+    calls, lexed = [], []
     monkeypatch.setattr(jast, "parse", lambda *a, fn=jast.parse: calls.append(a) or fn(*a))
+    monkeypatch.setattr(jast, "tokenize", lambda *a, fn=jast.tokenize: lexed.append(fn(*a))
+                        or lexed[-1])
     out, report = engine.update(text, patch, mapping)
-    # one parse, of the target: the @needs@ helpers were parsed with the patch
-    assert calls == [(text, "setSound")]
+    # one parse, of the target, keeping the context call's name and the
+    # helpers': the @needs@ helpers were parsed with the patch
+    assert calls == [(text, {"setSound", "makeAttrs", "buildAttrs"})]
     assert report.sites_updated == 1 and report.definitions_copied == ["makeAttrs", "buildAttrs"]
+    # no member that names none of them is lexed
+    (tokens,) = lexed
+    assert not {"f0", "f19", "a"} & {t.value for t in tokens}
+
+
+def test_helpers_far_from_any_site_are_reused():
+    # a method of a helper's name and arity, a field and a class of a
+    # helper's name: members that name no site, in different places
+    patch, mapping = _needs_patch()
+    filler = "".join("    int f%d(int a) { return a * %d; }\n" % (i, i) for i in range(20))
+    text = ("import android.media.AudioAttributes;\n\n"
+            "class T {\n"
+            "    static AudioAttributes makeAttrs(int usage) {\n"
+            "        return null;\n"
+            "    }\n" + filler +
+            "    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n"
+            "    }\n" + filler +
+            "    private static final int OFFSET = 7;\n" + filler +
+            "    static class AttrsBuilder {\n"
+            "        AudioAttributes build(int u) { return null; }\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == []
+    assert out.count("makeAttrs(int usage)") == 1 and out.count("OFFSET =") == 1
+    assert out.count("class AttrsBuilder") == 1
+    assert "b.setSound(u, makeAttrs(OFFSET));" in out
+
+
+def _needs_patch():
+    """A set_sound patch whose @needs@ holds a method, a field and a class."""
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 21) {\n"
+        "+ classIden.setSound(iden0, makeAttrs(OFFSET));\n"
+        "+ } else {\nclassIden.setSound(iden0);\n+ }\n"
+        "@needs@\n"
+        "static AudioAttributes makeAttrs(int usage) {\n"
+        "    return new AttrsBuilder().build(usage);\n"
+        "}\n\n"
+        "private static final int OFFSET = 1;\n\n"
+        "static class AttrsBuilder {\n"
+        "    AudioAttributes build(int u) { return null; }\n"
+        "}\n")
+    assert [d.name for d in patch.needs] == ["makeAttrs", "OFFSET", "AttrsBuilder"]
+    return patch, load_patch("set_sound")[1]
 
 
 def test_helper_in_a_name_free_nested_class_is_reused():

@@ -87,3 +87,13 @@ def test_main_nonzero_on_failure(tmp_path, capsys):
     shutil.copytree(CORPUS / "cases" / "vibrate", root / "cases" / "vibrate")
     (root / "cases" / "vibrate" / "expected" / "basic.java").write_text("x\n")
     assert harness.main([str(root)]) == 1
+
+
+@pytest.mark.parametrize("layout", ["no_cases_directory", "empty_cases_directory"])
+def test_main_fails_on_a_corpus_with_no_case(tmp_path, capsys, layout):
+    if layout == "empty_cases_directory":
+        (tmp_path / "cases").mkdir()
+    assert harness.main([str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "api-evolve-corpus: no case under %s\n" % (tmp_path / "cases")

@@ -308,20 +308,26 @@ def test_check_balanced_faults_exactly_where_parse_does():
 
 # -- lazy lexing: parse(text, keep) ---------------------------------------------
 
-def lexed(text, keep=None):
+def lexed(text, keep=()):
     return [t.value for t in jast.tokenize(text, keep)][:-1]
 
 
 def test_name_free_method_body_gives_no_inner_tokens():
-    text = "class A { void m() { int x = 1; } void n(Vibrator v) { v.vibrate(5); } }"
-    assert lexed(text, "vibrate") == [
-        "class", "A", "{", "void", "m", "(", ")", "{", "}",
-        "void", "n", "(", "Vibrator", "v", ")", "{", "v", ".", "vibrate", "(", "5", ")", ";",
-        "}", "}"]
-    full = jast.tokenize(text)
-    lazy = jast.tokenize(text, "vibrate")
-    assert lazy == [t for t in full if not 19 < t.start < 32]  # same braces, same spans
-    assert jast.parse(text, "vibrate").types[0].methods[0].body == []
+    # a member that never names keep is not lexed at all; in one that does,
+    # a block that never names it is lexed as its two braces
+    text = ("class A { void m() { int x = 1; } "
+            "void n(Vibrator v) { if (v == null) { return; } v.vibrate(5); } }")
+    assert lexed(text, {"vibrate"}) == [
+        "class", "A", "{",
+        "void", "n", "(", "Vibrator", "v", ")", "{", "if", "(", "v", "==", "null", ")", "{", "}",
+        "v", ".", "vibrate", "(", "5", ")", ";", "}", "}"]
+    m, block = text.index("void m"), text.index("{ return; }")
+    lazy = jast.tokenize(text, {"vibrate"})
+    # same tokens, same spans: all but m and the inside of the block
+    assert lazy == [t for t in jast.tokenize(text)
+                    if not (m <= t.start < text.index("void n") or block < t.start < block + 10)]
+    (n,) = jast.parse(text, {"vibrate"}).types[0].methods
+    assert n.name == "n" and n.body[0].then_block.stmts == []
 
 
 @pytest.mark.parametrize("inner", ["// vibrate\n", "/* vibrate */", 's = "vibrate";',
@@ -329,31 +335,38 @@ def test_name_free_method_body_gives_no_inner_tokens():
                          ids=["line_comment", "block_comment", "string", "longer_name"])
 def test_a_name_in_a_comment_or_string_keeps_its_block_lexed(inner):
     text = "class A { void m() { %s int x = 1; } }" % inner
-    assert jast.tokenize(text, "vibrate") == jast.tokenize(text)
+    assert jast.tokenize(text, {"vibrate"}) == jast.tokenize(text)
 
 
 def test_class_literal_opens_no_type_body():
-    text = "class A { Class<?> c = Foo.class; void m() { int x = 1; } }"
-    assert "x" not in lexed(text, "vibrate")
-    assert "x" in lexed(text)
+    # a block that names keep is lexed whole; a type body's members that
+    # do not are skipped, so a type body here would lose `int x = 1;`
+    text = "class A { void m() { run(Foo.class, () -> { int x = 1; vibrate(); }); } }"
+    assert "x" in lexed(text, {"vibrate"})
+    assert "x" not in lexed(text.replace("Foo.class, () ->", "class L"), {"vibrate"})
 
 
 def test_name_free_type_bodies_are_lexed():
+    # a top-level class is always lexed, braces and all, though nothing in
+    # it names keep; a nested class is a member like any other
     text = "class A { static class B { int y; void k() { int z = 1; } } }"
-    values = lexed(text, "vibrate")
-    assert "y" in values and "k" in values and "z" not in values
-    methods, types = scope.members(jast.parse(text, "vibrate"))
+    assert lexed(text, {"vibrate"}) == ["class", "A", "{", "}"]
+    (a,) = jast.parse(text, {"vibrate"}).types
+    assert a.nested == [] and a.body_span == jast.parse(text).types[0].body_span
+    values = lexed(text, {"k"})
+    assert "B" in values and "k" in values and "y" not in values and "z" not in values
+    methods, types = scope.members(jast.parse(text, {"k"}))
     assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():
-    # a block that never names the method is not parsed, and one that does
+    # a method that never names keep is not parsed, and one that does
     # parses at any depth
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     elsewhere = "class A { void k() { %s } void m() { v.vibrate(5); } }" % deep
-    assert jast.parse(elsewhere, "vibrate").types[0].methods[0].body == []
+    assert [m.name for m in jast.parse(elsewhere, {"vibrate"}).types[0].methods] == ["m"]
     in_site_method = "class A { void m() { %s v.vibrate(5); } }" % deep
-    for text, keep in [(elsewhere, None), (in_site_method, "vibrate")]:
+    for text, keep in [(elsewhere, ()), (in_site_method, {"vibrate"})]:
         unit = jast.parse(text, keep)
         assert jast.print_unit(unit) == text
         assert unit.types[0].methods[0].body[0].src == deep
@@ -364,25 +377,43 @@ def test_lazy_parse_rejects_what_the_full_parse_rejects():
         with pytest.raises(jast.UnbalancedSource) as full:
             jast.parse(text)
         with pytest.raises(jast.UnbalancedSource, match=str(full.value)):
-            jast.parse(text, "vibrate")
+            jast.parse(text, {"vibrate"})
 
 
-LAZY_NAMES = ("vibrate", "setSound", "fromHtml", "getCurrentMinute", "v")
+def _members(unit):
+    """Every type, field and method of unit, nested ones too, with its span."""
+    out = set()
+    for tdecl, _outer in jast.iter_types(unit):
+        out.add(("type", tdecl.name, tdecl.span.start, tdecl.span.end, tdecl.body_span.start,
+                 tdecl.body_span.end))
+        out.update((type(d).__name__, d.name, d.span.start, d.span.end)
+                   for d in tdecl.fields + tdecl.methods)
+    return out
 
 
 def _view(text, keep, lazy):
-    """What the pipeline reads of a parse: each call named keep with its
-    statement spans, the member tables and the printed text; or the error."""
+    """What the pipeline reads of a parse, as engine.update passes keep:
+    each call named by keep with its statement spans, the member tables
+    restricted to keep's names and the printed text; or the error. Also
+    every member of the parse, with its span."""
     try:
         unit = jast.parse(text, keep) if lazy else jast.parse(text)
     except jast.ParseError as exc:
-        return "%s: %s" % (type(exc).__name__, exc)
+        return "%s: %s" % (type(exc).__name__, exc), set()
     sites = [(s.call.span, s.enclosing_stmt and s.enclosing_stmt.span,
               [c.span for c in s.stmt_chain])
-             for arity in range(4)
-             for s in sigmap.find_invocations(unit, sigmap.ApiSignature("", keep, ("?",) * arity))]
+             for name in sorted(keep) for arity in range(4)
+             for s in sigmap.find_invocations(unit, sigmap.ApiSignature("", name, ("?",) * arity))]
     methods, types = scope.members(unit)
-    return sites, sorted(methods), sorted(types), jast.print_unit(unit)
+    tables = (sorted((k, m.span.start) for k, m in methods.items() if k[0] in keep),
+              sorted((k, t.span.start) for k, t in types.items() if k in keep),
+              sorted((k, f.span.start) for k, f in scope.fields(unit).items() if k in keep))
+    return (sites, tables, jast.print_unit(unit)), _members(unit)
+
+
+# each as engine.update passes it: the context call's name and the helpers'
+LAZY_KEEPS = ({"vibrate"}, {"setSound", "makeAttrs", "buildAttrs"}, {"fromHtml"},
+              {"getCurrentMinute"}, {"v"}, {"vibrate", "buildPattern"})
 
 
 def test_lazy_parse_reads_like_the_full_parse():
@@ -391,14 +422,50 @@ def test_lazy_parse_reads_like_the_full_parse():
     texts += [_mutant(rng, rng.choice(texts)) for _ in range(300)]
     parsed = skipped = 0
     for text in texts:
-        for keep in LAZY_NAMES:
-            full = _view(text, keep, lazy=False)
-            assert _view(text, keep, lazy=True) == full, (keep, text)
-            if not isinstance(full, str):
+        for keep in LAZY_KEEPS:
+            full, every = _view(text, keep, lazy=False)
+            lazy, present = _view(text, keep, lazy=True)
+            assert lazy == full, (keep, text)
+            assert present <= every, (keep, text)  # each member has its full-parse span
+            if every:
                 parsed += 1
-                skipped += len(jast.tokenize(text, keep)) < len(jast.tokenize(text))
-    # neither every text failing nor no block skipped would show anything
+                skipped += present != every
+    # neither every text failing nor no member skipped would show anything
     assert parsed > 500 and skipped > 300
+
+
+# Members whose end is hard to find, each with a call of `go` in it.
+BOUNDARY_MEMBERS = {
+    "array_initializer": "int[] a = {go(), 2};",
+    "anonymous_class_field": "Runnable r = new Runnable() { public void run() { go(); } };",
+    "block_lambda_field": "Runnable r = () -> { go(); };",
+    "static_initializer": "static { go(); }",
+    "instance_initializer": "{ go(); }",
+    "semicolon_in_annotation": '@A(";") void m() { go(); }',
+    "generic_method": "<T> void m(T t) { go(); }",
+    "nested_interface": "interface I { void go(); }",
+    "nested_enum": "enum E { X, Y; void go() { } }",
+    "name_in_a_comment_only": "void m() { // then vibrate\n go(); }",
+    "nested_class": "static class N { int k; void go() { } }",
+    "semicolon_in_class_header": "static class N extends M; void go() { }",
+    "semicolon_in_brackets": "int y[;] void go() { }",
+}
+
+
+@pytest.mark.parametrize("member", BOUNDARY_MEMBERS.values(), ids=BOUNDARY_MEMBERS.keys())
+@pytest.mark.parametrize("keep", [{"vibrate"}, {"vibrate", "go"}], ids=["skipped", "kept"])
+def test_member_ends_where_the_full_parse_ends_it(member, keep):
+    text = ("class A {\n    int before;\n    %s\n    void s(Vibrator v) { v.vibrate(5); }\n"
+            "    int after;\n}\n" % member)
+    full, every = _view(text, keep, lazy=False)
+    lazy, present = _view(text, keep, lazy=True)
+    assert lazy == full and present <= every
+    # the site, its method and its class are always there, and so is every
+    # member whose own text names keep; a member that names none is not
+    assert [text[site[0].start:site[0].end] for site in full[0]].count("v.vibrate(5)") == 1
+    names = {m[1] for m in present}
+    assert {"A", "s"} <= names and not {"before", "after", "k"} & names
+    assert names >= {m[1] for m in every if any(k in text[m[2]:m[3]] for k in keep)}
 
 
 @pytest.mark.parametrize("fn, text", [
