@@ -197,6 +197,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 
     edits = []
     handled = set()
+    guard = "if (%s) {" % jast.render_expr(patch.guard_cond)
     for site in sigmap.find_invocations(unit, sig):
         if already_guarded(site):
             report.sites_found += 1
@@ -223,7 +224,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
         report.sites_updated += 1
 
         indent = jast.indent_at(unit.text, stmt.span.start)
-        lines = ["if (%s) {" % jast.render_expr(patch.guard_cond)]
+        lines = [guard]
         for s in patch.then_stmts:
             if patchgen.is_patch_temp(s):
                 binding.assignments[s.name] = substitute_expr(s.init, binding, renames)
@@ -333,18 +334,19 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     site was updated, and the report's skip spans index `text`. The sites
     are the calls the patch's context line names; `mapping` is not read.
     Every parsed name is a slice of the text. So a text that never names
-    the context call's method holds no site: it is only checked for
-    balance, not parsed. In a text that does, a class member or brace
-    block that names neither the method nor a @needs@ helper is not lexed
-    (jast.parse's `keep`): it can hold no site, and no declaration that
-    the transplant's collision check looks up. Raises
+    the context call's method holds no site: it is not parsed, only
+    checked by jast.require_balanced, which raises what a parse would. In
+    a text that does, a class member or brace block that names neither
+    the method nor a @needs@ helper is not lexed (jast.parse's `keep`):
+    it can hold no site, and no declaration that the transplant's
+    collision check looks up. Raises
     jast.ParseError (UnbalancedSource when the nesting is broken) when the
     text does not parse, and patchgen.MultipleUse when the patch would
     evaluate an argument twice.
     """
     name = patchgen.pattern_call(patch.context).name
     if name not in text:
-        jast.check_balanced(text)
+        jast.require_balanced(text)
         return text, UpdateReport()
     unit = jast.parse(text, {name} | {d.name for d in patch.needs})
     helper_edits, copied, renames = transplant_definitions(

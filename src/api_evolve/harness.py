@@ -132,8 +132,12 @@ def main(argv=None) -> int:
         return 2
     print(summary.table())
     if args.json:
-        Path(args.json).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n",
-                                   encoding="utf-8")
+        try:
+            Path(args.json).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n",
+                                       encoding="utf-8")
+        except OSError as exc:
+            sys.stderr.write("api-evolve-corpus: cannot write %s: %s\n" % (args.json, exc))
+            return 64
     return 0 if summary.ok else 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -315,7 +316,7 @@ def tokenize(text: str, keep=()) -> list:
 
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
-    lexed too; parse runs check_balanced first. With `keep`, a collection
+    lexed too; parse checks balance first. With `keep`, a collection
     of names, check_balanced runs first and only what can hold one of them
     is lexed. A member of a type body whose text (from the end of the
     member before it) names none of them is not lexed at all: a field,
@@ -420,11 +421,47 @@ def _member_end(text: str, pos: int, braces: dict) -> Optional[int]:
             return None
 
 
+# One match per literal or comment: group 1 is the code run in front of it
+# (a `/` there opens no comment), and the last match ends at the end of the
+# text. `bad`, a quote or `/*` that opens nothing, swallows the rest of the
+# text, so that no later opener is tried. The literal syntax and its order
+# are _BRACKET_RE's.
+_LITERAL_RE = re.compile(r"""
+    ( [^"'/]* (?: /(?![*/]) [^"'/]* )* )
+    (?: %s | %s | %s | (?P<bad> %s) .* | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD),
+                         re.VERBOSE | re.DOTALL)
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"()[]{}")
+_PAIR_PASSES = 32  # each removes at least one level of nesting
+
+
+def require_balanced(text: str) -> None:
+    """Raise exactly what check_balanced raises, without its brace map:
+    the brackets outside literals and comments are kept as bytes, and
+    adjacent pairs are removed with bytes.replace until none is left.
+    A quote or `/*` that opens nothing, brackets left over, or nesting
+    deeper than _PAIR_PASSES levels leave the verdict and the message to
+    check_balanced, so the cost stays linear in the text."""
+    runs = _LITERAL_RE.findall(text)
+    if not any(map(itemgetter(1), runs)):
+        code = "".join(map(itemgetter(0), runs)).encode("ascii", "ignore")
+        brackets = code.translate(None, _NOT_BRACKETS)
+        for _ in range(_PAIR_PASSES):
+            if not brackets:
+                return
+            left = len(brackets)
+            brackets = brackets.replace(b"()", b"").replace(b"[]", b"").replace(b"{}", b"")
+            if len(brackets) == left:
+                break
+    check_balanced(text)
+
+
 def check_balanced(text: str) -> dict:
     """Raise UnbalancedSource on an unterminated literal or comment, or on
     broken bracket nesting, without building tokens: at most one regex
     match per bracket. Returns the offset of every `{` mapped to that of
-    its `}`."""
+    its `}`. The exact scanner: it alone builds the brace map that
+    tokenize's `keep` needs and words every message; require_balanced
+    checks balance alone, faster, and falls back to it."""
     closers = []  # per open bracket: its closer, or a `{`'s offset
     braces = {}
     fault = None
@@ -962,15 +999,17 @@ def parse(text: str, keep=()) -> CompilationUnit:
 
     Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken (check_balanced runs first). With `keep`, a
-    collection of names, what tokenize does not lex is missing: a
-    type-body member whose text names none of them is absent from the
-    unit, and any other brace block that names none of them parses empty.
+    nesting is broken, with check_balanced's message: require_balanced
+    runs first, or with `keep` check_balanced, for tokenize's brace map.
+    With `keep`, a collection of names, what tokenize does not lex is
+    missing: a type-body member whose text names none of them is absent
+    from the unit, and any other brace block that names none of them
+    parses empty.
     Every node that is there has the span and source of a full parse, and
     so do the unit's file-level declarations, types and body spans.
     """
     if not keep:
-        check_balanced(text)  # with keep, tokenize runs it for the brace pairs
+        require_balanced(text)  # with keep, tokenize runs check_balanced
     return _parse_with(_Parser(text, tokenize(text, keep)), _Parser.parse_unit)
 
 

@@ -437,11 +437,11 @@ def test_update_does_not_parse_without_the_method(monkeypatch):
     patch, mapping = load_patch("set_sound")
     text = "class A {\n    void m(Vibrator v) {\n        v.vibrate(5);\n    }\n}\n"
     calls = []
-    for name in ("parse", "check_balanced"):
+    for name in ("parse", "check_balanced", "require_balanced"):
         monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*a))
     out, report = engine.update(text, patch, mapping)
-    assert calls == ["check_balanced"]
+    assert calls == ["require_balanced"]
     assert out is text
     assert report == engine.UpdateReport()
 

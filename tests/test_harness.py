@@ -97,3 +97,15 @@ def test_main_fails_on_a_corpus_with_no_case(tmp_path, capsys, layout):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "api-evolve-corpus: no case under %s\n" % (tmp_path / "cases")
+
+
+def test_main_exits_64_when_the_json_path_cannot_be_written(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "cases" / "vibrate", root / "cases" / "vibrate")
+    out = tmp_path / "missing" / "dir" / "s.json"
+    assert harness.main([str(root), "--json", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert "100.0% accuracy" in captured.out
+    assert captured.err.startswith("api-evolve-corpus: cannot write %s: " % out)
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()

@@ -5,6 +5,7 @@ import pytest
 from api_evolve import jast, scope, sigmap
 
 from conftest import corpus_java_files
+from mutants import mutant
 
 
 def read(path):
@@ -229,11 +230,11 @@ def test_superscript_digit_is_a_punct_token():
 
 def test_parse_lexes_once(monkeypatch, vibrate_example):
     calls = []
-    for name in ("tokenize", "check_balanced"):
+    for name in ("tokenize", "check_balanced", "require_balanced"):
         monkeypatch.setattr(jast, name, lambda *args, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*args))
     jast.parse(vibrate_example)
-    assert calls == ["check_balanced", "tokenize"]
+    assert calls == ["require_balanced", "tokenize"]
 
 
 MALFORMED_HEADERS = {
@@ -272,23 +273,6 @@ def test_generic_and_array_types_still_parse():
     assert tdecl.name == "A" and [f.type_name for f in tdecl.fields] == ["Map<String, byte[]>"]
 
 
-def _mutant(rng, text):
-    """One seeded edit of the kind a truncated or hand-edited file shows."""
-    i = rng.randrange(len(text) + 1)
-    op = rng.randrange(5)
-    if op == 0:
-        return text[:i]
-    if op == 1:
-        return text[:i] + text[i + rng.randint(1, 20):]
-    if op == 2:
-        return text[:i] + rng.choice("\"'/*{}()[];<>") + text[i:]
-    lines = text.split("\n")
-    k = rng.randrange(len(lines))
-    if op == 3:
-        return "\n".join(lines[:k + 1] + lines[k:])
-    return "\n".join(lines[:k] + lines[k + 1:])
-
-
 def _fault(fn, text):
     try:
         fn(text)
@@ -300,7 +284,7 @@ def _fault(fn, text):
 def test_check_balanced_faults_exactly_where_parse_does():
     texts = [read(p) for p in corpus_java_files()]
     rng = random.Random(20081)
-    texts += [_mutant(rng, rng.choice(texts)) for _ in range(1200)]
+    texts += [mutant(rng, rng.choice(texts)) for _ in range(1200)]
     faults = [_fault(jast.parse, t) for t in texts]
     assert faults == [_fault(jast.check_balanced, t) for t in texts]
     assert 300 < sum(f is not None for f in faults) < len(texts) - 300
@@ -419,7 +403,7 @@ LAZY_KEEPS = ({"vibrate"}, {"setSound", "makeAttrs", "buildAttrs"}, {"fromHtml"}
 def test_lazy_parse_reads_like_the_full_parse():
     texts = [read(p) for p in corpus_java_files()]
     rng = random.Random(7001)
-    texts += [_mutant(rng, rng.choice(texts)) for _ in range(300)]
+    texts += [mutant(rng, rng.choice(texts)) for _ in range(300)]
     parsed = skipped = 0
     for text in texts:
         for keep in LAZY_KEEPS:
