@@ -155,7 +155,7 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     e = getattr(pattern, name)
     if e is not None:
         e = substitute_expr(e, binding, renames)
-    return replace(pattern, span=None, src=None, **{name: e})
+    return replace(pattern, span=None, unit_text=None, **{name: e})
 
 
 # ---------------------------------------------------------------------------

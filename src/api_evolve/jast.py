@@ -4,7 +4,10 @@ The parser is tolerant: any construct outside the subset becomes an
 Opaque node whose bytes reprint verbatim. Every structured node carries
 a span into the original text, so printing an unedited unit reproduces
 the input byte-for-byte, and all rewriting is expressed as span
-replacements (see splice / edited).
+replacements (see splice / edited). A node indexes the text, not a copy
+of it: a parsed node holds its span and the unit's one text string, and
+its src is a view of that string, so a tree costs memory linear in the
+text at any nesting depth. Nodes, spans and tokens are slotted.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class OverlappingEdits(Exception):
     """Two splice edits overlap; this is a caller bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     start: int
     end: int
@@ -37,109 +40,102 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
+@dataclass(slots=True)
+class _Node:
+    """The two fields of every syntax node, keyword-only, after its own. A
+    parsed node holds its span and its unit's text, one string that every
+    node of the unit shares, and src is a view: the span's slice of that
+    text. A synthesized node holds neither, and its src is None."""
+    span: Optional[Span] = field(default=None, kw_only=True)
+    unit_text: Optional[str] = field(default=None, kw_only=True, repr=False)
+
+    @property
+    def src(self) -> Optional[str]:
+        text = self.unit_text
+        return None if text is None else text[self.span.start:self.span.end]
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Literal:
+@dataclass(slots=True)
+class Literal(_Node):
     kind: str  # int | float | string | char | bool | null
     lexeme: str
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Name:
+@dataclass(slots=True)
+class Name(_Node):
     identifier: str
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class FieldAccess:
+@dataclass(slots=True)
+class FieldAccess(_Node):
     receiver: "Expr"
     identifier: str
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class MethodCall:
+@dataclass(slots=True)
+class MethodCall(_Node):
     receiver: Optional["Expr"]
     name: str
     args: list
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class ObjectCreation:
+@dataclass(slots=True)
+class ObjectCreation(_Node):
     type_name: str
     args: list
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Binary:
+@dataclass(slots=True)
+class Binary(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Unary:
+@dataclass(slots=True)
+class Unary(_Node):
     op: str
     operand: "Expr"
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Assign:
+@dataclass(slots=True)
+class Assign(_Node):
     lhs: "Expr"
     rhs: "Expr"
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Cast:
+@dataclass(slots=True)
+class Cast(_Node):
     type_name: str
     operand: "Expr"
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Paren:
+@dataclass(slots=True)
+class Paren(_Node):
     inner: "Expr"
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class OpaqueExpr:
+@dataclass(slots=True)
+class OpaqueExpr(_Node):
     """Public for callers that test for it; the parser builds none."""
     text: str
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
 Expr = Union[Literal, Name, FieldAccess, MethodCall, ObjectCreation,
              Binary, Unary, Assign, Cast, Paren, OpaqueExpr]
 
 # The one shape table: each expression kind's subexpression fields, in
-# source order. Every other field but span and src is the node's label.
+# source order. Every other field but _Node's is the node's label.
 CHILDREN = {Literal: (), Name: (), FieldAccess: ("receiver",),
             MethodCall: ("receiver", "args"), ObjectCreation: ("args",),
             Binary: ("lhs", "rhs"), Unary: ("operand",), Assign: ("lhs", "rhs"),
             Cast: ("operand",), Paren: ("inner",), OpaqueExpr: ()}
 LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
-                      if name not in kids + ("span", "src"))
+                      if name not in kids and name not in _Node.__dataclass_fields__)
           for kind, kids in CHILDREN.items()}
 
 
@@ -147,51 +143,42 @@ LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocalVarDecl:
+_NO_MODIFIERS = frozenset()  # shared by every declaration without modifiers
+
+
+@dataclass(slots=True)
+class LocalVarDecl(_Node):
     type_name: str
     name: str
     init: Optional[Expr]
-    modifiers: set = field(default_factory=set)
-    span: Optional[Span] = None
-    src: Optional[str] = None
+    modifiers: frozenset = _NO_MODIFIERS
 
 
-@dataclass
-class ExprStmt:
+@dataclass(slots=True)
+class ExprStmt(_Node):
     expr: Expr
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class If:
+@dataclass(slots=True)
+class If(_Node):
     cond: Expr
     then_block: "Stmt"
     else_block: Optional["Stmt"] = None
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Return:
+@dataclass(slots=True)
+class Return(_Node):
     value: Optional[Expr] = None
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class Block:
+@dataclass(slots=True)
+class Block(_Node):
     stmts: list = field(default_factory=list)
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class OpaqueStmt:
-    text: str
-    span: Optional[Span] = None
-    src: Optional[str] = None
+@dataclass(slots=True)
+class OpaqueStmt(_Node):
+    """A statement outside the subset; its bytes are its src."""
 
 
 Stmt = Union[LocalVarDecl, ExprStmt, If, Return, Block, OpaqueStmt]
@@ -203,25 +190,21 @@ STMT_EXPR = {LocalVarDecl: "init", ExprStmt: "expr", If: "cond", Return: "value"
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FieldDecl:
-    modifiers: set
+@dataclass(slots=True)
+class FieldDecl(_Node):
+    modifiers: frozenset
     type_name: str
     name: str
     initializer: Optional[Expr]
-    span: Optional[Span] = None
-    src: Optional[str] = None
 
 
-@dataclass
-class MethodDecl:
-    modifiers: set
+@dataclass(slots=True)
+class MethodDecl(_Node):
+    modifiers: frozenset
     return_type: str
     name: str
     params: list  # of (type_name, name)
     body: list = field(default_factory=list)  # of Stmt
-    span: Optional[Span] = None
-    src: Optional[str] = None
     body_span: Optional[Span] = None  # between the braces, exclusive
     implicit: bool = False
 
@@ -230,20 +213,18 @@ class MethodDecl:
         return len(self.params)
 
 
-@dataclass
-class TypeDecl:
+@dataclass(slots=True)
+class TypeDecl(_Node):
     name: str
     fields: list = field(default_factory=list)
     methods: list = field(default_factory=list)
     nested: list = field(default_factory=list)
-    modifiers: set = field(default_factory=set)
-    span: Optional[Span] = None
-    src: Optional[str] = None
+    modifiers: frozenset = _NO_MODIFIERS
     body_span: Optional[Span] = None
     implicit: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class CompilationUnit:
     package_name: Optional[str]
     imports: list  # of qualified name strings
@@ -260,7 +241,7 @@ class CompilationUnit:
 MODIFIERS = {"static", "final", "public", "private", "protected", "abstract"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | num | str | char | punct | eof
     value: str
@@ -539,7 +520,7 @@ class _Parser:
 
     def _finish(self, node, start: int, end: int):
         node.span = Span(start, end)
-        node.src = self.text[start:end]
+        node.unit_text = self.text
         return node
 
     # -- unit ---------------------------------------------------------------
@@ -594,8 +575,9 @@ class _Parser:
         types, fields, methods = top.nested, top.fields, top.methods
         if loose_stmts:
             start, end = loose_stmts[0].span.start, loose_stmts[-1].span.end
-            methods.append(self._finish(MethodDecl(set(), "", "", [], loose_stmts, implicit=True,
-                                                   body_span=Span(start, end)), start, end))
+            wrapper = MethodDecl(_NO_MODIFIERS, "", "", [], loose_stmts, implicit=True,
+                                 body_span=Span(start, end))
+            methods.append(self._finish(wrapper, start, end))
         if fields or methods:
             start = min(m.span.start for m in fields + methods)
             end = max(m.span.end for m in fields + methods)
@@ -664,11 +646,11 @@ class _Parser:
 
     # -- declarations -------------------------------------------------------
 
-    def _parse_modifiers(self) -> set:
-        mods = set()
-        while self.peek().kind == "ident" and self.peek().value in MODIFIERS:
-            mods.add(self.eat().value)
-        return mods
+    def _parse_modifiers(self, allowed=MODIFIERS) -> frozenset:
+        mods = []
+        while self.peek().kind == "ident" and self.peek().value in allowed:
+            mods.append(self.eat().value)
+        return frozenset(mods) if mods else _NO_MODIFIERS
 
     def _type_header(self) -> TypeDecl:
         """A class's modifiers, name and header through its `{`, as a
@@ -833,9 +815,7 @@ class _Parser:
 
     def _parse_local_var_decl(self) -> LocalVarDecl:
         start = self.peek().start
-        mods = set()
-        while self.peek().value == "final":
-            mods.add(self.eat().value)
+        mods = self._parse_modifiers(("final",))
         type_name = self._parse_type_text()
         if self.peek().kind != "ident":
             raise _Backtrack("variable name expected")
@@ -877,8 +857,7 @@ class _Parser:
             elif value == ";" and depth == 0:
                 break
         self.i = i
-        end = toks[i - 1].end
-        return self._finish(OpaqueStmt(self.text[start_tok.start:end]), start_tok.start, end)
+        return self._finish(OpaqueStmt(), start_tok.start, toks[i - 1].end)
 
     # -- expressions ----------------------------------------------------------
 
@@ -1189,7 +1168,7 @@ def ast_equal(a, b) -> bool:
         elif hasattr(a, "__dataclass_fields__"):
             stack.extend(reversed([(getattr(a, n), getattr(b, n))
                                    for n in a.__dataclass_fields__
-                                   if n not in ("span", "src", "body_span")]))
+                                   if n not in ("span", "unit_text", "body_span")]))
         elif a != b:
             return False
     return True
@@ -1206,15 +1185,25 @@ def render_expr(e: Expr) -> str:
     where, left bare, it would bind differently (see _grouped), in one fold."""
     if e is None:
         return ""
-    if e.src and "\n" not in e.src:
-        return e.src
-    return fold(e, _render_node, lambda e: () if e.src and "\n" not in e.src else child_exprs(e))
+    return fold(e, _render_node, _render_kids)
+
+
+def _render_kids(e: Expr):
+    """The children render_expr renders e from: none where e is backed by
+    one line of source, found in place, not sliced; else child_exprs(e)."""
+    text = e.unit_text
+    if text is not None and text.find("\n", e.span.start, e.span.end) < 0:
+        return ()
+    return child_exprs(e)
 
 
 def _render_node(e: Expr, kids) -> str:
     """e's text, given its children's texts, in child_exprs order."""
-    if e.src and "\n" not in e.src:
-        return e.src
+    text = e.unit_text
+    if text is not None:
+        start, end = e.span.start, e.span.end
+        if text.find("\n", start, end) < 0:
+            return text[start:end]
     kind = type(e)
     if kind is Literal:
         return e.lexeme

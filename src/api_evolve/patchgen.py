@@ -132,18 +132,19 @@ def _locate_pair(unit, mapping):
     indistinguishable, so candidate pairings are ranked by how well the
     declared types of their arguments agree with the signature parameter
     types; a tie goes to the earliest if, then the earliest deprecated
-    site, then the earliest updated site."""
-    deps = [(d, _arg_type_score(d, mapping.deprecated, unit))
-            for d in sigmap.find_invocations(unit, mapping.deprecated)]
-    upds = [(u, _arg_type_score(u, mapping.replacement, unit))
-            for u in sigmap.find_invocations(unit, mapping.replacement)]
+    site, then the earliest updated site. Sites match by name and arity
+    alone, so signatures that share both share one walk's site list."""
+    dep, upd = mapping.deprecated, mapping.replacement
+    dep_sites = sigmap.find_invocations(unit, dep)
+    upd_sites = (dep_sites if (dep.method_name, dep.arity) == (upd.method_name, upd.arity)
+                 else sigmap.find_invocations(unit, upd))
+    deps = [(d, _arg_type_score(d, dep, unit)) for d in dep_sites]
+    upds = [(u, _arg_type_score(u, upd, unit)) for u in upd_sites]
     ranked = [((-(ds + us), s.span.start, d.call.span.start, u.call.span.start), (d, u, s))
               for d, ds in deps for u, us in upds
               for s in [_separating_if(d, u)] if s is not None]
     if not ranked:
-        raise ExampleShapeError(
-            "example must pair %s and %s inside one if/else" %
-            (mapping.deprecated, mapping.replacement))
+        raise ExampleShapeError("example must pair %s and %s inside one if/else" % (dep, upd))
     return min(ranked, key=lambda r: r[0])[1]
 
 
@@ -323,7 +324,7 @@ def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
     types = {d.name: d for d in p.needs if isinstance(d, jast.TypeDecl)}
     fields = {d.name: d for d in p.needs if isinstance(d, jast.FieldDecl)}
     # the metavariables are the hunk's parameters, so their names are no uses
-    hunk = jast.MethodDecl(set(), "", "", [("", n) for _k, n in p.metavars],
+    hunk = jast.MethodDecl(frozenset(), "", "", [("", n) for _k, n in p.metavars],
                            body=[jast.ExprStmt(p.guard_cond)] + p.then_stmts)
     used = {id(u) for u in scope.closure([hunk], methods, types, fields, qualified=True)}
     for d in p.needs:

@@ -167,8 +167,7 @@ def closure(defs, methods, types, fields, qualified=False) -> list:
     order found; declarations are told apart by identity."""
     found, seen = [], set()
     work = list(defs)
-    while work:
-        d = work.pop(0)
+    for d in work:  # by index while work grows: first in, first out
         if id(d) not in seen:
             seen.add(id(d))
             found.append(d)

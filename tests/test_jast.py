@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
-from api_evolve import jast, scope, sigmap
+from api_evolve import engine, jast, scope, sigmap
 
-from conftest import corpus_java_files
+from conftest import CORPUS, corpus_java_files
 from mutants import mutant
 
 
@@ -52,7 +53,7 @@ def test_opaque_in_body():
     unit = jast.parse(text)
     (stmt,) = unit.types[0].methods[0].body
     assert isinstance(stmt, jast.OpaqueStmt)
-    assert stmt.text == "while (x) { a.f(); }"
+    assert stmt.src == "while (x) { a.f(); }"
     assert jast.print_unit(unit) == text
 
 
@@ -489,6 +490,60 @@ def test_patch_depth_nesting_still_parses():
     text = "class A { void m(Vibrator v) { x = %s; v.vibrate(5); } }" % nested
     assert jast.print_unit(jast.parse(text)) == text
     assert jast.render_expr(jast.parse_expr_text(nested)) == nested
+
+
+def test_parse_memory_is_linear_in_depth():
+    # a node indexes the unit's text: no level holds a copy of the levels
+    # below it, so the tree costs a fixed multiple of the text at any depth
+    for depth in (2000, 8000):
+        text = "class A { void f() { int x = %s1%s; } }\n" % ("(a + " * depth, ")" * depth)
+        tracemalloc.start()
+        try:
+            unit = jast.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unit.types[0].methods[0].body[0].init.src == text[text.index("(a"):text.index(";")]
+        assert peak < 400 * len(text), (depth, peak / len(text))
+
+
+def _parsed_nodes(unit):
+    """Every node of unit: types, members, statements and expressions."""
+    for tdecl, _outer in jast.iter_types(unit):
+        yield tdecl
+        for fdecl in tdecl.fields:
+            yield fdecl
+            if fdecl.initializer is not None:
+                yield from jast.iter_exprs(fdecl.initializer)
+        for mdecl in tdecl.methods:
+            yield mdecl
+            for stmt, _chain in jast.iter_statements(mdecl.body):
+                yield stmt
+                for root in jast.stmt_exprs(stmt):
+                    yield from jast.iter_exprs(root)
+
+
+@pytest.mark.parametrize("path", corpus_java_files() + sorted(CORPUS.glob("cases/*/expected/*.java")),
+                         ids=lambda p: "/".join(p.parts[-3:]))
+def test_src_is_a_view_of_the_unit_text(path):
+    unit = jast.parse(read(path))
+    nodes = list(_parsed_nodes(unit))
+    assert nodes
+    for node in nodes:
+        assert node.unit_text is unit.text  # one shared string, no copy
+        assert node.src == unit.text[node.span.start:node.span.end]
+    empty = {id(n.modifiers) for n in nodes if hasattr(n, "modifiers") and not n.modifiers}
+    assert len(empty) <= 1  # declarations without modifiers share one set
+    for stmt in nodes:
+        for root in jast.stmt_exprs(stmt):
+            for copy in (jast.fold(root, jast.rebuild),
+                         engine.substitute_expr(root, engine.MetaBinding())):
+                assert all(e.src is None and e.span is None for e in jast.iter_exprs(copy))
+        if isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
+            copy = engine.substitute_stmt(stmt, engine.MetaBinding())
+            assert copy.src is None and copy.span is None
+            for root in jast.stmt_exprs(copy):
+                assert all(e.src is None for e in jast.iter_exprs(root))
 
 
 def test_iter_exprs_walks_a_deep_chain_in_pre_order():

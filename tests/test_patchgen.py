@@ -243,6 +243,17 @@ def test_generate_finds_sites_twice(monkeypatch):
     assert calls == [mapping.deprecated, mapping.replacement]
 
 
+def test_generate_finds_sites_once_when_name_and_arity_match(monkeypatch):
+    # vibrate(long) and vibrate(VibrationEffect): one walk finds both
+    example, mapping = read_case("vibrate")
+    find = sigmap.find_invocations
+    calls = []
+    monkeypatch.setattr(sigmap, "find_invocations",
+                        lambda unit, sig: calls.append(sig) or find(unit, sig))
+    assert patchgen.render_patch(patchgen.generate_patch(example, mapping)) == EXPECTED_VIBRATE_PATCH
+    assert calls == [mapping.deprecated]
+
+
 VIBRATE = sigmap.ApiMapping(
     sigmap.parse_signature("android.os.Vibrator#vibrate(long)"),
     sigmap.parse_signature("android.os.Vibrator#vibrate(android.os.VibrationEffect)"))
