@@ -7,7 +7,8 @@ the input byte-for-byte, and all rewriting is expressed as span
 replacements (see splice / edited). A node indexes the text, not a copy
 of it: a parsed node holds its span and the unit's one text string, and
 its src is a view of that string, so a tree costs memory linear in the
-text at any nesting depth. Nodes, spans and tokens are slotted.
+text at any nesting depth. Nodes, spans and tokens are slotted. Nodes
+compare by identity; ast_equal compares structure.
 """
 
 from __future__ import annotations
@@ -40,14 +41,26 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
-@dataclass(slots=True)
+# Every syntax node's class: slotted, compared by identity and shown by
+# _Node's shallow __repr__, with no generated __eq__ or __repr__.
+_node = dataclass(slots=True, eq=False, repr=False)
+
+
+@_node
 class _Node:
     """The two fields of every syntax node, keyword-only, after its own. A
     parsed node holds its span and its unit's text, one string that every
     node of the unit shares, and src is a view: the span's slice of that
-    text. A synthesized node holds neither, and its src is None."""
+    text. A synthesized node holds neither, and its src is None.
+
+    Nodes compare by identity, and repr names the class and span only: a
+    generated __eq__ or __repr__ would recurse once per nesting level. For
+    structure, see ast_equal."""
     span: Optional[Span] = field(default=None, kw_only=True)
-    unit_text: Optional[str] = field(default=None, kw_only=True, repr=False)
+    unit_text: Optional[str] = field(default=None, kw_only=True)
+
+    def __repr__(self) -> str:
+        return "%s(span=%r)" % (type(self).__name__, self.span)
 
     @property
     def src(self) -> Optional[str]:
@@ -59,67 +72,67 @@ class _Node:
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@_node
 class Literal(_Node):
     kind: str  # int | float | string | char | bool | null
     lexeme: str
 
 
-@dataclass(slots=True)
+@_node
 class Name(_Node):
     identifier: str
 
 
-@dataclass(slots=True)
+@_node
 class FieldAccess(_Node):
     receiver: "Expr"
     identifier: str
 
 
-@dataclass(slots=True)
+@_node
 class MethodCall(_Node):
     receiver: Optional["Expr"]
     name: str
     args: list
 
 
-@dataclass(slots=True)
+@_node
 class ObjectCreation(_Node):
     type_name: str
     args: list
 
 
-@dataclass(slots=True)
+@_node
 class Binary(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(slots=True)
+@_node
 class Unary(_Node):
     op: str
     operand: "Expr"
 
 
-@dataclass(slots=True)
+@_node
 class Assign(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(slots=True)
+@_node
 class Cast(_Node):
     type_name: str
     operand: "Expr"
 
 
-@dataclass(slots=True)
+@_node
 class Paren(_Node):
     inner: "Expr"
 
 
-@dataclass(slots=True)
+@_node
 class OpaqueExpr(_Node):
     """Public for callers that test for it; the parser builds none."""
     text: str
@@ -146,7 +159,7 @@ LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
 _NO_MODIFIERS = frozenset()  # shared by every declaration without modifiers
 
 
-@dataclass(slots=True)
+@_node
 class LocalVarDecl(_Node):
     type_name: str
     name: str
@@ -154,29 +167,29 @@ class LocalVarDecl(_Node):
     modifiers: frozenset = _NO_MODIFIERS
 
 
-@dataclass(slots=True)
+@_node
 class ExprStmt(_Node):
     expr: Expr
 
 
-@dataclass(slots=True)
+@_node
 class If(_Node):
     cond: Expr
     then_block: "Stmt"
     else_block: Optional["Stmt"] = None
 
 
-@dataclass(slots=True)
+@_node
 class Return(_Node):
     value: Optional[Expr] = None
 
 
-@dataclass(slots=True)
+@_node
 class Block(_Node):
     stmts: list = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@_node
 class OpaqueStmt(_Node):
     """A statement outside the subset; its bytes are its src."""
 
@@ -190,7 +203,7 @@ STMT_EXPR = {LocalVarDecl: "init", ExprStmt: "expr", If: "cond", Return: "value"
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@_node
 class FieldDecl(_Node):
     modifiers: frozenset
     type_name: str
@@ -198,7 +211,7 @@ class FieldDecl(_Node):
     initializer: Optional[Expr]
 
 
-@dataclass(slots=True)
+@_node
 class MethodDecl(_Node):
     modifiers: frozenset
     return_type: str
@@ -213,7 +226,7 @@ class MethodDecl(_Node):
         return len(self.params)
 
 
-@dataclass(slots=True)
+@_node
 class TypeDecl(_Node):
     name: str
     fields: list = field(default_factory=list)

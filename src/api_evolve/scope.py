@@ -14,7 +14,7 @@ lookup of the unit definitions a helper's body references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jast
@@ -35,7 +35,8 @@ class Scope:
         for level, j, stmt in self._before():
             value = _defines(stmt, name)
             if value is not None:
-                at = replace(self, path=self.path[:level] + ((self.path[level][0], j),))
+                at = Scope(self.unit, self.types, self.method,
+                           self.path[:level] + ((self.path[level][0], j),), self.pinned)
                 return (None if value is _NO_INIT else value), at
         return None
 

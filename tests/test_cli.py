@@ -9,6 +9,7 @@ import pytest
 from api_evolve import cli, harness, jast, patchgen, sigmap
 
 from conftest import CORPUS
+from mutants import mutant
 
 VIBRATE_DEP = "android.os.Vibrator#vibrate(long)"
 VIBRATE_UPD = "android.os.Vibrator#vibrate(android.os.VibrationEffect)"
@@ -762,6 +763,28 @@ def test_apply_fuzz_exits_with_a_documented_code(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
     # both updated and failing mutants, or the fuzz shows nothing
     assert codes.count(0) > 30 and codes.count(2) > 30
+
+
+def test_apply_fuzz_of_mutated_patches_exits_with_a_documented_code(tmp_path, capsys):
+    # a hand-edited or truncated patch is applied cleanly, found to update
+    # nothing, or rejected with one line
+    rng = random.Random(1616)
+    codes = []
+    for case in sorted(p.name for p in (CORPUS / "cases").iterdir()):
+        (tmp_path / case).mkdir()
+        dep, upd, patch = _case_patch(tmp_path / case, case)
+        text = patch.read_text()
+        target = min((CORPUS / "cases" / case / "targets").glob("*.java"))
+        for _ in range(200):
+            patch.write_text(mutant(rng, text))
+            capsys.readouterr()
+            codes.append(cli.main(["--apply-patch", dep, upd, "--input", str(target),
+                                   "--patch", str(patch), "--output", str(tmp_path / "o.java")]))
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 1) or (
+                codes[-1] == 3 and err.endswith("\n") and err.count("\n") == 1), (codes[-1], err)
+    # applied, empty and rejected patches all occur, or the fuzz shows nothing
+    assert codes.count(0) > 100 and codes.count(1) > 10 and codes.count(3) > 300
 
 
 def test_apply_rejects_a_needs_member_nothing_uses(tmp_path, capsys):

@@ -507,6 +507,18 @@ def test_parse_memory_is_linear_in_depth():
         assert peak < 400 * len(text), (depth, peak / len(text))
 
 
+def test_node_eq_and_repr_take_no_frame_a_level():
+    # nodes compare by identity and repr shallowly, so neither recurses
+    # into the tree; ast_equal is the structural comparison
+    text = "(a + " * 10000 + "1" + ")" * 10000
+    x, y = jast.parse_expr_text(text), jast.parse_expr_text(text)
+    assert x == x and x != y
+    assert repr(x) == "Paren(span=Span(start=0, end=%d))" % len(text)
+    assert repr(x.inner.rhs) == "Paren(span=Span(start=5, end=%d))" % (len(text) - 1)
+    assert jast.ast_equal(x, y)
+    assert not jast.ast_equal(x, jast.parse_expr_text(text.replace("1", "2")))
+
+
 def _parsed_nodes(unit):
     """Every node of unit: types, members, statements and expressions."""
     for tdecl, _outer in jast.iter_types(unit):
