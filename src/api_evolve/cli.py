@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON update report here (apply mode)")
     p.add_argument("--rewire-shared-args", action="store_true",
                    help="substitute target argument metavariables into resolved "
-                        "values whose chain passes through a deprecated-call argument")
+                        "values whose chain passes through a deprecated-call argument "
+                        "(generate mode)")
     return p
 
 
@@ -66,6 +67,14 @@ def main(argv=None) -> int:
     if args.apply_patch and not args.patch:
         parser.print_usage(sys.stderr)
         sys.stderr.write("api-evolve: error: --patch is required with --apply-patch\n")
+        return EXIT_USAGE
+    # a flag of the other mode would be ignored, so it is refused
+    other = ({"--patch": args.patch is not None, "--report": args.report is not None}
+             if args.generate_patch else {"--rewire-shared-args": args.rewire_shared_args})
+    stray = [flag for flag, given in other.items() if given]
+    if stray:
+        sys.stderr.write("api-evolve: error: %s cannot be used with %s\n" % (
+            ", ".join(stray), "--generate-patch" if args.generate_patch else "--apply-patch"))
         return EXIT_USAGE
 
     try:

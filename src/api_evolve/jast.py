@@ -8,14 +8,17 @@ replacements (see splice / edited). A node indexes the text, not a copy
 of it: a parsed node holds its span and the unit's one text string, and
 its src is a view of that string, so a tree costs memory linear in the
 text at any nesting depth. Nodes, spans and tokens are slotted. Nodes
-compare by identity; ast_equal compares structure.
+compare by identity; ast_equal compares structure. Brackets are paired
+once per parse, by check_balanced's table, which the lazy lexer, the
+member scan and the parser's verbatim regions all jump through.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -263,8 +266,10 @@ class Token:
 
 
 # Literal and comment syntax, written once for the lexer and the bracket
-# scan. A quote or `/*` that opens no literal or comment is `bad`.
-_STR = r""" "[^"\\\n]*(?:\\.[^"\\\n]*)*" """
+# scan. A quote or `/*` that opens no literal or comment is `bad`. A text
+# block opens with `"""` and a line break, and ends at the next unescaped `"""`.
+_STR = r""" "{3}[ \t\f]*\r?\n[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3}
+          | "[^"\\\n]*(?:\\.[^"\\\n]*)*" """
 _CHAR = r""" '[^'\\]*(?:\\.[^'\\]*)*' """
 _COMMENT = r""" //[^\n]* | /\*.*?\*/ """
 _BAD = r""" ["'] | /\* """
@@ -278,8 +283,9 @@ _TOKEN_RE = re.compile(r"""
     (?:
         (?P<str> %s)
       | (?P<char> %s)
-      | (?P<num> 0[xX][0-9a-fA-F]+[lL]? | \d+\.\d*(?:[eE][+-]?\d+)?[fFdD]?
-                 | \d+(?:[eE][+-]?\d+)?[fFdDlL]? )
+      | (?P<num> 0[xX][0-9a-fA-F_]+[lL]? | 0[bB][01_]+[lL]?
+                 | (?:\d[\d_]*\.[\d_]* | \.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[fFdD]?
+                 | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[fFdDlL]? )
       | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
       | (?P<bad> %s)
       | (?P<punct> [{}()\[\];,] | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
@@ -289,14 +295,13 @@ _TOKEN_RE = re.compile(r"""
 
 # One match per bracket: runs of other characters, comments and literals
 # are swallowed in front of it, and so is a `(...)` or `[...]` pair with
-# nothing inside that the scan would stop at, which can never be at fault.
-# A lone `/` must not start `/*`, or an unclosed comment would be
-# swallowed as ordinary text.
+# nothing inside that the scan would stop at, which can never be at fault
+# (see _close). A lone `/` must not start `/*`, or an unclosed comment
+# would be swallowed as ordinary text.
 _PLAIN = r"""[^"'/{}()\[\]]"""
 _BRACKET_RE = re.compile(r"""
     (?:%s+ | \(%s*\) | \[%s*\] | %s | %s | %s | /(?!\*) )*
-    (?: (?P<open> [(\[] ) | (?P<close> [)\]] ) | (?P<lbrace> \{ ) | (?P<rbrace> \} )
-      | (?P<bad> %s) | (?P<eof> \Z ) )
+    (?: (?P<open> [(\[{] ) | (?P<close> [)\]}] ) | (?P<bad> %s) | (?P<eof> \Z ) )
     """ % (_PLAIN, _PLAIN, _PLAIN, _COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
 _OPEN = {"{": "}", "(": ")", "[": "]"}
@@ -305,21 +310,23 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
                  "/*": "unterminated block comment"}
 
 
-def tokenize(text: str, keep=()) -> list:
+def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     """Lex text in one pass; the last token is eof.
 
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
     lexed too; parse checks balance first. With `keep`, a collection
-    of names, check_balanced runs first and only what can hold one of them
-    is lexed. A member of a type body whose text (from the end of the
-    member before it) names none of them is not lexed at all: a field,
-    method, initializer block or nested type (see _member_end). Any other
-    brace block whose text names none of them is lexed as its two braces
-    alone. A comment or string that names one counts. A type body is the
-    first `{` after a `class` token that does not follow `.`, with no `;`
-    or `}` between them. File-level declarations are always lexed."""
-    braces = check_balanced(text) if keep else None
+    of names, only what can hold one of them is lexed, jumping through
+    partner, check_balanced's table for text (built here if not given).
+    A member of a type body whose text (from the end of the member before
+    it) names none of them is not lexed at all: a field, method,
+    initializer block or nested type (see _member_end). Any other brace
+    block whose text names none of them is lexed as its two braces alone.
+    A comment or string that names one counts. A type body is the first
+    `{` after a `class` token that does not follow `.`, with no `;` or `}`
+    between them. File-level declarations are always lexed."""
+    if keep and partner is None:
+        partner = check_balanced(text)
     toks = []
     append = toks.append
     class_pending = False
@@ -341,8 +348,9 @@ def tokenize(text: str, keep=()) -> list:
             if value == "{":
                 if not class_pending:
                     ends.append(None)
-                    if not _names(text, keep, end, braces[end - 1]):
-                        pos = braces[end - 1]  # resume at the matching `}`
+                    close = partner[end - 1]
+                    if not _names(text, keep, end, close):
+                        pos = close  # resume at the matching `}`
                         break
                     continue
                 class_pending = False
@@ -360,7 +368,7 @@ def tokenize(text: str, keep=()) -> list:
             # a member of a type body starts at end: skip each one that names no keep
             skip = end
             while True:
-                member_end = _member_end(text, skip, braces)
+                member_end = _member_end(text, skip, partner)
                 if member_end is None or _names(text, keep, skip, member_end):
                     break
                 skip = member_end
@@ -376,42 +384,35 @@ def _names(text: str, keep, start: int, end: int) -> bool:
     return any(text.find(name, start, end) >= 0 for name in keep)
 
 
-# One match per character that can end a type-body member: runs of other
-# characters, comments and literals are swallowed in front of it. A quote
-# or `/*` that opens nothing cannot occur after check_balanced; matching it
-# keeps a failed match from backtracking through the runs.
+# One match per `;`, `=` or opening or closing brace, and per `(` or `[`:
+# runs of other characters, comments and literals are swallowed in front
+# of it. A quote or `/*` that opens nothing cannot occur after
+# check_balanced; matching it keeps a failed match from backtracking.
 _MEMBER_RE = re.compile(r"""
-    (?:[^"'/;{}=()\[\]]+ | %s | %s | %s | /(?!\*) )*
-    (?P<c> [;{}=()\[\]] | %s | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+    (?:[^"'/;{}=(\[]+ | %s | %s | %s | /(?!\*) )*
+    (?P<c> [;{}=(\[] | %s | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
 
 
-def _member_end(text: str, pos: int, braces: dict) -> Optional[int]:
+def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
     """The end of the type-body member that starts at pos, without lexing:
-    just past a `;` outside brackets, or past the `}` of a `{` outside
-    brackets with no `=` outside brackets before it, so an array
-    initializer, anonymous class or lambda runs on to its `;`. None when
-    the body's `}` comes first. A `{` is jumped over through braces, the
-    map check_balanced returns. Every such end is one where parse_unit's
-    member loop ends a member."""
-    depth = 0
+    just past a `;`, or past the `}` of a `{` with no `=` before it, so an
+    array initializer, anonymous class or lambda runs on to its `;`. None
+    when the body's `}` comes first. Each bracket is jumped over to its
+    partner (see _close), so what is inside one is never seen. Every such
+    end is one where parse_unit's member loop ends a member."""
     assigned = False
     while True:
         m = _MEMBER_RE.match(text, pos)
         c, pos = m["c"], m.end()
-        if c == "{":
-            pos = braces[pos - 1] + 1
-            if not depth and not assigned:
+        if c == "{" or c == "(" or c == "[":
+            pos = _close(text, partner, pos - 1) + 1
+            if c == "{" and not assigned:
                 return pos
         elif c == ";":
-            if not depth:
-                return pos
+            return pos
         elif c == "=":
-            assigned = assigned or not depth
-        elif c == "(" or c == "[":
-            depth += 1
-        elif c == ")" or c == "]":
-            depth -= 1
-        elif c == "}" or not c:
+            assigned = True
+        else:  # the body's `}`, or the end
             return None
 
 
@@ -429,7 +430,7 @@ _PAIR_PASSES = 32  # each removes at least one level of nesting
 
 
 def require_balanced(text: str) -> None:
-    """Raise exactly what check_balanced raises, without its brace map:
+    """Raise exactly what check_balanced raises, without its table:
     the brackets outside literals and comments are kept as bytes, and
     adjacent pairs are removed with bytes.replace until none is left.
     A quote or `/*` that opens nothing, brackets left over, or nesting
@@ -452,38 +453,42 @@ def require_balanced(text: str) -> None:
 def check_balanced(text: str) -> dict:
     """Raise UnbalancedSource on an unterminated literal or comment, or on
     broken bracket nesting, without building tokens: at most one regex
-    match per bracket. Returns the offset of every `{` mapped to that of
-    its `}`. The exact scanner: it alone builds the brace map that
-    tokenize's `keep` needs and words every message; require_balanced
-    checks balance alone, faster, and falls back to it."""
-    closers = []  # per open bracket: its closer, or a `{`'s offset
-    braces = {}
+    match per bracket. Returns the bracket table: each opening bracket it
+    stops at, by offset, mapped to its partner's (see _close). The exact
+    scanner: it alone pairs brackets, for tokenize, the member scan and
+    the parser, and words every message; require_balanced checks balance
+    alone, faster, and falls back to it."""
+    opened = []  # the offsets of the brackets still open
+    partner = {}
     fault = None
     for m in _BRACKET_RE.finditer(text):
         kind = m.lastgroup
         if kind == "open":
-            closers.append(_OPEN[m[kind]])
+            opened.append(m.end() - 1)
         elif kind == "close":
-            value = m[kind]
-            if fault is None and (not closers or closers.pop() != value):
-                fault = "unmatched '%s' at offset %d" % (value, m.end() - 1)
-        elif kind == "lbrace":
-            closers.append(m.end() - 1)
-        elif kind == "rbrace":
-            start = closers.pop() if closers and fault is None else None
-            if isinstance(start, int):
-                braces[start] = m.end() - 1
-            elif fault is None:
-                fault = "unmatched '}' at offset %d" % (m.end() - 1)
+            if fault is None:
+                value = m[kind]
+                if opened and _OPEN[text[opened[-1]]] == value:
+                    partner[opened.pop()] = m.end() - 1
+                else:
+                    fault = "unmatched '%s' at offset %d" % (value, m.end() - 1)
         elif kind == "bad":
             raise UnbalancedSource(_UNTERMINATED[m[kind]])
         else:
             break
-    if fault is None and closers:
-        fault = "unclosed '%s'" % ("}" if isinstance(closers[-1], int) else closers[-1])
+    if fault is None and opened:
+        fault = "unclosed '%s'" % _OPEN[text[opened[-1]]]
     if fault is not None:
         raise UnbalancedSource(fault)
-    return braces
+    return partner
+
+
+def _close(text: str, partner: dict, at: int) -> int:
+    """The offset of the bracket that closes the one at `at`, from the
+    table check_balanced returned: a pair the scan swallowed holds no
+    literal, comment or bracket, so its closer is the next one in the text."""
+    close = partner.get(at)
+    return text.index(_OPEN[text[at]], at + 1) if close is None else close
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +507,13 @@ class _Backtrack(Exception):
 
 class _Parser:
     """Recursive descent, but for what can nest: expressions, statements and
-    class bodies are each one loop over a stack of what is still open."""
+    class bodies are each one loop over a stack of what is still open. A
+    region kept verbatim jumps over each bracket group (see _jump)."""
 
-    def __init__(self, text: str, toks: Optional[list] = None):
+    def __init__(self, text: str, keep=()):
         self.text = text
-        self.toks = tokenize(text) if toks is None else toks
+        self.partner = check_balanced(text)
+        self.toks = tokenize(text, keep, self.partner)
         # eat() stops at eof, so one more eof keeps peek(1) in range
         self.toks.append(self.toks[-1])
         self.i = 0
@@ -622,14 +629,14 @@ class _Parser:
         self.i = i + 1
         return True
 
-    def _eat_nested(self, nest: list) -> Token:
-        """Eat a token of a region skipped verbatim, keeping `nest` the stack
-        of ( and [ left open in it, so that the region stays balanced."""
+    def _jump(self) -> Token:
+        """Eat a token of a region kept verbatim and return it; at a `(`,
+        `[` or `{`, eat through its partner, found by bisecting the token
+        starts for the offset the bracket table gives."""
         t = self.eat()
-        if t.value in ("(", "["):
-            nest.append(_OPEN[t.value])
-        elif t.value in (")", "]") and (not nest or nest.pop() != t.value):
-            raise _Backtrack("unbalanced %r" % t.value)
+        if t.value in _OPEN:
+            close = _close(self.text, self.partner, t.start)
+            self.i = bisect_left(self.toks, close, self.i, key=attrgetter("start")) + 1
         return t
 
     def _try(self, fn):
@@ -676,11 +683,9 @@ class _Parser:
         name = self.eat().value
         # tolerate extends/implements clauses verbatim, up to a `;` too,
         # which ends a member for tokenize (_member_end)
-        nest = []
         while self.peek().value not in ("{", "}", ";", ""):
-            self._eat_nested(nest)
-        if nest:
-            raise _Backtrack("unbalanced class header")
+            if self._jump().value in _CLOSE:
+                raise _Backtrack("unbalanced class header")
         body = Span(self.expect("{").end, 0)  # its end is set at the `}`
         return TypeDecl(name=name, modifiers=mods, body_span=body)
 
@@ -735,15 +740,10 @@ class _Parser:
         self._qualified_name()
         if self.at("<"):
             depth = 0
-            nest = []
             while True:
-                t = self._eat_nested(nest)
-                if t.kind == "eof":
-                    raise _Backtrack("unterminated type arguments")
-                if t.value in ";{}":
+                t = self._jump()  # a bracket group is one step
+                if t.value in ("", ";", "{", "}", ")", "]"):
                     raise _Backtrack("not a generic type")
-                if nest:
-                    continue
                 if t.value == "<":
                     depth += 1
                 elif t.value in (">", ">>"):  # `>>>` lexes as `>>` then `>`
@@ -845,32 +845,17 @@ class _Parser:
         return self._finish(ExprStmt(expr), start, self.expect(";").end)
 
     def _consume_opaque_region(self) -> OpaqueStmt:
-        """Consume a balanced statement-shaped region: up to ';' at depth 0,
-        or through a brace block opened at depth 0."""
-        toks, i = self.toks, self.i
-        start_tok = toks[i]
+        """Consume a balanced statement-shaped region, each bracket group
+        in one step: through a `;` or a brace block outside the groups, or
+        up to an enclosing closer, which is not consumed."""
+        toks = self.toks
+        start_tok = toks[self.i]
         if start_tok.kind == "eof" or start_tok.value in _CLOSE:
             raise _Backtrack("nothing to consume")
-        depth = 0
-        saw_brace = False
-        while True:
-            t = toks[i]
-            value = t.value
-            if t.kind == "eof" or (depth == 0 and value in _CLOSE):
-                break  # enclosing close; stop without consuming
-            i += 1
-            if value in _OPEN:
-                depth += 1
-                if value == "{":
-                    saw_brace = True
-            elif value in _CLOSE:
-                depth -= 1
-                if depth == 0 and value == "}" and saw_brace:
-                    break
-            elif value == ";" and depth == 0:
+        while toks[self.i].kind != "eof" and toks[self.i].value not in _CLOSE:
+            if self._jump().value in (";", "{"):
                 break
-        self.i = i
-        return self._finish(OpaqueStmt(), start_tok.start, toks[i - 1].end)
+        return self._finish(OpaqueStmt(), start_tok.start, toks[self.i - 1].end)
 
     # -- expressions ----------------------------------------------------------
 
@@ -991,18 +976,15 @@ def parse(text: str, keep=()) -> CompilationUnit:
 
     Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
-    nesting is broken, with check_balanced's message: require_balanced
-    runs first, or with `keep` check_balanced, for tokenize's brace map.
-    With `keep`, a collection of names, what tokenize does not lex is
-    missing: a type-body member whose text names none of them is absent
-    from the unit, and any other brace block that names none of them
-    parses empty.
+    nesting is broken, with its message: check_balanced runs once, first,
+    and its bracket table serves tokenize and the parser. With `keep`, a
+    collection of names, what tokenize does not lex is missing: a
+    type-body member whose text names none of them is absent from the
+    unit, and any other brace block that names none of them parses empty.
     Every node that is there has the span and source of a full parse, and
     so do the unit's file-level declarations, types and body spans.
     """
-    if not keep:
-        require_balanced(text)  # with keep, tokenize runs check_balanced
-    return _parse_with(_Parser(text, tokenize(text, keep)), _Parser.parse_unit)
+    return _parse_with(_Parser(text, keep), _Parser.parse_unit)
 
 
 def parse_expr_text(text: str) -> Expr:

@@ -1,6 +1,7 @@
 """require_balanced against check_balanced: on every text it returns None
 exactly where check_balanced returns, and raises check_balanced's message
-everywhere else.
+everywhere else. And check_balanced's bracket table against the tokens:
+it pairs every bracket token as a stack over the tokens does.
 
 It needs no pytest, so it also runs as a plain script:
 
@@ -68,6 +69,36 @@ def test_mutants_agree():
     assert 300 < balanced < len(mutants) - 300
 
 
+def _stack_partners(toks):
+    """Each opening bracket token's start mapped to its closer's, by a
+    plain stack over the tokens."""
+    partners, opened = {}, []
+    for t in toks:
+        if t.value in ("(", "[", "{"):
+            opened.append(t.start)
+        elif t.value in (")", "]", "}"):
+            partners[opened.pop()] = t.start
+    assert not opened
+    return partners
+
+
+def test_the_bracket_table_pairs_every_bracket_token():
+    # the parser and the member scan jump to a bracket's partner through
+    # check_balanced's table, never pairing tokens themselves
+    corpus = corpus_texts()
+    rng = random.Random(89)
+    balanced = 0
+    for text in corpus + [mutant(rng, rng.choice(corpus)) for _ in range(2800)]:
+        outcome, partner = _outcome(jast.check_balanced, text)
+        if outcome == "raised":
+            continue
+        balanced += 1
+        stack = _stack_partners(jast.tokenize(text))
+        assert partner.keys() <= stack.keys(), repr(text[:300])
+        assert {at: jast._close(text, partner, at) for at in stack} == stack, repr(text[:300])
+    assert balanced > len(corpus) + 1000
+
+
 def test_parse_and_update_fail_with_the_same_message():
     case = REPO / "corpus" / "cases" / "vibrate"
     sigs = (case / "mapping.txt").read_text(encoding="utf-8").splitlines()
@@ -96,14 +127,14 @@ def test_random_strings_agree():
 
 
 def test_text_blocks_agree():
-    # a text block is not in the literal syntax: `"""` opens an empty
-    # string and then one that a newline leaves unterminated
+    # a `"""` and a line break open a text block, which may span lines
+    # and hold brackets; `"""` with more on its line is three strings
     texts = ['class A { String s = """\n    {( json\n    """; }',
              'class A { String s = """\n    )\n    """; void m() { } }',
              'class A { String s = """a"""; void m() { f(s); } }',
              'class A { String s = """ ( """; }',
              'class A { String s = """\r\n  }\r\n  """; }']
-    assert _agree(texts) == 2
+    assert _agree(texts) == 5
 
 
 def test_nesting_past_the_pass_limit_agrees():

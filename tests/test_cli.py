@@ -112,6 +112,25 @@ def test_apply_requires_patch_flag(tmp_path):
     assert rc == 64
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("--generate-patch", ["--report", "report.json"]),
+    ("--generate-patch", ["--patch", "vibrate_update.cocci"]),
+    ("--apply-patch", ["--patch", "vibrate_update.cocci", "--rewire-shared-args"]),
+], ids=["report_in_generate", "patch_in_generate", "rewire_in_apply"])
+def test_a_flag_of_the_other_mode_is_a_usage_error(tmp_path, patch_file, capsys, mode, flags):
+    (tmp_path / "main.java").write_text(TARGET)
+    source = "main.java" if mode == "--apply-patch" else "example.java"
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    rc = cli.main([mode, VIBRATE_DEP, VIBRATE_UPD, "--input", str(tmp_path / source),
+                   "--output", str(tmp_path / "out")]
+                  + [str(tmp_path / f) if f.endswith((".json", ".cocci")) else f for f in flags])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err.startswith("api-evolve: error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before  # no output and no report
+
+
 def test_apply_no_sites_copies_input(tmp_path, patch_file):
     target = tmp_path / "plain.java"
     target.write_text("class P { void m() { other(); } }\n")
@@ -146,6 +165,19 @@ def test_apply_unparsable_target(tmp_path, patch_file):
                    "--output", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+def test_a_class_with_a_text_block_is_updated(tmp_path, patch_file, capsys):
+    # a text block holds quotes and brackets that are not code
+    target = tmp_path / "main.java"
+    target.write_text(TARGET.replace("public class Main {\n", 'public class Main {\n'
+                                     '    String json = """\n        {"a": ["}", \'(\']}\n'
+                                     '        """;\n'))
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                   "--patch", str(patch_file), "--output", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert '{"a": ["}", \'(\']}' in out.read_text()
 
 
 @pytest.mark.parametrize("bad_file, rc", [("input", 2), ("patch", 3), ("example", 2)])

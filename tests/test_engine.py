@@ -452,6 +452,15 @@ def test_update_without_the_method_still_rejects_unbalanced_text():
         engine.update("class A { )", patch, mapping)
 
 
+@pytest.mark.parametrize("arg", ["1_000", "0b1", ".5", "0x7fff_ffff"])
+def test_every_java_number_form_is_an_argument(arg):
+    patch, mapping = load_patch("vibrate")
+    text = "class A {\n    void m(Vibrator v) {\n        v.vibrate(%s);\n    }\n}\n" % arg
+    out, report = engine.update(text, patch, mapping)
+    assert (report.sites_found, report.sites_updated) == (1, 1)
+    assert "} else {\n            v.vibrate(%s);\n        }" % arg in out
+
+
 def test_update_inlines_patch_temporary_after_non_name_argument():
     patch, mapping = load_patch("set_sound")
     text = ("class A {\n"

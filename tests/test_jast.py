@@ -155,9 +155,14 @@ LEX_TABLE = {
         ("str", '"("', 0, 3), ("char", "'['", 12, 15)]),
     "crlf": ("a\r\nb", [("ident", "a", 0, 1), ("ident", "b", 3, 4)]),
     "numbers": ("0x1FL 1.5e-3f 1_000 .5 7d", [
-        ("num", "0x1FL", 0, 5), ("num", "1.5e-3f", 6, 13), ("num", "1", 14, 15),
-        ("ident", "_000", 15, 19), ("punct", ".", 20, 21), ("num", "5", 21, 22),
-        ("num", "7d", 23, 25)]),
+        ("num", "0x1FL", 0, 5), ("num", "1.5e-3f", 6, 13), ("num", "1_000", 14, 19),
+        ("num", ".5", 20, 22), ("num", "7d", 23, 25)]),
+    "binary_and_underscored_numbers": ("0b1 0B10_1L 0x7f_ffL 1__0.5e1_0", [
+        ("num", "0b1", 0, 3), ("num", "0B10_1L", 4, 11), ("num", "0x7f_ffL", 12, 20),
+        ("num", "1__0.5e1_0", 21, 31)]),
+    "text_block": ('s = """\n  "a" ""b\\""" (\n  """;', [
+        ("ident", "s", 0, 1), ("punct", "=", 2, 3),
+        ("str", '"""\n  "a" ""b\\""" (\n  """', 4, 29), ("punct", ";", 29, 30)]),
     "operators": ("a->b::c>>=d", [
         ("ident", "a", 0, 1), ("punct", "->", 1, 3), ("ident", "b", 3, 4),
         ("punct", "::", 4, 6), ("ident", "c", 6, 7), ("punct", ">>", 7, 9),
@@ -235,7 +240,7 @@ def test_parse_lexes_once(monkeypatch, vibrate_example):
         monkeypatch.setattr(jast, name, lambda *args, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*args))
     jast.parse(vibrate_example)
-    assert calls == ["require_balanced", "tokenize"]
+    assert calls == ["check_balanced", "tokenize"]
 
 
 MALFORMED_HEADERS = {
