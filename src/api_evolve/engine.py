@@ -250,64 +250,55 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     name and arity, a field of the same name or a class of the same name
     in the target is reused, not copied. Returns (edits, copied_names,
     renames): the edits are (Span, text) pairs against unit.text, and
-    renames maps colliding names to their _androevolve aliases; pass the
-    map to apply_patch so inserted lines reference the copied names.
+    renames maps a colliding method name to its _androevolve alias and a
+    colliding import's simple name to the qualified name. Each copied
+    declaration is written through that one map; pass it to apply_patch
+    so inserted lines reference the copied names.
     """
     if not needs and not imports:
         return [], [], {}
-    copied, renames = [], {}
-    member_texts, type_texts = [], []
-    new_types = [d for d in needs if isinstance(d, jast.TypeDecl)]
-
     existing_methods, existing_types = scope.members(unit)
     existing_fields = scope.fields(unit)
     existing_names = {name for name, _arity in existing_methods}
 
-    for m in needs:
-        if isinstance(m, jast.FieldDecl):
-            if m.name not in existing_fields:
-                member_texts.append(m.src)
-                copied.append(m.name)
-        elif isinstance(m, jast.MethodDecl) and (m.name, m.arity) not in existing_methods:
-            name = m.name
-            if m.name in existing_names:  # same name, different arity: copy under an alias
-                name = renames[m.name] = m.name + "_androevolve"
-            member_texts.append(m.src)
-            copied.append(name)
-    for old, new in renames.items():  # every copy calls a renamed helper by its alias
-        member_texts = [re.sub(r"\b%s\b" % re.escape(old), new, t) for t in member_texts]
-    for t in new_types:
-        if t.name not in existing_types:
-            type_texts.append(t.src)
-            copied.append(t.name)
-
+    # the plan: what is copied, and the renames it and the inserted lines share
+    members, types, copied, renames = [], [], [], {}
+    for d in needs:
+        if isinstance(d, jast.TypeDecl):
+            if d.name not in existing_types:
+                types.append(d)
+        elif isinstance(d, jast.FieldDecl):
+            if d.name not in existing_fields:
+                members.append(d)
+                copied.append(d.name)
+        elif (d.name, d.arity) not in existing_methods:
+            if d.name in existing_names:  # same name, different arity: copy under an alias
+                renames[d.name] = d.name + "_androevolve"
+            members.append(d)
+            copied.append(renames.get(d.name, d.name))
+    copied += [t.name for t in types]
     # imports: add when absent; on simple-name conflict, qualify references
-    existing_imports = set(unit.imports)
-    existing_simple = {sigmap.simple_name(i): i for i in unit.imports}
+    existing_simple = {sigmap.simple_name(i) for i in unit.imports}
     import_lines = []
-    for imp in imports:
-        if imp in existing_imports:
-            continue
+    for imp in (i for i in imports if i not in unit.imports):
         simple = sigmap.simple_name(imp)
         if simple in existing_simple:
             renames[simple] = imp  # fully qualify to avoid shadowing
-            member_texts = [re.sub(r"\b%s\b" % re.escape(simple), imp, t)
-                            for t in member_texts]
-            type_texts = [re.sub(r"\b%s\b" % re.escape(simple), imp, t)
-                          for t in type_texts]
-            continue
-        import_lines.append("import %s;" % imp)
+        else:
+            import_lines.append("import %s;" % imp)
 
     nl = unit.newline
     edits = []
     if import_lines:
-        pos = unit.header_end
-        prefix = nl if pos > 0 else ""
-        suffix = "" if pos > 0 else nl
-        edits.append((jast.Span(pos, pos), prefix + nl.join(import_lines) + suffix))
+        pos, block = unit.header_end, nl.join(import_lines)
+        edits.append((jast.Span(pos, pos), nl + block if pos > 0 else block + nl))
 
-    def insert(at, indent, texts):
-        if texts:
+    pattern = r"\b(?:%s)\b" % "|".join(map(re.escape, renames))
+
+    def insert(at, indent, decls):
+        if decls:
+            texts = [re.sub(pattern, lambda m: renames[m.group()], d.src) if renames
+                     else d.src for d in decls]
             block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
@@ -315,10 +306,10 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     primary = next((t for t in unit.types if not t.implicit), None)
     if primary is not None:
         insert(primary.body_span.end,
-               jast.indent_at(unit.text, primary.span.start) + "    ", member_texts)
+               jast.indent_at(unit.text, primary.span.start) + "    ", members)
     else:
-        insert(len(unit.text), "", member_texts)
-    insert(len(unit.text), "", type_texts)
+        insert(len(unit.text), "", members)
+    insert(len(unit.text), "", types)
     return edits, copied, renames
 
 

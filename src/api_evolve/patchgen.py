@@ -278,38 +278,48 @@ def parse_patch(text: str) -> SemanticPatch:
         raise MalformedPatch("missing @@ separator", len(lines))
     i += 1
 
-    hunk = _Hunk(i + 1)
-    while i < len(lines) and lines[i].strip() != "@needs@":
-        i += 1
-        hunk.read(lines[i - 1].strip(), i)
+    end = next((k for k in range(i, len(lines)) if lines[k].strip() == "@needs@"), len(lines))
+    for k in range(i, end):  # a '-' line is reported before any other fault
+        if lines[k].strip().startswith("-"):
+            raise MalformedPatch("'-' lines are not supported; the deprecated call "
+                                 "is the unprefixed context line", k + 1)
 
     needs_imports, body = [], []
-    for ln in lines[i + 1:]:  # the @needs@ section
+    for ln in lines[end + 1:]:  # the @needs@ section
         m = re.match(r"^\s*import\s+([\w.]+)\s*;\s*$", ln)
         if m and not body:
             needs_imports.append(m.group(1))
         else:
             body.append(ln)
-    blob = "\n".join(body)
-    needs = _split_defs(blob) if blob.strip() else []
-    patch = SemanticPatch(rule_name, metavars, *hunk.shape(), needs_imports, needs)
-    _check_needs_used(patch, blob, i + 2 + len(needs_imports))
+    blob, first_line = "\n".join(body), end + 2 + len(needs_imports)
+    needs = _split_defs(blob, first_line) if blob.strip() else []
+    patch = SemanticPatch(rule_name, metavars, *_read_hunk(lines, i, end), needs_imports, needs)
+    _check_needs_used(patch, blob, first_line)
     return patch
 
 
-def _split_defs(blob: str) -> list:
-    """The helper classes, methods and fields of a @needs@ section, in
-    source order."""
+def _split_defs(blob: str, first_line: int) -> list:
+    """The helper classes, methods and fields of a @needs@ section, which
+    starts on line first_line, in source order. Anything else there would
+    be dropped, so it is a fault; a lone `;`, Java's empty declaration,
+    is not."""
     try:
         unit = jast.parse(blob)
     except jast.ParseError as exc:
         raise MalformedPatch("unparsable @needs@ section: %s" % exc)
     defs = []
+    stray = [jast.tokenize(blob)[0].start] if unit.header_end else []  # package or import
     for tdecl in unit.types:
-        if tdecl.implicit:
-            defs += tdecl.fields + [m for m in tdecl.methods if not m.implicit]
-        else:
+        if not tdecl.implicit:
             defs.append(tdecl)
+            continue
+        defs += tdecl.fields + [m for m in tdecl.methods if not m.implicit]
+        stray += [s.span.start for m in tdecl.methods if m.implicit
+                  for s in m.body if s.src != ";"]
+    if stray:
+        line = jast.line_of(blob, stray[0])
+        raise MalformedPatch("@needs@ line %r is not a field, method or class"
+                             % blob.split("\n")[line - 1].strip(), first_line - 1 + line)
     return sorted(defs, key=lambda d: d.span.start)
 
 
@@ -355,40 +365,28 @@ def is_patch_temp(stmt) -> bool:
             and stmt.name.startswith(PATCH_TEMP_PREFIX))
 
 
-class _Hunk:
-    """The guard, then statements and context line of a patch, read from
-    its hunk line by line. A '-' line raises at once; any other fault is
-    held until shape(), so that a '-' line anywhere, then a fault of the
-    @needs@ section, are reported first."""
-
-    def __init__(self, start: int):
-        self.start = start  # line number of the hunk's first line
-        self.guard = self.context = self.fault = None
-        self.seen_else = False
-        self.then_stmts, self.then_lines = [], []
-
-    def read(self, raw: str, line: int):
-        if raw.startswith("-"):
-            raise MalformedPatch("'-' lines are not supported; the deprecated call "
-                                 "is the unprefixed context line", line)
-        if raw and raw != "..." and self.fault is None:
-            add = raw.startswith("+")
-            try:
-                self._take(add, raw[1:].strip() if add else raw, line)
-            except MalformedPatch as exc:
-                self.fault = exc
-
-    def _take(self, add: bool, text: str, line: int):
-        if self.guard is None:
+def _read_hunk(lines, start: int, end: int):
+    """(guard, then statements, context) of the hunk lines[start:end],
+    which hold no '-' line; raises at the first fault, in line order."""
+    guard = context = None
+    seen_else = False
+    then_stmts, then_lines = [], []
+    for line in range(start + 1, end + 1):
+        raw = lines[line - 1].strip()
+        if not raw or raw == "...":
+            continue
+        add = raw.startswith("+")
+        text = raw[1:].strip() if add else raw
+        if guard is None:
             m = re.match(r"^if\s*\((.*)\)\s*\{$", text)
             if not add or not m:
                 raise MalformedPatch("hunk must open with '+ if (<guard>) {'", line)
             try:
-                self.guard = jast.parse_expr_text(m.group(1))
+                guard = jast.parse_expr_text(m.group(1))
             except jast.ParseError:
                 raise MalformedPatch("unparsable guard condition %r" % m.group(1), line)
         elif add and text in ("} else {", "}"):
-            self.seen_else |= text == "} else {"
+            seen_else |= text == "} else {"
         else:
             try:
                 stmt = jast.parse_stmt_text(text)
@@ -397,31 +395,26 @@ class _Hunk:
             if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
                 raise MalformedPatch("pattern line %r is not one expression, declaration "
                                      "or return statement" % text, line)
-            if add and self.seen_else:
+            if add and seen_else:
                 raise MalformedPatch("'+' statement after '+ } else {' is not supported; "
                                      "the else branch keeps the original statement", line)
             if add:
-                self.then_stmts.append(stmt)
-                self.then_lines.append(line)
-            elif self.context is not None:
+                then_stmts.append(stmt)
+                then_lines.append(line)
+            elif context is not None:
                 raise MalformedPatch("multiple context lines", line)
             elif pattern_call(stmt) is None:
                 raise MalformedPatch("context line %r carries no method call" % text, line)
             else:
-                self.context = stmt
-
-    def shape(self):
-        """(guard, then statements, context) once every line is read."""
-        if self.fault is not None:
-            raise self.fault
-        if self.guard is None:
-            raise MalformedPatch("empty hunk", self.start)
-        if self.context is None:
-            raise MalformedPatch("missing context line", self.start)
-        if not self.seen_else:
-            raise MalformedPatch("missing '+ } else {' line", self.start)
-        _check_temps(self.then_stmts, self.then_lines)
-        return self.guard, self.then_stmts, self.context
+                context = stmt
+    if guard is None:
+        raise MalformedPatch("empty hunk", start + 1)
+    if context is None:
+        raise MalformedPatch("missing context line", start + 1)
+    if not seen_else:
+        raise MalformedPatch("missing '+ } else {' line", start + 1)
+    _check_temps(then_stmts, then_lines)
+    return guard, then_stmts, context
 
 
 def _check_temps(then_stmts, then_lines):

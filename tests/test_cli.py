@@ -831,3 +831,24 @@ def test_apply_rejects_a_needs_member_nothing_uses(tmp_path, capsys):
     assert rc == 3
     assert "line %d: @needs@ member classIden is never used" % text.count("\n") in err
     assert not out.exists()
+
+
+def test_apply_rejects_a_needs_helper_without_braces(tmp_path, capsys):
+    # dropped from @needs@, the helper would be called but never copied
+    patch = tmp_path / "bad.cocci"
+    patch.write_text("@r@\nidentifier iden0, classIden;\n@@\n...\n"
+                     "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+                     "+ classIden.vibrate(effect(5));\n"
+                     "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+                     "static VibrationEffect effect(long d) "
+                     "return VibrationEffect.createOneShot(d, 1);\n")
+    target = tmp_path / "main.java"
+    target.write_text(TARGET)
+    out = tmp_path / "out.java"
+    rc = cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--input", str(target),
+                   "--patch", str(patch), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line 11: @needs@ line 'static VibrationEffect effect(long d) return" in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -413,6 +413,59 @@ def _needs_patch():
     return patch, load_patch("set_sound")[1]
 
 
+def test_a_helper_class_is_copied_to_the_end_of_the_file():
+    patch, mapping = _needs_patch()
+    text = ("class T {\n"
+            "    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n"
+            "    }\n"
+            "}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1
+    assert report.definitions_copied == ["makeAttrs", "OFFSET", "AttrsBuilder"]
+    assert out.endswith("}\n\nstatic class AttrsBuilder {\n"
+                        "    AudioAttributes build(int u) { return null; }\n}\n")
+    assert [t.name for t in jast.parse(out).types] == ["T", "AttrsBuilder"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+def test_a_copied_helper_class_calls_a_renamed_helper_by_its_alias(vibrate_mapping):
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(new Maker().make(iden0));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+        "static VibrationEffect effect(long d) { return VibrationEffect.createOneShot(d, 1); }\n"
+        "static class Maker { VibrationEffect make(long d) { return effect(d); } }\n")
+    text = ("class T {\n"
+            "    static int effect(int a, int b) { return a; }\n"
+            "    void m(Vibrator v, long t) { v.vibrate(t); }\n"
+            "}\n")
+    out, report = engine.update(text, patch, vibrate_mapping)
+    assert report.definitions_copied == ["effect_androevolve", "Maker"]
+    assert "static VibrationEffect effect_androevolve(long d)" in out
+    assert "VibrationEffect make(long d) { return effect_androevolve(d); }" in out
+    assert "static int effect(int a, int b) { return a; }" in out
+
+
+def test_a_needed_import_whose_simple_name_is_taken_is_written_qualified(vibrate_mapping):
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ VibrationEffect newParameterVariable0 = VibrationEffect.createOneShot(5, 1);\n"
+        "+ classIden.vibrate(newParameterVariable0);\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n"
+        "@needs@\nimport android.os.VibrationEffect;\n")
+    text = ("import com.other.VibrationEffect;\n\n"
+            "class T {\n    void m(Vibrator v, long t) {\n        v.vibrate(t);\n    }\n}\n")
+    out, report = engine.update(text, patch, vibrate_mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == []
+    assert out.count("import ") == 1
+    assert ("        if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+            "            v.vibrate(android.os.VibrationEffect.createOneShot(5, 1));\n"
+            "        } else {\n") in out
+
+
 def test_helper_in_a_name_free_nested_class_is_reused():
     patch, mapping = load_patch("set_sound")
     text = ("import android.media.AudioAttributes;\n"
@@ -500,3 +553,38 @@ def test_bound_argument_keeps_its_grouping(vibrate_mapping, then, arg, want):
     out, report = engine.update(text, patch, vibrate_mapping)
     assert report.sites_updated == 1
     assert "            v.vibrate(%s);\n        } else {\n" % want in out
+
+
+def test_a_parenthesized_argument_binds_what_it_encloses(vibrate_mapping):
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(VibrationEffect.createOneShot(iden0, 1));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n")
+    text = "class A {\n    void m(Vibrator v, long d) {\n        v.vibrate((d));\n    }\n}\n"
+    out, report = engine.update(text, patch, vibrate_mapping)
+    assert report.sites_updated == 1
+    assert ("            v.vibrate(VibrationEffect.createOneShot(d, 1));\n"
+            "        } else {\n            v.vibrate((d));\n") in out
+
+
+def test_a_return_example_updates_a_return_target(minute_mapping):
+    example = jast.parse(
+        "class A {\n    int m(TimePicker tp) {\n"
+        "        if (android.os.Build.VERSION.SDK_INT >= 23) {\n"
+        "            return tp.getMinute();\n"
+        "        } else {\n"
+        "            return tp.getCurrentMinute();\n"
+        "        }\n    }\n}\n")
+    rendered = patchgen.render_patch(patchgen.generate_patch(example, minute_mapping))
+    assert "+ return classIden.getMinute();\n+ } else {\nreturn classIden.getCurrentMinute();\n" \
+        in rendered
+    patch = patchgen.parse_patch(rendered)
+    text = "class B {\n    int n(TimePicker p) {\n        return p.getCurrentMinute();\n    }\n}\n"
+    out, report = engine.update(text, patch, minute_mapping)
+    assert report.sites_updated == 1
+    assert ("        if (android.os.Build.VERSION.SDK_INT >= 23) {\n"
+            "            return p.getMinute();\n"
+            "        } else {\n"
+            "            return p.getCurrentMinute();\n"
+            "        }\n") in out

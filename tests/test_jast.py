@@ -261,6 +261,36 @@ def test_malformed_header_is_skipped(text, package, imports, header_end):
     assert (unit.package_name, unit.imports, unit.header_end) == (package, imports, header_end)
 
 
+@pytest.mark.parametrize("text, imports", [
+    ("import static a.B.c;\nclass A {}\n", ["a.B.c"]),
+    ("import a.b.*;\nclass A {}\n", ["a.b.*"]),
+], ids=["static_import", "on_demand_import"])
+def test_well_formed_import_forms(text, imports):
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    assert unit.imports == imports and unit.header_end == text.index("\n")
+    assert [t.name for t in unit.types] == ["A"]
+
+
+def test_a_throws_clause_is_part_of_the_method():
+    text = "class A { void m() throws X, Y { f(); } }"
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    (m,) = unit.types[0].methods
+    assert m.name == "m" and m.src == "void m() throws X, Y { f(); }"
+    assert [s.src for s in m.body] == ["f();"]
+
+
+def test_a_bodyless_method_is_a_member():
+    text = "abstract class A { abstract void n(); }"
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    (m,) = unit.types[0].methods
+    assert (m.name, m.modifiers, m.arity, m.body, m.body_span) == (
+        "n", frozenset({"abstract"}), 0, [], None)
+    assert m.src == "abstract void n();"
+
+
 @pytest.mark.parametrize("text", [
     "List<(> x; )",
     "{ List<(> x; ) }",

@@ -373,3 +373,32 @@ def test_literal_and_creation_arguments_rank_the_pairs(mapping, updated, depreca
     assert jast.render_expr(patch.then_stmts[0].init) == value
     assert (jast.render_stmt(patch.context)
             == "classIden.%s(iden0);" % mapping.deprecated.method_name)
+
+
+NEEDS_HEAD = ("@r@\nidentifier iden0, classIden;\n@@\n...\n"
+              "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+              "+ classIden.vibrate(effect(iden0));\n"
+              "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n")  # @needs@ is line 10
+EFFECT = "static VibrationEffect effect(long d) { return VibrationEffect.createOneShot(d, 1); }\n"
+
+
+@pytest.mark.parametrize("needs, lineno, text", [
+    ("static VibrationEffect effect(long d) return VibrationEffect.createOneShot(d, 1);\n",
+     11, "static VibrationEffect effect"),
+    ("import android.os.VibrationEffect;\nimprt android.os.Vibrator;\n" + EFFECT,
+     12, "imprt android.os.Vibrator;"),
+    ("import static android.os.Build.VERSION;\n" + EFFECT, 11, "import static"),
+    (EFFECT + "@needs@\n" + EFFECT.replace("effect", "other"), 12, "@needs@"),
+], ids=["helper_without_braces", "corrupted_import", "static_import", "second_needs"])
+def test_parse_patch_rejects_a_needs_line_copying_would_drop(needs, lineno, text):
+    with pytest.raises(patchgen.MalformedPatch,
+                       match="is not a field, method or class") as err:
+        patchgen.parse_patch(NEEDS_HEAD + needs)
+    assert err.value.line == lineno
+    assert str(err.value).startswith("line %d: @needs@ line '%s" % (lineno, text))
+
+
+def test_parse_patch_drops_an_empty_declaration_in_needs():
+    patch = patchgen.parse_patch(NEEDS_HEAD + ";\n" + EFFECT.rstrip("\n") + ";\n")
+    assert [d.name for d in patch.needs] == ["effect"]
+    assert patchgen.render_patch(patch).endswith("@needs@\n\n" + EFFECT)
