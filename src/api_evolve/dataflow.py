@@ -12,7 +12,7 @@ Unresolved, which callers treat as an in-band outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import jast, scope
 
@@ -23,11 +23,13 @@ OBJECT_CREATION = "ObjectCreation"
 UNRESOLVED = "Unresolved"
 
 
-@dataclass
-class ResolvedValue:
-    kind: str
-    expr: jast.Expr
-    needs: list = field(default_factory=list)  # MethodDecl / TypeDecl from the unit
+class ResolvedValue(jast.Record):
+    __slots__ = ("kind", "expr", "needs")
+
+    def __init__(self, kind: str, expr: jast.Expr, needs: Optional[list] = None):
+        self.kind = kind
+        self.expr = expr
+        self.needs = [] if needs is None else needs  # MethodDecl / TypeDecl from the unit
 
 
 def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:

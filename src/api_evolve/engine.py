@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import jast, patchgen, scope, sigmap
@@ -20,18 +19,24 @@ _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
 _PATTERN_STMTS = (jast.ExprStmt, jast.Return, jast.LocalVarDecl)
 
 
-@dataclass
-class MetaBinding:
-    assignments: dict = field(default_factory=dict)  # metavar name -> Expr
+class MetaBinding(jast.Record):
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: Optional[dict] = None):
+        self.assignments = {} if assignments is None else assignments  # metavar name -> Expr
 
 
-@dataclass
-class UpdateReport:
-    file_path: str = ""
-    sites_found: int = 0
-    sites_updated: int = 0
-    sites_skipped: list = field(default_factory=list)  # of (Span, reason); see to_json_dict
-    definitions_copied: list = field(default_factory=list)  # of names
+class UpdateReport(jast.Record):
+    __slots__ = ("file_path", "sites_found", "sites_updated", "sites_skipped",
+                 "definitions_copied")
+
+    def __init__(self, file_path: str = "", sites_found: int = 0, sites_updated: int = 0,
+                 sites_skipped: Optional[list] = None, definitions_copied: Optional[list] = None):
+        self.file_path = file_path
+        self.sites_found = sites_found
+        self.sites_updated = sites_updated
+        self.sites_skipped = [] if sites_skipped is None else sites_skipped  # of (Span, reason)
+        self.definitions_copied = [] if definitions_copied is None else definitions_copied
 
     def to_json_dict(self, text: str) -> dict:
         """`text` is the input text, which the skip spans index."""
@@ -155,7 +160,10 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     e = getattr(pattern, name)
     if e is not None:
         e = substitute_expr(e, binding, renames)
-    return replace(pattern, span=None, unit_text=None, **{name: e})
+    kind = type(pattern)
+    values = {field: getattr(pattern, field) for field in kind.__slots__}
+    values[name] = e
+    return kind(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +287,12 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     copied += [t.name for t in types]
     # imports: add when absent; on simple-name conflict, qualify references
     existing_simple = {sigmap.simple_name(i) for i in unit.imports}
-    import_lines = []
+    import_lines, qualified = [], set()
     for imp in (i for i in imports if i not in unit.imports):
         simple = sigmap.simple_name(imp)
         if simple in existing_simple:
             renames[simple] = imp  # fully qualify to avoid shadowing
+            qualified.add(simple)
         else:
             import_lines.append("import %s;" % imp)
 
@@ -293,7 +302,10 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
         pos, block = unit.header_end, nl.join(import_lines)
         edits.append((jast.Span(pos, pos), nl + block if pos > 0 else block + nl))
 
-    pattern = r"\b(?:%s)\b" % "|".join(map(re.escape, renames))
+    # an alias renames every use of its method; a simple name is qualified
+    # only where no `.` puts it inside a name that is qualified already
+    pattern = "|".join(r"%s\b%s\b" % (r"(?<!\.)" if name in qualified else "", re.escape(name))
+                       for name in renames)
 
     def insert(at, indent, decls):
         if decls:

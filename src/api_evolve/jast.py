@@ -7,17 +7,19 @@ the input byte-for-byte, and all rewriting is expressed as span
 replacements (see splice / edited). A node indexes the text, not a copy
 of it: a parsed node holds its span and the unit's one text string, and
 its src is a view of that string, so a tree costs memory linear in the
-text at any nesting depth. Nodes, spans and tokens are slotted. Nodes
-compare by identity; ast_equal compares structure. Brackets are paired
-once per parse, by check_balanced's table, which the lazy lexer, the
-member scan and the parser's verbatim regions all jump through.
+text at any nesting depth. Nodes, spans and tokens are plain classes
+that declare their own __slots__ and __init__, so building them
+generates no code. Record, the base of the package's value classes,
+compares and shows one field by field. Nodes compare by identity;
+ast_equal compares structure. Brackets are paired once per parse, by
+check_balanced's table, which the lazy lexer, the member scan and the
+parser's verbatim regions all jump through.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 
@@ -35,32 +37,69 @@ class OverlappingEdits(Exception):
     """Two splice edits overlap; this is a caller bug."""
 
 
-@dataclass(slots=True)
-class Span:
-    start: int
-    end: int
+class Record:
+    """The base of the package's value classes: a plain class whose
+    __slots__ are its fields, in the order its __init__ takes them, and
+    which compares and shows by them. Written once here, this is what
+    @dataclass would generate for each class. A Record is unhashable, as
+    a class that compares by mutable fields must be; see Frozen."""
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class Frozen(Record):
+    """A Record that is hashed by its fields and cannot be changed after
+    __init__, which stores each field through object.__setattr__."""
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Span(Record):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        self.start = start
+        self.end = end
 
     def contains(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
 
 
-# Every syntax node's class: slotted, compared by identity and shown by
-# _Node's shallow __repr__, with no generated __eq__ or __repr__.
-_node = dataclass(slots=True, eq=False, repr=False)
-
-
-@_node
 class _Node:
     """The two fields of every syntax node, keyword-only, after its own. A
     parsed node holds its span and its unit's text, one string that every
     node of the unit shares, and src is a view: the span's slice of that
     text. A synthesized node holds neither, and its src is None.
 
-    Nodes compare by identity, and repr names the class and span only: a
-    generated __eq__ or __repr__ would recurse once per nesting level. For
-    structure, see ast_equal."""
-    span: Optional[Span] = field(default=None, kw_only=True)
-    unit_text: Optional[str] = field(default=None, kw_only=True)
+    A node class's __slots__ are its own fields, in source order, and its
+    __init__ takes them positionally, then span and unit_text. Nodes
+    compare by identity, and repr names the class and span only: a
+    field-by-field __eq__ or __repr__ would recurse once per nesting
+    level. For structure, see ast_equal."""
+    __slots__ = ("span", "unit_text")
+
+    def __init__(self, *, span: Optional[Span] = None, unit_text: Optional[str] = None):
+        self.span = span
+        self.unit_text = unit_text
 
     def __repr__(self) -> str:
         return "%s(span=%r)" % (type(self).__name__, self.span)
@@ -75,83 +114,127 @@ class _Node:
 # Expressions
 # ---------------------------------------------------------------------------
 
-@_node
 class Literal(_Node):
-    kind: str  # int | float | string | char | bool | null
-    lexeme: str
+    __slots__ = ("kind", "lexeme")
+
+    def __init__(self, kind: str, lexeme: str, *, span=None, unit_text=None):
+        self.kind = kind  # int | float | string | char | bool | null
+        self.lexeme = lexeme
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Name(_Node):
-    identifier: str
+    __slots__ = ("identifier",)
+
+    def __init__(self, identifier: str, *, span=None, unit_text=None):
+        self.identifier = identifier
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class FieldAccess(_Node):
-    receiver: "Expr"
-    identifier: str
+    __slots__ = ("receiver", "identifier")
+
+    def __init__(self, receiver: "Expr", identifier: str, *, span=None, unit_text=None):
+        self.receiver = receiver
+        self.identifier = identifier
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class MethodCall(_Node):
-    receiver: Optional["Expr"]
-    name: str
-    args: list
+    __slots__ = ("receiver", "name", "args")
+
+    def __init__(self, receiver: Optional["Expr"], name: str, args: list, *,
+                 span=None, unit_text=None):
+        self.receiver = receiver
+        self.name = name
+        self.args = args
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class ObjectCreation(_Node):
-    type_name: str
-    args: list
+    __slots__ = ("type_name", "args")
+
+    def __init__(self, type_name: str, args: list, *, span=None, unit_text=None):
+        self.type_name = type_name
+        self.args = args
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Binary(_Node):
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr", *, span=None, unit_text=None):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Unary(_Node):
-    op: str
-    operand: "Expr"
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: "Expr", *, span=None, unit_text=None):
+        self.op = op
+        self.operand = operand
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Assign(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr", *, span=None, unit_text=None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Cast(_Node):
-    type_name: str
-    operand: "Expr"
+    __slots__ = ("type_name", "operand")
+
+    def __init__(self, type_name: str, operand: "Expr", *, span=None, unit_text=None):
+        self.type_name = type_name
+        self.operand = operand
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Paren(_Node):
-    inner: "Expr"
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Expr", *, span=None, unit_text=None):
+        self.inner = inner
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class OpaqueExpr(_Node):
     """Public for callers that test for it; the parser builds none."""
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, *, span=None, unit_text=None):
+        self.text = text
+        self.span = span
+        self.unit_text = unit_text
 
 
 Expr = Union[Literal, Name, FieldAccess, MethodCall, ObjectCreation,
              Binary, Unary, Assign, Cast, Paren, OpaqueExpr]
 
 # The one shape table: each expression kind's subexpression fields, in
-# source order. Every other field but _Node's is the node's label.
+# source order. Every other field of the kind (see _Node) is its label.
 CHILDREN = {Literal: (), Name: (), FieldAccess: ("receiver",),
             MethodCall: ("receiver", "args"), ObjectCreation: ("args",),
             Binary: ("lhs", "rhs"), Unary: ("operand",), Assign: ("lhs", "rhs"),
             Cast: ("operand",), Paren: ("inner",), OpaqueExpr: ()}
-LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
-                      if name not in kids and name not in _Node.__dataclass_fields__)
+LABELS = {kind: tuple(name for name in kind.__slots__ if name not in kids)
           for kind, kids in CHILDREN.items()}
 
 
@@ -162,39 +245,61 @@ LABELS = {kind: tuple(name for name in kind.__dataclass_fields__
 _NO_MODIFIERS = frozenset()  # shared by every declaration without modifiers
 
 
-@_node
 class LocalVarDecl(_Node):
-    type_name: str
-    name: str
-    init: Optional[Expr]
-    modifiers: frozenset = _NO_MODIFIERS
+    __slots__ = ("type_name", "name", "init", "modifiers")
+
+    def __init__(self, type_name: str, name: str, init: Optional[Expr],
+                 modifiers: frozenset = _NO_MODIFIERS, *, span=None, unit_text=None):
+        self.type_name = type_name
+        self.name = name
+        self.init = init
+        self.modifiers = modifiers
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class ExprStmt(_Node):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr, *, span=None, unit_text=None):
+        self.expr = expr
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class If(_Node):
-    cond: Expr
-    then_block: "Stmt"
-    else_block: Optional["Stmt"] = None
+    __slots__ = ("cond", "then_block", "else_block")
+
+    def __init__(self, cond: Expr, then_block: "Stmt", else_block: Optional["Stmt"] = None,
+                 *, span=None, unit_text=None):
+        self.cond = cond
+        self.then_block = then_block
+        self.else_block = else_block
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Return(_Node):
-    value: Optional[Expr] = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[Expr] = None, *, span=None, unit_text=None):
+        self.value = value
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class Block(_Node):
-    stmts: list = field(default_factory=list)
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: Optional[list] = None, *, span=None, unit_text=None):
+        self.stmts = [] if stmts is None else stmts
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class OpaqueStmt(_Node):
     """A statement outside the subset; its bytes are its src."""
+    __slots__ = ()
 
 
 Stmt = Union[LocalVarDecl, ExprStmt, If, Return, Block, OpaqueStmt]
@@ -206,48 +311,72 @@ STMT_EXPR = {LocalVarDecl: "init", ExprStmt: "expr", If: "cond", Return: "value"
 # Declarations
 # ---------------------------------------------------------------------------
 
-@_node
 class FieldDecl(_Node):
-    modifiers: frozenset
-    type_name: str
-    name: str
-    initializer: Optional[Expr]
+    __slots__ = ("modifiers", "type_name", "name", "initializer")
+
+    def __init__(self, modifiers: frozenset, type_name: str, name: str,
+                 initializer: Optional[Expr], *, span=None, unit_text=None):
+        self.modifiers = modifiers
+        self.type_name = type_name
+        self.name = name
+        self.initializer = initializer
+        self.span = span
+        self.unit_text = unit_text
 
 
-@_node
 class MethodDecl(_Node):
-    modifiers: frozenset
-    return_type: str
-    name: str
-    params: list  # of (type_name, name)
-    body: list = field(default_factory=list)  # of Stmt
-    body_span: Optional[Span] = None  # between the braces, exclusive
-    implicit: bool = False
+    __slots__ = ("modifiers", "return_type", "name", "params", "body", "body_span", "implicit")
+
+    def __init__(self, modifiers: frozenset, return_type: str, name: str, params: list,
+                 body: Optional[list] = None, body_span: Optional[Span] = None,
+                 implicit: bool = False, *, span=None, unit_text=None):
+        self.modifiers = modifiers
+        self.return_type = return_type
+        self.name = name
+        self.params = params  # of (type_name, name)
+        self.body = [] if body is None else body  # of Stmt
+        self.body_span = body_span  # between the braces, exclusive
+        self.implicit = implicit
+        self.span = span
+        self.unit_text = unit_text
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
 
-@_node
 class TypeDecl(_Node):
-    name: str
-    fields: list = field(default_factory=list)
-    methods: list = field(default_factory=list)
-    nested: list = field(default_factory=list)
-    modifiers: frozenset = _NO_MODIFIERS
-    body_span: Optional[Span] = None
-    implicit: bool = False
+    __slots__ = ("name", "fields", "methods", "nested", "modifiers", "body_span", "implicit")
+
+    def __init__(self, name: str, fields: Optional[list] = None,
+                 methods: Optional[list] = None, nested: Optional[list] = None,
+                 modifiers: frozenset = _NO_MODIFIERS, body_span: Optional[Span] = None,
+                 implicit: bool = False, *, span=None, unit_text=None):
+        self.name = name
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
+        self.nested = [] if nested is None else nested
+        self.modifiers = modifiers
+        self.body_span = body_span
+        self.implicit = implicit
+        self.span = span
+        self.unit_text = unit_text
 
 
-@dataclass(slots=True)
-class CompilationUnit:
-    package_name: Optional[str]
-    imports: list  # of qualified name strings
-    types: list  # of TypeDecl (may include one implicit wrapper)
-    text: str = ""
-    newline: str = "\n"
-    header_end: int = 0  # offset just past package/import block
+class CompilationUnit(Record):
+    __slots__ = ("package_name", "imports", "types", "text", "newline", "header_end",
+                 "static_imports")
+
+    def __init__(self, package_name: Optional[str], imports: list, types: list,
+                 text: str = "", newline: str = "\n", header_end: int = 0,
+                 static_imports: tuple = ()):
+        self.package_name = package_name
+        self.imports = imports  # of qualified name strings
+        self.types = types  # of TypeDecl (may include one implicit wrapper)
+        self.text = text
+        self.newline = newline
+        self.header_end = header_end  # offset just past package/import block
+        self.static_imports = static_imports  # the imports declared `import static`
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +386,14 @@ class CompilationUnit:
 MODIFIERS = {"static", "final", "public", "private", "protected", "abstract"}
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # ident | num | str | char | punct | eof
-    value: str
-    start: int
-    end: int
+class Token(Record):
+    __slots__ = ("kind", "value", "start", "end")
+
+    def __init__(self, kind: str, value: str, start: int, end: int):
+        self.kind = kind  # ident | num | str | char | punct | eof
+        self.value = value
+        self.start = start
+        self.end = end
 
 
 # Literal and comment syntax, written once for the lexer and the bracket
@@ -547,11 +678,11 @@ class _Parser:
 
     def parse_unit(self) -> CompilationUnit:
         package = None
-        imports = []
+        imports, static_imports = [], []
         header_end = 0
         keywords = ("package", "import")  # one package, first
         while self.peek().value in keywords:
-            keyword = self.peek().value
+            keyword, static = self.peek().value, self.peek(1).value == "static"
             keywords = ("import",)
             name = self._try(self._header_decl)
             if name is None and not self._skip_declaration():
@@ -560,6 +691,8 @@ class _Parser:
                 package = name
             elif name is not None:
                 imports.append(name)
+                if static:
+                    static_imports.append(name)
             header_end = self.toks[self.i - 1].end
 
         # One member loop for the file and every class in it, with a frame
@@ -605,8 +738,8 @@ class _Parser:
                                                body_span=Span(start, end)), start, end))
 
         newline = "\r\n" if "\r\n" in self.text else "\n"
-        return CompilationUnit(package, imports, types, text=self.text,
-                               newline=newline, header_end=header_end)
+        return CompilationUnit(package, imports, types, text=self.text, newline=newline,
+                               header_end=header_end, static_imports=tuple(static_imports))
 
     def _header_decl(self) -> str:
         """One package or import declaration; returns its name."""
@@ -1160,10 +1293,9 @@ def ast_equal(a, b) -> bool:
             if len(a) != len(b):
                 return False
             stack.extend(reversed(list(zip(a, b))))
-        elif hasattr(a, "__dataclass_fields__"):
+        elif isinstance(a, (_Node, Record)):  # a node's __slots__ omit span and unit_text
             stack.extend(reversed([(getattr(a, n), getattr(b, n))
-                                   for n in a.__dataclass_fields__
-                                   if n not in ("span", "unit_text", "body_span")]))
+                                   for n in a.__slots__ if n != "body_span"]))
         elif a != b:
             return False
     return True

@@ -11,7 +11,7 @@ touches the example.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import dataflow, jast, scope, sigmap
 
@@ -19,7 +19,9 @@ PATCH_TEMP_PREFIX = "newParameterVariable"
 
 
 class ExampleShapeError(Exception):
-    """The example lacks the expected if/else deprecated/updated API pair."""
+    """The example lacks the expected if/else deprecated/updated API pair,
+    or the patch would use a name that only a static import of the
+    example declares, which @needs@ cannot carry."""
 
 
 class ResolutionError(Exception):
@@ -38,15 +40,21 @@ class MalformedPatch(Exception):
         self.line = line
 
 
-@dataclass
-class SemanticPatch:
-    rule_name: str
-    metavars: list  # of (kind, name), kind in {expression, identifier}
-    guard_cond: jast.Expr
-    then_stmts: list  # statement patterns of the guarded branch
-    context: jast.Stmt  # the deprecated call's statement pattern, kept in the else branch
-    needs_imports: list = field(default_factory=list)
-    needs: list = field(default_factory=list)  # helper methods, fields, classes; @needs@ order
+class SemanticPatch(jast.Record):
+    """Equal to another when both render to the same text (render_patch)."""
+    __slots__ = ("rule_name", "metavars", "guard_cond", "then_stmts", "context",
+                 "needs_imports", "needs")
+
+    def __init__(self, rule_name: str, metavars: list, guard_cond: jast.Expr,
+                 then_stmts: list, context: jast.Stmt, needs_imports: Optional[list] = None,
+                 needs: Optional[list] = None):
+        self.rule_name = rule_name
+        self.metavars = metavars  # of (kind, name), kind in {expression, identifier}
+        self.guard_cond = guard_cond
+        self.then_stmts = then_stmts  # statement patterns of the guarded branch
+        self.context = context  # the deprecated call's statement pattern, kept in the else branch
+        self.needs_imports = [] if needs_imports is None else needs_imports
+        self.needs = [] if needs is None else needs  # helpers, in @needs@ order
 
     def metavar_names(self, kind: str) -> set:
         return {n for k, n in self.metavars if k == kind}
@@ -224,15 +232,20 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
 
 
 def _needed_imports(example, texts):
-    """The example's imports whose simple name occurs in one of texts."""
+    """The example's imports whose simple name occurs in one of texts.
+    @needs@ holds plain imports only, so such a static import raises
+    ExampleShapeError."""
     blob = "\n".join(texts)
     out = []
     for imp in example.imports:
         simple = sigmap.simple_name(imp)
-        if simple == "*":
+        if simple == "*" or not re.search(r"\b%s\b" % re.escape(simple), blob):
             continue
-        if re.search(r"\b%s\b" % re.escape(simple), blob):
-            out.append(imp)
+        if imp in example.static_imports:
+            raise ExampleShapeError("the patch would use %s from the example's "
+                                    "'import static %s;', which @needs@ cannot carry"
+                                    % (simple, imp))
+        out.append(imp)
     return out
 
 

@@ -14,19 +14,22 @@ lookup of the unit definitions a helper's body references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import jast
 
 
-@dataclass
-class Scope:
-    unit: jast.CompilationUnit
-    types: tuple  # enclosing types, outermost first; the last holds the position
-    method: Optional[jast.MethodDecl] = None  # None in a field initializer
-    path: tuple = ()  # (stmt list, index) per block, method body first; last is the anchor
-    pinned: dict = field(default_factory=dict)  # name -> replacement Expr
+class Scope(jast.Record):
+    __slots__ = ("unit", "types", "method", "path", "pinned")
+
+    def __init__(self, unit: jast.CompilationUnit, types: tuple,
+                 method: Optional[jast.MethodDecl] = None, path: tuple = (),
+                 pinned: Optional[dict] = None):
+        self.unit = unit
+        self.types = types  # enclosing types, outermost first; the last holds the position
+        self.method = method  # None in a field initializer
+        self.path = path  # (stmt list, index) per block, method body first; last is the anchor
+        self.pinned = {} if pinned is None else pinned  # name -> replacement Expr
 
     def definition(self, name):
         """Nearest definition of name before the anchor, as (value, scope at

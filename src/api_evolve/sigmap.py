@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import jast
@@ -13,11 +12,13 @@ class MalformedSignature(Exception):
     """Signature text does not match fqcn#name(type, ...)."""
 
 
-@dataclass(frozen=True)
-class ApiSignature:
-    class_name: str
-    method_name: str
-    param_types: tuple
+class ApiSignature(jast.Frozen):
+    __slots__ = ("class_name", "method_name", "param_types")
+
+    def __init__(self, class_name: str, method_name: str, param_types: tuple):
+        object.__setattr__(self, "class_name", class_name)
+        object.__setattr__(self, "method_name", method_name)
+        object.__setattr__(self, "param_types", param_types)
 
     @property
     def arity(self) -> int:
@@ -28,25 +29,31 @@ class ApiSignature:
                               ", ".join(self.param_types))
 
 
-@dataclass(frozen=True)
-class ApiMapping:
-    deprecated: ApiSignature
-    replacement: ApiSignature
+class ApiMapping(jast.Frozen):
+    __slots__ = ("deprecated", "replacement")
 
-    def __post_init__(self):
-        if self.deprecated == self.replacement:
+    def __init__(self, deprecated: ApiSignature, replacement: ApiSignature):
+        object.__setattr__(self, "deprecated", deprecated)
+        object.__setattr__(self, "replacement", replacement)
+        if deprecated == replacement:
             raise MalformedSignature("deprecated and replacement signatures are identical")
 
 
-@dataclass
-class CallSite:
-    call: jast.MethodCall
-    enclosing_stmt: Optional[jast.Stmt]  # None when the call sits in a field initializer
-    enclosing_method: Optional[jast.MethodDecl]
-    enclosing_type: jast.TypeDecl
-    stmt_chain: tuple = ()  # enclosing statements, outermost first, excluding enclosing_stmt
-    field: Optional[jast.FieldDecl] = None
-    outer_types: tuple = ()  # types around enclosing_type, outermost first
+class CallSite(jast.Record):
+    __slots__ = ("call", "enclosing_stmt", "enclosing_method", "enclosing_type", "stmt_chain",
+                 "field", "outer_types")
+
+    def __init__(self, call: jast.MethodCall, enclosing_stmt: Optional[jast.Stmt],
+                 enclosing_method: Optional[jast.MethodDecl], enclosing_type: jast.TypeDecl,
+                 stmt_chain: tuple = (), field: Optional[jast.FieldDecl] = None,
+                 outer_types: tuple = ()):
+        self.call = call
+        self.enclosing_stmt = enclosing_stmt  # None when the call sits in a field initializer
+        self.enclosing_method = enclosing_method
+        self.enclosing_type = enclosing_type
+        self.stmt_chain = stmt_chain  # enclosing statements, outermost first; not enclosing_stmt
+        self.field = field
+        self.outer_types = outer_types  # types around enclosing_type, outermost first
 
 
 _SIG_RE = re.compile(

@@ -89,6 +89,28 @@ def test_generate_example_without_guard(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_a_patch_that_needs_a_static_import(tmp_path, capsys):
+    ex = tmp_path / "ex.java"
+    ex.write_text("import static android.os.Build.VERSION_CODES.O;\n\n"
+                  "void m(Vibrator v, long d) {\n"
+                  "    if (android.os.Build.VERSION.SDK_INT >= O) {\n"
+                  "        v.vibrate(VibrationEffect.createOneShot(50, 10));\n"
+                  "    } else {\n        v.vibrate(d);\n    }\n}\n")
+    out = tmp_path / "o.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "api-evolve: the patch would use O from the example's "
+        "'import static android.os.Build.VERSION_CODES.O;', which @needs@ cannot carry\n")
+    assert not out.exists()
+    # a static import that the patch does not use is not copied, and no fault
+    assert jast.parse(ex.read_text()).static_imports == ("android.os.Build.VERSION_CODES.O",)
+    ex.write_text(ex.read_text().replace(">= O)", ">= 26)"))
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(out)]) == 0
+    assert "import" not in out.read_text()
+
+
 def test_apply_updates_target(tmp_path, patch_file):
     target = tmp_path / "main.java"
     target.write_text(TARGET)

@@ -466,6 +466,32 @@ def test_a_needed_import_whose_simple_name_is_taken_is_written_qualified(vibrate
             "        } else {\n") in out
 
 
+def test_a_qualified_name_in_a_copied_helper_is_not_qualified_again(vibrate_mapping):
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(twice(iden0));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+        "import android.os.VibrationEffect;\n\n"
+        "VibrationEffect effect(long d) {\n"
+        "    return android.os.VibrationEffect.createOneShot(d, 1);\n}\n"
+        "VibrationEffect twice(long d) { return this.effect(2 * d); }\n")
+    text = ("import com.other.VibrationEffect;\n\n"
+            "class T {\n"
+            "    int effect(int a, int b) { return a; }\n"
+            "    void m(Vibrator v, long t) { v.vibrate(t); }\n"
+            "}\n")
+    out, report = engine.update(text, patch, vibrate_mapping)
+    assert report.definitions_copied == ["effect_androevolve", "twice"]
+    # the import's simple name is qualified only where it stands alone; an
+    # alias renames its method after a `.` too
+    assert ("    android.os.VibrationEffect effect_androevolve(long d) {\n"
+            "    return android.os.VibrationEffect.createOneShot(d, 1);\n}") in out
+    assert ("android.os.VibrationEffect twice(long d) "
+            "{ return this.effect_androevolve(2 * d); }") in out
+    assert "android.os.android.os." not in out
+
+
 def test_helper_in_a_name_free_nested_class_is_reused():
     patch, mapping = load_patch("set_sound")
     text = ("import android.media.AudioAttributes;\n"

@@ -44,6 +44,20 @@ def test_the_cli_loads_neither_normal_nor_harness():
                            "api_evolve.sigmap"]
 
 
+def test_the_cli_generates_no_code_on_import():
+    # plain slotted classes: no dataclasses, and through it no inspect, ast,
+    # dis or tokenize (unless the interpreter's site loaded one first)
+    out = _fresh("""
+import sys
+before = set(sys.modules)
+import api_evolve.cli
+added = set(sys.modules) - before
+print(*sorted(added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}))
+print("dataclasses" in sys.modules)
+""")
+    assert out.split() == ["False"]
+
+
 def test_import_star_binds_every_public_name():
     names = {}
     exec("from api_evolve import *", names)

@@ -40,6 +40,24 @@ def test_simple_name():
     assert sigmap.simple_name("long[]") == "long[]"
 
 
+def test_signatures_are_values_hashed_and_frozen():
+    text = "android.os.Vibrator#vibrate(long)"
+    sig = sigmap.parse_signature(text)
+    assert sig == sigmap.parse_signature(text) and sig is not sigmap.parse_signature(text)
+    assert {sig, sigmap.parse_signature(text)} == {sig}
+    other = sigmap.parse_signature(text.replace("long", "int"))
+    assert sig != other
+    assert repr(sig) == ("ApiSignature(class_name='android.os.Vibrator', "
+                         "method_name='vibrate', param_types=('long',))")
+    mapping = sigmap.ApiMapping(sig, other)
+    assert hash(mapping) == hash(sigmap.ApiMapping(sigmap.parse_signature(text), other))
+    for value, name in ((sig, "method_name"), (mapping, "deprecated")):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(value, name)
+
+
 def test_mapping_rejects_identity():
     sig = sigmap.parse_signature("a.B#m(int)")
     with pytest.raises(sigmap.MalformedSignature):
