@@ -15,8 +15,6 @@ NO_MATCH = "NoMatch"
 NON_STATEMENT_CONTEXT = "NonStatementContext"
 
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
-# the statement kinds a patch line can be
-_PATTERN_STMTS = (jast.ExprStmt, jast.Return, jast.LocalVarDecl)
 
 
 class MetaBinding(jast.Record):
@@ -62,8 +60,7 @@ def match_statement(pattern: jast.Stmt, stmt: jast.Stmt,
     metavariables bind any expression; repeated metavariables must bind
     structurally equal fragments.
     """
-    stmt, pattern = _unwrap_stmt(stmt), _unwrap_stmt(pattern)
-    if type(pattern) is not type(stmt) or type(pattern) not in _PATTERN_STMTS or (
+    if type(pattern) is not type(stmt) or type(pattern) not in patchgen.PATTERN_STMTS or (
             isinstance(pattern, jast.LocalVarDecl)
             and (pattern.type_name, pattern.name) != (stmt.type_name, stmt.name)):
         return None
@@ -73,12 +70,6 @@ def match_statement(pattern: jast.Stmt, stmt: jast.Stmt,
                                                   set(ident_metavars), binding)):
         return binding
     return None
-
-
-def _unwrap_stmt(s):
-    while isinstance(s, jast.Block) and len(s.stmts) == 1:
-        s = s.stmts[0]
-    return s
 
 
 def _unwrap_expr(e):
@@ -154,7 +145,7 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
                     renames: Optional[dict] = None) -> jast.Stmt:
     """A synthesized copy of a pattern statement, its expression
     instantiated by substitute_expr."""
-    if type(pattern) not in _PATTERN_STMTS:
+    if type(pattern) not in patchgen.PATTERN_STMTS:
         raise TypeError("cannot substitute into %r" % (pattern,))
     name = jast.STMT_EXPR[type(pattern)]
     e = getattr(pattern, name)
@@ -339,13 +330,12 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     Every parsed name is a slice of the text. So a text that never names
     the context call's method holds no site: it is not parsed, only
     checked by jast.require_balanced, which raises what a parse would. In
-    a text that does, a class member or brace block that names neither
-    the method nor a @needs@ helper is not lexed (jast.parse's `keep`):
-    it can hold no site, and no declaration that the transplant's
-    collision check looks up. Raises
-    jast.ParseError (UnbalancedSource when the nesting is broken) when the
-    text does not parse, and patchgen.MultipleUse when the patch would
-    evaluate an argument twice.
+    a text that does, a class member that names neither the method nor a
+    @needs@ helper is not lexed (jast.parse's `keep`): it can hold no
+    site, and no declaration that the transplant's collision check looks
+    up. Raises jast.ParseError (UnbalancedSource when the nesting is
+    broken) when the text does not parse, and patchgen.MultipleUse when
+    the patch would evaluate an argument twice.
     """
     name = patchgen.pattern_call(patch.context).name
     if name not in text:

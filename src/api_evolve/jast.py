@@ -12,8 +12,9 @@ that declare their own __slots__ and __init__, so building them
 generates no code. Record, the base of the package's value classes,
 compares and shows one field by field. Nodes compare by identity;
 ast_equal compares structure. Brackets are paired once per parse, by
-check_balanced's table, which the lazy lexer, the member scan and the
-parser's verbatim regions all jump through.
+check_balanced's table, which the member scan and the parser's verbatim
+regions jump through. A lazy parse, parse(text, keep), follows one rule:
+it is the full parse minus the type-body members that name no kept name.
 """
 
 from __future__ import annotations
@@ -85,21 +86,21 @@ class Span(Record):
 
 
 class _Node:
-    """The two fields of every syntax node, keyword-only, after its own. A
-    parsed node holds its span and its unit's text, one string that every
-    node of the unit shares, and src is a view: the span's slice of that
-    text. A synthesized node holds neither, and its src is None.
+    """The two fields of every syntax node, after its own. A parsed node
+    holds its span and its unit's text, one string that every node of the
+    unit shares, and src is a view: the span's slice of that text. A
+    synthesized node holds neither, and its src is None.
 
     A node class's __slots__ are its own fields, in source order, and its
-    __init__ takes them positionally, then span and unit_text. Nodes
-    compare by identity, and repr names the class and span only: a
-    field-by-field __eq__ or __repr__ would recurse once per nesting
-    level. For structure, see ast_equal."""
+    __init__ takes them positionally and sets span and unit_text to None,
+    which only the parser sets (_Parser._finish). Nodes compare by
+    identity, and repr names the class and span only: a field-by-field
+    __eq__ or __repr__ would recurse once per nesting level. For
+    structure, see ast_equal."""
     __slots__ = ("span", "unit_text")
 
-    def __init__(self, *, span: Optional[Span] = None, unit_text: Optional[str] = None):
-        self.span = span
-        self.unit_text = unit_text
+    def __init__(self):
+        self.span = self.unit_text = None
 
     def __repr__(self) -> str:
         return "%s(span=%r)" % (type(self).__name__, self.span)
@@ -117,112 +118,96 @@ class _Node:
 class Literal(_Node):
     __slots__ = ("kind", "lexeme")
 
-    def __init__(self, kind: str, lexeme: str, *, span=None, unit_text=None):
+    def __init__(self, kind: str, lexeme: str):
         self.kind = kind  # int | float | string | char | bool | null
         self.lexeme = lexeme
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Name(_Node):
     __slots__ = ("identifier",)
 
-    def __init__(self, identifier: str, *, span=None, unit_text=None):
+    def __init__(self, identifier: str):
         self.identifier = identifier
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class FieldAccess(_Node):
     __slots__ = ("receiver", "identifier")
 
-    def __init__(self, receiver: "Expr", identifier: str, *, span=None, unit_text=None):
+    def __init__(self, receiver: "Expr", identifier: str):
         self.receiver = receiver
         self.identifier = identifier
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class MethodCall(_Node):
     __slots__ = ("receiver", "name", "args")
 
-    def __init__(self, receiver: Optional["Expr"], name: str, args: list, *,
-                 span=None, unit_text=None):
+    def __init__(self, receiver: Optional["Expr"], name: str, args: list):
         self.receiver = receiver
         self.name = name
         self.args = args
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class ObjectCreation(_Node):
     __slots__ = ("type_name", "args")
 
-    def __init__(self, type_name: str, args: list, *, span=None, unit_text=None):
+    def __init__(self, type_name: str, args: list):
         self.type_name = type_name
         self.args = args
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Binary(_Node):
     __slots__ = ("op", "lhs", "rhs")
 
-    def __init__(self, op: str, lhs: "Expr", rhs: "Expr", *, span=None, unit_text=None):
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Unary(_Node):
     __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: "Expr", *, span=None, unit_text=None):
+    def __init__(self, op: str, operand: "Expr"):
         self.op = op
         self.operand = operand
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Assign(_Node):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: "Expr", rhs: "Expr", *, span=None, unit_text=None):
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
         self.lhs = lhs
         self.rhs = rhs
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Cast(_Node):
     __slots__ = ("type_name", "operand")
 
-    def __init__(self, type_name: str, operand: "Expr", *, span=None, unit_text=None):
+    def __init__(self, type_name: str, operand: "Expr"):
         self.type_name = type_name
         self.operand = operand
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Paren(_Node):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: "Expr", *, span=None, unit_text=None):
+    def __init__(self, inner: "Expr"):
         self.inner = inner
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class OpaqueExpr(_Node):
     """Public for callers that test for it; the parser builds none."""
-    __slots__ = ("text",)
-
-    def __init__(self, text: str, *, span=None, unit_text=None):
-        self.text = text
-        self.span = span
-        self.unit_text = unit_text
+    __slots__ = ()
 
 
 Expr = Union[Literal, Name, FieldAccess, MethodCall, ObjectCreation,
@@ -249,52 +234,46 @@ class LocalVarDecl(_Node):
     __slots__ = ("type_name", "name", "init", "modifiers")
 
     def __init__(self, type_name: str, name: str, init: Optional[Expr],
-                 modifiers: frozenset = _NO_MODIFIERS, *, span=None, unit_text=None):
+                 modifiers: frozenset = _NO_MODIFIERS):
         self.type_name = type_name
         self.name = name
         self.init = init
         self.modifiers = modifiers
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class ExprStmt(_Node):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: Expr, *, span=None, unit_text=None):
+    def __init__(self, expr: Expr):
         self.expr = expr
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class If(_Node):
     __slots__ = ("cond", "then_block", "else_block")
 
-    def __init__(self, cond: Expr, then_block: "Stmt", else_block: Optional["Stmt"] = None,
-                 *, span=None, unit_text=None):
+    def __init__(self, cond: Expr, then_block: "Stmt", else_block: Optional["Stmt"] = None):
         self.cond = cond
         self.then_block = then_block
         self.else_block = else_block
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Return(_Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional[Expr] = None, *, span=None, unit_text=None):
+    def __init__(self, value: Optional[Expr] = None):
         self.value = value
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class Block(_Node):
     __slots__ = ("stmts",)
 
-    def __init__(self, stmts: Optional[list] = None, *, span=None, unit_text=None):
+    def __init__(self, stmts: Optional[list] = None):
         self.stmts = [] if stmts is None else stmts
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class OpaqueStmt(_Node):
@@ -315,13 +294,12 @@ class FieldDecl(_Node):
     __slots__ = ("modifiers", "type_name", "name", "initializer")
 
     def __init__(self, modifiers: frozenset, type_name: str, name: str,
-                 initializer: Optional[Expr], *, span=None, unit_text=None):
+                 initializer: Optional[Expr]):
         self.modifiers = modifiers
         self.type_name = type_name
         self.name = name
         self.initializer = initializer
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class MethodDecl(_Node):
@@ -329,7 +307,7 @@ class MethodDecl(_Node):
 
     def __init__(self, modifiers: frozenset, return_type: str, name: str, params: list,
                  body: Optional[list] = None, body_span: Optional[Span] = None,
-                 implicit: bool = False, *, span=None, unit_text=None):
+                 implicit: bool = False):
         self.modifiers = modifiers
         self.return_type = return_type
         self.name = name
@@ -337,8 +315,7 @@ class MethodDecl(_Node):
         self.body = [] if body is None else body  # of Stmt
         self.body_span = body_span  # between the braces, exclusive
         self.implicit = implicit
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
     @property
     def arity(self) -> int:
@@ -351,7 +328,7 @@ class TypeDecl(_Node):
     def __init__(self, name: str, fields: Optional[list] = None,
                  methods: Optional[list] = None, nested: Optional[list] = None,
                  modifiers: frozenset = _NO_MODIFIERS, body_span: Optional[Span] = None,
-                 implicit: bool = False, *, span=None, unit_text=None):
+                 implicit: bool = False):
         self.name = name
         self.fields = [] if fields is None else fields
         self.methods = [] if methods is None else methods
@@ -359,8 +336,7 @@ class TypeDecl(_Node):
         self.modifiers = modifiers
         self.body_span = body_span
         self.implicit = implicit
-        self.span = span
-        self.unit_text = unit_text
+        self.span = self.unit_text = None
 
 
 class CompilationUnit(Record):
@@ -446,16 +422,16 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
 
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
-    lexed too; parse checks balance first. With `keep`, a collection
-    of names, only what can hold one of them is lexed, jumping through
-    partner, check_balanced's table for text (built here if not given).
-    A member of a type body whose text (from the end of the member before
-    it) names none of them is not lexed at all: a field, method,
-    initializer block or nested type (see _member_end). Any other brace
-    block whose text names none of them is lexed as its two braces alone.
-    A comment or string that names one counts. A type body is the first
-    `{` after a `class` token that does not follow `.`, with no `;` or `}`
-    between them. File-level declarations are always lexed."""
+    lexed too; parse checks balance first. With `keep`, a collection of
+    names, the one skip rule: a member of a type body whose text (from the
+    end of the member before it) names none of them is not lexed at all,
+    be it a field, method, initializer block or nested type. Its end is
+    found by jumping through partner, check_balanced's table for text,
+    built here if not given (see _member_end). A comment or string that
+    names one counts. Everything else is lexed, so a member that is lexed
+    gives the tokens of a full lex. A type body is the first `{` after a
+    `class` token that does not follow `.`, with no `;` or `}` between
+    them. File-level declarations are always lexed."""
     if keep and partner is None:
         partner = check_balanced(text)
     toks = []
@@ -477,15 +453,10 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
             if not keep:
                 continue
             if value == "{":
+                ends.append(end if class_pending else None)
                 if not class_pending:
-                    ends.append(None)
-                    close = partner[end - 1]
-                    if not _names(text, keep, end, close):
-                        pos = close  # resume at the matching `}`
-                        break
                     continue
                 class_pending = False
-                ends.append(end)
             elif value == "}" or value == ";":
                 class_pending = False
                 if value == "}":
@@ -706,9 +677,7 @@ class _Parser:
         while True:
             decl, start = frames[-1]
             t = self.peek()
-            if len(frames) > 1 and t.value in ("}", ""):
-                if t.kind == "eof":
-                    raise _Backtrack("unterminated class body")
+            if len(frames) > 1 and t.value == "}":
                 frames.pop()
                 decl.body_span.end = self.eat().start
                 frames[-1][0].nested.append(self._finish(decl, start, t.end))
@@ -817,8 +786,7 @@ class _Parser:
         # tolerate extends/implements clauses verbatim, up to a `;` too,
         # which ends a member for tokenize (_member_end)
         while self.peek().value not in ("{", "}", ";", ""):
-            if self._jump().value in _CLOSE:
-                raise _Backtrack("unbalanced class header")
+            self._jump()
         body = Span(self.expect("{").end, 0)  # its end is set at the `}`
         return TypeDecl(name=name, modifiers=mods, body_span=body)
 
@@ -905,9 +873,7 @@ class _Parser:
                 if opaque:
                     opaque = False
                     s = self._consume_opaque_region()
-                elif frames and frames[-1][0] == "{" and t.value in ("}", ""):
-                    if t.kind == "eof":
-                        raise _Backtrack("unterminated block")
+                elif frames and frames[-1][0] == "{" and t.value == "}":
                     _brace, start, stmts = frames.pop()
                     s = self._finish(Block(stmts), start, self.eat().end)
                 elif t.value == "{":
@@ -1111,11 +1077,10 @@ def parse(text: str, keep=()) -> CompilationUnit:
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
     nesting is broken, with its message: check_balanced runs once, first,
     and its bracket table serves tokenize and the parser. With `keep`, a
-    collection of names, what tokenize does not lex is missing: a
-    type-body member whose text names none of them is absent from the
-    unit, and any other brace block that names none of them parses empty.
-    Every node that is there has the span and source of a full parse, and
-    so do the unit's file-level declarations, types and body spans.
+    collection of names, the unit is the full parse minus each type-body
+    member whose text names none of them (see tokenize). Every member
+    that is there is the full parse's, with its span and source, and so
+    are the unit's file-level declarations, types and body spans.
     """
     return _parse_with(_Parser(text, keep), _Parser.parse_unit)
 
@@ -1310,8 +1275,6 @@ def render_expr(e: Expr) -> str:
     reuses its bytes; any other node gets canonical form, and it is the
     one place that decides parentheses: a child is put in them exactly
     where, left bare, it would bind differently (see _grouped), in one fold."""
-    if e is None:
-        return ""
     return fold(e, _render_node, _render_kids)
 
 

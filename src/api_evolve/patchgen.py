@@ -16,6 +16,8 @@ from typing import Optional
 from . import dataflow, jast, scope, sigmap
 
 PATCH_TEMP_PREFIX = "newParameterVariable"
+# the statement kinds a patch line can be, and so the kinds a pattern matches
+PATTERN_STMTS = (jast.ExprStmt, jast.Return, jast.LocalVarDecl)
 
 
 class ExampleShapeError(Exception):
@@ -98,9 +100,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                 needs.append(d)
 
     used_exp = []
-    context_stmt = _abstract_stmt(dep_site, shared_receiver=None, used_exp=used_exp,
+    dep_receiver = _receiver_name(dep_site)
+    context_stmt = _abstract_stmt(dep_site, dep_receiver and jast.Name("classIden"), used_exp,
                                   args_to=lambda i, a: jast.Name("iden%d" % i))
-    dep_receiver = dep_site.call.receiver
 
     temps = []  # a LocalVarDecl pattern per resolved argument
 
@@ -113,8 +115,15 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         temps.append(jast.LocalVarDecl(ptype, temp, rv.expr))
         return jast.Name(temp)
 
-    updated_stmt = _abstract_stmt(upd_site, shared_receiver=dep_receiver,
-                                  used_exp=used_exp, args_to=upd_arg)
+    # the deprecated call's receiver is classIden; a type name is kept as
+    # written, but a variable of the example is no name in a target
+    receiver = _receiver_name(upd_site)
+    if receiver is not None and receiver != dep_receiver and ctx.is_variable(receiver):
+        raise ResolutionError("cannot resolve updated-call receiver %r: a variable of the "
+                              "example, not the deprecated call's receiver" % receiver)
+    updated_stmt = _abstract_stmt(
+        upd_site, receiver and jast.Name("classIden" if receiver == dep_receiver else receiver),
+        used_exp, args_to=upd_arg)
 
     guard = if_stmt.cond
     if if_stmt.else_block.span.contains(upd_site.call.span):  # the guard must hold there
@@ -123,6 +132,7 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                  else jast.Unary("!", jast.Paren(guard)))
     metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
 
+    _check_wildcard_imports(example, ctx, guard)
     then_stmts = temps + [updated_stmt]
     needs_imports = _needed_imports(
         example, [jast.render_expr(guard)] + [jast.render_stmt(s) for s in then_stmts]
@@ -190,22 +200,20 @@ def _arg_type_score(site, sig, unit):
     return score
 
 
-def _abstract_stmt(site, shared_receiver, used_exp, args_to):
-    """Abstract a call statement into a pattern: receiver -> classIden,
-    arguments via args_to, assignment/declaration left side -> exp0."""
-    call = site.call
-    receiver = call.receiver
-    if receiver is None:
-        pat_recv = None
-    elif isinstance(receiver, jast.Name):
-        if shared_receiver is None or (isinstance(shared_receiver, jast.Name)
-                                       and shared_receiver.identifier == receiver.identifier):
-            pat_recv = jast.Name("classIden")
-        else:
-            pat_recv = jast.Name(receiver.identifier)
-    else:
+def _receiver_name(site):
+    """The name that is the receiver of the site's call, or None for a call
+    without one; raises ExampleShapeError for any other receiver."""
+    receiver = site.call.receiver
+    if receiver is not None and not isinstance(receiver, jast.Name):
         raise ExampleShapeError(
             "unsupported receiver %r on example call" % jast.render_expr(receiver))
+    return receiver and receiver.identifier
+
+
+def _abstract_stmt(site, pat_recv, used_exp, args_to):
+    """Abstract a call statement into a pattern: the receiver is pat_recv,
+    arguments go via args_to, an assignment/declaration left side -> exp0."""
+    call = site.call
     pat_call = jast.MethodCall(pat_recv, call.name,
                                [args_to(i, a) for i, a in enumerate(call.args)])
 
@@ -229,6 +237,27 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
               if re.match(r"^iden\d+$", n) or n == "classIden"}
     return [("expression", n) for n in used_exp] + [
         ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
+
+
+def _check_wildcard_imports(example, ctx, guard):
+    """Raise ExampleShapeError when the example has a wildcard static
+    import and the guard uses a bare name (not a receiver) that the
+    example, at ctx, neither declares nor imports by name: only the
+    wildcard can declare it, and @needs@ cannot carry a static import.
+    The then branch holds no such name, since dataflow resolves each name
+    of a value or refuses it."""
+    wildcard = next((i for i in example.static_imports if i.endswith(".*")), None)
+    if wildcard is None:
+        return
+    named = {sigmap.simple_name(i) for i in example.imports}
+    exprs = list(jast.iter_exprs(guard))
+    receivers = {id(e.receiver) for e in exprs if type(e) in (jast.FieldAccess, jast.MethodCall)}
+    for e in exprs:
+        if (type(e) is jast.Name and id(e) not in receivers and e.identifier not in named
+                and not ctx.is_variable(e.identifier)):
+            raise ExampleShapeError("the patch would use %s, which only the example's "
+                                    "'import static %s;' declares, and @needs@ cannot carry it"
+                                    % (e.identifier, wildcard))
 
 
 def _needed_imports(example, texts):
@@ -405,7 +434,7 @@ def _read_hunk(lines, start: int, end: int):
                 stmt = jast.parse_stmt_text(text)
             except jast.ParseError:
                 stmt = None
-            if not isinstance(stmt, (jast.ExprStmt, jast.Return, jast.LocalVarDecl)):
+            if type(stmt) not in PATTERN_STMTS:
                 raise MalformedPatch("pattern line %r is not one expression, declaration "
                                      "or return statement" % text, line)
             if add and seen_else:

@@ -111,6 +111,58 @@ def test_generate_refuses_a_patch_that_needs_a_static_import(tmp_path, capsys):
     assert "import" not in out.read_text()
 
 
+_VIBRATE_IN_M = ("%sclass A {\n    Vibrator v;\n\n    void m(Vibrator w, long d) {\n"
+                 "        if (android.os.Build.VERSION.SDK_INT >= %s) {\n            %s\n"
+                 "        } else {\n            %s\n        }\n    }\n}\n")
+_ONE_SHOT = "VibrationEffect.createOneShot(50, 175)"
+UNUSABLE_EXAMPLES = {
+    "wildcard_static_import": (
+        ("import static android.os.Build.VERSION_CODES.*;\n\n", "O",
+         "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        "the patch would use O, which only the example's "
+        "'import static android.os.Build.VERSION_CODES.*;' declares, and @needs@ cannot carry it"),
+    "updated_receiver_is_another_variable": (
+        ("", "26", "w.vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
+        "cannot resolve updated-call receiver 'w': a variable of the example, "
+        "not the deprecated call's receiver"),
+    "field_access_receiver": (
+        ("", "26", "this.v.vibrate(%s);" % _ONE_SHOT, "this.v.vibrate(50);"),
+        "unsupported receiver 'this.v' on example call"),
+    "nested_call": (
+        ("", "26", "log(v.vibrate(%s));" % _ONE_SHOT, "log(v.vibrate(50));"),
+        "unsupported statement shape around example call: 'log(v.vibrate(50));'"),
+}
+
+
+@pytest.mark.parametrize("parts, message", UNUSABLE_EXAMPLES.values(),
+                         ids=UNUSABLE_EXAMPLES.keys())
+def test_generate_refuses_an_example_it_cannot_carry_over(tmp_path, capsys, parts, message):
+    ex = tmp_path / "ex.java"
+    ex.write_text(_VIBRATE_IN_M % parts)
+    out = tmp_path / "o.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "api-evolve: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, guard", [
+    ("import static android.os.Build.VERSION_CODES.*;\n\n", "26"),
+    ("import static android.os.Build.VERSION_CODES.*;\nimport a.Codes.O;\n\n", "O"),
+    ("import static android.os.Build.VERSION_CODES.*;\n\n", "android.os.Build.VERSION_CODES.O"),
+    ("import static android.os.Build.VERSION_CODES.*;\n\n", "d"),
+], ids=["no_bare_name", "imported_by_name", "qualified", "declared_by_the_example"])
+def test_a_wildcard_static_import_the_patch_needs_not_is_no_fault(tmp_path, capsys, header,
+                                                                   guard):
+    ex = tmp_path / "ex.java"
+    ex.write_text(_VIBRATE_IN_M % (header, guard, "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"))
+    out = tmp_path / "o.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "SDK_INT >= %s) {" % guard in out.read_text()
+
+
 def test_apply_updates_target(tmp_path, patch_file):
     target = tmp_path / "main.java"
     target.write_text(TARGET)
@@ -277,8 +329,8 @@ def test_too_deep_nesting_is_a_parse_failure(tmp_path, patch_file, capsys, mode)
     ("void m(Vibrator v) { %s v.vibrate(5); }", 0),
 ], ids=["name_free_method", "site_method"])
 def test_deep_nesting_fails_only_where_a_site_can_be(tmp_path, patch_file, capsys, body, rc):
-    # a brace block that never names the method is not lexed or parsed, and
-    # one that does parses at any depth
+    # a class member that never names the method is not lexed or parsed,
+    # and one that does parses at any depth
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     target = tmp_path / "deep.java"
     target.write_text("class A {\n    %s\n}\n" % (body % deep))

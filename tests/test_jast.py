@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from api_evolve import engine, jast, scope, sigmap
+from api_evolve import engine, jast, patchgen, scope, sigmap
 
 from conftest import CORPUS, corpus_java_files
 from mutants import mutant
@@ -55,6 +55,19 @@ def test_opaque_in_body():
     assert isinstance(stmt, jast.OpaqueStmt)
     assert stmt.src == "while (x) { a.f(); }"
     assert jast.print_unit(unit) == text
+
+
+@pytest.mark.parametrize("body, opaque", [
+    ("{ if (x) } }", ["if (x)"]),
+    ("if (x) a(); else }", ["if (x) a();", "else"]),
+], ids=["if_without_a_statement", "else_without_a_statement"])
+def test_an_if_that_does_not_parse_is_read_again_as_opaque(body, opaque):
+    text = "class A { void m() { %s }" % body
+    unit = jast.parse(text)
+    assert jast.print_unit(unit) == text
+    stmts = [s for s, _chain in jast.iter_statements(unit.types[0].methods[0].body)]
+    assert [s.src for s in stmts if isinstance(s, jast.OpaqueStmt)] == opaque
+    assert not any(isinstance(s, jast.If) for s in stmts)
 
 
 @pytest.mark.parametrize("path", corpus_java_files(), ids=lambda p: p.name)
@@ -332,22 +345,26 @@ def lexed(text, keep=()):
     return [t.value for t in jast.tokenize(text, keep)][:-1]
 
 
+NAME_FREE_METHOD = ("class A { void m() { int x = 1; } "
+                    "void n(Vibrator v) { if (v == null) { return; } v.vibrate(5); } }")
+NESTED_CLASS = "class A { static class B { int y; void k() { int z = 1; } } }"
+
+
 def test_name_free_method_body_gives_no_inner_tokens():
-    # a member that never names keep is not lexed at all; in one that does,
-    # a block that never names it is lexed as its two braces
-    text = ("class A { void m() { int x = 1; } "
-            "void n(Vibrator v) { if (v == null) { return; } v.vibrate(5); } }")
+    # a member that never names keep is not lexed at all; one that does is
+    # lexed whole, a block that never names keep included
+    text = NAME_FREE_METHOD
     assert lexed(text, {"vibrate"}) == [
         "class", "A", "{",
-        "void", "n", "(", "Vibrator", "v", ")", "{", "if", "(", "v", "==", "null", ")", "{", "}",
-        "v", ".", "vibrate", "(", "5", ")", ";", "}", "}"]
-    m, block = text.index("void m"), text.index("{ return; }")
+        "void", "n", "(", "Vibrator", "v", ")", "{", "if", "(", "v", "==", "null", ")", "{",
+        "return", ";", "}", "v", ".", "vibrate", "(", "5", ")", ";", "}", "}"]
+    m = text.index("void m")
     lazy = jast.tokenize(text, {"vibrate"})
-    # same tokens, same spans: all but m and the inside of the block
-    assert lazy == [t for t in jast.tokenize(text)
-                    if not (m <= t.start < text.index("void n") or block < t.start < block + 10)]
+    # same tokens, same spans: all but m's
+    assert lazy == [t for t in jast.tokenize(text) if not m <= t.start < text.index("void n")]
     (n,) = jast.parse(text, {"vibrate"}).types[0].methods
-    assert n.name == "n" and n.body[0].then_block.stmts == []
+    assert n.name == "n" and [s.src for s in n.body[0].then_block.stmts] == ["return;"]
+    assert jast.ast_equal(n, jast.parse(text).types[0].methods[1])
 
 
 @pytest.mark.parametrize("inner", ["// vibrate\n", "/* vibrate */", 's = "vibrate";',
@@ -368,15 +385,45 @@ def test_class_literal_opens_no_type_body():
 
 def test_name_free_type_bodies_are_lexed():
     # a top-level class is always lexed, braces and all, though nothing in
-    # it names keep; a nested class is a member like any other
-    text = "class A { static class B { int y; void k() { int z = 1; } } }"
+    # it names keep; a nested class is a member like any other, and a kept
+    # method is lexed whole
+    text = NESTED_CLASS
     assert lexed(text, {"vibrate"}) == ["class", "A", "{", "}"]
     (a,) = jast.parse(text, {"vibrate"}).types
     assert a.nested == [] and a.body_span == jast.parse(text).types[0].body_span
     values = lexed(text, {"k"})
-    assert "B" in values and "k" in values and "y" not in values and "z" not in values
+    assert "B" in values and "k" in values and "z" in values and "y" not in values
     methods, types = scope.members(jast.parse(text, {"k"}))
     assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
+
+
+def _kept_names(case):
+    """The names engine.update keeps for the patch of a corpus case."""
+    dep, upd = (case / "mapping.txt").read_text(encoding="utf-8").splitlines()[:2]
+    mapping = sigmap.ApiMapping(sigmap.parse_signature(dep), sigmap.parse_signature(upd))
+    patch = patchgen.generate_patch(jast.parse(read(case / "example.java")), mapping)
+    return {patchgen.pattern_call(patch.context).name} | {d.name for d in patch.needs}
+
+
+def test_a_kept_member_is_the_full_parse_member():
+    # the one rule of a lazy parse: it is the full parse minus whole
+    # type-body members, so every field and method it keeps is the one the
+    # full parse has at the same span
+    cases = [(read(path), keep) for case in sorted(CORPUS.glob("cases/*"))
+             for keep in [_kept_names(case)]
+             for path in sorted(case.glob("targets/*.java")) + [case / "example.java"]]
+    cases += [(NAME_FREE_METHOD, {"vibrate"}), (NESTED_CLASS, {"vibrate"}), (NESTED_CLASS, {"k"})]
+    kept = skipped = 0
+    for text, keep in cases:
+        full = {(d.span.start, d.span.end): d for tdecl, _outer in jast.iter_types(jast.parse(text))
+                for d in tdecl.fields + tdecl.methods}
+        for tdecl, _outer in jast.iter_types(jast.parse(text, keep)):
+            for d in tdecl.fields + tdecl.methods:
+                assert jast.ast_equal(d, full.pop((d.span.start, d.span.end))), (keep, d.src)
+                kept += 1
+        skipped += len(full)
+    # neither no member kept nor none skipped would show anything
+    assert kept > 30 and skipped > 10, (kept, skipped)
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():

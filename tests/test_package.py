@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -90,3 +92,35 @@ def test_the_corpus_runs_as_a_module_without_a_warning():
                           cwd=REPO, env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "total: 20/20 targets" in proc.stdout
+
+
+def _definitions(path):
+    """(name, first line, last line) of each top-level function, class and
+    constant of a module, but its dunders."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_top_level_name_of_the_package_is_used():
+    # a function, class or constant named nowhere but in its own
+    # definition, across the package, its tests and the benchmark, is dead
+    lines = {}  # (file, word) -> the lines that name the word
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (REPO / d).rglob("*.py")):
+        for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for word in set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line)):
+                lines.setdefault(word, []).append((path, no))
+    dead = []
+    for path in sorted((REPO / "src" / "api_evolve").glob("*.py")):
+        for name, first, last in _definitions(path):
+            if all(p == path and first <= no <= last for p, no in lines[name]):
+                dead.append("%s.%s" % (path.stem, name))
+    assert dead == []

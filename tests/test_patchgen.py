@@ -375,6 +375,44 @@ def test_literal_and_creation_arguments_rank_the_pairs(mapping, updated, depreca
             == "classIden.%s(iden0);" % mapping.deprecated.method_name)
 
 
+FROM_HTML = sigmap.ApiMapping(
+    sigmap.parse_signature("android.text.Html#fromHtml(java.lang.String)"),
+    sigmap.parse_signature("android.text.Html#fromHtml(java.lang.String, int)"))
+
+# (mapping, class header, updated and deprecated statements, context line,
+# updated line of the patch)
+CALL_SHAPES = {
+    "receiverless_call": (
+        VIBRATE, "class A extends Vibrator", "vibrate(VibrationEffect.createOneShot(50, 1));",
+        "vibrate(50);", "vibrate(iden0);", "vibrate(newParameterVariable0);"),
+    "type_name_receiver_kept": (
+        FROM_HTML, "class A", "out = HtmlCompat.fromHtml(s, 0);", "out = Html.fromHtml(s);",
+        "exp0 = classIden.fromHtml(iden0);",
+        "exp0 = HtmlCompat.fromHtml(iden0, newParameterVariable0);"),
+    "type_name_receiver_against_none": (
+        FROM_HTML, "class A extends Html", "out = HtmlCompat.fromHtml(s, 0);",
+        "out = fromHtml(s);", "exp0 = fromHtml(iden0);",
+        "exp0 = HtmlCompat.fromHtml(iden0, newParameterVariable0);"),
+    "local_initializer": (
+        FROM_HTML, "class A", "Spanned x = Html.fromHtml(s, 0);", "Spanned x = Html.fromHtml(s);",
+        "exp0 = classIden.fromHtml(iden0);",
+        "exp0 = classIden.fromHtml(iden0, newParameterVariable0);"),
+}
+
+
+@pytest.mark.parametrize("mapping, header, updated, deprecated, context, line",
+                         CALL_SHAPES.values(), ids=CALL_SHAPES.keys())
+def test_call_shapes_abstract_to_the_patch_lines(mapping, header, updated, deprecated, context,
+                                                 line):
+    example = jast.parse("%s { void m(String s) {\nCharSequence out;\n"
+                         "if (SDK_INT >= 26) { %s } else { %s }\n} }"
+                         % (header, updated, deprecated))
+    patch = patchgen.generate_patch(example, mapping)
+    assert jast.render_stmt(patch.context) == context
+    assert jast.render_stmt(patch.then_stmts[-1]) == line
+    assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
+
+
 NEEDS_HEAD = ("@r@\nidentifier iden0, classIden;\n@@\n...\n"
               "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
               "+ classIden.vibrate(effect(iden0));\n"
