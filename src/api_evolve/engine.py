@@ -4,6 +4,7 @@ update(), the one function that runs the whole apply pipeline."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from typing import Optional
@@ -157,6 +158,53 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     return kind(**values)
 
 
+def compile_then(patch: patchgen.SemanticPatch, renames: Optional[dict] = None) -> list:
+    """The patch's then branch as templates, built once per file. Each
+    statement is instantiated (substitute_stmt) with each metavariable of
+    the context line, and each temporary declared before it, bound to a
+    placeholder Name; it is rendered once, or its initializer is if it
+    declares a temporary, and split at the placeholders. Returns one
+    (temporary's name or None, root, pieces, holes) per then statement
+    (see jast.template_holes), where a temporary's root is its
+    initializer's root node, or the name of the hole that stands for it;
+    see render_then."""
+    declared = patch.metavar_names("expression") | patch.metavar_names("identifier")
+    bound = [n for n in patchgen.pattern_names(patch.context) if n in declared]
+    then = []
+    for s in patch.then_stmts:
+        temp = s.name if patchgen.is_patch_temp(s) else None
+        for mark in map(chr, itertools.count()):  # a character no other text holds
+            binding = MetaBinding({n: jast.Name(mark) for n in bound})
+            node = substitute_stmt(s, binding, renames)
+            text = jast.render_stmt(node) if temp is None else jast.render_expr(node.init)
+            marks = {id(v): n for n, v in binding.assignments.items()}
+            holes = [h for e in jast.stmt_exprs(node) for h in jast.template_holes(e, marks)]
+            pieces = text.split(mark)
+            if len(pieces) == len(holes) + 1:
+                break
+        root = None if temp is None else marks.get(id(node.init), node.init)
+        then.append((temp, root, pieces, holes))
+        if temp is not None:
+            bound.append(temp)
+    return then
+
+
+def render_then(then: list, binding: MetaBinding) -> list:
+    """The then branch's lines at one site, from compile_then's templates:
+    only the bound expressions are rendered (jast.render_expr), and a
+    temporary's hole takes the text of its own template, grouped by the
+    root node of its initializer."""
+    values = {n: (jast.render_expr(e), e) for n, e in binding.assignments.items()}
+    lines = []
+    for temp, root, pieces, holes in then:
+        text = jast.fill_template(pieces, holes, values)
+        if temp is None:
+            lines.append(text)
+        else:
+            values[temp] = (text, values[root][1] if type(root) is str else root)
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Guard detection
 # ---------------------------------------------------------------------------
@@ -179,8 +227,10 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 
     Returns (edits, UpdateReport); the edits are (Span, text) pairs against
     unit.text. The context call's argument metavariables bind the argument
-    expressions, and each patch temporary is rendered inline at
-    its one use. Per-site failures become skip entries, never exceptions;
+    expressions, and each patch temporary is rendered inline at its one
+    use. The then branch is compiled once, at the first site that matches
+    (compile_then), and each site renders only what it binds into it.
+    Per-site failures become skip entries, never exceptions;
     patchgen.MultipleUse is raised when the then branch would evaluate an
     argument that is not a plain name more than once.
     """
@@ -196,6 +246,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 
     edits = []
     handled = set()
+    then = None  # compiled at the first site that matches
     guard = "if (%s) {" % jast.render_expr(patch.guard_cond)
     for site in sigmap.find_invocations(unit, sig):
         if already_guarded(site):
@@ -222,14 +273,10 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
         report.sites_found += 1
         report.sites_updated += 1
 
+        if then is None:
+            then = compile_then(patch, renames)
         indent = jast.indent_at(unit.text, stmt.span.start)
-        lines = [guard]
-        for s in patch.then_stmts:
-            if patchgen.is_patch_temp(s):
-                binding.assignments[s.name] = substitute_expr(s.init, binding, renames)
-                continue
-            concrete = substitute_stmt(s, binding, renames)
-            lines.append(indent + "    " + jast.render_stmt(concrete))
+        lines = [guard] + [indent + "    " + line for line in render_then(then, binding)]
         lines.append(indent + "} else {")
         lines.append(indent + "    " + stmt.src)
         lines.append(indent + "}")
@@ -330,12 +377,15 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     Every parsed name is a slice of the text. So a text that never names
     the context call's method holds no site: it is not parsed, only
     checked by jast.require_balanced, which raises what a parse would. In
-    a text that does, a class member that names neither the method nor a
-    @needs@ helper is not lexed (jast.parse's `keep`): it can hold no
-    site, and no declaration that the transplant's collision check looks
-    up. Raises jast.ParseError (UnbalancedSource when the nesting is
-    broken) when the text does not parse, and patchgen.MultipleUse when
-    the patch would evaluate an argument twice.
+    a text that does, a class member, or a statement of a kept method or
+    block, that names neither the method nor a @needs@ helper is not lexed
+    (jast.parse's `keep`): it can hold no site and enclose none, and the
+    transplant's collision check reads member headers only. What is
+    parsed is all this function reads: the sites, their enclosing
+    statements and chains, and the member headers. Raises
+    jast.ParseError (UnbalancedSource when the nesting is broken) when
+    the text does not parse, and patchgen.MultipleUse when the patch
+    would evaluate an argument twice.
     """
     name = patchgen.pattern_call(patch.context).name
     if name not in text:

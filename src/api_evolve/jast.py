@@ -14,7 +14,8 @@ compares and shows one field by field. Nodes compare by identity;
 ast_equal compares structure. Brackets are paired once per parse, by
 check_balanced's table, which the member scan and the parser's verbatim
 regions jump through. A lazy parse, parse(text, keep), follows one rule:
-it is the full parse minus the type-body members that name no kept name.
+it is the full parse minus the type-body members, and the statements of
+kept bodies, that name no kept name.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ class Token(Record):
 _STR = r""" "{3}[ \t\f]*\r?\n[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3}
           | "[^"\\\n]*(?:\\.[^"\\\n]*)*" """
 _CHAR = r""" '[^'\\]*(?:\\.[^'\\]*)*' """
-_COMMENT = r""" //[^\n]* | /\*.*?\*/ """
+_COMMENT = r""" //[^\n]* | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ """
 _BAD = r""" ["'] | /\* """
 
 # One match per token: whitespace and comments are skipped in front of it,
@@ -423,21 +424,28 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
     lexed too; parse checks balance first. With `keep`, a collection of
-    names, the one skip rule: a member of a type body whose text (from the
-    end of the member before it) names none of them is not lexed at all,
-    be it a field, method, initializer block or nested type. Its end is
-    found by jumping through partner, check_balanced's table for text,
-    built here if not given (see _member_end). A comment or string that
-    names one counts. Everything else is lexed, so a member that is lexed
-    gives the tokens of a full lex. A type body is the first `{` after a
-    `class` token that does not follow `.`, with no `;` or `}` between
-    them. File-level declarations are always lexed."""
+    names, the one skip rule: a member of a type body, or a statement of a
+    statement body, whose text (from the end of the one before it) names
+    none of them is not lexed at all. Its end is found by jumping through
+    partner, check_balanced's table for text, built here if not given (see
+    _member_end). A comment or string that names one counts. Everything
+    else is lexed, so what is lexed gives the tokens of a full lex. A type
+    body is the first `{` after a `class` token that does not follow `.`,
+    with no `;` or `}` between them. A statement body is a `{` whose
+    partner closes exactly where the kept member or statement being lexed
+    ends: a method's body, or the last block of a kept statement. In a
+    statement body a run goes on through each `else` that follows it, so
+    an `if … else if … else` chain is skipped or lexed whole. File-level
+    declarations are always lexed."""
     if keep and partner is None:
         partner = check_balanced(text)
     toks = []
     append = toks.append
     class_pending = False
-    ends = []  # per open `{`: the end of the member being lexed, in a type body; else None
+    # per open `{`: in a body, the end of the member or statement being
+    # lexed (None once the body's `}` is next); else None
+    ends = []
+    in_stmts = []  # per open `{`: whether it is a statement body
     pos = 0
     while pos is not None:
         start, pos = pos, None
@@ -453,33 +461,49 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
             if not keep:
                 continue
             if value == "{":
-                ends.append(end if class_pending else None)
-                if not class_pending:
+                stmts = not class_pending and bool(ends) and ends[-1] == partner[end - 1] + 1
+                in_stmts.append(stmts)
+                if not (class_pending or stmts):
+                    ends.append(None)
                     continue
+                ends.append(end)
                 class_pending = False
             elif value == "}" or value == ";":
                 class_pending = False
                 if value == "}":
                     ends.pop()
+                    in_stmts.pop()
                 if not ends or ends[-1] != end:
                     continue
             else:
                 if value == "class" and (len(toks) < 2 or toks[-2].value != "."):
                     class_pending = True
                 continue
-            # a member of a type body starts at end: skip each one that names no keep
+            # a member or statement of a body starts at end: skip each one
+            # that names no keep
             skip = end
             while True:
-                member_end = _member_end(text, skip, partner)
-                if member_end is None or _names(text, keep, skip, member_end):
+                run_end = _member_end(text, skip, partner)
+                while in_stmts[-1] and run_end is not None:
+                    after_else = _ELSE_RE.match(text, run_end)
+                    if after_else is None:
+                        break
+                    run_end = _member_end(text, after_else.end(), partner)
+                if run_end is None or _names(text, keep, skip, run_end):
                     break
-                skip = member_end
-            ends[-1] = member_end
+                skip = run_end
+            ends[-1] = run_end
             if skip != end:
                 pos = skip
                 break
     append(Token("eof", "", len(text), len(text)))
     return toks
+
+
+# An `else` token, after the whitespace and comments in front of it; one
+# blank per step, as a run of them would be tried split every way on a miss
+_ELSE_RE = re.compile(r"(?:[ \t\r\n] | %s)* else(?![A-Za-z0-9_$])" % _COMMENT,
+                      re.VERBOSE | re.DOTALL)
 
 
 def _names(text: str, keep, start: int, end: int) -> bool:
@@ -496,12 +520,14 @@ _MEMBER_RE = re.compile(r"""
 
 
 def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
-    """The end of the type-body member that starts at pos, without lexing:
-    just past a `;`, or past the `}` of a `{` with no `=` before it, so an
-    array initializer, anonymous class or lambda runs on to its `;`. None
-    when the body's `}` comes first. Each bracket is jumped over to its
-    partner (see _close), so what is inside one is never seen. Every such
-    end is one where parse_unit's member loop ends a member."""
+    """The end of the type-body member, or statement, that starts at pos,
+    without lexing: just past a `;`, or past the `}` of a `{` with no `=`
+    before it, so an array initializer, anonymous class or lambda runs on
+    to its `;`. None when the body's `}` comes first. Each bracket is
+    jumped over to its partner (see _close), so what is inside one is
+    never seen. Every such end is one where parse_unit's member loop ends
+    a member, or parse_stmt a statement, but for the `if` whose statement
+    an `else` follows: tokenize runs on through it."""
     assigned = False
     while True:
         m = _MEMBER_RE.match(text, pos)
@@ -1078,9 +1104,11 @@ def parse(text: str, keep=()) -> CompilationUnit:
     nesting is broken, with its message: check_balanced runs once, first,
     and its bracket table serves tokenize and the parser. With `keep`, a
     collection of names, the unit is the full parse minus each type-body
-    member whose text names none of them (see tokenize). Every member
-    that is there is the full parse's, with its span and source, and so
-    are the unit's file-level declarations, types and body spans.
+    member, and each statement of a kept body, whose text names none of
+    them (see tokenize). Every member and statement that is there is the
+    full parse's, with its span and source, but for the statements missing
+    from its bodies and blocks, and so are the unit's file-level
+    declarations, types and body spans.
     """
     return _parse_with(_Parser(text, keep), _Parser.parse_unit)
 
@@ -1338,6 +1366,41 @@ def _grouped(parent: Expr, child: Expr, text: str, right: bool = False) -> str:
     else:
         wrap = isinstance(child, _LOOSER[type(parent)])
     return "(%s)" % text if wrap else text
+
+
+def template_holes(e: Expr, marks: dict) -> list:
+    """Each node of e that marks holds (by id), in pre-order, which is the
+    order render_expr writes them in: (marks' value for it, the parent
+    that render_expr groups it as an operand or receiver of (see _grouped)
+    or else None, and whether it is a right operand)."""
+    holes, stack = [], [(e, None, False)]
+    while stack:
+        e, parent, right = stack.pop()
+        if id(e) in marks:
+            holes.append((marks[id(e)], parent, right))
+            continue
+        # _render_node groups each child, but those in a list, of the kinds
+        # that _LOOSER names
+        grouping = e if type(e) in _LOOSER else None
+        for name in reversed(CHILDREN[type(e)]):
+            c = getattr(e, name)
+            if type(c) is list:
+                stack.extend((k, None, False) for k in reversed(c))
+            elif c is not None:
+                stack.append((c, grouping, name == "rhs"))
+    return holes
+
+
+def fill_template(pieces: list, holes: list, values: dict) -> str:
+    """A rendering split at its holes (see template_holes), filled: values
+    maps each hole's key to (text, node), the text of the node that stands
+    there, which is put in parentheses where render_expr would put it."""
+    out = [pieces[0]]
+    for (key, parent, right), piece in zip(holes, pieces[1:]):
+        text, node = values[key]
+        out.append(text if parent is None else _grouped(parent, node, text, right))
+        out.append(piece)
+    return "".join(out)
 
 
 def render_stmt(s: Stmt) -> str:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from api_evolve import engine, jast, normal, patchgen, sigmap
@@ -614,3 +616,69 @@ def test_a_return_example_updates_a_return_target(minute_mapping):
             "        } else {\n"
             "            return p.getCurrentMinute();\n"
             "        }\n") in out
+
+
+# A hand-written patch whose metavariables and temporaries stand where the
+# renderer groups an operand or receiver, and where it does not; a string
+# holds the character the compiled template would first take as its
+# placeholder.
+GROUPING_PATCH = """@shapes@
+expression exp0;
+identifier iden0, classIden;
+@@
+...
++ if (android.os.Build.VERSION.SDK_INT >= 26 && exp0 != null) {
++ long newParameterVariable0 = iden0;
++ long newParameterVariable1 = iden0 + 1;
++ Effect newParameterVariable2 = Effect.of(newParameterVariable0 * 2, 2 - iden0.size, -iden0);
++ exp0 = classIden.vibrate(newParameterVariable2, (long) iden0, iden0.run().x, 3 / (iden0 - 1));
++ classIden.log(newParameterVariable1 * 3, !(exp0 == iden0), new T(iden0, exp0 = iden0), "\x00");
++ return iden0;
++ } else {
+exp0 = classIden.vibrate(iden0);
++ }
+"""
+
+
+def _bound_shapes():
+    """Expressions of every kind a metavariable can bind, as a target
+    holds them: a binary operation at every level, unary, cast and
+    parenthesized ones, a call, a field access, literals, and nodes that
+    span lines, which render anew."""
+    texts = ["a %s b" % op for op in jast.BINARY_LEVEL]
+    texts += ["-a", "!a", "(long) a", "(a + b)", "f(a, b)", "o.p", "v", "5", '"s"', "2.5f",
+              "a +\n    b * c", "-\n    -t", "f(a,\n    b).g", "(int)\n    (a - b)"]
+    return [jast.parse_expr_text(t) for t in texts]
+
+
+def test_a_compiled_then_branch_renders_like_substitution():
+    # the template path (compile_then once, render_then per site) against
+    # instantiating and rendering every then statement at every site
+    patches = [load_patch(case.name, rewire)[0] for case in sorted(CORPUS.glob("cases/*"))
+               for rewire in (False, True)]
+    patches.append(patchgen.parse_patch(GROUPING_PATCH))
+    shapes = _bound_shapes()
+    rng = random.Random(2121)
+    compared = 0
+    for patch in patches:
+        names = {n for s in patch.then_stmts + [patch.context] for n in patchgen.pattern_names(s)}
+        names |= {e.name for s in patch.then_stmts for root in jast.stmt_exprs(s)
+                  for e in jast.iter_exprs(root) if isinstance(e, jast.MethodCall)}
+        mvs = [n for n in patchgen.pattern_names(patch.context)
+               if n in patch.metavar_names("expression") | patch.metavar_names("identifier")]
+        for renames in (None, {n: n + "_r" for n in names}):
+            then = engine.compile_then(patch, renames)
+            for _ in range(60):
+                binding = engine.MetaBinding({mv: rng.choice(shapes) for mv in mvs})
+                want = []
+                substituted = engine.MetaBinding(dict(binding.assignments))
+                for s in patch.then_stmts:
+                    if patchgen.is_patch_temp(s):
+                        substituted.assignments[s.name] = engine.substitute_expr(
+                            s.init, substituted, renames)
+                    else:
+                        want.append(jast.render_stmt(
+                            engine.substitute_stmt(s, substituted, renames)))
+                assert engine.render_then(then, binding) == want
+                compared += len(want)
+    assert compared > 1500, compared

@@ -1,3 +1,4 @@
+import importlib
 import random
 import tracemalloc
 
@@ -5,7 +6,7 @@ import pytest
 
 from api_evolve import engine, jast, patchgen, scope, sigmap
 
-from conftest import CORPUS, corpus_java_files
+from conftest import CORPUS, REPO, corpus_java_files
 from mutants import mutant
 
 
@@ -238,6 +239,33 @@ def test_bracket_fault_raised_by_parse_not_tokenize(text, message):
         assert str(exc.value) == message
 
 
+def test_a_block_comment_ends_at_its_first_star_slash():
+    # every scanner shares one comment syntax: over seeded bodies, each one
+    # ends a comment at the first `*/` after its `/*`, and raises on one
+    # that never closes; a `;` or `)` in the body shows an end seen too soon
+    rng = random.Random(4321)
+    pieces = ["*", "**/", "/", "\n", "/**/", "/***/", ";", ")", "x"]
+    closed = 0
+    for _ in range(400):
+        text = "a /*" + "".join(rng.choice(pieces) for _ in range(rng.randrange(8)))
+        end = text.find("*/", 4) + 2
+        if end < 2:
+            for fn in (jast.tokenize, jast.check_balanced, jast.require_balanced):
+                with pytest.raises(jast.UnbalancedSource, match="unterminated block comment"):
+                    fn(text)
+            continue
+        closed += 1
+        text = text[:end] + " ; )"
+        assert toks(text)[:3] == [("ident", "a", 0, 1), ("punct", ";", end + 1, end + 2),
+                                  ("punct", ")", end + 3, end + 4)]
+        assert jast._member_end(text, 0, {}) == end + 2
+        for fn in (jast.check_balanced, jast.require_balanced):
+            with pytest.raises(jast.UnbalancedSource, match="unmatched '\\)' at offset %d$"
+                               % (end + 3)):
+                fn(text)
+    assert 100 < closed < 350, closed
+
+
 def test_superscript_digit_is_a_punct_token():
     # '²'.isdigit() is true but it is no decimal digit, so it cannot start a number
     assert toks("2²") == [("num", "2", 0, 1), ("punct", "²", 1, 2), ("eof", "", 2, 2)]
@@ -351,28 +379,40 @@ NESTED_CLASS = "class A { static class B { int y; void k() { int z = 1; } } }"
 
 
 def test_name_free_method_body_gives_no_inner_tokens():
-    # a member that never names keep is not lexed at all; one that does is
-    # lexed whole, a block that never names keep included
+    # a member that never names keep is not lexed at all, and neither is a
+    # statement of a kept method's body that never names it
     text = NAME_FREE_METHOD
     assert lexed(text, {"vibrate"}) == [
         "class", "A", "{",
-        "void", "n", "(", "Vibrator", "v", ")", "{", "if", "(", "v", "==", "null", ")", "{",
-        "return", ";", "}", "v", ".", "vibrate", "(", "5", ")", ";", "}", "}"]
-    m = text.index("void m")
+        "void", "n", "(", "Vibrator", "v", ")", "{", "v", ".", "vibrate", "(", "5", ")", ";",
+        "}", "}"]
+    m, n_if = text.index("void m"), text.index("if (v")
     lazy = jast.tokenize(text, {"vibrate"})
-    # same tokens, same spans: all but m's
-    assert lazy == [t for t in jast.tokenize(text) if not m <= t.start < text.index("void n")]
+    # same tokens, same spans: all but m's and the if's
+    assert lazy == [t for t in jast.tokenize(text) if not m <= t.start < text.index("void n")
+                    and not n_if <= t.start < text.index("v.vibrate")]
     (n,) = jast.parse(text, {"vibrate"}).types[0].methods
-    assert n.name == "n" and [s.src for s in n.body[0].then_block.stmts] == ["return;"]
-    assert jast.ast_equal(n, jast.parse(text).types[0].methods[1])
+    full_n = jast.parse(text).types[0].methods[1]
+    assert n.name == "n" and [s.src for s in n.body] == ["v.vibrate(5);"]
+    assert n.span == full_n.span and n.body_span == full_n.body_span
+    assert jast.ast_equal(n.body[0], full_n.body[1])
 
 
 @pytest.mark.parametrize("inner", ["// vibrate\n", "/* vibrate */", 's = "vibrate";',
                                    "vibrateLater();"],
                          ids=["line_comment", "block_comment", "string", "longer_name"])
 def test_a_name_in_a_comment_or_string_keeps_its_block_lexed(inner):
+    # a statement's text runs from the end of the one before it, so a
+    # comment keeps the statement after it; a string or a longer name keeps
+    # the statement it stands in, and `int x = 1;` names nothing
     text = "class A { void m() { %s int x = 1; } }" % inner
-    assert jast.tokenize(text, {"vibrate"}) == jast.tokenize(text)
+    full = jast.tokenize(text)
+    if inner.startswith("/"):
+        assert jast.tokenize(text, {"vibrate"}) == full
+    else:
+        x = text.index("int x")
+        assert jast.tokenize(text, {"vibrate"}) == [t for t in full
+                                                    if not x <= t.start < text.index("}")]
 
 
 def test_class_literal_opens_no_type_body():
@@ -386,13 +426,16 @@ def test_class_literal_opens_no_type_body():
 def test_name_free_type_bodies_are_lexed():
     # a top-level class is always lexed, braces and all, though nothing in
     # it names keep; a nested class is a member like any other, and a kept
-    # method is lexed whole
+    # method is lexed but for its statements that never name keep
     text = NESTED_CLASS
     assert lexed(text, {"vibrate"}) == ["class", "A", "{", "}"]
     (a,) = jast.parse(text, {"vibrate"}).types
     assert a.nested == [] and a.body_span == jast.parse(text).types[0].body_span
     values = lexed(text, {"k"})
-    assert "B" in values and "k" in values and "z" in values and "y" not in values
+    assert "B" in values and "k" in values and "z" not in values and "y" not in values
+    y = text.index("int y")
+    assert jast.tokenize(text, {"k", "z"}) == [t for t in jast.tokenize(text)
+                                               if not y <= t.start < y + len("int y;")]
     methods, types = scope.members(jast.parse(text, {"k"}))
     assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
 
@@ -405,38 +448,75 @@ def _kept_names(case):
     return {patchgen.pattern_call(patch.context).name} | {d.name for d in patch.needs}
 
 
+def _kept_equal(lazy, full) -> bool:
+    """lazy is full, spans included, but for statements missing from the
+    bodies and blocks of lazy: ast_equal wherever none is missing."""
+    if type(lazy) is not type(full) or lazy.span != full.span:
+        return False
+    if isinstance(lazy, jast.If):
+        return (jast.ast_equal(lazy.cond, full.cond)
+                and _kept_equal(lazy.then_block, full.then_block)
+                and (lazy.else_block is None) == (full.else_block is None)
+                and (lazy.else_block is None or _kept_equal(lazy.else_block, full.else_block)))
+    if not isinstance(lazy, (jast.MethodDecl, jast.Block)):
+        return jast.ast_equal(lazy, full)
+    body = "body" if isinstance(lazy, jast.MethodDecl) else "stmts"
+    at = {s.span.start: s for s in getattr(full, body)}
+    return (all(jast.ast_equal(getattr(lazy, n), getattr(full, n))
+                for n in lazy.__slots__ if n != body)
+            and all(s.span.start in at and _kept_equal(s, at[s.span.start])
+                    for s in getattr(lazy, body)))
+
+
+def _statement_count(decls) -> int:
+    return sum(1 for d in decls if isinstance(d, jast.MethodDecl)
+               for _s in jast.iter_statements(d.body))
+
+
 def test_a_kept_member_is_the_full_parse_member():
     # the one rule of a lazy parse: it is the full parse minus whole
-    # type-body members, so every field and method it keeps is the one the
-    # full parse has at the same span
+    # type-body members and the statements of kept bodies that name no kept
+    # name, so every member it keeps is the one the full parse has at the
+    # same span, and so is every statement it keeps, but for the
+    # statements missing from its bodies and blocks
     cases = [(read(path), keep) for case in sorted(CORPUS.glob("cases/*"))
              for keep in [_kept_names(case)]
              for path in sorted(case.glob("targets/*.java")) + [case / "example.java"]]
     cases += [(NAME_FREE_METHOD, {"vibrate"}), (NESTED_CLASS, {"vibrate"}), (NESTED_CLASS, {"k"})]
-    kept = skipped = 0
+    cases += [(_boundary_text(stmt), keep) for stmt in BOUNDARY_STATEMENTS.values()
+              for keep in ({"vibrate"}, {"vibrate", "go"})]
+    kept = skipped = kept_stmts = skipped_stmts = 0
     for text, keep in cases:
         full = {(d.span.start, d.span.end): d for tdecl, _outer in jast.iter_types(jast.parse(text))
                 for d in tdecl.fields + tdecl.methods}
         for tdecl, _outer in jast.iter_types(jast.parse(text, keep)):
             for d in tdecl.fields + tdecl.methods:
-                assert jast.ast_equal(d, full.pop((d.span.start, d.span.end))), (keep, d.src)
+                twin = full.pop((d.span.start, d.span.end))
+                assert _kept_equal(d, twin), (keep, d.src)
                 kept += 1
+                kept_stmts += _statement_count([d])
+                skipped_stmts += _statement_count([twin]) - _statement_count([d])
         skipped += len(full)
-    # neither no member kept nor none skipped would show anything
-    assert kept > 30 and skipped > 10, (kept, skipped)
+    # neither nothing kept nor nothing skipped would show anything
+    assert kept > 30 and skipped > 10 and kept_stmts > 100 and skipped_stmts > 50, (
+        kept, skipped, kept_stmts, skipped_stmts)
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():
-    # a method that never names keep is not parsed, and one that does
-    # parses at any depth
+    # a method or statement that never names keep is not parsed, and one
+    # that does parses at any depth
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     elsewhere = "class A { void k() { %s } void m() { v.vibrate(5); } }" % deep
     assert [m.name for m in jast.parse(elsewhere, {"vibrate"}).types[0].methods] == ["m"]
     in_site_method = "class A { void m() { %s v.vibrate(5); } }" % deep
-    for text, keep in [(elsewhere, ()), (in_site_method, {"vibrate"})]:
+    (m,) = jast.parse(in_site_method, {"vibrate"}).types[0].methods
+    assert [s.src for s in m.body] == ["v.vibrate(5);"]
+    deep_site = deep.replace("1", "v.vibrate(5)")
+    for text, keep in [(elsewhere, ()), (in_site_method, ()),
+                       (in_site_method.replace(deep, deep_site), {"vibrate"})]:
         unit = jast.parse(text, keep)
         assert jast.print_unit(unit) == text
-        assert unit.types[0].methods[0].body[0].src == deep
+        assert unit.types[0].methods[0].body[0].src in (deep, deep_site)
 
 
 def test_lazy_parse_rejects_what_the_full_parse_rejects():
@@ -501,6 +581,25 @@ def test_lazy_parse_reads_like_the_full_parse():
     assert parsed > 500 and skipped > 300
 
 
+def test_lazy_parse_reads_like_the_full_parse_on_benchmark_inputs(monkeypatch):
+    # the benchmark's generated files, read only: every dense_sites input of
+    # seed 0, and every app_sweep input of seed 0 that names its method
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen, reference = importlib.import_module("gen"), importlib.import_module("reference")
+    templates = reference.load_templates(CORPUS)
+    keeps = {case: _kept_names(CORPUS / "cases" / case) for case in templates}
+    items = gen.dense_sites(0, templates) + gen.app_sweep(0, templates)
+    checked = 0
+    for item in items:
+        keep = keeps[item.case]
+        if templates[item.case].method in item.text:
+            full, every = _view(item.text, keep, lazy=False)
+            lazy, present = _view(item.text, keep, lazy=True)
+            assert lazy == full and present <= every, item.name
+            checked += 1
+    assert checked > 40, checked
+
+
 # Members whose end is hard to find, each with a call of `go` in it.
 BOUNDARY_MEMBERS = {
     "array_initializer": "int[] a = {go(), 2};",
@@ -533,6 +632,52 @@ def test_member_ends_where_the_full_parse_ends_it(member, keep):
     names = {m[1] for m in present}
     assert {"A", "s"} <= names and not {"before", "after", "k"} & names
     assert names >= {m[1] for m in every if any(k in text[m[2]:m[3]] for k in keep)}
+
+
+# Statements whose end is hard to find, each with a call of `go` in it.
+BOUNDARY_STATEMENTS = {
+    "if_else_braces": "if (c) { go(); } else { x = 1; }",
+    "if_else_bare": "if (c) go(); else x = 1;",
+    "if_else_mixed": "if (c) { x = 1; } else go();",
+    "nested_if_else_bare": "if (c) if (d) go(); else x = 1; else x = 2;",
+    "else_if_chain": "if (c) { x = 1; } else if (d) { go(); } else if (e) x = 2; else { x = 3; }",
+    "comment_before_else": "if (c) { x = 1; } /* } else */ // ;\n        else { go(); }",
+    "do_while": "do { go(); } while (c);",
+    "try_catch_finally": "try { x = 1; } catch (E e) { go(); } finally { x = 2; }",
+    "switch": "switch (c) { case 1: go(); break; default: { x = 1; } }",
+    "labelled_loop": "outer: for (int i = 0; i < 3; i++) { if (i == 1) continue outer; go(); }",
+    "local_class": "class L { int y; void run() { go(); } }",
+    "anonymous_class_call": "new R() { public void run() { go(); } }.run();",
+    "array_initializers": "int[] a = {go()}, b = {2};",
+    "block_lambda_argument": "run(() -> { go(); }, () -> { x = 1; });",
+    "top_level_equality": "boolean same = go() == null;",
+    "equality_before_a_block": "r = c == d ? () -> { go(); } : null;",
+    "text_block": 's = """\n            ; } {\n            """ + go();',
+    "for_ever": "for (;;) { go(); }",
+}
+
+
+def _boundary_text(stmt):
+    return ("class A {\n    void s(Vibrator v) {\n        int before = 1;\n        %s\n"
+            "        v.vibrate(5);\n        int after = 2;\n    }\n}\n" % stmt)
+
+
+@pytest.mark.parametrize("stmt", BOUNDARY_STATEMENTS.values(), ids=BOUNDARY_STATEMENTS.keys())
+@pytest.mark.parametrize("keep", [{"vibrate"}, {"vibrate", "go"}], ids=["skipped", "kept"])
+def test_statement_ends_where_the_full_parse_ends_it(stmt, keep):
+    text = _boundary_text(stmt)
+    full, every = _view(text, keep, lazy=False)
+    lazy, present = _view(text, keep, lazy=True)
+    assert lazy == full and present <= every
+    # the site's statement is always there, and so is the one holding the
+    # call of `go` when keep names it; `before` and `after` never are
+    (full_s,) = jast.parse(text).types[0].methods
+    (s,) = jast.parse(text, keep).types[0].methods
+    spans = [(x.span.start, x.span.end) for x in s.body]
+    inner = [(x.span.start, x.span.end) for x in full_s.body[1:-1]]
+    assert spans[-1] == inner[-1] and set(spans) <= set(inner)
+    go = text.index("go()")
+    assert any(start <= go < end for start, end in spans) == ("go" in keep)
 
 
 @pytest.mark.parametrize("fn, text", [
