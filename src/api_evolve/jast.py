@@ -15,7 +15,10 @@ ast_equal compares structure. Brackets are paired once per parse, by
 check_balanced's table, which the member scan and the parser's verbatim
 regions jump through. A lazy parse, parse(text, keep), follows one rule:
 it is the full parse minus the type-body members, and the statements of
-kept bodies, that name no kept name.
+kept bodies, that name no kept name. The lexer finds the offsets where a
+kept name occurs once per text, so testing a member or statement is one
+bisect, and where the rest of a body names none it jumps straight to the
+body's `}`: the members after a body's last occurrence are never scanned.
 """
 
 from __future__ import annotations
@@ -405,12 +408,14 @@ _TOKEN_RE = re.compile(r"""
 # are swallowed in front of it, and so is a `(...)` or `[...]` pair with
 # nothing inside that the scan would stop at, which can never be at fault
 # (see _close). A lone `/` must not start `/*`, or an unclosed comment
-# would be swallowed as ordinary text.
+# would be swallowed as ordinary text. Like _MEMBER_RE, it is unrolled as
+# `plain* (special plain*)*`: a run of plain text is one step, never an
+# iteration of the outer group.
 _PLAIN = r"""[^"'/{}()\[\]]"""
 _BRACKET_RE = re.compile(r"""
-    (?:%s+ | \(%s*\) | \[%s*\] | %s | %s | %s | /(?!\*) )*
+    %s* (?: (?: \(%s*\) | \[%s*\] | %s | %s | %s | /(?!\*) ) %s* )*
     (?: (?P<open> [(\[{] ) | (?P<close> [)\]}] ) | (?P<bad> %s) | (?P<eof> \Z ) )
-    """ % (_PLAIN, _PLAIN, _PLAIN, _COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+    """ % (_PLAIN, _PLAIN, _PLAIN, _COMMENT, _STR, _CHAR, _PLAIN, _BAD), re.VERBOSE | re.DOTALL)
 
 _OPEN = {"{": "}", "(": ")", "[": "]"}
 _CLOSE = {"}", ")", "]"}
@@ -426,19 +431,27 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     lexed too; parse checks balance first. With `keep`, a collection of
     names, the one skip rule: a member of a type body, or a statement of a
     statement body, whose text (from the end of the one before it) names
-    none of them is not lexed at all. Its end is found by jumping through
-    partner, check_balanced's table for text, built here if not given (see
-    _member_end). A comment or string that names one counts. Everything
-    else is lexed, so what is lexed gives the tokens of a full lex. A type
-    body is the first `{` after a `class` token that does not follow `.`,
-    with no `;` or `}` between them. A statement body is a `{` whose
-    partner closes exactly where the kept member or statement being lexed
-    ends: a method's body, or the last block of a kept statement. In a
-    statement body a run goes on through each `else` that follows it, so
-    an `if … else if … else` chain is skipped or lexed whole. File-level
-    declarations are always lexed."""
+    none of them is not lexed at all. A comment or string that names one
+    counts. The offsets where a name occurs are found once, so whether a
+    run of text names one is a bisect. When the rest of a body, up to its
+    `}`, names none, lexing jumps to that `}`; otherwise each member or
+    statement before the next occurrence is jumped over alone, its end
+    found through partner, check_balanced's table for text, built here if
+    not given (see _member_end). Everything else is lexed, so what is
+    lexed gives the tokens of a full lex. A type body is the first `{`
+    after a `class` token that does not follow `.`, with no `;` or `}`
+    between them. A statement body is a `{` whose partner closes exactly
+    where the kept member or statement being lexed ends: a method's body,
+    or the last block of a kept statement. In a statement body a run goes
+    on through each `else` that follows it, so an `if … else if … else`
+    chain is skipped or lexed whole. File-level declarations are always
+    lexed."""
     if keep and partner is None:
         partner = check_balanced(text)
+    # the sorted offsets where a keep name occurs; seen indexes the first
+    # one at or after the last skip point, which only moves forward
+    found = _occurrences(text, keep)
+    seen = 0
     toks = []
     append = toks.append
     class_pending = False
@@ -446,6 +459,7 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     # lexed (None once the body's `}` is next); else None
     ends = []
     in_stmts = []  # per open `{`: whether it is a statement body
+    closes = []  # per open `{`: the offset of its partner `}`
     pos = 0
     while pos is not None:
         start, pos = pos, None
@@ -461,7 +475,9 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
             if not keep:
                 continue
             if value == "{":
-                stmts = not class_pending and bool(ends) and ends[-1] == partner[end - 1] + 1
+                close = partner[end - 1]
+                closes.append(close)
+                stmts = not class_pending and bool(ends) and ends[-1] == close + 1
                 in_stmts.append(stmts)
                 if not (class_pending or stmts):
                     ends.append(None)
@@ -473,25 +489,32 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
                 if value == "}":
                     ends.pop()
                     in_stmts.pop()
+                    closes.pop()
                 if not ends or ends[-1] != end:
                     continue
             else:
                 if value == "class" and (len(toks) < 2 or toks[-2].value != "."):
                     class_pending = True
                 continue
-            # a member or statement of a body starts at end: skip each one
-            # that names no keep
-            skip = end
-            while True:
-                run_end = _member_end(text, skip, partner)
-                while in_stmts[-1] and run_end is not None:
-                    after_else = _ELSE_RE.match(text, run_end)
-                    if after_else is None:
+            # a member or statement of a body starts at end: jump to the
+            # body's `}` if no name occurs before it, else skip each member
+            # or statement before the one where the next name occurs. A name
+            # holds no `;` or brace, so no run ends inside an occurrence.
+            seen = bisect_left(found, end, seen)
+            if seen == len(found) or found[seen] >= closes[-1]:
+                skip, run_end = closes[-1], None
+            else:
+                skip = end
+                while True:
+                    run_end = _member_end(text, skip, partner)
+                    while in_stmts[-1] and run_end is not None:
+                        after_else = _ELSE_RE.match(text, run_end)
+                        if after_else is None:
+                            break
+                        run_end = _member_end(text, after_else.end(), partner)
+                    if run_end is None or found[seen] < run_end:
                         break
-                    run_end = _member_end(text, after_else.end(), partner)
-                if run_end is None or _names(text, keep, skip, run_end):
-                    break
-                skip = run_end
+                    skip = run_end
             ends[-1] = run_end
             if skip != end:
                 pos = skip
@@ -500,23 +523,35 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     return toks
 
 
+def _occurrences(text: str, names) -> list:
+    """The sorted offsets where any of names occurs in text, in code,
+    comments and literals alike."""
+    found = []
+    for name in names:
+        at = text.find(name)
+        while at >= 0:
+            found.append(at)
+            at = text.find(name, at + 1)
+    found.sort()
+    return found
+
+
 # An `else` token, after the whitespace and comments in front of it; one
 # blank per step, as a run of them would be tried split every way on a miss
 _ELSE_RE = re.compile(r"(?:[ \t\r\n] | %s)* else(?![A-Za-z0-9_$])" % _COMMENT,
                       re.VERBOSE | re.DOTALL)
 
 
-def _names(text: str, keep, start: int, end: int) -> bool:
-    return any(text.find(name, start, end) >= 0 for name in keep)
-
-
 # One match per `;`, `=` or opening or closing brace, and per `(` or `[`:
 # runs of other characters, comments and literals are swallowed in front
-# of it. A quote or `/*` that opens nothing cannot occur after
-# check_balanced; matching it keeps a failed match from backtracking.
+# of it, unrolled as _BRACKET_RE is. A quote or `/*` that opens nothing
+# cannot occur after check_balanced; matching it keeps a failed match from
+# backtracking.
+_MEMBER_TEXT = r"""[^"'/;{}=(\[]"""
 _MEMBER_RE = re.compile(r"""
-    (?:[^"'/;{}=(\[]+ | %s | %s | %s | /(?!\*) )*
-    (?P<c> [;{}=(\[] | %s | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+    %s* (?: (?: %s | %s | %s | /(?!\*) ) %s* )*
+    (?P<c> [;{}=(\[] | %s | \Z )""" % (_MEMBER_TEXT, _COMMENT, _STR, _CHAR, _MEMBER_TEXT, _BAD),
+                        re.VERBOSE | re.DOTALL)
 
 
 def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:

@@ -93,8 +93,15 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                 "cannot resolve updated-call argument %r" % jast.render_expr(rv.expr))
         resolved[j] = rv
 
+    # the helpers of the resolved arguments, then those of the guard, which
+    # is kept as written: the example's methods it calls without a receiver
+    values = list(resolved.values())
+    guard_calls = _local_calls(if_stmt.cond, example)
+    if guard_calls:
+        values.append(dataflow.ResolvedValue(dataflow.METHOD_INVOCATION, if_stmt.cond,
+                                             guard_calls))
     needs = []
-    for rv in resolved.values():
+    for rv in values:
         for d in dataflow.collect_dependencies(rv, example):
             if not any(x is d for x in needs):
                 needs.append(d)
@@ -121,6 +128,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     if receiver is not None and receiver != dep_receiver and ctx.is_variable(receiver):
         raise ResolutionError("cannot resolve updated-call receiver %r: a variable of the "
                               "example, not the deprecated call's receiver" % receiver)
+    if receiver is None and dep_receiver is not None:
+        raise ResolutionError("the updated call has no receiver, so the patch would drop the "
+                              "deprecated call's receiver %r" % dep_receiver)
     updated_stmt = _abstract_stmt(
         upd_site, receiver and jast.Name("classIden" if receiver == dep_receiver else receiver),
         used_exp, args_to=upd_arg)
@@ -242,22 +252,39 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
 def _check_wildcard_imports(example, ctx, guard):
     """Raise ExampleShapeError when the example has a wildcard static
     import and the guard uses a bare name (not a receiver) that the
-    example, at ctx, neither declares nor imports by name: only the
-    wildcard can declare it, and @needs@ cannot carry a static import.
-    The then branch holds no such name, since dataflow resolves each name
-    of a value or refuses it."""
+    example, at ctx, neither declares nor imports by name, or calls
+    without a receiver a method that the example neither declares (see
+    _local_calls) nor imports by name: only the wildcard can declare it,
+    and @needs@ cannot carry a static import. The then branch holds no
+    such name, since dataflow resolves each name of a value or refuses it."""
     wildcard = next((i for i in example.static_imports if i.endswith(".*")), None)
     if wildcard is None:
         return
     named = {sigmap.simple_name(i) for i in example.imports}
+    methods = scope.members(example)[0]
     exprs = list(jast.iter_exprs(guard))
     receivers = {id(e.receiver) for e in exprs if type(e) in (jast.FieldAccess, jast.MethodCall)}
     for e in exprs:
-        if (type(e) is jast.Name and id(e) not in receivers and e.identifier not in named
-                and not ctx.is_variable(e.identifier)):
+        if type(e) is jast.Name:
+            bare = (id(e) not in receivers and e.identifier not in named
+                    and not ctx.is_variable(e.identifier))
+        else:
+            bare = (type(e) is jast.MethodCall and e.receiver is None and e.name not in named
+                    and (e.name, len(e.args)) not in methods)
+        if bare:
             raise ExampleShapeError("the patch would use %s, which only the example's "
                                     "'import static %s;' declares, and @needs@ cannot carry it"
-                                    % (e.identifier, wildcard))
+                                    % (jast.render_expr(e), wildcard))
+
+
+def _local_calls(expr, unit) -> list:
+    """The methods of unit that expr calls without a receiver, in order."""
+    calls = [(e.name, len(e.args)) for e in jast.iter_exprs(expr)
+             if type(e) is jast.MethodCall and e.receiver is None]
+    if not calls:
+        return []
+    methods = scope.members(unit)[0]
+    return [methods[key] for key in calls if key in methods]
 
 
 def _needed_imports(example, texts):

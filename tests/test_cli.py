@@ -125,6 +125,15 @@ UNUSABLE_EXAMPLES = {
         ("", "26", "w.vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
         "cannot resolve updated-call receiver 'w': a variable of the example, "
         "not the deprecated call's receiver"),
+    "updated_call_drops_the_receiver": (
+        ("", "26", "vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
+        "the updated call has no receiver, so the patch would drop the deprecated call's "
+        "receiver 'v'"),
+    "guard_call_from_a_wildcard_static_import": (
+        ("import static com.example.Compat.*;\n\n", "26 && atLeastO()",
+         "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        "the patch would use atLeastO(), which only the example's "
+        "'import static com.example.Compat.*;' declares, and @needs@ cannot carry it"),
     "field_access_receiver": (
         ("", "26", "this.v.vibrate(%s);" % _ONE_SHOT, "this.v.vibrate(50);"),
         "unsupported receiver 'this.v' on example call"),
@@ -144,6 +153,27 @@ def test_generate_refuses_an_example_it_cannot_carry_over(tmp_path, capsys, part
                      "--input", str(ex), "--output", str(out)]) == 3
     assert capsys.readouterr().err == "api-evolve: %s\n" % message
     assert not out.exists()
+
+
+def test_a_method_the_guard_calls_reaches_the_target(tmp_path, capsys):
+    ex = tmp_path / "ex.java"
+    ex.write_text((_VIBRATE_IN_M % ("", "26 && atLeastO()", "v.vibrate(%s);" % _ONE_SHOT,
+                                    "v.vibrate(d);")).replace(
+        "    void m(", "    static boolean atLeastO() { return true; }\n\n    void m("))
+    patch = tmp_path / "o.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(patch)]) == 0
+    assert "@needs@\n\nstatic boolean atLeastO() { return true; }" in patch.read_text()
+    target = tmp_path / "t.java"
+    target.write_text("class T {\n    void go(Vibrator other) {\n        other.vibrate(20);\n"
+                      "    }\n}\n")
+    out = tmp_path / "t_out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--patch", str(patch),
+                     "--input", str(target), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "if (android.os.Build.VERSION.SDK_INT >= 26 && atLeastO()) {" in text
+    assert "static boolean atLeastO() { return true; }" in text
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("header, guard", [

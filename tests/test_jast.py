@@ -264,6 +264,24 @@ def test_a_block_comment_ends_at_its_first_star_slash():
                                % (end + 3)):
                 fn(text)
     assert 100 < closed < 350, closed
+    # the same agreement on literals and on `/`: seeded runs of literals
+    # that hold comment openers and brackets, char literals of brackets,
+    # divisions and text blocks each end where every scanner ends them, so
+    # the only `;` and `)` any scanner sees are the two after the run
+    atoms = ['"//"', '"/*"', '"a({[b"', "'{'", "'('", "'\\''", "a / b", "a / /*c*/ b",
+             '"""\n  ) } " /* \\""" ;\n  """', '"\\" ]"', "/* ( */", "// ; )\n", "x"]
+    for _ in range(200):
+        text = " ".join(rng.choice(atoms) for _ in range(rng.randrange(1, 7)))
+        end = len(text)
+        text += " ; )"
+        puncts = [t for t in toks(text) if t[0] == "punct"]
+        assert [t[1] for t in puncts[:-2]] == ["/"] * text.count(" / ")
+        assert puncts[-2:] == [("punct", ";", end + 1, end + 2), ("punct", ")", end + 3, end + 4)]
+        assert jast._member_end(text, 0, {}) == end + 2
+        for fn in (jast.check_balanced, jast.require_balanced):
+            with pytest.raises(jast.UnbalancedSource, match="unmatched '\\)' at offset %d$"
+                               % (end + 3)):
+                fn(text)
 
 
 def test_superscript_digit_is_a_punct_token():
@@ -678,6 +696,76 @@ def test_statement_ends_where_the_full_parse_ends_it(stmt, keep):
     assert spans[-1] == inner[-1] and set(spans) <= set(inner)
     go = text.index("go()")
     assert any(start <= go < end for start, end in spans) == ("go" in keep)
+
+
+# Bodies whose rest, after some member or statement, names no keep, so the
+# lexer jumps to their `}`: (text, keep, the tokens it lexes, by value).
+JUMP_SHAPES = {
+    "only_in_the_first_member": (
+        "class A {\n    void s(Vibrator v) { x(); v.vibrate(5); y(); }\n    int k;\n"
+        "    void t() { go(); }\n}\n", {"vibrate"},
+        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
+    "only_in_the_last_member": (
+        "class A {\n    int k;\n    void t() { go(); }\n"
+        "    void s(Vibrator v) { x(); v.vibrate(5); y(); }\n}\n", {"vibrate"},
+        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
+    "only_in_a_comment_after_the_last_member": (
+        "class A {\n    int k;\n    void t() { go(); }\n    // vibrate later\n}\n",
+        {"vibrate"}, "class A { }"),
+    "in_a_nested_class_body": (
+        "class A {\n    int k;\n    static class B {\n        int j;\n"
+        "        void s(Vibrator v) { v.vibrate(5); }\n        void u() { go(); }\n    }\n"
+        "    void t() { go(); }\n}\n", {"vibrate"},
+        "class A { static class B { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } } }"),
+    "names_that_hold_each_other": (
+        "class A {\n    void a() { x(); }\n    void s(Vibrator v) { v.vibrate(5); y(); }\n"
+        "    void b() { vibrateLater(); }\n    void c() { go(); }\n}\n",
+        {"vib", "vibrate", "rate", "brat"},
+        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } "
+        "void b ( ) { vibrateLater ( ) ; } }"),
+    "empty_bodies": (
+        "class A {\n    void vibrate() {}\n    void t() {}\n    static class B {}\n}\n"
+        "class C {}\n", {"vibrate"}, "class A { void vibrate ( ) { } } class C { }"),
+    "else_holds_the_only_occurrence": (
+        "class A {\n    void s(Vibrator v) {\n        x();\n"
+        "        if (c) { y(); } else if (d) { z(); } else { v.vibrate(5); }\n"
+        "        w();\n    }\n    void t() { go(); }\n}\n", {"vibrate"},
+        "class A { void s ( Vibrator v ) { if ( c ) { y ( ) ; } else if ( d ) { z ( ) ; } "
+        "else { v . vibrate ( 5 ) ; } } }"),
+    # a body whose last member or statement has no end: the rest of the
+    # body names no keep, so that unterminated run is not lexed either; the
+    # full parse keeps it as no member, or as an OpaqueStmt that names none
+    "an_unterminated_rest": (
+        "class A {\n    void s(Vibrator v) { v.vibrate(5); y() }\n    int k\n}\n", {"vibrate"},
+        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
+}
+
+
+@pytest.mark.parametrize("text, keep, lexed_values", JUMP_SHAPES.values(),
+                         ids=JUMP_SHAPES.keys())
+def test_the_rest_of_a_body_that_names_no_keep_is_jumped_over(text, keep, lexed_values):
+    full, every = _view(text, keep, lazy=False)
+    lazy, present = _view(text, keep, lazy=True)
+    assert lazy == full and present <= every
+    assert " ".join(lexed(text, keep)) == lexed_values
+    # each token lexed is the full lex's token at the same span
+    assert set(map(repr, jast.tokenize(text, keep))) <= set(map(repr, jast.tokenize(text)))
+
+
+def test_a_site_in_the_first_of_many_methods_scans_no_other_method(monkeypatch):
+    # after the last occurrence of a name in a body, the lexer jumps to the
+    # body's `}`: the 199 methods after the site's are never scanned
+    first = "    void m0(Vibrator v) {\n        int x = 0;\n        v.vibrate(5);\n    }\n"
+    rest = "".join("    void m%d() {\n        go(%d);\n    }\n" % (i, i) for i in range(1, 200))
+    text = "class A {\n%s%s}\n" % (first, rest)
+    calls = []
+    member_end = jast._member_end
+    monkeypatch.setattr(jast, "_member_end", lambda *args: calls.append(args[1])
+                        or member_end(*args))
+    toks = jast.tokenize(text, {"vibrate"})
+    assert len(calls) <= 4, len(calls)
+    assert " ".join(t.value for t in toks[:-1]) == (
+        "class A { void m0 ( Vibrator v ) { v . vibrate ( 5 ) ; } }")
 
 
 @pytest.mark.parametrize("fn, text", [

@@ -413,6 +413,52 @@ def test_call_shapes_abstract_to_the_patch_lines(mapping, header, updated, depre
     assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
 
 
+def test_an_updated_call_that_drops_the_receiver_is_refused():
+    # `vibrate(x)` against `v.vibrate(50)` would turn a target's
+    # `other.vibrate(20)` into a call on the target class itself
+    example = jast.parse("class A extends Vibrator { void m(Vibrator v) {\n"
+                         "if (SDK_INT >= 26) { vibrate(VibrationEffect.createOneShot(50, 1)); }"
+                         " else { v.vibrate(50); }\n} }")
+    with pytest.raises(patchgen.ResolutionError, match="drop the deprecated call's receiver 'v'"):
+        patchgen.generate_patch(example, VIBRATE)
+
+
+GUARD_CALL_EXAMPLE = """\
+%sclass A {
+%s    void m(Vibrator v, long d) {
+        if (atLeastO()) {
+            v.vibrate(VibrationEffect.createOneShot(50, 175));
+        } else {
+            v.vibrate(d);
+        }
+    }
+}
+"""
+AT_LEAST_O = ("    static boolean atLeastO() { return SDK_INT >= LEVEL; }\n"
+              "    static final int LEVEL = 26;\n")
+
+
+def test_a_method_the_guard_calls_is_carried_in_needs():
+    example = jast.parse(GUARD_CALL_EXAMPLE % ("", AT_LEAST_O))
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert jast.render_expr(patch.guard_cond) == "atLeastO()"
+    assert [d.name for d in patch.needs] == ["atLeastO", "LEVEL"]
+    assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
+
+
+def test_a_guard_call_only_a_wildcard_static_import_declares_is_refused():
+    imports = "import static com.example.Compat.*;\n\n"
+    example = jast.parse(GUARD_CALL_EXAMPLE % (imports, ""))
+    with pytest.raises(patchgen.ExampleShapeError,
+                       match=r"would use atLeastO\(\), which only the example's 'import static "
+                             r"com\.example\.Compat\.\*;' declares"):
+        patchgen.generate_patch(example, VIBRATE)
+    # declared by the example, it is carried instead
+    example = jast.parse(GUARD_CALL_EXAMPLE % (imports, AT_LEAST_O))
+    assert [d.name for d in patchgen.generate_patch(example, VIBRATE).needs] == [
+        "atLeastO", "LEVEL"]
+
+
 NEEDS_HEAD = ("@r@\nidentifier iden0, classIden;\n@@\n...\n"
               "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
               "+ classIden.vibrate(effect(iden0));\n"
