@@ -212,7 +212,10 @@ def render_then(then: list, binding: MetaBinding) -> list:
 def already_guarded(site: sigmap.CallSite) -> bool:
     """True iff an enclosing condition textually mentions the SDK_INT token."""
     for stmt in site.stmt_chain:
-        if isinstance(stmt, jast.If) and stmt.cond.src and _SDK_TOKEN.search(stmt.cond.src):
+        # the condition is searched in place: it starts after `(` or a
+        # blank and ends before `)` or one, so \b at its ends reads as in src
+        if isinstance(stmt, jast.If) and _SDK_TOKEN.search(
+                stmt.cond.unit_text, stmt.cond.start, stmt.cond.end):
             return True
     return False
 
@@ -267,7 +270,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
             arg = binding.assignments[mv]
             if not isinstance(arg, jast.Name):
                 raise patchgen.MultipleUse("line %d: the then branch would evaluate %s %d times"
-                                           % (jast.line_of(unit.text, arg.span.start),
+                                           % (jast.line_of(unit.text, arg.start),
                                               arg.src, then_uses[mv]))
         handled.add(id(stmt))
         report.sites_found += 1
@@ -275,7 +278,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 
         if then is None:
             then = compile_then(patch, renames)
-        indent = jast.indent_at(unit.text, stmt.span.start)
+        indent = jast.indent_at(unit.text, stmt.start)
         lines = [guard] + [indent + "    " + line for line in render_then(then, binding)]
         lines.append(indent + "} else {")
         lines.append(indent + "    " + stmt.src)
@@ -355,8 +358,7 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
     # methods and fields go into the first class, or at the end of a file without one
     primary = next((t for t in unit.types if not t.implicit), None)
     if primary is not None:
-        insert(primary.body_span.end,
-               jast.indent_at(unit.text, primary.span.start) + "    ", members)
+        insert(primary.body_end, jast.indent_at(unit.text, primary.start) + "    ", members)
     else:
         insert(len(unit.text), "", members)
     insert(len(unit.text), "", types)

@@ -2,23 +2,26 @@
 
 The parser is tolerant: any construct outside the subset becomes an
 Opaque node whose bytes reprint verbatim. Every structured node carries
-a span into the original text, so printing an unedited unit reproduces
-the input byte-for-byte, and all rewriting is expressed as span
-replacements (see splice / edited). A node indexes the text, not a copy
-of it: a parsed node holds its span and the unit's one text string, and
-its src is a view of that string, so a tree costs memory linear in the
-text at any nesting depth. Nodes, spans and tokens are plain classes
-that declare their own __slots__ and __init__, so building them
-generates no code. Record, the base of the package's value classes,
-compares and shows one field by field. Nodes compare by identity;
-ast_equal compares structure. Brackets are paired once per parse, by
-check_balanced's table, which the member scan and the parser's verbatim
-regions jump through. A lazy parse, parse(text, keep), follows one rule:
-it is the full parse minus the type-body members, and the statements of
-kept bodies, that name no kept name. The lexer finds the offsets where a
-kept name occurs once per text, so testing a member or statement is one
-bisect, and where the rest of a body names none it jumps straight to the
-body's `}`: the members after a body's last occurrence are never scanned.
+its position in the original text, so printing an unedited unit
+reproduces the input byte-for-byte, and all rewriting is expressed as
+span replacements (see splice / edited). A node indexes the text, not a
+copy of it: a parsed node holds its position as two ints and the unit's
+one text string, and its span and src are views built on access, so a
+tree costs memory linear in the text at any nesting depth. Span is the
+value type of edits and reports; a parse builds none. A parse keeps one
+string per distinct token text and type text, and equal modifier sets
+are one object. Nodes, spans and tokens are plain classes that declare
+their own __slots__ and __init__, so building them generates no code.
+Record, the base of the package's value classes, compares and shows one
+field by field. Nodes compare by identity; ast_equal compares structure.
+Brackets are paired once per parse, by check_balanced's table, which the
+member scan and the parser's verbatim regions jump through. A lazy
+parse, parse(text, keep), follows one rule: it is the full parse minus
+the type-body members, and the statements of kept bodies, that name no
+kept name. The lexer finds the offsets where a kept name occurs once per
+text, so testing a member or statement is one bisect, and where the rest
+of a body names none it jumps straight to the body's `}`: the members
+after a body's last occurrence are never scanned.
 """
 
 from __future__ import annotations
@@ -90,29 +93,34 @@ class Span(Record):
 
 
 class _Node:
-    """The two fields of every syntax node, after its own. A parsed node
-    holds its span and its unit's text, one string that every node of the
-    unit shares, and src is a view: the span's slice of that text. A
-    synthesized node holds neither, and its src is None.
+    """The three fields of every syntax node, after its own. A parsed node
+    holds its position as two ints, start and end, and its unit's text,
+    one string that every node of the unit shares; span and src are views
+    built on access: Span(start, end) and that slice of the text. A
+    synthesized node holds none of them, and its span and src are None.
 
     A node class's __slots__ are its own fields, in source order, and its
-    __init__ takes them positionally and sets span and unit_text to None,
-    which only the parser sets (_Parser._finish). Nodes compare by
+    __init__ takes them positionally and sets start, end and unit_text to
+    None, which only the parser sets (_Parser._finish). Nodes compare by
     identity, and repr names the class and span only: a field-by-field
     __eq__ or __repr__ would recurse once per nesting level. For
     structure, see ast_equal."""
-    __slots__ = ("span", "unit_text")
+    __slots__ = ("start", "end", "unit_text")
 
     def __init__(self):
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
     def __repr__(self) -> str:
         return "%s(span=%r)" % (type(self).__name__, self.span)
 
     @property
+    def span(self) -> Optional[Span]:
+        return None if self.unit_text is None else Span(self.start, self.end)
+
+    @property
     def src(self) -> Optional[str]:
         text = self.unit_text
-        return None if text is None else text[self.span.start:self.span.end]
+        return None if text is None else text[self.start:self.end]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +133,7 @@ class Literal(_Node):
     def __init__(self, kind: str, lexeme: str):
         self.kind = kind  # int | float | string | char | bool | null
         self.lexeme = lexeme
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Name(_Node):
@@ -133,7 +141,7 @@ class Name(_Node):
 
     def __init__(self, identifier: str):
         self.identifier = identifier
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class FieldAccess(_Node):
@@ -142,7 +150,7 @@ class FieldAccess(_Node):
     def __init__(self, receiver: "Expr", identifier: str):
         self.receiver = receiver
         self.identifier = identifier
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class MethodCall(_Node):
@@ -152,7 +160,7 @@ class MethodCall(_Node):
         self.receiver = receiver
         self.name = name
         self.args = args
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class ObjectCreation(_Node):
@@ -161,7 +169,7 @@ class ObjectCreation(_Node):
     def __init__(self, type_name: str, args: list):
         self.type_name = type_name
         self.args = args
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Binary(_Node):
@@ -171,7 +179,7 @@ class Binary(_Node):
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Unary(_Node):
@@ -180,7 +188,7 @@ class Unary(_Node):
     def __init__(self, op: str, operand: "Expr"):
         self.op = op
         self.operand = operand
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Assign(_Node):
@@ -189,7 +197,7 @@ class Assign(_Node):
     def __init__(self, lhs: "Expr", rhs: "Expr"):
         self.lhs = lhs
         self.rhs = rhs
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Cast(_Node):
@@ -198,7 +206,7 @@ class Cast(_Node):
     def __init__(self, type_name: str, operand: "Expr"):
         self.type_name = type_name
         self.operand = operand
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Paren(_Node):
@@ -206,7 +214,7 @@ class Paren(_Node):
 
     def __init__(self, inner: "Expr"):
         self.inner = inner
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class OpaqueExpr(_Node):
@@ -232,6 +240,8 @@ LABELS = {kind: tuple(name for name in kind.__slots__ if name not in kids)
 # ---------------------------------------------------------------------------
 
 _NO_MODIFIERS = frozenset()  # shared by every declaration without modifiers
+# each set of MODIFIERS that was parsed, once: at most 2**6 of them
+_MODIFIER_SETS = {}
 
 
 class LocalVarDecl(_Node):
@@ -243,7 +253,7 @@ class LocalVarDecl(_Node):
         self.name = name
         self.init = init
         self.modifiers = modifiers
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class ExprStmt(_Node):
@@ -251,7 +261,7 @@ class ExprStmt(_Node):
 
     def __init__(self, expr: Expr):
         self.expr = expr
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class If(_Node):
@@ -261,7 +271,7 @@ class If(_Node):
         self.cond = cond
         self.then_block = then_block
         self.else_block = else_block
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Return(_Node):
@@ -269,7 +279,7 @@ class Return(_Node):
 
     def __init__(self, value: Optional[Expr] = None):
         self.value = value
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class Block(_Node):
@@ -277,7 +287,7 @@ class Block(_Node):
 
     def __init__(self, stmts: Optional[list] = None):
         self.stmts = [] if stmts is None else stmts
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
 
 
 class OpaqueStmt(_Node):
@@ -303,23 +313,32 @@ class FieldDecl(_Node):
         self.type_name = type_name
         self.name = name
         self.initializer = initializer
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
+
+
+# the view of a declaration's body_start and body_end, the offsets just
+# inside its braces; None where it has no body of source
+_BODY_SPAN = property(lambda d: None if d.body_start is None else Span(d.body_start, d.body_end))
 
 
 class MethodDecl(_Node):
-    __slots__ = ("modifiers", "return_type", "name", "params", "body", "body_span", "implicit")
+    __slots__ = ("modifiers", "return_type", "name", "params", "body", "body_start", "body_end",
+                 "implicit")
 
     def __init__(self, modifiers: frozenset, return_type: str, name: str, params: list,
-                 body: Optional[list] = None, body_span: Optional[Span] = None,
-                 implicit: bool = False):
+                 body: Optional[list] = None, body_start: Optional[int] = None,
+                 body_end: Optional[int] = None, implicit: bool = False):
         self.modifiers = modifiers
         self.return_type = return_type
         self.name = name
         self.params = params  # of (type_name, name)
         self.body = [] if body is None else body  # of Stmt
-        self.body_span = body_span  # between the braces, exclusive
+        self.body_start = body_start
+        self.body_end = body_end
         self.implicit = implicit
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
+
+    body_span = _BODY_SPAN
 
     @property
     def arity(self) -> int:
@@ -327,20 +346,24 @@ class MethodDecl(_Node):
 
 
 class TypeDecl(_Node):
-    __slots__ = ("name", "fields", "methods", "nested", "modifiers", "body_span", "implicit")
+    __slots__ = ("name", "fields", "methods", "nested", "modifiers", "body_start", "body_end",
+                 "implicit")
 
     def __init__(self, name: str, fields: Optional[list] = None,
                  methods: Optional[list] = None, nested: Optional[list] = None,
-                 modifiers: frozenset = _NO_MODIFIERS, body_span: Optional[Span] = None,
-                 implicit: bool = False):
+                 modifiers: frozenset = _NO_MODIFIERS, body_start: Optional[int] = None,
+                 body_end: Optional[int] = None, implicit: bool = False):
         self.name = name
         self.fields = [] if fields is None else fields
         self.methods = [] if methods is None else methods
         self.nested = [] if nested is None else nested
         self.modifiers = modifiers
-        self.body_span = body_span
+        self.body_start = body_start
+        self.body_end = body_end
         self.implicit = implicit
-        self.span = self.unit_text = None
+        self.start = self.end = self.unit_text = None
+
+    body_span = _BODY_SPAN
 
 
 class CompilationUnit(Record):
@@ -445,7 +468,7 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     or the last block of a kept statement. In a statement body a run goes
     on through each `else` that follows it, so an `if … else if … else`
     chain is skipped or lexed whole. File-level declarations are always
-    lexed."""
+    lexed. The tokens of one call share one string per distinct text."""
     if keep and partner is None:
         partner = check_balanced(text)
     # the sorted offsets where a keep name occurs; seen indexes the first
@@ -454,6 +477,7 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     seen = 0
     toks = []
     append = toks.append
+    intern = {}.setdefault  # local to the call: a global table would outlive it
     class_pending = False
     # per open `{`: in a body, the end of the member or statement being
     # lexed (None once the body's `}` is next); else None
@@ -466,6 +490,7 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
         for m in _TOKEN_RE.finditer(text, start):
             kind = m.lastgroup
             value = m[kind]
+            value = intern(value, value)
             end = m.end()
             if kind == "bad":
                 raise UnbalancedSource(_UNTERMINATED[value])
@@ -680,6 +705,7 @@ class _Parser:
         # eat() stops at eof, so one more eof keeps peek(1) in range
         self.toks.append(self.toks[-1])
         self.i = 0
+        self.type_texts = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -702,7 +728,8 @@ class _Parser:
         return self.eat()
 
     def _finish(self, node, start: int, end: int):
-        node.span = Span(start, end)
+        node.start = start
+        node.end = end
         node.unit_text = self.text
         return node
 
@@ -740,7 +767,7 @@ class _Parser:
             t = self.peek()
             if len(frames) > 1 and t.value == "}":
                 frames.pop()
-                decl.body_span.end = self.eat().start
+                decl.body_end = self.eat().start
                 frames[-1][0].nested.append(self._finish(decl, start, t.end))
                 continue
             if t.kind == "eof":
@@ -757,15 +784,14 @@ class _Parser:
 
         types, fields, methods = top.nested, top.fields, top.methods
         if loose_stmts:
-            start, end = loose_stmts[0].span.start, loose_stmts[-1].span.end
-            wrapper = MethodDecl(_NO_MODIFIERS, "", "", [], loose_stmts, implicit=True,
-                                 body_span=Span(start, end))
+            start, end = loose_stmts[0].start, loose_stmts[-1].end
+            wrapper = MethodDecl(_NO_MODIFIERS, "", "", [], loose_stmts, start, end, implicit=True)
             methods.append(self._finish(wrapper, start, end))
         if fields or methods:
-            start = min(m.span.start for m in fields + methods)
-            end = max(m.span.end for m in fields + methods)
-            types.append(self._finish(TypeDecl("", fields, methods, implicit=True,
-                                               body_span=Span(start, end)), start, end))
+            start = min(m.start for m in fields + methods)
+            end = max(m.end for m in fields + methods)
+            types.append(self._finish(TypeDecl("", fields, methods, body_start=start, body_end=end,
+                                               implicit=True), start, end))
 
         newline = "\r\n" if "\r\n" in self.text else "\n"
         return CompilationUnit(package, imports, types, text=self.text, newline=newline,
@@ -830,10 +856,14 @@ class _Parser:
     # -- declarations -------------------------------------------------------
 
     def _parse_modifiers(self, allowed=MODIFIERS) -> frozenset:
+        """The modifiers here, as the one shared set of their values."""
         mods = []
         while self.peek().kind == "ident" and self.peek().value in allowed:
             mods.append(self.eat().value)
-        return frozenset(mods) if mods else _NO_MODIFIERS
+        if not mods:
+            return _NO_MODIFIERS
+        mods = frozenset(mods)
+        return _MODIFIER_SETS.setdefault(mods, mods)
 
     def _type_header(self) -> TypeDecl:
         """A class's modifiers, name and header through its `{`, as a
@@ -848,8 +878,8 @@ class _Parser:
         # which ends a member for tokenize (_member_end)
         while self.peek().value not in ("{", "}", ";", ""):
             self._jump()
-        body = Span(self.expect("{").end, 0)  # its end is set at the `}`
-        return TypeDecl(name=name, modifiers=mods, body_span=body)
+        # body_end is set at the `}`
+        return TypeDecl(name=name, modifiers=mods, body_start=self.expect("{").end)
 
     def _parse_field_or_method(self):
         start = self.peek().start
@@ -893,12 +923,13 @@ class _Parser:
         if not self.at("{"):
             raise _Backtrack("method body expected")
         block = self.parse_stmt()
-        m = MethodDecl(mods, return_type, name, params, body=block.stmts,
-                       body_span=Span(block.span.start + 1, block.span.end - 1))
-        return self._finish(m, start, block.span.end)
+        m = MethodDecl(mods, return_type, name, params, block.stmts, block.start + 1, block.end - 1)
+        return self._finish(m, start, block.end)
 
     def _parse_type_text(self) -> str:
-        start = self.peek().start
+        """A type's text: its one token's, or one string per distinct
+        text of several tokens in this parse."""
+        first = self.i
         self._qualified_name()
         if self.at("<"):
             depth = 0
@@ -917,7 +948,10 @@ class _Parser:
         while self.at("[") and self.peek(1).value == "]":
             self.eat()
             self.eat()
-        return self.text[start:self.toks[self.i - 1].end]
+        if self.i == first + 1:
+            return self.toks[first].value
+        text = self.text[self.toks[first].start:self.toks[self.i - 1].end]
+        return self.type_texts.setdefault(text, text)
 
     # -- statements ----------------------------------------------------------
 
@@ -968,7 +1002,7 @@ class _Parser:
                     break
                 frames.pop()
                 then, other = (s, None) if top[3] is None else (top[3], s)
-                s = self._finish(If(top[2], then, other), self.toks[top[1]].start, s.span.end)
+                s = self._finish(If(top[2], then, other), self.toks[top[1]].start, s.end)
             else:
                 if not frames:
                     return s
@@ -1045,19 +1079,19 @@ class _Parser:
                 if name_tok.kind != "ident":
                     raise _Backtrack("member name expected")
                 if self.at("("):
-                    e = self._open_args(stack, e.span.start, MethodCall, e, name_tok.value)
+                    e = self._open_args(stack, e.start, MethodCall, e, name_tok.value)
                 else:
-                    e = self._finish(FieldAccess(e, name_tok.value), e.span.start, name_tok.end)
+                    e = self._finish(FieldAccess(e, name_tok.value), e.start, name_tok.end)
                 continue
             while stack and stack[-1][0] in ("pre", "cast"):
                 f = stack.pop()
                 node = Unary(f[1].value, e) if f[0] == "pre" else Cast(f[2], e)
-                e = self._finish(node, f[1].start, e.span.end)
+                e = self._finish(node, f[1].start, e.end)
             t = self.toks[self.i]
             level = BINARY_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
             while stack and stack[-1][0] == "bin" and stack[-1][3] >= level:
                 _bin, op, lhs, _level = stack.pop()
-                e = self._finish(Binary(op, lhs, e), lhs.span.start, e.span.end)
+                e = self._finish(Binary(op, lhs, e), lhs.start, e.end)
             if level >= 0 or t.value == "=":
                 if level < 0 and not isinstance(e, (Name, FieldAccess)):
                     raise _Backtrack("invalid assignment target")
@@ -1067,7 +1101,7 @@ class _Parser:
                 continue
             while stack and stack[-1][0] == "=":
                 lhs = stack.pop()[1]
-                e = self._finish(Assign(lhs, e), lhs.span.start, e.span.end)
+                e = self._finish(Assign(lhs, e), lhs.start, e.end)
             if not stack:
                 return e
             f = stack[-1]
@@ -1321,9 +1355,9 @@ def ast_equal(a, b) -> bool:
             if len(a) != len(b):
                 return False
             stack.extend(reversed(list(zip(a, b))))
-        elif isinstance(a, (_Node, Record)):  # a node's __slots__ omit span and unit_text
+        elif isinstance(a, (_Node, Record)):  # a node's __slots__ omit start, end and unit_text
             stack.extend(reversed([(getattr(a, n), getattr(b, n))
-                                   for n in a.__slots__ if n != "body_span"]))
+                                   for n in a.__slots__ if n not in ("body_start", "body_end")]))
         elif a != b:
             return False
     return True
@@ -1345,7 +1379,7 @@ def _render_kids(e: Expr):
     """The children render_expr renders e from: none where e is backed by
     one line of source, found in place, not sliced; else child_exprs(e)."""
     text = e.unit_text
-    if text is not None and text.find("\n", e.span.start, e.span.end) < 0:
+    if text is not None and text.find("\n", e.start, e.end) < 0:
         return ()
     return child_exprs(e)
 
@@ -1354,7 +1388,7 @@ def _render_node(e: Expr, kids) -> str:
     """e's text, given its children's texts, in child_exprs order."""
     text = e.unit_text
     if text is not None:
-        start, end = e.span.start, e.span.end
+        start, end = e.start, e.end
         if text.find("\n", start, end) < 0:
             return text[start:end]
     kind = type(e)

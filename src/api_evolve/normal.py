@@ -44,18 +44,18 @@ def normalize(unit: jast.CompilationUnit, sites, mapping: sigmap.ApiMapping):
     hoisted = []  # spans of the arguments moved into temporaries
     used = [int(m) for m in re.findall(r"\b%s(\d+)\b" % TARGET_TEMP_PREFIX, unit.text)]
     counter = itertools.count(max(used) + 1 if used else 0)
-    for site in sorted(sites, key=lambda s: s.call.span.start):
+    for site in sorted(sites, key=lambda s: s.call.start):
         stmt = site.enclosing_stmt
         if stmt is None or any(h.contains(site.call.span) for h in hoisted):
             continue
-        indent = jast.indent_at(unit.text, stmt.span.start)
+        indent = jast.indent_at(unit.text, stmt.start)
         for idx, arg in enumerate(site.call.args):
             if isinstance(arg, jast.Name):
                 continue
             temp = "%s%d" % (TARGET_TEMP_PREFIX, next(counter))
             ptype = sigmap.simple_name(mapping.deprecated.param_types[idx])
             decl = "%s %s = %s;%s%s" % (ptype, temp, arg.src, unit.newline, indent)
-            edits.append((jast.Span(stmt.span.start, stmt.span.start), decl))
+            edits.append((jast.Span(stmt.start, stmt.start), decl))
             edits.append((arg.span, temp))
             hoisted.append(arg.span)
             nmap.entries.append(temp)
@@ -105,8 +105,8 @@ def denormalize(unit: jast.CompilationUnit, nmap: NormalizationMap,
         if name not in inlined:
             init = decls[name].init
             text = init.src
-            for use, temp in sorted(inner.get(name, []), key=lambda u: -u[0].span.start):
-                start, end = use.span.start - init.span.start, use.span.end - init.span.start
+            for use, temp in sorted(inner.get(name, []), key=lambda u: -u[0].start):
+                start, end = use.start - init.start, use.end - init.start
                 text = text[:start] + inline(temp, active + (name,)) + text[end:]
             inlined[name] = text
         return inlined[name]

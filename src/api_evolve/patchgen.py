@@ -136,13 +136,13 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         used_exp, args_to=upd_arg)
 
     guard = if_stmt.cond
-    if if_stmt.else_block.span.contains(upd_site.call.span):  # the guard must hold there
+    if _within(if_stmt.else_block, upd_site.call):  # the guard must hold there
         guard = (jast.Binary(_NEGATED[guard.op], guard.lhs, guard.rhs)
                  if isinstance(guard, jast.Binary) and guard.op in _NEGATED
                  else jast.Unary("!", jast.Paren(guard)))
     metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
 
-    _check_wildcard_imports(example, ctx, guard)
+    _check_wildcard_imports(example, ctx, [guard] + [rv.expr for rv in resolved.values()])
     then_stmts = temps + [updated_stmt]
     needs_imports = _needed_imports(
         example, [jast.render_expr(guard)] + [jast.render_stmt(s) for s in then_stmts]
@@ -168,7 +168,7 @@ def _locate_pair(unit, mapping):
                  else sigmap.find_invocations(unit, upd))
     deps = [(d, _arg_type_score(d, dep, unit)) for d in dep_sites]
     upds = [(u, _arg_type_score(u, upd, unit)) for u in upd_sites]
-    ranked = [((-(ds + us), s.span.start, d.call.span.start, u.call.span.start), (d, u, s))
+    ranked = [((-(ds + us), s.start, d.call.start, u.call.start), (d, u, s))
               for d, ds in deps for u, us in upds
               for s in [_separating_if(d, u)] if s is not None]
     if not ranked:
@@ -180,12 +180,16 @@ def _separating_if(a, b):
     """The if/else around site a whose other branch holds site b, or None."""
     for s in a.stmt_chain:
         if isinstance(s, jast.If) and s.else_block is not None:
-            then, other = s.then_block.span, s.else_block.span
-            x, y = a.call.span, b.call.span
-            if ((then.contains(x) and other.contains(y))
-                    or (then.contains(y) and other.contains(x))):
+            then, other, x, y = s.then_block, s.else_block, a.call, b.call
+            if ((_within(then, x) and _within(other, y))
+                    or (_within(then, y) and _within(other, x))):
                 return s
     return None
+
+
+def _within(outer, inner) -> bool:
+    """Whether parsed node inner lies inside parsed node outer."""
+    return outer.start <= inner.start and inner.end <= outer.end
 
 
 _NUMERIC = {"byte", "short", "int", "long", "float", "double"}
@@ -249,20 +253,23 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
         ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
 
 
-def _check_wildcard_imports(example, ctx, guard):
+def _check_wildcard_imports(example, ctx, roots):
     """Raise ExampleShapeError when the example has a wildcard static
-    import and the guard uses a bare name (not a receiver) that the
-    example, at ctx, neither declares nor imports by name, or calls
-    without a receiver a method that the example neither declares (see
-    _local_calls) nor imports by name: only the wildcard can declare it,
-    and @needs@ cannot carry a static import. The then branch holds no
-    such name, since dataflow resolves each name of a value or refuses it."""
+    import and one of roots (the guard and the then branch's resolved
+    values) uses a bare name (not a receiver) that the example, at ctx,
+    neither declares nor imports by name, or calls without a receiver a
+    method that the example neither declares (see _local_calls) nor
+    imports by name: only the wildcard can declare it, and @needs@ cannot
+    carry a static import. In a resolved value, dataflow has resolved or
+    refused every name but a metavariable (ctx.pinned), which counts as
+    declared; a call of an undeclared method, though, resolves to itself."""
     wildcard = next((i for i in example.static_imports if i.endswith(".*")), None)
     if wildcard is None:
         return
     named = {sigmap.simple_name(i) for i in example.imports}
+    named.update(mv.identifier for mv in ctx.pinned.values())
     methods = scope.members(example)[0]
-    exprs = list(jast.iter_exprs(guard))
+    exprs = [e for root in roots for e in jast.iter_exprs(root)]
     receivers = {id(e.receiver) for e in exprs if type(e) in (jast.FieldAccess, jast.MethodCall)}
     for e in exprs:
         if type(e) is jast.Name:
@@ -383,13 +390,13 @@ def _split_defs(blob: str, first_line: int) -> list:
             defs.append(tdecl)
             continue
         defs += tdecl.fields + [m for m in tdecl.methods if not m.implicit]
-        stray += [s.span.start for m in tdecl.methods if m.implicit
+        stray += [s.start for m in tdecl.methods if m.implicit
                   for s in m.body if s.src != ";"]
     if stray:
         line = jast.line_of(blob, stray[0])
         raise MalformedPatch("@needs@ line %r is not a field, method or class"
                              % blob.split("\n")[line - 1].strip(), first_line - 1 + line)
-    return sorted(defs, key=lambda d: d.span.start)
+    return sorted(defs, key=lambda d: d.start)
 
 
 def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
@@ -409,7 +416,7 @@ def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
     for d in p.needs:
         if id(d) not in used:
             raise MalformedPatch("@needs@ member %s is never used" % d.name,
-                                 first_line - 1 + jast.line_of(blob, d.span.start))
+                                 first_line - 1 + jast.line_of(blob, d.start))
 
 
 def pattern_call(stmt):

@@ -87,7 +87,7 @@ def find_invocations(unit: jast.CompilationUnit, sig: ApiSignature) -> list:
     text, name = unit.text, sig.method_name
 
     def names(node) -> bool:
-        return text.find(name, node.span.start, node.span.end) >= 0
+        return text.find(name, node.start, node.end) >= 0
 
     sites = []
     for tdecl, outer in jast.iter_types(unit):
@@ -110,7 +110,7 @@ def find_invocations(unit: jast.CompilationUnit, sig: ApiSignature) -> list:
                         if _matches(e, sig):
                             sites.append(CallSite(e, stmt, mdecl, tdecl,
                                                   stmt_chain=chain, outer_types=outer))
-    sites.sort(key=lambda s: s.call.span.start)
+    sites.sort(key=lambda s: s.call.start)
     return sites
 
 

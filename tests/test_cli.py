@@ -134,6 +134,11 @@ UNUSABLE_EXAMPLES = {
          "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
         "the patch would use atLeastO(), which only the example's "
         "'import static com.example.Compat.*;' declares, and @needs@ cannot carry it"),
+    "then_call_from_a_wildcard_static_import": (
+        ("import static com.example.Compat.*;\n\n", "26", "v.vibrate(effectOf(50));",
+         "v.vibrate(d);"),
+        "the patch would use effectOf(50), which only the example's "
+        "'import static com.example.Compat.*;' declares, and @needs@ cannot carry it"),
     "field_access_receiver": (
         ("", "26", "this.v.vibrate(%s);" % _ONE_SHOT, "this.v.vibrate(50);"),
         "unsupported receiver 'this.v' on example call"),

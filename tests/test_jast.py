@@ -852,17 +852,27 @@ def _parsed_nodes(unit):
 
 @pytest.mark.parametrize("path", corpus_java_files() + sorted(CORPUS.glob("cases/*/expected/*.java")),
                          ids=lambda p: "/".join(p.parts[-3:]))
-def test_src_is_a_view_of_the_unit_text(path):
-    unit = jast.parse(read(path))
+def test_src_is_a_view_of_the_unit_text(path, monkeypatch):
+    text = read(path)
+    with monkeypatch.context() as m:  # a parse builds no Span: positions are ints
+        m.setattr(jast.Span, "__init__", _no_span)
+        unit = jast.parse(text)
     nodes = list(_parsed_nodes(unit))
     assert nodes
     for node in nodes:
         assert node.unit_text is unit.text  # one shared string, no copy
-        assert node.src == unit.text[node.span.start:node.span.end]
+        assert type(node.start) is int and type(node.end) is int
+        assert node.span == jast.Span(node.start, node.end)  # a view, built on access
+        assert node.src == text[node.start:node.end]
+        if isinstance(node, (jast.MethodDecl, jast.TypeDecl)):
+            assert node.body_span == (None if node.body_start is None
+                                      else jast.Span(node.body_start, node.body_end))
     empty = {id(n.modifiers) for n in nodes if hasattr(n, "modifiers") and not n.modifiers}
     assert len(empty) <= 1  # declarations without modifiers share one set
     for stmt in nodes:
         for root in jast.stmt_exprs(stmt):
+            copy = jast.rebuild(root, jast.child_exprs(root))  # over the parsed children
+            assert copy.start is copy.end is copy.span is copy.src is None
             for copy in (jast.fold(root, jast.rebuild),
                          engine.substitute_expr(root, engine.MetaBinding())):
                 assert all(e.src is None and e.span is None for e in jast.iter_exprs(copy))
@@ -871,6 +881,50 @@ def test_src_is_a_view_of_the_unit_text(path):
             assert copy.src is None and copy.span is None
             for root in jast.stmt_exprs(copy):
                 assert all(e.src is None for e in jast.iter_exprs(root))
+
+
+def _no_span(self, start, end):
+    raise AssertionError("a Span was built")
+
+
+def _shared_texts(unit) -> bool:
+    """Whether, within unit, each identifier of a Name and each type text
+    is one string object per distinct value."""
+    seen = {}
+    for node in _parsed_nodes(unit):
+        texts = [node.identifier] if type(node) is jast.Name else [
+            getattr(node, f) for f in ("type_name", "return_type") if hasattr(node, f)]
+        if isinstance(node, jast.MethodDecl):
+            texts += [t for param in node.params for t in param]
+        if any(seen.setdefault(t, t) is not t for t in texts):
+            return False
+    return True
+
+
+def test_a_parsed_tree_is_lean_on_benchmark_inputs(monkeypatch):
+    # the benchmark's generate_chains examples of seed 0, read only: the
+    # memory a parse holds, per source byte, as tracemalloc counts it
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    texts = [item.text for item in importlib.import_module("gen").generate_chains(0, CORPUS)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        units = [jast.parse(text) for text in texts]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_byte = held / sum(map(len, texts))
+    assert per_byte <= 10, per_byte
+    # within a unit, one string per distinct identifier and type text; the
+    # equal modifier sets of every unit are one object
+    assert all(_shared_texts(unit) for unit in units)
+    sets = {}
+    for unit in units:
+        for node in _parsed_nodes(unit):
+            mods = getattr(node, "modifiers", None)
+            if mods is not None:
+                assert sets.setdefault(mods, mods) is mods
+    assert len(sets) > 2, sets
 
 
 def test_iter_exprs_walks_a_deep_chain_in_pre_order():

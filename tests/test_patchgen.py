@@ -459,6 +459,41 @@ def test_a_guard_call_only_a_wildcard_static_import_declares_is_refused():
         "atLeastO", "LEVEL"]
 
 
+THEN_CALL_EXAMPLE = """\
+import static com.example.Compat.*;
+
+class A {
+%s    void m(Vibrator v, long d) {
+        if (android.os.Build.VERSION.SDK_INT >= 26) {
+            v.vibrate(effectOf(%s));
+        } else {
+            v.vibrate(d);
+        }
+    }
+}
+"""
+EFFECT_OF = "    static VibrationEffect effectOf(long d) { return null; }\n"
+
+
+@pytest.mark.parametrize("arg, rewire, used", [
+    ("50", False, "50"), ("50", True, "50"), ("d", True, "iden0"),
+], ids=["literal", "literal_rewired", "rewired"])
+def test_a_then_call_only_a_wildcard_static_import_declares_is_refused(arg, rewire, used):
+    # the then branch's resolved values are checked by the guard's rule: a
+    # call without a receiver resolves to itself, so it can name the wildcard
+    example = jast.parse(THEN_CALL_EXAMPLE % ("", arg))
+    with pytest.raises(patchgen.ExampleShapeError,
+                       match=r"would use effectOf\(%s\), which only the example's "
+                             r"'import static com\.example\.Compat\.\*;' declares" % used):
+        patchgen.generate_patch(example, VIBRATE, rewire_shared_args=rewire)
+    # declared by the example, it is carried instead, and a rewired argument
+    # is a metavariable, which needs no declaration
+    example = jast.parse(THEN_CALL_EXAMPLE % (EFFECT_OF, arg))
+    patch = patchgen.generate_patch(example, VIBRATE, rewire_shared_args=rewire)
+    assert [d.name for d in patch.needs] == ["effectOf"]
+    assert jast.render_stmt(patch.then_stmts[0]).endswith("= effectOf(%s);" % used)
+
+
 NEEDS_HEAD = ("@r@\nidentifier iden0, classIden;\n@@\n...\n"
               "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
               "+ classIden.vibrate(effect(iden0));\n"
