@@ -10,8 +10,10 @@ one text string, and its span and src are views built on access, so a
 tree costs memory linear in the text at any nesting depth. Span is the
 value type of edits and reports; a parse builds none. A parse keeps one
 string per distinct token text and type text, and equal modifier sets
-are one object. Nodes, spans and tokens are plain classes that declare
-their own __slots__ and __init__, so building them generates no code.
+are one object. The parser indexes the lexer's lists of token kinds,
+values and offsets and builds no Token. Nodes, spans and tokens are
+plain classes that declare their own __slots__ and __init__, so building
+them generates no code.
 Record, the base of the package's value classes, compares and shows one
 field by field. Nodes compare by identity; ast_equal compares structure.
 Brackets are paired once per parse, by check_balanced's table, which the
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter, sub
 from typing import Iterator, Optional, Union
 
 
@@ -402,30 +405,36 @@ class Token(Record):
 # Literal and comment syntax, written once for the lexer and the bracket
 # scan. A quote or `/*` that opens no literal or comment is `bad`. A text
 # block opens with `"""` and a line break, and ends at the next unescaped `"""`.
-_STR = r""" "{3}[ \t\f]*\r?\n[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3}
-          | "[^"\\\n]*(?:\\.[^"\\\n]*)*" """
+_STR = r''' """[ \t\f]*\r?\n[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""
+          | "[^"\\\n]*(?:\\.[^"\\\n]*)*" '''
 _CHAR = r""" '[^'\\]*(?:\\.[^'\\]*)*' """
 _COMMENT = r""" //[^\n]* | /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ """
 _BAD = r""" ["'] | /\* """
 
-# One match per token: whitespace and comments are skipped in front of it,
-# then exactly one named alternative matches, or `eof` at the end of the
-# text. The alternatives are tried in order, so `bad` only sees a quote or
-# comment opener whose literal or comment does not close.
+# One match per token: group 1 is the blanks and comments skipped in front
+# of it, unrolled as `blank* (comment blank*)*`, and group 2 the token, or
+# empty at the end of the text. The alternatives are tried in order, the
+# frequent ident and bracket first, so `bad` only sees a quote or comment
+# opener whose literal or comment does not close.
 _TOKEN_RE = re.compile(r"""
-    (?:[ \t\r\n]+ | %s)*
-    (?:
-        (?P<str> %s)
-      | (?P<char> %s)
-      | (?P<num> 0[xX][0-9a-fA-F_]+[lL]? | 0[bB][01_]+[lL]?
-                 | (?:\d[\d_]*\.[\d_]* | \.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[fFdD]?
-                 | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[fFdDlL]? )
-      | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
-      | (?P<bad> %s)
-      | (?P<punct> [{}()\[\];,] | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
-                 | /= | %%= | -> | :: | << | >> | . )
-      | (?P<eof> \Z )
-    )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+    ( [ \t\r\n]* (?: (?:%s) [ \t\r\n]* )* )
+    ( [A-Za-z_$][A-Za-z0-9_$]*
+    | [{}()\[\];,]
+    | %s
+    | %s
+    | 0[xX][0-9a-fA-F_]+[lL]? | 0[bB][01_]+[lL]?
+    | (?:\d[\d_]*\.[\d_]* | \.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[fFdD]?
+    | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[fFdDlL]?
+    | %s
+    | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
+    | /= | %%= | -> | :: | << | >> | .
+    | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD), re.VERBOSE | re.DOTALL)
+
+# a token's kind by its first character; else punct, or num from a digit as
+# \d reads one (`٣`, not `²`) or a `.` and more (`.5`)
+_KIND = {"": "eof", '"': "str", "'": "char",
+         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", "ident")}
+
 
 # One match per bracket: runs of other characters, comments and literals
 # are swallowed in front of it, and so is a `(...)` or `[...]` pair with
@@ -447,7 +456,14 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
 
 
 def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
-    """Lex text in one pass; the last token is eof.
+    """_lex's tokens as Token objects; the last token is eof."""
+    return list(map(Token, *_lex(text, keep, partner)))
+
+
+def _lex(text: str, keep=(), partner: Optional[dict] = None) -> tuple:
+    """Lex text into four lists, kinds, values, starts and ends, one entry
+    per token, eof last. A full lex is one findall, whose offsets are the
+    running sums of the skipped and token lengths.
 
     Raises UnbalancedSource on an unterminated literal or comment. Without
     `keep`, bracket nesting is not checked, since slices of a file are
@@ -469,83 +485,98 @@ def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
     on through each `else` that follows it, so an `if … else if … else`
     chain is skipped or lexed whole. File-level declarations are always
     lexed. The tokens of one call share one string per distinct text."""
-    if keep and partner is None:
-        partner = check_balanced(text)
-    # the sorted offsets where a keep name occurs; seen indexes the first
-    # one at or after the last skip point, which only moves forward
-    found = _occurrences(text, keep)
-    seen = 0
-    toks = []
-    append = toks.append
-    intern = {}.setdefault  # local to the call: a global table would outlive it
-    class_pending = False
-    # per open `{`: in a body, the end of the member or statement being
-    # lexed (None once the body's `}` is next); else None
-    ends = []
-    in_stmts = []  # per open `{`: whether it is a statement body
-    closes = []  # per open `{`: the offset of its partner `}`
-    pos = 0
-    while pos is not None:
-        start, pos = pos, None
-        for m in _TOKEN_RE.finditer(text, start):
-            kind = m.lastgroup
-            value = m[kind]
-            value = intern(value, value)
-            end = m.end()
-            if kind == "bad":
-                raise UnbalancedSource(_UNTERMINATED[value])
-            if kind == "eof":
-                break
-            append(Token(kind, value, end - len(value), end))
-            if not keep:
-                continue
-            if value == "{":
-                close = partner[end - 1]
-                closes.append(close)
-                stmts = not class_pending and bool(ends) and ends[-1] == close + 1
-                in_stmts.append(stmts)
-                if not (class_pending or stmts):
-                    ends.append(None)
+    texts = {}  # one string per distinct token text, local to the call
+    intern = texts.setdefault
+    if not keep:
+        pairs = _TOKEN_RE.findall(text)
+        if len(pairs) > 1 and not pairs[-2][1]:
+            pairs.pop()  # an empty match follows one that ends the text
+        offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
+        starts, ends = offsets[::2], offsets[1::2]
+        values = [value for _skipped, value in pairs]
+        values = list(map(intern, values, values))
+    else:
+        if partner is None:
+            partner = check_balanced(text)
+        # the sorted offsets where a keep name occurs; seen indexes the
+        # first one at or after the last skip point, which only moves forward
+        found = _occurrences(text, keep)
+        seen = 0
+        values, ends = [], []
+        add_value, add_end = values.append, ends.append
+        class_pending = False
+        # per open `{`: in a body, the end of the member or statement being
+        # lexed (None once the body's `}` is next); else None
+        runs = []
+        in_stmts = []  # per open `{`: whether it is a statement body
+        closes = []  # per open `{`: the offset of its partner `}`
+        pos = 0
+        while pos is not None:
+            start, pos = pos, None
+            for m in _TOKEN_RE.finditer(text, start):
+                value = m[2]
+                if not value:
+                    break
+                value = intern(value, value)
+                end = m.end()
+                add_value(value)
+                add_end(end)
+                if value == "{":
+                    close = partner[end - 1]
+                    closes.append(close)
+                    stmts = not class_pending and bool(runs) and runs[-1] == close + 1
+                    in_stmts.append(stmts)
+                    if not (class_pending or stmts):
+                        runs.append(None)
+                        continue
+                    runs.append(end)
+                    class_pending = False
+                elif value == "}" or value == ";":
+                    class_pending = False
+                    if value == "}":
+                        runs.pop()
+                        in_stmts.pop()
+                        closes.pop()
+                    if not runs or runs[-1] != end:
+                        continue
+                else:
+                    if value == "class" and (len(values) < 2 or values[-2] != "."):
+                        class_pending = True
                     continue
-                ends.append(end)
-                class_pending = False
-            elif value == "}" or value == ";":
-                class_pending = False
-                if value == "}":
-                    ends.pop()
-                    in_stmts.pop()
-                    closes.pop()
-                if not ends or ends[-1] != end:
-                    continue
-            else:
-                if value == "class" and (len(toks) < 2 or toks[-2].value != "."):
-                    class_pending = True
-                continue
-            # a member or statement of a body starts at end: jump to the
-            # body's `}` if no name occurs before it, else skip each member
-            # or statement before the one where the next name occurs. A name
-            # holds no `;` or brace, so no run ends inside an occurrence.
-            seen = bisect_left(found, end, seen)
-            if seen == len(found) or found[seen] >= closes[-1]:
-                skip, run_end = closes[-1], None
-            else:
-                skip = end
-                while True:
-                    run_end = _member_end(text, skip, partner)
-                    while in_stmts[-1] and run_end is not None:
-                        after_else = _ELSE_RE.match(text, run_end)
-                        if after_else is None:
+                # a member or statement of a body starts at end: jump to the
+                # body's `}` if no name occurs before it, else skip each
+                # member or statement before the one where the next name
+                # occurs. A name holds no `;` or brace, so no run ends
+                # inside an occurrence.
+                seen = bisect_left(found, end, seen)
+                if seen == len(found) or found[seen] >= closes[-1]:
+                    skip, run_end = closes[-1], None
+                else:
+                    skip = end
+                    while True:
+                        run_end = _member_end(text, skip, partner)
+                        while in_stmts[-1] and run_end is not None:
+                            after_else = _ELSE_RE.match(text, run_end)
+                            if after_else is None:
+                                break
+                            run_end = _member_end(text, after_else.end(), partner)
+                        if run_end is None or found[seen] < run_end:
                             break
-                        run_end = _member_end(text, after_else.end(), partner)
-                    if run_end is None or found[seen] < run_end:
-                        break
-                    skip = run_end
-            ends[-1] = run_end
-            if skip != end:
-                pos = skip
-                break
-    append(Token("eof", "", len(text), len(text)))
-    return toks
+                        skip = run_end
+                runs[-1] = run_end
+                if skip != end:
+                    pos = skip
+                    break
+        add_value(intern("", ""))
+        add_end(len(text))
+        starts = list(map(sub, ends, map(len, values)))
+    bad = [values.index(value) for value in _UNTERMINATED if value in texts]
+    if bad:
+        raise UnbalancedSource(_UNTERMINATED[values[min(bad)]])
+    kinds = {value: _KIND.get(value[:1]) or (
+        "num" if value[:1].isdecimal() or value[:1] == "." and len(value) > 1 else "punct")
+        for value in texts}
+    return list(map(kinds.__getitem__, values)), values, starts, ends
 
 
 def _occurrences(text: str, names) -> list:
@@ -693,39 +724,48 @@ class _Backtrack(Exception):
     pass
 
 
+# Java's reserved words, less those that start a primary: never a name or a call's name
+_RESERVED = frozenset("""abstract assert boolean break byte case catch char class const continue
+    default do double else enum extends final finally float for goto if implements import
+    instanceof int interface long native package private protected public return short static
+    strictfp switch synchronized throw throws transient try void volatile while""".split())
+
+
 class _Parser:
     """Recursive descent, but for what can nest: expressions, statements and
-    class bodies are each one loop over a stack of what is still open. A
-    region kept verbatim jumps over each bracket group (see _jump)."""
+    class bodies are each one loop over a stack of what is still open. It
+    indexes _lex's lists, where eof is the one token whose value is empty.
+    A region kept verbatim jumps over each bracket group (see _jump)."""
 
     def __init__(self, text: str, keep=()):
         self.text = text
         self.partner = check_balanced(text)
-        self.toks = tokenize(text, keep, self.partner)
-        # eat() stops at eof, so one more eof keeps peek(1) in range
-        self.toks.append(self.toks[-1])
+        tokens = _lex(text, keep, self.partner)
+        for column in tokens:  # eof is never passed, so one more keeps i + 1 in range
+            column.append(column[-1])
+        self.kinds, self.values, self.starts, self.ends = tokens
         self.i = 0
         self.type_texts = {}
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, off: int = 0) -> Token:
-        return self.toks[self.i + off]
-
     def at(self, value: str) -> bool:
         # no literal's text equals a keyword or a punctuator
-        return self.toks[self.i].value == value
+        return self.values[self.i] == value
 
-    def eat(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def eat(self) -> int:
+        """The index of the token here, which is passed unless it is eof."""
+        i = self.i
+        if self.values[i]:
+            self.i = i + 1
+        return i
 
-    def expect(self, value: str) -> Token:
-        if not self.at(value):
-            raise _Backtrack("expected %r, got %r" % (value, self.peek().value))
-        return self.eat()
+    def expect(self, value: str) -> int:
+        i = self.i
+        if self.values[i] != value:
+            raise _Backtrack("expected %r, got %r" % (value, self.values[i]))
+        self.i = i + 1
+        return i
 
     def _finish(self, node, start: int, end: int):
         node.start = start
@@ -736,12 +776,13 @@ class _Parser:
     # -- unit ---------------------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
+        values, starts, ends = self.values, self.starts, self.ends
         package = None
         imports, static_imports = [], []
         header_end = 0
         keywords = ("package", "import")  # one package, first
-        while self.peek().value in keywords:
-            keyword, static = self.peek().value, self.peek(1).value == "static"
+        while values[self.i] in keywords:
+            keyword, static = values[self.i], values[self.i + 1] == "static"
             keywords = ("import",)
             name = self._try(self._header_decl)
             if name is None and not self._skip_declaration():
@@ -752,7 +793,7 @@ class _Parser:
                 imports.append(name)
                 if static:
                     static_imports.append(name)
-            header_end = self.toks[self.i - 1].end
+            header_end = ends[self.i - 1]
 
         # One member loop for the file and every class in it, with a frame
         # (decl, offset of its first token) per open class. The file's frame
@@ -764,17 +805,22 @@ class _Parser:
         loose_stmts = []
         while True:
             decl, start = frames[-1]
-            t = self.peek()
-            if len(frames) > 1 and t.value == "}":
+            i = self.i
+            if len(frames) > 1 and values[i] == "}":
                 frames.pop()
-                decl.body_end = self.eat().start
-                frames[-1][0].nested.append(self._finish(decl, start, t.end))
+                self.i = i + 1
+                decl.body_end = starts[i]
+                frames[-1][0].nested.append(self._finish(decl, start, ends[i]))
                 continue
-            if t.kind == "eof":
+            if not values[i]:
                 break
-            member = self._try(self._type_header) or self._try(self._parse_field_or_method)
+            after_modifiers = i
+            while values[after_modifiers] in MODIFIERS:
+                after_modifiers += 1
+            member = ((values[after_modifiers] == "class" and self._try(self._type_header))
+                      or self._try(self._parse_field_or_method))
             if isinstance(member, TypeDecl):
-                frames.append((member, t.start))
+                frames.append((member, starts[i]))
             elif member is not None:
                 (decl.fields if isinstance(member, FieldDecl) else decl.methods).append(member)
             elif len(frames) == 1:
@@ -799,7 +845,7 @@ class _Parser:
 
     def _header_decl(self) -> str:
         """One package or import declaration; returns its name."""
-        keyword = self.eat().value
+        keyword = self.values[self.eat()]
         if keyword == "import" and self.at("static"):
             self.eat()
         name = self._qualified_name(allow_star=keyword == "import")
@@ -809,24 +855,28 @@ class _Parser:
     def _skip_declaration(self) -> bool:
         """Skip a malformed header declaration through its ';'. Returns
         False, consuming nothing, when a bracket or the end comes first."""
+        values = self.values
         i = self.i
-        while self.toks[i].value != ";":
-            value = self.toks[i].value
-            if self.toks[i].kind == "eof" or value in _OPEN or value in _CLOSE:
+        while values[i] != ";":
+            value = values[i]
+            if not value or value in _OPEN or value in _CLOSE:
                 return False
             i += 1
         self.i = i + 1
         return True
 
-    def _jump(self) -> Token:
-        """Eat a token of a region kept verbatim and return it; at a `(`,
-        `[` or `{`, eat through its partner, found by bisecting the token
-        starts for the offset the bracket table gives."""
-        t = self.eat()
-        if t.value in _OPEN:
-            close = _close(self.text, self.partner, t.start)
-            self.i = bisect_left(self.toks, close, self.i, key=attrgetter("start")) + 1
-        return t
+    def _jump(self) -> str:
+        """Eat a token of a region kept verbatim and return its text; at a
+        `(`, `[` or `{`, eat through its partner, found by bisecting the
+        token starts for the offset the bracket table gives."""
+        i = self.i
+        value = self.values[i]
+        if value in _OPEN:
+            close = _close(self.text, self.partner, self.starts[i])
+            self.i = bisect_left(self.starts, close, i + 1) + 1
+        elif value:
+            self.i = i + 1
+        return value
 
     def _try(self, fn):
         mark = self.i
@@ -837,57 +887,54 @@ class _Parser:
             return None
 
     def _qualified_name(self, allow_star: bool = False) -> str:
-        parts = []
-        t = self.peek()
-        if t.kind != "ident":
+        kinds, values = self.kinds, self.values
+        first = i = self.i
+        if kinds[i] != "ident":
             raise _Backtrack("expected identifier")
-        parts.append(self.eat().value)
-        while self.at("."):
-            self.eat()
-            t = self.peek()
-            if allow_star and t.value == "*":
-                parts.append(self.eat().value)
+        while values[i + 1] == ".":
+            i += 2
+            if allow_star and values[i] == "*":
                 break
-            if t.kind != "ident":
+            if kinds[i] != "ident":
                 raise _Backtrack("expected identifier after '.'")
-            parts.append(self.eat().value)
-        return ".".join(parts)
+        self.i = i + 1
+        return ".".join(values[first:i + 1:2])  # one name is its own string
 
     # -- declarations -------------------------------------------------------
 
     def _parse_modifiers(self, allowed=MODIFIERS) -> frozenset:
         """The modifiers here, as the one shared set of their values."""
-        mods = []
-        while self.peek().kind == "ident" and self.peek().value in allowed:
-            mods.append(self.eat().value)
-        if not mods:
+        first = self.i
+        while self.values[self.i] in allowed:
+            self.i += 1
+        if self.i == first:
             return _NO_MODIFIERS
-        mods = frozenset(mods)
+        mods = frozenset(self.values[first:self.i])
         return _MODIFIER_SETS.setdefault(mods, mods)
 
     def _type_header(self) -> TypeDecl:
-        """A class's modifiers, name and header through its `{`, as a
-        TypeDecl whose members parse_unit's loop reads."""
+        """At a class's modifiers, which `class` follows: its name and
+        header through its `{`, as a TypeDecl whose members parse_unit's
+        loop reads."""
         mods = self._parse_modifiers()
-        if self.eat().value != "class":
-            raise _Backtrack("not a class")
-        if self.peek().kind != "ident":
+        self.eat()  # `class`
+        if self.kinds[self.i] != "ident":
             raise _Backtrack("class name expected")
-        name = self.eat().value
+        name = self.values[self.eat()]
         # tolerate extends/implements clauses verbatim, up to a `;` too,
         # which ends a member for tokenize (_member_end)
-        while self.peek().value not in ("{", "}", ";", ""):
+        while self.values[self.i] not in ("{", "}", ";", ""):
             self._jump()
         # body_end is set at the `}`
-        return TypeDecl(name=name, modifiers=mods, body_start=self.expect("{").end)
+        return TypeDecl(name=name, modifiers=mods, body_start=self.ends[self.expect("{")])
 
     def _parse_field_or_method(self):
-        start = self.peek().start
+        start = self.starts[self.i]
         mods = self._parse_modifiers()
         type_name = self._parse_type_text()
-        if self.peek().kind != "ident":
+        if self.kinds[self.i] != "ident":
             raise _Backtrack("member name expected")
-        name = self.eat().value
+        name = self.values[self.eat()]
         if self.at("("):
             return self._parse_method_rest(start, mods, type_name, name)
         init = None
@@ -896,7 +943,7 @@ class _Parser:
             init = self.parse_expr()
         if not self.at(";"):
             raise _Backtrack("not a field")
-        return self._finish(FieldDecl(mods, type_name, name, init), start, self.eat().end)
+        return self._finish(FieldDecl(mods, type_name, name, init), start, self.ends[self.eat()])
 
     def _parse_method_rest(self, start, mods, return_type, name) -> MethodDecl:
         self.expect("(")
@@ -904,22 +951,23 @@ class _Parser:
         if not self.at(")"):
             while True:
                 ptype = self._parse_type_text()
-                if self.peek().kind != "ident":
+                if self.kinds[self.i] != "ident":
                     raise _Backtrack("param name expected")
-                params.append((ptype, self.eat().value))
+                params.append((ptype, self.values[self.eat()]))
                 if self.at(","):
                     self.eat()
                     continue
                 break
         self.expect(")")
-        if self.peek().value == "throws":
+        if self.at("throws"):
             self.eat()
             self._qualified_name()
             while self.at(","):
                 self.eat()
                 self._qualified_name()
         if self.at(";"):  # abstract / interface-style
-            return self._finish(MethodDecl(mods, return_type, name, params), start, self.eat().end)
+            return self._finish(MethodDecl(mods, return_type, name, params), start,
+                                self.ends[self.eat()])
         if not self.at("{"):
             raise _Backtrack("method body expected")
         block = self.parse_stmt()
@@ -929,28 +977,28 @@ class _Parser:
     def _parse_type_text(self) -> str:
         """A type's text: its one token's, or one string per distinct
         text of several tokens in this parse."""
+        values = self.values
         first = self.i
         self._qualified_name()
-        if self.at("<"):
+        if values[self.i] == "<":
             depth = 0
             while True:
-                t = self._jump()  # a bracket group is one step
-                if t.value in ("", ";", "{", "}", ")", "]"):
+                value = self._jump()  # a bracket group is one step
+                if value in ("", ";", "{", "}", ")", "]"):
                     raise _Backtrack("not a generic type")
-                if t.value == "<":
+                if value == "<":
                     depth += 1
-                elif t.value in (">", ">>"):  # `>>>` lexes as `>>` then `>`
-                    depth -= len(t.value)
+                elif value == ">" or value == ">>":  # `>>>` lexes as `>>` then `>`
+                    depth -= len(value)
                     if depth < 0:
                         raise _Backtrack("unbalanced type arguments")
                     if depth == 0:
                         break
-        while self.at("[") and self.peek(1).value == "]":
-            self.eat()
-            self.eat()
+        while values[self.i] == "[" and values[self.i + 1] == "]":
+            self.i += 2
         if self.i == first + 1:
-            return self.toks[first].value
-        text = self.text[self.toks[first].start:self.toks[self.i - 1].end]
+            return values[first]
+        text = self.text[self.starts[first]:self.ends[self.i - 1]]
         return self.type_texts.setdefault(text, text)
 
     # -- statements ----------------------------------------------------------
@@ -964,25 +1012,25 @@ class _Parser:
         opaque = False  # an if failed: read it again, as an opaque region
         while True:
             try:
-                t = self.peek()
+                i = self.i
+                value = self.values[i]
                 if opaque:
                     opaque = False
                     s = self._consume_opaque_region()
-                elif frames and frames[-1][0] == "{" and t.value == "}":
+                elif value == "}" and frames and frames[-1][0] == "{":
                     _brace, start, stmts = frames.pop()
-                    s = self._finish(Block(stmts), start, self.eat().end)
-                elif t.value == "{":
-                    frames.append(["{", self.eat().start, []])
+                    s = self._finish(Block(stmts), start, self.ends[self.eat()])
+                elif value == "{":
+                    frames.append(["{", self.starts[self.eat()], []])
                     continue
-                elif t.value == "if":
-                    start = self.i
+                elif value == "if":
                     cond = self._try(self._if_header)
                     if cond is not None:
-                        frames.append(["if", start, cond, None])
+                        frames.append(["if", i, cond, None])
                         continue
                     s = self._consume_opaque_region()
                 else:
-                    s = (self._try(self._parse_return) if t.value == "return" else
+                    s = (self._try(self._parse_return) if value == "return" else
                          self._try(self._parse_local_var_decl) or self._try(self._parse_expr_stmt)
                          ) or self._consume_opaque_region()
             except _Backtrack:
@@ -1002,7 +1050,7 @@ class _Parser:
                     break
                 frames.pop()
                 then, other = (s, None) if top[3] is None else (top[3], s)
-                s = self._finish(If(top[2], then, other), self.toks[top[1]].start, s.end)
+                s = self._finish(If(top[2], then, other), self.starts[top[1]], s.end)
             else:
                 if not frames:
                     return s
@@ -1016,87 +1064,93 @@ class _Parser:
         return cond
 
     def _parse_return(self) -> Return:
-        start = self.expect("return").start
+        start = self.starts[self.expect("return")]
         value = None if self.at(";") else self.parse_expr()
-        return self._finish(Return(value), start, self.expect(";").end)
+        return self._finish(Return(value), start, self.ends[self.expect(";")])
 
     def _parse_local_var_decl(self) -> LocalVarDecl:
-        start = self.peek().start
+        start = self.starts[self.i]
         mods = self._parse_modifiers(("final",))
         type_name = self._parse_type_text()
-        if self.peek().kind != "ident":
+        if self.kinds[self.i] != "ident":
             raise _Backtrack("variable name expected")
-        name = self.eat().value
+        name = self.values[self.eat()]
         init = None
         if self.at("="):
             self.eat()
             init = self.parse_expr()
-        return self._finish(LocalVarDecl(type_name, name, init, mods), start, self.expect(";").end)
+        return self._finish(LocalVarDecl(type_name, name, init, mods), start,
+                            self.ends[self.expect(";")])
 
     def _parse_expr_stmt(self) -> ExprStmt:
-        start = self.peek().start
+        start = self.starts[self.i]
         expr = self.parse_expr()
-        return self._finish(ExprStmt(expr), start, self.expect(";").end)
+        return self._finish(ExprStmt(expr), start, self.ends[self.expect(";")])
 
     def _consume_opaque_region(self) -> OpaqueStmt:
         """Consume a balanced statement-shaped region, each bracket group
         in one step: through a `;` or a brace block outside the groups, or
         up to an enclosing closer, which is not consumed."""
-        toks = self.toks
-        start_tok = toks[self.i]
-        if start_tok.kind == "eof" or start_tok.value in _CLOSE:
-            raise _Backtrack("nothing to consume")
-        while toks[self.i].kind != "eof" and toks[self.i].value not in _CLOSE:
-            if self._jump().value in (";", "{"):
+        values = self.values
+        first = self.i
+        while values[self.i] and values[self.i] not in _CLOSE:
+            if self._jump() in (";", "{"):
                 break
-        return self._finish(OpaqueStmt(), start_tok.start, toks[self.i - 1].end)
+        if self.i == first:
+            raise _Backtrack("nothing to consume")
+        return self._finish(OpaqueStmt(), self.starts[first], self.ends[self.i - 1])
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         """One expression, from a stack of the constructs still open around
-        the operand being read: ("pre", tok) and ("cast", tok, type) wait
-        for their operand, ("bin", op, lhs, level) and ("=", lhs) for their
-        right side, and ("(", tok) and ("args", start, kind, labels, args)
-        for their `)`. Binary operators associate to the left by
-        BINARY_LEVEL; `=` binds loosest and associates to the right."""
+        the operand being read: ("pre", i) and ("cast", i, type) wait for
+        their operand, ("bin", op, lhs, level) and ("=", lhs) for their
+        right side, and ("(", i) and ("args", start, kind, labels, args)
+        for their `)`, i being the index of the construct's first token.
+        Binary operators associate to the left by BINARY_LEVEL; `=` binds
+        loosest and associates to the right."""
+        kinds, values, starts, ends = self.kinds, self.values, self.starts, self.ends
         stack = []
         e = None  # the operand just read, before any operator after it
         while True:
+            i = self.i
+            value = values[i]
             if e is None:  # read prefixes and openings up to a primary
-                t = self.eat()
-                if t.kind == "punct" and t.value in _PREFIX:
-                    stack.append(("pre", t))
-                elif t.value == "(":
-                    type_name = self._try(self._cast_type)
-                    stack.append(("(", t) if type_name is None else ("cast", t, type_name))
+                if value in _PREFIX:
+                    self.i = i + 1
+                    stack.append(("pre", i))
+                elif value == "(":
+                    self.i = i + 1
+                    # a cast's type starts with a name
+                    type_name = self._try(self._cast_type) if kinds[i + 1] == "ident" else None
+                    stack.append(("(", i) if type_name is None else ("cast", i, type_name))
                 else:
-                    e = self._primary(t, stack)
+                    e = self._primary(stack)
                 continue
-            if self.at("."):  # member access or call
-                self.i += 1
-                name_tok = self.eat()
-                if name_tok.kind != "ident":
+            if value == ".":  # member access or call
+                i += 1
+                if kinds[i] != "ident":
                     raise _Backtrack("member name expected")
-                if self.at("("):
-                    e = self._open_args(stack, e.start, MethodCall, e, name_tok.value)
+                self.i = i + 1
+                if values[i + 1] == "(":
+                    e = self._open_args(stack, e.start, MethodCall, e, values[i])
                 else:
-                    e = self._finish(FieldAccess(e, name_tok.value), e.start, name_tok.end)
+                    e = self._finish(FieldAccess(e, values[i]), e.start, ends[i])
                 continue
             while stack and stack[-1][0] in ("pre", "cast"):
                 f = stack.pop()
-                node = Unary(f[1].value, e) if f[0] == "pre" else Cast(f[2], e)
-                e = self._finish(node, f[1].start, e.end)
-            t = self.toks[self.i]
-            level = BINARY_LEVEL.get(t.value, -1) if t.kind == "punct" else -1
+                node = Unary(values[f[1]], e) if f[0] == "pre" else Cast(f[2], e)
+                e = self._finish(node, starts[f[1]], e.end)
+            level = BINARY_LEVEL.get(value, -1)  # only a punctuator's text is an operator
             while stack and stack[-1][0] == "bin" and stack[-1][3] >= level:
                 _bin, op, lhs, _level = stack.pop()
                 e = self._finish(Binary(op, lhs, e), lhs.start, e.end)
-            if level >= 0 or t.value == "=":
+            if level >= 0 or value == "=":
                 if level < 0 and not isinstance(e, (Name, FieldAccess)):
                     raise _Backtrack("invalid assignment target")
-                stack.append(("bin", t.value, e, level) if level >= 0 else ("=", e))
-                self.i += 1
+                stack.append(("bin", value, e, level) if level >= 0 else ("=", e))
+                self.i = i + 1
                 e = None
                 continue
             while stack and stack[-1][0] == "=":
@@ -1107,23 +1161,22 @@ class _Parser:
             f = stack[-1]
             if f[0] == "(":
                 stack.pop()
-                e = self._finish(Paren(e), f[1].start, self.expect(")").end)
+                e = self._finish(Paren(e), starts[f[1]], ends[self.expect(")")])
                 continue
             f[4].append(e)  # an argument
             e = None
-            if self.at(","):
-                self.i += 1
+            if value == ",":
+                self.i = i + 1
             else:
                 stack.pop()
-                e = self._finish(f[2](*f[3], f[4]), f[1], self.expect(")").end)
+                e = self._finish(f[2](*f[3], f[4]), f[1], ends[self.expect(")")])
 
     def _cast_type(self) -> str:
         """After a `(`: the type of a cast, `T)` and then a token that can
         start its operand; raises _Backtrack where the `(` opens a group."""
         type_name = self._parse_type_text()
-        self.expect(")")
-        nxt = self.peek()
-        if not (nxt.kind in ("ident", "num", "str", "char") or nxt.value == "("):
+        i = self.expect(")") + 1
+        if not (self.kinds[i] in ("ident", "num", "str", "char") or self.values[i] == "("):
             raise _Backtrack("not a cast")
         return type_name
 
@@ -1132,33 +1185,36 @@ class _Parser:
         next; else None, with its ("args", ...) frame pushed on stack."""
         self.i += 1
         if self.at(")"):
-            return self._finish(kind(*labels, []), start, self.eat().end)
+            return self._finish(kind(*labels, []), start, self.ends[self.eat()])
         stack.append(("args", start, kind, labels, []))
         return None
 
-    def _primary(self, t: Token, stack: list):
-        """The primary that t, just eaten, starts, or None where t opens a
-        call or creation with arguments (see _open_args)."""
-        value = t.value
-        if t.kind == "num":
-            kind = "float" if ("." in value or value.rstrip("fFdD") != value
-                               and not value.lower().startswith("0x")) else "int"
-        elif t.kind in ("str", "char"):
-            kind = "string" if t.kind == "str" else "char"
-        elif t.kind != "ident":
+    def _primary(self, stack: list):
+        """The primary that the token here, which is eaten, starts, or None
+        where it opens a call or creation with arguments (see _open_args).
+        A reserved word other than true, false, null, new, this and super
+        starts none."""
+        i = self.eat()
+        kind, value, start = self.kinds[i], self.values[i], self.starts[i]
+        if kind == "num":
+            literal = "float" if ("." in value or value.rstrip("fFdD") != value
+                                  and not value.lower().startswith("0x")) else "int"
+        elif kind in ("str", "char"):
+            literal = "string" if kind == "str" else "char"
+        elif kind != "ident" or value in _RESERVED:
             raise _Backtrack("unexpected token %r" % value)
         elif value in ("true", "false", "null"):
-            kind = "null" if value == "null" else "bool"
+            literal = "null" if value == "null" else "bool"
         elif value == "new":
             type_name = self._parse_type_text()
             if not self.at("("):
                 raise _Backtrack("array creation not in subset")
-            return self._open_args(stack, t.start, ObjectCreation, type_name)
+            return self._open_args(stack, start, ObjectCreation, type_name)
         elif self.at("("):
-            return self._open_args(stack, t.start, MethodCall, None, value)
+            return self._open_args(stack, start, MethodCall, None, value)
         else:
-            return self._finish(Name(value), t.start, t.end)
-        return self._finish(Literal(kind, value), t.start, t.end)
+            return self._finish(Name(value), start, self.ends[i])
+        return self._finish(Literal(literal, value), start, self.ends[i])
 
 
 # ---------------------------------------------------------------------------
@@ -1199,7 +1255,7 @@ def _parse_with(p: _Parser, rule, what: str = ""):
         node = rule(p)
     except _Backtrack as exc:
         raise ParseError(str(exc)) from None
-    if p.peek().kind != "eof":
+    if p.values[p.i]:
         raise ParseError("trailing tokens after %s" % what)
     return node
 

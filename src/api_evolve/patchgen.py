@@ -159,16 +159,18 @@ def _locate_pair(unit, mapping):
     When the two signatures share name and arity the calls are textually
     indistinguishable, so candidate pairings are ranked by how well the
     declared types of their arguments agree with the signature parameter
-    types; a tie goes to the earliest if, then the earliest deprecated
-    site, then the earliest updated site. Sites match by name and arity
-    alone, so signatures that share both share one walk's site list."""
+    types; a tie goes to the pairing whose updated site sits in the branch
+    the guard's direction names (see _against_guard), then the earliest
+    if, then the earliest deprecated site, then the earliest updated site.
+    Sites match by name and arity alone, so signatures that share both
+    share one walk's site list."""
     dep, upd = mapping.deprecated, mapping.replacement
     dep_sites = sigmap.find_invocations(unit, dep)
     upd_sites = (dep_sites if (dep.method_name, dep.arity) == (upd.method_name, upd.arity)
                  else sigmap.find_invocations(unit, upd))
     deps = [(d, _arg_type_score(d, dep, unit)) for d in dep_sites]
     upds = [(u, _arg_type_score(u, upd, unit)) for u in upd_sites]
-    ranked = [((-(ds + us), s.start, d.call.start, u.call.start), (d, u, s))
+    ranked = [((-(ds + us), _against_guard(s, u), s.start, d.call.start, u.call.start), (d, u, s))
               for d, ds in deps for u, us in upds
               for s in [_separating_if(d, u)] if s is not None]
     if not ranked:
@@ -185,6 +187,31 @@ def _separating_if(a, b):
                     or (_within(then, y) and _within(other, x))):
                 return s
     return None
+
+
+# the guards `SDK_INT >= x`, `SDK_INT > x`, `x <= SDK_INT` and `x < SDK_INT`,
+# as (operator, whether SDK_INT is on the left), which hold on newer devices
+_NEWER = {(">=", True), (">", True), ("<=", False), ("<", False)}
+
+
+def _against_guard(if_stmt, upd) -> int:
+    """1 where updated site upd sits in the branch of if_stmt that its
+    guard gives to older devices: the else branch of a guard in _NEWER, or
+    the then branch of its negation (`SDK_INT < x`, ...); else 0, as for
+    any other guard."""
+    cond = if_stmt.cond
+    if not isinstance(cond, jast.Binary) or cond.op not in _NEGATED:
+        return 0
+    left, right = _is_sdk_int(cond.lhs), _is_sdk_int(cond.rhs)
+    if left == right:
+        return 0
+    return int(((cond.op, left) in _NEWER) != _within(if_stmt.then_block, upd.call))
+
+
+def _is_sdk_int(e) -> bool:
+    """Whether e is `SDK_INT`, bare or qualified (`Build.VERSION.SDK_INT`)."""
+    return (isinstance(e, jast.Name) and e.identifier == "SDK_INT"
+            or isinstance(e, jast.FieldAccess) and e.identifier == "SDK_INT")
 
 
 def _within(outer, inner) -> bool:

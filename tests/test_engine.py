@@ -359,7 +359,7 @@ def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     text = text.replace("{\n", "{\n" + filler, 1)
     calls, lexed = [], []
     monkeypatch.setattr(jast, "parse", lambda *a, fn=jast.parse: calls.append(a) or fn(*a))
-    monkeypatch.setattr(jast, "tokenize", lambda *a, fn=jast.tokenize: lexed.append(fn(*a))
+    monkeypatch.setattr(jast, "_lex", lambda *a, fn=jast._lex: lexed.append(fn(*a))
                         or lexed[-1])
     out, report = engine.update(text, patch, mapping)
     # one parse, of the target, keeping the context call's name and the
@@ -367,8 +367,8 @@ def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     assert calls == [(text, {"setSound", "makeAttrs", "buildAttrs"})]
     assert report.sites_updated == 1 and report.definitions_copied == ["makeAttrs", "buildAttrs"]
     # no member that names none of them is lexed
-    (tokens,) = lexed
-    assert not {"f0", "f19", "a"} & {t.value for t in tokens}
+    ((_kinds, values, _starts, _ends),) = lexed
+    assert not {"f0", "f19", "a"} & set(values)
 
 
 def test_helpers_far_from_any_site_are_reused():

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -211,6 +212,9 @@ LITERAL_ERRORS = {
     "unterminated_comment": ("a /* b", "unterminated block comment"),
     "comment_star_slash_overlap": ("/*/", "unterminated block comment"),
     "after_a_bracket_fault": ('f(]; s = "ab', "unterminated string literal"),
+    # the first of two openers that open nothing is reported
+    "char_before_string": ("c = 'a; s = \"b", "unterminated char literal"),
+    "string_before_comment": ('s = "a; /* b', "unterminated string literal"),
 }
 
 BRACKET_ERRORS = {
@@ -294,12 +298,160 @@ def test_superscript_digit_is_a_punct_token():
 
 
 def test_parse_lexes_once(monkeypatch, vibrate_example):
+    # the parser reads the array lexer's lists; tokenize wraps the same lexer
     calls = []
-    for name in ("tokenize", "check_balanced", "require_balanced"):
+    for name in ("tokenize", "_lex", "check_balanced", "require_balanced"):
         monkeypatch.setattr(jast, name, lambda *args, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*args))
     jast.parse(vibrate_example)
-    assert calls == ["check_balanced", "tokenize"]
+    assert calls == ["check_balanced", "_lex"]
+
+
+def _no_token(self, kind, value, start, end):
+    raise AssertionError("a Token was built")
+
+
+@pytest.mark.parametrize("path", corpus_java_files(), ids=lambda p: "/".join(p.parts[-3:]))
+def test_a_parse_builds_no_token(path, monkeypatch):
+    text = read(path)
+    with monkeypatch.context() as m:
+        m.setattr(jast.Token, "__init__", _no_token)
+        full = jast.parse(text)
+        jast.parse(text, {"vibrate", "setSound"})
+        for stmt, _chain in jast.iter_statements(full.types[-1].methods[-1].body):
+            jast.parse_stmt_text(stmt.src)
+            for root in jast.stmt_exprs(stmt):
+                jast.parse_expr_text(root.src)
+        with pytest.raises(AssertionError, match="a Token was built"):
+            jast.tokenize(text)
+
+
+# The per-token lexer that the array lexer replaced, as the oracle of its
+# kinds, values and offsets: one match per token, whose kind is the name of
+# the alternative that matched, from the same literal and comment syntax.
+_ORACLE_RE = re.compile(r"""
+    (?:[ \t\r\n]+ | %s)*
+    (?:
+        (?P<str> %s)
+      | (?P<char> %s)
+      | (?P<num> 0[xX][0-9a-fA-F_]+[lL]? | 0[bB][01_]+[lL]?
+                 | (?:\d[\d_]*\.[\d_]* | \.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[fFdD]?
+                 | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[fFdDlL]? )
+      | (?P<ident> [A-Za-z_$][A-Za-z0-9_$]* )
+      | (?P<bad> %s)
+      | (?P<punct> [{}()\[\];,] | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
+                 | /= | %%= | -> | :: | << | >> | . )
+      | (?P<eof> \Z )
+    )""" % (jast._COMMENT, jast._STR, jast._CHAR, jast._BAD), re.VERBOSE | re.DOTALL)
+
+
+def _oracle_tokens(text):
+    out = []
+    for m in _ORACLE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise jast.UnbalancedSource(jast._UNTERMINATED[m[kind]])
+        out.append((kind, m[kind], m.start(kind), m.end(kind)))
+        if kind == "eof":
+            return out
+
+
+def _assert_lexers_agree(text, keeps):
+    """The array lexer, full and lazy, against the oracle and tokenize:
+    the same rows, or the same error; a lazy lex is the full lex's rows
+    with the skipped runs left out."""
+    try:
+        want = _oracle_tokens(text)
+    except jast.UnbalancedSource as exc:
+        for fn in (jast._lex, jast.tokenize):
+            with pytest.raises(jast.UnbalancedSource, match="^%s$" % exc):
+                fn(text)
+        return
+    assert list(zip(*jast._lex(text))) == want
+    assert [(t.kind, t.value, t.start, t.end) for t in jast.tokenize(text)] == want
+    try:
+        partner = jast.check_balanced(text)
+    except jast.UnbalancedSource:
+        return  # a lazy lex needs the bracket table
+    for keep in keeps:
+        lazy = list(zip(*jast._lex(text, keep, partner)))
+        assert [(t.kind, t.value, t.start, t.end) for t in jast.tokenize(text, keep)] == lazy
+        rest = iter(want)
+        assert all(row in rest for row in lazy)  # in order, each a full lex row
+        assert lazy[-1] == want[-1]
+
+
+def test_the_array_lexer_agrees_with_the_per_token_lexer(monkeypatch):
+    # the corpus, the lexer tables above, then the benchmark's app_sweep
+    # and generate_chains inputs of seed 0, read only
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen, reference = importlib.import_module("gen"), importlib.import_module("reference")
+    templates = reference.load_templates(CORPUS)
+    texts = [read(p) for p in corpus_java_files()]
+    for text in texts:
+        _assert_lexers_agree(text, LAZY_KEEPS)
+    for text, _want in list(LEX_TABLE.values()) + list(LITERAL_ERRORS.values()):
+        _assert_lexers_agree(text, ())
+    items = gen.app_sweep(0, templates) + gen.generate_chains(0, CORPUS)
+    for item in items:
+        _assert_lexers_agree(item.text, [_kept_names(CORPUS / "cases" / item.case)])
+    # seeded mutants of the corpus and of the small generated files, which
+    # hold comments: cuts, deletions and stray quotes, comment openers and
+    # brackets, so unterminated literals and comments too
+    texts += [item.text for item in items if len(item.text) < 3000]
+    rng = random.Random(2468)
+    faults = set()
+    for _ in range(800):
+        text = mutant(rng, rng.choice(texts))
+        if rng.random() < 0.5:  # two edits: two openers may open nothing
+            text = mutant(rng, text)
+        _assert_lexers_agree(text, LAZY_KEEPS[:2])
+        try:
+            _oracle_tokens(text)
+        except jast.UnbalancedSource as exc:
+            faults.add(str(exc))
+    assert faults == {"unterminated string literal", "unterminated char literal",
+                      "unterminated block comment"}
+
+
+# A reserved word other than true, false, null, new, this and super starts
+# no primary, so it is never a name or the name of a call: each of these
+# statements is opaque, cut where it was cut before.
+RESERVED_WORD_STATEMENTS = {
+    "do_while": ("do { go(); } while (c);", ["do { go(); }", "while (c);"]),
+    "while_block": ("while (c) { go(); }", ["while (c) { go(); }"]),
+    "break": ("break;", ["break;"]),
+    "continue": ("continue;", ["continue;"]),
+    "primitive_name": ("int;", ["int;"]),
+    "synchronized_block": ("synchronized (k) { go(); }", ["synchronized (k) { go(); }"]),
+}
+
+
+@pytest.mark.parametrize("body, opaque", RESERVED_WORD_STATEMENTS.values(),
+                         ids=RESERVED_WORD_STATEMENTS.keys())
+def test_a_reserved_word_is_never_a_name_or_a_call_name(body, opaque):
+    text = "class A { void m() { %s } }" % body
+    for keep in ((), set(body.replace(";", " ").split())):  # every statement is kept
+        stmts = jast.parse(text, keep).types[0].methods[0].body
+        assert [type(s) for s in stmts] == [jast.OpaqueStmt] * len(opaque)
+        assert [s.src for s in stmts] == opaque
+    with pytest.raises(jast.ParseError):
+        jast.parse_expr_text(body.split(" ")[0].rstrip(";"))
+
+
+@pytest.mark.parametrize("text, shape", [
+    ("Foo.class", (jast.FieldAccess, "class")),
+    ("this.x", (jast.FieldAccess, "x")),
+    ("super.go()", (jast.MethodCall, "go")),
+    ("this(1)", (jast.MethodCall, "this")),
+    ("new A()", (jast.ObjectCreation, "A")),
+    ("null", (jast.Literal, "null")),
+])
+def test_the_words_that_start_a_primary_still_do(text, shape):
+    e = jast.parse_expr_text(text)
+    assert type(e) is shape[0]
+    assert shape[1] in (getattr(e, "identifier", None), getattr(e, "name", None),
+                        getattr(e, "type_name", None), getattr(e, "lexeme", None))
 
 
 MALFORMED_HEADERS = {

@@ -1,6 +1,6 @@
 import pytest
 
-from api_evolve import jast, patchgen, scope, sigmap
+from api_evolve import engine, jast, patchgen, scope, sigmap
 
 from conftest import CORPUS
 
@@ -348,6 +348,62 @@ def test_guard_holds_where_the_updated_call_runs(body, guard, value):
     assert jast.render_expr(patch.guard_cond) == guard
     assert jast.render_expr(patch.then_stmts[0].init) == value
     assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
+
+
+# Where the type scores tie, a guard on SDK_INT says which branch holds the
+# updated call: the then branch where the guard holds on newer devices,
+# else the else branch. Both arguments score 0: neither is a name, a
+# creation or a literal.
+GUARD_DIRECTIONS = {
+    "at_least": ("SDK_INT >= 26", "then", "SDK_INT >= 26"),
+    "above_qualified": ("Build.VERSION.SDK_INT > 25", "then", "Build.VERSION.SDK_INT > 25"),
+    "at_most_on_the_right": ("26 <= SDK_INT", "then", "26 <= SDK_INT"),
+    "below_on_the_right": ("25 < SDK_INT", "then", "25 < SDK_INT"),
+    "below": ("SDK_INT < 26", "else", "SDK_INT >= 26"),
+    "at_most": ("SDK_INT <= 25", "else", "SDK_INT > 25"),
+    "above_on_the_right": ("26 > SDK_INT", "else", "26 <= SDK_INT"),
+    "at_least_on_the_right": ("25 >= SDK_INT", "else", "25 < SDK_INT"),
+}
+_TIED = "if (%s) { v.vibrate(%s); } else { v.vibrate(%s); }"
+_TIED_UPDATED = "VibrationEffect.createOneShot(50, 175)"
+
+
+@pytest.mark.parametrize("guard, branch, patch_guard", GUARD_DIRECTIONS.values(),
+                         ids=GUARD_DIRECTIONS.keys())
+def test_a_tie_goes_to_the_branch_the_guard_names(guard, branch, patch_guard):
+    calls = (_TIED_UPDATED, "d * 2") if branch == "then" else ("d * 2", _TIED_UPDATED)
+    example = jast.parse("class A { void m(Vibrator v, long d) {\n%s\n} }"
+                         % (_TIED % ((guard,) + calls)))
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert jast.render_expr(patch.guard_cond) == patch_guard
+    assert jast.render_expr(patch.then_stmts[0].init) == _TIED_UPDATED
+    assert jast.render_stmt(patch.context) == "classIden.vibrate(iden0);"
+
+
+@pytest.mark.parametrize("guard", ["newer", "SDK_INT == 26", "n >= 26", "SDK_INT >= SDK_INT"])
+def test_a_guard_without_a_direction_leaves_the_tie_to_the_earliest_site(guard):
+    # the earliest deprecated site is the then branch's call
+    example = jast.parse("class A { void m(Vibrator v, long d) {\n%s\n} }"
+                         % (_TIED % (guard, "d * 2", _TIED_UPDATED)))
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert jast.render_expr(patch.then_stmts[0].init) == _TIED_UPDATED
+    with pytest.raises(patchgen.ResolutionError, match="'d \\* 2'"):
+        patchgen.generate_patch(jast.parse("class A { void m(Vibrator v, long d) {\n%s\n} }"
+                                           % (_TIED % (guard, _TIED_UPDATED, "d * 2"))),
+                                VIBRATE)
+
+
+def test_a_patch_generated_from_a_golden_reproduces_the_case_goldens():
+    # complex_arg's golden pairs two arguments that score 0; its guard says
+    # which call is the updated one
+    root = CORPUS / "cases" / "vibrate"
+    golden = jast.parse((root / "expected" / "complex_arg.java").read_text())
+    patch = patchgen.parse_patch(patchgen.render_patch(patchgen.generate_patch(golden, VIBRATE)))
+    targets = sorted((root / "targets").glob("*.java"))
+    assert len(targets) == 4
+    for target in targets:
+        out, _report = engine.update(target.read_text(), patch, VIBRATE)
+        assert out == (root / "expected" / target.name).read_text(), target.name
 
 
 SHOW = sigmap.ApiMapping(sigmap.parse_signature("a.Toast#show(java.lang.String)"),
