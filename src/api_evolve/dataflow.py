@@ -1,35 +1,26 @@
-"""Bottom-up def-use resolution of expressions to ground forms.
+"""Bottom-up def-use resolution of expressions to ground values.
 
-A ground form is a literal, a static member, a method invocation, or an
-object creation whose free identifiers are all static roots or type
-names. Every name is looked up in a scope.Scope, the position of the
-expression: it is chased through the nearest local definition before
-that position in its block or an enclosing one, and otherwise through a
-field of the enclosing type or an outer type. A parameter, a local
-declared without a value, or a name the scope does not know resolves to
-Unresolved, which callers treat as an in-band outcome.
+A ground value names no variable of the example, only literals, type
+and package names, and metavariables (Scope.pinned). Every name is
+looked up in a scope.Scope, the position of the expression: it is chased
+through the nearest local definition before that position in its block
+or an enclosing one, and otherwise through a field of the enclosing type
+or an outer type. A parameter, a local declared without a value, or a
+name the scope does not know leaves the value unresolved, which callers
+treat as an in-band outcome.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import jast, scope
-
-LITERAL = "Literal"
-STATIC_MEMBER = "StaticMember"
-METHOD_INVOCATION = "MethodInvocation"
-OBJECT_CREATION = "ObjectCreation"
-UNRESOLVED = "Unresolved"
 
 
 class ResolvedValue(jast.Record):
-    __slots__ = ("kind", "expr", "needs")
+    __slots__ = ("resolved", "expr")
 
-    def __init__(self, kind: str, expr: jast.Expr, needs: Optional[list] = None):
-        self.kind = kind
-        self.expr = expr
-        self.needs = [] if needs is None else needs  # MethodDecl / TypeDecl from the unit
+    def __init__(self, resolved: bool, expr: jast.Expr):
+        self.resolved = resolved
+        self.expr = expr  # the ground value, or the subexpression that is not
 
 
 def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
@@ -39,7 +30,6 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
     length is a path in the fold; the fields on the path guard against a
     cycle. A call receiver that names a type or a static member is kept
     as written, at no scope."""
-    methods, types = scope.members(ctx.unit)
 
     def kids(node):
         e, at, seen = node
@@ -57,33 +47,34 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
     def ground(node, values):
         e, at, _seen = node
         kind = type(e)
-        if at is None:
-            return ResolvedValue(STATIC_MEMBER, e)
-        if kind is jast.Literal:
-            return ResolvedValue(LITERAL, e)
+        if at is None or kind is jast.Literal:
+            return ResolvedValue(True, e)
         if kind is jast.Name:
             if values:
                 return values[0]
             pinned = at.pinned.get(e.identifier)
-            return ResolvedValue(UNRESOLVED if pinned is None else STATIC_MEMBER, pinned or e)
+            return ResolvedValue(pinned is not None, pinned or e)
         if kind is jast.FieldAccess:
             root = _access_root(e)
             # a field read off a variable's object: no object model
-            unknown = root is None or at.is_variable(root.identifier)
-            return ResolvedValue(UNRESOLVED if unknown else STATIC_MEMBER, e)
+            return ResolvedValue(root is not None and not at.is_variable(root.identifier), e)
         receiver = values[0].expr if kind is jast.MethodCall and e.receiver is not None else None
-        if kind not in _COMPOSITE or any(v.kind == UNRESOLVED for v in values) or (
+        if kind not in _COMPOSITE or not all(v.resolved for v in values) or (
                 type(receiver) is jast.Literal and receiver.kind != "string"):
-            return ResolvedValue(UNRESOLVED, e)  # `5.intValue()` would lex as `5.`
-        return _rebuilt(e, values, methods, types)
+            return ResolvedValue(False, e)  # `5.intValue()` would lex as `5.`
+        return ResolvedValue(True, jast.rebuild(e, [v.expr for v in values]))
 
     return jast.fold((e, ctx, frozenset()), ground, kids)
 
 
-def collect_dependencies(v: ResolvedValue, unit: jast.CompilationUnit) -> list:
-    """Transitive closure of unit-local definitions reachable from v."""
-    methods, types = scope.members(unit)
-    return scope.closure(v.needs, methods, types, scope.fields(unit))
+def collect_dependencies(d, ctx: scope.Scope) -> list:
+    """The definitions of ctx's unit that d (a patch hunk) reaches through
+    scope.references, transitively, in the order found; never a type
+    around ctx, which is the example itself."""
+    methods, types = scope.members(ctx.unit)
+    for t in ctx.types:
+        types.pop(t.name, None)
+    return scope.closure([d], methods, types, scope.fields(ctx.unit))[1:]
 
 
 _COMPOSITE = (jast.MethodCall, jast.ObjectCreation, jast.Binary, jast.Unary, jast.Cast, jast.Paren)
@@ -109,25 +100,3 @@ def _access_root(e):
     while isinstance(e, jast.FieldAccess):
         e = e.receiver
     return e if isinstance(e, jast.Name) else None
-
-
-def _rebuilt(e, values, methods, types) -> ResolvedValue:
-    """e over its children's ground forms; arithmetic is never folded."""
-    needs = [d for v in values for d in v.needs]
-    local = None
-    if isinstance(e, jast.MethodCall):
-        kind = METHOD_INVOCATION
-        local = methods.get((e.name, len(e.args))) if e.receiver is None else None
-    elif isinstance(e, jast.ObjectCreation):
-        kind = OBJECT_CREATION
-        local = types.get(e.type_name.split("<")[0])
-    else:
-        # an operand holds a call exactly when it resolved to one, or to
-        # arithmetic over one; its kind says so without walking its tree
-        kinds = {v.kind for v in values}
-        kind = (kinds.pop() if isinstance(e, jast.Paren)
-                else METHOD_INVOCATION if kinds & {METHOD_INVOCATION, OBJECT_CREATION}
-                else STATIC_MEMBER)
-    if local is not None:
-        needs.append(local)
-    return ResolvedValue(kind, jast.rebuild(e, [v.expr for v in values]), needs)

@@ -22,8 +22,8 @@ PATTERN_STMTS = (jast.ExprStmt, jast.Return, jast.LocalVarDecl)
 
 class ExampleShapeError(Exception):
     """The example lacks the expected if/else deprecated/updated API pair,
-    or the patch would use a name that only a static import of the
-    example declares, which @needs@ cannot carry."""
+    or the patch would use a name that is neither its own nor a target's
+    (see _check_names)."""
 
 
 class ResolutionError(Exception):
@@ -83,29 +83,6 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     if rewire_shared_args:
         ctx.pinned = {name: jast.Name(mv) for name, mv in shared.items()}
 
-    resolved = {}  # updated arg index -> ResolvedValue, for non-shared args
-    for j, arg in enumerate(upd_site.call.args):
-        if isinstance(arg, jast.Name) and arg.identifier in shared:
-            continue
-        rv = dataflow.resolve_expression(arg, ctx)
-        if rv.kind == dataflow.UNRESOLVED:
-            raise ResolutionError(
-                "cannot resolve updated-call argument %r" % jast.render_expr(rv.expr))
-        resolved[j] = rv
-
-    # the helpers of the resolved arguments, then those of the guard, which
-    # is kept as written: the example's methods it calls without a receiver
-    values = list(resolved.values())
-    guard_calls = _local_calls(if_stmt.cond, example)
-    if guard_calls:
-        values.append(dataflow.ResolvedValue(dataflow.METHOD_INVOCATION, if_stmt.cond,
-                                             guard_calls))
-    needs = []
-    for rv in values:
-        for d in dataflow.collect_dependencies(rv, example):
-            if not any(x is d for x in needs):
-                needs.append(d)
-
     used_exp = []
     dep_receiver = _receiver_name(dep_site)
     context_stmt = _abstract_stmt(dep_site, dep_receiver and jast.Name("classIden"), used_exp,
@@ -116,18 +93,17 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     def upd_arg(j, arg):
         if isinstance(arg, jast.Name) and arg.identifier in shared:
             return jast.Name(shared[arg.identifier])
-        rv = resolved[j]
+        rv = dataflow.resolve_expression(arg, ctx)
+        if not rv.resolved:
+            raise ResolutionError(
+                "cannot resolve updated-call argument %r" % jast.render_expr(rv.expr))
         temp = "%s%d" % (PATCH_TEMP_PREFIX, len(temps))
         ptype = sigmap.simple_name(mapping.replacement.param_types[j])
         temps.append(jast.LocalVarDecl(ptype, temp, rv.expr))
         return jast.Name(temp)
 
-    # the deprecated call's receiver is classIden; a type name is kept as
-    # written, but a variable of the example is no name in a target
+    # the deprecated call's receiver is classIden; any other is kept as written
     receiver = _receiver_name(upd_site)
-    if receiver is not None and receiver != dep_receiver and ctx.is_variable(receiver):
-        raise ResolutionError("cannot resolve updated-call receiver %r: a variable of the "
-                              "example, not the deprecated call's receiver" % receiver)
     if receiver is None and dep_receiver is not None:
         raise ResolutionError("the updated call has no receiver, so the patch would drop the "
                               "deprecated call's receiver %r" % dep_receiver)
@@ -142,8 +118,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                  else jast.Unary("!", jast.Paren(guard)))
     metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
 
-    _check_wildcard_imports(example, ctx, [guard] + [rv.expr for rv in resolved.values()])
     then_stmts = temps + [updated_stmt]
+    needs = dataflow.collect_dependencies(_hunk(metavars, guard, then_stmts), ctx)
+    _check_names(example, ctx, metavars, guard, then_stmts, needs)
     needs_imports = _needed_imports(
         example, [jast.render_expr(guard)] + [jast.render_stmt(s) for s in then_stmts]
         + [d.src for d in needs])
@@ -280,45 +257,43 @@ def _declared_metavars(context_stmt, updated_stmt, used_exp):
         ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
 
 
-def _check_wildcard_imports(example, ctx, roots):
-    """Raise ExampleShapeError when the example has a wildcard static
-    import and one of roots (the guard and the then branch's resolved
-    values) uses a bare name (not a receiver) that the example, at ctx,
-    neither declares nor imports by name, or calls without a receiver a
-    method that the example neither declares (see _local_calls) nor
-    imports by name: only the wildcard can declare it, and @needs@ cannot
-    carry a static import. In a resolved value, dataflow has resolved or
-    refused every name but a metavariable (ctx.pinned), which counts as
-    declared; a call of an undeclared method, though, resolves to itself."""
+def _check_names(example, ctx, metavars, guard, then_stmts, needs):
+    """Raise ExampleShapeError at the first name of the guard or then
+    statements that is neither the patch's own (a metavariable, temporary
+    or need, or an import by name, which _needed_imports carries or
+    refuses) nor one the example leaves to a target: not a variable of its
+    method at ctx, a carried field with no value, `this` or a type around
+    ctx, nor, with a wildcard static import, a name (not a receiver) or
+    receiver-less call."""
+    own = {n for _k, n in metavars} | {s.name for s in then_stmts if is_patch_temp(s)}
+    unset = {d.name for d in needs if type(d) is jast.FieldDecl and d.initializer is None}
+    exprs = [e for root in [guard] + [r for s in then_stmts for r in jast.stmt_exprs(s)]
+             for e in jast.iter_exprs(root)]
+    names = [e.identifier if type(e) is jast.Name else e.type_name.split("<")[0]
+             for e in exprs if type(e) is jast.Name or type(e) is jast.ObjectCreation]
+    for name in dict.fromkeys(names):  # in order, each once
+        what = None if name in own else (
+            "a variable of the example's method" if ctx.definition(name) is not None
+            else "a parameter of the example's method" if ctx.parameter(name) is not None
+            else "a field of the example with no initializer" if name in unset
+            else "the example's own object" if name == "this"
+            else "the example's own class" if any(t.name == name for t in ctx.types) else None)
+        if what is not None:
+            raise ExampleShapeError("the patch would use %s, %s, which a target does not share"
+                                    % (name, what))
     wildcard = next((i for i in example.static_imports if i.endswith(".*")), None)
     if wildcard is None:
         return
-    named = {sigmap.simple_name(i) for i in example.imports}
-    named.update(mv.identifier for mv in ctx.pinned.values())
-    methods = scope.members(example)[0]
-    exprs = [e for root in roots for e in jast.iter_exprs(root)]
+    own.update([sigmap.simple_name(i) for i in example.imports] + [
+        (d.name, d.arity) if isinstance(d, jast.MethodDecl) else d.name for d in needs])
     receivers = {id(e.receiver) for e in exprs if type(e) in (jast.FieldAccess, jast.MethodCall)}
     for e in exprs:
-        if type(e) is jast.Name:
-            bare = (id(e) not in receivers and e.identifier not in named
-                    and not ctx.is_variable(e.identifier))
-        else:
-            bare = (type(e) is jast.MethodCall and e.receiver is None and e.name not in named
-                    and (e.name, len(e.args)) not in methods)
-        if bare:
+        if (type(e) is jast.Name and id(e) not in receivers and e.identifier not in own
+                or type(e) is jast.MethodCall and e.receiver is None
+                and not {e.name, (e.name, len(e.args))} & own):
             raise ExampleShapeError("the patch would use %s, which only the example's "
                                     "'import static %s;' declares, and @needs@ cannot carry it"
                                     % (jast.render_expr(e), wildcard))
-
-
-def _local_calls(expr, unit) -> list:
-    """The methods of unit that expr calls without a receiver, in order."""
-    calls = [(e.name, len(e.args)) for e in jast.iter_exprs(expr)
-             if type(e) is jast.MethodCall and e.receiver is None]
-    if not calls:
-        return []
-    methods = scope.members(unit)[0]
-    return [methods[key] for key in calls if key in methods]
 
 
 def _needed_imports(example, texts):
@@ -436,14 +411,20 @@ def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
     methods = {(d.name, d.arity): d for d in p.needs if isinstance(d, jast.MethodDecl)}
     types = {d.name: d for d in p.needs if isinstance(d, jast.TypeDecl)}
     fields = {d.name: d for d in p.needs if isinstance(d, jast.FieldDecl)}
-    # the metavariables are the hunk's parameters, so their names are no uses
-    hunk = jast.MethodDecl(frozenset(), "", "", [("", n) for _k, n in p.metavars],
-                           body=[jast.ExprStmt(p.guard_cond)] + p.then_stmts)
+    hunk = _hunk(p.metavars, p.guard_cond, p.then_stmts)
     used = {id(u) for u in scope.closure([hunk], methods, types, fields, qualified=True)}
     for d in p.needs:
         if id(d) not in used:
             raise MalformedPatch("@needs@ member %s is never used" % d.name,
                                  first_line - 1 + jast.line_of(blob, d.start))
+
+
+def _hunk(metavars, guard, then_stmts) -> jast.MethodDecl:
+    """The patch's added lines as one method: the then statements, then the
+    guard, with the metavariables as its parameters, so that their names,
+    like the temporaries', are no uses in scope.references."""
+    return jast.MethodDecl(frozenset(), "", "", [("", n) for _k, n in metavars],
+                           body=then_stmts + [jast.ExprStmt(guard)])
 
 
 def pattern_call(stmt):

@@ -126,22 +126,23 @@ def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
     up in the tables members() and fields() return. A simple name is a
     field unless it is in hidden, a parameter or local of d, or a field of
     d itself; a field's references are those of its initializer. A call
-    without a receiver or on `this` counts. With qualified, a member named
-    through any receiver (`this.OFFSET`, `Outer.helper()`) counts as well."""
-    refs, exprs = [], []
+    without a receiver or on `this` counts, and so does `this.x` unless x
+    is in hidden or a field of d itself. With qualified, a member named
+    through any receiver (`Outer.OFFSET`, `Outer.helper()`) counts as well."""
+    refs, exprs, shadowed = [], [], hidden  # hidden, and d's own parameters and locals
     if isinstance(d, jast.FieldDecl):
         exprs = [d.initializer] if d.initializer is not None else []
     elif isinstance(d, jast.TypeDecl):
-        hidden = hidden | {f.name for f in d.fields}
+        hidden = shadowed = hidden | {f.name for f in d.fields}
         for m in d.methods:
             refs.extend(references(m, methods, types, fields, hidden, qualified))
         exprs = [f.initializer for f in d.fields if f.initializer is not None]
     else:
-        hidden = set(hidden).union(name for _type, name in d.params)
+        shadowed = set(hidden).union(name for _type, name in d.params)
         for stmt, _chain in jast.iter_statements(d.body):
             exprs.extend(jast.stmt_exprs(stmt))
             if isinstance(stmt, jast.LocalVarDecl):
-                hidden.add(stmt.name)
+                shadowed.add(stmt.name)
                 if stmt.type_name in types:
                     refs.append(types[stmt.type_name])
     for root in exprs:
@@ -150,14 +151,16 @@ def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
             if kind is jast.Name:
                 if e.identifier in types:
                     refs.append(types[e.identifier])
-                elif e.identifier in fields and e.identifier not in hidden:
+                elif e.identifier in fields and e.identifier not in shadowed:
                     refs.append(fields[e.identifier])
             elif kind is jast.MethodCall and (e.receiver is None or qualified or (
                     type(e.receiver) is jast.Name and e.receiver.identifier == "this")):
                 m = methods.get((e.name, len(e.args)))
                 if m is not None:
                     refs.append(m)
-            elif kind is jast.FieldAccess and qualified and e.identifier in fields:
+            elif kind is jast.FieldAccess and e.identifier in fields and (qualified or (
+                    type(e.receiver) is jast.Name and e.receiver.identifier == "this"
+                    and e.identifier not in hidden)):
                 refs.append(fields[e.identifier])
             elif kind is jast.ObjectCreation:
                 t = types.get(e.type_name.split("<")[0])

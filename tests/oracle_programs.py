@@ -75,7 +75,7 @@ def check_one(rng):
     """Generate one program; return (ok, program_text, detail)."""
     text, target, expected = generate(rng)
     value = resolve_used_arg(text)
-    if value.kind == dataflow.UNRESOLVED:
+    if not value.resolved:
         return False, text, "unresolved %s" % target
     rendered = jast.render_expr(value.expr)
     try:

@@ -111,40 +111,66 @@ def test_generate_refuses_a_patch_that_needs_a_static_import(tmp_path, capsys):
     assert "import" not in out.read_text()
 
 
-_VIBRATE_IN_M = ("%sclass A {\n    Vibrator v;\n\n    void m(Vibrator w, long d) {\n"
+_VIBRATE_IN_M = ("%sclass A {\n    Vibrator v;\n    static final int LEVEL = 26;\n\n"
+                 "    void m(Vibrator w, long d) {\n%s"
                  "        if (android.os.Build.VERSION.SDK_INT >= %s) {\n            %s\n"
                  "        } else {\n            %s\n        }\n    }\n}\n")
 _ONE_SHOT = "VibrationEffect.createOneShot(50, 175)"
+_WILDCARD_CODES = "import static android.os.Build.VERSION_CODES.*;\n\n"
+
+# (header, statements before the if, guard level, updated and deprecated
+# statements) of an example, and the one line generation refuses it with
 UNUSABLE_EXAMPLES = {
     "wildcard_static_import": (
-        ("import static android.os.Build.VERSION_CODES.*;\n\n", "O",
-         "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        (_WILDCARD_CODES, "", "O", "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
         "the patch would use O, which only the example's "
         "'import static android.os.Build.VERSION_CODES.*;' declares, and @needs@ cannot carry it"),
     "updated_receiver_is_another_variable": (
-        ("", "26", "w.vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
-        "cannot resolve updated-call receiver 'w': a variable of the example, "
-        "not the deprecated call's receiver"),
+        ("", "", "26", "w.vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
+        "the patch would use w, a parameter of the example's method, which a target does not "
+        "share"),
+    "updated_receiver_is_a_field_with_no_value": (
+        ("", "", "26", "v.vibrate(%s);" % _ONE_SHOT, "w.vibrate(50);"),
+        "the patch would use v, a field of the example with no initializer, which a target "
+        "does not share"),
     "updated_call_drops_the_receiver": (
-        ("", "26", "vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
+        ("", "", "26", "vibrate(%s);" % _ONE_SHOT, "v.vibrate(50);"),
         "the updated call has no receiver, so the patch would drop the deprecated call's "
         "receiver 'v'"),
     "guard_call_from_a_wildcard_static_import": (
-        ("import static com.example.Compat.*;\n\n", "26 && atLeastO()",
+        ("import static com.example.Compat.*;\n\n", "", "26 && atLeastO()",
          "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
         "the patch would use atLeastO(), which only the example's "
         "'import static com.example.Compat.*;' declares, and @needs@ cannot carry it"),
     "then_call_from_a_wildcard_static_import": (
-        ("import static com.example.Compat.*;\n\n", "26", "v.vibrate(effectOf(50));",
+        ("import static com.example.Compat.*;\n\n", "", "26", "v.vibrate(effectOf(50));",
          "v.vibrate(d);"),
         "the patch would use effectOf(50), which only the example's "
         "'import static com.example.Compat.*;' declares, and @needs@ cannot carry it"),
     "field_access_receiver": (
-        ("", "26", "this.v.vibrate(%s);" % _ONE_SHOT, "this.v.vibrate(50);"),
+        ("", "", "26", "this.v.vibrate(%s);" % _ONE_SHOT, "this.v.vibrate(50);"),
         "unsupported receiver 'this.v' on example call"),
     "nested_call": (
-        ("", "26", "log(v.vibrate(%s));" % _ONE_SHOT, "log(v.vibrate(50));"),
+        ("", "", "26", "log(v.vibrate(%s));" % _ONE_SHOT, "log(v.vibrate(50));"),
         "unsupported statement shape around example call: 'log(v.vibrate(50));'"),
+    "guard_local": (
+        ("", "        int level = 26;\n", "level", "v.vibrate(%s);" % _ONE_SHOT,
+         "v.vibrate(d);"),
+        "the patch would use level, a variable of the example's method, which a target does "
+        "not share"),
+    "guard_parameter": (
+        (_WILDCARD_CODES, "", "d", "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        "the patch would use d, a parameter of the example's method, which a target does not "
+        "share"),
+    "guard_field_through_this": (
+        ("", "", "this.LEVEL", "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        "the patch would use this, the example's own object, which a target does not share"),
+    "guard_field_through_the_class": (
+        ("", "", "A.LEVEL", "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"),
+        "the patch would use A, the example's own class, which a target does not share"),
+    "creation_of_the_example_class": (
+        ("", "", "26", "v.vibrate(new A().effect());", "v.vibrate(d);"),
+        "the patch would use A, the example's own class, which a target does not share"),
 }
 
 
@@ -162,7 +188,7 @@ def test_generate_refuses_an_example_it_cannot_carry_over(tmp_path, capsys, part
 
 def test_a_method_the_guard_calls_reaches_the_target(tmp_path, capsys):
     ex = tmp_path / "ex.java"
-    ex.write_text((_VIBRATE_IN_M % ("", "26 && atLeastO()", "v.vibrate(%s);" % _ONE_SHOT,
+    ex.write_text((_VIBRATE_IN_M % ("", "", "26 && atLeastO()", "v.vibrate(%s);" % _ONE_SHOT,
                                     "v.vibrate(d);")).replace(
         "    void m(", "    static boolean atLeastO() { return true; }\n\n    void m("))
     patch = tmp_path / "o.cocci"
@@ -181,16 +207,36 @@ def test_a_method_the_guard_calls_reaches_the_target(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_field_the_guard_names_reaches_the_target(tmp_path, capsys):
+    ex = tmp_path / "ex.java"
+    ex.write_text(_VIBRATE_IN_M % ("", "", "LEVEL", "v.vibrate(%s);" % _ONE_SHOT,
+                                   "v.vibrate(d);"))
+    patch = tmp_path / "o.cocci"
+    assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
+                     "--input", str(ex), "--output", str(patch)]) == 0
+    assert patch.read_text().endswith("@needs@\n\nstatic final int LEVEL = 26;\n")
+    target = tmp_path / "t.java"
+    target.write_text("class T {\n    void go(Vibrator other) {\n        other.vibrate(20);\n"
+                      "    }\n}\n")
+    out = tmp_path / "t_out.java"
+    assert cli.main(["--apply-patch", VIBRATE_DEP, VIBRATE_UPD, "--patch", str(patch),
+                     "--input", str(target), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "if (android.os.Build.VERSION.SDK_INT >= LEVEL) {" in text
+    assert "static final int LEVEL = 26;" in text
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("header, guard", [
-    ("import static android.os.Build.VERSION_CODES.*;\n\n", "26"),
+    (_WILDCARD_CODES, "26"),
     ("import static android.os.Build.VERSION_CODES.*;\nimport a.Codes.O;\n\n", "O"),
-    ("import static android.os.Build.VERSION_CODES.*;\n\n", "android.os.Build.VERSION_CODES.O"),
-    ("import static android.os.Build.VERSION_CODES.*;\n\n", "d"),
-], ids=["no_bare_name", "imported_by_name", "qualified", "declared_by_the_example"])
+    (_WILDCARD_CODES, "android.os.Build.VERSION_CODES.O"),
+], ids=["no_bare_name", "imported_by_name", "qualified"])
 def test_a_wildcard_static_import_the_patch_needs_not_is_no_fault(tmp_path, capsys, header,
                                                                    guard):
     ex = tmp_path / "ex.java"
-    ex.write_text(_VIBRATE_IN_M % (header, guard, "v.vibrate(%s);" % _ONE_SHOT, "v.vibrate(d);"))
+    ex.write_text(_VIBRATE_IN_M % (header, "", guard, "v.vibrate(%s);" % _ONE_SHOT,
+                                   "v.vibrate(d);"))
     out = tmp_path / "o.cocci"
     assert cli.main(["--generate-patch", VIBRATE_DEP, VIBRATE_UPD,
                      "--input", str(ex), "--output", str(out)]) == 0

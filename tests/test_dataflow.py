@@ -9,7 +9,13 @@ import oracle_programs
 
 def resolve_in(text, method_name="m", marker="use"):
     arg, ctx = marker_arg(text, method_name, marker)
-    return dataflow.resolve_expression(arg, ctx), ctx.unit
+    return dataflow.resolve_expression(arg, ctx), ctx
+
+
+def reach(v, ctx):
+    """The names of the definitions a hunk that uses v's value reaches."""
+    hunk = jast.MethodDecl(frozenset(), "", "", [], body=[jast.ExprStmt(v.expr)])
+    return [d.name for d in dataflow.collect_dependencies(hunk, ctx)]
 
 
 def marker_arg(text, method_name="m", marker="use"):
@@ -23,21 +29,21 @@ def marker_arg(text, method_name="m", marker="use"):
 
 def test_literal_direct():
     v, _ = resolve_in("class A { void m() { use(42); } }")
-    assert v.kind == dataflow.LITERAL
+    assert v.resolved
     assert jast.render_expr(v.expr) == "42"
 
 
 def test_local_chain_to_literal():
     v, _ = resolve_in(
         "class A { void m() { long d = 50; long e = d; use(e); } }")
-    assert v.kind == dataflow.LITERAL
+    assert v.resolved
     assert jast.render_expr(v.expr) == "50"
 
 
 def test_field_constant():
     v, _ = resolve_in(
         "class A { static final int DURATION = 50; void m() { use(DURATION); } }")
-    assert v.kind == dataflow.LITERAL
+    assert v.resolved
     assert jast.render_expr(v.expr) == "50"
 
 
@@ -50,30 +56,30 @@ def test_nearest_definition_wins():
 def test_reassignment_chain_through_other_variable():
     v, _ = resolve_in(
         "class A { void m() { int b = 5; int c = b * 2; b = c - 1; use(b); } }")
-    assert v.kind == dataflow.STATIC_MEMBER
+    assert v.resolved
     assert eval(jast.render_expr(v.expr)) == 9
 
 
 def test_parameter_is_unresolved():
     v, _ = resolve_in("class A { void m(int p) { use(p); } }")
-    assert v.kind == dataflow.UNRESOLVED
+    assert not v.resolved
 
 
 def test_undeclared_is_unresolved():
     v, _ = resolve_in("class A { void m() { use(ghost); } }")
-    assert v.kind == dataflow.UNRESOLVED
+    assert not v.resolved
 
 
 def test_cyclic_fields_are_unresolved():
     v, _ = resolve_in(
         "class A { int x = y; int y = x; void m() { use(x); } }")
-    assert v.kind == dataflow.UNRESOLVED
+    assert not v.resolved
 
 
 def test_static_member_access():
     v, _ = resolve_in(
         "class A { void m() { int u = AudioAttributes.USAGE_ALARM; use(u); } }")
-    assert v.kind == dataflow.STATIC_MEMBER
+    assert v.resolved
     assert jast.render_expr(v.expr) == "AudioAttributes.USAGE_ALARM"
 
 
@@ -90,27 +96,28 @@ def test_inlining_parenthesizes_when_precedence_demands():
 
 
 def test_method_invocation_with_local_definition_is_needed():
-    v, unit = resolve_in(
+    v, ctx = resolve_in(
         "class A {\n"
         "    int dur() { return 50; }\n"
         "    void m() { long d = dur(); use(d); }\n"
         "}")
-    assert v.kind == dataflow.METHOD_INVOCATION
+    assert v.resolved
     assert jast.render_expr(v.expr) == "dur()"
-    assert [n.name for n in v.needs] == ["dur"]
+    assert reach(v, ctx) == ["dur"]
 
 
 def test_external_static_call_has_no_needs():
-    v, _ = resolve_in(
+    v, ctx = resolve_in(
         "class A { void m() { Object e = VibrationEffect.createOneShot(50, 1); use(e); } }")
-    assert v.kind == dataflow.METHOD_INVOCATION
-    assert v.needs == []
+    assert v.resolved
+    assert jast.render_expr(v.expr) == "VibrationEffect.createOneShot(50, 1)"
+    assert reach(v, ctx) == []
 
 
 def test_object_creation():
     v, _ = resolve_in(
         "class A { void m() { Object b = new Builder(5); use(b); } }")
-    assert v.kind == dataflow.OBJECT_CREATION
+    assert v.resolved
     assert jast.render_expr(v.expr) == "new Builder(5)"
 
 
@@ -155,7 +162,7 @@ def test_pinned_names_stay_symbolic():
     arg, ctx = marker_arg("class A { void m(Uri u) { use(u); } }")
     ctx.pinned = {"u": jast.Name("iden0")}
     v = dataflow.resolve_expression(arg, ctx)
-    assert v.kind == dataflow.STATIC_MEMBER
+    assert v.resolved
     assert jast.render_expr(v.expr) == "iden0"
 
 
@@ -166,9 +173,8 @@ def test_collect_dependencies_transitive():
         "    Object mk2() { return null; }\n"
         "    void m() { Object o = mk(); use(o); }\n"
         "}")
-    v, unit = resolve_in(text)
-    deps = dataflow.collect_dependencies(v, unit)
-    assert [d.name for d in deps] == ["mk", "mk2"]
+    v, ctx = resolve_in(text)
+    assert reach(v, ctx) == ["mk", "mk2"]
 
 
 def test_collect_dependencies_follows_fields_and_their_initializers():
@@ -181,15 +187,18 @@ def test_collect_dependencies_follows_fields_and_their_initializers():
         "    Object wrap(int x) { return null; }\n"
         "    void m() { Object o = mk(1); use(o); }\n"
         "}")
-    v, unit = resolve_in(text)
-    deps = dataflow.collect_dependencies(v, unit)
-    assert [d.name for d in deps] == ["mk", "wrap", "OFFSET", "BASE"]
+    v, ctx = resolve_in(text)
+    assert reach(v, ctx) == ["mk", "wrap", "OFFSET", "BASE"]
 
 
 @pytest.mark.parametrize("helper, use, want", [
     ("Object mk(int usage) { int local = usage; return local; }", "mk(1)", ["mk"]),
     ("static class Box { int usage = 1; int get() { return usage; } }", "new Box()", ["Box"]),
-], ids=["parameter_and_local", "field_of_a_helper_class"])
+    ("static class Box { int usage = 1; int get() { return this.usage; } }", "new Box()",
+     ["Box"]),
+    ("Object mk(int usage) { return this.usage + usage; }", "mk(1)", ["mk", "usage"]),
+], ids=["parameter_and_local", "field_of_a_helper_class", "field_of_a_helper_class_through_this",
+        "field_through_this_past_a_parameter"])
 def test_collect_dependencies_skips_names_a_helper_declares(helper, use, want):
     text = ("class A {\n"
             "    int usage = 4;\n"
@@ -197,8 +206,8 @@ def test_collect_dependencies_skips_names_a_helper_declares(helper, use, want):
             "    %s\n"
             "    void m() { Object o = %s; use(o); }\n"
             "}" % (helper, use))
-    v, unit = resolve_in(text)
-    assert [d.name for d in dataflow.collect_dependencies(v, unit)] == want
+    v, ctx = resolve_in(text)
+    assert reach(v, ctx) == want
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -219,6 +228,6 @@ def test_resolve_walks_grow_no_faster_than_the_chain(monkeypatch):
     counts = []
     for arg, ctx in cases:
         del walked[:]
-        assert dataflow.resolve_expression(arg, ctx).kind == dataflow.STATIC_MEMBER
+        assert dataflow.resolve_expression(arg, ctx).resolved
         counts.append(len(walked))
     assert counts[1] <= 2 * counts[0]

@@ -515,6 +515,34 @@ def test_a_guard_call_only_a_wildcard_static_import_declares_is_refused():
         "atLeastO", "LEVEL"]
 
 
+def test_a_field_a_helper_reads_through_this_is_carried():
+    example = jast.parse(
+        "class A {\n"
+        "    static final int AMP = 175;\n"
+        "    int amp() { return this.AMP; }\n"
+        "    void m(Vibrator v, long d) {\n"
+        "        if (SDK_INT >= 26) { v.vibrate(VibrationEffect.createOneShot(50, amp())); }\n"
+        "        else { v.vibrate(d); }\n"
+        "    }\n"
+        "}\n")
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert [d.name for d in patch.needs] == ["amp", "AMP"]
+    assert patchgen.parse_patch(patchgen.render_patch(patch)) == patch
+
+
+@pytest.mark.parametrize("member, guard, arg", [
+    ("static class Codes { static final int O = 26; }", "Codes.O",
+     "VibrationEffect.createOneShot(50, 1)"),
+    ("static class Mk { static VibrationEffect make() { return null; } }", "26", "Mk.make()"),
+], ids=["guard", "then"])
+def test_a_helper_class_named_as_a_receiver_is_carried(member, guard, arg):
+    example = jast.parse("class A {\n    %s\n    void m(Vibrator v, long d) {\n"
+                         "        if (SDK_INT >= %s) { v.vibrate(%s); } else { v.vibrate(d); }\n"
+                         "    }\n}\n" % (member, guard, arg))
+    patch = patchgen.generate_patch(example, VIBRATE)
+    assert [d.src for d in patch.needs] == [member]
+
+
 THEN_CALL_EXAMPLE = """\
 import static com.example.Compat.*;
 
