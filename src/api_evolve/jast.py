@@ -17,13 +17,11 @@ them generates no code.
 Record, the base of the package's value classes, compares and shows one
 field by field. Nodes compare by identity; ast_equal compares structure.
 Brackets are paired once per parse, by check_balanced's table, which the
-member scan and the parser's verbatim regions jump through. A lazy
-parse, parse(text, keep), follows one rule: it is the full parse minus
-the type-body members, and the statements of kept bodies, that name no
-kept name. The lexer finds the offsets where a kept name occurs once per
-text, so testing a member or statement is one bisect, and where the rest
-of a body names none it jumps straight to the body's `}`: the members
-after a body's last occurrence are never scanned.
+member scan and the parser's verbatim regions jump through. A file can
+also be read in islands, without a tree of the rest: blocks_around finds
+the braces and the member or statement around an offset by that table
+alone, parse_island parses one statement in place, and outline reads the
+declarations that transplanting helpers needs.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate, chain
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -455,121 +453,27 @@ _UNTERMINATED = {'"': "unterminated string literal", "'": "unterminated char lit
                  "/*": "unterminated block comment"}
 
 
-def tokenize(text: str, keep=(), partner: Optional[dict] = None) -> list:
+def tokenize(text: str) -> list:
     """_lex's tokens as Token objects; the last token is eof."""
-    return list(map(Token, *_lex(text, keep, partner)))
+    return list(map(Token, *_lex(text)))
 
 
-def _lex(text: str, keep=(), partner: Optional[dict] = None) -> tuple:
-    """Lex text into four lists, kinds, values, starts and ends, one entry
-    per token, eof last. A full lex is one findall, whose offsets are the
-    running sums of the skipped and token lengths.
-
-    Raises UnbalancedSource on an unterminated literal or comment. Without
-    `keep`, bracket nesting is not checked, since slices of a file are
-    lexed too; parse checks balance first. With `keep`, a collection of
-    names, the one skip rule: a member of a type body, or a statement of a
-    statement body, whose text (from the end of the one before it) names
-    none of them is not lexed at all. A comment or string that names one
-    counts. The offsets where a name occurs are found once, so whether a
-    run of text names one is a bisect. When the rest of a body, up to its
-    `}`, names none, lexing jumps to that `}`; otherwise each member or
-    statement before the next occurrence is jumped over alone, its end
-    found through partner, check_balanced's table for text, built here if
-    not given (see _member_end). Everything else is lexed, so what is
-    lexed gives the tokens of a full lex. A type body is the first `{`
-    after a `class` token that does not follow `.`, with no `;` or `}`
-    between them. A statement body is a `{` whose partner closes exactly
-    where the kept member or statement being lexed ends: a method's body,
-    or the last block of a kept statement. In a statement body a run goes
-    on through each `else` that follows it, so an `if … else if … else`
-    chain is skipped or lexed whole. File-level declarations are always
-    lexed. The tokens of one call share one string per distinct text."""
+def _lex(text: str, start: int = 0, end: Optional[int] = None) -> tuple:
+    """Lex text[start:end] into four lists, kinds, values, starts and ends,
+    one entry per token, eof last, with offsets into text. It is one
+    findall, whose offsets are the running sums of the skipped and token
+    lengths. Raises UnbalancedSource on an unterminated literal or comment.
+    Bracket nesting is not checked, since slices of a file are lexed too;
+    parse checks balance first. The tokens of one call share one string
+    per distinct text."""
+    pairs = _TOKEN_RE.findall(text, start, len(text) if end is None else end)
+    if len(pairs) > 1 and not pairs[-2][1]:
+        pairs.pop()  # an empty match follows one that ends the text
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=start))
+    starts, ends = offsets[1::2], offsets[2::2]
     texts = {}  # one string per distinct token text, local to the call
-    intern = texts.setdefault
-    if not keep:
-        pairs = _TOKEN_RE.findall(text)
-        if len(pairs) > 1 and not pairs[-2][1]:
-            pairs.pop()  # an empty match follows one that ends the text
-        offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
-        starts, ends = offsets[::2], offsets[1::2]
-        values = [value for _skipped, value in pairs]
-        values = list(map(intern, values, values))
-    else:
-        if partner is None:
-            partner = check_balanced(text)
-        # the sorted offsets where a keep name occurs; seen indexes the
-        # first one at or after the last skip point, which only moves forward
-        found = _occurrences(text, keep)
-        seen = 0
-        values, ends = [], []
-        add_value, add_end = values.append, ends.append
-        class_pending = False
-        # per open `{`: in a body, the end of the member or statement being
-        # lexed (None once the body's `}` is next); else None
-        runs = []
-        in_stmts = []  # per open `{`: whether it is a statement body
-        closes = []  # per open `{`: the offset of its partner `}`
-        pos = 0
-        while pos is not None:
-            start, pos = pos, None
-            for m in _TOKEN_RE.finditer(text, start):
-                value = m[2]
-                if not value:
-                    break
-                value = intern(value, value)
-                end = m.end()
-                add_value(value)
-                add_end(end)
-                if value == "{":
-                    close = partner[end - 1]
-                    closes.append(close)
-                    stmts = not class_pending and bool(runs) and runs[-1] == close + 1
-                    in_stmts.append(stmts)
-                    if not (class_pending or stmts):
-                        runs.append(None)
-                        continue
-                    runs.append(end)
-                    class_pending = False
-                elif value == "}" or value == ";":
-                    class_pending = False
-                    if value == "}":
-                        runs.pop()
-                        in_stmts.pop()
-                        closes.pop()
-                    if not runs or runs[-1] != end:
-                        continue
-                else:
-                    if value == "class" and (len(values) < 2 or values[-2] != "."):
-                        class_pending = True
-                    continue
-                # a member or statement of a body starts at end: jump to the
-                # body's `}` if no name occurs before it, else skip each
-                # member or statement before the one where the next name
-                # occurs. A name holds no `;` or brace, so no run ends
-                # inside an occurrence.
-                seen = bisect_left(found, end, seen)
-                if seen == len(found) or found[seen] >= closes[-1]:
-                    skip, run_end = closes[-1], None
-                else:
-                    skip = end
-                    while True:
-                        run_end = _member_end(text, skip, partner)
-                        while in_stmts[-1] and run_end is not None:
-                            after_else = _ELSE_RE.match(text, run_end)
-                            if after_else is None:
-                                break
-                            run_end = _member_end(text, after_else.end(), partner)
-                        if run_end is None or found[seen] < run_end:
-                            break
-                        skip = run_end
-                runs[-1] = run_end
-                if skip != end:
-                    pos = skip
-                    break
-        add_value(intern("", ""))
-        add_end(len(text))
-        starts = list(map(sub, ends, map(len, values)))
+    values = [value for _skipped, value in pairs]
+    values = list(map(texts.setdefault, values, values))
     bad = [values.index(value) for value in _UNTERMINATED if value in texts]
     if bad:
         raise UnbalancedSource(_UNTERMINATED[values[min(bad)]])
@@ -577,19 +481,6 @@ def _lex(text: str, keep=(), partner: Optional[dict] = None) -> tuple:
         "num" if value[:1].isdecimal() or value[:1] == "." and len(value) > 1 else "punct")
         for value in texts}
     return list(map(kinds.__getitem__, values)), values, starts, ends
-
-
-def _occurrences(text: str, names) -> list:
-    """The sorted offsets where any of names occurs in text, in code,
-    comments and literals alike."""
-    found = []
-    for name in names:
-        at = text.find(name)
-        while at >= 0:
-            found.append(at)
-            at = text.find(name, at + 1)
-    found.sort()
-    return found
 
 
 # An `else` token, after the whitespace and comments in front of it; one
@@ -600,14 +491,15 @@ _ELSE_RE = re.compile(r"(?:[ \t\r\n] | %s)* else(?![A-Za-z0-9_$])" % _COMMENT,
 
 # One match per `;`, `=` or opening or closing brace, and per `(` or `[`:
 # runs of other characters, comments and literals are swallowed in front
-# of it, unrolled as _BRACKET_RE is. A quote or `/*` that opens nothing
-# cannot occur after check_balanced; matching it keeps a failed match from
-# backtracking.
+# of it, unrolled as _BRACKET_RE is, and so is a `(...)` pair with no
+# bracket, literal or comment inside, as _BRACKET_RE swallows one. A quote
+# or `/*` that opens nothing cannot occur after check_balanced; matching it
+# keeps a failed match from backtracking.
 _MEMBER_TEXT = r"""[^"'/;{}=(\[]"""
 _MEMBER_RE = re.compile(r"""
-    %s* (?: (?: %s | %s | %s | /(?!\*) ) %s* )*
-    (?P<c> [;{}=(\[] | %s | \Z )""" % (_MEMBER_TEXT, _COMMENT, _STR, _CHAR, _MEMBER_TEXT, _BAD),
-                        re.VERBOSE | re.DOTALL)
+    %s* (?: (?: \(%s*\) | %s | %s | %s | /(?!\*) ) %s* )*
+    (?P<c> [;{}=(\[] | %s | \Z )""" % (_MEMBER_TEXT, _PLAIN, _COMMENT, _STR, _CHAR, _MEMBER_TEXT,
+                                        _BAD), re.VERBOSE | re.DOTALL)
 
 
 def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
@@ -618,7 +510,7 @@ def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
     jumped over to its partner (see _close), so what is inside one is
     never seen. Every such end is one where parse_unit's member loop ends
     a member, or parse_stmt a statement, but for the `if` whose statement
-    an `else` follows: tokenize runs on through it."""
+    an `else` follows: blocks_around runs on through it."""
     assigned = False
     while True:
         m = _MEMBER_RE.match(text, pos)
@@ -674,9 +566,9 @@ def check_balanced(text: str) -> dict:
     broken bracket nesting, without building tokens: at most one regex
     match per bracket. Returns the bracket table: each opening bracket it
     stops at, by offset, mapped to its partner's (see _close). The exact
-    scanner: it alone pairs brackets, for tokenize, the member scan and
-    the parser, and words every message; require_balanced checks balance
-    alone, faster, and falls back to it."""
+    scanner: it alone pairs brackets, for the member scan, blocks_around
+    and the parser, and words every message; require_balanced checks
+    balance alone, faster, and falls back to it."""
     opened = []  # the offsets of the brackets still open
     partner = {}
     fault = None
@@ -737,10 +629,11 @@ class _Parser:
     indexes _lex's lists, where eof is the one token whose value is empty.
     A region kept verbatim jumps over each bracket group (see _jump)."""
 
-    def __init__(self, text: str, keep=()):
+    def __init__(self, text: str, partner: Optional[dict] = None, start: int = 0,
+                 end: Optional[int] = None):  # parses text[start:end]
         self.text = text
-        self.partner = check_balanced(text)
-        tokens = _lex(text, keep, self.partner)
+        self.partner = check_balanced(text) if partner is None else partner
+        tokens = _lex(text, start, end)
         for column in tokens:  # eof is never passed, so one more keeps i + 1 in range
             column.append(column[-1])
         self.kinds, self.values, self.starts, self.ends = tokens
@@ -777,23 +670,7 @@ class _Parser:
 
     def parse_unit(self) -> CompilationUnit:
         values, starts, ends = self.values, self.starts, self.ends
-        package = None
-        imports, static_imports = [], []
-        header_end = 0
-        keywords = ("package", "import")  # one package, first
-        while values[self.i] in keywords:
-            keyword, static = values[self.i], values[self.i + 1] == "static"
-            keywords = ("import",)
-            name = self._try(self._header_decl)
-            if name is None and not self._skip_declaration():
-                break  # the rest parses as members or statements
-            if name is not None and keyword == "package":
-                package = name
-            elif name is not None:
-                imports.append(name)
-                if static:
-                    static_imports.append(name)
-            header_end = ends[self.i - 1]
+        package, imports, static_imports, header_end = self._parse_header()
 
         # One member loop for the file and every class in it, with a frame
         # (decl, offset of its first token) per open class. The file's frame
@@ -839,9 +716,37 @@ class _Parser:
             types.append(self._finish(TypeDecl("", fields, methods, body_start=start, body_end=end,
                                                implicit=True), start, end))
 
-        newline = "\r\n" if "\r\n" in self.text else "\n"
-        return CompilationUnit(package, imports, types, text=self.text, newline=newline,
-                               header_end=header_end, static_imports=tuple(static_imports))
+        return CompilationUnit(package, imports, types, text=self.text,
+                               newline=newline_of(self.text), header_end=header_end,
+                               static_imports=tuple(static_imports))
+
+    def _parse_header(self) -> tuple:
+        """The package and imports: (package, imports, static imports, the
+        offset just past the last of them)."""
+        package, imports, static_imports, header_end = None, [], [], 0
+        keywords = ("package", "import")  # one package, first
+        while self.values[self.i] in keywords:
+            keyword, static = self.values[self.i], self.values[self.i + 1] == "static"
+            keywords = ("import",)
+            name = self._try(self._header_decl)
+            if name is None and not self._skip_declaration():
+                break  # the rest parses as members or statements
+            if name is not None and keyword == "package":
+                package = name
+            elif name is not None:
+                imports.append(name)
+                if static:
+                    static_imports.append(name)
+            header_end = self.ends[self.i - 1]
+        return package, imports, static_imports, header_end
+
+    def _annotation(self) -> bool:
+        """An annotation, `@` and a name, with arguments or not."""
+        self.eat()
+        self._qualified_name()
+        if self.at("("):
+            self._jump()
+        return True
 
     def _header_decl(self) -> str:
         """One package or import declaration; returns its name."""
@@ -922,7 +827,7 @@ class _Parser:
             raise _Backtrack("class name expected")
         name = self.values[self.eat()]
         # tolerate extends/implements clauses verbatim, up to a `;` too,
-        # which ends a member for tokenize (_member_end)
+        # which ends a member for blocks_around (_member_end)
         while self.values[self.i] not in ("{", "}", ";", ""):
             self._jump()
         # body_end is set at the `}`
@@ -1221,21 +1126,17 @@ class _Parser:
 # Public API
 # ---------------------------------------------------------------------------
 
-def parse(text: str, keep=()) -> CompilationUnit:
-    """Parse source text into a CompilationUnit.
+def parse(text: str) -> CompilationUnit:
+    """Parse source text into a CompilationUnit: the whole file, every
+    member and statement of it; to read a file in parts, see parse_island
+    and outline.
 
     Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
     nesting is broken, with its message: check_balanced runs once, first,
-    and its bracket table serves tokenize and the parser. With `keep`, a
-    collection of names, the unit is the full parse minus each type-body
-    member, and each statement of a kept body, whose text names none of
-    them (see tokenize). Every member and statement that is there is the
-    full parse's, with its span and source, but for the statements missing
-    from its bodies and blocks, and so are the unit's file-level
-    declarations, types and body spans.
+    and its bracket table serves the parser's jumps.
     """
-    return _parse_with(_Parser(text, keep), _Parser.parse_unit)
+    return _parse_with(_Parser(text), _Parser.parse_unit)
 
 
 def parse_expr_text(text: str) -> Expr:
@@ -1258,6 +1159,178 @@ def _parse_with(p: _Parser, rule, what: str = ""):
     if p.values[p.i]:
         raise ParseError("trailing tokens after %s" % what)
     return node
+
+
+# ---------------------------------------------------------------------------
+# Islands: a file read around given offsets, without a tree of the rest
+# ---------------------------------------------------------------------------
+
+def blocks_around(text: str, partner: dict, offsets,
+                  ends: Optional[dict] = None) -> Iterator[tuple]:
+    """For each of the sorted offsets, (offset, blocks, start, end), found
+    through text's bracket table partner, lexing only the headers of the
+    blocks on the way: blocks are the braces around the offset, the file's
+    first, each [open, close, kind (see _block), conditions, ...], and
+    [start, end) is the member or statement of the innermost one that holds
+    the offset, an if with its else chain being one. Each block is walked
+    once, member by member (_member_end), up to its last offset; ends keeps
+    each member's end by its start, for a later walk of the same text."""
+    ends = {} if ends is None else ends
+    stack = [[-1, len(text), "file", [], 0, 0]]  # and the current member's start and end
+    for at in offsets:
+        while stack[-1][1] < at:
+            stack.pop()
+        while True:
+            block = stack[-1]
+            start, end = block[4], block[5]
+            while end <= at:
+                start, end = end, ends.get(end)
+                if end is None:
+                    end = _member_end(text, start, partner)
+                    while end is not None and block[2] in ("stmt", "file") and (
+                            after_else := _ELSE_RE.match(text, end)):
+                        end = _member_end(text, after_else.end(), partner)
+                    end = ends[start] = block[1] if end is None else end  # or the body's rest
+                if block[2] == "enum" and text[end - 1] == ";":
+                    block[2] = "type"  # the constants end at the first `;`
+            block[4], block[5] = start, end
+            inner = _block_at(text, partner, block[2], start, at)
+            if inner is None:
+                break
+            stack.append(inner)
+        yield at, tuple(stack), start, end
+
+
+def _block_at(text: str, partner: dict, kind: str, start: int, at: int) -> Optional[list]:
+    """The innermost block of the member at start, of a block of kind, that
+    holds at (its `}` too), as blocks_around lists one; None if there is
+    none. A bracket pair that ends before at is jumped over."""
+    pos = start
+    while True:
+        m = _BRACKET_RE.match(text, pos)
+        brace = m.end() - 1
+        if m.lastgroup != "open" or brace > at:
+            return None
+        close = _close(text, partner, brace)
+        if close < at:
+            pos = close + 1
+        elif text[brace] == "{" and (block := _block(text, partner, kind, start, brace)):
+            return block
+        else:
+            pos = brace + 1
+
+
+def _block(text: str, partner: dict, outer: str, start: int, brace: int) -> Optional[list]:
+    """The block the `{` at brace opens, in the member at start of a block of
+    kind outer, as blocks_around lists one; None for an array initializer.
+    Its kind is read from the member's tokens in front of it at its depth,
+    a bracket pair that ends before it being one token: "class" for a
+    class body, "enum", "type" for any other type body (an interface's,
+    an anonymous class's, an enum constant's), else "stmt". Its conditions
+    are the insides of the `if` parentheses among those tokens."""
+    values, conditions, grouped = [], [], False
+    pos = start
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        tok, value, pos = m.start(2), m[2], m.end()
+        if tok == brace:
+            break
+        if value in _OPEN:
+            close = _close(text, partner, tok)
+            if values[-1:] == ["if"]:
+                conditions.append((pos, close))
+            if close > brace:  # it holds the brace: read on inside it
+                values, grouped = [], True
+                continue
+            pos = close + 1
+        values.append(value)
+    words = {v for i, v in enumerate(values)
+             if v in ("class", "interface", "enum") and values[i - 1:i] != ["."]}
+    if outer == "enum" and not grouped or values[-1:] == ["("] and "new" in values:
+        kind = "type"
+    elif words:
+        kind = "enum" if "enum" in words else "class" if "class" in words else "type"
+    elif values[-1:] in (["="], ["["], [","]) or grouped and not values:
+        return None
+    else:
+        kind = "stmt"
+    return [brace, partner[brace], kind, conditions, brace + 1, brace + 1]
+
+
+def token_before(text: str, start: int, at: int) -> Optional[str]:
+    """The token in front of the one at offset at, lexing from start, where
+    a token starts ("" if none); None if no token starts at at: it is in a
+    comment or literal."""
+    before = ""
+    for m in _TOKEN_RE.finditer(text, start):
+        if m.start(2) >= at:
+            return before if m.start(2) == at else None
+        before = m[2]
+
+
+def parse_island(text: str, partner: dict, start: int, end: int) -> tuple:
+    """The statement text[start:end] holds, past any `case …:`, `default:`
+    or label, parsed in place (its nodes index text, whose bracket table
+    partner is), or None; and the offsets where its tokens start."""
+    p = _Parser(text, partner, start, end)
+    values = p.values
+    while True:  # past the labels
+        i = p.i
+        if values[i] == "case":
+            while values[i] not in (":", "->", ";", ""):
+                i += 1
+        elif p.kinds[i] == "ident":
+            i += 1
+        if values[i] != ":" or i == p.i:
+            break
+        p.i = i + 1
+    try:
+        return p.parse_stmt(), p.starts
+    except _Backtrack:
+        return None, p.starts
+
+
+def outline(text: str, partner: dict, names, ends: Optional[dict] = None) -> CompilationUnit:
+    """What transplanting helpers reads of text, as parse reads it: the
+    header, the first class without its members, and each member of the
+    file or of a class in classes alone whose text outside its braces
+    names one of names. A class may be annotated, though parse keeps such
+    a class opaque. partner and ends are as blocks_around takes them."""
+    pos = 0
+    while (end := _member_end(text, pos, partner)) is not None:  # to the first class
+        body = text[end - 1] == "}" and _block_at(text, partner, "file", pos, end - 1)
+        if body and body[2] == "class":  # a class's `}` ends it
+            break
+        pos = end
+    else:
+        body = None
+    bracket = _BRACKET_RE.match(text)  # the header holds no bracket
+    p = _Parser(text, partner, 0, body[0] + 1 if body else bracket.start(bracket.lastgroup))
+    package, imports, static_imports, header_end = p._parse_header()
+    types = []
+    if body:
+        p.i = first = bisect_left(p.starts, pos)
+        while p.at("@") and p._try(p._annotation):
+            pass
+        decl = p._try(p._type_header)
+        if decl is not None:
+            decl.body_end = body[1]
+            types.append(p._finish(decl, p.starts[first], body[1] + 1))
+    found = sorted(m.start() for name in map(re.escape, names) for m in re.finditer(
+        r"%s(?<![\w$]%s)(?![\w$])" % (name, name), text))  # a literal first is searched fast
+    last = None
+    for _at, blocks, start, end in blocks_around(text, partner, found, ends):
+        if start != last and all(b[2] in ("file", "class") for b in blocks):
+            last = start
+            types += _Parser(text, partner, start, end).parse_unit().types
+    return CompilationUnit(package, imports, types, text, newline_of(text), header_end,
+                           tuple(static_imports))
+
+
+def newline_of(text: str) -> str:
+    """The line break a unit of text writes: CRLF if text holds one."""
+    # "\r" is found by memchr, and a text without one is searched no further
+    return "\r\n" if "\r" in text and "\r\n" in text else "\n"
 
 
 def print_unit(unit: CompilationUnit) -> str:

@@ -342,11 +342,13 @@ def test_update_parses_once(sites, monkeypatch):
     text = "\n".join(["class A {", "    void m(Vibrator v, long d) {"]
                      + body + ["    }", "}", ""])
     calls = []
-    for name in ("parse", "edited", "splice"):
+    for name in ("parse", "parse_island", "edited", "splice"):
         monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*a))
     out, report = engine.update(text, patch, mapping)
-    assert calls == ["parse", "splice"]
+    # never the whole text: each site's statement is parsed once, as its
+    # island, and every edit is spliced at once
+    assert calls == ["parse_island"] * sites + ["splice"]
     assert report.sites_updated == sites
     assert out.count("VibrationEffect.createOneShot(50, 175)") == sites
     assert normal.purge_ok(out)
@@ -362,13 +364,13 @@ def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     monkeypatch.setattr(jast, "_lex", lambda *a, fn=jast._lex: lexed.append(fn(*a))
                         or lexed[-1])
     out, report = engine.update(text, patch, mapping)
-    # one parse, of the target, keeping the context call's name and the
-    # helpers': the @needs@ helpers were parsed with the patch
-    assert calls == [(text, {"setSound", "makeAttrs", "buildAttrs"})]
+    # the target is never parsed whole, and the @needs@ helpers were
+    # parsed with the patch
+    assert calls == []
     assert report.sites_updated == 1 and report.definitions_copied == ["makeAttrs", "buildAttrs"]
-    # no member that names none of them is lexed
-    ((_kinds, values, _starts, _ends),) = lexed
-    assert not {"f0", "f19", "a"} & set(values)
+    # what is lexed is the header and the site's island; no member that
+    # names neither the method nor a helper
+    assert lexed and not {"f0", "f19", "a"} & {v for _k, values, _s, _e in lexed for v in values}
 
 
 def test_helpers_far_from_any_site_are_reused():
@@ -394,6 +396,125 @@ def test_helpers_far_from_any_site_are_reused():
     assert out.count("makeAttrs(int usage)") == 1 and out.count("OFFSET =") == 1
     assert out.count("class AttrsBuilder") == 1
     assert "b.setSound(u, makeAttrs(OFFSET));" in out
+
+
+# One site, `v.vibrate(50);`, in each context that Android code puts a
+# statement in.
+CONTEXT_PROBES = {
+    "plain_method": "class P {\n    void m(Vibrator v) {\n        v.vibrate(50);\n    }\n}\n",
+    "override_method": "class P extends Q {\n    @Override\n    public void m(Vibrator v) {\n"
+                       "        v.vibrate(50);\n    }\n}\n",
+    "synchronized_method": "class P {\n    synchronized void m(Vibrator v) {\n"
+                           "        v.vibrate(50);\n    }\n}\n",
+    "generic_method": "class P {\n    <T extends Runnable> T m(Vibrator v, T t) {\n"
+                      "        v.vibrate(50);\n        return t;\n    }\n}\n",
+    "final_parameter": "class P {\n    void m(final Vibrator v) {\n        v.vibrate(50);\n    }\n}\n",
+    "varargs_method": "class P {\n    void m(Vibrator v, int... times) {\n"
+                      "        v.vibrate(50);\n    }\n}\n",
+    "constructor": "class P {\n    P(Vibrator v) {\n        v.vibrate(50);\n    }\n}\n",
+    "static_initializer": "class P {\n    static Vibrator v;\n    static {\n"
+                          "        v.vibrate(50);\n    }\n}\n",
+    "for": "class P {\n    void m(Vibrator v) {\n        for (int i = 0; i < 3; i++) {\n"
+           "            v.vibrate(50);\n        }\n    }\n}\n",
+    "enhanced_for": "class P {\n    void m(java.util.List<Vibrator> vs) {\n"
+                    "        for (Vibrator v : vs) {\n            v.vibrate(50);\n        }\n"
+                    "    }\n}\n",
+    "while": "class P {\n    void m(Vibrator v, boolean on) {\n        while (on) {\n"
+             "            v.vibrate(50);\n        }\n    }\n}\n",
+    "try": "class P {\n    void m(Vibrator v) {\n        try {\n            v.vibrate(50);\n"
+           "        } catch (RuntimeException e) {\n            e.printStackTrace();\n"
+           "        }\n    }\n}\n",
+    "switch": "class P {\n    void m(Vibrator v, int k) {\n        switch (k) {\n"
+              "            case 1:\n                v.vibrate(50);\n                break;\n"
+              "            default:\n                break;\n        }\n    }\n}\n",
+    "lambda_body": "class P {\n    void m(Vibrator v) {\n        Runnable r = () -> {\n"
+                   "            v.vibrate(50);\n        };\n        r.run();\n    }\n}\n",
+    "anonymous_class": "class P {\n    void m(final Vibrator v) {\n"
+                       "        Runnable r = new Runnable() {\n            @Override\n"
+                       "            public void run() {\n                v.vibrate(50);\n"
+                       "            }\n        };\n    }\n}\n",
+    "interface_default_method": "interface P {\n    default void m(Vibrator v) {\n"
+                                "        v.vibrate(50);\n    }\n}\n",
+    "enum": "enum P {\n    A, B;\n\n    void m(Vibrator v) {\n        v.vibrate(50);\n    }\n}\n",
+}
+
+
+@pytest.mark.parametrize("text", CONTEXT_PROBES.values(), ids=CONTEXT_PROBES.keys())
+def test_a_site_in_every_statement_context_is_updated(text):
+    patch, mapping = load_patch("vibrate")
+    out, report = engine.update(text, patch, mapping)
+    assert (report.sites_found, report.sites_updated, report.sites_skipped) == (1, 1, [])
+    indent = jast.indent_at(text, text.index("v.vibrate(50);"))
+    assert ("%sif (android.os.Build.VERSION.SDK_INT >= android.os.Build.VERSION_CODES.O) {\n"
+            "%s    v.vibrate(VibrationEffect.createOneShot(50, 175));\n%s} else {\n"
+            "%s    v.vibrate(50);\n%s}\n" % ((indent,) * 5)) in out
+    start = text.index("v.vibrate(50);")
+    assert out.startswith(text[:start]) and out.endswith(text[start + len("v.vibrate(50);"):])
+    assert jast.print_unit(jast.parse(out)) == out
+    again, report = engine.update(out, patch, mapping)
+    assert again == out and report.sites_updated == 0
+
+
+def _reasons(body, member=""):
+    """The skip reasons, in order, and the count of sites updated, when the
+    vibrate patch is applied to a method holding body, in a class holding
+    member too."""
+    patch, mapping = load_patch("vibrate")
+    text = ("class B {\n%s    void m(Vibrator v, boolean c, int[] a, Runnable r) {\n"
+            "        %s\n    }\n}\n" % (member, body))
+    out, report = engine.update(text, patch, mapping)
+    jast.parse(out)
+    assert report.sites_found == report.sites_updated + len(report.sites_skipped)
+    return [reason for _span, reason in report.sites_skipped], report.sites_updated
+
+
+@pytest.mark.parametrize("body, member, want", [
+    ("Runnable f = () -> v.vibrate(50);", "", ([engine.NON_STATEMENT_CONTEXT], 0)),
+    ("if (c) v.vibrate(50);", "", ([], 1)),
+    ("if (c) v.vibrate(50); else r.run();", "", ([], 1)),
+    ("for (int i = 0; i < 3; i++) v.vibrate(50);", "", ([engine.UNPARSED_STATEMENT], 0)),
+    ("switch (a.length) { case 1: v.vibrate(50); break; default: outer: v.vibrate(60); }", "",
+     ([], 2)),
+    ("switch (a.length) { case 1 -> v.vibrate(50); default -> r.run(); }", "",
+     ([engine.NON_STATEMENT_CONTEXT], 0)),
+    ("r.run();", "    Object o = v.vibrate(50);\n    Runnable f = () -> v.vibrate(50);\n",
+     ([engine.NON_STATEMENT_CONTEXT] * 2, 0)),
+    ("r.run();", "    void vibrate(long ms) {\n        r.run();\n    }\n", ([], 0)),
+    ('// v.vibrate(50);\n        String s = "v.vibrate(50)"; /* v.vibrate(50) */', "", ([], 0)),
+    ("v.vibrate(a[0]);", "", ([engine.UNPARSED_STATEMENT], 0)),
+    ("v.vibrate(c ? 1 : 2);", "", ([engine.UNPARSED_STATEMENT], 0)),
+    ("if (android.os.Build.VERSION.SDK_INT >= 26) { r.run(); } else if (c) { r.run(); } "
+     "else { v.vibrate(50); }", "", ([engine.ALREADY_GUARDED], 0)),
+    ("if (android.os.Build.VERSION.SDK_INT >= 26) v.vibrate(50);", "",
+     ([engine.ALREADY_GUARDED], 0)),
+    ("if (c) { r.run(); } else if (android.os.Build.VERSION.SDK_INT >= 26) { v.vibrate(50); }",
+     "", ([engine.ALREADY_GUARDED], 0)),
+    ("switch (a.length) { case 1: if (android.os.Build.VERSION.SDK_INT >= 26) { v.vibrate(50); } "
+     "}", "", ([engine.ALREADY_GUARDED], 0)),
+    ("if (android.os.Build.VERSION.SDK_INT >= 26) r = () -> { v.vibrate(50); };", "",
+     ([engine.ALREADY_GUARDED], 0)),
+], ids=["expression_lambda", "braceless_if", "braceless_if_else", "braceless_for", "case_label",
+        "switch_rule", "field_initializers", "declaration", "comment_and_string",
+        "array_access_argument", "conditional_argument", "guarded_else_chain", "guarded_braceless",
+        "guarded_else_if", "guarded_in_a_case", "guarded_lambda_block"])
+def test_every_occurrence_in_code_is_updated_or_has_a_reason(body, member, want):
+    assert _reasons(body, member) == want
+
+
+def test_helpers_go_into_an_annotated_class():
+    # the walk reads an annotated class as a class, though parse keeps it
+    # opaque: its site is updated, the helpers land in its body, and a
+    # second pass reuses them
+    patch, mapping = load_patch("set_sound")
+    text = ('@Deprecated\n@SuppressWarnings("x")\npublic class R {\n'
+            "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n}\n")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == ["makeAttrs", "buildAttrs"]
+    assert out.endswith("        return new AudioAttributes.Builder().setUsage(usage).build();\n"
+                        "    }\n}\n")
+    again, report = engine.update(out, patch, mapping)
+    assert again == out and report.definitions_copied == []
 
 
 def _needs_patch():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from api_evolve import engine, jast, patchgen, scope, sigmap
+from api_evolve import engine, jast, scope
 
 from conftest import CORPUS, REPO, corpus_java_files
 from mutants import mutant
@@ -317,8 +317,10 @@ def test_a_parse_builds_no_token(path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(jast.Token, "__init__", _no_token)
         full = jast.parse(text)
-        jast.parse(text, {"vibrate", "setSound"})
+        partner = jast.check_balanced(text)
+        jast.outline(text, partner, ["vibrate", "setSound"])
         for stmt, _chain in jast.iter_statements(full.types[-1].methods[-1].body):
+            jast.parse_island(text, partner, stmt.start, stmt.end)
             jast.parse_stmt_text(stmt.src)
             for root in jast.stmt_exprs(stmt):
                 jast.parse_expr_text(root.src)
@@ -356,10 +358,10 @@ def _oracle_tokens(text):
             return out
 
 
-def _assert_lexers_agree(text, keeps):
-    """The array lexer, full and lazy, against the oracle and tokenize:
-    the same rows, or the same error; a lazy lex is the full lex's rows
-    with the skipped runs left out."""
+def _assert_lexers_agree(text):
+    """The array lexer against the oracle and tokenize: the same rows, or
+    the same error; a lex of a slice from one token's start to another's
+    end is the rows of that run, then eof at the slice's end."""
     try:
         want = _oracle_tokens(text)
     except jast.UnbalancedSource as exc:
@@ -369,16 +371,11 @@ def _assert_lexers_agree(text, keeps):
         return
     assert list(zip(*jast._lex(text))) == want
     assert [(t.kind, t.value, t.start, t.end) for t in jast.tokenize(text)] == want
-    try:
-        partner = jast.check_balanced(text)
-    except jast.UnbalancedSource:
-        return  # a lazy lex needs the bracket table
-    for keep in keeps:
-        lazy = list(zip(*jast._lex(text, keep, partner)))
-        assert [(t.kind, t.value, t.start, t.end) for t in jast.tokenize(text, keep)] == lazy
-        rest = iter(want)
-        assert all(row in rest for row in lazy)  # in order, each a full lex row
-        assert lazy[-1] == want[-1]
+    first, last = len(want) // 3, 2 * len(want) // 3
+    if first < last:
+        run = want[first:last]
+        end = run[-1][3]
+        assert list(zip(*jast._lex(text, run[0][2], end))) == run + [("eof", "", end, end)]
 
 
 def test_the_array_lexer_agrees_with_the_per_token_lexer(monkeypatch):
@@ -389,12 +386,12 @@ def test_the_array_lexer_agrees_with_the_per_token_lexer(monkeypatch):
     templates = reference.load_templates(CORPUS)
     texts = [read(p) for p in corpus_java_files()]
     for text in texts:
-        _assert_lexers_agree(text, LAZY_KEEPS)
+        _assert_lexers_agree(text)
     for text, _want in list(LEX_TABLE.values()) + list(LITERAL_ERRORS.values()):
-        _assert_lexers_agree(text, ())
+        _assert_lexers_agree(text)
     items = gen.app_sweep(0, templates) + gen.generate_chains(0, CORPUS)
     for item in items:
-        _assert_lexers_agree(item.text, [_kept_names(CORPUS / "cases" / item.case)])
+        _assert_lexers_agree(item.text)
     # seeded mutants of the corpus and of the small generated files, which
     # hold comments: cuts, deletions and stray quotes, comment openers and
     # brackets, so unterminated literals and comments too
@@ -405,7 +402,7 @@ def test_the_array_lexer_agrees_with_the_per_token_lexer(monkeypatch):
         text = mutant(rng, rng.choice(texts))
         if rng.random() < 0.5:  # two edits: two openers may open nothing
             text = mutant(rng, text)
-        _assert_lexers_agree(text, LAZY_KEEPS[:2])
+        _assert_lexers_agree(text)
         try:
             _oracle_tokens(text)
         except jast.UnbalancedSource as exc:
@@ -431,10 +428,13 @@ RESERVED_WORD_STATEMENTS = {
                          ids=RESERVED_WORD_STATEMENTS.keys())
 def test_a_reserved_word_is_never_a_name_or_a_call_name(body, opaque):
     text = "class A { void m() { %s } }" % body
-    for keep in ((), set(body.replace(";", " ").split())):  # every statement is kept
-        stmts = jast.parse(text, keep).types[0].methods[0].body
-        assert [type(s) for s in stmts] == [jast.OpaqueStmt] * len(opaque)
-        assert [s.src for s in stmts] == opaque
+    stmts = jast.parse(text).types[0].methods[0].body
+    assert [type(s) for s in stmts] == [jast.OpaqueStmt] * len(opaque)
+    assert [s.src for s in stmts] == opaque
+    # and so is each as an island, in place
+    partner = jast.check_balanced(text)
+    islands = [jast.parse_island(text, partner, s.start, s.end)[0] for s in stmts]
+    assert [(type(s), s.src) for s in islands] == [(jast.OpaqueStmt, o) for o in opaque]
     with pytest.raises(jast.ParseError):
         jast.parse_expr_text(body.split(" ")[0].rstrip(";"))
 
@@ -537,10 +537,34 @@ def test_check_balanced_faults_exactly_where_parse_does():
     assert 300 < sum(f is not None for f in faults) < len(texts) - 300
 
 
-# -- lazy lexing: parse(text, keep) ---------------------------------------------
+# -- islands: blocks_around, parse_island and outline ---------------------------
 
-def lexed(text, keep=()):
-    return [t.value for t in jast.tokenize(text, keep)][:-1]
+def _islands(text, names):
+    """blocks_around at every occurrence of names, as whole words, in text."""
+    found = sorted(m.start() for name in names for m in re.finditer(r"\b%s\b" % name, text))
+    return list(jast.blocks_around(text, jast.check_balanced(text), found))
+
+
+def _items_in_code(text, names):
+    """The member or statement, stripped, around each occurrence of names
+    in code, not in a comment or literal."""
+    return [text[start:end].strip() for at, _blocks, start, end in _islands(text, names)
+            if jast.token_before(text, start, at) is not None]
+
+
+class _RecordingRegex:
+    """A compiled regex whose match calls record the token start they find."""
+
+    def __init__(self, regex):
+        self.regex, self.starts = regex, []
+
+    def match(self, text, pos):
+        m = self.regex.match(text, pos)
+        self.starts.append(m.start(2))
+        return m
+
+    def __getattr__(self, name):
+        return getattr(self.regex, name)
 
 
 NAME_FREE_METHOD = ("class A { void m() { int x = 1; } "
@@ -548,282 +572,128 @@ NAME_FREE_METHOD = ("class A { void m() { int x = 1; } "
 NESTED_CLASS = "class A { static class B { int y; void k() { int z = 1; } } }"
 
 
-def test_name_free_method_body_gives_no_inner_tokens():
-    # a member that never names keep is not lexed at all, and neither is a
-    # statement of a kept method's body that never names it
+def test_name_free_method_body_gives_no_inner_tokens(monkeypatch):
+    # the way to a site lexes the headers of the blocks it descends into,
+    # and no token of a member or statement it steps over: not m, and not
+    # the if before the site
     text = NAME_FREE_METHOD
-    assert lexed(text, {"vibrate"}) == [
-        "class", "A", "{",
-        "void", "n", "(", "Vibrator", "v", ")", "{", "v", ".", "vibrate", "(", "5", ")", ";",
-        "}", "}"]
-    m, n_if = text.index("void m"), text.index("if (v")
-    lazy = jast.tokenize(text, {"vibrate"})
-    # same tokens, same spans: all but m's and the if's
-    assert lazy == [t for t in jast.tokenize(text) if not m <= t.start < text.index("void n")
-                    and not n_if <= t.start < text.index("v.vibrate")]
-    (n,) = jast.parse(text, {"vibrate"}).types[0].methods
+    recording = _RecordingRegex(jast._TOKEN_RE)
+    monkeypatch.setattr(jast, "_TOKEN_RE", recording)
+    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    monkeypatch.undo()
+    values = {t.start: t.value for t in jast.tokenize(text)}
+    assert [values[p] for p in recording.starts] == ["class", "A", "{", "void", "n", "(", "{"]
+    assert (text[start:end].strip(), [b[2] for b in blocks]) == (
+        "v.vibrate(5);", ["file", "class", "stmt"])
     full_n = jast.parse(text).types[0].methods[1]
-    assert n.name == "n" and [s.src for s in n.body] == ["v.vibrate(5);"]
-    assert n.span == full_n.span and n.body_span == full_n.body_span
-    assert jast.ast_equal(n.body[0], full_n.body[1])
-
-
-@pytest.mark.parametrize("inner", ["// vibrate\n", "/* vibrate */", 's = "vibrate";',
-                                   "vibrateLater();"],
-                         ids=["line_comment", "block_comment", "string", "longer_name"])
-def test_a_name_in_a_comment_or_string_keeps_its_block_lexed(inner):
-    # a statement's text runs from the end of the one before it, so a
-    # comment keeps the statement after it; a string or a longer name keeps
-    # the statement it stands in, and `int x = 1;` names nothing
-    text = "class A { void m() { %s int x = 1; } }" % inner
-    full = jast.tokenize(text)
-    if inner.startswith("/"):
-        assert jast.tokenize(text, {"vibrate"}) == full
-    else:
-        x = text.index("int x")
-        assert jast.tokenize(text, {"vibrate"}) == [t for t in full
-                                                    if not x <= t.start < text.index("}")]
+    island, _starts = jast.parse_island(text, jast.check_balanced(text), start, end)
+    assert island.span == full_n.body[1].span and jast.ast_equal(island, full_n.body[1])
 
 
 def test_class_literal_opens_no_type_body():
-    # a block that names keep is lexed whole; a type body's members that
-    # do not are skipped, so a type body here would lose `int x = 1;`
+    # `Foo.class` opens no type body: the lambda's block holds statements,
+    # and the call is its own island; a local class's body is a type body
     text = "class A { void m() { run(Foo.class, () -> { int x = 1; vibrate(); }); } }"
-    assert "x" in lexed(text, {"vibrate"})
-    assert "x" not in lexed(text.replace("Foo.class, () ->", "class L"), {"vibrate"})
+    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    assert [b[2] for b in blocks] == ["file", "class", "stmt", "stmt"]
+    assert text[start:end].strip() == "vibrate();"
+    text = text.replace("Foo.class, () ->", "class L")
+    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    assert [b[2] for b in blocks] == ["file", "class", "stmt", "class"]
 
 
 def test_name_free_type_bodies_are_lexed():
-    # a top-level class is always lexed, braces and all, though nothing in
-    # it names keep; a nested class is a member like any other, and a kept
-    # method is lexed but for its statements that never name keep
+    # an outline holds the file's first class, without its members, and
+    # what the full parse reads of each member, of a class in classes
+    # alone, whose own text names a name; a member of a local class is none
     text = NESTED_CLASS
-    assert lexed(text, {"vibrate"}) == ["class", "A", "{", "}"]
-    (a,) = jast.parse(text, {"vibrate"}).types
-    assert a.nested == [] and a.body_span == jast.parse(text).types[0].body_span
-    values = lexed(text, {"k"})
-    assert "B" in values and "k" in values and "z" not in values and "y" not in values
-    y = text.index("int y")
-    assert jast.tokenize(text, {"k", "z"}) == [t for t in jast.tokenize(text)
-                                               if not y <= t.start < y + len("int y;")]
-    methods, types = scope.members(jast.parse(text, {"k"}))
+    partner = jast.check_balanced(text)
+    full = jast.parse(text).types[0]
+    (a,) = jast.outline(text, partner, ["vibrate"]).types
+    assert (a.name, a.nested, a.methods, a.span, a.body_span) == (
+        "A", [], [], full.span, full.body_span)
+    methods, types = scope.members(jast.outline(text, partner, ["k"]))
+    assert sorted(methods) == [("k", 0)] and sorted(types) == ["A"]
+    methods, types = scope.members(jast.outline(text, partner, ["B"]))
     assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
-
-
-def _kept_names(case):
-    """The names engine.update keeps for the patch of a corpus case."""
-    dep, upd = (case / "mapping.txt").read_text(encoding="utf-8").splitlines()[:2]
-    mapping = sigmap.ApiMapping(sigmap.parse_signature(dep), sigmap.parse_signature(upd))
-    patch = patchgen.generate_patch(jast.parse(read(case / "example.java")), mapping)
-    return {patchgen.pattern_call(patch.context).name} | {d.name for d in patch.needs}
-
-
-def _kept_equal(lazy, full) -> bool:
-    """lazy is full, spans included, but for statements missing from the
-    bodies and blocks of lazy: ast_equal wherever none is missing."""
-    if type(lazy) is not type(full) or lazy.span != full.span:
-        return False
-    if isinstance(lazy, jast.If):
-        return (jast.ast_equal(lazy.cond, full.cond)
-                and _kept_equal(lazy.then_block, full.then_block)
-                and (lazy.else_block is None) == (full.else_block is None)
-                and (lazy.else_block is None or _kept_equal(lazy.else_block, full.else_block)))
-    if not isinstance(lazy, (jast.MethodDecl, jast.Block)):
-        return jast.ast_equal(lazy, full)
-    body = "body" if isinstance(lazy, jast.MethodDecl) else "stmts"
-    at = {s.span.start: s for s in getattr(full, body)}
-    return (all(jast.ast_equal(getattr(lazy, n), getattr(full, n))
-                for n in lazy.__slots__ if n != body)
-            and all(s.span.start in at and _kept_equal(s, at[s.span.start])
-                    for s in getattr(lazy, body)))
-
-
-def _statement_count(decls) -> int:
-    return sum(1 for d in decls if isinstance(d, jast.MethodDecl)
-               for _s in jast.iter_statements(d.body))
-
-
-def test_a_kept_member_is_the_full_parse_member():
-    # the one rule of a lazy parse: it is the full parse minus whole
-    # type-body members and the statements of kept bodies that name no kept
-    # name, so every member it keeps is the one the full parse has at the
-    # same span, and so is every statement it keeps, but for the
-    # statements missing from its bodies and blocks
-    cases = [(read(path), keep) for case in sorted(CORPUS.glob("cases/*"))
-             for keep in [_kept_names(case)]
-             for path in sorted(case.glob("targets/*.java")) + [case / "example.java"]]
-    cases += [(NAME_FREE_METHOD, {"vibrate"}), (NESTED_CLASS, {"vibrate"}), (NESTED_CLASS, {"k"})]
-    cases += [(_boundary_text(stmt), keep) for stmt in BOUNDARY_STATEMENTS.values()
-              for keep in ({"vibrate"}, {"vibrate", "go"})]
-    kept = skipped = kept_stmts = skipped_stmts = 0
-    for text, keep in cases:
-        full = {(d.span.start, d.span.end): d for tdecl, _outer in jast.iter_types(jast.parse(text))
-                for d in tdecl.fields + tdecl.methods}
-        for tdecl, _outer in jast.iter_types(jast.parse(text, keep)):
-            for d in tdecl.fields + tdecl.methods:
-                twin = full.pop((d.span.start, d.span.end))
-                assert _kept_equal(d, twin), (keep, d.src)
-                kept += 1
-                kept_stmts += _statement_count([d])
-                skipped_stmts += _statement_count([twin]) - _statement_count([d])
-        skipped += len(full)
-    # neither nothing kept nor nothing skipped would show anything
-    assert kept > 30 and skipped > 10 and kept_stmts > 100 and skipped_stmts > 50, (
-        kept, skipped, kept_stmts, skipped_stmts)
+    local = "class A { void m() { class L { void k() { } } } }"
+    methods, types = scope.members(jast.outline(local, jast.check_balanced(local), ["k"]))
+    assert sorted(methods) == [] and sorted(types) == ["A"]
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():
-    # a method or statement that never names keep is not parsed, and one
-    # that does parses at any depth
+    # a method or statement that never names the name is stepped over,
+    # and one that does parses as an island at any depth
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     elsewhere = "class A { void k() { %s } void m() { v.vibrate(5); } }" % deep
-    assert [m.name for m in jast.parse(elsewhere, {"vibrate"}).types[0].methods] == ["m"]
-    in_site_method = "class A { void m() { %s v.vibrate(5); } }" % deep
-    (m,) = jast.parse(in_site_method, {"vibrate"}).types[0].methods
-    assert [s.src for s in m.body] == ["v.vibrate(5);"]
+    assert jast.print_unit(jast.parse(elsewhere)) == elsewhere
+    ((_at, _blocks, start, end),) = _islands(elsewhere, ["vibrate"])
+    assert elsewhere[start:end].strip() == "v.vibrate(5);"
     deep_site = deep.replace("1", "v.vibrate(5)")
-    for text, keep in [(elsewhere, ()), (in_site_method, ()),
-                       (in_site_method.replace(deep, deep_site), {"vibrate"})]:
-        unit = jast.parse(text, keep)
-        assert jast.print_unit(unit) == text
-        assert unit.types[0].methods[0].body[0].src in (deep, deep_site)
+    text = "class A { void m() { %s v.vibrate(5); } }" % deep_site
+    partner = jast.check_balanced(text)
+    first, second = _islands(text, ["vibrate"])
+    assert jast.parse_island(text, partner, first[2], first[3])[0].src == deep_site
+    assert jast.parse_island(text, partner, second[2], second[3])[0].src == "v.vibrate(5);"
 
 
-def test_lazy_parse_rejects_what_the_full_parse_rejects():
-    for text in ["class A { void m() { f(]; } }", 'class A { void m() { s = "ab; } }']:
-        with pytest.raises(jast.UnbalancedSource) as full:
-            jast.parse(text)
-        with pytest.raises(jast.UnbalancedSource, match=str(full.value)):
-            jast.parse(text, {"vibrate"})
-
-
-def _members(unit):
-    """Every type, field and method of unit, nested ones too, with its span."""
-    out = set()
-    for tdecl, _outer in jast.iter_types(unit):
-        out.add(("type", tdecl.name, tdecl.span.start, tdecl.span.end, tdecl.body_span.start,
-                 tdecl.body_span.end))
-        out.update((type(d).__name__, d.name, d.span.start, d.span.end)
-                   for d in tdecl.fields + tdecl.methods)
-    return out
-
-
-def _view(text, keep, lazy):
-    """What the pipeline reads of a parse, as engine.update passes keep:
-    each call named by keep with its statement spans, the member tables
-    restricted to keep's names and the printed text; or the error. Also
-    every member of the parse, with its span."""
-    try:
-        unit = jast.parse(text, keep) if lazy else jast.parse(text)
-    except jast.ParseError as exc:
-        return "%s: %s" % (type(exc).__name__, exc), set()
-    sites = [(s.call.span, s.enclosing_stmt and s.enclosing_stmt.span,
-              [c.span for c in s.stmt_chain])
-             for name in sorted(keep) for arity in range(4)
-             for s in sigmap.find_invocations(unit, sigmap.ApiSignature("", name, ("?",) * arity))]
-    methods, types = scope.members(unit)
-    tables = (sorted((k, m.span.start) for k, m in methods.items() if k[0] in keep),
-              sorted((k, t.span.start) for k, t in types.items() if k in keep),
-              sorted((k, f.span.start) for k, f in scope.fields(unit).items() if k in keep))
-    return (sites, tables, jast.print_unit(unit)), _members(unit)
-
-
-# each as engine.update passes it: the context call's name and the helpers'
-LAZY_KEEPS = ({"vibrate"}, {"setSound", "makeAttrs", "buildAttrs"}, {"fromHtml"},
-              {"getCurrentMinute"}, {"v"}, {"vibrate", "buildPattern"})
-
-
-def test_lazy_parse_reads_like_the_full_parse():
-    texts = [read(p) for p in corpus_java_files()]
-    rng = random.Random(7001)
-    texts += [mutant(rng, rng.choice(texts)) for _ in range(300)]
-    parsed = skipped = 0
-    for text in texts:
-        for keep in LAZY_KEEPS:
-            full, every = _view(text, keep, lazy=False)
-            lazy, present = _view(text, keep, lazy=True)
-            assert lazy == full, (keep, text)
-            assert present <= every, (keep, text)  # each member has its full-parse span
-            if every:
-                parsed += 1
-                skipped += present != every
-    # neither every text failing nor no member skipped would show anything
-    assert parsed > 500 and skipped > 300
-
-
-def test_lazy_parse_reads_like_the_full_parse_on_benchmark_inputs(monkeypatch):
-    # the benchmark's generated files, read only: every dense_sites input of
-    # seed 0, and every app_sweep input of seed 0 that names its method
-    monkeypatch.syspath_prepend(str(REPO / "bench"))
-    gen, reference = importlib.import_module("gen"), importlib.import_module("reference")
-    templates = reference.load_templates(CORPUS)
-    keeps = {case: _kept_names(CORPUS / "cases" / case) for case in templates}
-    items = gen.dense_sites(0, templates) + gen.app_sweep(0, templates)
-    checked = 0
-    for item in items:
-        keep = keeps[item.case]
-        if templates[item.case].method in item.text:
-            full, every = _view(item.text, keep, lazy=False)
-            lazy, present = _view(item.text, keep, lazy=True)
-            assert lazy == full and present <= every, item.name
-            checked += 1
-    assert checked > 40, checked
-
-
-# Members whose end is hard to find, each with a call of `go` in it.
+# Members whose end is hard to find, each with a call of `go` in it, and
+# the member or statement that holds that call.
 BOUNDARY_MEMBERS = {
-    "array_initializer": "int[] a = {go(), 2};",
-    "anonymous_class_field": "Runnable r = new Runnable() { public void run() { go(); } };",
-    "block_lambda_field": "Runnable r = () -> { go(); };",
-    "static_initializer": "static { go(); }",
-    "instance_initializer": "{ go(); }",
-    "semicolon_in_annotation": '@A(";") void m() { go(); }',
-    "generic_method": "<T> void m(T t) { go(); }",
-    "nested_interface": "interface I { void go(); }",
-    "nested_enum": "enum E { X, Y; void go() { } }",
-    "name_in_a_comment_only": "void m() { // then vibrate\n go(); }",
-    "nested_class": "static class N { int k; void go() { } }",
-    "semicolon_in_class_header": "static class N extends M; void go() { }",
-    "semicolon_in_brackets": "int y[;] void go() { }",
+    "array_initializer": ("int[] a = {go(), 2};", "int[] a = {go(), 2};"),
+    "anonymous_class_field": ("Runnable r = new Runnable() { public void run() { go(); } };",
+                              "go();"),
+    "block_lambda_field": ("Runnable r = () -> { go(); };", "go();"),
+    "static_initializer": ("static { go(); }", "go();"),
+    "instance_initializer": ("{ go(); }", "go();"),
+    "semicolon_in_annotation": ('@A(";") void m() { go(); }', "go();"),
+    "generic_method": ("<T> void m(T t) { go(); }", "go();"),
+    "nested_interface": ("interface I { void go(); }", "void go();"),
+    "nested_enum": ("enum E { X, Y; void go() { } }", "void go() { }"),
+    "name_in_a_comment_only": ("void m() { // then vibrate\n go(); }", "// then vibrate\n go();"),
+    "nested_class": ("static class N { int k; void go() { } }", "void go() { }"),
+    "semicolon_in_class_header": ("static class N extends M; void go() { }", "void go() { }"),
+    "semicolon_in_brackets": ("int y[;] void go() { }", "int y[;] void go() { }"),
 }
 
 
-@pytest.mark.parametrize("member", BOUNDARY_MEMBERS.values(), ids=BOUNDARY_MEMBERS.keys())
+@pytest.mark.parametrize("member, go_item", BOUNDARY_MEMBERS.values(), ids=BOUNDARY_MEMBERS.keys())
 @pytest.mark.parametrize("keep", [{"vibrate"}, {"vibrate", "go"}], ids=["skipped", "kept"])
-def test_member_ends_where_the_full_parse_ends_it(member, keep):
+def test_member_ends_where_the_full_parse_ends_it(member, go_item, keep):
     text = ("class A {\n    int before;\n    %s\n    void s(Vibrator v) { v.vibrate(5); }\n"
             "    int after;\n}\n" % member)
-    full, every = _view(text, keep, lazy=False)
-    lazy, present = _view(text, keep, lazy=True)
-    assert lazy == full and present <= every
-    # the site, its method and its class are always there, and so is every
-    # member whose own text names keep; a member that names none is not
-    assert [text[site[0].start:site[0].end] for site in full[0]].count("v.vibrate(5)") == 1
-    names = {m[1] for m in present}
-    assert {"A", "s"} <= names and not {"before", "after", "k"} & names
-    assert names >= {m[1] for m in every if any(k in text[m[2]:m[3]] for k in keep)}
+    (s,) = [m for m in jast.parse(text).types[0].methods if m.name == "s"]
+    # the member walk steps over the hard member to s, as the full parse has it
+    ((_at, blocks, start, end),) = jast.blocks_around(text, jast.check_balanced(text), [s.start])
+    assert text[start:end].strip() == s.src and [b[2] for b in blocks] == ["file", "class"]
+    # each call in code is in the member or statement that holds it
+    assert _items_in_code(text, keep) == ([go_item] if "go" in keep else []) + [s.body[0].src]
 
 
-# Statements whose end is hard to find, each with a call of `go` in it.
+# Statements whose end is hard to find, each with a call of `go` in it,
+# and the statement that holds that call when it is not the whole one.
 BOUNDARY_STATEMENTS = {
-    "if_else_braces": "if (c) { go(); } else { x = 1; }",
-    "if_else_bare": "if (c) go(); else x = 1;",
-    "if_else_mixed": "if (c) { x = 1; } else go();",
-    "nested_if_else_bare": "if (c) if (d) go(); else x = 1; else x = 2;",
-    "else_if_chain": "if (c) { x = 1; } else if (d) { go(); } else if (e) x = 2; else { x = 3; }",
-    "comment_before_else": "if (c) { x = 1; } /* } else */ // ;\n        else { go(); }",
-    "do_while": "do { go(); } while (c);",
-    "try_catch_finally": "try { x = 1; } catch (E e) { go(); } finally { x = 2; }",
-    "switch": "switch (c) { case 1: go(); break; default: { x = 1; } }",
-    "labelled_loop": "outer: for (int i = 0; i < 3; i++) { if (i == 1) continue outer; go(); }",
-    "local_class": "class L { int y; void run() { go(); } }",
-    "anonymous_class_call": "new R() { public void run() { go(); } }.run();",
-    "array_initializers": "int[] a = {go()}, b = {2};",
-    "block_lambda_argument": "run(() -> { go(); }, () -> { x = 1; });",
-    "top_level_equality": "boolean same = go() == null;",
-    "equality_before_a_block": "r = c == d ? () -> { go(); } : null;",
-    "text_block": 's = """\n            ; } {\n            """ + go();',
-    "for_ever": "for (;;) { go(); }",
+    "if_else_braces": ("if (c) { go(); } else { x = 1; }", "go();"),
+    "if_else_bare": ("if (c) go(); else x = 1;", None),
+    "if_else_mixed": ("if (c) { x = 1; } else go();", None),
+    "nested_if_else_bare": ("if (c) if (d) go(); else x = 1; else x = 2;", None),
+    "else_if_chain": ("if (c) { x = 1; } else if (d) { go(); } else if (e) x = 2; else { x = 3; }",
+                      "go();"),
+    "comment_before_else": ("if (c) { x = 1; } /* } else */ // ;\n        else { go(); }",
+                            "go();"),
+    "do_while": ("do { go(); } while (c);", "go();"),
+    "try_catch_finally": ("try { x = 1; } catch (E e) { go(); } finally { x = 2; }", "go();"),
+    "switch": ("switch (c) { case 1: go(); break; default: { x = 1; } }", "case 1: go();"),
+    "labelled_loop": ("outer: for (int i = 0; i < 3; i++) { if (i == 1) continue outer; go(); }",
+                      "go();"),
+    "local_class": ("class L { int y; void run() { go(); } }", "go();"),
+    "anonymous_class_call": ("new R() { public void run() { go(); } }.run();", "go();"),
+    "array_initializers": ("int[] a = {go()}, b = {2};", None),
+    "block_lambda_argument": ("run(() -> { go(); }, () -> { x = 1; });", "go();"),
+    "top_level_equality": ("boolean same = go() == null;", None),
+    "equality_before_a_block": ("r = c == d ? () -> { go(); } : null;", "go();"),
+    "text_block": ('s = """\n            ; } {\n            """ + go();', None),
+    "for_ever": ("for (;;) { go(); }", "go();"),
 }
 
 
@@ -832,81 +702,22 @@ def _boundary_text(stmt):
             "        v.vibrate(5);\n        int after = 2;\n    }\n}\n" % stmt)
 
 
-@pytest.mark.parametrize("stmt", BOUNDARY_STATEMENTS.values(), ids=BOUNDARY_STATEMENTS.keys())
+@pytest.mark.parametrize("stmt, go_item", BOUNDARY_STATEMENTS.values(),
+                         ids=BOUNDARY_STATEMENTS.keys())
 @pytest.mark.parametrize("keep", [{"vibrate"}, {"vibrate", "go"}], ids=["skipped", "kept"])
-def test_statement_ends_where_the_full_parse_ends_it(stmt, keep):
+def test_statement_ends_where_the_full_parse_ends_it(stmt, go_item, keep):
     text = _boundary_text(stmt)
-    full, every = _view(text, keep, lazy=False)
-    lazy, present = _view(text, keep, lazy=True)
-    assert lazy == full and present <= every
-    # the site's statement is always there, and so is the one holding the
-    # call of `go` when keep names it; `before` and `after` never are
-    (full_s,) = jast.parse(text).types[0].methods
-    (s,) = jast.parse(text, keep).types[0].methods
-    spans = [(x.span.start, x.span.end) for x in s.body]
-    inner = [(x.span.start, x.span.end) for x in full_s.body[1:-1]]
-    assert spans[-1] == inner[-1] and set(spans) <= set(inner)
-    go = text.index("go()")
-    assert any(start <= go < end for start, end in spans) == ("go" in keep)
-
-
-# Bodies whose rest, after some member or statement, names no keep, so the
-# lexer jumps to their `}`: (text, keep, the tokens it lexes, by value).
-JUMP_SHAPES = {
-    "only_in_the_first_member": (
-        "class A {\n    void s(Vibrator v) { x(); v.vibrate(5); y(); }\n    int k;\n"
-        "    void t() { go(); }\n}\n", {"vibrate"},
-        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
-    "only_in_the_last_member": (
-        "class A {\n    int k;\n    void t() { go(); }\n"
-        "    void s(Vibrator v) { x(); v.vibrate(5); y(); }\n}\n", {"vibrate"},
-        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
-    "only_in_a_comment_after_the_last_member": (
-        "class A {\n    int k;\n    void t() { go(); }\n    // vibrate later\n}\n",
-        {"vibrate"}, "class A { }"),
-    "in_a_nested_class_body": (
-        "class A {\n    int k;\n    static class B {\n        int j;\n"
-        "        void s(Vibrator v) { v.vibrate(5); }\n        void u() { go(); }\n    }\n"
-        "    void t() { go(); }\n}\n", {"vibrate"},
-        "class A { static class B { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } } }"),
-    "names_that_hold_each_other": (
-        "class A {\n    void a() { x(); }\n    void s(Vibrator v) { v.vibrate(5); y(); }\n"
-        "    void b() { vibrateLater(); }\n    void c() { go(); }\n}\n",
-        {"vib", "vibrate", "rate", "brat"},
-        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } "
-        "void b ( ) { vibrateLater ( ) ; } }"),
-    "empty_bodies": (
-        "class A {\n    void vibrate() {}\n    void t() {}\n    static class B {}\n}\n"
-        "class C {}\n", {"vibrate"}, "class A { void vibrate ( ) { } } class C { }"),
-    "else_holds_the_only_occurrence": (
-        "class A {\n    void s(Vibrator v) {\n        x();\n"
-        "        if (c) { y(); } else if (d) { z(); } else { v.vibrate(5); }\n"
-        "        w();\n    }\n    void t() { go(); }\n}\n", {"vibrate"},
-        "class A { void s ( Vibrator v ) { if ( c ) { y ( ) ; } else if ( d ) { z ( ) ; } "
-        "else { v . vibrate ( 5 ) ; } } }"),
-    # a body whose last member or statement has no end: the rest of the
-    # body names no keep, so that unterminated run is not lexed either; the
-    # full parse keeps it as no member, or as an OpaqueStmt that names none
-    "an_unterminated_rest": (
-        "class A {\n    void s(Vibrator v) { v.vibrate(5); y() }\n    int k\n}\n", {"vibrate"},
-        "class A { void s ( Vibrator v ) { v . vibrate ( 5 ) ; } }"),
-}
-
-
-@pytest.mark.parametrize("text, keep, lexed_values", JUMP_SHAPES.values(),
-                         ids=JUMP_SHAPES.keys())
-def test_the_rest_of_a_body_that_names_no_keep_is_jumped_over(text, keep, lexed_values):
-    full, every = _view(text, keep, lazy=False)
-    lazy, present = _view(text, keep, lazy=True)
-    assert lazy == full and present <= every
-    assert " ".join(lexed(text, keep)) == lexed_values
-    # each token lexed is the full lex's token at the same span
-    assert set(map(repr, jast.tokenize(text, keep))) <= set(map(repr, jast.tokenize(text)))
+    (s,) = jast.parse(text).types[0].methods
+    # the statement walk steps over the hard statement to the site's, as
+    # the full parse has it; each call is in the statement that holds it
+    found = _items_in_code(text, keep)
+    assert found == ([go_item or stmt] if "go" in keep else []) + [s.body[-2].src]
+    assert s.body[-2].src == "v.vibrate(5);"
 
 
 def test_a_site_in_the_first_of_many_methods_scans_no_other_method(monkeypatch):
-    # after the last occurrence of a name in a body, the lexer jumps to the
-    # body's `}`: the 199 methods after the site's are never scanned
+    # after the last offset in a body, the walk steps over nothing more:
+    # the 199 methods after the site's are never scanned
     first = "    void m0(Vibrator v) {\n        int x = 0;\n        v.vibrate(5);\n    }\n"
     rest = "".join("    void m%d() {\n        go(%d);\n    }\n" % (i, i) for i in range(1, 200))
     text = "class A {\n%s%s}\n" % (first, rest)
@@ -914,10 +725,9 @@ def test_a_site_in_the_first_of_many_methods_scans_no_other_method(monkeypatch):
     member_end = jast._member_end
     monkeypatch.setattr(jast, "_member_end", lambda *args: calls.append(args[1])
                         or member_end(*args))
-    toks = jast.tokenize(text, {"vibrate"})
+    ((_at, _blocks, start, end),) = _islands(text, ["vibrate"])
     assert len(calls) <= 4, len(calls)
-    assert " ".join(t.value for t in toks[:-1]) == (
-        "class A { void m0 ( Vibrator v ) { v . vibrate ( 5 ) ; } }")
+    assert text[start:end].strip() == "v.vibrate(5);"
 
 
 @pytest.mark.parametrize("fn, text", [

@@ -190,19 +190,18 @@ def test_pruned_search_finds_what_the_full_walk_finds():
     units = found = 0
     for text in texts:
         for name in SEARCH_NAMES:
-            for keep in ((), {name}):
-                try:
-                    unit = jast.parse(text, keep)
-                except jast.ParseError:
-                    continue
-                units += 1
-                for arity in range(4):
-                    sig = sigmap.ApiSignature("", name, ("?",) * arity)
-                    want = [_identity(s) for s in _unpruned_sites(unit, sig)]
-                    assert [_identity(s) for s in sigmap.find_invocations(unit, sig)] == want
-                    found += len(want)
+            try:
+                unit = jast.parse(text)
+            except jast.ParseError:
+                continue
+            units += 1
+            for arity in range(4):
+                sig = sigmap.ApiSignature("", name, ("?",) * arity)
+                want = [_identity(s) for s in _unpruned_sites(unit, sig)]
+                assert [_identity(s) for s in sigmap.find_invocations(unit, sig)] == want
+                found += len(want)
     # neither every text failing to parse nor no site found would show anything
-    assert units > 2000 and found > 300
+    assert units > 1000 and found > 150
 
 
 def test_search_walks_only_statements_that_name_the_method(monkeypatch):
