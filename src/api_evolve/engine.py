@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from typing import Optional
 
-from . import jast, patchgen, scope, sigmap
+from . import jast, patchgen, sigmap
 
 ALREADY_GUARDED = "AlreadyGuarded"
 NO_MATCH = "NoMatch"
@@ -19,6 +19,10 @@ UNPARSED_STATEMENT = "UnparsedStatement"
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
 # the token in front of a declared method's or field's name: its type's end
 _TYPE_END = re.compile(r"(?!(?:new|return|else|throw)$)[A-Za-z_$][\w$]*|>>?|\]")
+# in a class header, the class it extends: after the type parameters,
+# which may hold a bound's `extends`, and before one level of type
+# arguments and the implements clause or the header's end
+_EXTENDS = re.compile(r"\bextends\s+([\w$]+)(?=(?:[^<>]|<[^<>]*>)*?(?:\bimplements\b|$))")
 
 
 class MetaBinding(jast.Record):
@@ -228,23 +232,26 @@ def already_guarded(site: sigmap.CallSite, conditions=()) -> bool:
 # ---------------------------------------------------------------------------
 
 def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
-                renames: Optional[dict] = None, partner: Optional[dict] = None,
-                ends: Optional[dict] = None):
-    """Plan the patch at every matching, unguarded site of unit.text.
+                partner: Optional[dict] = None):
+    """Plan the patch at every matching, unguarded site of unit.text, and
+    the helper transplant at the first.
 
     Returns (edits, UpdateReport); the edits are (Span, text) pairs against
-    unit.text. Only the text is read: jast.blocks_around places each
-    occurrence in code of the context call's name before a `(` (partner
-    and ends are as it takes them; partner is built if not given). In a
-    type body one is a declaration or NonStatementContext; elsewhere the
-    statement holding it, its island, is parsed (jast.parse_island), and a
-    call there of the context call's arity is a site, guarded by an If of
-    the island or an if header of a block around it. An occurrence the
-    island parses as no call is NonStatementContext after a `->`, else
-    UnparsedStatement. The context call's argument metavariables bind the
-    argument expressions, and each patch temporary is rendered inline at
-    its one use. The then branch is compiled once, at the first site that matches
-    (compile_then), and each site renders only what it binds into it.
+    unit.text. Of unit, only the text and the members the transplant looks
+    up are read: jast.blocks_around places each occurrence in code of the
+    context call's name before a `(` (partner is its bracket table, built
+    if not given). In a type body one is a declaration or
+    NonStatementContext; elsewhere the statement holding it, its island,
+    is parsed (jast.parse_island), and a call there of the context call's
+    arity is a site, guarded by an If of the island or an if header of a
+    block around it. An occurrence the island parses as no call is
+    NonStatementContext after a `->`, else UnparsedStatement. The context
+    call's argument metavariables bind the argument expressions, and each
+    patch temporary is rendered inline at its one use. At the first site
+    that matches, transplant_definitions plans the helpers into the site's
+    top-level class (the file's block if it is none), and the then branch
+    is compiled with its renames (compile_then); each site renders only
+    what it binds into it.
     Per-site failures become skip entries, never exceptions;
     patchgen.MultipleUse is raised when the then branch would evaluate an
     argument that is not a plain name more than once.
@@ -271,7 +278,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
     # Each stage runs over all sites before the next: walk, parse, then
     # match and render. Run site by site, the same work took about 30%
     # longer on dense_sites.
-    walked = list(jast.blocks_around(text, partner, found, ends))
+    walked = list(jast.blocks_around(text, partner, found))
     parsed = {}  # by start: each island and the offsets where its tokens start
     for _at, blocks, start, end in walked:
         if blocks[-1][2] in ("stmt", "file") and start not in parsed:
@@ -319,6 +326,10 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
         report.sites_updated += 1
 
         if then is None:
+            body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
+            helper_edits, report.definitions_copied, renames = transplant_definitions(
+                unit, body, patch.needs, patch.needs_imports)
+            edits += helper_edits
             then = compile_then(patch, renames)
         indent = jast.indent_at(text, stmt.start)
         lines = [guard] + [indent + "    " + line for line in render_then(then, binding)]
@@ -334,23 +345,45 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 # Transplantation
 # ---------------------------------------------------------------------------
 
-def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
+def _superclass_body(text: str, body: list) -> jast.Span:
+    """The braces of the class of text that body's class extends, empty if
+    it extends none that text declares."""
+    name = body[2] == "class" and _EXTENDS.search(text, body[6], body[0])
+    decl = name and re.search(r"class(?<![\w$]class)\s+%s(?![\w$])[^{;]*\{"
+                              % re.escape(name[1]), text)  # a literal first is searched fast
+    if not decl:
+        return jast.Span(0, 0)
+    return jast.Span(decl.end() - 1, jast.check_balanced(text).get(decl.end() - 1, 0))
+
+
+def transplant_definitions(unit: jast.CompilationUnit, body: list, needs, imports=()):
     """Copy helper definitions and imports into the target.
 
+    body is the block, as jast.blocks_around lists one, that receives the
+    helper methods and fields: a top-level class, or the file's own block.
     needs holds the helper methods, fields and classes of a patch's
     @needs@ section, parsed (SemanticPatch.needs). A method of the same
-    name and arity, a field of the same name or a class of the same name
-    in the target is reused, not copied. Returns (edits, copied_names,
-    renames): the edits are (Span, text) pairs against unit.text, and
-    renames maps a colliding method name to its _androevolve alias and a
-    colliding import's simple name to the qualified name. Each copied
-    declaration is written through that one map; pass it to apply_patch
-    so inserted lines reference the copied names.
+    name and arity or a field of the same name declared in body, or in a
+    class of the file that body's class extends and not private there,
+    or a class of the same name at the top of the file or in body, is
+    reused, not copied.
+    Returns (edits, copied_names, renames): the edits are (Span, text)
+    pairs against unit.text, and renames maps a colliding method name to
+    its _androevolve alias and a colliding import's simple name to the
+    qualified name. Each copied declaration is written through that one
+    map; apply_patch compiles the inserted lines with it, so they
+    reference the copied names.
     """
     if not needs and not imports:
         return [], [], {}
-    existing_methods, existing_types = scope.members(unit)
-    existing_fields = scope.fields(unit)
+    inside = jast.Span(body[0], body[1]).contains
+    inherited = _superclass_body(unit.text, body).contains
+    existing_types = {t.name for t, outer in jast.iter_types(unit)
+                      if not t.implicit and (not outer or inside(t.span))}
+    declared = [d for t, _outer in jast.iter_types(unit) for d in t.fields + t.methods
+                if inside(d.span) or inherited(d.span) and "private" not in d.modifiers]
+    existing_fields = {d.name for d in declared if isinstance(d, jast.FieldDecl)}
+    existing_methods = {(d.name, d.arity) for d in declared if isinstance(d, jast.MethodDecl)}
     existing_names = {name for name, _arity in existing_methods}
 
     # the plan: what is copied, and the renames it and the inserted lines share
@@ -398,12 +431,10 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
             block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
-    # methods and fields go into the first class, or at the end of a file without one
-    primary = next((t for t in unit.types if not t.implicit), None)
-    if primary is not None:
-        insert(primary.body_end, jast.indent_at(unit.text, primary.start) + "    ", members)
-    else:
-        insert(len(unit.text), "", members)
+    # methods and fields go before the class's `}`, indented past its first
+    # line, or at the end of the file, the file block's close
+    insert(body[1], jast.indent_at(unit.text, body[6]) + "    " if body[2] == "class" else "",
+           members)
     insert(len(unit.text), "", types)
     return edits, copied, renames
 
@@ -413,8 +444,8 @@ def transplant_definitions(unit: jast.CompilationUnit, needs, imports=()):
 # ---------------------------------------------------------------------------
 
 def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping):
-    """Update one target without parsing it whole: plan the helper
-    transplant and the site rewrites, and splice every edit at once.
+    """Update one target without parsing it whole: plan the site rewrites
+    and the helper transplant, and splice every edit at once.
 
     Returns (out_text, UpdateReport); out_text is `text` itself when no
     site was updated, and the report's skip spans index `text`. The sites
@@ -422,22 +453,19 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     A text that never names the context call's method holds no site: it
     is only checked by jast.require_balanced, which raises what a parse
     would. In a text that does, jast.check_balanced builds the bracket
-    table once, apply_patch parses one island per statement that names
-    the method, and the transplant reads the file's outline (jast.outline):
-    its header, its first class and the members that name a @needs@
-    helper. Raises jast.UnbalancedSource when the nesting is broken, and
+    table once, jast.outline reads the header and the members that name a
+    @needs@ helper, and apply_patch parses one island per statement that
+    names the method and plans the transplant at the first updated site.
+    Raises jast.UnbalancedSource when the nesting is broken, and
     patchgen.MultipleUse when the patch would evaluate an argument twice.
     """
     name = patchgen.pattern_call(patch.context).name
     if name not in text:
         jast.require_balanced(text)
         return text, UpdateReport()
-    partner, ends = jast.check_balanced(text), {}  # one member walk serves both
-    unit = jast.outline(text, partner, [d.name for d in patch.needs], ends)
-    helper_edits, copied, renames = transplant_definitions(
-        unit, patch.needs, patch.needs_imports)
-    site_edits, report = apply_patch(patch, unit, renames, partner, ends)
+    partner = jast.check_balanced(text)
+    unit = jast.outline(text, partner, [d.name for d in patch.needs])
+    edits, report = apply_patch(patch, unit, partner)
     if report.sites_updated == 0:
         return text, report
-    report.definitions_copied = copied
-    return jast.splice(unit, helper_edits + site_edits), report
+    return jast.splice(unit, edits), report

@@ -694,7 +694,7 @@ class _Parser:
             after_modifiers = i
             while values[after_modifiers] in MODIFIERS:
                 after_modifiers += 1
-            member = ((values[after_modifiers] == "class" and self._try(self._type_header))
+            member = ((values[after_modifiers] in ("class", "@") and self._try(self._type_header))
                       or self._try(self._parse_field_or_method))
             if isinstance(member, TypeDecl):
                 frames.append((member, starts[i]))
@@ -740,13 +740,12 @@ class _Parser:
             header_end = self.ends[self.i - 1]
         return package, imports, static_imports, header_end
 
-    def _annotation(self) -> bool:
+    def _annotation(self) -> None:
         """An annotation, `@` and a name, with arguments or not."""
         self.eat()
         self._qualified_name()
         if self.at("("):
             self._jump()
-        return True
 
     def _header_decl(self) -> str:
         """One package or import declaration; returns its name."""
@@ -818,11 +817,13 @@ class _Parser:
         return _MODIFIER_SETS.setdefault(mods, mods)
 
     def _type_header(self) -> TypeDecl:
-        """At a class's modifiers, which `class` follows: its name and
-        header through its `{`, as a TypeDecl whose members parse_unit's
-        loop reads."""
+        """At a class's annotations and modifiers, which `class` follows:
+        its name and header through its `{`, as a TypeDecl whose members
+        parse_unit's loop reads."""
+        while self.at("@"):
+            self._annotation()
         mods = self._parse_modifiers()
-        self.eat()  # `class`
+        self.expect("class")
         if self.kinds[self.i] != "ident":
             raise _Backtrack("class name expected")
         name = self.values[self.eat()]
@@ -994,13 +995,17 @@ class _Parser:
 
     def _consume_opaque_region(self) -> OpaqueStmt:
         """Consume a balanced statement-shaped region, each bracket group
-        in one step: through a `;` or a brace block outside the groups, or
-        up to an enclosing closer, which is not consumed."""
+        in one step: through a `;`, or a brace block with no `=` before it
+        (as in _member_end), outside the groups, or up to an enclosing
+        closer, which is not consumed."""
         values = self.values
         first = self.i
+        assigned = False
         while values[self.i] and values[self.i] not in _CLOSE:
-            if self._jump() in (";", "{"):
+            value = self._jump()
+            if value == ";" or value == "{" and not assigned:
                 break
+            assigned = assigned or value == "="
         if self.i == first:
             raise _Backtrack("nothing to consume")
         return self._finish(OpaqueStmt(), self.starts[first], self.ends[self.i - 1])
@@ -1165,18 +1170,16 @@ def _parse_with(p: _Parser, rule, what: str = ""):
 # Islands: a file read around given offsets, without a tree of the rest
 # ---------------------------------------------------------------------------
 
-def blocks_around(text: str, partner: dict, offsets,
-                  ends: Optional[dict] = None) -> Iterator[tuple]:
+def blocks_around(text: str, partner: dict, offsets) -> Iterator[tuple]:
     """For each of the sorted offsets, (offset, blocks, start, end), found
     through text's bracket table partner, lexing only the headers of the
     blocks on the way: blocks are the braces around the offset, the file's
-    first, each [open, close, kind (see _block), conditions, ...], and
-    [start, end) is the member or statement of the innermost one that holds
-    the offset, an if with its else chain being one. Each block is walked
-    once, member by member (_member_end), up to its last offset; ends keeps
-    each member's end by its start, for a later walk of the same text."""
-    ends = {} if ends is None else ends
-    stack = [[-1, len(text), "file", [], 0, 0]]  # and the current member's start and end
+    first, each [open, close, kind (see _block), conditions, ..., offset of
+    its member's first token], and [start, end) is the member or statement
+    of the innermost one that holds the offset, an if with its else chain
+    being one. Each block is walked once, member by member (_member_end),
+    up to its last offset."""
+    stack = [[-1, len(text), "file", [], 0, 0, 0]]  # [4], [5]: the walk's member start and end
     for at in offsets:
         while stack[-1][1] < at:
             stack.pop()
@@ -1184,13 +1187,11 @@ def blocks_around(text: str, partner: dict, offsets,
             block = stack[-1]
             start, end = block[4], block[5]
             while end <= at:
-                start, end = end, ends.get(end)
-                if end is None:
-                    end = _member_end(text, start, partner)
-                    while end is not None and block[2] in ("stmt", "file") and (
-                            after_else := _ELSE_RE.match(text, end)):
-                        end = _member_end(text, after_else.end(), partner)
-                    end = ends[start] = block[1] if end is None else end  # or the body's rest
+                start, end = end, _member_end(text, end, partner)
+                while end is not None and block[2] in ("stmt", "file") and (
+                        after_else := _ELSE_RE.match(text, end)):
+                    end = _member_end(text, after_else.end(), partner)
+                end = block[1] if end is None else end  # or the body's rest
                 if block[2] == "enum" and text[end - 1] == ";":
                     block[2] = "type"  # the constants end at the first `;`
             block[4], block[5] = start, end
@@ -1227,12 +1228,14 @@ def _block(text: str, partner: dict, outer: str, start: int, brace: int) -> Opti
     a bracket pair that ends before it being one token: "class" for a
     class body, "enum", "type" for any other type body (an interface's,
     an anonymous class's, an enum constant's), else "stmt". Its conditions
-    are the insides of the `if` parentheses among those tokens."""
-    values, conditions, grouped = [], [], False
+    are the insides of the `if` parentheses among those tokens, and its
+    last entry is the offset of the member's first token."""
+    values, conditions, grouped, head = [], [], False, None
     pos = start
     while True:
         m = _TOKEN_RE.match(text, pos)
         tok, value, pos = m.start(2), m[2], m.end()
+        head = tok if head is None else head
         if tok == brace:
             break
         if value in _OPEN:
@@ -1254,7 +1257,7 @@ def _block(text: str, partner: dict, outer: str, start: int, brace: int) -> Opti
         return None
     else:
         kind = "stmt"
-    return [brace, partner[brace], kind, conditions, brace + 1, brace + 1]
+    return [brace, partner[brace], kind, conditions, brace + 1, brace + 1, head]
 
 
 def token_before(text: str, start: int, at: int) -> Optional[str]:
@@ -1290,39 +1293,24 @@ def parse_island(text: str, partner: dict, start: int, end: int) -> tuple:
         return None, p.starts
 
 
-def outline(text: str, partner: dict, names, ends: Optional[dict] = None) -> CompilationUnit:
+def outline(text: str, partner: dict, names) -> CompilationUnit:
     """What transplanting helpers reads of text, as parse reads it: the
-    header, the first class without its members, and each member of the
-    file or of a class in classes alone whose text outside its braces
-    names one of names. A class may be annotated, though parse keeps such
-    a class opaque. partner and ends are as blocks_around takes them."""
-    pos = 0
-    while (end := _member_end(text, pos, partner)) is not None:  # to the first class
-        body = text[end - 1] == "}" and _block_at(text, partner, "file", pos, end - 1)
-        if body and body[2] == "class":  # a class's `}` ends it
-            break
-        pos = end
-    else:
-        body = None
+    header, and each member of the file or of a class in classes alone
+    whose text outside its braces names one of names, a class's member
+    under an implicit type of its own, so the roots that are not implicit
+    are the file's own classes. partner is as blocks_around takes it."""
     bracket = _BRACKET_RE.match(text)  # the header holds no bracket
-    p = _Parser(text, partner, 0, body[0] + 1 if body else bracket.start(bracket.lastgroup))
+    p = _Parser(text, partner, 0, bracket.start(bracket.lastgroup))
     package, imports, static_imports, header_end = p._parse_header()
     types = []
-    if body:
-        p.i = first = bisect_left(p.starts, pos)
-        while p.at("@") and p._try(p._annotation):
-            pass
-        decl = p._try(p._type_header)
-        if decl is not None:
-            decl.body_end = body[1]
-            types.append(p._finish(decl, p.starts[first], body[1] + 1))
     found = sorted(m.start() for name in map(re.escape, names) for m in re.finditer(
         r"%s(?<![\w$]%s)(?![\w$])" % (name, name), text))  # a literal first is searched fast
     last = None
-    for _at, blocks, start, end in blocks_around(text, partner, found, ends):
+    for _at, blocks, start, end in blocks_around(text, partner, found):
         if start != last and all(b[2] in ("file", "class") for b in blocks):
             last = start
-            types += _Parser(text, partner, start, end).parse_unit().types
+            member = _Parser(text, partner, start, end).parse_unit().types
+            types += member if len(blocks) == 1 else [TypeDecl("", nested=member, implicit=True)]
     return CompilationUnit(package, imports, types, text, newline_of(text), header_end,
                            tuple(static_imports))
 

@@ -4,7 +4,7 @@ import pytest
 
 from api_evolve import engine, jast, normal, patchgen, sigmap
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO
 
 
 def load_patch(case, rewire=False):
@@ -216,13 +216,21 @@ def helpers(text):
     return jast.parse(text).types[0].methods
 
 
+def receiving_class(unit):
+    """The block of the class around `void m`, as jast.blocks_around lists it."""
+    at = unit.text.index("void m")
+    ((_at, blocks, _start, _end),) = jast.blocks_around(
+        unit.text, jast.check_balanced(unit.text), [at])
+    return blocks[1]
+
+
 def test_transplant_appends_method_and_import():
     unit = jast.parse("import a.B;\n\nclass T {\n    void m() { }\n}\n")
     defs = helpers("static AudioAttributes makeAttrs(int usage) {\n"
                    "    return null;\n"
                    "}")
     edits, copied, renames = engine.transplant_definitions(
-        unit, defs, imports=["android.media.AudioAttributes"])
+        unit, receiving_class(unit), defs, imports=["android.media.AudioAttributes"])
     text = jast.splice(unit, edits)
     assert copied == ["makeAttrs"]
     assert renames == {}
@@ -240,7 +248,8 @@ def test_transplant_reuses_identical_signature():
         "}\n")
     before = jast.print_unit(unit)
     edits, copied, renames = engine.transplant_definitions(
-        unit, helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
+        unit, receiving_class(unit),
+        helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     assert jast.splice(unit, edits) == before
     assert copied == [] and renames == {}
 
@@ -252,7 +261,8 @@ def test_transplant_renames_collision():
         "    void m() { }\n"
         "}\n")
     edits, copied, renames = engine.transplant_definitions(
-        unit, helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
+        unit, receiving_class(unit),
+        helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     text = jast.splice(unit, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
     assert "makeAttrs_androevolve(int usage)" in text
@@ -329,7 +339,7 @@ def test_target_field_of_the_same_name_is_reused():
 def test_transplant_skips_existing_import():
     unit = jast.parse("import android.media.AudioAttributes;\n\nclass T { void m() { } }\n")
     edits, _, _ = engine.transplant_definitions(
-        unit, [], imports=["android.media.AudioAttributes"])
+        unit, receiving_class(unit), [], imports=["android.media.AudioAttributes"])
     assert jast.splice(unit, edits).count("import android.media.AudioAttributes;") == 1
 
 
@@ -502,9 +512,8 @@ def test_every_occurrence_in_code_is_updated_or_has_a_reason(body, member, want)
 
 
 def test_helpers_go_into_an_annotated_class():
-    # the walk reads an annotated class as a class, though parse keeps it
-    # opaque: its site is updated, the helpers land in its body, and a
-    # second pass reuses them
+    # the walk reads an annotated class as a class, as parse does: its site
+    # is updated, the helpers land in its body, and a second pass reuses them
     patch, mapping = load_patch("set_sound")
     text = ('@Deprecated\n@SuppressWarnings("x")\npublic class R {\n'
             "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
@@ -515,6 +524,54 @@ def test_helpers_go_into_an_annotated_class():
                         "    }\n}\n")
     again, report = engine.update(out, patch, mapping)
     assert again == out and report.definitions_copied == []
+
+
+TWO_CLASS_TARGETS = {
+    "empty_first_class": ["makeAttrs", "buildAttrs"],
+    "first_class_declares_a_helper": ["makeAttrs", "buildAttrs"],
+    "subclass_of_a_class_that_declares_a_helper": ["buildAttrs"],
+}
+
+
+def test_every_two_class_target_is_checked():
+    targets = (REPO / "tests" / "javac" / "targets").glob("*.java")
+    assert sorted(p.stem for p in targets) == sorted(TWO_CLASS_TARGETS)
+
+
+@pytest.mark.parametrize("stem, copied", TWO_CLASS_TARGETS.items(), ids=TWO_CLASS_TARGETS.keys())
+def test_helpers_go_into_the_class_that_holds_the_site(stem, copied):
+    # a class before the site's, empty or declaring a helper of its own,
+    # receives nothing: the helpers go into the site's class, where its
+    # calls reach them, and what that class inherits from the first is
+    # reused (CI compiles these outputs with javac)
+    patch, mapping = load_patch("set_sound")
+    text = (REPO / "tests" / "javac" / "targets" / (stem + ".java")).read_text()
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == copied
+    util, r = jast.parse(out).types
+    assert util.src == jast.parse(text).types[0].src
+    assert [m.name for m in r.methods] == ["ring"] + copied
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+@pytest.mark.parametrize("extends, copied", [
+    ("extends Util", ["buildAttrs"]),
+    ("<T extends Comparable<T>> extends Util implements Comparable<R<T>>", ["buildAttrs"]),
+    ("extends Base<Util>", ["makeAttrs", "buildAttrs"]),
+    ("<T extends Util>", ["makeAttrs", "buildAttrs"]),
+    ("extends Other", ["makeAttrs", "buildAttrs"]),
+], ids=["superclass", "generic_superclass", "type_argument", "type_parameter_bound",
+        "class_of_another_file"])
+def test_only_what_the_class_inherits_from_a_class_of_the_file_is_reused(extends, copied):
+    patch, mapping = load_patch("set_sound")
+    text = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n"
+            "class R %s {\n"
+            "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n}\n" % extends)
+    assert engine.update(text, patch, mapping)[1].definitions_copied == copied
+    private = text.replace("    AudioAttributes", "    private AudioAttributes")
+    assert engine.update(private, patch, mapping)[1].definitions_copied == [
+        "makeAttrs", "buildAttrs"]
 
 
 def _needs_patch():
@@ -550,6 +607,22 @@ def test_a_helper_class_is_copied_to_the_end_of_the_file():
                         "    AudioAttributes build(int u) { return null; }\n}\n")
     assert [t.name for t in jast.parse(out).types] == ["T", "AttrsBuilder"]
     assert engine.update(out, patch, mapping)[0] == out
+
+
+@pytest.mark.parametrize("holder, copied", [
+    ("class Util {\n    %s\n}\n\nclass R {\n%s}\n", True),
+    ("class R {\n    %s\n%s}\n", False),
+    ("%s\n\nclass R {\n%s}\n", False),
+], ids=["nested_in_another_class", "nested_in_the_site_class", "top_level"])
+def test_a_helper_class_is_reused_only_where_the_site_reaches_it(holder, copied):
+    # a class nested in another top-level class is out of the site's reach
+    patch, mapping = _needs_patch()
+    site = ("    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n")
+    text = holder % ("static class AttrsBuilder { }", site)
+    out, report = engine.update(text, patch, mapping)
+    assert report.definitions_copied == ["makeAttrs", "OFFSET"] + ["AttrsBuilder"] * copied
+    assert out.count("class AttrsBuilder") == 1 + copied
 
 
 def test_a_copied_helper_class_calls_a_renamed_helper_by_its_alias(vibrate_mapping):

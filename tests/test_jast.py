@@ -603,22 +603,19 @@ def test_class_literal_opens_no_type_body():
 
 
 def test_name_free_type_bodies_are_lexed():
-    # an outline holds the file's first class, without its members, and
-    # what the full parse reads of each member, of a class in classes
-    # alone, whose own text names a name; a member of a local class is none
+    # an outline holds what the full parse reads of each member, of a
+    # class in classes alone, whose own text names a name, and no class
+    # that names none; a member of a local class is none
     text = NESTED_CLASS
     partner = jast.check_balanced(text)
-    full = jast.parse(text).types[0]
-    (a,) = jast.outline(text, partner, ["vibrate"]).types
-    assert (a.name, a.nested, a.methods, a.span, a.body_span) == (
-        "A", [], [], full.span, full.body_span)
+    assert jast.outline(text, partner, ["vibrate"]).types == []
     methods, types = scope.members(jast.outline(text, partner, ["k"]))
-    assert sorted(methods) == [("k", 0)] and sorted(types) == ["A"]
+    assert sorted(methods) == [("k", 0)] and sorted(types) == []
     methods, types = scope.members(jast.outline(text, partner, ["B"]))
-    assert sorted(methods) == [("k", 0)] and sorted(types) == ["A", "B"]
+    assert sorted(methods) == [("k", 0)] and sorted(types) == ["B"]
     local = "class A { void m() { class L { void k() { } } } }"
     methods, types = scope.members(jast.outline(local, jast.check_balanced(local), ["k"]))
-    assert sorted(methods) == [] and sorted(types) == ["A"]
+    assert sorted(methods) == [] and sorted(types) == []
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():
@@ -690,6 +687,7 @@ BOUNDARY_STATEMENTS = {
     "anonymous_class_call": ("new R() { public void run() { go(); } }.run();", "go();"),
     "array_initializers": ("int[] a = {go()}, b = {2};", None),
     "block_lambda_argument": ("run(() -> { go(); }, () -> { x = 1; });", "go();"),
+    "block_lambda_local": ("Runnable r = () -> { go(); };", "go();"),
     "top_level_equality": ("boolean same = go() == null;", None),
     "equality_before_a_block": ("r = c == d ? () -> { go(); } : null;", "go();"),
     "text_block": ('s = """\n            ; } {\n            """ + go();', None),
@@ -708,11 +706,14 @@ def _boundary_text(stmt):
 def test_statement_ends_where_the_full_parse_ends_it(stmt, go_item, keep):
     text = _boundary_text(stmt)
     (s,) = jast.parse(text).types[0].methods
-    # the statement walk steps over the hard statement to the site's, as
-    # the full parse has it; each call is in the statement that holds it
+    # the statement walk steps over each statement as the full parse has it
+    walked = jast.blocks_around(text, jast.check_balanced(text), [t.start for t in s.body])
+    assert [text[start:end].strip() for _at, _blocks, start, end in walked] == [
+        t.src for t in s.body]
+    # each call is in the statement that holds it
     found = _items_in_code(text, keep)
     assert found == ([go_item or stmt] if "go" in keep else []) + [s.body[-2].src]
-    assert s.body[-2].src == "v.vibrate(5);"
+    assert s.body[-2].src == "v.vibrate(5);" and s.body[-1].src == "int after = 2;"
 
 
 def test_a_site_in_the_first_of_many_methods_scans_no_other_method(monkeypatch):

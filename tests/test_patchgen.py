@@ -34,6 +34,19 @@ def test_vibrate_patch_exact_text():
     assert patchgen.render_patch(patch) == EXPECTED_VIBRATE_PATCH
 
 
+@pytest.mark.parametrize("wrap", [
+    '@SuppressWarnings("deprecation")\npublic class A {\n%s}\n',
+    "%sstatic Object once = vibrator.vibrate(5L);\n",
+], ids=["annotated_class", "call_in_a_field_initializer"])
+def test_the_vibrate_example_generates_the_same_patch(wrap):
+    # parse reads an annotated class as a class; a deprecated call in a
+    # field initializer is a site whose scope has no method
+    _example, mapping = read_case("vibrate")
+    text = wrap % (CORPUS / "cases" / "vibrate" / "example.java").read_text()
+    patch = patchgen.generate_patch(jast.parse(text), mapping)
+    assert patchgen.render_patch(patch) == EXPECTED_VIBRATE_PATCH
+
+
 def test_vibrate_patch_constants_inlined():
     # DURATION/AMPLITUDE field reads in the example surface as literals
     example, mapping = read_case("vibrate")
@@ -513,6 +526,22 @@ def test_a_guard_call_only_a_wildcard_static_import_declares_is_refused():
     example = jast.parse(GUARD_CALL_EXAMPLE % (imports, AT_LEAST_O))
     assert [d.name for d in patchgen.generate_patch(example, VIBRATE).needs] == [
         "atLeastO", "LEVEL"]
+
+
+def test_a_class_a_helper_names_only_as_a_local_type_is_carried():
+    example = (CORPUS / "cases" / "set_sound" / "example.java").read_text()
+    for old, new in [("makeAttrs(int usage) {\n",
+                      "makeAttrs(int usage) {\n        Holder h = null;\n"),
+                     ("\n}\n", "\n\n    static class Holder {\n    }\n}\n")]:
+        assert example.count(old) == 1
+        example = example.replace(old, new)
+    _example, mapping = read_case("set_sound")
+    patch = patchgen.generate_patch(jast.parse(example), mapping)
+    assert [d.name for d in patch.needs] == ["makeAttrs", "Holder", "buildAttrs"]
+    rendered = patchgen.render_patch(patch)
+    assert patchgen.parse_patch(rendered).needs[1].name == "Holder"
+    with pytest.raises(patchgen.MalformedPatch, match="@needs@ member Holder is never used"):
+        patchgen.parse_patch(rendered.replace("Holder h = null;", ""))
 
 
 def test_a_field_a_helper_reads_through_this_is_carried():
