@@ -29,14 +29,22 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
     definition, in that definition's scope, so a def-use chain of any
     length is a path in the fold; the fields on the path guard against a
     cycle. A call receiver that names a type or a static member is kept
-    as written, at no scope."""
+    as written, at no scope. A definition that several names reach is
+    grounded once: each composite's value is kept, keyed by its expression
+    and the fields on its path (the expression's one position in the
+    example fixes its scope), and a name whose definition has a kept value
+    takes it as a leaf."""
+    memo = {}  # (composite expression, fields on the path) -> its value
 
     def kids(node):
         e, at, seen = node
         kind = type(e)
         if kind is jast.Name:
             found = at and _value(e.identifier, at, seen)
-            return [found] if found else ()
+            if not found:
+                return ()
+            known = memo.get((found[0], found[2]))
+            return [found if known is None else (known, None, seen)]
         if at is None or kind not in _COMPOSITE:
             return ()
         receiver = e.receiver if kind is jast.MethodCall else None
@@ -45,10 +53,10 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
         return [(c, None if c is kept else at, seen) for c in jast.child_exprs(e)]
 
     def ground(node, values):
-        e, at, _seen = node
+        e, at, seen = node
         kind = type(e)
-        if at is None or kind is jast.Literal:
-            return ResolvedValue(True, e)
+        if at is None or kind is jast.Literal:  # kept as written, or grounded before
+            return e if kind is ResolvedValue else ResolvedValue(True, e)
         if kind is jast.Name:
             if values:
                 return values[0]
@@ -61,8 +69,11 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
         receiver = values[0].expr if kind is jast.MethodCall and e.receiver is not None else None
         if kind not in _COMPOSITE or not all(v.resolved for v in values) or (
                 type(receiver) is jast.Literal and receiver.kind != "string"):
-            return ResolvedValue(False, e)  # `5.intValue()` would lex as `5.`
-        return ResolvedValue(True, jast.rebuild(e, [v.expr for v in values]))
+            value = ResolvedValue(False, e)  # `5.intValue()` would lex as `5.`
+        else:
+            value = ResolvedValue(True, jast.rebuild(e, [v.expr for v in values]))
+        memo[e, seen] = value
+        return value
 
     return jast.fold((e, ctx, frozenset()), ground, kids)
 

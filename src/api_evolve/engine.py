@@ -273,7 +273,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
     edits = []
     handled = set()
     then = None  # compiled at the first site that matches
-    guard = "if (%s) {" % jast.render_expr(patch.guard_cond)
+    guard = "if (%s) {" % patch.added()[0]
     skipped = report.sites_skipped.append
     # Each stage runs over all sites before the next: walk, parse, then
     # match and render. Run site by site, the same work took about 30%
@@ -328,7 +328,7 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
         if then is None:
             body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
             helper_edits, report.definitions_copied, renames = transplant_definitions(
-                unit, body, patch.needs, patch.needs_imports)
+                unit, partner, body, patch.needs, patch.needs_imports)
             edits += helper_edits
             then = compile_then(patch, renames)
         indent = jast.indent_at(text, stmt.start)
@@ -345,22 +345,26 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 # Transplantation
 # ---------------------------------------------------------------------------
 
-def _superclass_body(text: str, body: list) -> jast.Span:
+def _superclass_body(text: str, partner: dict, body: list) -> jast.Span:
     """The braces of the class of text that body's class extends, empty if
-    it extends none that text declares."""
+    it extends none that text declares; partner is text's bracket table."""
     name = body[2] == "class" and _EXTENDS.search(text, body[6], body[0])
     decl = name and re.search(r"class(?<![\w$]class)\s+%s(?![\w$])[^{;]*\{"
                               % re.escape(name[1]), text)  # a literal first is searched fast
     if not decl:
         return jast.Span(0, 0)
-    return jast.Span(decl.end() - 1, jast.check_balanced(text).get(decl.end() - 1, 0))
+    return jast.Span(decl.end() - 1, partner.get(decl.end() - 1, 0))
 
 
-def transplant_definitions(unit: jast.CompilationUnit, body: list, needs, imports=()):
+def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list, needs,
+                           imports=()):
     """Copy helper definitions and imports into the target.
 
-    body is the block, as jast.blocks_around lists one, that receives the
-    helper methods and fields: a top-level class, or the file's own block.
+    partner is unit.text's bracket table (jast.check_balanced). body is
+    the block, as jast.blocks_around lists one, that receives the helper
+    methods, fields and `static` classes: a top-level class, or the file's
+    own block. A class declared without `static` goes to the end of the
+    file, top-level.
     needs holds the helper methods, fields and classes of a patch's
     @needs@ section, parsed (SemanticPatch.needs). A method of the same
     name and arity or a field of the same name declared in body, or in a
@@ -377,7 +381,7 @@ def transplant_definitions(unit: jast.CompilationUnit, body: list, needs, import
     if not needs and not imports:
         return [], [], {}
     inside = jast.Span(body[0], body[1]).contains
-    inherited = _superclass_body(unit.text, body).contains
+    inherited = _superclass_body(unit.text, partner, body).contains
     existing_types = {t.name for t, outer in jast.iter_types(unit)
                       if not t.implicit and (not outer or inside(t.span))}
     declared = [d for t, _outer in jast.iter_types(unit) for d in t.fields + t.methods
@@ -431,11 +435,13 @@ def transplant_definitions(unit: jast.CompilationUnit, body: list, needs, import
             block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
-    # methods and fields go before the class's `}`, indented past its first
-    # line, or at the end of the file, the file block's close
+    # methods, fields and static classes go before the class's `}`, indented
+    # past its first line, or at the end of the file, the file block's close;
+    # a class without `static` would become an inner class there, which a
+    # static helper cannot instantiate, so it stays top-level
     insert(body[1], jast.indent_at(unit.text, body[6]) + "    " if body[2] == "class" else "",
-           members)
-    insert(len(unit.text), "", types)
+           members + [t for t in types if "static" in t.modifiers])
+    insert(len(unit.text), "", [t for t in types if "static" not in t.modifiers])
     return edits, copied, renames
 
 

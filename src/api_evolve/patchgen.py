@@ -45,7 +45,7 @@ class MalformedPatch(Exception):
 class SemanticPatch(jast.Record):
     """Equal to another when both render to the same text (render_patch)."""
     __slots__ = ("rule_name", "metavars", "guard_cond", "then_stmts", "context",
-                 "needs_imports", "needs")
+                 "needs_imports", "needs", "added_text")
 
     def __init__(self, rule_name: str, metavars: list, guard_cond: jast.Expr,
                  then_stmts: list, context: jast.Stmt, needs_imports: Optional[list] = None,
@@ -57,6 +57,14 @@ class SemanticPatch(jast.Record):
         self.context = context  # the deprecated call's statement pattern, kept in the else branch
         self.needs_imports = [] if needs_imports is None else needs_imports
         self.needs = [] if needs is None else needs  # helpers, in @needs@ order
+        self.added_text = None  # see added()
+
+    def added(self) -> list:
+        """The text of the guard, then of each then statement, rendered once."""
+        if self.added_text is None:
+            self.added_text = [jast.render_expr(self.guard_cond)] + list(
+                map(jast.render_stmt, self.then_stmts))
+        return self.added_text
 
     def metavar_names(self, kind: str) -> set:
         return {n for k, n in self.metavars if k == kind}
@@ -71,15 +79,12 @@ class SemanticPatch(jast.Record):
 
 def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
                    rewire_shared_args: bool = False) -> SemanticPatch:
-    dep_site, upd_site, if_stmt = _locate_pair(example, mapping)
+    dep_site, upd_site, if_stmt, ctx = _locate_pair(example, mapping)
 
     # metavariable slot per deprecated argument position
-    shared = {}  # example variable name -> iden metavar name
-    for i, arg in enumerate(dep_site.call.args):
-        if isinstance(arg, jast.Name):
-            shared[arg.identifier] = "iden%d" % i
+    shared = {arg.identifier: "iden%d" % i  # example variable name -> iden metavar name
+              for i, arg in enumerate(dep_site.call.args) if isinstance(arg, jast.Name)}
 
-    ctx = scope.at_site(upd_site, example)
     if rewire_shared_args:
         ctx.pinned = {name: jast.Name(mv) for name, mv in shared.items()}
 
@@ -121,17 +126,14 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     then_stmts = temps + [updated_stmt]
     needs = dataflow.collect_dependencies(_hunk(metavars, guard, then_stmts), ctx)
     _check_names(example, ctx, metavars, guard, then_stmts, needs)
-    needs_imports = _needed_imports(
-        example, [jast.render_expr(guard)] + [jast.render_stmt(s) for s in then_stmts]
-        + [d.src for d in needs])
-    return SemanticPatch(
-        rule_name="update_%s" % mapping.deprecated.method_name,
-        metavars=metavars, guard_cond=guard, then_stmts=then_stmts,
-        context=context_stmt, needs_imports=needs_imports, needs=needs)
+    patch = SemanticPatch("update_%s" % mapping.deprecated.method_name, metavars, guard,
+                          then_stmts, context_stmt, needs=needs)
+    patch.needs_imports = _needed_imports(example, patch.added() + [d.src for d in needs])
+    return patch
 
 
 def _locate_pair(unit, mapping):
-    """Best (deprecated site, updated site, if stmt) triple in the example.
+    """Best (deprecated site, updated site, if stmt, updated site's scope).
 
     When the two signatures share name and arity the calls are textually
     indistinguishable, so candidate pairings are ranked by how well the
@@ -140,19 +142,22 @@ def _locate_pair(unit, mapping):
     the guard's direction names (see _against_guard), then the earliest
     if, then the earliest deprecated site, then the earliest updated site.
     Sites match by name and arity alone, so signatures that share both
-    share one walk's site list."""
+    share one walk's site list, and each site's scope is built once."""
     dep, upd = mapping.deprecated, mapping.replacement
     dep_sites = sigmap.find_invocations(unit, dep)
     upd_sites = (dep_sites if (dep.method_name, dep.arity) == (upd.method_name, upd.arity)
                  else sigmap.find_invocations(unit, upd))
-    deps = [(d, _arg_type_score(d, dep, unit)) for d in dep_sites]
-    upds = [(u, _arg_type_score(u, upd, unit)) for u in upd_sites]
+    at = {id(s): scope.at_site(s, unit)
+          for s in (dep_sites if upd_sites is dep_sites else dep_sites + upd_sites)}
+    deps = [(d, _arg_type_score(d, dep, at[id(d)])) for d in dep_sites]
+    upds = [(u, _arg_type_score(u, upd, at[id(u)])) for u in upd_sites]
     ranked = [((-(ds + us), _against_guard(s, u), s.start, d.call.start, u.call.start), (d, u, s))
               for d, ds in deps for u, us in upds
               for s in [_separating_if(d, u)] if s is not None]
     if not ranked:
         raise ExampleShapeError("example must pair %s and %s inside one if/else" % (dep, upd))
-    return min(ranked, key=lambda r: r[0])[1]
+    d, u, s = min(ranked, key=lambda r: r[0])[1]
+    return d, u, s, at[id(u)]
 
 
 def _separating_if(a, b):
@@ -201,11 +206,10 @@ _LITERAL_TYPES = {"int": _NUMERIC, "float": _NUMERIC, "string": {"String"}}
 _NEGATED = {"<": ">=", ">=": "<", ">": "<=", "<=": ">"}  # a guard's negation
 
 
-def _arg_type_score(site, sig, unit):
+def _arg_type_score(site, sig, at):
     """Count arguments whose type agrees with the signature: a name's
-    declared type, T for `new T(...)`, String for a string literal, and
-    any primitive numeric type for a numeric literal."""
-    at = scope.at_site(site, unit)
+    declared type at the site's scope at, T for `new T(...)`, String for a
+    string literal, and any primitive numeric type for a numeric literal."""
     score = 0
     for arg, ptype in zip(site.call.args, sig.param_types):
         ptype = sigmap.simple_name(ptype)
@@ -271,9 +275,10 @@ def _check_names(example, ctx, metavars, guard, then_stmts, needs):
              for e in jast.iter_exprs(root)]
     names = [e.identifier if type(e) is jast.Name else e.type_name.split("<")[0]
              for e in exprs if type(e) is jast.Name or type(e) is jast.ObjectCreation]
+    variables = ctx.defined_names()
     for name in dict.fromkeys(names):  # in order, each once
         what = None if name in own else (
-            "a variable of the example's method" if ctx.definition(name) is not None
+            "a variable of the example's method" if name in variables
             else "a parameter of the example's method" if ctx.parameter(name) is not None
             else "a field of the example with no initializer" if name in unset
             else "the example's own object" if name == "this"
@@ -301,16 +306,14 @@ def _needed_imports(example, texts):
     @needs@ holds plain imports only, so such a static import raises
     ExampleShapeError."""
     blob = "\n".join(texts)
-    out = []
-    for imp in example.imports:
-        simple = sigmap.simple_name(imp)
-        if simple == "*" or not re.search(r"\b%s\b" % re.escape(simple), blob):
-            continue
-        if imp in example.static_imports:
-            raise ExampleShapeError("the patch would use %s from the example's "
-                                    "'import static %s;', which @needs@ cannot carry"
-                                    % (simple, imp))
-        out.append(imp)
+    # \bname\b with the name first, so that re finds it by a literal search
+    out = [imp for imp in example.imports for simple in [sigmap.simple_name(imp)]
+           if simple != "*" and re.search(r"{0}(?<=\b{0})\b".format(re.escape(simple)), blob)]
+    static = next((imp for imp in out if imp in example.static_imports), None)
+    if static is not None:
+        raise ExampleShapeError("the patch would use %s from the example's 'import static "
+                                "%s;', which @needs@ cannot carry"
+                                % (sigmap.simple_name(static), static))
     return out
 
 
@@ -324,8 +327,7 @@ def render_patch(p: SemanticPatch) -> str:
         names = [n for k, n in p.metavars if k == kind]
         if names:
             lines.append("%s %s;" % (kind, ", ".join(names)))
-    lines += ["@@", "...", "+ if (%s) {" % jast.render_expr(p.guard_cond)]
-    lines += ["+ " + jast.render_stmt(s) for s in p.then_stmts]
+    lines += ["@@", "...", "+ if (%s) {" % p.added()[0]] + ["+ " + t for t in p.added()[1:]]
     lines += ["+ } else {", jast.render_stmt(p.context), "+ }"]
     if p.needs_imports or p.needs:
         lines += ["@needs@"] + ["import %s;" % imp for imp in p.needs_imports]
@@ -362,14 +364,14 @@ def parse_patch(text: str) -> SemanticPatch:
             raise MalformedPatch("'-' lines are not supported; the deprecated call "
                                  "is the unprefixed context line", k + 1)
 
-    needs_imports, body = [], []
-    for ln in lines[end + 1:]:  # the @needs@ section
+    needs_imports = []
+    for ln in lines[end + 1:]:  # the @needs@ section: its leading imports, then the body
         m = re.match(r"^\s*import\s+([\w.]+)\s*;\s*$", ln)
-        if m and not body:
-            needs_imports.append(m.group(1))
-        else:
-            body.append(ln)
-    blob, first_line = "\n".join(body), end + 2 + len(needs_imports)
+        if m is None:
+            break
+        needs_imports.append(m.group(1))
+    first_line = end + 2 + len(needs_imports)
+    blob = "\n".join(lines[first_line - 1:])
     needs = _split_defs(blob, first_line) if blob.strip() else []
     patch = SemanticPatch(rule_name, metavars, *_read_hunk(lines, i, end), needs_imports, needs)
     _check_needs_used(patch, blob, first_line)

@@ -36,12 +36,15 @@ class Scope(jast.Record):
         the defining statement); value is None for a declaration without
         an initializer. None when no visible statement defines name."""
         for level, j, stmt in self._before():
-            value = _defines(stmt, name)
-            if value is not None:
-                at = Scope(self.unit, self.types, self.method,
-                           self.path[:level] + ((self.path[level][0], j),), self.pinned)
-                return (None if value is _NO_INIT else value), at
+            if _defined_name(stmt) == name:
+                value = stmt.init if isinstance(stmt, jast.LocalVarDecl) else stmt.expr.rhs
+                return value, Scope(self.unit, self.types, self.method,
+                                    self.path[:level] + ((self.path[level][0], j),), self.pinned)
         return None
+
+    def defined_names(self) -> set:
+        """The names whose definition() is not None, in one pass."""
+        return {_defined_name(stmt) for _level, _j, stmt in self._before()} - {None}
 
     def parameter(self, name) -> Optional[str]:
         """Declared type of the enclosing method's parameter name, or None."""
@@ -182,16 +185,11 @@ def closure(defs, methods, types, fields, qualified=False) -> list:
     return found
 
 
-_NO_INIT = object()
-
-
-def _defines(s, name):
-    """Value a statement assigns to name, _NO_INIT for a bare declaration,
-    or None when the statement does not define name."""
-    if isinstance(s, jast.LocalVarDecl) and s.name == name:
-        return s.init if s.init is not None else _NO_INIT
-    if isinstance(s, jast.ExprStmt) and isinstance(s.expr, jast.Assign):
-        lhs = s.expr.lhs
-        if isinstance(lhs, jast.Name) and lhs.identifier == name:
-            return s.expr.rhs
+def _defined_name(s):
+    """The name a statement declares or assigns, or None."""
+    if isinstance(s, jast.LocalVarDecl):
+        return s.name
+    if (isinstance(s, jast.ExprStmt) and isinstance(s.expr, jast.Assign)
+            and isinstance(s.expr.lhs, jast.Name)):
+        return s.expr.lhs.identifier
     return None

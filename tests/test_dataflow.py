@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from api_evolve import dataflow, jast, scope, sigmap
+from api_evolve import dataflow, jast, patchgen, scope, sigmap
 
 import oracle_programs
 
@@ -231,3 +231,30 @@ def test_resolve_walks_grow_no_faster_than_the_chain(monkeypatch):
         assert dataflow.resolve_expression(arg, ctx).resolved
         counts.append(len(walked))
     assert counts[1] <= 2 * counts[0]
+
+
+@pytest.mark.parametrize("leaf, other", [("1", "p"), ("p", "1")],
+                         ids=["parameter_as_the_other_argument", "parameter_at_the_leaf"])
+def test_a_definition_used_twice_is_resolved_once(monkeypatch, vibrate_mapping, leaf, other):
+    # a1 = a0 + a0, a2 = a1 + a1, ...: 2^40 paths from the call to a0, and
+    # the parameter p leaves the value unresolved
+    depth = 40
+    defs = "".join("        int a%d = a%d + a%d;\n" % (i, i - 1, i - 1)
+                   for i in range(1, depth + 1))
+    example = jast.parse(
+        "class A {\n    void m(Vibrator v, int p, long t) {\n        int a0 = %s;\n%s"
+        "        if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "            v.vibrate(VibrationEffect.createOneShot(a%d, %s));\n"
+        "        } else {\n            v.vibrate(t);\n        }\n    }\n}\n"
+        % (leaf, defs, depth, other))
+    definition, calls = scope.Scope.definition, []
+
+    def counted(self, name):
+        calls.append(name)
+        assert len(calls) <= 4 * depth, "Scope.definition called more than linearly"
+        return definition(self, name)
+
+    monkeypatch.setattr(scope.Scope, "definition", counted)
+    with pytest.raises(patchgen.ResolutionError, match="cannot resolve"):
+        patchgen.generate_patch(example, vibrate_mapping)
+    assert calls.count("a%d" % depth) == 1 and calls.count("a0") == 2

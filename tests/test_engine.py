@@ -230,7 +230,8 @@ def test_transplant_appends_method_and_import():
                    "    return null;\n"
                    "}")
     edits, copied, renames = engine.transplant_definitions(
-        unit, receiving_class(unit), defs, imports=["android.media.AudioAttributes"])
+        unit, jast.check_balanced(unit.text), receiving_class(unit), defs,
+        imports=["android.media.AudioAttributes"])
     text = jast.splice(unit, edits)
     assert copied == ["makeAttrs"]
     assert renames == {}
@@ -248,7 +249,7 @@ def test_transplant_reuses_identical_signature():
         "}\n")
     before = jast.print_unit(unit)
     edits, copied, renames = engine.transplant_definitions(
-        unit, receiving_class(unit),
+        unit, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     assert jast.splice(unit, edits) == before
     assert copied == [] and renames == {}
@@ -261,7 +262,7 @@ def test_transplant_renames_collision():
         "    void m() { }\n"
         "}\n")
     edits, copied, renames = engine.transplant_definitions(
-        unit, receiving_class(unit),
+        unit, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     text = jast.splice(unit, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
@@ -336,10 +337,42 @@ def test_target_field_of_the_same_name_is_reused():
     assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
 
 
+def test_update_scans_the_brackets_once_when_the_site_class_extends_a_class_of_the_file(
+        monkeypatch):
+    # the transplant reads the superclass's braces from apply's bracket table
+    patch, mapping = load_patch("set_sound")
+    text = ("class Util {\n    static int helper() { return 0; }\n}\n\n"
+            "class R extends Util {\n"
+            "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n}\n")
+    scan = jast.check_balanced
+    calls = []
+    monkeypatch.setattr(jast, "check_balanced", lambda t: calls.append(t) or scan(t))
+    out, report = engine.update(text, patch, mapping)
+    assert calls == [text]
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
+    assert out == (
+        "import android.media.AudioAttributes;\n"
+        "class Util {\n    static int helper() { return 0; }\n}\n\n"
+        "class R extends Util {\n"
+        "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+        "        if (android.os.Build.VERSION.SDK_INT >= "
+        "android.os.Build.VERSION_CODES.LOLLIPOP) {\n"
+        "            b.setSound(u, makeAttrs(5));\n"
+        "        } else {\n"
+        "            b.setSound(u);\n"
+        "        }\n    }\n\n"
+        "    static AudioAttributes makeAttrs(int usage) {\n"
+        "        return buildAttrs(usage);\n    }\n\n"
+        "    static AudioAttributes buildAttrs(int usage) {\n"
+        "        return new AudioAttributes.Builder().setUsage(usage).build();\n    }\n}\n")
+
+
 def test_transplant_skips_existing_import():
     unit = jast.parse("import android.media.AudioAttributes;\n\nclass T { void m() { } }\n")
     edits, _, _ = engine.transplant_definitions(
-        unit, receiving_class(unit), [], imports=["android.media.AudioAttributes"])
+        unit, jast.check_balanced(unit.text), receiving_class(unit), [],
+        imports=["android.media.AudioAttributes"])
     assert jast.splice(unit, edits).count("import android.media.AudioAttributes;") == 1
 
 
@@ -593,7 +626,9 @@ def _needs_patch():
     return patch, load_patch("set_sound")[1]
 
 
-def test_a_helper_class_is_copied_to_the_end_of_the_file():
+def test_a_helper_class_is_copied_into_the_site_class():
+    # a top-level `static class` does not compile, so the class goes where
+    # the methods and fields go: before the `}` of the class of the site
     patch, mapping = _needs_patch()
     text = ("class T {\n"
             "    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
@@ -603,9 +638,31 @@ def test_a_helper_class_is_copied_to_the_end_of_the_file():
     out, report = engine.update(text, patch, mapping)
     assert report.sites_updated == 1
     assert report.definitions_copied == ["makeAttrs", "OFFSET", "AttrsBuilder"]
-    assert out.endswith("}\n\nstatic class AttrsBuilder {\n"
-                        "    AudioAttributes build(int u) { return null; }\n}\n")
-    assert [t.name for t in jast.parse(out).types] == ["T", "AttrsBuilder"]
+    assert out.endswith("    private static final int OFFSET = 1;\n\n"
+                        "    static class AttrsBuilder {\n"
+                        "    AudioAttributes build(int u) { return null; }\n}\n}\n")
+    assert [t.name for t in jast.parse(out).types] == ["T"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+def test_a_helper_class_without_static_stays_top_level():
+    # in the site's class, a class without `static` would be an inner class,
+    # which the static helper cannot instantiate; a static class still goes
+    # there (CI compiles this output with javac)
+    mapping = load_patch("set_sound")[1]
+    example = (REPO / "tests" / "javac" / "examples" / "top_level_helper_class.java").read_text()
+    patch = patchgen.generate_patch(jast.parse(example), mapping)
+    text = (REPO / "tests" / "javac" / "targets" / "empty_first_class.java").read_text()
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1
+    assert report.definitions_copied == ["makeAttrs", "Holder", "Usage"]
+    assert [t.name for t in jast.parse(out).types] == ["Util", "R", "Holder"]
+    assert [t.name for t in jast.parse(out).types[1].nested] == ["Usage"]
+    assert out.endswith("}\n\nclass Holder {\n    private final int usage;\n\n"
+                        "    Holder(int u) {\n        usage = u;\n    }\n\n"
+                        "    AudioAttributes attrs(int offset) {\n"
+                        "        return new AudioAttributes.Builder().setUsage(usage + offset)"
+                        ".build();\n    }\n}\n")
     assert engine.update(out, patch, mapping)[0] == out
 
 

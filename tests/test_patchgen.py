@@ -96,6 +96,17 @@ def test_needed_definitions_are_transitive():
     assert patch.needs_imports == ["android.media.AudioAttributes"]
 
 
+def test_an_import_is_carried_when_its_simple_name_is_a_whole_word_of_the_patch():
+    # Audio and Attributes occur only inside AudioAttributes; Builder stands
+    # alone after a `.` in the carried buildAttrs
+    _example, mapping = read_case("set_sound")
+    text = (CORPUS / "cases" / "set_sound" / "example.java").read_text()
+    example = jast.parse("import android.media.Audio;\nimport x.Attributes;\n"
+                         "import x.Builder;\n" + text)
+    patch = patchgen.generate_patch(example, mapping)
+    assert patch.needs_imports == ["x.Builder", "android.media.AudioAttributes"]
+
+
 def test_assignment_context_uses_expression_metavar():
     example, mapping = read_case("get_current_minute")
     rendered = patchgen.render_patch(patchgen.generate_patch(example, mapping))
@@ -265,6 +276,40 @@ def test_generate_finds_sites_once_when_name_and_arity_match(monkeypatch):
                         lambda unit, sig: calls.append(sig) or find(unit, sig))
     assert patchgen.render_patch(patchgen.generate_patch(example, mapping)) == EXPECTED_VIBRATE_PATCH
     assert calls == [mapping.deprecated]
+
+
+def test_generate_and_render_render_each_then_statement_once(monkeypatch):
+    # render_patch reuses the text generate_patch rendered to find imports
+    example, mapping = read_case("vibrate")
+    render, rendered = jast.render_stmt, []
+    monkeypatch.setattr(jast, "render_stmt", lambda s: rendered.append(s) or render(s))
+    patch = patchgen.generate_patch(example, mapping)
+    assert patchgen.render_patch(patch) == EXPECTED_VIBRATE_PATCH
+    assert [id(s) for s in rendered] == [id(s) for s in patch.then_stmts + [patch.context]]
+
+
+def test_check_names_asks_no_definition_of_the_scope(monkeypatch):
+    # the example's variables are one set, built in one pass over the scope
+    example, mapping = read_case("vibrate")
+    check, args = patchgen._check_names, []
+    monkeypatch.setattr(patchgen, "_check_names", lambda *a: args.append(a) or check(*a))
+    patchgen.generate_patch(example, mapping)
+
+    def refused(self, name):
+        raise AssertionError("Scope.definition(%r)" % name)
+
+    monkeypatch.setattr(scope.Scope, "definition", refused)
+    check(*args[0])
+
+
+@pytest.mark.parametrize("body", ["long d = 5; d = 6;", "long d;", "d = 6;"])
+def test_defined_names_are_the_names_with_a_definition(body):
+    unit = jast.parse("class A { long f; void m(Vibrator v, long p) { long e = 1; "
+                      "if (c) { long g = 2; } %s v.vibrate(d); long h = 3; } }" % body)
+    (site,) = sigmap.find_invocations(unit, VIBRATE.deprecated)
+    at = scope.at_site(site, unit)
+    assert at.defined_names() == {n for n in "cdefghpv" if at.definition(n) is not None}
+    assert at.defined_names() == {"d", "e"}
 
 
 VIBRATE = sigmap.ApiMapping(
@@ -621,7 +666,10 @@ EFFECT = "static VibrationEffect effect(long d) { return VibrationEffect.createO
      12, "imprt android.os.Vibrator;"),
     ("import static android.os.Build.VERSION;\n" + EFFECT, 11, "import static"),
     (EFFECT + "@needs@\n" + EFFECT.replace("effect", "other"), 12, "@needs@"),
-], ids=["helper_without_braces", "corrupted_import", "static_import", "second_needs"])
+    # only the section's leading lines are imports; the body starts at the first other line
+    (EFFECT + "import android.os.VibrationEffect;\n", 12, "import android.os.VibrationEffect;"),
+], ids=["helper_without_braces", "corrupted_import", "static_import", "second_needs",
+        "import_after_a_member"])
 def test_parse_patch_rejects_a_needs_line_copying_would_drop(needs, lineno, text):
     with pytest.raises(patchgen.MalformedPatch,
                        match="is not a field, method or class") as err:
