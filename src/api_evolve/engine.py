@@ -165,8 +165,57 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     return kind(**values)
 
 
+class PatchPlan(jast.Record):
+    """What apply_patch derives from a patch alone, made once per patch by
+    plan_of: the context call's name and arity, the metavariable sets that
+    match_statement takes, each argument metavariable the then branch uses
+    more than once with its number of uses (reused), the guard line, the
+    regular expression of an occurrence of the name, the @needs@ helpers'
+    names, which jast.outline looks up, and the then branch's templates
+    (compile_then) by the renames of a transplant."""
+    __slots__ = ("name", "arity", "expr_mv", "ident_mv", "reused", "guard", "occurrence",
+                 "helpers", "then")
+
+    def __init__(self, name: str, arity: int, expr_mv: set, ident_mv: set, reused: dict,
+                 guard: str, occurrence: re.Pattern, helpers: list, then: Optional[dict] = None):
+        self.name, self.arity = name, arity
+        self.expr_mv, self.ident_mv, self.reused = expr_mv, ident_mv, reused
+        self.guard, self.occurrence, self.helpers = guard, occurrence, helpers
+        self.then = {} if then is None else then  # frozenset of renames' items -> templates
+
+    def templates(self, patch: patchgen.SemanticPatch, renames: dict) -> list:
+        """compile_then(patch, renames), compiled at the first call with
+        these renames."""
+        key = frozenset(renames.items())
+        then = self.then.get(key)
+        if then is None:
+            then = self.then[key] = compile_then(patch, renames)
+        return then
+
+
+def plan_of(patch: patchgen.SemanticPatch) -> PatchPlan:
+    """patch's PatchPlan, made at its first application and kept in
+    patch.applied, so every file the patch updates shares it; a patch is
+    not changed once applied."""
+    if patch.applied is None:
+        call = patchgen.pattern_call(patch.context)
+        ident_mv = patch.metavar_names("identifier")
+        arg_mv = {a.identifier for a in call.args
+                  if isinstance(a, jast.Name) and a.identifier in ident_mv}
+        then_uses = Counter(n for s in patch.then_stmts for n in patchgen.pattern_names(s))
+        name = re.escape(call.name)
+        patch.applied = PatchPlan(
+            call.name, len(call.args), patch.metavar_names("expression") | arg_mv,
+            ident_mv - arg_mv, {mv: then_uses[mv] for mv in sorted(arg_mv) if then_uses[mv] > 1},
+            "if (%s) {" % patch.added()[0],
+            re.compile(r"%s(?<![\w$]%s)(?=[ \t\r\n]*\()" % (name, name)),
+            [d.name for d in patch.needs])
+    return patch.applied
+
+
 def compile_then(patch: patchgen.SemanticPatch, renames: Optional[dict] = None) -> list:
-    """The patch's then branch as templates, built once per file. Each
+    """The patch's then branch as templates, built once per patch and
+    renames (PatchPlan.templates). Each
     statement is instantiated (substitute_stmt) with each metavariable of
     the context line, and each temporary declared before it, bound to a
     placeholder Name; it is rendered once, or its initializer is if it
@@ -231,16 +280,14 @@ def already_guarded(site: sigmap.CallSite, conditions=()) -> bool:
 # Application
 # ---------------------------------------------------------------------------
 
-def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
-                partner: Optional[dict] = None):
-    """Plan the patch at every matching, unguarded site of unit.text, and
-    the helper transplant at the first.
+def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict] = None):
+    """Plan the patch at every matching, unguarded site of text, and the
+    helper transplant at the first of each top-level class.
 
     Returns (edits, UpdateReport); the edits are (Span, text) pairs against
-    unit.text. Of unit, only the text and the members the transplant looks
-    up are read: jast.blocks_around places each occurrence in code of the
-    context call's name before a `(` (partner is its bracket table, built
-    if not given). In a type body one is a declaration or
+    text. jast.blocks_around places each occurrence in code of the context
+    call's name before a `(` (partner is text's bracket table, built if
+    not given). In a type body one is a declaration or
     NonStatementContext; elsewhere the statement holding it, its island,
     is parsed (jast.parse_island), and a call there of the context call's
     arity is a site, guarded by an If of the island or an if header of a
@@ -248,32 +295,30 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
     NonStatementContext after a `->`, else UnparsedStatement. The context
     call's argument metavariables bind the argument expressions, and each
     patch temporary is rendered inline at its one use. At the first site
-    that matches, transplant_definitions plans the helpers into the site's
-    top-level class (the file's block if it is none), and the then branch
-    is compiled with its renames (compile_then); each site renders only
-    what it binds into it.
+    that matches in a top-level class (the file's block for a site in no
+    class), transplant_definitions plans the helpers into that class, and
+    the then branch is taken with its renames from the patch's plan
+    (plan_of), which compiles it once per patch and renames; each site
+    renders only what it binds into it. The file's outline (jast.outline)
+    is read at the first such site, and only when the patch has @needs@
+    or imports, so a file whose sites are all skipped never reads it.
+    Imports and top-level classes are planned once per file; a name
+    copied into two classes is reported once.
     Per-site failures become skip entries, never exceptions;
     patchgen.MultipleUse is raised when the then branch would evaluate an
     argument that is not a plain name more than once.
     """
     report = UpdateReport()
-    ctx_call = patchgen.pattern_call(patch.context)
-    ident_mv = patch.metavar_names("identifier")
-    arg_mv = {a.identifier for a in ctx_call.args
-              if isinstance(a, jast.Name) and a.identifier in ident_mv}
-    expr_mv = patch.metavar_names("expression") | arg_mv
-    then_uses = Counter(n for s in patch.then_stmts for n in patchgen.pattern_names(s))
-    reused = sorted(mv for mv in arg_mv if then_uses[mv] > 1)
-    text, name = unit.text, ctx_call.name
+    plan = plan_of(patch)
+    name = plan.name
     if partner is None:
         partner = jast.check_balanced(text)
-    found = [m.start() for m in re.finditer(
-        r"%s(?<![\w$]%s)(?=[ \t\r\n]*\()" % (re.escape(name), re.escape(name)), text)]
+    found = [m.start() for m in plan.occurrence.finditer(text)]
 
     edits = []
     handled = set()
-    then = None  # compiled at the first site that matches
-    guard = "if (%s) {" % patch.added()[0]
+    unit = None  # the outline, read at the first site that matches
+    thens = {}  # by the `{` of the class that receives the helpers: the compiled then branch
     skipped = report.sites_skipped.append
     # Each stage runs over all sites before the next: walk, parse, then
     # match and render. Run site by site, the same work took about 30%
@@ -306,37 +351,47 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
                          if "->" in text[start:at] else UNPARSED_STATEMENT))
             continue
         call, stmt, chain = calls[at]
-        if len(call.args) != len(ctx_call.args):
+        if len(call.args) != plan.arity:
             continue
         conditions = [c for b in blocks for c in b[3]]
         if already_guarded(sigmap.CallSite(call, stmt, None, None, chain), conditions):
             skipped((call.span, ALREADY_GUARDED))
             continue
-        binding = match_statement(patch.context, stmt, expr_mv, ident_mv - arg_mv)
+        binding = match_statement(patch.context, stmt, plan.expr_mv, plan.ident_mv)
         if binding is None or id(stmt) in handled:
             skipped((call.span, NO_MATCH))
             continue
-        for mv in reused:
+        for mv, uses in plan.reused.items():
             arg = binding.assignments[mv]
             if not isinstance(arg, jast.Name):
                 raise patchgen.MultipleUse("line %d: the then branch would evaluate %s %d times"
                                            % (jast.line_of(text, arg.start),
-                                              arg.src, then_uses[mv]))
+                                              arg.src, uses))
         handled.add(id(stmt))
         report.sites_updated += 1
 
-        if then is None:
-            body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
-            helper_edits, report.definitions_copied, renames = transplant_definitions(
-                unit, partner, body, patch.needs, patch.needs_imports)
-            edits += helper_edits
-            then = compile_then(patch, renames)
+        body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
+        then = thens.get(body[0])
+        if then is None:  # the first site that matches in this class
+            renames = {}
+            if patch.needs or patch.needs_imports:
+                if unit is None:
+                    unit = jast.outline(text, partner, plan.helpers)
+                helper_edits, copied, renames = transplant_definitions(
+                    unit, partner, body, patch.needs, patch.needs_imports)
+                # another class's transplant planned the same imports and
+                # top-level classes already
+                edits += [e for e in helper_edits if e not in edits]
+                known = set(report.definitions_copied)
+                report.definitions_copied += [n for n in copied if n not in known]
+            then = thens[body[0]] = plan.templates(patch, renames)
+            nl = jast.newline_of(text)
         indent = jast.indent_at(text, stmt.start)
-        lines = [guard] + [indent + "    " + line for line in render_then(then, binding)]
+        lines = [plan.guard] + [indent + "    " + line for line in render_then(then, binding)]
         lines.append(indent + "} else {")
         lines.append(indent + "    " + stmt.src)
         lines.append(indent + "}")
-        edits.append((stmt.span, unit.newline.join(lines)))
+        edits.append((stmt.span, nl.join(lines)))
     report.sites_found = report.sites_updated + len(report.sites_skipped)
     return edits, report
 
@@ -344,6 +399,20 @@ def apply_patch(patch: patchgen.SemanticPatch, unit: jast.CompilationUnit,
 # ---------------------------------------------------------------------------
 # Transplantation
 # ---------------------------------------------------------------------------
+
+def _reindent(src: str, indent: str) -> str:
+    """A declaration's text, which starts at its first token, at indent:
+    its first line is put after indent, and each later line that is not
+    blank is shifted by the difference between indent and the indent of
+    the declaration's last, closing, line."""
+    last = src[src.rfind("\n") + 1:]
+    shift = len(indent) - (len(last) - len(last.lstrip(" \t")))
+    if shift > 0:
+        src = re.sub(r"\n(?=[ \t]*\S)", "\n" + indent[-shift:], src)
+    elif shift < 0:
+        src = re.sub(r"\n[ \t]{1,%d}(?=[ \t]*\S)" % -shift, "\n", src)
+    return indent + src
+
 
 def _superclass_body(text: str, partner: dict, body: list) -> jast.Span:
     """The braces of the class of text that body's class extends, empty if
@@ -432,7 +501,7 @@ def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list
         if decls:
             texts = [re.sub(pattern, lambda m: renames[m.group()], d.src) if renames
                      else d.src for d in decls]
-            block = "".join(nl + indent + t.replace("\n", nl) + nl for t in texts)
+            block = "".join(nl + _reindent(t, indent).replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
     # methods, fields and static classes go before the class's `}`, indented
@@ -459,19 +528,18 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     A text that never names the context call's method holds no site: it
     is only checked by jast.require_balanced, which raises what a parse
     would. In a text that does, jast.check_balanced builds the bracket
-    table once, jast.outline reads the header and the members that name a
-    @needs@ helper, and apply_patch parses one island per statement that
-    names the method and plans the transplant at the first updated site.
+    table once, and apply_patch parses one island per statement that
+    names the method; only at the first updated site of a class does it
+    read the outline (the header and the members that name a @needs@
+    helper, jast.outline) and plan the transplant.
     Raises jast.UnbalancedSource when the nesting is broken, and
     patchgen.MultipleUse when the patch would evaluate an argument twice.
     """
-    name = patchgen.pattern_call(patch.context).name
-    if name not in text:
+    if plan_of(patch).name not in text:
         jast.require_balanced(text)
         return text, UpdateReport()
-    partner = jast.check_balanced(text)
-    unit = jast.outline(text, partner, [d.name for d in patch.needs])
-    edits, report = apply_patch(patch, unit, partner)
+    edits, report = apply_patch(patch, text, jast.check_balanced(text))
     if report.sites_updated == 0:
         return text, report
-    return jast.splice(unit, edits), report
+    # splice reads a unit's text alone
+    return jast.splice(jast.CompilationUnit(None, [], [], text), edits), report

@@ -45,7 +45,7 @@ class MalformedPatch(Exception):
 class SemanticPatch(jast.Record):
     """Equal to another when both render to the same text (render_patch)."""
     __slots__ = ("rule_name", "metavars", "guard_cond", "then_stmts", "context",
-                 "needs_imports", "needs", "added_text")
+                 "needs_imports", "needs", "added_text", "applied")
 
     def __init__(self, rule_name: str, metavars: list, guard_cond: jast.Expr,
                  then_stmts: list, context: jast.Stmt, needs_imports: Optional[list] = None,
@@ -58,6 +58,7 @@ class SemanticPatch(jast.Record):
         self.needs_imports = [] if needs_imports is None else needs_imports
         self.needs = [] if needs is None else needs  # helpers, in @needs@ order
         self.added_text = None  # see added()
+        self.applied = None  # what applying it derives from it alone: engine.plan_of
 
     def added(self) -> list:
         """The text of the guard, then of each then statement, rendered once."""

@@ -84,7 +84,7 @@ def test_04_multi_site_file():
     example, mapping = _case("vibrate")
     patch = patchgen.generate_patch(example, mapping)
     unit = jast.parse(_read(CORPUS / "cases" / "vibrate" / "targets" / "multi_site.java"))
-    edits, report = engine.apply_patch(patch, unit)
+    edits, report = engine.apply_patch(patch, unit.text)
     text = jast.splice(unit, edits)
     ok = (report.sites_updated == 3
           and len(re.findall(r"if \(android\.os\.Build\.VERSION\.SDK_INT", text)) == 3)

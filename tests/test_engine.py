@@ -120,7 +120,7 @@ def test_apply_reports_and_guards():
         "        v.vibrate(d);\n"
         "    }\n"
         "}\n")
-    edits, report = engine.apply_patch(patch, unit)
+    edits, report = engine.apply_patch(patch, unit.text)
     text = jast.splice(unit, edits)
     assert report.sites_found == 1 and report.sites_updated == 1
     assert "if (android.os.Build.VERSION.SDK_INT >= android.os.Build.VERSION_CODES.O) {" in text
@@ -138,7 +138,7 @@ def test_apply_fresh_temp_per_site():
         "        v.vibrate(b);\n"
         "    }\n"
         "}\n")
-    edits, report = engine.apply_patch(patch, unit)
+    edits, report = engine.apply_patch(patch, unit.text)
     text = jast.splice(unit, edits)
     assert report.sites_updated == 2
     for arg in "ab":
@@ -159,7 +159,7 @@ def test_apply_skips_guarded_site():
         "    }\n"
         "}\n")
     before = jast.print_unit(unit)
-    edits, report = engine.apply_patch(patch, unit)
+    edits, report = engine.apply_patch(patch, unit.text)
     assert jast.splice(unit, edits) == before
     assert report.sites_updated == 0
     assert [r for _, r in report.sites_skipped] == [engine.ALREADY_GUARDED]
@@ -173,8 +173,8 @@ def test_apply_is_idempotent():
         "        v.vibrate(d);\n"
         "    }\n"
         "}\n")
-    once = jast.parse(jast.splice(unit, engine.apply_patch(patch, unit)[0]))
-    edits, report = engine.apply_patch(patch, once)
+    once = jast.parse(jast.splice(unit, engine.apply_patch(patch, unit.text)[0]))
+    edits, report = engine.apply_patch(patch, once.text)
     assert jast.splice(once, edits) == jast.print_unit(once)
     assert report.sites_updated == 0
 
@@ -193,7 +193,7 @@ def test_apply_only_touches_replaced_statement():
     (site,) = sigmap.find_invocations(
         unit, sigmap.parse_signature("android.os.Vibrator#vibrate(long)"))
     span = site.enclosing_stmt.span
-    result = jast.splice(unit, engine.apply_patch(patch, unit)[0])
+    result = jast.splice(unit, engine.apply_patch(patch, unit.text)[0])
     assert result.startswith(text[:span.start])
     assert result.endswith(text[span.end:])
 
@@ -201,7 +201,7 @@ def test_apply_only_touches_replaced_statement():
 def test_report_json_shape():
     patch, _ = load_patch("vibrate")
     unit = jast.parse("class A { void m(Vibrator v, long d) { v.vibrate(d); } }")
-    _edits, report = engine.apply_patch(patch, unit)
+    _edits, report = engine.apply_patch(patch, unit.text)
     report.file_path = "A.java"
     d = report.to_json_dict(unit.text)
     assert d["file"] == "A.java"
@@ -397,6 +397,109 @@ def test_update_parses_once(sites, monkeypatch):
     assert normal.purge_ok(out)
 
 
+def counted(monkeypatch, module, name):
+    """The calls of module.name from here on, as a list of their arguments."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_the_outline_is_read_only_in_a_file_with_an_updated_site(monkeypatch):
+    patch, mapping = load_patch("set_sound")
+    migrated = (SET_SOUND / "expected" / "basic.java").read_text()
+    outlines = counted(monkeypatch, jast, "outline")
+    out, report = engine.update(migrated, patch, mapping)
+    assert out == migrated and report.sites_found > 0 and report.sites_updated == 0
+    assert outlines == []
+    target = (SET_SOUND / "targets" / "basic.java").read_text()
+    assert engine.update(target, patch, mapping)[0] == migrated
+    assert len(outlines) == 1
+    two = (REPO / "tests" / "javac" / "targets" / "sites_in_two_classes.java").read_text()
+    assert engine.update(two, patch, mapping)[1].sites_updated == 2
+    assert len(outlines) == 2  # once per file, not once per class
+
+
+def test_a_patch_without_helpers_reads_no_outline(monkeypatch):
+    patch, mapping = load_patch("vibrate")
+    assert not patch.needs and not patch.needs_imports
+    outlines = counted(monkeypatch, jast, "outline")
+    text = "class A { void m(Vibrator v, long d) { v.vibrate(d); } }\n"
+    assert engine.update(text, patch, mapping)[1].sites_updated == 1
+    assert outlines == []
+
+
+def test_the_then_branch_is_compiled_once_per_patch(monkeypatch):
+    targets = [(case, t.read_text()) for case in ("set_sound", "vibrate", "from_html")
+               for t in sorted((CORPUS / "cases" / case / "targets").glob("*.java"))]
+    shared = {case: load_patch(case) for case, _ in targets}
+    compiled = counted(monkeypatch, engine, "compile_then")
+    got = [engine.update(text, *shared[case]) for case, text in targets]
+    updated = {case for (case, _), (_out, report) in zip(targets, got) if report.sites_updated}
+    assert updated == {"set_sound", "vibrate", "from_html"}
+    assert sorted(id(patch) for patch, _renames in compiled) == sorted(
+        id(shared[case][0]) for case in updated)
+    # what a patch keeps from one file changes nothing in the next
+    for (case, text), (out, report) in zip(targets, got):
+        fresh_out, fresh = engine.update(text, *load_patch(case))
+        assert out == fresh_out and report.to_json_dict(text) == fresh.to_json_dict(text)
+
+
+def test_sites_in_two_classes_each_get_the_helpers():
+    patch, mapping = load_patch("set_sound")
+    text = (REPO / "tests" / "javac" / "targets" / "sites_in_two_classes.java").read_text()
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 2
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
+    assert out.count("import android.media.AudioAttributes;") == 1
+    q, r = jast.parse(out).types
+    for cls in (q, r):
+        assert [m.name for m in cls.methods] == ["ring", "makeAttrs", "buildAttrs"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+def test_each_class_calls_its_own_alias(monkeypatch):
+    # R holds a makeAttrs of another arity, so R's copy and R's call of it
+    # take the alias, and Q's do not: each class's then branch is compiled
+    # with its own renames
+    patch, mapping = load_patch("set_sound")
+    site = ("    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n")
+    text = ("class Q {\n" + site + "}\n\nclass R {\n" + site
+            + "    static int makeAttrs(int a, int b) { return a; }\n}\n")
+    compiled = counted(monkeypatch, engine, "compile_then")
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 2
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs", "makeAttrs_androevolve"]
+    q, r = jast.parse(out).types
+    assert [m.name for m in q.methods] == ["ring", "makeAttrs", "buildAttrs"]
+    assert [m.name for m in r.methods] == ["ring", "makeAttrs", "makeAttrs_androevolve",
+                                           "buildAttrs"]
+    assert "b.setSound(u, makeAttrs(5));" in q.methods[0].src
+    assert "b.setSound(u, makeAttrs_androevolve(5));" in r.methods[0].src
+    assert [renames for _patch, renames in compiled] == [
+        {}, {"makeAttrs": "makeAttrs_androevolve"}]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+@pytest.mark.parametrize("column", [0, 4, 8])
+def test_every_line_of_a_copied_helper_is_indented_as_a_member(column):
+    pad = " " * column
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 26) {\n"
+        "+ classIden.vibrate(twice(iden0));\n"
+        "+ } else {\nclassIden.vibrate(iden0);\n+ }\n@needs@\n"
+        + pad + "static long twice(long d) {\n"
+        + pad + "    long t = d;\n\n"
+        + pad + "    return 2 * t;\n"
+        + pad + "}\n")
+    text = "class T {\n    void m(Vibrator v, long t) { v.vibrate(t); }\n}\n"
+    out = engine.update(text, patch, load_patch("vibrate")[1])[0]
+    assert out.endswith("\n\n    static long twice(long d) {\n        long t = d;\n\n"
+                        "        return 2 * t;\n    }\n}\n")
+
+
 def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     patch, mapping = load_patch("set_sound")
     filler = "".join("    int f%d(int a) { return a * %d; }\n" % (i, i) for i in range(20))
@@ -568,7 +671,8 @@ TWO_CLASS_TARGETS = {
 
 def test_every_two_class_target_is_checked():
     targets = (REPO / "tests" / "javac" / "targets").glob("*.java")
-    assert sorted(p.stem for p in targets) == sorted(TWO_CLASS_TARGETS)
+    # sites_in_two_classes: test_sites_in_two_classes_each_get_the_helpers
+    assert sorted(p.stem for p in targets) == sorted([*TWO_CLASS_TARGETS, "sites_in_two_classes"])
 
 
 @pytest.mark.parametrize("stem, copied", TWO_CLASS_TARGETS.items(), ids=TWO_CLASS_TARGETS.keys())
@@ -640,7 +744,7 @@ def test_a_helper_class_is_copied_into_the_site_class():
     assert report.definitions_copied == ["makeAttrs", "OFFSET", "AttrsBuilder"]
     assert out.endswith("    private static final int OFFSET = 1;\n\n"
                         "    static class AttrsBuilder {\n"
-                        "    AudioAttributes build(int u) { return null; }\n}\n}\n")
+                        "        AudioAttributes build(int u) { return null; }\n    }\n}\n")
     assert [t.name for t in jast.parse(out).types] == ["T"]
     assert engine.update(out, patch, mapping)[0] == out
 
@@ -739,7 +843,7 @@ def test_a_qualified_name_in_a_copied_helper_is_not_qualified_again(vibrate_mapp
     # the import's simple name is qualified only where it stands alone; an
     # alias renames its method after a `.` too
     assert ("    android.os.VibrationEffect effect_androevolve(long d) {\n"
-            "    return android.os.VibrationEffect.createOneShot(d, 1);\n}") in out
+            "        return android.os.VibrationEffect.createOneShot(d, 1);\n    }") in out
     assert ("android.os.VibrationEffect twice(long d) "
             "{ return this.effect_androevolve(2 * d); }") in out
     assert "android.os.android.os." not in out
