@@ -19,10 +19,8 @@ UNPARSED_STATEMENT = "UnparsedStatement"
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
 # the token in front of a declared method's or field's name: its type's end
 _TYPE_END = re.compile(r"(?!(?:new|return|else|throw)$)[A-Za-z_$][\w$]*|>>?|\]")
-# in a class header, the class it extends: after the type parameters,
-# which may hold a bound's `extends`, and before one level of type
-# arguments and the implements clause or the header's end
-_EXTENDS = re.compile(r"\bextends\s+([\w$]+)(?=(?:[^<>]|<[^<>]*>)*?(?:\bimplements\b|$))")
+# in a class header, an angle bracket or an `extends` and the name after it
+_EXTENDS = re.compile(r"[<>]|\bextends\s+([\w$]+)")
 
 
 class MetaBinding(jast.Record):
@@ -74,8 +72,8 @@ def match_statement(pattern: jast.Stmt, stmt: jast.Stmt,
         return None
     p, a = jast.stmt_exprs(pattern), jast.stmt_exprs(stmt)
     binding = MetaBinding()
-    if len(p) == len(a) and (not p or _match_expr(p[0], a[0], set(expr_metavars),
-                                                  set(ident_metavars), binding)):
+    if len(p) == len(a) and (not p or _match_expr(p[0], a[0], expr_metavars, ident_metavars,
+                                                  binding)):
         return binding
     return None
 
@@ -288,8 +286,9 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     text. jast.blocks_around places each occurrence in code of the context
     call's name before a `(` (partner is text's bracket table, built if
     not given). In a type body one is a declaration or
-    NonStatementContext; elsewhere the statement holding it, its island,
-    is parsed (jast.parse_island), and a call there of the context call's
+    NonStatementContext; elsewhere the statement holding it is its
+    island. All of the file's islands are parsed in one call
+    (jast.parse_islands), and a call there of the context call's
     arity is a site, guarded by an If of the island or an if header of a
     block around it. An occurrence the island parses as no call is
     NonStatementContext after a `->`, else UnparsedStatement. The context
@@ -324,12 +323,12 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     # match and render. Run site by site, the same work took about 30%
     # longer on dense_sites.
     walked = list(jast.blocks_around(text, partner, found))
-    parsed = {}  # by start: each island and the offsets where its tokens start
+    spans = {}  # by start: the span of each island
     for _at, blocks, start, end in walked:
-        if blocks[-1][2] in ("stmt", "file") and start not in parsed:
-            parsed[start] = jast.parse_island(text, partner, start, end)
+        if blocks[-1][2] in ("stmt", "file"):
+            spans.setdefault(start, (start, end))
     islands = {}  # by start: the token starts, and the calls of name by the name's offset
-    for start, (island, starts) in parsed.items():
+    for start, (island, starts) in zip(spans, jast.parse_islands(text, partner, spans.values())):
         islands[start] = starts, {
             text.find(name, e.start if e.receiver is None else e.receiver.end): (e, s, chain)
             for s, chain in jast.iter_statements([island] if island else [])
@@ -414,32 +413,39 @@ def _reindent(src: str, indent: str) -> str:
     return indent + src
 
 
-def _superclass_body(text: str, partner: dict, body: list) -> jast.Span:
-    """The braces of the class of text that body's class extends, empty if
-    it extends none that text declares; partner is text's bracket table."""
-    name = body[2] == "class" and _EXTENDS.search(text, body[6], body[0])
+def _superclass_body(text: str, partner: dict, body: list) -> Optional[tuple]:
+    """The offsets just inside the braces of the class of text that body's
+    class extends, None if it extends none that text declares; partner is
+    text's bracket table. The class it extends is named after the one
+    `extends` of the header outside its type parameters and arguments."""
+    depth, name = 0, None
+    for m in (_EXTENDS.finditer(text, body[6], body[0]) if body[2] == "class" else ()):
+        if m[1] is None:
+            depth += 1 if m[0] == "<" else -1
+        elif depth == 0:
+            name = m[1]
+            break
     decl = name and re.search(r"class(?<![\w$]class)\s+%s(?![\w$])[^{;]*\{"
-                              % re.escape(name[1]), text)  # a literal first is searched fast
-    if not decl:
-        return jast.Span(0, 0)
-    return jast.Span(decl.end() - 1, partner.get(decl.end() - 1, 0))
+                              % re.escape(name), text)  # a literal first is searched fast
+    return decl and (decl.end(), partner.get(decl.end() - 1))
 
 
 def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list, needs,
                            imports=()):
     """Copy helper definitions and imports into the target.
 
-    partner is unit.text's bracket table (jast.check_balanced). body is
-    the block, as jast.blocks_around lists one, that receives the helper
-    methods, fields and `static` classes: a top-level class, or the file's
-    own block. A class declared without `static` goes to the end of the
-    file, top-level.
+    unit is the file's outline (jast.outline), or its parse where body is
+    a class, and partner is unit.text's bracket table (jast.check_balanced).
+    body is the block, as jast.blocks_around lists one, that receives the
+    helper methods, fields and `static` classes: a top-level class, or the
+    file's own block. A class declared without `static` goes to the end
+    of the file, top-level.
     needs holds the helper methods, fields and classes of a patch's
     @needs@ section, parsed (SemanticPatch.needs). A method of the same
-    name and arity or a field of the same name declared in body, or in a
-    class of the file that body's class extends and not private there,
-    or a class of the same name at the top of the file or in body, is
-    reused, not copied.
+    name and arity or a field of the same name declared in body itself,
+    not in a class nested in it, or in a class of the file that body's
+    class extends and not private there, or a class of the same name at
+    the top of the file or in body itself, is reused, not copied.
     Returns (edits, copied_names, renames): the edits are (Span, text)
     pairs against unit.text, and renames maps a colliding method name to
     its _androevolve alias and a colliding import's simple name to the
@@ -449,12 +455,14 @@ def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list
     """
     if not needs and not imports:
         return [], [], {}
-    inside = jast.Span(body[0], body[1]).contains
-    inherited = _superclass_body(unit.text, partner, body).contains
-    existing_types = {t.name for t, outer in jast.iter_types(unit)
-                      if not t.implicit and (not outer or inside(t.span))}
+    # a type's members are declared in the body whose braces it carries
+    own, file = (body[0] + 1, body[1]), (0, len(unit.text))
+    inherited = _superclass_body(unit.text, partner, body)
+    existing_types = {t.name for t, outer in jast.iter_types(unit) if not t.implicit and (
+        (outer[-1].body_start, outer[-1].body_end) if outer else file) in (own, file)}
     declared = [d for t, _outer in jast.iter_types(unit) for d in t.fields + t.methods
-                if inside(d.span) or inherited(d.span) and "private" not in d.modifiers]
+                if (t.body_start, t.body_end) == own or (t.body_start, t.body_end) == inherited
+                and "private" not in d.modifiers]
     existing_fields = {d.name for d in declared if isinstance(d, jast.FieldDecl)}
     existing_methods = {(d.name, d.arity) for d in declared if isinstance(d, jast.MethodDecl)}
     existing_names = {name for name, _arity in existing_methods}
@@ -528,10 +536,10 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     A text that never names the context call's method holds no site: it
     is only checked by jast.require_balanced, which raises what a parse
     would. In a text that does, jast.check_balanced builds the bracket
-    table once, and apply_patch parses one island per statement that
-    names the method; only at the first updated site of a class does it
-    read the outline (the header and the members that name a @needs@
-    helper, jast.outline) and plan the transplant.
+    table once, and apply_patch parses the statements that name the
+    method, as islands, in one call; only at the first updated site of a
+    class does it read the outline (the header and the members that name
+    a @needs@ helper, jast.outline) and plan the transplant.
     Raises jast.UnbalancedSource when the nesting is broken, and
     patchgen.MultipleUse when the patch would evaluate an argument twice.
     """

@@ -20,7 +20,8 @@ Brackets are paired once per parse, by check_balanced's table, which the
 member scan and the parser's verbatim regions jump through. A file can
 also be read in islands, without a tree of the rest: blocks_around finds
 the braces and the member or statement around an offset by that table
-alone, parse_island parses one statement in place, and outline reads the
+alone, parse_islands parses the statements of given spans in place, all
+of a file's with one lexer pass and one parser, and outline reads the
 declarations that transplanting helpers needs.
 """
 
@@ -459,17 +460,31 @@ def tokenize(text: str) -> list:
 
 
 def _lex(text: str, start: int = 0, end: Optional[int] = None) -> tuple:
-    """Lex text[start:end] into four lists, kinds, values, starts and ends,
-    one entry per token, eof last, with offsets into text. It is one
-    findall, whose offsets are the running sums of the skipped and token
-    lengths. Raises UnbalancedSource on an unterminated literal or comment.
-    Bracket nesting is not checked, since slices of a file are lexed too;
-    parse checks balance first. The tokens of one call share one string
-    per distinct text."""
-    pairs = _TOKEN_RE.findall(text, start, len(text) if end is None else end)
-    if len(pairs) > 1 and not pairs[-2][1]:
-        pairs.pop()  # an empty match follows one that ends the text
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=start))
+    """Lex text[start:end]: the one-span case of _lex_spans."""
+    return _lex_spans(text, ((start, len(text) if end is None else end),))
+
+
+def _lex_spans(text: str, spans) -> tuple:
+    """Lex each (start, end) of spans, in order, into four lists, kinds,
+    values, starts and ends, one entry per token, with offsets into text
+    and an eof at the end of each span. One findall per span, then one
+    pass over all: the offsets are the running sums of the skipped and
+    token lengths, a span's first skipped run counted from the end of the
+    span before. Raises UnbalancedSource on an unterminated literal or
+    comment; bracket nesting is not checked, as parse checks it first.
+    The tokens of one call share one string per distinct text."""
+    pairs, gaps, pos = [], [], 0
+    for start, end in spans:
+        run = _TOKEN_RE.findall(text, start, end)
+        if len(run) > 1 and not run[-2][1]:
+            run.pop()  # an empty match follows one that ends the span
+        gaps.append((2 * len(pairs), start - pos))
+        pairs += run
+        pos = end
+    lengths = list(map(len, chain.from_iterable(pairs)))
+    for at, gap in gaps:
+        lengths[at] += gap
+    offsets = list(accumulate(lengths, initial=0))
     starts, ends = offsets[1::2], offsets[2::2]
     texts = {}  # one string per distinct token text, local to the call
     values = [value for _skipped, value in pairs]
@@ -626,14 +641,18 @@ _RESERVED = frozenset("""abstract assert boolean break byte case catch char clas
 class _Parser:
     """Recursive descent, but for what can nest: expressions, statements and
     class bodies are each one loop over a stack of what is still open. It
-    indexes _lex's lists, where eof is the one token whose value is empty.
-    A region kept verbatim jumps over each bracket group (see _jump)."""
+    indexes _lex_spans' lists, where eof is the one token whose value is
+    empty. It reads the given spans of the text, or all of it, and an eof
+    between two spans ends the first as the end of the text would, since
+    the token after one is read only after a token that is not eof. A
+    region kept verbatim jumps over each bracket group (see _jump), up to
+    stop, the index of the eof of the span being read."""
 
-    def __init__(self, text: str, partner: Optional[dict] = None, start: int = 0,
-                 end: Optional[int] = None):  # parses text[start:end]
+    def __init__(self, text: str, partner: Optional[dict] = None, spans=None):
         self.text = text
         self.partner = check_balanced(text) if partner is None else partner
-        tokens = _lex(text, start, end)
+        tokens = _lex_spans(text, ((0, len(text)),) if spans is None else spans)
+        self.stop = len(tokens[0]) - 1
         for column in tokens:  # eof is never passed, so one more keeps i + 1 in range
             column.append(column[-1])
         self.kinds, self.values, self.starts, self.ends = tokens
@@ -777,7 +796,7 @@ class _Parser:
         value = self.values[i]
         if value in _OPEN:
             close = _close(self.text, self.partner, self.starts[i])
-            self.i = bisect_left(self.starts, close, i + 1) + 1
+            self.i = bisect_left(self.starts, close, i + 1, self.stop) + 1
         elif value:
             self.i = i + 1
         return value
@@ -937,8 +956,8 @@ class _Parser:
                     s = self._consume_opaque_region()
                 else:
                     s = (self._try(self._parse_return) if value == "return" else
-                         self._try(self._parse_local_var_decl) or self._try(self._parse_expr_stmt)
-                         ) or self._consume_opaque_region()
+                         self._declares() and self._try(self._parse_local_var_decl)
+                         or self._try(self._parse_expr_stmt)) or self._consume_opaque_region()
             except _Backtrack:
                 # the innermost open if, from its `if` on, is opaque
                 while frames and frames[-1][0] != "if":
@@ -973,6 +992,20 @@ class _Parser:
         start = self.starts[self.expect("return")]
         value = None if self.at(";") else self.parse_expr()
         return self._finish(Return(value), start, self.ends[self.expect(";")])
+
+    def _declares(self) -> bool:
+        """Whether _parse_local_var_decl can succeed here: after any
+        `final`s and a dotted name, a `<`, a `[` or a name follows."""
+        kinds, values = self.kinds, self.values
+        i = self.i
+        while values[i] == "final":
+            i += 1
+        if kinds[i] != "ident":
+            return False
+        while values[i + 1] == "." and kinds[i + 2] == "ident":
+            i += 2
+        i += 1
+        return kinds[i] == "ident" or values[i] == "<" or values[i] == "["
 
     def _parse_local_var_decl(self) -> LocalVarDecl:
         start = self.starts[self.i]
@@ -1133,7 +1166,7 @@ class _Parser:
 
 def parse(text: str) -> CompilationUnit:
     """Parse source text into a CompilationUnit: the whole file, every
-    member and statement of it; to read a file in parts, see parse_island
+    member and statement of it; to read a file in parts, see parse_islands
     and outline.
 
     Never fails on balanced input, however deep it nests; unsupported
@@ -1272,35 +1305,56 @@ def token_before(text: str, start: int, at: int) -> Optional[str]:
 
 
 def parse_island(text: str, partner: dict, start: int, end: int) -> tuple:
-    """The statement text[start:end] holds, past any `case …:`, `default:`
-    or label, parsed in place (its nodes index text, whose bracket table
-    partner is), or None; and the offsets where its tokens start."""
-    p = _Parser(text, partner, start, end)
-    values = p.values
-    while True:  # past the labels
-        i = p.i
-        if values[i] == "case":
-            while values[i] not in (":", "->", ";", ""):
-                i += 1
-        elif p.kinds[i] == "ident":
-            i += 1
-        if values[i] != ":" or i == p.i:
-            break
-        p.i = i + 1
-    try:
-        return p.parse_stmt(), p.starts
-    except _Backtrack:
-        return None, p.starts
+    """The one-span case of parse_islands: the island text[start:end]."""
+    return parse_islands(text, partner, ((start, end),))[0]
+
+
+def parse_islands(text: str, partner: dict, spans) -> list:
+    """For each (start, end) of spans, the statement text[start:end]
+    holds, past any `case …:`, `default:` or label, parsed in place (its
+    nodes index text, whose bracket table partner is), or None; and the
+    offsets where its tokens start, eof's last. All spans are lexed in
+    one pass (_lex_spans) and read by one parser, each from its first
+    token; one span may hold another."""
+    if not spans:
+        return []
+    p = _Parser(text, partner, spans)
+    kinds, values, starts = p.kinds, p.values, p.starts
+    islands = []
+    first = 0
+    for _span in spans:
+        p.stop = stop = values.index("", first)
+        i = first
+        while True:  # past the labels
+            j = i
+            if values[j] == "case":
+                while values[j] not in (":", "->", ";", ""):
+                    j += 1
+            elif kinds[j] == "ident":
+                j += 1
+            if values[j] != ":" or j == i:
+                break
+            i = j + 1
+        p.i = i
+        try:
+            stmt = p.parse_stmt()
+        except _Backtrack:
+            stmt = None
+        islands.append((stmt, starts[first:stop + 1]))
+        first = stop + 1
+    return islands
 
 
 def outline(text: str, partner: dict, names) -> CompilationUnit:
     """What transplanting helpers reads of text, as parse reads it: the
     header, and each member of the file or of a class in classes alone
-    whose text outside its braces names one of names, a class's member
-    under an implicit type of its own, so the roots that are not implicit
-    are the file's own classes. partner is as blocks_around takes it."""
+    that names one of names. A member is held by an implicit type that
+    carries the braces of the body it is declared in as its body_start
+    and body_end: just inside a class's braces, or 0 and len(text) for
+    the file; a class is nested in it, a field or method is its own.
+    partner is as blocks_around takes it."""
     bracket = _BRACKET_RE.match(text)  # the header holds no bracket
-    p = _Parser(text, partner, 0, bracket.start(bracket.lastgroup))
+    p = _Parser(text, partner, ((0, bracket.start(bracket.lastgroup)),))
     package, imports, static_imports, header_end = p._parse_header()
     types = []
     found = sorted(m.start() for name in map(re.escape, names) for m in re.finditer(
@@ -1309,8 +1363,13 @@ def outline(text: str, partner: dict, names) -> CompilationUnit:
     for _at, blocks, start, end in blocks_around(text, partner, found):
         if start != last and all(b[2] in ("file", "class") for b in blocks):
             last = start
-            member = _Parser(text, partner, start, end).parse_unit().types
-            types += member if len(blocks) == 1 else [TypeDecl("", nested=member, implicit=True)]
+            member = _Parser(text, partner, ((start, end),)).parse_unit().types
+            loose = [t for t in member if t.implicit]
+            types.append(TypeDecl("", [f for t in loose for f in t.fields],
+                                  [m for t in loose for m in t.methods],
+                                  [t for t in member if not t.implicit],
+                                  body_start=blocks[-1][0] + 1, body_end=blocks[-1][1],
+                                  implicit=True))
     return CompilationUnit(package, imports, types, text, newline_of(text), header_end,
                            tuple(static_imports))
 
@@ -1488,7 +1547,11 @@ def render_expr(e: Expr) -> str:
     """Render an expression. A node still backed by one line of source
     reuses its bytes; any other node gets canonical form, and it is the
     one place that decides parentheses: a child is put in them exactly
-    where, left bare, it would bind differently (see _grouped), in one fold."""
+    where, left bare, it would bind differently (see _grouped), in one fold,
+    which a root backed by one line of source needs none of."""
+    text = e.unit_text
+    if text is not None and text.find("\n", e.start, e.end) < 0:
+        return text[e.start:e.end]
     return fold(e, _render_node, _render_kids)
 
 

@@ -385,13 +385,13 @@ def test_update_parses_once(sites, monkeypatch):
     text = "\n".join(["class A {", "    void m(Vibrator v, long d) {"]
                      + body + ["    }", "}", ""])
     calls = []
-    for name in ("parse", "parse_island", "edited", "splice"):
+    for name in ("parse", "parse_island", "parse_islands", "edited", "splice"):
         monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*a))
     out, report = engine.update(text, patch, mapping)
     # never the whole text: each site's statement is parsed once, as its
-    # island, and every edit is spliced at once
-    assert calls == ["parse_island"] * sites + ["splice"]
+    # island, all islands in one call, and every edit is spliced at once
+    assert calls == ["parse_islands", "splice"]
     assert report.sites_updated == sites
     assert out.count("VibrationEffect.createOneShot(50, 175)") == sites
     assert normal.purge_ok(out)
@@ -507,7 +507,7 @@ def test_update_lexes_only_blocks_that_name_the_method(monkeypatch):
     text = text.replace("{\n", "{\n" + filler, 1)
     calls, lexed = [], []
     monkeypatch.setattr(jast, "parse", lambda *a, fn=jast.parse: calls.append(a) or fn(*a))
-    monkeypatch.setattr(jast, "_lex", lambda *a, fn=jast._lex: lexed.append(fn(*a))
+    monkeypatch.setattr(jast, "_lex_spans", lambda *a, fn=jast._lex_spans: lexed.append(fn(*a))
                         or lexed[-1])
     out, report = engine.update(text, patch, mapping)
     # the target is never parsed whole, and the @needs@ helpers were
@@ -666,13 +666,16 @@ TWO_CLASS_TARGETS = {
     "empty_first_class": ["makeAttrs", "buildAttrs"],
     "first_class_declares_a_helper": ["makeAttrs", "buildAttrs"],
     "subclass_of_a_class_that_declares_a_helper": ["buildAttrs"],
+    "subclass_of_a_generic_class_that_declares_a_helper": ["buildAttrs"],
 }
 
 
 def test_every_two_class_target_is_checked():
     targets = (REPO / "tests" / "javac" / "targets").glob("*.java")
-    # sites_in_two_classes: test_sites_in_two_classes_each_get_the_helpers
-    assert sorted(p.stem for p in targets) == sorted([*TWO_CLASS_TARGETS, "sites_in_two_classes"])
+    # sites_in_two_classes: test_sites_in_two_classes_each_get_the_helpers;
+    # helper_in_a_nested_class: test_a_helper_in_a_nested_class_is_not_the_site_class_own
+    assert sorted(p.stem for p in targets) == sorted(
+        [*TWO_CLASS_TARGETS, "sites_in_two_classes", "helper_in_a_nested_class"])
 
 
 @pytest.mark.parametrize("stem, copied", TWO_CLASS_TARGETS.items(), ids=TWO_CLASS_TARGETS.keys())
@@ -697,8 +700,9 @@ def test_helpers_go_into_the_class_that_holds_the_site(stem, copied):
     ("extends Base<Util>", ["makeAttrs", "buildAttrs"]),
     ("<T extends Util>", ["makeAttrs", "buildAttrs"]),
     ("extends Other", ["makeAttrs", "buildAttrs"]),
+    ("extends Util<Map<String, Integer>>", ["buildAttrs"]),
 ], ids=["superclass", "generic_superclass", "type_argument", "type_parameter_bound",
-        "class_of_another_file"])
+        "class_of_another_file", "nested_type_arguments"])
 def test_only_what_the_class_inherits_from_a_class_of_the_file_is_reused(extends, copied):
     patch, mapping = load_patch("set_sound")
     text = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n"
@@ -849,7 +853,10 @@ def test_a_qualified_name_in_a_copied_helper_is_not_qualified_again(vibrate_mapp
     assert "android.os.android.os." not in out
 
 
-def test_helper_in_a_name_free_nested_class_is_reused():
+def test_a_helper_in_a_nested_class_is_not_the_site_class_own():
+    # a method of a class nested in the site's class is not in scope at
+    # the site, after the site or before it: the helper is copied into the
+    # site's class (CI compiles the target's output with javac)
     patch, mapping = load_patch("set_sound")
     text = ("import android.media.AudioAttributes;\n"
             "\n"
@@ -864,9 +871,15 @@ def test_helper_in_a_name_free_nested_class_is_reused():
             "        }\n"
             "    }\n"
             "}\n")
-    out, report = engine.update(text, patch, mapping)
-    assert report.sites_updated == 1 and report.definitions_copied == ["buildAttrs"]
-    assert out.count("makeAttrs(int usage)") == 1
+    target = (REPO / "tests" / "javac" / "targets" / "helper_in_a_nested_class.java").read_text()
+    for text in (text, target):
+        out, report = engine.update(text, patch, mapping)
+        assert report.sites_updated == 1
+        assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
+        (site_class,) = jast.parse(out).types
+        assert [m.name for m in site_class.methods] == ["ring", "makeAttrs", "buildAttrs"]
+        assert [m.name for m in site_class.nested[0].methods] == ["makeAttrs"]
+        assert engine.update(out, patch, mapping)[0] == out
 
 
 def test_update_does_not_parse_without_the_method(monkeypatch):

@@ -298,13 +298,14 @@ def test_superscript_digit_is_a_punct_token():
 
 
 def test_parse_lexes_once(monkeypatch, vibrate_example):
-    # the parser reads the array lexer's lists; tokenize wraps the same lexer
+    # the parser reads the array lexer's lists; tokenize and _lex wrap the
+    # same lexer
     calls = []
-    for name in ("tokenize", "_lex", "check_balanced", "require_balanced"):
+    for name in ("tokenize", "_lex", "_lex_spans", "check_balanced", "require_balanced"):
         monkeypatch.setattr(jast, name, lambda *args, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*args))
     jast.parse(vibrate_example)
-    assert calls == ["check_balanced", "_lex"]
+    assert calls == ["check_balanced", "_lex_spans"]
 
 
 def _no_token(self, kind, value, start, end):
@@ -409,6 +410,144 @@ def test_the_array_lexer_agrees_with_the_per_token_lexer(monkeypatch):
             faults.add(str(exc))
     assert faults == {"unterminated string literal", "unterminated char literal",
                       "unterminated block comment"}
+
+
+def _apply_inputs(monkeypatch):
+    """The corpus texts, then the benchmark's dense_sites and app_sweep
+    inputs of seed 0, read only, as (text, the name of the method their
+    patch rewrites)."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen, reference = importlib.import_module("gen"), importlib.import_module("reference")
+    templates = reference.load_templates(CORPUS)
+    names = sorted({t.method for t in templates.values()})
+    inputs = [(read(p), name) for p in corpus_java_files() for name in names]
+    return inputs + [(item.text, templates[item.case].method)
+                     for item in gen.dense_sites(0, templates) + gen.app_sweep(0, templates)]
+
+
+def _assert_spans_lex_as_alone(text, spans):
+    """_lex_spans over spans gives, for each span, exactly _lex of it alone,
+    or the error of the first span whose _lex raises."""
+    alone = []
+    for start, end in spans:
+        try:
+            alone += zip(*jast._lex(text, start, end))
+        except jast.UnbalancedSource as exc:
+            with pytest.raises(jast.UnbalancedSource, match="^%s$" % exc):
+                jast._lex_spans(text, spans)
+            return
+    assert list(zip(*jast._lex_spans(text, spans))) == alone
+
+
+def _random_spans(rng, text):
+    """Up to five sorted spans of text, between any offsets, and one that
+    another holds."""
+    cuts = sorted(rng.randrange(len(text) + 1) for _ in range(2 * rng.randint(0, 5)))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    if spans and spans[0][1] - spans[0][0] > 2:
+        start, end = spans[0]
+        spans.insert(1, (start + 1, end - 1))
+    return spans
+
+
+def test_spans_lexed_together_lex_as_each_alone(monkeypatch):
+    # the corpus and the benchmark inputs, at the islands apply reads and at
+    # random spans, then the lexer-agreement test's mutants at random spans
+    rng = random.Random(1357)
+    inputs = _apply_inputs(monkeypatch)
+    for text, name in inputs:
+        partner = jast.check_balanced(text)
+        found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
+        islands = {start: (start, end) for _at, _blocks, start, end
+                   in jast.blocks_around(text, partner, found)}
+        _assert_spans_lex_as_alone(text, list(islands.values()))
+        _assert_spans_lex_as_alone(text, _random_spans(rng, text))
+    texts = list(dict.fromkeys([read(p) for p in corpus_java_files()]
+                               + [text for text, _name in inputs if len(text) < 3000]))
+    mutants = random.Random(2468)
+    raised = 0
+    for _ in range(800):
+        text = mutant(mutants, mutants.choice(texts))
+        if mutants.random() < 0.5:
+            text = mutant(mutants, text)
+        spans = _random_spans(rng, text)
+        _assert_spans_lex_as_alone(text, spans)
+        try:
+            jast._lex_spans(text, spans)
+        except jast.UnbalancedSource:
+            raised += 1
+    assert raised > 20, raised
+    assert jast._lex_spans("a b", []) == ([], [], [], [])
+
+
+def _shape(stmt):
+    """Each statement and expression below stmt, by kind and position."""
+    return [(type(n).__name__, n.start, n.end) for s, _chain in jast.iter_statements([stmt])
+            for n in [s] + [e for root in jast.stmt_exprs(s) for e in jast.iter_exprs(root)]]
+
+
+def test_islands_read_together_are_each_read_alone(monkeypatch):
+    # the islands apply reads, then every statement of the corpus, blocks
+    # and the statements in them too, so one island may hold another
+    inputs = [(text, name, None) for text, name in _apply_inputs(monkeypatch)]
+    # a site whose statement is opaque, around a lambda that holds another:
+    # the outer island's `(` is jumped over, past the inner island's tokens
+    inputs.append(("class A { void m() { run(v.vibrate(0), () -> { v.vibrate(%s); }, x); } }"
+                   % " + ".join(map(str, range(8))), "vibrate", None))
+    for path in corpus_java_files():
+        unit = jast.parse(read(path))
+        inputs.append((unit.text, None, [
+            (s.start, s.end) for t, _outer in jast.iter_types(unit) for m in t.methods
+            for s, _chain in jast.iter_statements(m.body)]))
+    for text, name, spans in inputs:
+        partner = jast.check_balanced(text)
+        if spans is None:
+            found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
+            spans = list({start: (start, end) for _at, _blocks, start, end
+                          in jast.blocks_around(text, partner, found)}.values())
+        together = jast.parse_islands(text, partner, spans)
+        assert len(together) == len(spans)
+        for (start, end), (stmt, starts) in zip(spans, together):
+            alone, alone_starts = jast.parse_island(text, partner, start, end)
+            assert starts == alone_starts == jast._lex(text, start, end)[2]
+            assert (stmt is None) == (alone is None)
+            if stmt is not None:
+                assert jast.ast_equal(stmt, alone) and _shape(stmt) == _shape(alone)
+    assert jast.parse_islands("class A { int f = g(); }", {}, []) == []
+
+
+def test_render_expr_is_the_fold_on_every_corpus_expression():
+    multiline = 0
+    for path in corpus_java_files():
+        unit = jast.parse(read(path))
+        for t, _outer in jast.iter_types(unit):
+            roots = [f.initializer for f in t.fields if f.initializer is not None]
+            roots += [root for m in t.methods for s, _chain in jast.iter_statements(m.body)
+                      for root in jast.stmt_exprs(s)]
+            for e in (e for root in roots for e in jast.iter_exprs(root)):
+                assert jast.render_expr(e) == jast.fold(e, jast._render_node, jast._render_kids)
+                multiline += "\n" in e.src
+    assert multiline > 0  # a root that spans lines is rendered by the fold
+
+
+def test_a_local_variable_is_tried_only_where_one_can_start():
+    # at every token of the corpus and of the statement tables: where the
+    # lookahead says no, the declaration does not parse
+    texts = [read(p) for p in corpus_java_files()]
+    texts += [text for text, _want in RESERVED_WORD_STATEMENTS.values()]
+    texts += ["final int x = 1;", "final java.util.List<String> xs;", "int[] a;", "a.b c;",
+              "a.b.c();", "a.b.;", "this.x = 5;", "new Foo().go();", "Map<K, V> m = f();"]
+    said = {True: 0, False: 0}
+    for text in texts:
+        p = jast._Parser(text)
+        for i in range(len(p.values) - 1):
+            p.i = i
+            declares = p._declares()
+            said[declares] += 1
+            if not declares:
+                with pytest.raises(jast._Backtrack):
+                    p._parse_local_var_decl()
+    assert said[True] > 100 and said[False] > 1000, said
 
 
 # A reserved word other than true, false, null, new, this and super starts
