@@ -17,10 +17,6 @@ NON_STATEMENT_CONTEXT = "NonStatementContext"
 UNPARSED_STATEMENT = "UnparsedStatement"
 
 _SDK_TOKEN = re.compile(r"\bSDK_INT\b")
-# the token in front of a declared method's or field's name: its type's end
-_TYPE_END = re.compile(r"(?!(?:new|return|else|throw)$)[A-Za-z_$][\w$]*|>>?|\]")
-# in a class header, an angle bracket or an `extends` and the name after it
-_EXTENDS = re.compile(r"[<>]|\bextends\s+([\w$]+)")
 
 
 class MetaBinding(jast.Record):
@@ -124,31 +120,20 @@ def _match_expr(pattern, actual, expr_mv, ident_mv, binding) -> bool:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute_expr(pattern: jast.Expr, binding: MetaBinding,
-                    renames: Optional[dict] = None) -> jast.Expr:
+def substitute_expr(pattern: jast.Expr, binding: MetaBinding) -> jast.Expr:
     """Instantiate a pattern expression: a synthesized copy, by one
-    jast.fold, with each metavariable replaced by its bound expression and
-    each renamed name, method or created type under its new name.
+    jast.fold, with each metavariable replaced by its bound expression.
     Parentheses are left to jast.render_expr."""
-    renames = renames or {}
 
     def instantiate(p, kids):
-        if isinstance(p, jast.Name):
-            if p.identifier in binding.assignments:
-                return binding.assignments[p.identifier]
-            return jast.Name(renames.get(p.identifier, p.identifier))
-        out = jast.rebuild(p, kids)
-        if isinstance(out, jast.MethodCall):
-            out.name = renames.get(out.name, out.name)
-        elif isinstance(out, jast.ObjectCreation):
-            out.type_name = renames.get(out.type_name, out.type_name)
-        return out
+        if isinstance(p, jast.Name) and p.identifier in binding.assignments:
+            return binding.assignments[p.identifier]
+        return jast.rebuild(p, kids)
 
     return jast.fold(pattern, instantiate)
 
 
-def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
-                    renames: Optional[dict] = None) -> jast.Stmt:
+def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding) -> jast.Stmt:
     """A synthesized copy of a pattern statement, its expression
     instantiated by substitute_expr."""
     if type(pattern) not in patchgen.PATTERN_STMTS:
@@ -156,7 +141,7 @@ def substitute_stmt(pattern: jast.Stmt, binding: MetaBinding,
     name = jast.STMT_EXPR[type(pattern)]
     e = getattr(pattern, name)
     if e is not None:
-        e = substitute_expr(e, binding, renames)
+        e = substitute_expr(e, binding)
     kind = type(pattern)
     values = {field: getattr(pattern, field) for field in kind.__slots__}
     values[name] = e
@@ -168,27 +153,15 @@ class PatchPlan(jast.Record):
     plan_of: the context call's name and arity, the metavariable sets that
     match_statement takes, each argument metavariable the then branch uses
     more than once with its number of uses (reused), the guard line, the
-    regular expression of an occurrence of the name, the @needs@ helpers'
-    names, which jast.outline looks up, and the then branch's templates
-    (compile_then) by the renames of a transplant."""
-    __slots__ = ("name", "arity", "expr_mv", "ident_mv", "reused", "guard", "occurrence",
-                 "helpers", "then")
+    regular expression of an occurrence of the name, and the then branch's
+    templates (compile_then)."""
+    __slots__ = ("name", "arity", "expr_mv", "ident_mv", "reused", "guard", "occurrence", "then")
 
     def __init__(self, name: str, arity: int, expr_mv: set, ident_mv: set, reused: dict,
-                 guard: str, occurrence: re.Pattern, helpers: list, then: Optional[dict] = None):
+                 guard: str, occurrence: re.Pattern, then: list):
         self.name, self.arity = name, arity
         self.expr_mv, self.ident_mv, self.reused = expr_mv, ident_mv, reused
-        self.guard, self.occurrence, self.helpers = guard, occurrence, helpers
-        self.then = {} if then is None else then  # frozenset of renames' items -> templates
-
-    def templates(self, patch: patchgen.SemanticPatch, renames: dict) -> list:
-        """compile_then(patch, renames), compiled at the first call with
-        these renames."""
-        key = frozenset(renames.items())
-        then = self.then.get(key)
-        if then is None:
-            then = self.then[key] = compile_then(patch, renames)
-        return then
+        self.guard, self.occurrence, self.then = guard, occurrence, then
 
 
 def plan_of(patch: patchgen.SemanticPatch) -> PatchPlan:
@@ -206,22 +179,20 @@ def plan_of(patch: patchgen.SemanticPatch) -> PatchPlan:
             call.name, len(call.args), patch.metavar_names("expression") | arg_mv,
             ident_mv - arg_mv, {mv: then_uses[mv] for mv in sorted(arg_mv) if then_uses[mv] > 1},
             "if (%s) {" % patch.added()[0],
-            re.compile(r"%s(?<![\w$]%s)(?=[ \t\r\n]*\()" % (name, name)),
-            [d.name for d in patch.needs])
+            re.compile(r"%s(?<![\w$]%s)(?=[ \t\r\n]*\()" % (name, name)), compile_then(patch))
     return patch.applied
 
 
-def compile_then(patch: patchgen.SemanticPatch, renames: Optional[dict] = None) -> list:
-    """The patch's then branch as templates, built once per patch and
-    renames (PatchPlan.templates). Each
-    statement is instantiated (substitute_stmt) with each metavariable of
-    the context line, and each temporary declared before it, bound to a
-    placeholder Name; it is rendered once, or its initializer is if it
-    declares a temporary, and split at the placeholders. Returns one
-    (temporary's name or None, root, pieces, holes) per then statement
-    (see jast.template_holes), where a temporary's root is its
-    initializer's root node, or the name of the hole that stands for it;
-    see render_then."""
+def compile_then(patch: patchgen.SemanticPatch) -> list:
+    """The patch's then branch as templates, built once per patch
+    (PatchPlan.then). Each statement is instantiated (substitute_stmt)
+    with each metavariable of the context line, and each temporary
+    declared before it, bound to a placeholder Name; it is rendered once,
+    or its initializer is if it declares a temporary, and split at the
+    placeholders. Returns one (temporary's name or None, root, pieces,
+    holes) per then statement (see jast.template_holes), where a
+    temporary's root is its initializer's root node, or the name of the
+    hole that stands for it; see render_then."""
     declared = patch.metavar_names("expression") | patch.metavar_names("identifier")
     bound = [n for n in patchgen.pattern_names(patch.context) if n in declared]
     then = []
@@ -229,7 +200,7 @@ def compile_then(patch: patchgen.SemanticPatch, renames: Optional[dict] = None) 
         temp = s.name if patchgen.is_patch_temp(s) else None
         for mark in map(chr, itertools.count()):  # a character no other text holds
             binding = MetaBinding({n: jast.Name(mark) for n in bound})
-            node = substitute_stmt(s, binding, renames)
+            node = substitute_stmt(s, binding)
             text = jast.render_stmt(node) if temp is None else jast.render_expr(node.init)
             marks = {id(v): n for n, v in binding.assignments.items()}
             holes = [h for e in jast.stmt_exprs(node) for h in jast.template_holes(e, marks)]
@@ -263,15 +234,15 @@ def render_then(then: list, binding: MetaBinding) -> list:
 # Guard detection
 # ---------------------------------------------------------------------------
 
-def already_guarded(site: sigmap.CallSite, conditions=()) -> bool:
-    """True iff an enclosing condition textually mentions the SDK_INT token:
-    an If of the site's statement chain, or one of conditions, spans of the
-    call's text, such as jast.blocks_around gives for the blocks around it."""
+def already_guarded(text: str, chain, conditions=()) -> bool:
+    """True iff a condition around a site textually mentions the SDK_INT
+    token: an If of chain, the statements around the site's statement,
+    parsed in place in text, or one of conditions, spans of text, such as
+    jast.blocks_around gives for the blocks around it."""
     # a condition is searched in place: it starts after `(` or a blank and
     # ends before `)` or one, so \b at its ends reads as in src
-    spans = [(s.cond.start, s.cond.end) for s in site.stmt_chain if isinstance(s, jast.If)]
-    return any(_SDK_TOKEN.search(site.call.unit_text, start, end)
-               for start, end in spans + list(conditions))
+    spans = [(s.cond.start, s.cond.end) for s in chain if isinstance(s, jast.If)]
+    return any(_SDK_TOKEN.search(text, start, end) for start, end in spans + list(conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +266,14 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     call's argument metavariables bind the argument expressions, and each
     patch temporary is rendered inline at its one use. At the first site
     that matches in a top-level class (the file's block for a site in no
-    class), transplant_definitions plans the helpers into that class, and
-    the then branch is taken with its renames from the patch's plan
-    (plan_of), which compiles it once per patch and renames; each site
-    renders only what it binds into it. The file's outline (jast.outline)
-    is read at the first such site, and only when the patch has @needs@
-    or imports, so a file whose sites are all skipped never reads it.
-    Imports and top-level classes are planned once per file; a name
-    copied into two classes is reported once.
+    class), transplant_definitions plans the helpers into that class,
+    reading the file only when the patch has @needs@ or imports, so a
+    file whose sites are all skipped reads nothing for it. The then
+    branch, which the patch's plan (plan_of) compiles once per patch, is
+    taken with that class's renames (jast.rename of its text pieces);
+    each site renders only what it binds into it. An import or top-level
+    class that two classes' transplants plan is added once; a name copied
+    into two classes is reported once.
     Per-site failures become skip entries, never exceptions;
     patchgen.MultipleUse is raised when the then branch would evaluate an
     argument that is not a plain name more than once.
@@ -316,8 +287,7 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
 
     edits = []
     handled = set()
-    unit = None  # the outline, read at the first site that matches
-    thens = {}  # by the `{` of the class that receives the helpers: the compiled then branch
+    thens = {}  # by the `{` of the class that receives the helpers: its renamed then branch
     skipped = report.sites_skipped.append
     # Each stage runs over all sites before the next: walk, parse, then
     # match and render. Run site by site, the same work took about 30%
@@ -337,8 +307,8 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     for at, blocks, start, end in walked:
         kind = blocks[-1][2]
         if kind != "stmt":
-            before = jast.token_before(text, start, at)
-            if before is None or _TYPE_END.fullmatch(before):
+            tokens = jast.tokens_before(text, partner, start, at)
+            if tokens is None or jast.declares(tokens):
                 continue  # in a comment or literal, or a declaration
             if kind != "file":
                 skipped((jast.Span(at, at + len(name)), NON_STATEMENT_CONTEXT))
@@ -353,7 +323,7 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
         if len(call.args) != plan.arity:
             continue
         conditions = [c for b in blocks for c in b[3]]
-        if already_guarded(sigmap.CallSite(call, stmt, None, None, chain), conditions):
+        if already_guarded(text, chain, conditions):
             skipped((call.span, ALREADY_GUARDED))
             continue
         binding = match_statement(patch.context, stmt, plan.expr_mv, plan.ident_mv)
@@ -364,32 +334,27 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
             arg = binding.assignments[mv]
             if not isinstance(arg, jast.Name):
                 raise patchgen.MultipleUse("line %d: the then branch would evaluate %s %d times"
-                                           % (jast.line_of(text, arg.start),
-                                              arg.src, uses))
+                                           % (jast.line_of(text, arg.start), arg.src, uses))
         handled.add(id(stmt))
         report.sites_updated += 1
 
         body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
         then = thens.get(body[0])
         if then is None:  # the first site that matches in this class
-            renames = {}
-            if patch.needs or patch.needs_imports:
-                if unit is None:
-                    unit = jast.outline(text, partner, plan.helpers)
-                helper_edits, copied, renames = transplant_definitions(
-                    unit, partner, body, patch.needs, patch.needs_imports)
-                # another class's transplant planned the same imports and
-                # top-level classes already
-                edits += [e for e in helper_edits if e not in edits]
-                known = set(report.definitions_copied)
-                report.definitions_copied += [n for n in copied if n not in known]
-            then = thens[body[0]] = plan.templates(patch, renames)
+            helper_edits, copied, renames = transplant_definitions(
+                text, partner, body, patch.needs, patch.needs_imports)
+            # another class's transplant planned the same imports and
+            # top-level classes already
+            edits += [e for e in helper_edits if e not in edits]
+            known = set(report.definitions_copied)
+            report.definitions_copied += [n for n in copied if n not in known]
+            then = thens[body[0]] = [
+                (temp, root, [jast.rename(piece, renames) for piece in pieces], holes)
+                for temp, root, pieces, holes in plan.then] if renames else plan.then
             nl = jast.newline_of(text)
         indent = jast.indent_at(text, stmt.start)
         lines = [plan.guard] + [indent + "    " + line for line in render_then(then, binding)]
-        lines.append(indent + "} else {")
-        lines.append(indent + "    " + stmt.src)
-        lines.append(indent + "}")
+        lines += [indent + "} else {", indent + "    " + stmt.src, indent + "}"]
         edits.append((stmt.span, nl.join(lines)))
     report.sites_found = report.sites_updated + len(report.sites_skipped)
     return edits, report
@@ -413,29 +378,10 @@ def _reindent(src: str, indent: str) -> str:
     return indent + src
 
 
-def _superclass_body(text: str, partner: dict, body: list) -> Optional[tuple]:
-    """The offsets just inside the braces of the class of text that body's
-    class extends, None if it extends none that text declares; partner is
-    text's bracket table. The class it extends is named after the one
-    `extends` of the header outside its type parameters and arguments."""
-    depth, name = 0, None
-    for m in (_EXTENDS.finditer(text, body[6], body[0]) if body[2] == "class" else ()):
-        if m[1] is None:
-            depth += 1 if m[0] == "<" else -1
-        elif depth == 0:
-            name = m[1]
-            break
-    decl = name and re.search(r"class(?<![\w$]class)\s+%s(?![\w$])[^{;]*\{"
-                              % re.escape(name), text)  # a literal first is searched fast
-    return decl and (decl.end(), partner.get(decl.end() - 1))
+def transplant_definitions(text: str, partner: dict, body: list, needs, imports=()):
+    """Copy helper definitions and imports into the target text, whose
+    bracket table partner is (jast.check_balanced).
 
-
-def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list, needs,
-                           imports=()):
-    """Copy helper definitions and imports into the target.
-
-    unit is the file's outline (jast.outline), or its parse where body is
-    a class, and partner is unit.text's bracket table (jast.check_balanced).
     body is the block, as jast.blocks_around lists one, that receives the
     helper methods, fields and `static` classes: a top-level class, or the
     file's own block. A class declared without `static` goes to the end
@@ -443,54 +389,55 @@ def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list
     needs holds the helper methods, fields and classes of a patch's
     @needs@ section, parsed (SemanticPatch.needs). A method of the same
     name and arity or a field of the same name declared in body itself,
-    not in a class nested in it, or in a class of the file that body's
+    not in a class nested in it, or in the top-level class that body's
     class extends and not private there, or a class of the same name at
-    the top of the file or in body itself, is reused, not copied.
+    the top of the file or in body itself, is reused, not copied. The
+    target is never parsed: jast.declarations finds the helpers' names
+    and the class named after `extends` in body's header, outside `<…>`.
     Returns (edits, copied_names, renames): the edits are (Span, text)
-    pairs against unit.text, and renames maps a colliding method name to
-    its _androevolve alias and a colliding import's simple name to the
+    pairs against text, and renames maps a colliding method name to its
+    _androevolve alias and a colliding import's simple name to the
     qualified name. Each copied declaration is written through that one
-    map; apply_patch compiles the inserted lines with it, so they
-    reference the copied names.
+    map (jast.rename); apply_patch renames the inserted lines with it, so
+    they reference the copied names.
     """
     if not needs and not imports:
         return [], [], {}
-    # a type's members are declared in the body whose braces it carries
-    own, file = (body[0] + 1, body[1]), (0, len(unit.text))
-    inherited = _superclass_body(unit.text, partner, body)
-    existing_types = {t.name for t, outer in jast.iter_types(unit) if not t.implicit and (
-        (outer[-1].body_start, outer[-1].body_end) if outer else file) in (own, file)}
-    declared = [d for t, _outer in jast.iter_types(unit) for d in t.fields + t.methods
-                if (t.body_start, t.body_end) == own or (t.body_start, t.body_end) == inherited
-                and "private" not in d.modifiers]
-    existing_fields = {d.name for d in declared if isinstance(d, jast.FieldDecl)}
-    existing_methods = {(d.name, d.arity) for d in declared if isinstance(d, jast.MethodDecl)}
-    existing_names = {name for name, _arity in existing_methods}
+    header = jast.outside_angles(jast.tokens_before(text, partner, body[6], body[0])) if (
+        body[2] == "class") else []
+    extends = "extends" in header[:-1] and header[header.index("extends") + 1]
+    names = [d.name for d in needs]
+    declared = jast.declarations(text, partner, names + [extends] if extends else names)
+    top, own = declared.get(-1, {}), declared.get(body[0], {})
+    inherited = declared.get(top.get(("class", extends)), {})
+    visible = set(own) | {key for key, private in inherited.items()
+                          if key[0] != "class" and not private}
+    methods = {key[1] for key in visible if key[0] == "method"}
 
     # the plan: what is copied, and the renames it and the inserted lines share
     members, types, copied, renames = [], [], [], {}
     for d in needs:
         if isinstance(d, jast.TypeDecl):
-            if d.name not in existing_types:
+            if ("class", d.name) not in own and ("class", d.name) not in top:
                 types.append(d)
         elif isinstance(d, jast.FieldDecl):
-            if d.name not in existing_fields:
+            if ("field", d.name) not in visible:
                 members.append(d)
                 copied.append(d.name)
-        elif (d.name, d.arity) not in existing_methods:
-            if d.name in existing_names:  # same name, different arity: copy under an alias
+        elif ("method", d.name, d.arity) not in visible:
+            if d.name in methods:  # same name, different arity: copy under an alias
                 renames[d.name] = d.name + "_androevolve"
             members.append(d)
             copied.append(renames.get(d.name, d.name))
     copied += [t.name for t in types]
     # imports: add when absent; on simple-name conflict, qualify references
+    unit = jast.parse_header(text, partner)
     existing_simple = {sigmap.simple_name(i) for i in unit.imports}
-    import_lines, qualified = [], set()
+    import_lines = []
     for imp in (i for i in imports if i not in unit.imports):
         simple = sigmap.simple_name(imp)
         if simple in existing_simple:
             renames[simple] = imp  # fully qualify to avoid shadowing
-            qualified.add(simple)
         else:
             import_lines.append("import %s;" % imp)
 
@@ -500,15 +447,9 @@ def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list
         pos, block = unit.header_end, nl.join(import_lines)
         edits.append((jast.Span(pos, pos), nl + block if pos > 0 else block + nl))
 
-    # an alias renames every use of its method; a simple name is qualified
-    # only where no `.` puts it inside a name that is qualified already
-    pattern = "|".join(r"%s\b%s\b" % (r"(?<!\.)" if name in qualified else "", re.escape(name))
-                       for name in renames)
-
     def insert(at, indent, decls):
         if decls:
-            texts = [re.sub(pattern, lambda m: renames[m.group()], d.src) if renames
-                     else d.src for d in decls]
+            texts = [jast.rename(d.src, renames) for d in decls]
             block = "".join(nl + _reindent(t, indent).replace("\n", nl) + nl for t in texts)
             edits.append((jast.Span(at, at), block))
 
@@ -516,9 +457,9 @@ def transplant_definitions(unit: jast.CompilationUnit, partner: dict, body: list
     # past its first line, or at the end of the file, the file block's close;
     # a class without `static` would become an inner class there, which a
     # static helper cannot instantiate, so it stays top-level
-    insert(body[1], jast.indent_at(unit.text, body[6]) + "    " if body[2] == "class" else "",
+    insert(body[1], jast.indent_at(text, body[6]) + "    " if body[2] == "class" else "",
            members + [t for t in types if "static" in t.modifiers])
-    insert(len(unit.text), "", [t for t in types if "static" not in t.modifiers])
+    insert(len(text), "", [t for t in types if "static" not in t.modifiers])
     return edits, copied, renames
 
 
@@ -538,8 +479,8 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     would. In a text that does, jast.check_balanced builds the bracket
     table once, and apply_patch parses the statements that name the
     method, as islands, in one call; only at the first updated site of a
-    class does it read the outline (the header and the members that name
-    a @needs@ helper, jast.outline) and plan the transplant.
+    class does it plan the transplant, which reads the file's header and
+    where it declares the @needs@ helpers' names (jast.declarations).
     Raises jast.UnbalancedSource when the nesting is broken, and
     patchgen.MultipleUse when the patch would evaluate an argument twice.
     """

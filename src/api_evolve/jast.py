@@ -21,8 +21,9 @@ member scan and the parser's verbatim regions jump through. A file can
 also be read in islands, without a tree of the rest: blocks_around finds
 the braces and the member or statement around an offset by that table
 alone, parse_islands parses the statements of given spans in place, all
-of a file's with one lexer pass and one parser, and outline reads the
-declarations that transplanting helpers needs.
+of a file's with one lexer pass and one parser, and declarations finds,
+by the same walk and its tokens alone, where the file or a class
+declares a name (declares: a type's end or `class` in front of it).
 """
 
 from __future__ import annotations
@@ -1167,7 +1168,7 @@ class _Parser:
 def parse(text: str) -> CompilationUnit:
     """Parse source text into a CompilationUnit: the whole file, every
     member and statement of it; to read a file in parts, see parse_islands
-    and outline.
+    and declarations.
 
     Never fails on balanced input, however deep it nests; unsupported
     constructs fall back to Opaque nodes. Raises UnbalancedSource when
@@ -1293,20 +1294,82 @@ def _block(text: str, partner: dict, outer: str, start: int, brace: int) -> Opti
     return [brace, partner[brace], kind, conditions, brace + 1, brace + 1, head]
 
 
-def token_before(text: str, start: int, at: int) -> Optional[str]:
-    """The token in front of the one at offset at, lexing from start, where
-    a token starts ("" if none); None if no token starts at at: it is in a
-    comment or literal."""
-    before = ""
-    for m in _TOKEN_RE.finditer(text, start):
-        if m.start(2) >= at:
-            return before if m.start(2) == at else None
-        before = m[2]
+def tokens_before(text: str, partner: dict, start: int, at: int) -> Optional[list]:
+    """The values of the tokens from offset start up to the one at offset
+    at, at its depth: a bracket pair that closes before at is one token,
+    its closing bracket, and one that holds at stays open, its opening
+    bracket listed. None if no token starts at at: it is in a comment or
+    literal. partner is text's bracket table."""
+    values = []
+    pos = start
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        tok, value = m.start(2), m[2]
+        if tok >= at:
+            return values if tok == at else None
+        pos = m.end()
+        if value in _OPEN and (close := _close(text, partner, tok)) < at:
+            value, pos = text[close], close + 1
+        values.append(value)
 
 
-def parse_island(text: str, partner: dict, start: int, end: int) -> tuple:
-    """The one-span case of parse_islands: the island text[start:end]."""
-    return parse_islands(text, partner, ((start, end),))[0]
+# the token in front of a declared name: its type's end, or `class`
+_TYPE_END = re.compile(r"(?!(?:new|return|else|throw)$)[A-Za-z_$][\w$]*|>>?|\]")
+
+
+def declares(tokens: list) -> bool:
+    """True iff the name after tokens, as tokens_before lists them from the
+    start of its member, is declared there: no bracket holds it, and a
+    type's end or `class` is in front of it."""
+    return bool(tokens) and _TYPE_END.fullmatch(tokens[-1]) is not None and not any(
+        value in _OPEN for value in tokens)
+
+
+def declarations(text: str, partner: dict, names) -> dict:
+    """Where text declares each of names in the file or in classes alone,
+    by blocks_around (partner is as it takes it) and declares: for the `{`
+    of each body that declares one (-1 for the file), a dict of ("class",
+    name), ("field", name) and ("method", name, arity) keys, a member's
+    mapped to whether it is private, a class's to its body's `{`. A method
+    is a name a `(` follows, its arity one more than the commas outside
+    brackets in its parameters, if any; a field one that `=`, `;` or `,`
+    follows."""
+    found = {m.start(): name for name in names for m in re.finditer(  # a literal first is fast
+        r"%s(?<![\w$]%s)(?![\w$])" % ((re.escape(name),) * 2), text)}
+    declared = {}
+    for at, blocks, start, end in blocks_around(text, partner, sorted(found)):
+        if any(b[2] not in ("file", "class") for b in blocks):
+            continue
+        tokens = tokens_before(text, partner, start, at)
+        if tokens is None or not declares(tokens):
+            continue
+        name, private = found[at], "private" in tokens
+        after = _TOKEN_RE.match(text, at + len(name))
+        if tokens[-1] == "class":
+            body = _block_at(text, partner, blocks[-1][2], start, end - 1)
+            key, value = ("class", name), body and body[0]
+        elif after[2] == "(":
+            params = outside_angles(tokens_before(
+                text, partner, after.end(), _close(text, partner, after.start(2))))
+            key, value = ("method", name, params.count(",") + 1 if params else 0), private
+        elif after[2] in ("=", ";", ","):
+            key, value = ("field", name), private
+        else:
+            continue
+        declared.setdefault(blocks[-1][0], {})[key] = value
+    return declared
+
+
+def outside_angles(tokens: list) -> list:
+    """The values of tokens that are outside `<` and `>`: outside type
+    parameters and arguments, where tokens lists a declaration's."""
+    depth, out = 0, []
+    for value in tokens:
+        if value == "<" or value == ">" or value == ">>":
+            depth += 1 if value == "<" else -len(value)
+        elif not depth:
+            out.append(value)
+    return out
 
 
 def parse_islands(text: str, partner: dict, spans) -> list:
@@ -1345,33 +1408,28 @@ def parse_islands(text: str, partner: dict, spans) -> list:
     return islands
 
 
-def outline(text: str, partner: dict, names) -> CompilationUnit:
-    """What transplanting helpers reads of text, as parse reads it: the
-    header, and each member of the file or of a class in classes alone
-    that names one of names. A member is held by an implicit type that
-    carries the braces of the body it is declared in as its body_start
-    and body_end: just inside a class's braces, or 0 and len(text) for
-    the file; a class is nested in it, a field or method is its own.
-    partner is as blocks_around takes it."""
+def parse_header(text: str, partner: dict) -> CompilationUnit:
+    """The package and imports of text, as parse reads them, in a unit of
+    no types; partner is text's bracket table."""
     bracket = _BRACKET_RE.match(text)  # the header holds no bracket
     p = _Parser(text, partner, ((0, bracket.start(bracket.lastgroup)),))
-    package, imports, static_imports, header_end = p._parse_header()
-    types = []
-    found = sorted(m.start() for name in map(re.escape, names) for m in re.finditer(
-        r"%s(?<![\w$]%s)(?![\w$])" % (name, name), text))  # a literal first is searched fast
-    last = None
-    for _at, blocks, start, end in blocks_around(text, partner, found):
-        if start != last and all(b[2] in ("file", "class") for b in blocks):
-            last = start
-            member = _Parser(text, partner, ((start, end),)).parse_unit().types
-            loose = [t for t in member if t.implicit]
-            types.append(TypeDecl("", [f for t in loose for f in t.fields],
-                                  [m for t in loose for m in t.methods],
-                                  [t for t in member if not t.implicit],
-                                  body_start=blocks[-1][0] + 1, body_end=blocks[-1][1],
-                                  implicit=True))
-    return CompilationUnit(package, imports, types, text, newline_of(text), header_end,
-                           tuple(static_imports))
+    package, imports, _static_imports, header_end = p._parse_header()
+    return CompilationUnit(package, imports, [], text, newline_of(text), header_end)
+
+
+def rename(text: str, renames: dict) -> str:
+    """text with each name token that renames holds under its new name, in
+    code, not in a comment or literal; one renamed to a qualified name not
+    after a `.`, where it is part of a qualified name already."""
+    before = ""
+
+    def token(m):
+        nonlocal before
+        value, after_dot, before = m[2], before == ".", m[2]
+        new = renames.get(value)
+        return m[0] if new is None or after_dot and "." in new else m[1] + new
+
+    return _TOKEN_RE.sub(token, text)
 
 
 def newline_of(text: str) -> str:

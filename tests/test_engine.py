@@ -67,10 +67,12 @@ def test_substitution_inverts_match():
 
 
 def test_substitution_applies_renames():
-    pattern = jast.parse_stmt_text("x = makeAttrs(5);")
-    b = engine.MetaBinding()
-    out = engine.substitute_stmt(pattern, b, renames={"makeAttrs": "makeAttrs_androevolve"})
-    assert jast.render_stmt(out) == "x = makeAttrs_androevolve(5);"
+    # a substituted statement's text is renamed by its name tokens: not in
+    # a literal or comment, and a qualified name not after a `.`
+    pattern = jast.parse_stmt_text('x = makeAttrs(5, "makeAttrs", new A.B(), a.A);')
+    out = jast.render_stmt(engine.substitute_stmt(pattern, engine.MetaBinding()))
+    assert jast.rename(out, {"makeAttrs": "makeAttrs_androevolve", "A": "p.A"}) == (
+        'x = makeAttrs_androevolve(5, "makeAttrs", new p.A.B(), a.A);')
 
 
 def test_substitute_and_render_cost_one_frame_a_level():
@@ -99,7 +101,7 @@ def test_already_guarded(minute_mapping):
         "        x = tp.getCurrentMinute();\n"
         "    }\n"
         "} }", minute_mapping)
-    assert all(engine.already_guarded(s) for s in sites)
+    assert all(engine.already_guarded(s.call.unit_text, s.stmt_chain) for s in sites)
 
 
 def test_unrelated_condition_not_guarded(minute_mapping):
@@ -107,7 +109,7 @@ def test_unrelated_condition_not_guarded(minute_mapping):
         "class A { void m(TimePicker tp) {\n"
         "    if (live) { x = tp.getCurrentMinute(); }\n"
         "} }", minute_mapping)
-    assert not any(engine.already_guarded(s) for s in sites)
+    assert not any(engine.already_guarded(s.call.unit_text, s.stmt_chain) for s in sites)
 
 
 # -- application --------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_transplant_appends_method_and_import():
                    "    return null;\n"
                    "}")
     edits, copied, renames = engine.transplant_definitions(
-        unit, jast.check_balanced(unit.text), receiving_class(unit), defs,
+        unit.text, jast.check_balanced(unit.text), receiving_class(unit), defs,
         imports=["android.media.AudioAttributes"])
     text = jast.splice(unit, edits)
     assert copied == ["makeAttrs"]
@@ -249,7 +251,7 @@ def test_transplant_reuses_identical_signature():
         "}\n")
     before = jast.print_unit(unit)
     edits, copied, renames = engine.transplant_definitions(
-        unit, jast.check_balanced(unit.text), receiving_class(unit),
+        unit.text, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     assert jast.splice(unit, edits) == before
     assert copied == [] and renames == {}
@@ -262,7 +264,7 @@ def test_transplant_renames_collision():
         "    void m() { }\n"
         "}\n")
     edits, copied, renames = engine.transplant_definitions(
-        unit, jast.check_balanced(unit.text), receiving_class(unit),
+        unit.text, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
     text = jast.splice(unit, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
@@ -371,7 +373,7 @@ def test_update_scans_the_brackets_once_when_the_site_class_extends_a_class_of_t
 def test_transplant_skips_existing_import():
     unit = jast.parse("import android.media.AudioAttributes;\n\nclass T { void m() { } }\n")
     edits, _, _ = engine.transplant_definitions(
-        unit, jast.check_balanced(unit.text), receiving_class(unit), [],
+        unit.text, jast.check_balanced(unit.text), receiving_class(unit), [],
         imports=["android.media.AudioAttributes"])
     assert jast.splice(unit, edits).count("import android.media.AudioAttributes;") == 1
 
@@ -385,7 +387,7 @@ def test_update_parses_once(sites, monkeypatch):
     text = "\n".join(["class A {", "    void m(Vibrator v, long d) {"]
                      + body + ["    }", "}", ""])
     calls = []
-    for name in ("parse", "parse_island", "parse_islands", "edited", "splice"):
+    for name in ("parse", "parse_islands", "edited", "splice"):
         monkeypatch.setattr(jast, name, lambda *a, fn=getattr(jast, name), name=name:
                             calls.append(name) or fn(*a))
     out, report = engine.update(text, patch, mapping)
@@ -406,27 +408,31 @@ def counted(monkeypatch, module, name):
 
 
 def test_the_outline_is_read_only_in_a_file_with_an_updated_site(monkeypatch):
+    # what the transplant reads of the target, its header and where it
+    # declares the helpers, is read at the first updated site of a class
     patch, mapping = load_patch("set_sound")
     migrated = (SET_SOUND / "expected" / "basic.java").read_text()
-    outlines = counted(monkeypatch, jast, "outline")
+    headers = counted(monkeypatch, jast, "parse_header")
+    declared = counted(monkeypatch, jast, "declarations")
     out, report = engine.update(migrated, patch, mapping)
     assert out == migrated and report.sites_found > 0 and report.sites_updated == 0
-    assert outlines == []
+    assert headers == declared == []
     target = (SET_SOUND / "targets" / "basic.java").read_text()
     assert engine.update(target, patch, mapping)[0] == migrated
-    assert len(outlines) == 1
+    assert len(headers) == len(declared) == 1
     two = (REPO / "tests" / "javac" / "targets" / "sites_in_two_classes.java").read_text()
     assert engine.update(two, patch, mapping)[1].sites_updated == 2
-    assert len(outlines) == 2  # once per file, not once per class
+    assert len(headers) == len(declared) == 3  # once per class that holds an updated site
 
 
 def test_a_patch_without_helpers_reads_no_outline(monkeypatch):
     patch, mapping = load_patch("vibrate")
     assert not patch.needs and not patch.needs_imports
-    outlines = counted(monkeypatch, jast, "outline")
+    headers = counted(monkeypatch, jast, "parse_header")
+    declared = counted(monkeypatch, jast, "declarations")
     text = "class A { void m(Vibrator v, long d) { v.vibrate(d); } }\n"
     assert engine.update(text, patch, mapping)[1].sites_updated == 1
-    assert outlines == []
+    assert headers == declared == []
 
 
 def test_the_then_branch_is_compiled_once_per_patch(monkeypatch):
@@ -437,7 +443,7 @@ def test_the_then_branch_is_compiled_once_per_patch(monkeypatch):
     got = [engine.update(text, *shared[case]) for case, text in targets]
     updated = {case for (case, _), (_out, report) in zip(targets, got) if report.sites_updated}
     assert updated == {"set_sound", "vibrate", "from_html"}
-    assert sorted(id(patch) for patch, _renames in compiled) == sorted(
+    assert sorted(id(patch) for (patch,) in compiled) == sorted(
         id(shared[case][0]) for case in updated)
     # what a patch keeps from one file changes nothing in the next
     for (case, text), (out, report) in zip(targets, got):
@@ -460,8 +466,8 @@ def test_sites_in_two_classes_each_get_the_helpers():
 
 def test_each_class_calls_its_own_alias(monkeypatch):
     # R holds a makeAttrs of another arity, so R's copy and R's call of it
-    # take the alias, and Q's do not: each class's then branch is compiled
-    # with its own renames
+    # take the alias, and Q's do not: the then branch is compiled once, and
+    # each class renames its pieces with its own renames
     patch, mapping = load_patch("set_sound")
     site = ("    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
             "        b.setSound(u);\n    }\n")
@@ -477,8 +483,7 @@ def test_each_class_calls_its_own_alias(monkeypatch):
                                            "buildAttrs"]
     assert "b.setSound(u, makeAttrs(5));" in q.methods[0].src
     assert "b.setSound(u, makeAttrs_androevolve(5));" in r.methods[0].src
-    assert [renames for _patch, renames in compiled] == [
-        {}, {"makeAttrs": "makeAttrs_androevolve"}]
+    assert compiled == [(patch,)]
     assert engine.update(out, patch, mapping)[0] == out
 
 
@@ -673,9 +678,13 @@ TWO_CLASS_TARGETS = {
 def test_every_two_class_target_is_checked():
     targets = (REPO / "tests" / "javac" / "targets").glob("*.java")
     # sites_in_two_classes: test_sites_in_two_classes_each_get_the_helpers;
-    # helper_in_a_nested_class: test_a_helper_in_a_nested_class_is_not_the_site_class_own
+    # helper_in_a_nested_class: test_a_helper_in_a_nested_class_is_not_the_site_class_own;
+    # annotated_helper: test_a_target_helper_is_reused_whatever_its_header;
+    # superclass_after_a_comment: test_the_superclass_is_the_class_the_file_declares_in_code;
+    # another_audio_attributes: test_a_created_type_under_a_clashing_import_is_qualified
     assert sorted(p.stem for p in targets) == sorted(
-        [*TWO_CLASS_TARGETS, "sites_in_two_classes", "helper_in_a_nested_class"])
+        [*TWO_CLASS_TARGETS, "sites_in_two_classes", "helper_in_a_nested_class",
+         "annotated_helper", "superclass_after_a_comment", "another_audio_attributes"])
 
 
 @pytest.mark.parametrize("stem, copied", TWO_CLASS_TARGETS.items(), ids=TWO_CLASS_TARGETS.keys())
@@ -701,8 +710,11 @@ def test_helpers_go_into_the_class_that_holds_the_site(stem, copied):
     ("<T extends Util>", ["makeAttrs", "buildAttrs"]),
     ("extends Other", ["makeAttrs", "buildAttrs"]),
     ("extends Util<Map<String, Integer>>", ["buildAttrs"]),
+    ("/* was: extends Other */ extends Util", ["buildAttrs"]),
+    ("/* was: extends Util */ extends Other", ["makeAttrs", "buildAttrs"]),
 ], ids=["superclass", "generic_superclass", "type_argument", "type_parameter_bound",
-        "class_of_another_file", "nested_type_arguments"])
+        "class_of_another_file", "nested_type_arguments", "extends_in_a_comment",
+        "superclass_in_a_comment"])
 def test_only_what_the_class_inherits_from_a_class_of_the_file_is_reused(extends, copied):
     patch, mapping = load_patch("set_sound")
     text = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n"
@@ -713,6 +725,104 @@ def test_only_what_the_class_inherits_from_a_class_of_the_file_is_reused(extends
     private = text.replace("    AudioAttributes", "    private AudioAttributes")
     assert engine.update(private, patch, mapping)[1].definitions_copied == [
         "makeAttrs", "buildAttrs"]
+
+
+INHERITS = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n"
+            "class R extends Util {\n"
+            "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n}\n")
+
+
+@pytest.mark.parametrize("before", [
+    "/* the old class Util { was here */\n",
+    "// class Util {\n",
+    "class Q {\n    static class Util { }\n}\n\n",
+    "class Q {\n    void m() {\n        class Util { }\n    }\n}\n\n",
+], ids=["block_comment", "line_comment", "nested_class", "local_class"])
+def test_the_superclass_is_the_class_the_file_declares_in_code(before):
+    # a `class Util` in a comment or nested in another class is not the
+    # top-level class R extends, whose makeAttrs R inherits (CI compiles
+    # the javac target's output)
+    patch, mapping = load_patch("set_sound")
+    assert engine.update(INHERITS, patch, mapping)[1].definitions_copied == ["buildAttrs"]
+    out, report = engine.update(before + INHERITS, patch, mapping)
+    assert report.definitions_copied == ["buildAttrs"]
+    assert out.count("makeAttrs(int") == 1
+    target = (REPO / "tests" / "javac" / "targets" / "superclass_after_a_comment.java").read_text()
+    out, report = engine.update(target, patch, mapping)
+    assert report.definitions_copied == ["buildAttrs"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("    static AudioAttributes", '    @SuppressWarnings("unused")\n    static AudioAttributes'),
+    ("    static AudioAttributes",
+     "    @Deprecated @SuppressWarnings({\"a\", \"b\"}) static AudioAttributes"),
+    ("static AudioAttributes", "static synchronized AudioAttributes"),
+    ("makeAttrs(int usage)", "makeAttrs(final int usage)"),
+    ("makeAttrs(int usage)", "makeAttrs(@Annotated(k = 1, j = 2) final int usage)"),
+    ("static AudioAttributes", "public static <T> AudioAttributes"),
+    ("    static AudioAttributes", "    /** class makeAttrs { */\n    static AudioAttributes"),
+], ids=["annotation", "annotations_with_arguments", "synchronized", "final_parameter",
+        "annotated_parameter", "type_parameter", "javadoc"])
+def test_a_target_helper_is_reused_whatever_its_header(old, new):
+    # the target's own makeAttrs(int) is reused, however its header reads
+    # (CI compiles the javac target's output)
+    patch, mapping = load_patch("set_sound")
+    text = (SET_SOUND / "targets" / "existing_helper.java").read_text()
+    assert old in text
+    out, report = engine.update(text.replace(old, new, 1), patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == ["buildAttrs"]
+    assert out.count("makeAttrs(") == 2  # its declaration and the site's call
+    target = (REPO / "tests" / "javac" / "targets" / "annotated_helper.java").read_text()
+    out, report = engine.update(target, patch, mapping)
+    assert report.definitions_copied == ["buildAttrs"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+def test_a_renamed_helper_is_renamed_in_code_only():
+    # a helper copied under an alias is renamed where code calls it, not in
+    # a string literal or a comment that names it
+    patch = patchgen.parse_patch(
+        "@r@\nidentifier iden0, classIden;\n@@\n...\n"
+        "+ if (android.os.Build.VERSION.SDK_INT >= 21) {\n"
+        "+ classIden.setSound(iden0, makeAttrs(5));\n"
+        "+ } else {\nclassIden.setSound(iden0);\n+ }\n@needs@\n"
+        "static AudioAttributes makeAttrs(int usage) {\n"
+        '    String why = "makeAttrs calls buildAttrs"; // then buildAttrs\n'
+        "    return buildAttrs(usage);\n}\n\n"
+        "static AudioAttributes buildAttrs(int usage) {\n    return null;\n}\n")
+    text = ("class T {\n"
+            "    void m(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n\n"
+            "    static int buildAttrs(int a, int b) {\n        return a + b;\n    }\n}\n")
+    out, report = engine.update(text, patch, load_patch("set_sound")[1])
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs_androevolve"]
+    assert ('        String why = "makeAttrs calls buildAttrs"; // then buildAttrs\n'
+            "        return buildAttrs_androevolve(usage);\n") in out
+    assert "static AudioAttributes buildAttrs_androevolve(int usage)" in out
+
+
+def test_a_created_type_under_a_clashing_import_is_qualified():
+    # the target imports another AudioAttributes, so the then branch's
+    # `new AudioAttributes.Builder()` names android.media's in full, as a
+    # copied helper's would (CI compiles these outputs with javac)
+    mapping = load_patch("set_sound")[1]
+    example = (REPO / "tests" / "javac" / "examples" / "builder_in_the_call.java").read_text()
+    patch = patchgen.generate_patch(jast.parse(example), mapping)
+    assert patch.needs_imports == ["android.media.AudioAttributes"]
+    text = (REPO / "tests" / "javac" / "targets" / "another_audio_attributes.java").read_text()
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == 1 and report.definitions_copied == []
+    assert ("            b.setSound(u, new android.media.AudioAttributes.Builder().setUsage(5)"
+            ".build());\n") in out
+    assert out.count("import ") == 3 and "AudioAttributes own = new AudioAttributes();" in out
+    assert engine.update(out, patch, mapping)[0] == out
+    # the set_sound patch's copied helpers are qualified the same way
+    out, report = engine.update(text, *load_patch("set_sound"))
+    assert report.definitions_copied == ["makeAttrs", "buildAttrs"]
+    assert "return new android.media.AudioAttributes.Builder().setUsage(usage).build();" in out
+    assert "static android.media.AudioAttributes makeAttrs(int usage)" in out
 
 
 def _needs_patch():
@@ -1021,32 +1131,40 @@ def _bound_shapes():
 
 def test_a_compiled_then_branch_renders_like_substitution():
     # the template path (compile_then once, render_then per site) against
-    # instantiating and rendering every then statement at every site
+    # instantiating and rendering every then statement at every site; a
+    # class's renames, applied to the pieces of the templates as apply_patch
+    # applies them, rename the text substitution renders, where no bound
+    # expression names a renamed name or is a number, which would lex as
+    # one with a `.` after it (`5.f`)
     patches = [load_patch(case.name, rewire)[0] for case in sorted(CORPUS.glob("cases/*"))
                for rewire in (False, True)]
     patches.append(patchgen.parse_patch(GROUPING_PATCH))
     shapes = _bound_shapes()
+    bound_names = {t.value for e in shapes for t in jast.tokenize(e.src)}
     rng = random.Random(2121)
     compared = 0
     for patch in patches:
-        names = {n for s in patch.then_stmts + [patch.context] for n in patchgen.pattern_names(s)}
-        names |= {e.name for s in patch.then_stmts for root in jast.stmt_exprs(s)
-                  for e in jast.iter_exprs(root) if isinstance(e, jast.MethodCall)}
+        names = sorted({t.value for s in patch.then_stmts
+                        for t in jast.tokenize(jast.render_stmt(s)) if t.kind == "ident"}
+                       - bound_names)
         mvs = [n for n in patchgen.pattern_names(patch.context)
                if n in patch.metavar_names("expression") | patch.metavar_names("identifier")]
-        for renames in (None, {n: n + "_r" for n in names}):
-            then = engine.compile_then(patch, renames)
+        then = engine.compile_then(patch)
+        for renames in ({}, {n: "q." + n if i % 2 else n + "_r" for i, n in enumerate(names)}):
+            renamed = [(temp, root, [jast.rename(piece, renames) for piece in pieces], holes)
+                       for temp, root, pieces, holes in then]
+            choices = [e for e in shapes if not renames or not e.src[0].isdigit()]
             for _ in range(60):
-                binding = engine.MetaBinding({mv: rng.choice(shapes) for mv in mvs})
+                binding = engine.MetaBinding({mv: rng.choice(choices) for mv in mvs})
                 want = []
                 substituted = engine.MetaBinding(dict(binding.assignments))
                 for s in patch.then_stmts:
                     if patchgen.is_patch_temp(s):
                         substituted.assignments[s.name] = engine.substitute_expr(
-                            s.init, substituted, renames)
+                            s.init, substituted)
                     else:
-                        want.append(jast.render_stmt(
-                            engine.substitute_stmt(s, substituted, renames)))
-                assert engine.render_then(then, binding) == want
+                        want.append(jast.render_stmt(engine.substitute_stmt(s, substituted)))
+                assert engine.render_then(renamed, binding) == [
+                    jast.rename(line, renames) for line in want]
                 compared += len(want)
     assert compared > 1500, compared

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from api_evolve import engine, jast, scope
+from api_evolve import engine, jast
 
 from conftest import CORPUS, REPO, corpus_java_files
 from mutants import mutant
@@ -319,9 +319,10 @@ def test_a_parse_builds_no_token(path, monkeypatch):
         m.setattr(jast.Token, "__init__", _no_token)
         full = jast.parse(text)
         partner = jast.check_balanced(text)
-        jast.outline(text, partner, ["vibrate", "setSound"])
+        jast.parse_header(text, partner)
+        jast.declarations(text, partner, ["vibrate", "setSound", "makeAttrs"])
         for stmt, _chain in jast.iter_statements(full.types[-1].methods[-1].body):
-            jast.parse_island(text, partner, stmt.start, stmt.end)
+            jast.parse_islands(text, partner, [(stmt.start, stmt.end)])
             jast.parse_stmt_text(stmt.src)
             for root in jast.stmt_exprs(stmt):
                 jast.parse_expr_text(root.src)
@@ -508,7 +509,7 @@ def test_islands_read_together_are_each_read_alone(monkeypatch):
         together = jast.parse_islands(text, partner, spans)
         assert len(together) == len(spans)
         for (start, end), (stmt, starts) in zip(spans, together):
-            alone, alone_starts = jast.parse_island(text, partner, start, end)
+            ((alone, alone_starts),) = jast.parse_islands(text, partner, [(start, end)])
             assert starts == alone_starts == jast._lex(text, start, end)[2]
             assert (stmt is None) == (alone is None)
             if stmt is not None:
@@ -572,7 +573,7 @@ def test_a_reserved_word_is_never_a_name_or_a_call_name(body, opaque):
     assert [s.src for s in stmts] == opaque
     # and so is each as an island, in place
     partner = jast.check_balanced(text)
-    islands = [jast.parse_island(text, partner, s.start, s.end)[0] for s in stmts]
+    islands = [jast.parse_islands(text, partner, [(s.start, s.end)])[0][0] for s in stmts]
     assert [(type(s), s.src) for s in islands] == [(jast.OpaqueStmt, o) for o in opaque]
     with pytest.raises(jast.ParseError):
         jast.parse_expr_text(body.split(" ")[0].rstrip(";"))
@@ -676,7 +677,7 @@ def test_check_balanced_faults_exactly_where_parse_does():
     assert 300 < sum(f is not None for f in faults) < len(texts) - 300
 
 
-# -- islands: blocks_around, parse_island and outline ---------------------------
+# -- islands: blocks_around, parse_islands and declarations --------------------
 
 def _islands(text, names):
     """blocks_around at every occurrence of names, as whole words, in text."""
@@ -687,8 +688,9 @@ def _islands(text, names):
 def _items_in_code(text, names):
     """The member or statement, stripped, around each occurrence of names
     in code, not in a comment or literal."""
+    partner = jast.check_balanced(text)
     return [text[start:end].strip() for at, _blocks, start, end in _islands(text, names)
-            if jast.token_before(text, start, at) is not None]
+            if jast.tokens_before(text, partner, start, at) is not None]
 
 
 class _RecordingRegex:
@@ -725,7 +727,7 @@ def test_name_free_method_body_gives_no_inner_tokens(monkeypatch):
     assert (text[start:end].strip(), [b[2] for b in blocks]) == (
         "v.vibrate(5);", ["file", "class", "stmt"])
     full_n = jast.parse(text).types[0].methods[1]
-    island, _starts = jast.parse_island(text, jast.check_balanced(text), start, end)
+    ((island, _starts),) = jast.parse_islands(text, jast.check_balanced(text), [(start, end)])
     assert island.span == full_n.body[1].span and jast.ast_equal(island, full_n.body[1])
 
 
@@ -742,19 +744,38 @@ def test_class_literal_opens_no_type_body():
 
 
 def test_name_free_type_bodies_are_lexed():
-    # an outline holds what the full parse reads of each member, of a
-    # class in classes alone, whose own text names a name, and no class
-    # that names none; a member of a local class is none
+    # declarations holds each name declared in the file or a class, under
+    # the `{` of the body that declares it, and no name the text does not
+    # declare; a member of a local class is in statements, and is none
     text = NESTED_CLASS
     partner = jast.check_balanced(text)
-    assert jast.outline(text, partner, ["vibrate"]).types == []
-    methods, types = scope.members(jast.outline(text, partner, ["k"]))
-    assert sorted(methods) == [("k", 0)] and sorted(types) == []
-    methods, types = scope.members(jast.outline(text, partner, ["B"]))
-    assert sorted(methods) == [("k", 0)] and sorted(types) == ["B"]
+    a, b = text.index("{"), text.index("{", text.index("class B"))
+    assert jast.declarations(text, partner, ["vibrate", "z"]) == {}
+    assert jast.declarations(text, partner, ["k", "y"]) == {
+        b: {("field", "y"): False, ("method", "k", 0): False}}
+    assert jast.declarations(text, partner, ["B", "A"]) == {
+        -1: {("class", "A"): a}, a: {("class", "B"): b}}
     local = "class A { void m() { class L { void k() { } } } }"
-    methods, types = scope.members(jast.outline(local, jast.check_balanced(local), ["k"]))
-    assert sorted(methods) == [] and sorted(types) == []
+    assert jast.declarations(local, jast.check_balanced(local), ["k", "L"]) == {}
+
+
+@pytest.mark.parametrize("member, key, private", [
+    ("void f() { }", ("method", "f", 0), False),
+    ("private <T> java.util.Map<T, int[]> f(java.util.Map<String, java.util.List<T>> m,"
+     " @A(x = 1, y = {2, 3}) final int... b) { return null; }", ("method", "f", 2), True),
+    ("@Deprecated static synchronized int f(final int u) { return u; }", ("method", "f", 1),
+     False),
+    ("int[] f = {1, 2};", ("field", "f"), False),
+    ("private static final int f = g(1, 2), h;", ("field", "f"), True),
+    ("/* private */ String f;", ("field", "f"), False),
+], ids=["no_parameters", "generic_parameters", "modifiers", "array_field", "private_field",
+        "comment"])
+def test_a_member_is_read_by_its_tokens(member, key, private):
+    # a method's arity counts the commas outside brackets and type
+    # arguments; a member is private by its own modifiers only
+    text = "class A {\n    %s\n    void m() { f(1); f = 2; }\n}\n" % member
+    assert jast.declarations(text, jast.check_balanced(text), ["f"]) == {
+        text.index("{"): {key: private}}
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():
@@ -769,8 +790,8 @@ def test_deep_nesting_is_only_seen_where_the_name_is():
     text = "class A { void m() { %s v.vibrate(5); } }" % deep_site
     partner = jast.check_balanced(text)
     first, second = _islands(text, ["vibrate"])
-    assert jast.parse_island(text, partner, first[2], first[3])[0].src == deep_site
-    assert jast.parse_island(text, partner, second[2], second[3])[0].src == "v.vibrate(5);"
+    islands = jast.parse_islands(text, partner, [first[2:], second[2:]])
+    assert [stmt.src for stmt, _starts in islands] == [deep_site, "v.vibrate(5);"]
 
 
 # Members whose end is hard to find, each with a call of `go` in it, and
