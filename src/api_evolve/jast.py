@@ -402,9 +402,14 @@ class Token(Record):
         self.end = end
 
 
-# Literal and comment syntax, written once for the lexer and the bracket
-# scan. A quote or `/*` that opens no literal or comment is `bad`. A text
-# block opens with `"""` and a line break, and ends at the next unescaped `"""`.
+# Literal and comment syntax, written once for the lexer and the scans. A
+# quote or `/*` that opens no literal or comment is `bad`. A text block
+# opens with `"""` and a line break, and ends at the next unescaped `"""`.
+# A literal's body is a negated class such as `[^"\\]`, unlike the code
+# runs below: a literal is often written in the app's own script, and a
+# negated class takes CJK, Cyrillic or Greek at the cost of any other
+# character, where a positive Latin-1 run would step out of its loop at
+# each run of them.
 _STR = r''' """[ \t\f]*\r?\n[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""
           | "[^"\\\n]*(?:\\.[^"\\\n]*)*" '''
 _CHAR = r""" '[^'\\]*(?:\\.[^'\\]*)*' """
@@ -436,18 +441,44 @@ _KIND = {"": "eof", '"': "str", "'": "char",
          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", "ident")}
 
 
+def _latin1_except(excluded: str) -> str:
+    """A positive class of the Latin-1 characters (U+0000-U+00FF) that are
+    not in excluded, written as ranges of \\x escapes."""
+    bounds = sorted(map(ord, excluded))
+    return "[%s]" % "".join(r"\x%02x-\x%02x" % (lo + 1, hi - 1)
+                            for lo, hi in zip([-1] + bounds, bounds + [256]) if hi - lo > 1)
+
+
+# The scans' code runs, the text between literals, comments and the
+# characters a scan stops at, are positive classes of Latin-1 characters,
+# not negated classes such as `[^"'/]`: re tests a negated set with a
+# nested call per character, which cost 5.0-6.7 ns a character where a
+# positive one costs 1.9-2.2 ns (Python 3.11.7). A run of characters past
+# Latin-1, _WIDE, is one more special case of each unrolled loop; its
+# lookahead keeps it whole, so a failed match cannot try it split. Two
+# traps: a class that runs on to U+10FFFF scans as fast, but re builds it
+# with a Python loop over 65,536 code points, about 4 ms a class at
+# import; and `(?:run|_WIDE)*` branches once a character, and
+# `(?:run+|...)*` backtracks exponentially when a match fails, so each
+# loop stays `run* (?: special run* )*` with the run and the special
+# cases disjoint.
+_WIDE = r"[^\x00-\xff]+(?![^\x00-\xff])"
+
+
 # One match per bracket: runs of other characters, comments and literals
 # are swallowed in front of it, and so is a `(...)` or `[...]` pair with
 # nothing inside that the scan would stop at, which can never be at fault
 # (see _close). A lone `/` must not start `/*`, or an unclosed comment
 # would be swallowed as ordinary text. Like _MEMBER_RE, it is unrolled as
 # `plain* (special plain*)*`: a run of plain text is one step, never an
-# iteration of the outer group.
-_PLAIN = r"""[^"'/{}()\[\]]"""
+# iteration of the outer group, and so is the inside of a pair.
+_PLAIN = _latin1_except("\"'/{}()[]")
+_INSIDE = "%s*(?:%s%s*)*" % (_PLAIN, _WIDE, _PLAIN)
 _BRACKET_RE = re.compile(r"""
-    %s* (?: (?: \(%s*\) | \[%s*\] | %s | %s | %s | /(?!\*) ) %s* )*
+    %s* (?: (?: \(%s\) | \[%s\] | %s | %s | %s | /(?!\*) | %s ) %s* )*
     (?: (?P<open> [(\[{] ) | (?P<close> [)\]}] ) | (?P<bad> %s) | (?P<eof> \Z ) )
-    """ % (_PLAIN, _PLAIN, _PLAIN, _COMMENT, _STR, _CHAR, _PLAIN, _BAD), re.VERBOSE | re.DOTALL)
+    """ % (_PLAIN, _INSIDE, _INSIDE, _COMMENT, _STR, _CHAR, _WIDE, _PLAIN, _BAD),
+    re.VERBOSE | re.DOTALL)
 
 _OPEN = {"{": "}", "(": ")", "[": "]"}
 _CLOSE = {"}", ")", "]"}
@@ -511,11 +542,11 @@ _ELSE_RE = re.compile(r"(?:[ \t\r\n] | %s)* else(?![A-Za-z0-9_$])" % _COMMENT,
 # bracket, literal or comment inside, as _BRACKET_RE swallows one. A quote
 # or `/*` that opens nothing cannot occur after check_balanced; matching it
 # keeps a failed match from backtracking.
-_MEMBER_TEXT = r"""[^"'/;{}=(\[]"""
+_MEMBER_TEXT = _latin1_except("\"'/;{}=([")
 _MEMBER_RE = re.compile(r"""
-    %s* (?: (?: \(%s*\) | %s | %s | %s | /(?!\*) ) %s* )*
-    (?P<c> [;{}=(\[] | %s | \Z )""" % (_MEMBER_TEXT, _PLAIN, _COMMENT, _STR, _CHAR, _MEMBER_TEXT,
-                                        _BAD), re.VERBOSE | re.DOTALL)
+    %s* (?: (?: \(%s\) | %s | %s | %s | /(?!\*) | %s ) %s* )*
+    (?P<c> [;{}=(\[] | %s | \Z )""" % (_MEMBER_TEXT, _INSIDE, _COMMENT, _STR, _CHAR, _WIDE,
+                                        _MEMBER_TEXT, _BAD), re.VERBOSE | re.DOTALL)
 
 
 def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
@@ -548,10 +579,11 @@ def _member_end(text: str, pos: int, partner: dict) -> Optional[int]:
 # text. `bad`, a quote or `/*` that opens nothing, swallows the rest of the
 # text, so that no later opener is tried. The literal syntax and its order
 # are _BRACKET_RE's.
+_CODE = _latin1_except("\"'/")
 _LITERAL_RE = re.compile(r"""
-    ( [^"'/]* (?: /(?![*/]) [^"'/]* )* )
-    (?: %s | %s | %s | (?P<bad> %s) .* | \Z )""" % (_COMMENT, _STR, _CHAR, _BAD),
-                         re.VERBOSE | re.DOTALL)
+    ( %s* (?: (?: /(?![*/]) | %s ) %s* )* )
+    (?: %s | %s | %s | (?P<bad> %s) .* | \Z )""" % (_CODE, _WIDE, _CODE, _COMMENT, _STR, _CHAR,
+                                                  _BAD), re.VERBOSE | re.DOTALL)
 _NOT_BRACKETS = bytes(b for b in range(256) if b not in b"()[]{}")
 _PAIR_PASSES = 32  # each removes at least one level of nesting
 

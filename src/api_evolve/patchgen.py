@@ -389,7 +389,7 @@ def _split_defs(blob: str, first_line: int) -> list:
     except jast.ParseError as exc:
         raise MalformedPatch("unparsable @needs@ section: %s" % exc)
     defs = []
-    stray = [jast.tokenize(blob)[0].start] if unit.header_end else []  # package or import
+    stray = [jast._lex(blob)[2][0]] if unit.header_end else []  # package or import
     for tdecl in unit.types:
         if not tdecl.implicit:
             defs.append(tdecl)

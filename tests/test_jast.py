@@ -7,6 +7,7 @@ import pytest
 
 from api_evolve import engine, jast
 
+import negated_scans
 from conftest import CORPUS, REPO, corpus_java_files
 from mutants import mutant
 
@@ -332,7 +333,8 @@ def test_a_parse_builds_no_token(path, monkeypatch):
 
 # The per-token lexer that the array lexer replaced, as the oracle of its
 # kinds, values and offsets: one match per token, whose kind is the name of
-# the alternative that matched, from the same literal and comment syntax.
+# the alternative that matched, from the literal and comment syntax as
+# negated_scans spells it, apart from jast's own.
 _ORACLE_RE = re.compile(r"""
     (?:[ \t\r\n]+ | %s)*
     (?:
@@ -346,7 +348,8 @@ _ORACLE_RE = re.compile(r"""
       | (?P<punct> [{}()\[\];,] | == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
                  | /= | %%= | -> | :: | << | >> | . )
       | (?P<eof> \Z )
-    )""" % (jast._COMMENT, jast._STR, jast._CHAR, jast._BAD), re.VERBOSE | re.DOTALL)
+    )""" % (negated_scans.COMMENT, negated_scans.STR, negated_scans.CHAR, negated_scans.BAD),
+    re.VERBOSE | re.DOTALL)
 
 
 def _oracle_tokens(text):
