@@ -234,15 +234,13 @@ def render_then(then: list, binding: MetaBinding) -> list:
 # Guard detection
 # ---------------------------------------------------------------------------
 
-def already_guarded(text: str, chain, conditions=()) -> bool:
-    """True iff a condition around a site textually mentions the SDK_INT
-    token: an If of chain, the statements around the site's statement,
-    parsed in place in text, or one of conditions, spans of text, such as
-    jast.blocks_around gives for the blocks around it."""
+def already_guarded(text: str, conditions) -> bool:
+    """True iff one of conditions, spans of text such as
+    jast.blocks_around gives for the `if` headers around a site, mentions
+    the SDK_INT token."""
     # a condition is searched in place: it starts after `(` or a blank and
-    # ends before `)` or one, so \b at its ends reads as in src
-    spans = [(s.cond.start, s.cond.end) for s in chain if isinstance(s, jast.If)]
-    return any(_SDK_TOKEN.search(text, start, end) for start, end in spans + list(conditions))
+    # ends before `)` or one, so \b at its ends reads as in its text
+    return any(_SDK_TOKEN.search(text, start, end) for start, end in conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +252,24 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     helper transplant at the first of each top-level class.
 
     Returns (edits, UpdateReport); the edits are (Span, text) pairs against
-    text. jast.blocks_around places each occurrence in code of the context
+    text. jast.blocks_around walks to each occurrence of the context
     call's name before a `(` (partner is text's bracket table, built if
-    not given). In a type body one is a declaration or
-    NonStatementContext; elsewhere the statement holding it is its
-    island. All of the file's islands are parsed in one call
-    (jast.parse_islands), and a call there of the context call's
-    arity is a site, guarded by an If of the island or an if header of a
-    block around it. An occurrence the island parses as no call is
-    NonStatementContext after a `->`, else UnparsedStatement. The context
-    call's argument metavariables bind the argument expressions, and each
-    patch temporary is rendered inline at its one use. At the first site
-    that matches in a top-level class (the file's block for a site in no
-    class), transplant_definitions plans the helpers into that class,
-    reading the file only when the patch has @needs@ or imports, so a
-    file whose sites are all skipped reads nothing for it. The then
-    branch, which the patch's plan (plan_of) compiles once per patch, is
-    taken with that class's renames (jast.rename of its text pieces);
-    each site renders only what it binds into it. An import or top-level
-    class that two classes' transplants plan is added once; a name copied
-    into two classes is reported once.
-    Per-site failures become skip entries, never exceptions;
-    patchgen.MultipleUse is raised when the then branch would evaluate an
-    argument that is not a plain name more than once.
+    not given), and gives the tokens in front of it, None in a comment or
+    literal, and the `if` conditions around it. In a type body an
+    occurrence is a declaration or NonStatementContext; elsewhere the
+    statement that holds it is its island, and all islands are parsed in
+    one call (jast.parse_islands). A call there of the context call's
+    arity is a site, skipped when a condition names SDK_INT
+    (already_guarded); an occurrence that is no call there is
+    NonStatementContext after a `->`, else UnparsedStatement. At the
+    first matching site of a top-level class, or of the file's block,
+    transplant_definitions plans the helpers into it, and the then branch,
+    compiled once per patch (plan_of), is taken with that class's renames;
+    each site renders only what it binds. An import or top-level class
+    that two transplants plan is added once. Per-site failures become
+    skip entries, never exceptions; patchgen.MultipleUse is raised when
+    the then branch would evaluate an argument that is not a plain name
+    more than once.
     """
     report = UpdateReport()
     plan = plan_of(patch)
@@ -292,38 +285,35 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     # Each stage runs over all sites before the next: walk, parse, then
     # match and render. Run site by site, the same work took about 30%
     # longer on dense_sites.
-    walked = list(jast.blocks_around(text, partner, found))
+    walked = []  # each occurrence in code that is no declaration
     spans = {}  # by start: the span of each island
-    for _at, blocks, start, end in walked:
-        if blocks[-1][2] in ("stmt", "file"):
+    for at, blocks, start, end, tokens, conditions in jast.blocks_around(text, partner, found):
+        kind = blocks[-1][2]
+        if tokens is None or kind != "stmt" and jast.declares(tokens):
+            continue  # in a comment or literal, or a declaration
+        if kind in ("stmt", "file"):
             spans.setdefault(start, (start, end))
-    islands = {}  # by start: the token starts, and the calls of name by the name's offset
-    for start, (island, starts) in zip(spans, jast.parse_islands(text, partner, spans.values())):
-        islands[start] = starts, {
-            text.find(name, e.start if e.receiver is None else e.receiver.end): (e, s, chain)
-            for s, chain in jast.iter_statements([island] if island else [])
+        walked.append((at, blocks, start, conditions))
+    islands = {}  # by start: the calls of name by the name's offset
+    for start, island in zip(spans, jast.parse_islands(text, partner, spans.values())):
+        islands[start] = {
+            text.find(name, e.start if e.receiver is None else e.receiver.end): (e, s)
+            for s, _chain in jast.iter_statements([island] if island else [])
             for root in jast.stmt_exprs(s) for e in jast.iter_exprs(root)
             if type(e) is jast.MethodCall and e.name == name}
-    for at, blocks, start, end in walked:
-        kind = blocks[-1][2]
-        if kind != "stmt":
-            tokens = jast.tokens_before(text, partner, start, at)
-            if tokens is None or jast.declares(tokens):
-                continue  # in a comment or literal, or a declaration
-            if kind != "file":
-                skipped((jast.Span(at, at + len(name)), NON_STATEMENT_CONTEXT))
-                continue
-        starts, calls = islands[start]
-        if at not in calls:
-            if at in starts:  # in code, not in a comment or literal
-                skipped((jast.Span(at, at + len(name)), NON_STATEMENT_CONTEXT
-                         if "->" in text[start:at] else UNPARSED_STATEMENT))
+    for at, blocks, start, conditions in walked:
+        if blocks[-1][2] not in ("stmt", "file"):  # in a type body
+            skipped((jast.Span(at, at + len(name)), NON_STATEMENT_CONTEXT))
             continue
-        call, stmt, chain = calls[at]
+        calls = islands[start]
+        if at not in calls:
+            skipped((jast.Span(at, at + len(name)), NON_STATEMENT_CONTEXT
+                     if "->" in text[start:at] else UNPARSED_STATEMENT))
+            continue
+        call, stmt = calls[at]
         if len(call.args) != plan.arity:
             continue
-        conditions = [c for b in blocks for c in b[3]]
-        if already_guarded(text, chain, conditions):
+        if already_guarded(text, conditions):
             skipped((call.span, ALREADY_GUARDED))
             continue
         binding = match_statement(patch.context, stmt, plan.expr_mv, plan.ident_mv)
@@ -378,6 +368,13 @@ def _reindent(src: str, indent: str) -> str:
     return indent + src
 
 
+def _superclass(block: list) -> Optional[str]:
+    """The name after `extends` in the header of a class's block, as
+    jast.blocks_around lists one, outside `<…>`; None if there is none."""
+    header = jast.outside_angles(block[7]) if block[2] == "class" else []
+    return header[header.index("extends") + 1] if "extends" in header[:-1] else None
+
+
 def transplant_definitions(text: str, partner: dict, body: list, needs, imports=()):
     """Copy helper definitions and imports into the target text, whose
     bracket table partner is (jast.check_balanced).
@@ -389,11 +386,12 @@ def transplant_definitions(text: str, partner: dict, body: list, needs, imports=
     needs holds the helper methods, fields and classes of a patch's
     @needs@ section, parsed (SemanticPatch.needs). A method of the same
     name and arity or a field of the same name declared in body itself,
-    not in a class nested in it, or in the top-level class that body's
-    class extends and not private there, or a class of the same name at
-    the top of the file or in body itself, is reused, not copied. The
-    target is never parsed: jast.declarations finds the helpers' names
-    and the class named after `extends` in body's header, outside `<…>`.
+    not in a class nested in it, or in a top-level class that body's class
+    extends, through any number of them, and not private there, or a class
+    of the same name at the top of the file or in body itself, is reused,
+    not copied. The target is never parsed: jast.declarations finds the
+    helpers' names, and each superclass, named after `extends` in the
+    header of the class before it, outside `<…>`.
     Returns (edits, copied_names, renames): the edits are (Span, text)
     pairs against text, and renames maps a colliding method name to its
     _androevolve alias and a colliding import's simple name to the
@@ -403,13 +401,21 @@ def transplant_definitions(text: str, partner: dict, body: list, needs, imports=
     """
     if not needs and not imports:
         return [], [], {}
-    header = jast.outside_angles(jast.tokens_before(text, partner, body[6], body[0])) if (
-        body[2] == "class") else []
-    extends = "extends" in header[:-1] and header[header.index("extends") + 1]
     names = [d.name for d in needs]
+    extends = _superclass(body)
     declared = jast.declarations(text, partner, names + [extends] if extends else names)
     top, own = declared.get(-1, {}), declared.get(body[0], {})
-    inherited = declared.get(top.get(("class", extends)), {})
+    # what body's class inherits, from each superclass the file declares at
+    # its top, the nearest first, up to one it does not or one seen already
+    inherited, seen = {}, {body[0]}
+    block = extends and top.get(("class", extends))
+    while block and block[0] not in seen:
+        seen.add(block[0])
+        for key, private in declared.get(block[0], {}).items():
+            inherited.setdefault(key, private)
+        extends = _superclass(block)
+        block = extends and jast.declarations(text, partner, [extends]).get(-1, {}).get(
+            ("class", extends))
     visible = set(own) | {key for key, private in inherited.items()
                           if key[0] != "class" and not private}
     methods = {key[1] for key in visible if key[0] == "method"}
@@ -490,5 +496,4 @@ def update(text: str, patch: patchgen.SemanticPatch, mapping: sigmap.ApiMapping)
     edits, report = apply_patch(patch, text, jast.check_balanced(text))
     if report.sites_updated == 0:
         return text, report
-    # splice reads a unit's text alone
-    return jast.splice(jast.CompilationUnit(None, [], [], text), edits), report
+    return jast.splice(text, edits), report

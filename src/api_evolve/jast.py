@@ -19,11 +19,13 @@ field by field. Nodes compare by identity; ast_equal compares structure.
 Brackets are paired once per parse, by check_balanced's table, which the
 member scan and the parser's verbatim regions jump through. A file can
 also be read in islands, without a tree of the rest: blocks_around finds
-the braces and the member or statement around an offset by that table
-alone, parse_islands parses the statements of given spans in place, all
-of a file's with one lexer pass and one parser, and declarations finds,
-by the same walk and its tokens alone, where the file or a class
-declares a name (declares: a type's end or `class` in front of it).
+the braces and the member or statement around an offset by that table,
+and one walk (_walk) lexes that member toward the offset, giving the
+tokens in front of it and the `if` conditions on the way; parse_islands
+parses the statements of given spans in place, all of a file's with one
+lexer pass and one parser, and declarations finds, by the same walk and
+its tokens alone, where the file or a class declares a name (declares: a
+type's end or `class` in front of it).
 """
 
 from __future__ import annotations
@@ -1237,15 +1239,19 @@ def _parse_with(p: _Parser, rule, what: str = ""):
 # ---------------------------------------------------------------------------
 
 def blocks_around(text: str, partner: dict, offsets) -> Iterator[tuple]:
-    """For each of the sorted offsets, (offset, blocks, start, end), found
-    through text's bracket table partner, lexing only the headers of the
-    blocks on the way: blocks are the braces around the offset, the file's
-    first, each [open, close, kind (see _block), conditions, ..., offset of
-    its member's first token], and [start, end) is the member or statement
-    of the innermost one that holds the offset, an if with its else chain
-    being one. Each block is walked once, member by member (_member_end),
-    up to its last offset."""
-    stack = [[-1, len(text), "file", [], 0, 0, 0]]  # [4], [5]: the walk's member start and end
+    """For each of the sorted offsets, (offset, blocks, start, end, tokens,
+    conditions), found through text's bracket table partner: blocks are
+    the braces around the offset, the file's first, each [open, close,
+    kind (see _walk), conditions, ..., offset of its member's first token,
+    header tokens], and [start, end) is the member or statement of the
+    innermost one that holds the offset, an if with its else chain being
+    one. tokens are the values of that member's tokens in front of the
+    offset, as _walk lists them, or None where the offset is in a comment
+    or literal; conditions are the spans inside the `if (…)` headers of
+    the blocks and of that member, up to the offset. Each block is walked
+    once, member by member (_member_end), up to its last offset, and each
+    member on the way to an offset is lexed up to it."""
+    stack = [[-1, len(text), "file", [], 0, 0, 0, []]]  # [4], [5]: the walk's member start and end
     for at in offsets:
         while stack[-1][1] < at:
             stack.pop()
@@ -1261,88 +1267,64 @@ def blocks_around(text: str, partner: dict, offsets) -> Iterator[tuple]:
                 if block[2] == "enum" and text[end - 1] == ";":
                     block[2] = "type"  # the constants end at the first `;`
             block[4], block[5] = start, end
-            inner = _block_at(text, partner, block[2], start, at)
+            tokens, conditions, inner = _walk(text, partner, start, at, block[2])
             if inner is None:
                 break
             stack.append(inner)
-        yield at, tuple(stack), start, end
+        yield at, tuple(stack), start, end, tokens, [c for b in stack for c in b[3]] + conditions
 
 
-def _block_at(text: str, partner: dict, kind: str, start: int, at: int) -> Optional[list]:
-    """The innermost block of the member at start, of a block of kind, that
-    holds at (its `}` too), as blocks_around lists one; None if there is
-    none. A bracket pair that ends before at is jumped over."""
-    pos = start
+def _walk(text: str, partner: dict, start: int, at: int, outer: Optional[str] = None) -> tuple:
+    """Walk the tokens from offset start toward offset at, at its depth: a
+    bracket pair that closes before at is one token, its closing bracket,
+    and one that holds at is listed open and entered. Returns (tokens,
+    conditions, block), conditions being the spans inside the `(…)` of
+    each `if` on the way. Given outer, the kind of the block around the
+    member at start, the walk stops at the first `{` that holds at (its
+    `}` too) and opens a block (see _kind), returned as blocks_around
+    lists one, and tokens are its header. Else block is None, tokens are
+    the values in front of at, or None if no token starts at at: it is in
+    a comment or literal, and a condition that holds at is left out, as
+    a statement's own `if` is not around it. partner is text's bracket
+    table."""
+    tokens, conditions, group = [], [], 0  # group: where the innermost group entered starts
+    m = _TOKEN_RE.match(text, start)
+    head = m.start(2)
     while True:
-        m = _BRACKET_RE.match(text, pos)
-        brace = m.end() - 1
-        if m.lastgroup != "open" or brace > at:
-            return None
-        close = _close(text, partner, brace)
-        if close < at:
-            pos = close + 1
-        elif text[brace] == "{" and (block := _block(text, partner, kind, start, brace)):
-            return block
-        else:
-            pos = brace + 1
-
-
-def _block(text: str, partner: dict, outer: str, start: int, brace: int) -> Optional[list]:
-    """The block the `{` at brace opens, in the member at start of a block of
-    kind outer, as blocks_around lists one; None for an array initializer.
-    Its kind is read from the member's tokens in front of it at its depth,
-    a bracket pair that ends before it being one token: "class" for a
-    class body, "enum", "type" for any other type body (an interface's,
-    an anonymous class's, an enum constant's), else "stmt". Its conditions
-    are the insides of the `if` parentheses among those tokens, and its
-    last entry is the offset of the member's first token."""
-    values, conditions, grouped, head = [], [], False, None
-    pos = start
-    while True:
-        m = _TOKEN_RE.match(text, pos)
         tok, value, pos = m.start(2), m[2], m.end()
-        head = tok if head is None else head
-        if tok == brace:
-            break
+        if tok >= at:
+            return tokens if tok == at else None, [c for c in conditions if c[1] < at], None
         if value in _OPEN:
             close = _close(text, partner, tok)
-            if values[-1:] == ["if"]:
+            if tokens[-1:] == ["if"]:
                 conditions.append((pos, close))
-            if close > brace:  # it holds the brace: read on inside it
-                values, grouped = [], True
-                continue
-            pos = close + 1
-        values.append(value)
+            if close < at:
+                value, pos = text[close], close + 1
+            elif value == "{" and outer and (kind := _kind(tokens[group:], group > 0, outer)):
+                return tokens, conditions, [tok, close, kind, conditions, pos, pos, head, tokens]
+            else:
+                group = len(tokens) + 1
+        tokens.append(value)
+        m = _TOKEN_RE.match(text, pos)
+
+
+def _kind(values: list, grouped: bool, outer: str) -> Optional[str]:
+    """The kind of block that a `{` opens after values, the tokens in front
+    of it in the innermost group entered, if grouped, or in its member of
+    a block of kind outer: "type" for an anonymous class body (`)` last,
+    `new` in front) or an enum constant's (outer is "enum" and not
+    grouped); else "enum", "class" or "type" after `enum`, `class` or
+    `interface` not after a `.`; else None, an array initializer, after
+    `=`, `]` or `,` or first in a group; else "stmt"."""
     words = {v for i, v in enumerate(values)
              if v in ("class", "interface", "enum") and values[i - 1:i] != ["."]}
-    if outer == "enum" and not grouped or values[-1:] == ["("] and "new" in values:
-        kind = "type"
-    elif words:
-        kind = "enum" if "enum" in words else "class" if "class" in words else "type"
-    elif values[-1:] in (["="], ["["], [","]) or grouped and not values:
+    if outer == "enum" and not grouped or values[-1:] == [")"] and "new" in values:
+        return "type"
+    if words:
+        return "enum" if "enum" in words else "class" if "class" in words else "type"
+    if values[-1:] in (["="], ["]"], [","]) or grouped and not values:
         return None
-    else:
-        kind = "stmt"
-    return [brace, partner[brace], kind, conditions, brace + 1, brace + 1, head]
-
-
-def tokens_before(text: str, partner: dict, start: int, at: int) -> Optional[list]:
-    """The values of the tokens from offset start up to the one at offset
-    at, at its depth: a bracket pair that closes before at is one token,
-    its closing bracket, and one that holds at stays open, its opening
-    bracket listed. None if no token starts at at: it is in a comment or
-    literal. partner is text's bracket table."""
-    values = []
-    pos = start
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        tok, value = m.start(2), m[2]
-        if tok >= at:
-            return values if tok == at else None
-        pos = m.end()
-        if value in _OPEN and (close := _close(text, partner, tok)) < at:
-            value, pos = text[close], close + 1
-        values.append(value)
+    return "stmt"
 
 
 # the token in front of a declared name: its type's end, or `class`
@@ -1350,7 +1332,7 @@ _TYPE_END = re.compile(r"(?!(?:new|return|else|throw)$)[A-Za-z_$][\w$]*|>>?|\]")
 
 
 def declares(tokens: list) -> bool:
-    """True iff the name after tokens, as tokens_before lists them from the
+    """True iff the name after tokens, as blocks_around lists them from the
     start of its member, is declared there: no bracket holds it, and a
     type's end or `class` is in front of it."""
     return bool(tokens) and _TYPE_END.fullmatch(tokens[-1]) is not None and not any(
@@ -1362,27 +1344,25 @@ def declarations(text: str, partner: dict, names) -> dict:
     by blocks_around (partner is as it takes it) and declares: for the `{`
     of each body that declares one (-1 for the file), a dict of ("class",
     name), ("field", name) and ("method", name, arity) keys, a member's
-    mapped to whether it is private, a class's to its body's `{`. A method
-    is a name a `(` follows, its arity one more than the commas outside
+    mapped to whether it is private, a class's to its body, as
+    blocks_around lists a block, or None if it has none. A method is a
+    name a `(` follows, its arity one more than the commas outside
     brackets in its parameters, if any; a field one that `=`, `;` or `,`
     follows."""
     found = {m.start(): name for name in names for m in re.finditer(  # a literal first is fast
         r"%s(?<![\w$]%s)(?![\w$])" % ((re.escape(name),) * 2), text)}
     declared = {}
-    for at, blocks, start, end in blocks_around(text, partner, sorted(found)):
-        if any(b[2] not in ("file", "class") for b in blocks):
-            continue
-        tokens = tokens_before(text, partner, start, at)
-        if tokens is None or not declares(tokens):
+    for at, blocks, start, end, tokens, _conditions in blocks_around(text, partner, sorted(found)):
+        if tokens is None or not declares(tokens) or any(
+                b[2] not in ("file", "class") for b in blocks):
             continue
         name, private = found[at], "private" in tokens
         after = _TOKEN_RE.match(text, at + len(name))
         if tokens[-1] == "class":
-            body = _block_at(text, partner, blocks[-1][2], start, end - 1)
-            key, value = ("class", name), body and body[0]
+            key, value = ("class", name), _walk(text, partner, start, end - 1, blocks[-1][2])[2]
         elif after[2] == "(":
-            params = outside_angles(tokens_before(
-                text, partner, after.end(), _close(text, partner, after.start(2))))
+            params = outside_angles(_walk(
+                text, partner, after.end(), _close(text, partner, after.start(2)))[0])
             key, value = ("method", name, params.count(",") + 1 if params else 0), private
         elif after[2] in ("=", ";", ","):
             key, value = ("field", name), private
@@ -1407,14 +1387,13 @@ def outside_angles(tokens: list) -> list:
 def parse_islands(text: str, partner: dict, spans) -> list:
     """For each (start, end) of spans, the statement text[start:end]
     holds, past any `case …:`, `default:` or label, parsed in place (its
-    nodes index text, whose bracket table partner is), or None; and the
-    offsets where its tokens start, eof's last. All spans are lexed in
-    one pass (_lex_spans) and read by one parser, each from its first
-    token; one span may hold another."""
+    nodes index text, whose bracket table partner is), or None. All spans
+    are lexed in one pass (_lex_spans) and read by one parser, each from
+    its first token; one span may hold another."""
     if not spans:
         return []
     p = _Parser(text, partner, spans)
-    kinds, values, starts = p.kinds, p.values, p.starts
+    kinds, values = p.kinds, p.values
     islands = []
     first = 0
     for _span in spans:
@@ -1435,7 +1414,7 @@ def parse_islands(text: str, partner: dict, spans) -> list:
             stmt = p.parse_stmt()
         except _Backtrack:
             stmt = None
-        islands.append((stmt, starts[first:stop + 1]))
+        islands.append(stmt)
         first = stop + 1
     return islands
 
@@ -1475,8 +1454,8 @@ def print_unit(unit: CompilationUnit) -> str:
     return unit.text
 
 
-def splice(unit: CompilationUnit, edits) -> str:
-    """Apply (Span, replacement) edits to the unit's text.
+def splice(text: str, edits) -> str:
+    """Apply (Span, replacement) edits to text.
 
     Edits must not overlap; they are applied in ascending span order.
     """
@@ -1485,16 +1464,16 @@ def splice(unit: CompilationUnit, edits) -> str:
     for span, repl in sorted(edits, key=lambda e: (e[0].start, e[0].end)):
         if span.start < pos:
             raise OverlappingEdits("edit at %d overlaps previous" % span.start)
-        out.append(unit.text[pos:span.start])
+        out.append(text[pos:span.start])
         out.append(repl)
         pos = span.end
-    out.append(unit.text[pos:])
+    out.append(text[pos:])
     return "".join(out)
 
 
 def edited(unit: CompilationUnit, edits) -> CompilationUnit:
     """Splice edits and reparse, yielding a fresh unit."""
-    return parse(splice(unit, edits))
+    return parse(splice(unit.text, edits))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_04_multi_site_file():
     patch = patchgen.generate_patch(example, mapping)
     unit = jast.parse(_read(CORPUS / "cases" / "vibrate" / "targets" / "multi_site.java"))
     edits, report = engine.apply_patch(patch, unit.text)
-    text = jast.splice(unit, edits)
+    text = jast.splice(unit.text, edits)
     ok = (report.sites_updated == 3
           and len(re.findall(r"if \(android\.os\.Build\.VERSION\.SDK_INT", text)) == 3)
     _report(4, "three call sites in one file yield three guarded blocks", ok)

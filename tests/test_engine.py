@@ -87,29 +87,51 @@ def test_substitute_and_render_cost_one_frame_a_level():
 
 # -- guard detection ----------------------------------------------------------
 
-def guarded_site(text, mapping):
-    unit = jast.parse(text)
-    return sigmap.find_invocations(unit, mapping.deprecated)
+def site_conditions(text, mapping):
+    """The `if` conditions around each call of the deprecated method, as
+    jast.blocks_around gives them at the call's name."""
+    sites = sigmap.find_invocations(jast.parse(text), mapping.deprecated)
+    names = [text.index(mapping.deprecated.method_name, s.call.receiver.end) for s in sites]
+    assert names
+    return [conditions for *_, conditions
+            in jast.blocks_around(text, jast.check_balanced(text), names)]
 
 
 def test_already_guarded(minute_mapping):
-    sites = guarded_site(
-        "class A { void m(TimePicker tp) {\n"
-        "    if (android.os.Build.VERSION.SDK_INT >= 23) {\n"
-        "        x = tp.getMinute();\n"
-        "    } else {\n"
-        "        x = tp.getCurrentMinute();\n"
-        "    }\n"
-        "} }", minute_mapping)
-    assert all(engine.already_guarded(s.call.unit_text, s.stmt_chain) for s in sites)
+    text = ("class A { void m(TimePicker tp) {\n"
+            "    if (android.os.Build.VERSION.SDK_INT >= 23) {\n"
+            "        x = tp.getMinute();\n"
+            "    } else {\n"
+            "        x = tp.getCurrentMinute();\n"
+            "    }\n"
+            "    if (android.os.Build.VERSION.SDK_INT < 23) x = tp.getCurrentMinute();\n"
+            "} }")
+    assert all(engine.already_guarded(text, c) for c in site_conditions(text, minute_mapping))
 
 
 def test_unrelated_condition_not_guarded(minute_mapping):
-    sites = guarded_site(
-        "class A { void m(TimePicker tp) {\n"
-        "    if (live) { x = tp.getCurrentMinute(); }\n"
-        "} }", minute_mapping)
-    assert not any(engine.already_guarded(s.call.unit_text, s.stmt_chain) for s in sites)
+    text = ("class A { void m(TimePicker tp) {\n"
+            "    if (live) { x = tp.getCurrentMinute(); }\n"
+            "    if (sdkInt > 1) x = tp.getCurrentMinute(); // SDK_INT\n"
+            "} }")
+    assert not any(engine.already_guarded(text, c) for c in site_conditions(text, minute_mapping))
+
+
+@pytest.mark.parametrize("stmt, reason", [
+    ("if (android.os.Build.VERSION.SDK_INT >= 23 && tp.getCurrentMinute() > 5) { x = 1; }",
+     engine.NO_MATCH),
+    ("if (c) { } else if (android.os.Build.VERSION.SDK_INT > tp.getCurrentMinute()) x = 1;",
+     engine.NO_MATCH),
+    ("if (go(() -> { x = tp.getCurrentMinute(); }, android.os.Build.VERSION.SDK_INT)) { }",
+     engine.ALREADY_GUARDED),
+], ids=["in_the_condition", "in_an_else_if_condition", "in_a_block_in_the_condition"])
+def test_an_if_guards_the_blocks_in_its_condition_not_the_condition(stmt, reason):
+    # a statement's own `if` is not around a call in its condition, but is
+    # around a block there, as the block's header
+    patch, mapping = load_patch("get_current_minute")
+    text = "class A { void m(TimePicker tp) {\n    %s\n} }\n" % stmt
+    out, report = engine.update(text, patch, mapping)
+    assert out == text and [r for _, r in report.sites_skipped] == [reason]
 
 
 # -- application --------------------------------------------------------------
@@ -123,7 +145,7 @@ def test_apply_reports_and_guards():
         "    }\n"
         "}\n")
     edits, report = engine.apply_patch(patch, unit.text)
-    text = jast.splice(unit, edits)
+    text = jast.splice(unit.text, edits)
     assert report.sites_found == 1 and report.sites_updated == 1
     assert "if (android.os.Build.VERSION.SDK_INT >= android.os.Build.VERSION_CODES.O) {" in text
     assert "} else {" in text
@@ -141,7 +163,7 @@ def test_apply_fresh_temp_per_site():
         "    }\n"
         "}\n")
     edits, report = engine.apply_patch(patch, unit.text)
-    text = jast.splice(unit, edits)
+    text = jast.splice(unit.text, edits)
     assert report.sites_updated == 2
     for arg in "ab":
         assert ("    v.vibrate(VibrationEffect.createOneShot(50, 175));\n"
@@ -162,7 +184,7 @@ def test_apply_skips_guarded_site():
         "}\n")
     before = jast.print_unit(unit)
     edits, report = engine.apply_patch(patch, unit.text)
-    assert jast.splice(unit, edits) == before
+    assert jast.splice(unit.text, edits) == before
     assert report.sites_updated == 0
     assert [r for _, r in report.sites_skipped] == [engine.ALREADY_GUARDED]
 
@@ -175,9 +197,9 @@ def test_apply_is_idempotent():
         "        v.vibrate(d);\n"
         "    }\n"
         "}\n")
-    once = jast.parse(jast.splice(unit, engine.apply_patch(patch, unit.text)[0]))
+    once = jast.parse(jast.splice(unit.text, engine.apply_patch(patch, unit.text)[0]))
     edits, report = engine.apply_patch(patch, once.text)
-    assert jast.splice(once, edits) == jast.print_unit(once)
+    assert jast.splice(once.text, edits) == jast.print_unit(once)
     assert report.sites_updated == 0
 
 
@@ -195,7 +217,7 @@ def test_apply_only_touches_replaced_statement():
     (site,) = sigmap.find_invocations(
         unit, sigmap.parse_signature("android.os.Vibrator#vibrate(long)"))
     span = site.enclosing_stmt.span
-    result = jast.splice(unit, engine.apply_patch(patch, unit.text)[0])
+    result = jast.splice(unit.text, engine.apply_patch(patch, unit.text)[0])
     assert result.startswith(text[:span.start])
     assert result.endswith(text[span.end:])
 
@@ -221,7 +243,7 @@ def helpers(text):
 def receiving_class(unit):
     """The block of the class around `void m`, as jast.blocks_around lists it."""
     at = unit.text.index("void m")
-    ((_at, blocks, _start, _end),) = jast.blocks_around(
+    ((_at, blocks, _start, _end, _tokens, _conditions),) = jast.blocks_around(
         unit.text, jast.check_balanced(unit.text), [at])
     return blocks[1]
 
@@ -234,7 +256,7 @@ def test_transplant_appends_method_and_import():
     edits, copied, renames = engine.transplant_definitions(
         unit.text, jast.check_balanced(unit.text), receiving_class(unit), defs,
         imports=["android.media.AudioAttributes"])
-    text = jast.splice(unit, edits)
+    text = jast.splice(unit.text, edits)
     assert copied == ["makeAttrs"]
     assert renames == {}
     assert "import android.media.AudioAttributes;" in text
@@ -253,7 +275,7 @@ def test_transplant_reuses_identical_signature():
     edits, copied, renames = engine.transplant_definitions(
         unit.text, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
-    assert jast.splice(unit, edits) == before
+    assert jast.splice(unit.text, edits) == before
     assert copied == [] and renames == {}
 
 
@@ -266,7 +288,7 @@ def test_transplant_renames_collision():
     edits, copied, renames = engine.transplant_definitions(
         unit.text, jast.check_balanced(unit.text), receiving_class(unit),
         helpers("static AudioAttributes makeAttrs(int usage) { return null; }"))
-    text = jast.splice(unit, edits)
+    text = jast.splice(unit.text, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
     assert "makeAttrs_androevolve(int usage)" in text
 
@@ -375,7 +397,7 @@ def test_transplant_skips_existing_import():
     edits, _, _ = engine.transplant_definitions(
         unit.text, jast.check_balanced(unit.text), receiving_class(unit), [],
         imports=["android.media.AudioAttributes"])
-    assert jast.splice(unit, edits).count("import android.media.AudioAttributes;") == 1
+    assert jast.splice(unit.text, edits).count("import android.media.AudioAttributes;") == 1
 
 
 # -- the apply pipeline -------------------------------------------------------
@@ -672,6 +694,7 @@ TWO_CLASS_TARGETS = {
     "first_class_declares_a_helper": ["makeAttrs", "buildAttrs"],
     "subclass_of_a_class_that_declares_a_helper": ["buildAttrs"],
     "subclass_of_a_generic_class_that_declares_a_helper": ["buildAttrs"],
+    "subclass_of_a_subclass_that_declares_a_helper": ["buildAttrs"],
 }
 
 
@@ -691,14 +714,15 @@ def test_every_two_class_target_is_checked():
 def test_helpers_go_into_the_class_that_holds_the_site(stem, copied):
     # a class before the site's, empty or declaring a helper of its own,
     # receives nothing: the helpers go into the site's class, where its
-    # calls reach them, and what that class inherits from the first is
-    # reused (CI compiles these outputs with javac)
+    # calls reach them, and what that class inherits from the classes
+    # before it, through any number of them, is reused (CI compiles these
+    # outputs with javac)
     patch, mapping = load_patch("set_sound")
     text = (REPO / "tests" / "javac" / "targets" / (stem + ".java")).read_text()
     out, report = engine.update(text, patch, mapping)
     assert report.sites_updated == 1 and report.definitions_copied == copied
-    util, r = jast.parse(out).types
-    assert util.src == jast.parse(text).types[0].src
+    *before, r = jast.parse(out).types
+    assert [t.src for t in before] == [t.src for t in jast.parse(text).types[:-1]]
     assert [m.name for m in r.methods] == ["ring"] + copied
     assert engine.update(out, patch, mapping)[0] == out
 
@@ -725,6 +749,25 @@ def test_only_what_the_class_inherits_from_a_class_of_the_file_is_reused(extends
     private = text.replace("    AudioAttributes", "    private AudioAttributes")
     assert engine.update(private, patch, mapping)[1].definitions_copied == [
         "makeAttrs", "buildAttrs"]
+
+
+@pytest.mark.parametrize("between, copied", [
+    ("class Mid extends Util { }\n\n", ["buildAttrs"]),
+    ("class Mid<T> extends Base<T> { }\n\nclass Base<T> extends Util { }\n\n", ["buildAttrs"]),
+    ("class Mid extends Other { }\n\n", ["makeAttrs", "buildAttrs"]),
+    ("class Mid extends Base { }\n\nclass Base extends Mid { }\n\n", ["makeAttrs", "buildAttrs"]),
+    ("class Mid extends R { }\n\n", ["makeAttrs", "buildAttrs"]),
+], ids=["two_levels", "three_generic_levels", "chain_leaves_the_file", "cycle",
+        "cycle_through_the_site_class"])
+def test_the_whole_extends_chain_in_the_file_is_followed(between, copied):
+    # each superclass the file declares at its top is read, from its own
+    # header, until one the file does not declare or one already seen
+    patch, mapping = load_patch("set_sound")
+    text = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n%s"
+            "class R extends Mid {\n"
+            "    void ring(android.app.Notification.Builder b, android.net.Uri u) {\n"
+            "        b.setSound(u);\n    }\n}\n" % between)
+    assert engine.update(text, patch, mapping)[1].definitions_copied == copied
 
 
 INHERITS = ("class Util {\n    AudioAttributes makeAttrs(int u) { return null; }\n}\n\n"

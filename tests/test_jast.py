@@ -93,7 +93,7 @@ def test_balanced_despite_literals():
 
 def test_splice_no_edits(vibrate_example):
     unit = jast.parse(vibrate_example)
-    assert jast.splice(unit, []) == vibrate_example
+    assert jast.splice(unit.text, []) == vibrate_example
 
 
 def test_splice_two_disjoint_edits_match_sequential_oracle():
@@ -104,8 +104,8 @@ def test_splice_two_disjoint_edits_match_sequential_oracle():
     # naive oracle: apply one at a time, later edit first so offsets hold
     oracle = text[:stmts[1].span.start] + "y.k();" + text[stmts[1].span.end:]
     oracle = oracle[:stmts[0].span.start] + "x.h();" + oracle[stmts[0].span.end:]
-    assert jast.splice(unit, edits) == oracle
-    assert jast.splice(unit, list(reversed(edits))) == oracle
+    assert jast.splice(unit.text, edits) == oracle
+    assert jast.splice(unit.text, list(reversed(edits))) == oracle
 
 
 def test_splice_overlap_rejected():
@@ -113,7 +113,7 @@ def test_splice_overlap_rejected():
     (stmt,) = unit.types[0].methods[0].body
     overlapping = [(stmt.span, "x;"), (jast.Span(stmt.span.start + 1, stmt.span.end), "y;")]
     with pytest.raises(jast.OverlappingEdits):
-        jast.splice(unit, overlapping)
+        jast.splice(unit.text, overlapping)
 
 
 def test_splice_insert_only_touches_inserted_region():
@@ -121,7 +121,7 @@ def test_splice_insert_only_touches_inserted_region():
     unit = jast.parse(text)
     (stmt,) = unit.types[0].methods[0].body
     inserted = "if (x) {\n            b.g();\n        } else {\n            a.f();\n        }"
-    out = jast.splice(unit, [(stmt.span, inserted)])
+    out = jast.splice(unit.text, [(stmt.span, inserted)])
     assert out.startswith(text[:stmt.span.start])
     assert out.endswith(text[stmt.span.end:])
     assert inserted in out
@@ -462,7 +462,7 @@ def test_spans_lexed_together_lex_as_each_alone(monkeypatch):
     for text, name in inputs:
         partner = jast.check_balanced(text)
         found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
-        islands = {start: (start, end) for _at, _blocks, start, end
+        islands = {start: (start, end) for _at, _blocks, start, end, _tokens, _conditions
                    in jast.blocks_around(text, partner, found)}
         _assert_spans_lex_as_alone(text, list(islands.values()))
         _assert_spans_lex_as_alone(text, _random_spans(rng, text))
@@ -507,17 +507,50 @@ def test_islands_read_together_are_each_read_alone(monkeypatch):
         partner = jast.check_balanced(text)
         if spans is None:
             found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
-            spans = list({start: (start, end) for _at, _blocks, start, end
+            spans = list({start: (start, end) for _at, _blocks, start, end, _tokens, _conditions
                           in jast.blocks_around(text, partner, found)}.values())
         together = jast.parse_islands(text, partner, spans)
         assert len(together) == len(spans)
-        for (start, end), (stmt, starts) in zip(spans, together):
-            ((alone, alone_starts),) = jast.parse_islands(text, partner, [(start, end)])
-            assert starts == alone_starts == jast._lex(text, start, end)[2]
+        for (start, end), stmt in zip(spans, together):
+            (alone,) = jast.parse_islands(text, partner, [(start, end)])
             assert (stmt is None) == (alone is None)
             if stmt is not None:
                 assert jast.ast_equal(stmt, alone) and _shape(stmt) == _shape(alone)
     assert jast.parse_islands("class A { int f = g(); }", {}, []) == []
+
+
+def test_the_walk_agrees_with_the_islands(monkeypatch):
+    # at each occurrence apply reads in a block of statements, the walk
+    # finds a token exactly where the island's lexer does; and at each
+    # call there, its conditions guard exactly where those of the Ifs
+    # around the call's statement in its island and of the block headers
+    # around the island do
+    guarded = {True: 0, False: 0}
+    shapes = "".join("        %s\n" % stmt for stmt in [
+        "if (SDK_INT > 1) v.vibrate(1);", "if (c) x(); else v.vibrate(2);",
+        "if (SDK_INT > 1) x(); else if (c) v.vibrate(3); else v.vibrate(4);",
+        "if (c) { x(); } else { v.vibrate(5); }", "run(() -> { if (c) v.vibrate(6); });",
+        "if (SDK_INT > 1) { run(() -> { v.vibrate(7); }); }", "v.vibrate(8); // if (SDK_INT)",
+        "if (SDK_INT > 1 && v.vibrate(9)) x();", "if (c) x(); else if (SDK_INT > v.vibrate(10)) x();",
+        "if (run(() -> { v.vibrate(11); }, SDK_INT)) { }"])
+    inputs = [("class A {\n    void m(Vibrator v) {\n%s    }\n}\n" % shapes, "vibrate")]
+    for text, name in inputs + _apply_inputs(monkeypatch):
+        partner = jast.check_balanced(text)
+        found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
+        walked = [w for w in jast.blocks_around(text, partner, found) if w[1][-1][2] == "stmt"]
+        islands = jast.parse_islands(text, partner, [walk[2:4] for walk in walked])
+        for (at, blocks, start, end, tokens, conditions), island in zip(walked, islands):
+            assert (tokens is not None) == (at in jast._lex(text, start, end)[2])
+            for s, chain in jast.iter_statements([island] if island else []):
+                for e in (e for root in jast.stmt_exprs(s) for e in jast.iter_exprs(root)):
+                    if type(e) is jast.MethodCall and e.name == name and at == text.find(
+                            name, e.start if e.receiver is None else e.receiver.end):
+                        spans = [(c.cond.start, c.cond.end) for c in chain if type(c) is jast.If]
+                        spans += [c for b in blocks for c in b[3]]
+                        said = engine.already_guarded(text, conditions)
+                        assert said == engine.already_guarded(text, spans), (text[start:end], at)
+                        guarded[said] += 1
+    assert guarded[True] > 50 and guarded[False] > 150, guarded
 
 
 def test_render_expr_is_the_fold_on_every_corpus_expression():
@@ -576,7 +609,7 @@ def test_a_reserved_word_is_never_a_name_or_a_call_name(body, opaque):
     assert [s.src for s in stmts] == opaque
     # and so is each as an island, in place
     partner = jast.check_balanced(text)
-    islands = [jast.parse_islands(text, partner, [(s.start, s.end)])[0][0] for s in stmts]
+    islands = [jast.parse_islands(text, partner, [(s.start, s.end)])[0] for s in stmts]
     assert [(type(s), s.src) for s in islands] == [(jast.OpaqueStmt, o) for o in opaque]
     with pytest.raises(jast.ParseError):
         jast.parse_expr_text(body.split(" ")[0].rstrip(";"))
@@ -691,9 +724,8 @@ def _islands(text, names):
 def _items_in_code(text, names):
     """The member or statement, stripped, around each occurrence of names
     in code, not in a comment or literal."""
-    partner = jast.check_balanced(text)
-    return [text[start:end].strip() for at, _blocks, start, end in _islands(text, names)
-            if jast.tokens_before(text, partner, start, at) is not None]
+    return [text[start:end].strip() for _at, _blocks, start, end, tokens, _conditions
+            in _islands(text, names) if tokens is not None]
 
 
 class _RecordingRegex:
@@ -717,20 +749,22 @@ NESTED_CLASS = "class A { static class B { int y; void k() { int z = 1; } } }"
 
 
 def test_name_free_method_body_gives_no_inner_tokens(monkeypatch):
-    # the way to a site lexes the headers of the blocks it descends into,
-    # and no token of a member or statement it steps over: not m, and not
-    # the if before the site
+    # the way to a site lexes the headers of the blocks it descends into
+    # and the site's statement up to the name, and no token of a member or
+    # statement it steps over: not m, and not the if before the site
     text = NAME_FREE_METHOD
     recording = _RecordingRegex(jast._TOKEN_RE)
     monkeypatch.setattr(jast, "_TOKEN_RE", recording)
-    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    ((_at, blocks, start, end, tokens, _conditions),) = _islands(text, ["vibrate"])
     monkeypatch.undo()
     values = {t.start: t.value for t in jast.tokenize(text)}
-    assert [values[p] for p in recording.starts] == ["class", "A", "{", "void", "n", "(", "{"]
+    assert [values[p] for p in recording.starts] == [
+        "class", "A", "{", "void", "n", "(", "{", "v", ".", "vibrate"]
+    assert tokens == ["v", "."]
     assert (text[start:end].strip(), [b[2] for b in blocks]) == (
         "v.vibrate(5);", ["file", "class", "stmt"])
     full_n = jast.parse(text).types[0].methods[1]
-    ((island, _starts),) = jast.parse_islands(text, jast.check_balanced(text), [(start, end)])
+    (island,) = jast.parse_islands(text, jast.check_balanced(text), [(start, end)])
     assert island.span == full_n.body[1].span and jast.ast_equal(island, full_n.body[1])
 
 
@@ -738,11 +772,11 @@ def test_class_literal_opens_no_type_body():
     # `Foo.class` opens no type body: the lambda's block holds statements,
     # and the call is its own island; a local class's body is a type body
     text = "class A { void m() { run(Foo.class, () -> { int x = 1; vibrate(); }); } }"
-    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    ((_at, blocks, start, end, _tokens, _conditions),) = _islands(text, ["vibrate"])
     assert [b[2] for b in blocks] == ["file", "class", "stmt", "stmt"]
     assert text[start:end].strip() == "vibrate();"
     text = text.replace("Foo.class, () ->", "class L")
-    ((_at, blocks, start, end),) = _islands(text, ["vibrate"])
+    ((_at, blocks, start, end, _tokens, _conditions),) = _islands(text, ["vibrate"])
     assert [b[2] for b in blocks] == ["file", "class", "stmt", "class"]
 
 
@@ -756,8 +790,12 @@ def test_name_free_type_bodies_are_lexed():
     assert jast.declarations(text, partner, ["vibrate", "z"]) == {}
     assert jast.declarations(text, partner, ["k", "y"]) == {
         b: {("field", "y"): False, ("method", "k", 0): False}}
-    assert jast.declarations(text, partner, ["B", "A"]) == {
-        -1: {("class", "A"): a}, a: {("class", "B"): b}}
+    # a class maps to its body's block, which holds its header's tokens
+    classes = jast.declarations(text, partner, ["B", "A"])
+    assert {body: {key: (block[0], block[7]) for key, block in found.items()}
+            for body, found in classes.items()} == {
+        -1: {("class", "A"): (a, ["class", "A"])},
+        a: {("class", "B"): (b, ["static", "class", "B"])}}
     local = "class A { void m() { class L { void k() { } } } }"
     assert jast.declarations(local, jast.check_balanced(local), ["k", "L"]) == {}
 
@@ -787,14 +825,14 @@ def test_deep_nesting_is_only_seen_where_the_name_is():
     deep = "x = %s1%s;" % ("(" * 300, ")" * 300)
     elsewhere = "class A { void k() { %s } void m() { v.vibrate(5); } }" % deep
     assert jast.print_unit(jast.parse(elsewhere)) == elsewhere
-    ((_at, _blocks, start, end),) = _islands(elsewhere, ["vibrate"])
+    ((_at, _blocks, start, end, _tokens, _conditions),) = _islands(elsewhere, ["vibrate"])
     assert elsewhere[start:end].strip() == "v.vibrate(5);"
     deep_site = deep.replace("1", "v.vibrate(5)")
     text = "class A { void m() { %s v.vibrate(5); } }" % deep_site
     partner = jast.check_balanced(text)
     first, second = _islands(text, ["vibrate"])
-    islands = jast.parse_islands(text, partner, [first[2:], second[2:]])
-    assert [stmt.src for stmt, _starts in islands] == [deep_site, "v.vibrate(5);"]
+    islands = jast.parse_islands(text, partner, [first[2:4], second[2:4]])
+    assert [stmt.src for stmt in islands] == [deep_site, "v.vibrate(5);"]
 
 
 # Members whose end is hard to find, each with a call of `go` in it, and
@@ -824,7 +862,8 @@ def test_member_ends_where_the_full_parse_ends_it(member, go_item, keep):
             "    int after;\n}\n" % member)
     (s,) = [m for m in jast.parse(text).types[0].methods if m.name == "s"]
     # the member walk steps over the hard member to s, as the full parse has it
-    ((_at, blocks, start, end),) = jast.blocks_around(text, jast.check_balanced(text), [s.start])
+    ((_at, blocks, start, end, _tokens, _conditions),) = jast.blocks_around(
+        text, jast.check_balanced(text), [s.start])
     assert text[start:end].strip() == s.src and [b[2] for b in blocks] == ["file", "class"]
     # each call in code is in the member or statement that holds it
     assert _items_in_code(text, keep) == ([go_item] if "go" in keep else []) + [s.body[0].src]
@@ -871,7 +910,8 @@ def test_statement_ends_where_the_full_parse_ends_it(stmt, go_item, keep):
     (s,) = jast.parse(text).types[0].methods
     # the statement walk steps over each statement as the full parse has it
     walked = jast.blocks_around(text, jast.check_balanced(text), [t.start for t in s.body])
-    assert [text[start:end].strip() for _at, _blocks, start, end in walked] == [
+    assert [text[start:end].strip() for _at, _blocks, start, end, _tokens, _conditions
+            in walked] == [
         t.src for t in s.body]
     # each call is in the statement that holds it
     found = _items_in_code(text, keep)
@@ -889,7 +929,7 @@ def test_a_site_in_the_first_of_many_methods_scans_no_other_method(monkeypatch):
     member_end = jast._member_end
     monkeypatch.setattr(jast, "_member_end", lambda *args: calls.append(args[1])
                         or member_end(*args))
-    ((_at, _blocks, start, end),) = _islands(text, ["vibrate"])
+    ((_at, _blocks, start, end, _tokens, _conditions),) = _islands(text, ["vibrate"])
     assert len(calls) <= 4, len(calls)
     assert text[start:end].strip() == "v.vibrate(5);"
 
