@@ -33,7 +33,9 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
     grounded once: each composite's value is kept, keyed by its expression
     and the fields on its path (the expression's one position in the
     example fixes its scope), and a name whose definition has a kept value
-    takes it as a leaf."""
+    takes it as a leaf. Inside the fold a ground value is the expression
+    itself, a literal or a kept receiver being its own, and only a value
+    that is not ground is wrapped, as ResolvedValue(False, e)."""
     memo = {}  # (composite expression, fields on the path) -> its value
 
     def kids(node):
@@ -56,36 +58,41 @@ def resolve_expression(e: jast.Expr, ctx: scope.Scope) -> ResolvedValue:
         e, at, seen = node
         kind = type(e)
         if at is None or kind is jast.Literal:  # kept as written, or grounded before
-            return e if kind is ResolvedValue else ResolvedValue(True, e)
+            return e
         if kind is jast.Name:
             if values:
                 return values[0]
             pinned = at.pinned.get(e.identifier)
-            return ResolvedValue(pinned is not None, pinned or e)
+            return ResolvedValue(False, e) if pinned is None else pinned
         if kind is jast.FieldAccess:
             root = _access_root(e)
             # a field read off a variable's object: no object model
-            return ResolvedValue(root is not None and not at.is_variable(root.identifier), e)
-        receiver = values[0].expr if kind is jast.MethodCall and e.receiver is not None else None
-        if kind not in _COMPOSITE or not all(v.resolved for v in values) or (
+            return e if root is not None and not at.is_variable(root.identifier) else (
+                ResolvedValue(False, e))
+        receiver = values[0] if kind is jast.MethodCall and e.receiver is not None else None
+        if kind not in _COMPOSITE or ResolvedValue in map(type, values) or (
                 type(receiver) is jast.Literal and receiver.kind != "string"):
             value = ResolvedValue(False, e)  # `5.intValue()` would lex as `5.`
         else:
-            value = ResolvedValue(True, jast.rebuild(e, [v.expr for v in values]))
+            value = jast.rebuild(e, values)
         memo[e, seen] = value
         return value
 
-    return jast.fold((e, ctx, frozenset()), ground, kids)
+    value = jast.fold((e, ctx, frozenset()), ground, kids)
+    return value if type(value) is ResolvedValue else ResolvedValue(True, value)
 
 
-def collect_dependencies(d, ctx: scope.Scope) -> list:
-    """The definitions of ctx's unit that d (a patch hunk) reaches through
-    scope.references, transitively, in the order found; never a type
-    around ctx, which is the example itself."""
+def collect_dependencies(d, ctx: scope.Scope, walked=None) -> list:
+    """The definitions of ctx's unit that d (a patch hunk, in no table of
+    the unit) reaches through scope.references, transitively, in the order
+    found; never a type around ctx, which is the example itself. walked is
+    scope.walk(d), where the caller reads it too."""
     methods, types = scope.members(ctx.unit)
     for t in ctx.types:
         types.pop(t.name, None)
-    return scope.closure([d], methods, types, scope.fields(ctx.unit))[1:]
+    fields = scope.fields(ctx.unit)
+    return scope.closure(scope.references(d, methods, types, fields, walked=walked),
+                         methods, types, fields)
 
 
 _COMPOSITE = (jast.MethodCall, jast.ObjectCreation, jast.Binary, jast.Unary, jast.Cast, jast.Paren)

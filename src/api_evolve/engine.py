@@ -243,13 +243,27 @@ def already_guarded(text: str, conditions) -> bool:
     return any(_SDK_TOKEN.search(text, start, end) for start, end in conditions)
 
 
+def _guarded(text: str, conditions: jast.Conditions, known: dict) -> bool:
+    """already_guarded for a chain of jast.Conditions, where known, kept
+    for one text, maps each cell tested to whether its chain is guarded:
+    each cell is searched once per text, however many sites it is around."""
+    path = []
+    while conditions not in known:
+        path.append(conditions)
+        conditions = conditions.outer
+    guarded = known[conditions]
+    for cell in reversed(path):
+        guarded = known[cell] = guarded or already_guarded(text, (cell.span,))
+    return guarded
+
+
 # ---------------------------------------------------------------------------
 # Application
 # ---------------------------------------------------------------------------
 
 def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict] = None):
     """Plan the patch at every matching, unguarded site of text, and the
-    helper transplant at the first of each top-level class.
+    helper transplant into each top-level class that holds one.
 
     Returns (edits, UpdateReport); the edits are (Span, text) pairs against
     text. jast.blocks_around walks to each occurrence of the context
@@ -260,16 +274,18 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
     statement that holds it is its island, and all islands are parsed in
     one call (jast.parse_islands). A call there of the context call's
     arity is a site, skipped when a condition names SDK_INT
-    (already_guarded); an occurrence that is no call there is
-    NonStatementContext after a `->`, else UnparsedStatement. At the
-    first matching site of a top-level class, or of the file's block,
-    transplant_definitions plans the helpers into it, and the then branch,
-    compiled once per patch (plan_of), is taken with that class's renames;
-    each site renders only what it binds. An import or top-level class
-    that two transplants plan is added once. Per-site failures become
-    skip entries, never exceptions; patchgen.MultipleUse is raised when
-    the then branch would evaluate an argument that is not a plain name
-    more than once.
+    (already_guarded, each condition searched once: _guarded); an
+    occurrence that is no call there is NonStatementContext after a `->`,
+    else UnparsedStatement. Once every site is matched,
+    transplant_definitions plans the helpers into each top-level class, or
+    the file's block, that holds a matching site, in the order of their
+    first sites, told whether a site there is in a static member (a header
+    on the way to it says `static`), and the then branch, compiled once
+    per patch (plan_of), is taken with that class's renames; each site
+    renders only what it binds. An import or top-level class that two
+    transplants plan is added once. Per-site failures become skip entries,
+    never exceptions; patchgen.MultipleUse is raised when the then branch
+    would evaluate an argument that is not a plain name more than once.
     """
     report = UpdateReport()
     plan = plan_of(patch)
@@ -280,11 +296,13 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
 
     edits = []
     handled = set()
-    thens = {}  # by the `{` of the class that receives the helpers: its renamed then branch
+    updates = []  # (statement, binding, the `{` of the class that receives its helpers)
+    bodies = {}  # by that `{`: [the class's block, whether a site is in a static member]
+    guarded = {jast.NO_CONDITIONS: False}  # see _guarded
     skipped = report.sites_skipped.append
-    # Each stage runs over all sites before the next: walk, parse, then
-    # match and render. Run site by site, the same work took about 30%
-    # longer on dense_sites.
+    # Each stage runs over all sites before the next: walk, parse, match,
+    # then transplant and render. Run site by site, the same work took
+    # about 30% longer on dense_sites.
     walked = []  # each occurrence in code that is no declaration
     spans = {}  # by start: the span of each island
     for at, blocks, start, end, tokens, conditions in jast.blocks_around(text, partner, found):
@@ -313,7 +331,7 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
         call, stmt = calls[at]
         if len(call.args) != plan.arity:
             continue
-        if already_guarded(text, conditions):
+        if _guarded(text, conditions, guarded):
             skipped((call.span, ALREADY_GUARDED))
             continue
         binding = match_statement(patch.context, stmt, plan.expr_mv, plan.ident_mv)
@@ -326,26 +344,36 @@ def apply_patch(patch: patchgen.SemanticPatch, text: str, partner: Optional[dict
                 raise patchgen.MultipleUse("line %d: the then branch would evaluate %s %d times"
                                            % (jast.line_of(text, arg.start), arg.src, uses))
         handled.add(id(stmt))
-        report.sites_updated += 1
+        k = 1 if len(blocks) > 1 and blocks[1][2] == "class" else 0
+        body = bodies.setdefault(blocks[k][0], [blocks[k], False])
+        if patch.needs and not body[1]:  # only a helper is told static from instance
+            body[1] = any("static" in b[7] for b in blocks[k + 1:])
+        updates.append((stmt, binding, blocks[k][0]))
 
-        body = blocks[1] if len(blocks) > 1 and blocks[1][2] == "class" else blocks[0]
-        then = thens.get(body[0])
-        if then is None:  # the first site that matches in this class
-            helper_edits, copied, renames = transplant_definitions(
-                text, partner, body, patch.needs, patch.needs_imports)
-            # another class's transplant planned the same imports and
-            # top-level classes already
-            edits += [e for e in helper_edits if e not in edits]
-            known = set(report.definitions_copied)
-            report.definitions_copied += [n for n in copied if n not in known]
-            then = thens[body[0]] = [
-                (temp, root, [jast.rename(piece, renames) for piece in pieces], holes)
-                for temp, root, pieces, holes in plan.then] if renames else plan.then
-            nl = jast.newline_of(text)
+    thens = {}  # by the `{` of the class that receives the helpers: its renamed then branch
+    # another class's transplant may plan the same import or top-level
+    # class, and copy the same names: each edit is planned, and each name
+    # reported, once, looked up by value in a set
+    planned, copied = set(), set()  # each helper edit's (start, end, text); the names
+    for key, (body, static) in bodies.items():
+        helper_edits, names, renames = transplant_definitions(
+            text, partner, body, patch.needs, patch.needs_imports, static)
+        for span, new in helper_edits:
+            if (span.start, span.end, new) not in planned:
+                planned.add((span.start, span.end, new))
+                edits.append((span, new))
+        report.definitions_copied += [n for n in names if n not in copied]
+        copied.update(names)
+        thens[key] = [(temp, root, [jast.rename(piece, renames) for piece in pieces], holes)
+                      for temp, root, pieces, holes in plan.then] if renames else plan.then
+    nl = jast.newline_of(text)
+    for stmt, binding, key in updates:
         indent = jast.indent_at(text, stmt.start)
-        lines = [plan.guard] + [indent + "    " + line for line in render_then(then, binding)]
+        then = render_then(thens[key], binding)
+        lines = [plan.guard] + [indent + "    " + line for line in then]
         lines += [indent + "} else {", indent + "    " + stmt.src, indent + "}"]
         edits.append((stmt.span, nl.join(lines)))
+    report.sites_updated = len(updates)
     report.sites_found = report.sites_updated + len(report.sites_skipped)
     return edits, report
 
@@ -375,7 +403,8 @@ def _superclass(block: list) -> Optional[str]:
     return header[header.index("extends") + 1] if "extends" in header[:-1] else None
 
 
-def transplant_definitions(text: str, partner: dict, body: list, needs, imports=()):
+def transplant_definitions(text: str, partner: dict, body: list, needs, imports=(),
+                           static: bool = False):
     """Copy helper definitions and imports into the target text, whose
     bracket table partner is (jast.check_balanced).
 
@@ -389,11 +418,14 @@ def transplant_definitions(text: str, partner: dict, body: list, needs, imports=
     not in a class nested in it, or in a top-level class that body's class
     extends, through any number of them, and not private there, or a class
     of the same name at the top of the file or in body itself, is reused,
-    not copied. The target is never parsed: jast.declarations finds the
-    helpers' names, and each superclass, named after `extends` in the
-    header of the class before it, outside `<…>`.
+    not copied; but where static, as a site in body is in a static member,
+    a method or field is reused only if it is static, and the helper is
+    otherwise copied under the alias. The target is never parsed:
+    jast.declarations finds the helpers' names and modifiers, and each
+    superclass, named after `extends` in the header of the class before
+    it, outside `<…>`.
     Returns (edits, copied_names, renames): the edits are (Span, text)
-    pairs against text, and renames maps a colliding method name to its
+    pairs against text, and renames maps a colliding member name to its
     _androevolve alias and a colliding import's simple name to the
     qualified name. Each copied declaration is written through that one
     map (jast.rename); apply_patch renames the inserted lines with it, so
@@ -411,13 +443,16 @@ def transplant_definitions(text: str, partner: dict, body: list, needs, imports=
     block = extends and top.get(("class", extends))
     while block and block[0] not in seen:
         seen.add(block[0])
-        for key, private in declared.get(block[0], {}).items():
-            inherited.setdefault(key, private)
+        for key, modifiers in declared.get(block[0], {}).items():
+            inherited.setdefault(key, modifiers)
         extends = _superclass(block)
         block = extends and jast.declarations(text, partner, [extends]).get(-1, {}).get(
             ("class", extends))
-    visible = set(own) | {key for key, private in inherited.items()
-                          if key[0] != "class" and not private}
+    # the members body's class sees, with their modifiers, its own first
+    visible = {key: modifiers for key, modifiers in inherited.items()
+               if key[0] != "class" and "private" not in modifiers}
+    visible.update((key, value) for key, value in own.items() if key[0] != "class")
+    reused = {key for key, modifiers in visible.items() if not static or "static" in modifiers}
     methods = {key[1] for key in visible if key[0] == "method"}
 
     # the plan: what is copied, and the renames it and the inserted lines share
@@ -427,11 +462,13 @@ def transplant_definitions(text: str, partner: dict, body: list, needs, imports=
             if ("class", d.name) not in own and ("class", d.name) not in top:
                 types.append(d)
         elif isinstance(d, jast.FieldDecl):
-            if ("field", d.name) not in visible:
+            if ("field", d.name) not in reused:
+                if ("field", d.name) in visible:  # an instance field: copy under an alias
+                    renames[d.name] = d.name + "_androevolve"
                 members.append(d)
-                copied.append(d.name)
-        elif ("method", d.name, d.arity) not in visible:
-            if d.name in methods:  # same name, different arity: copy under an alias
+                copied.append(renames.get(d.name, d.name))
+        elif ("method", d.name, d.arity) not in reused:
+            if d.name in methods:  # another arity, or an instance method: copy under an alias
                 renames[d.name] = d.name + "_androevolve"
             members.append(d)
             copied.append(renames.get(d.name, d.name))

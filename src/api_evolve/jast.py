@@ -20,8 +20,9 @@ Brackets are paired once per parse, by check_balanced's table, which the
 member scan and the parser's verbatim regions jump through. A file can
 also be read in islands, without a tree of the rest: blocks_around finds
 the braces and the member or statement around an offset by that table,
-and one walk (_walk) lexes that member toward the offset, giving the
-tokens in front of it and the `if` conditions on the way; parse_islands
+and one walk (_Walk) lexes that member toward the offset, giving the
+tokens in front of it and the `if` conditions on the way, and goes on
+from there toward the member's next offset; parse_islands
 parses the statements of given spans in place, all of a file's with one
 lexer pass and one parser, and declarations finds, by the same walk and
 its tokens alone, where the file or a class declares a name (declares: a
@@ -238,6 +239,7 @@ CHILDREN = {Literal: (), Name: (), FieldAccess: ("receiver",),
             Cast: ("operand",), Paren: ("inner",), OpaqueExpr: ()}
 LABELS = {kind: tuple(name for name in kind.__slots__ if name not in kids)
           for kind, kids in CHILDREN.items()}
+_LAST_CHILD_FIRST = {kind: kids[::-1] for kind, kids in CHILDREN.items()}  # for iter_exprs
 
 
 # ---------------------------------------------------------------------------
@@ -1238,23 +1240,51 @@ def _parse_with(p: _Parser, rule, what: str = ""):
 # Islands: a file read around given offsets, without a tree of the rest
 # ---------------------------------------------------------------------------
 
+class Conditions:
+    """The spans inside the `(…)` of the `if` headers around an offset,
+    innermost first, as a persistent list: a cell holds one span and the
+    chain outside it, so the offsets inside an `if` share its one cell.
+    Iterating gives the spans; NO_CONDITIONS is the empty chain."""
+    __slots__ = ("span", "outer")
+
+    def __init__(self, span: tuple, outer: "Conditions"):
+        self.span = span
+        self.outer = outer
+
+    def __iter__(self):
+        c = self
+        while c.outer is not None:
+            yield c.span
+            c = c.outer
+
+    def __repr__(self) -> str:
+        return "Conditions(%r)" % list(self)
+
+
+NO_CONDITIONS = Conditions(None, None)
+
+
 def blocks_around(text: str, partner: dict, offsets) -> Iterator[tuple]:
     """For each of the sorted offsets, (offset, blocks, start, end, tokens,
     conditions), found through text's bracket table partner: blocks are
     the braces around the offset, the file's first, each [open, close,
-    kind (see _walk), conditions, ..., offset of its member's first token,
-    header tokens], and [start, end) is the member or statement of the
-    innermost one that holds the offset, an if with its else chain being
-    one. tokens are the values of that member's tokens in front of the
-    offset, as _walk lists them, or None where the offset is in a comment
-    or literal; conditions are the spans inside the `if (…)` headers of
-    the blocks and of that member, up to the offset. Each block is walked
-    once, member by member (_member_end), up to its last offset, and each
-    member on the way to an offset is lexed up to it."""
-    stack = [[-1, len(text), "file", [], 0, 0, 0, []]]  # [4], [5]: the walk's member start and end
+    kind (see _kind), conditions, ..., offset of its member's first token,
+    header tokens (see _Walk.to)], and [start, end) is the member or
+    statement of the innermost one that holds the offset, an if with its
+    else chain being one. tokens are the values of that member's tokens
+    in front of the offset, or None where the offset is in a comment or
+    literal; conditions are the Conditions of the `if (…)` headers of the
+    blocks and of that member, up to the offset, but of an `if` whose
+    parentheses hold the offset or its block. Each block is walked once,
+    member by member (_member_end), up to its last offset, and each member
+    on the way to an offset is lexed up to it, once: its walk goes on from
+    where it stopped for the offset before."""
+    stack = [[-1, len(text), "file", NO_CONDITIONS, 0, 0, 0, []]]  # [4], [5]: the walk's member
+    walks = [None]  # the walk of each block's member
     for at in offsets:
         while stack[-1][1] < at:
             stack.pop()
+            walks.pop()
         while True:
             block = stack[-1]
             start, end = block[4], block[5]
@@ -1266,63 +1296,109 @@ def blocks_around(text: str, partner: dict, offsets) -> Iterator[tuple]:
                 end = block[1] if end is None else end  # or the body's rest
                 if block[2] == "enum" and text[end - 1] == ";":
                     block[2] = "type"  # the constants end at the first `;`
-            block[4], block[5] = start, end
-            tokens, conditions, inner = _walk(text, partner, start, at, block[2])
+            if end != block[5]:  # another member than the offset before's
+                block[4], block[5] = start, end
+                walks[-1] = _Walk(text, partner, start, block[3])
+            tokens, conditions, inner = walks[-1].to(at, block[2])
             if inner is None:
                 break
             stack.append(inner)
-        yield at, tuple(stack), start, end, tokens, [c for b in stack for c in b[3]] + conditions
+            walks.append(None)
+        yield at, tuple(stack), start, end, tokens, conditions
 
 
-def _walk(text: str, partner: dict, start: int, at: int, outer: Optional[str] = None) -> tuple:
-    """Walk the tokens from offset start toward offset at, at its depth: a
-    bracket pair that closes before at is one token, its closing bracket,
-    and one that holds at is listed open and entered. Returns (tokens,
-    conditions, block), conditions being the spans inside the `(…)` of
-    each `if` on the way. Given outer, the kind of the block around the
-    member at start, the walk stops at the first `{` that holds at (its
-    `}` too) and opens a block (see _kind), returned as blocks_around
-    lists one, and tokens are its header. Else block is None, tokens are
-    the values in front of at, or None if no token starts at at: it is in
-    a comment or literal, and a condition that holds at is left out, as
-    a statement's own `if` is not around it. partner is text's bracket
-    table."""
-    tokens, conditions, group = [], [], 0  # group: where the innermost group entered starts
-    m = _TOKEN_RE.match(text, start)
-    head = m.start(2)
-    while True:
-        tok, value, pos = m.start(2), m[2], m.end()
-        if tok >= at:
-            return tokens if tok == at else None, [c for c in conditions if c[1] < at], None
-        if value in _OPEN:
-            close = _close(text, partner, tok)
-            if tokens[-1:] == ["if"]:
-                conditions.append((pos, close))
-            if close < at:
-                value, pos = text[close], close + 1
-            elif value == "{" and outer and (kind := _kind(tokens[group:], group > 0, outer)):
-                return tokens, conditions, [tok, close, kind, conditions, pos, pos, head, tokens]
-            else:
-                group = len(tokens) + 1
-        tokens.append(value)
-        m = _TOKEN_RE.match(text, pos)
+class _Walk:
+    """The walk of one member's tokens, from offset start, toward offsets
+    given in increasing order (to), at their depth: a bracket pair that
+    closes before the offset is one token, its closing bracket, and one
+    that holds it is entered. Toward a later offset, each group entered
+    that closes before it is left as a walk from start would have passed
+    it, so a member is lexed once however many offsets it holds. An `if`
+    adds its span to conditions, those of the block around the member at
+    first, when its `(…)` is passed, not entered. partner is text's
+    bracket table."""
+    __slots__ = ("text", "partner", "m", "head", "tokens", "conditions", "groups", "words")
+
+    def __init__(self, text: str, partner: dict, start: int, conditions=NO_CONDITIONS):
+        self.text, self.partner = text, partner
+        self.m = _TOKEN_RE.match(text, start)  # the token the walk stopped at
+        self.head = self.m.start(2)
+        self.tokens = []
+        self.conditions = conditions
+        self.groups = []  # per group entered: (index of its bracket, conditions, close, if span)
+        self.words = {}  # per word of _KIND_WORDS met, the indices of its tokens
+
+    def to(self, at: int, outer: Optional[str] = None) -> tuple:
+        """Walk on to offset at: (tokens, conditions, block). Given outer,
+        the kind of the block around the member, the walk stops at the
+        first `{` that holds at (its `}` too) and opens a block (see
+        _kind), returned as blocks_around lists one, and tokens are its
+        header, or empty in a block of statements, where no header is
+        read and one member may open many blocks. Else block is None, and
+        tokens are the values in front of at, or None if no token starts
+        at at: it is in a comment or literal. The lists returned are the
+        caller's."""
+        text, partner, tokens, groups, words = (
+            self.text, self.partner, self.tokens, self.groups, self.words)
+        m, conditions = self.m, self.conditions
+        if groups and groups[-1][2] < at:
+            while groups and groups[-1][2] < at:
+                index, conditions, close, condition = groups.pop()
+            del tokens[index:]
+            for found in words.values():
+                while found and found[-1] >= index:
+                    found.pop()
+            tokens.append(text[close])
+            if condition is not None:
+                conditions = Conditions(condition, conditions)
+            m = _TOKEN_RE.match(text, close + 1)
+        group = groups[-1][0] + 1 if groups else 0  # where the innermost group entered starts
+        while True:
+            tok, value, pos = m.start(2), m[2], m.end()
+            if tok >= at:
+                self.m, self.conditions = m, conditions
+                return tokens[:] if tok == at else None, conditions, None
+            if value in _OPEN:
+                close = _close(text, partner, tok)
+                condition = (pos, close) if tokens[-1:] == ["if"] else None
+                if close < at:
+                    if condition is not None:
+                        conditions = Conditions(condition, conditions)
+                    value, pos = text[close], close + 1
+                elif value == "{" and outer and (kind := _kind(
+                        {word for word, found in words.items() if found and found[-1] >= group},
+                        tokens[-1:] if len(tokens) > group else [], group > 0, outer)):
+                    self.m, self.conditions = m, conditions
+                    header = tokens[:] if outer != "stmt" else []
+                    return header, conditions, [tok, close, kind, conditions, pos, pos, self.head,
+                                                header]
+                else:
+                    groups.append((len(tokens), conditions, close, condition))
+                    group = len(tokens) + 1
+            if value in _KIND_WORDS and (value == "new" or tokens[-1:] != ["."]):
+                words.setdefault(value, []).append(len(tokens))
+            tokens.append(value)
+            m = _TOKEN_RE.match(text, pos)
 
 
-def _kind(values: list, grouped: bool, outer: str) -> Optional[str]:
-    """The kind of block that a `{` opens after values, the tokens in front
-    of it in the innermost group entered, if grouped, or in its member of
-    a block of kind outer: "type" for an anonymous class body (`)` last,
-    `new` in front) or an enum constant's (outer is "enum" and not
+_KIND_WORDS = frozenset(("class", "interface", "enum", "new"))
+
+
+def _kind(words: set, last: list, grouped: bool, outer: str) -> Optional[str]:
+    """The kind of block that a `{` opens after the tokens in front of it
+    in the innermost group entered, if grouped, or in its member of a
+    block of kind outer: words are which of _KIND_WORDS are among those
+    tokens, `new` anywhere and the others not after a `.`, and last is the
+    last token in a list, or empty. "type" for an anonymous class body (`)`
+    last, `new` in front) or an enum constant's (outer is "enum" and not
     grouped); else "enum", "class" or "type" after `enum`, `class` or
-    `interface` not after a `.`; else None, an array initializer, after
-    `=`, `]` or `,` or first in a group; else "stmt"."""
-    words = {v for i, v in enumerate(values)
-             if v in ("class", "interface", "enum") and values[i - 1:i] != ["."]}
-    if outer == "enum" and not grouped or values[-1:] == [")"] and "new" in values:
+    `interface`; else None, an array initializer, after `=`, `]` or `,`
+    or first in a group; else "stmt"."""
+    if outer == "enum" and not grouped or last == [")"] and "new" in words:
         return "type"
-    if words:
+    if words - {"new"}:
         return "enum" if "enum" in words else "class" if "class" in words else "type"
-    if values[-1:] in (["="], ["]"], [","]) or grouped and not values:
+    if last in (["="], ["]"], [","]) or grouped and not last:
         return None
     return "stmt"
 
@@ -1344,7 +1420,7 @@ def declarations(text: str, partner: dict, names) -> dict:
     by blocks_around (partner is as it takes it) and declares: for the `{`
     of each body that declares one (-1 for the file), a dict of ("class",
     name), ("field", name) and ("method", name, arity) keys, a member's
-    mapped to whether it is private, a class's to its body, as
+    mapped to its MODIFIERS, a frozenset, a class's to its body, as
     blocks_around lists a block, or None if it has none. A method is a
     name a `(` follows, its arity one more than the commas outside
     brackets in its parameters, if any; a field one that `=`, `;` or `,`
@@ -1356,16 +1432,17 @@ def declarations(text: str, partner: dict, names) -> dict:
         if tokens is None or not declares(tokens) or any(
                 b[2] not in ("file", "class") for b in blocks):
             continue
-        name, private = found[at], "private" in tokens
+        name, modifiers = found[at], frozenset(MODIFIERS.intersection(tokens))
         after = _TOKEN_RE.match(text, at + len(name))
         if tokens[-1] == "class":
-            key, value = ("class", name), _walk(text, partner, start, end - 1, blocks[-1][2])[2]
+            key, value = ("class", name), _Walk(text, partner, start, blocks[-1][3]).to(
+                end - 1, blocks[-1][2])[2]
         elif after[2] == "(":
-            params = outside_angles(_walk(
-                text, partner, after.end(), _close(text, partner, after.start(2)))[0])
-            key, value = ("method", name, params.count(",") + 1 if params else 0), private
+            params = outside_angles(_Walk(text, partner, after.end()).to(
+                _close(text, partner, after.start(2)))[0])
+            key, value = ("method", name, params.count(",") + 1 if params else 0), modifiers
         elif after[2] in ("=", ";", ","):
-            key, value = ("field", name), private
+            key, value = ("field", name), modifiers
         else:
             continue
         declared.setdefault(blocks[-1][0], {})[key] = value
@@ -1496,17 +1573,24 @@ def child_exprs(e: Expr) -> list:
 def rebuild(e: Expr, kids) -> Expr:
     """A synthesized copy of e: no span or source, the same label, and kids,
     in child_exprs order, as its children; the step of a fold that copies
-    a tree."""
-    kind = type(e)
-    values = {name: getattr(e, name) for name in LABELS[kind]}
+    a tree. The copy is built positionally, its fields in __slots__ order,
+    where CHILDREN lists the children in that order too."""
     kids = iter(kids)
-    for name in CHILDREN[kind]:
+    values = []
+    for name, child in _SHAPE[type(e)]:
         c = getattr(e, name)
-        if type(c) is list:
-            values[name] = [next(kids) for _ in c]
+        if not child:
+            values.append(c)
+        elif type(c) is list:
+            values.append([next(kids) for _ in c])
         else:
-            values[name] = None if c is None else next(kids)
-    return kind(**values)
+            values.append(None if c is None else next(kids))
+    return type(e)(*values)
+
+
+# each expression kind's fields in __slots__ order, each with whether it is a child
+_SHAPE = {kind: tuple((name, name in kids) for name in kind.__slots__)
+          for kind, kids in CHILDREN.items()}
 
 
 def fold(root, f, kids=child_exprs):
@@ -1541,7 +1625,7 @@ def iter_exprs(e: Expr) -> Iterator[Expr]:
     while stack:
         e = stack.pop()
         yield e
-        for name in reversed(CHILDREN[type(e)]):
+        for name in _LAST_CHILD_FIRST[type(e)]:
             c = getattr(e, name)
             if type(c) is list:
                 stack.extend(reversed(c))

@@ -91,8 +91,9 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
 
     used_exp = []
     dep_receiver = _receiver_name(dep_site)
-    context_stmt = _abstract_stmt(dep_site, dep_receiver and jast.Name("classIden"), used_exp,
-                                  args_to=lambda i, a: jast.Name("iden%d" % i))
+    context_stmt, context_call = _abstract_stmt(
+        dep_site, dep_receiver and jast.Name("classIden"), used_exp,
+        args_to=lambda i, a: jast.Name("iden%d" % i))
 
     temps = []  # a LocalVarDecl pattern per resolved argument
 
@@ -113,7 +114,7 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
     if receiver is None and dep_receiver is not None:
         raise ResolutionError("the updated call has no receiver, so the patch would drop the "
                               "deprecated call's receiver %r" % dep_receiver)
-    updated_stmt = _abstract_stmt(
+    updated_stmt, updated_call = _abstract_stmt(
         upd_site, receiver and jast.Name("classIden" if receiver == dep_receiver else receiver),
         used_exp, args_to=upd_arg)
 
@@ -122,11 +123,13 @@ def generate_patch(example: jast.CompilationUnit, mapping: sigmap.ApiMapping,
         guard = (jast.Binary(_NEGATED[guard.op], guard.lhs, guard.rhs)
                  if isinstance(guard, jast.Binary) and guard.op in _NEGATED
                  else jast.Unary("!", jast.Paren(guard)))
-    metavars = _declared_metavars(context_stmt, updated_stmt, used_exp)
+    metavars = _declared_metavars([context_call, updated_call], used_exp)
 
     then_stmts = temps + [updated_stmt]
-    needs = dataflow.collect_dependencies(_hunk(metavars, guard, then_stmts), ctx)
-    _check_names(example, ctx, metavars, guard, then_stmts, needs)
+    hunk = _hunk(metavars, guard, then_stmts)
+    walked = scope.walk(hunk)  # the one walk of the hunk, which both checks read
+    needs = dataflow.collect_dependencies(hunk, ctx, walked)
+    _check_names(example, ctx, metavars, then_stmts, walked, needs)
     patch = SemanticPatch("update_%s" % mapping.deprecated.method_name, metavars, guard,
                           then_stmts, context_stmt, needs=needs)
     patch.needs_imports = _needed_imports(example, patch.added() + [d.src for d in needs])
@@ -235,45 +238,48 @@ def _receiver_name(site):
 
 def _abstract_stmt(site, pat_recv, used_exp, args_to):
     """Abstract a call statement into a pattern: the receiver is pat_recv,
-    arguments go via args_to, an assignment/declaration left side -> exp0."""
+    arguments go via args_to, an assignment/declaration left side -> exp0.
+    Returns (the pattern statement, its call)."""
     call = site.call
     pat_call = jast.MethodCall(pat_recv, call.name,
                                [args_to(i, a) for i, a in enumerate(call.args)])
 
     stmt = site.enclosing_stmt
     if isinstance(stmt, jast.ExprStmt) and stmt.expr is call:
-        return jast.ExprStmt(pat_call)
+        return jast.ExprStmt(pat_call), pat_call
     if (isinstance(stmt, jast.ExprStmt) and isinstance(stmt.expr, jast.Assign)
             and stmt.expr.rhs is call) or (isinstance(stmt, jast.LocalVarDecl)
                                            and stmt.init is call):
         if "exp0" not in used_exp:
             used_exp.append("exp0")
-        return jast.ExprStmt(jast.Assign(jast.Name("exp0"), pat_call))
+        return jast.ExprStmt(jast.Assign(jast.Name("exp0"), pat_call)), pat_call
     if isinstance(stmt, jast.Return) and stmt.value is call:
-        return jast.Return(pat_call)
+        return jast.Return(pat_call), pat_call
     raise ExampleShapeError(
         "unsupported statement shape around example call: %r" % (stmt.src,))
 
 
-def _declared_metavars(context_stmt, updated_stmt, used_exp):
-    idents = {n for n in pattern_names(context_stmt) + pattern_names(updated_stmt)
-              if re.match(r"^iden\d+$", n) or n == "classIden"}
+def _declared_metavars(calls, used_exp):
+    """The metavariables of the pattern calls, whose receiver and arguments
+    are names or absent, read off them without a walk."""
+    idents = {e.identifier for c in calls for e in [c.receiver] + c.args if type(e) is jast.Name
+              and (re.match(r"^iden\d+$", e.identifier) or e.identifier == "classIden")}
     return [("expression", n) for n in used_exp] + [
         ("identifier", n) for n in sorted(idents, key=lambda n: (n == "classIden", n))]
 
 
-def _check_names(example, ctx, metavars, guard, then_stmts, needs):
+def _check_names(example, ctx, metavars, then_stmts, walked, needs):
     """Raise ExampleShapeError at the first name of the guard or then
     statements that is neither the patch's own (a metavariable, temporary
     or need, or an import by name, which _needed_imports carries or
     refuses) nor one the example leaves to a target: not a variable of its
     method at ctx, a carried field with no value, `this` or a type around
     ctx, nor, with a wildcard static import, a name (not a receiver) or
-    receiver-less call."""
+    receiver-less call. walked is scope.walk of the hunk (_hunk): the then
+    statements' nodes, then the guard's, which are read first."""
     own = {n for _k, n in metavars} | {s.name for s in then_stmts if is_patch_temp(s)}
     unset = {d.name for d in needs if type(d) is jast.FieldDecl and d.initializer is None}
-    exprs = [e for root in [guard] + [r for s in then_stmts for r in jast.stmt_exprs(s)]
-             for e in jast.iter_exprs(root)]
+    exprs = walked[-1] + [e for nodes in walked[:-1] for e in nodes]
     names = [e.identifier if type(e) is jast.Name else e.type_name.split("<")[0]
              for e in exprs if type(e) is jast.Name or type(e) is jast.ObjectCreation]
     variables = ctx.defined_names()
@@ -374,8 +380,12 @@ def parse_patch(text: str) -> SemanticPatch:
     first_line = end + 2 + len(needs_imports)
     blob = "\n".join(lines[first_line - 1:])
     needs = _split_defs(blob, first_line) if blob.strip() else []
-    patch = SemanticPatch(rule_name, metavars, *_read_hunk(lines, i, end), needs_imports, needs)
-    _check_needs_used(patch, blob, first_line)
+    guard, then_stmts, context, then_lines = _read_hunk(lines, i, end)
+    hunk = _hunk(metavars, guard, then_stmts)
+    walked = scope.walk(hunk)  # the one walk of the hunk, which both checks read
+    _check_temps(then_stmts, then_lines, walked)
+    patch = SemanticPatch(rule_name, metavars, guard, then_stmts, context, needs_imports, needs)
+    _check_needs_used(patch, hunk, walked, blob, first_line)
     return patch
 
 
@@ -404,18 +414,19 @@ def _split_defs(blob: str, first_line: int) -> list:
     return sorted(defs, key=lambda d: d.start)
 
 
-def _check_needs_used(p: SemanticPatch, blob: str, first_line: int):
-    """Reject a @needs@ member that the guard and then statements do not
-    reach through scope.references (qualified), since it would be copied
-    into every updated target for nothing. The members are parsed from
-    blob, which starts on line first_line."""
+def _check_needs_used(p: SemanticPatch, hunk, walked, blob: str, first_line: int):
+    """Reject a @needs@ member that the guard and then statements, the
+    hunk whose scope.walk is walked, do not reach through scope.references
+    (qualified), since it would be copied into every updated target for
+    nothing. The members are parsed from blob, which starts on line
+    first_line."""
     if not p.needs:
         return
     methods = {(d.name, d.arity): d for d in p.needs if isinstance(d, jast.MethodDecl)}
     types = {d.name: d for d in p.needs if isinstance(d, jast.TypeDecl)}
     fields = {d.name: d for d in p.needs if isinstance(d, jast.FieldDecl)}
-    hunk = _hunk(p.metavars, p.guard_cond, p.then_stmts)
-    used = {id(u) for u in scope.closure([hunk], methods, types, fields, qualified=True)}
+    refs = scope.references(hunk, methods, types, fields, qualified=True, walked=walked)
+    used = {id(u) for u in scope.closure(refs, methods, types, fields, qualified=True)}
     for d in p.needs:
         if id(d) not in used:
             raise MalformedPatch("@needs@ member %s is never used" % d.name,
@@ -453,8 +464,9 @@ def is_patch_temp(stmt) -> bool:
 
 
 def _read_hunk(lines, start: int, end: int):
-    """(guard, then statements, context) of the hunk lines[start:end],
-    which hold no '-' line; raises at the first fault, in line order."""
+    """(guard, then statements, context, the then statements' line
+    numbers) of the hunk lines[start:end], which hold no '-' line; raises
+    at the first fault, in line order."""
     guard = context = None
     seen_else = False
     then_stmts, then_lines = [], []
@@ -500,14 +512,14 @@ def _read_hunk(lines, start: int, end: int):
         raise MalformedPatch("missing context line", start + 1)
     if not seen_else:
         raise MalformedPatch("missing '+ } else {' line", start + 1)
-    _check_temps(then_stmts, then_lines)
-    return guard, then_stmts, context
+    return guard, then_stmts, context, then_lines
 
 
-def _check_temps(then_stmts, then_lines):
+def _check_temps(then_stmts, then_lines, walked):
     """Every patch temporary must have an initializer and be used exactly
-    once, on a later then-branch line, so that it can be rendered inline."""
-    names = [pattern_names(s) for s in then_stmts]
+    once, on a later then-branch line, so that it can be rendered inline.
+    walked is scope.walk of the hunk (_hunk), the then statements first."""
+    names = [[e.identifier for e in nodes if type(e) is jast.Name] for nodes in walked[:-1]]
     for i, stmt in enumerate(then_stmts):
         if not is_patch_temp(stmt):
             continue

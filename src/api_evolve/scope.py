@@ -124,14 +124,23 @@ def fields(unit: jast.CompilationUnit) -> dict:
     return {f.name: f for tdecl, _outer in jast.iter_types(unit) for f in tdecl.fields}
 
 
-def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
+def walk(d: jast.MethodDecl) -> list:
+    """Each expression node of a method's statements, walked once: one
+    list per statement, in jast.iter_statements order, of its expression
+    and everything below it in pre-order, empty where it has none."""
+    return [[e for root in jast.stmt_exprs(stmt) for e in jast.iter_exprs(root)]
+            for stmt, _chain in jast.iter_statements(d.body)]
+
+
+def references(d, methods, types, fields, hidden=frozenset(), qualified=False, walked=None):
     """Unit-local methods, types and fields a definition references, looked
     up in the tables members() and fields() return. A simple name is a
     field unless it is in hidden, a parameter or local of d, or a field of
     d itself; a field's references are those of its initializer. A call
     without a receiver or on `this` counts, and so does `this.x` unless x
     is in hidden or a field of d itself. With qualified, a member named
-    through any receiver (`Outer.OFFSET`, `Outer.helper()`) counts as well."""
+    through any receiver (`Outer.OFFSET`, `Outer.helper()`) counts as well.
+    walked, for a method, is walk(d), where the caller reads it too."""
     refs, exprs, shadowed = [], [], hidden  # hidden, and d's own parameters and locals
     if isinstance(d, jast.FieldDecl):
         exprs = [d.initializer] if d.initializer is not None else []
@@ -143,13 +152,14 @@ def references(d, methods, types, fields, hidden=frozenset(), qualified=False):
     else:
         shadowed = set(hidden).union(name for _type, name in d.params)
         for stmt, _chain in jast.iter_statements(d.body):
-            exprs.extend(jast.stmt_exprs(stmt))
+            if walked is None:
+                exprs.extend(jast.stmt_exprs(stmt))
             if isinstance(stmt, jast.LocalVarDecl):
                 shadowed.add(stmt.name)
                 if stmt.type_name in types:
                     refs.append(types[stmt.type_name])
-    for root in exprs:
-        for e in jast.iter_exprs(root):
+    for nodes in map(jast.iter_exprs, exprs) if walked is None else walked:
+        for e in nodes:
             kind = type(e)
             if kind is jast.Name:
                 if e.identifier in types:

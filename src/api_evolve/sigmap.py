@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Optional
 
 from . import jast
@@ -81,37 +83,65 @@ def find_invocations(unit: jast.CompilationUnit, sig: ApiSignature) -> list:
     """Every MethodCall matching sig's name and arity, in source order.
 
     Matching is name + arity only; receivers are captured, not typed.
-    A parsed call's name is a slice of unit.text, so a type, field, method
-    or statement whose span never names the method is skipped unwalked.
+    A parsed call's name is a slice of unit.text, so the name's offsets in
+    the text are found once, and only what holds one is entered: a type,
+    field or method whose span holds an offset, and in a statement list
+    the statements that hold one, found by bisecting the list's starts for
+    each offset inside it. A statement that holds none is never visited,
+    nor a statement's expression that holds none.
     """
     text, name = unit.text, sig.method_name
+    offsets, at = [], text.find(name)
+    while at >= 0:
+        offsets.append(at)
+        at = text.find(name, at + 1)
 
-    def names(node) -> bool:
-        return text.find(name, node.start, node.end) >= 0
+    def inside(node) -> list:  # the offsets of the occurrences within node's span
+        return offsets[bisect_left(offsets, node.start):
+                       bisect_right(offsets, node.end - len(name))]
 
     sites = []
-    for tdecl, outer in jast.iter_types(unit):
-        if not names(tdecl):
-            continue
-        for fdecl in tdecl.fields:
-            if fdecl.initializer is None or not names(fdecl):
+    # the file's implicit type comes last and spans its members, as the
+    # loose statements' method may span others: they are tested one by one
+    for tdecl, outer in jast._preorder(
+            [t for t in unit.types if inside(t)],
+            lambda t: [n for n, _held in _holding(t.nested, inside(t), len(name))]):
+        held = inside(tdecl)
+        for fdecl, _held in _holding(tdecl.fields, held, len(name)):
+            if fdecl.initializer is None:
                 continue
             for e in jast.iter_exprs(fdecl.initializer):
                 if _matches(e, sig):
                     sites.append(CallSite(e, None, None, tdecl, field=fdecl, outer_types=outer))
-        for mdecl in tdecl.methods:
-            if not names(mdecl):
-                continue
-            for stmt, chain in jast.iter_statements(mdecl.body):
-                if not names(stmt):
-                    continue
+        methods = ([(m, inside(m)) for m in tdecl.methods if inside(m)] if tdecl.implicit
+                   else _holding(tdecl.methods, held, len(name)))
+        for mdecl, held in methods:
+            for (stmt, _held), chain in jast._preorder(_holding(mdecl.body, held, len(name)), (
+                    lambda s: _holding(jast.child_stmts(s[0]), s[1], len(name)))):
                 for root in jast.stmt_exprs(stmt):
+                    if not inside(root):  # an if's condition, with the name in a branch
+                        continue
                     for e in jast.iter_exprs(root):
                         if _matches(e, sig):
-                            sites.append(CallSite(e, stmt, mdecl, tdecl,
-                                                  stmt_chain=chain, outer_types=outer))
+                            sites.append(CallSite(e, stmt, mdecl, tdecl, outer_types=outer,
+                                                  stmt_chain=tuple(s for s, _ in chain)))
     sites.sort(key=lambda s: s.call.start)
     return sites
+
+
+def _holding(nodes, offsets, length) -> list:
+    """(node, the offsets it holds) for each of nodes, a list in source
+    order, that holds an occurrence, of that length, at one of the sorted
+    offsets, found by bisecting the list's starts."""
+    held = {}
+    for at in offsets:
+        i = bisect_right(nodes, at, key=_START) - 1
+        if i >= 0 and at + length <= nodes[i].end:
+            held.setdefault(i, []).append(at)
+    return [(nodes[i], inner) for i, inner in held.items()]
+
+
+_START = attrgetter("start")
 
 
 def _matches(e, sig: ApiSignature) -> bool:

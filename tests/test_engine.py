@@ -117,21 +117,77 @@ def test_unrelated_condition_not_guarded(minute_mapping):
     assert not any(engine.already_guarded(text, c) for c in site_conditions(text, minute_mapping))
 
 
-@pytest.mark.parametrize("stmt, reason", [
+@pytest.mark.parametrize("stmt, reasons", [
     ("if (android.os.Build.VERSION.SDK_INT >= 23 && tp.getCurrentMinute() > 5) { x = 1; }",
-     engine.NO_MATCH),
+     [engine.NO_MATCH]),
     ("if (c) { } else if (android.os.Build.VERSION.SDK_INT > tp.getCurrentMinute()) x = 1;",
-     engine.NO_MATCH),
-    ("if (go(() -> { x = tp.getCurrentMinute(); }, android.os.Build.VERSION.SDK_INT)) { }",
-     engine.ALREADY_GUARDED),
-], ids=["in_the_condition", "in_an_else_if_condition", "in_a_block_in_the_condition"])
-def test_an_if_guards_the_blocks_in_its_condition_not_the_condition(stmt, reason):
-    # a statement's own `if` is not around a call in its condition, but is
-    # around a block there, as the block's header
+     [engine.NO_MATCH]),
+    ("if (go(() -> { x = tp.getCurrentMinute(); }, android.os.Build.VERSION.SDK_INT)) { }", []),
+    ("if (android.os.Build.VERSION.SDK_INT >= 23) { if (go(() -> { x = tp.getCurrentMinute(); "
+     "})) { } }", [engine.ALREADY_GUARDED]),
+], ids=["in_the_condition", "in_an_else_if_condition", "in_a_block_in_the_condition",
+        "in_a_block_in_a_condition_in_a_guarded_block"])
+def test_an_if_guards_neither_its_condition_nor_a_block_in_it(stmt, reasons):
+    # one rule: an `if` whose parentheses hold a site, or the site's block,
+    # is not around it. The call in the condition is then no match, as its
+    # statement is the `if`, and the one in a block there is updated; an
+    # `if` around the statement still guards both
     patch, mapping = load_patch("get_current_minute")
     text = "class A { void m(TimePicker tp) {\n    %s\n} }\n" % stmt
     out, report = engine.update(text, patch, mapping)
-    assert out == text and [r for _, r in report.sites_skipped] == [reason]
+    assert [r for _, r in report.sites_skipped] == reasons
+    assert report.sites_updated == 1 - len(reasons) and (out == text) == bool(reasons)
+
+
+class _Counting:
+    """A compiled regex whose calls of one method are counted."""
+
+    def __init__(self, regex, method):
+        self.regex, self.calls = regex, 0
+        fn = getattr(regex, method)
+
+        def counted(*args):
+            self.calls += 1
+            return fn(*args)
+        setattr(self, method, counted)
+
+    def __getattr__(self, name):
+        return getattr(self.regex, name)
+
+
+def _else_if_chain(n):
+    return "".join("        %sif (k == %d) {\n            v.vibrate(%d);\n        }\n"
+                   % ("else " if i else "", i, i) for i in range(n))
+
+
+def _lambdas_of_one_call(n):
+    return "        if (k > 0) run(%s);\n" % ", ".join(
+        "() -> {\n            v.vibrate(%d);\n        }" % i for i in range(n))
+
+
+@pytest.mark.parametrize("shape", [_else_if_chain, _lambdas_of_one_call])
+def test_sites_in_one_member_cost_tokens_and_guard_searches_linear_in_their_number(
+        monkeypatch, shape):
+    # n sites in the blocks of one statement, an else-if chain or the block
+    # lambdas of one call's arguments: the walk of the statement goes on
+    # from the site before, so its tokens are lexed once, and each `if`
+    # condition is searched for SDK_INT once however many sites it is
+    # around. Counted, not timed, at n and 4n
+    patch, mapping = load_patch("vibrate")
+    counts = []
+    for n in (40, 160):
+        text = "class A {\n    void m(Vibrator v, int k) {\n%s    }\n}\n" % shape(n)
+        tokens = _Counting(jast._TOKEN_RE, "match")
+        searches = _Counting(engine._SDK_TOKEN, "search")
+        monkeypatch.setattr(jast, "_TOKEN_RE", tokens)
+        monkeypatch.setattr(engine, "_SDK_TOKEN", searches)
+        _out, report = engine.update(text, patch, mapping)
+        monkeypatch.undo()
+        assert report.sites_updated == n
+        counts.append((tokens.calls, searches.calls))
+    (tokens, searches), (more_tokens, more_searches) = counts
+    assert more_tokens <= 4.5 * tokens and more_searches <= 4.5 * searches, counts
+    assert searches > 0
 
 
 # -- application --------------------------------------------------------------
@@ -291,6 +347,79 @@ def test_transplant_renames_collision():
     text = jast.splice(unit.text, edits)
     assert renames == {"makeAttrs": "makeAttrs_androevolve"}
     assert "makeAttrs_androevolve(int usage)" in text
+
+
+RINGER = ("import android.app.Notification;\n"
+          "import android.media.AudioAttributes;\n\n"
+          "class R {\n"
+          "    %s {\n"
+          "        return null;\n"
+          "    }\n\n"
+          "%s"
+          "}\n")
+RING = ("    %s(Notification.Builder b, android.net.Uri u) {\n"
+        "        b.setSound(u);\n"
+        "    }\n")
+INSTANCE_HELPER_TARGET = (REPO / "tests" / "javac" / "targets"
+                          / "instance_helper_and_a_static_site.java")
+
+
+@pytest.mark.parametrize("helper, sites, called", [
+    ("AudioAttributes makeAttrs(int u)", RING % "static void ring", "makeAttrs_androevolve"),
+    ("AudioAttributes makeAttrs(int u)", RING % "static void ring" + RING % "void again",
+     "makeAttrs_androevolve"),
+    (None, None, "makeAttrs_androevolve"),
+    ("AudioAttributes makeAttrs(int u)",
+     "    static class In {\n%s    }\n" % RING.replace("\n    ", "\n        ") % "    void ring",
+     "makeAttrs_androevolve"),
+    ("static AudioAttributes makeAttrs(int u)", RING % "static void ring", "makeAttrs"),
+    ("AudioAttributes makeAttrs(int u)", RING % "void ring", "makeAttrs"),
+], ids=["static_site", "static_and_instance_sites", "javac_target", "site_in_a_static_class",
+        "static_helper", "instance_site"])
+def test_an_instance_helper_is_reused_for_instance_sites_only(helper, sites, called):
+    # a target's own makeAttrs(int) is reused where every site that calls
+    # it is in an instance member; a site in a static member, or in a
+    # static class, cannot call an instance method, so the example's
+    # helper is copied under the alias, and every site of the class calls it
+    # (CI compiles the javac target's outputs)
+    patch, mapping = load_patch("set_sound")
+    text = INSTANCE_HELPER_TARGET.read_text() if helper is None else RINGER % (helper, sites)
+    out, report = engine.update(text, patch, mapping)
+    assert report.sites_updated == text.count("b.setSound(u);")
+    assert out.count("b.setSound(u, %s(5));" % called) == report.sites_updated
+    aliased = called != "makeAttrs"
+    assert report.definitions_copied == ["makeAttrs_androevolve"] * aliased + ["buildAttrs"]
+    assert engine.update(out, patch, mapping)[0] == out
+
+
+@pytest.mark.parametrize("static, copied, aliases", [
+    (True, ["LEVEL_androevolve"], {"LEVEL": "LEVEL_androevolve"}), (False, [], {})])
+def test_an_instance_field_is_reused_for_instance_sites_only(static, copied, aliases):
+    unit = jast.parse("class T {\n    int LEVEL = 1;\n    void m() { }\n}\n")
+    fields = jast.parse("static final int LEVEL = 3;").types[0].fields
+    edits, names, renames = engine.transplant_definitions(
+        unit.text, jast.check_balanced(unit.text), receiving_class(unit), fields, static=static)
+    assert names == copied and renames == aliases
+    assert ("static final int LEVEL_androevolve = 3;" in jast.splice(unit.text, edits)) == static
+
+
+def test_helper_edits_are_planned_once_by_value(monkeypatch):
+    # each of n top-level classes receives the helpers, and the import they
+    # share is planned once: an edit is looked up in a set, never compared
+    # to the edits planned before it, so the comparisons do not grow as n^2
+    patch, mapping = load_patch("set_sound")
+    compared = []
+    for n in (10, 40):
+        text = "import android.app.Notification;\n\n" + "".join(
+            "class C%d {\n%s}\n\n" % (i, RING % "void ring") for i in range(n))
+        calls, eq = [], jast.Record.__eq__
+        monkeypatch.setattr(jast.Record, "__eq__", lambda a, b: calls.append(a) or eq(a, b))
+        out, report = engine.update(text, patch, mapping)
+        monkeypatch.undo()
+        assert report.sites_updated == n and out.count("static AudioAttributes makeAttrs") == n
+        assert out.count("import android.media.AudioAttributes;") == 1
+        compared.append(len(calls))
+    assert compared[1] <= 4.5 * compared[0], compared
 
 
 def test_helper_renamed_on_collision_is_called_by_its_alias():
@@ -704,10 +833,12 @@ def test_every_two_class_target_is_checked():
     # helper_in_a_nested_class: test_a_helper_in_a_nested_class_is_not_the_site_class_own;
     # annotated_helper: test_a_target_helper_is_reused_whatever_its_header;
     # superclass_after_a_comment: test_the_superclass_is_the_class_the_file_declares_in_code;
-    # another_audio_attributes: test_a_created_type_under_a_clashing_import_is_qualified
+    # another_audio_attributes: test_a_created_type_under_a_clashing_import_is_qualified;
+    # instance_helper_and_a_static_site: test_an_instance_helper_is_reused_for_instance_sites_only
     assert sorted(p.stem for p in targets) == sorted(
         [*TWO_CLASS_TARGETS, "sites_in_two_classes", "helper_in_a_nested_class",
-         "annotated_helper", "superclass_after_a_comment", "another_audio_attributes"])
+         "annotated_helper", "superclass_after_a_comment", "another_audio_attributes",
+         "instance_helper_and_a_static_site"])
 
 
 @pytest.mark.parametrize("stem, copied", TWO_CLASS_TARGETS.items(), ids=TWO_CLASS_TARGETS.keys())

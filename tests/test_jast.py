@@ -553,6 +553,49 @@ def test_the_walk_agrees_with_the_islands(monkeypatch):
     assert guarded[True] > 50 and guarded[False] > 150, guarded
 
 
+def _as_values(walked):
+    """blocks_around's answers, each read as it is given: the blocks' open,
+    close, kind, conditions, first token and header, then the rest."""
+    return [(at, [(b[0], b[1], b[2], list(b[3]), b[6], b[7]) for b in blocks], start, end,
+             tokens, list(conditions)) for at, blocks, start, end, tokens, conditions in walked]
+
+
+ONE_MEMBER_SHAPES = "".join("        %s\n" % stmt for stmt in [
+    "if (a) { v.vibrate(1); } else if (b) { v.vibrate(2); } else { v.vibrate(3); }",
+    "run(() -> { v.vibrate(4); }, new R() { void r() { v.vibrate(5); } }, v.vibrate(6));",
+    "if (go(() -> { v.vibrate(7); }, SDK_INT) && v.vibrate(8)) { v.vibrate(9); }",
+    "x = v.vibrate(10) + f(g(v.vibrate(11)), h(v.vibrate(12), (k) -> v.vibrate(13)));",
+    "if (c) v.vibrate(14); else if (d(v.vibrate(15))) { int[] a = {v.vibrate(16)}; }",
+    "if (f(new A(v.vibrate(17)))) { v.vibrate(18); }",
+    "x = f(if (SDK_INT > 1) g, v.vibrate(19)) + v.vibrate(20);"])  # not Java, but scanned
+
+
+def test_a_walk_that_goes_on_gives_what_a_walk_from_the_member_gives(monkeypatch):
+    # blocks_around over all of a text's offsets, whose walk of a member
+    # goes on from the offset before, gives at each what it gives for that
+    # offset alone, walked from its member's start: on the corpus and the
+    # benchmark's dense_sites and app_sweep inputs of seed 0 at each
+    # occurrence of a patch's method name, at every name token of the
+    # smaller texts, and on members that hold many sites
+    shapes = "class A {\n    void m(Vibrator v) {\n%s    }\n}\n" % ONE_MEMBER_SHAPES
+    inputs = _apply_inputs(monkeypatch)
+    texts = dict.fromkeys([shapes] + [read(p) for p in corpus_java_files()]
+                          + [text for text, _name in inputs if len(text) < 3000])
+    inputs += [(text, None) for text in texts]
+    walked = 0
+    for text, name in inputs:
+        partner = jast.check_balanced(text)
+        if name is None:
+            kinds, _values, starts, _ends = jast._lex(text)
+            found = [at for kind, at in zip(kinds, starts) if kind == "ident"]
+        else:
+            found = [m.start() for m in re.finditer(r"\b%s\b" % name, text)]
+        assert _as_values(jast.blocks_around(text, partner, found)) == [
+            _as_values(jast.blocks_around(text, partner, [at]))[0] for at in found]
+        walked += len(found)
+    assert walked > 5000
+
+
 def test_render_expr_is_the_fold_on_every_corpus_expression():
     multiline = 0
     for path in corpus_java_files():
@@ -789,7 +832,7 @@ def test_name_free_type_bodies_are_lexed():
     a, b = text.index("{"), text.index("{", text.index("class B"))
     assert jast.declarations(text, partner, ["vibrate", "z"]) == {}
     assert jast.declarations(text, partner, ["k", "y"]) == {
-        b: {("field", "y"): False, ("method", "k", 0): False}}
+        b: {("field", "y"): frozenset(), ("method", "k", 0): frozenset()}}
     # a class maps to its body's block, which holds its header's tokens
     classes = jast.declarations(text, partner, ["B", "A"])
     assert {body: {key: (block[0], block[7]) for key, block in found.items()}
@@ -800,23 +843,23 @@ def test_name_free_type_bodies_are_lexed():
     assert jast.declarations(local, jast.check_balanced(local), ["k", "L"]) == {}
 
 
-@pytest.mark.parametrize("member, key, private", [
-    ("void f() { }", ("method", "f", 0), False),
+@pytest.mark.parametrize("member, key, modifiers", [
+    ("void f() { }", ("method", "f", 0), set()),
     ("private <T> java.util.Map<T, int[]> f(java.util.Map<String, java.util.List<T>> m,"
-     " @A(x = 1, y = {2, 3}) final int... b) { return null; }", ("method", "f", 2), True),
+     " @A(x = 1, y = {2, 3}) final int... b) { return null; }", ("method", "f", 2), {"private"}),
     ("@Deprecated static synchronized int f(final int u) { return u; }", ("method", "f", 1),
-     False),
-    ("int[] f = {1, 2};", ("field", "f"), False),
-    ("private static final int f = g(1, 2), h;", ("field", "f"), True),
-    ("/* private */ String f;", ("field", "f"), False),
+     {"static"}),
+    ("int[] f = {1, 2};", ("field", "f"), set()),
+    ("private static final int f = g(1, 2), h;", ("field", "f"), {"private", "static", "final"}),
+    ("/* private */ String f;", ("field", "f"), set()),
 ], ids=["no_parameters", "generic_parameters", "modifiers", "array_field", "private_field",
         "comment"])
-def test_a_member_is_read_by_its_tokens(member, key, private):
+def test_a_member_is_read_by_its_tokens(member, key, modifiers):
     # a method's arity counts the commas outside brackets and type
-    # arguments; a member is private by its own modifiers only
+    # arguments; a member's modifiers are its own only, not a parameter's
     text = "class A {\n    %s\n    void m() { f(1); f = 2; }\n}\n" % member
     assert jast.declarations(text, jast.check_balanced(text), ["f"]) == {
-        text.index("{"): {key: private}}
+        text.index("{"): {key: frozenset(modifiers)}}
 
 
 def test_deep_nesting_is_only_seen_where_the_name_is():

@@ -1,8 +1,11 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 from api_evolve import engine, jast, patchgen, scope, sigmap
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO
 
 
 def read_case(case):
@@ -682,3 +685,55 @@ def test_parse_patch_drops_an_empty_declaration_in_needs():
     patch = patchgen.parse_patch(NEEDS_HEAD + ";\n" + EFFECT.rstrip("\n") + ";\n")
     assert [d.name for d in patch.needs] == ["effect"]
     assert patchgen.render_patch(patch).endswith("@needs@\n\n" + EFFECT)
+
+
+def _walks_of_each_hunk_node(monkeypatch, stage, *args):
+    """stage(*args), and how many times jast.iter_exprs yielded each node
+    meanwhile, by id, but within the site search, which walks the example's
+    statements, some of whose leaves a then statement shares; every node
+    yielded is kept, so no id is reused."""
+    yielded, kept, searching = Counter(), [], []
+    iter_exprs, find_invocations = jast.iter_exprs, sigmap.find_invocations
+
+    def counting(e):
+        for node in iter_exprs(e):
+            if not searching:
+                yielded[id(node)] += 1
+                kept.append(node)
+            yield node
+
+    def search(*a):
+        searching.append(True)
+        try:
+            return find_invocations(*a)
+        finally:
+            searching.pop()
+    monkeypatch.setattr(jast, "iter_exprs", counting)
+    monkeypatch.setattr(sigmap, "find_invocations", search)
+    try:
+        return stage(*args), yielded
+    finally:
+        monkeypatch.undo()
+
+
+def test_each_stage_walks_the_hunk_once(monkeypatch):
+    # generating a patch and reading it back each walk the guard and the
+    # then statements once: the names and needs of generation, and the
+    # temporaries and needs of parse_patch, are checked on one walk
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen = importlib.import_module("gen")
+    mappings = {case: read_case(case)[1] for case in gen.CASES}
+    items = gen.generate_chains(0, CORPUS)
+    needs = 0
+    for item in items[::4] + [item for item in items if item.name.startswith("corpus_")]:
+        patch, generating = _walks_of_each_hunk_node(
+            monkeypatch, patchgen.generate_patch, jast.parse(item.text), mappings[item.case])
+        read, parsing = _walks_of_each_hunk_node(
+            monkeypatch, patchgen.parse_patch, patchgen.render_patch(patch))
+        for p, yielded in ((patch, generating), (read, parsing)):
+            hunk = [e for root in [p.guard_cond] + [r for s in p.then_stmts
+                                                    for r in jast.stmt_exprs(s)]
+                    for e in jast.iter_exprs(root)]
+            assert {yielded[id(e)] for e in hunk} == {1}, item.name
+        needs += bool(patch.needs)
+    assert needs > 10

@@ -1,10 +1,11 @@
+import importlib
 import random
 
 import pytest
 
 from api_evolve import jast, sigmap
 
-from conftest import corpus_java_files
+from conftest import CORPUS, REPO, corpus_java_files
 
 
 def test_parse_signature_full():
@@ -223,3 +224,25 @@ def test_search_walks_only_statements_that_name_the_method(monkeypatch):
     assert site.enclosing_method.name == "m"
     assert len(every) > 150
     assert [id(s) for s in walked] == [id(s) for s in naming] and len(naming) == 3
+
+
+def test_search_enters_only_statements_that_hold_the_name(monkeypatch):
+    # on the benchmark's generate_chains examples of seed 0, each of whose
+    # chain methods holds up to 150 statements: every statement whose
+    # expression the search reads, or below which it looks, holds an
+    # occurrence of the method's name, found by bisecting its statement
+    # list, not by visiting the statements in front of it
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen = importlib.import_module("gen")
+    units = [jast.parse(item.text) for item in gen.generate_chains(0, CORPUS)]
+    sig = sigmap.parse_signature("android.os.Vibrator#vibrate(long)")
+    visited = []
+    for name in ("stmt_exprs", "child_stmts"):
+        monkeypatch.setattr(jast, name, lambda s, fn=getattr(jast, name): visited.append(s) or fn(s))
+    found = [sigmap.find_invocations(unit, sig) for unit in units]
+    monkeypatch.undo()
+    every = [s for unit in units for t, _ in jast.iter_types(unit) for m in t.methods
+             for s, _ in jast.iter_statements(m.body)]
+    holding = {id(s) for s in every if s.unit_text.find("vibrate", s.start, s.end) >= 0}
+    assert {id(s) for s in visited} == holding
+    assert len(every) > 20 * len(holding) and sum(map(len, found)) >= len(units)
